@@ -24,7 +24,7 @@ for x, y in [(0.3, 1.1), (0.7, 0.7), (2.0, 0.4)]:
     print(f"  K^hat_0({x}, {y}) - K^sin = "
           f"{kr.bessel_origin_kernel(0.0, x, y) - kr.sine_kernel(x, y):+.2e}")
 
-print("\n=== Pearcey kernel (double contour integral) ===")
+print("\n=== Pearcey kernel (integrable form from p and q) ===")
 for x in (0.0, 2.0, 4.0):
     print(f"  K(x,x;0) at x={x}: {kr.pearcey_kernel(x, x, 0.0):+.8f}")
 print("  the diagonal grows like the cusp density ~ |x|^(1/3)")

@@ -222,7 +222,7 @@ def _converge_one_star(a):
 def _cmd_converge(args):
     pot = _parse_potential(args)
     ns = _parse_ns(args.n)
-    if args.mode in ("hard", "origin") and not pot.hard_edge and args.mode == "hard":
+    if args.mode == "hard" and not pot.hard_edge:
         raise ValidationError("hard mode needs --hard-edge")
     grid = _parse_grid(args.grid or _CONVERGE_DEFAULTS[args.mode])
     alpha = args.alpha or 0.0

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.integrate
 from numpy.polynomial import polynomial as npoly
+from scipy.special import roots_jacobi
 
 __all__ = [
     "Potential",
@@ -303,12 +304,7 @@ _GC_M = 320
 _GC_T = np.cos(np.pi * np.arange(1, _GC_M + 1) / (_GC_M + 1))
 _GC_W = (np.pi / (_GC_M + 1)) * np.sin(np.pi * np.arange(1, _GC_M + 1) / (_GC_M + 1)) ** 2
 
-try:
-    from scipy.special import roots_jacobi
-
-    _GJ_T, _GJ_W = roots_jacobi(160, 0.5, -0.5)
-except Exception:  # pragma: no cover
-    _GJ_T = _GJ_W = None
+_GJ_T, _GJ_W = roots_jacobi(160, 0.5, -0.5)
 
 
 def _moment_map(pot: Potential, moments: np.ndarray):

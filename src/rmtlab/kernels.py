@@ -19,7 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .specfun import airy, airy_tail, bessel_j, sinc_integral
+from .quadrature import gauss_legendre_panels
+from .specfun import airy, airy_real, airy_tail, bessel_j, sinc_integral
 
 __all__ = [
     "KernelHandle",
@@ -152,18 +153,14 @@ def bessel_origin_kernel(alpha: float, x: float, y: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Pearcey kernel by its double contour integral
+# Pearcey kernel from its integrable form
 
-_GLP_NODES, _GLP_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_GLP_ORDER = 20
 
 
 def _panel_nodes(lo, hi, panels):
-    edges = np.linspace(lo, hi, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    t = (mid[:, None] + half * _GLP_NODES[None, :]).ravel()
-    w = np.tile(half * _GLP_WEIGHTS, panels)
-    return t, w
+    t, w = gauss_legendre_panels(lo, hi, panels, _GLP_ORDER)
+    return t.ravel(), w.ravel()
 
 
 def _xi_contour(delta, tmax, panels):
@@ -183,6 +180,12 @@ def _xi_contour(delta, tmax, panels):
     return np.concatenate(xs), np.concatenate(ws)
 
 
+def _eta_axis(tmax, panels):
+    """Nodes and weights (d eta = i du) on the imaginary axis |eta| <= tmax."""
+    u, wu = _panel_nodes(-tmax, tmax, panels)
+    return 1j * u, 1j * wu
+
+
 def _pearcey_raw(x, y, s, delta, tmax, xi_panels, eta_panels):
     xi, wxi = _xi_contour(delta, tmax, xi_panels)
     u, wu = _panel_nodes(-tmax, tmax, eta_panels)
@@ -197,26 +200,65 @@ def _pearcey_raw(x, y, s, delta, tmax, xi_panels, eta_panels):
     return val / (2.0j * np.pi) ** 2
 
 
-def pearcey_kernel(x: float, y: float, s: float) -> float:
-    """Pearcey kernel via its double contour integral.
+def _p_moments(x, s, xi, wxi, kmax):
+    """(1/2 pi i) Int xi^k e^{xi^4/4 - s xi^2/2 + x xi} d xi, k = 0..kmax;
+    the k-th moment is p^(k)(x)."""
+    f = np.exp(0.25 * xi ** 4 - 0.5 * s * xi ** 2 + xi * x) * wxi
+    return np.vander(xi, kmax + 1, increasing=True).T @ f / (2j * np.pi)
 
-    eta runs over the imaginary axis, xi over the X of rays at angles
-    +-pi/4 (deformed off the origin, which removes the integrable pole
-    pinch without changing the value).  For s > 0 the vertices sit at
-    +-sqrt(s), which is the exact steepest-descent crossing of the
-    quadratic term.  Two independent discretizations must agree, else
-    ArithmeticError is raised; large |x|, |y| (beyond ~8) amplify the
-    oscillatory cancellation past double precision and end up there.
-    Absolute accuracy ~1e-7 where it converges.
+
+def _q_moments(y, s, eta, weta, kmax):
+    """(1/2 pi i) Int eta^k e^{-eta^4/4 + s eta^2/2 - y eta} d eta,
+    k = 0..kmax; the k-th moment is (-1)^k q^(k)(y)."""
+    f = np.exp(-0.25 * eta ** 4 + 0.5 * s * eta ** 2 - eta * y) * weta
+    return np.vander(eta, kmax + 1, increasing=True).T @ f / (2j * np.pi)
+
+
+def _pearcey_integrable(x, y, s, xi_contour, eta_axis):
+    """[p''(x) q(y) - p'(x) q'(y) + p(x) q''(y) - s p(x) q(y)] / (x - y).
+
+    The numerator N(x, y) vanishes at x = y, and d^k N / dx^k is the same
+    expression with p shifted k derivatives up.  Within the diagonal band
+    the kernel is the Taylor form N_x(y, y) + (x - y) N_xx(y, y) / 2, whose
+    first term is the confluent p''' q - p'' q' + p' q'' - s p' q.
+    """
+    near = abs(x - y) < 1e-6 * (1.0 + abs(x) + abs(y))
+    p = _p_moments(y if near else x, s, *xi_contour, 4)
+    q = _q_moments(y, s, *eta_axis, 2) * np.array([1.0, -1.0, 1.0])
+
+    def numerator(k):
+        return p[k + 2] * q[0] - p[k + 1] * q[1] + p[k] * q[2] - s * p[k] * q[0]
+
+    if near:
+        return numerator(1) + 0.5 * (x - y) * numerator(2)
+    return numerator(0) / (x - y)
+
+
+def pearcey_kernel(x: float, y: float, s: float) -> float:
+    """Pearcey kernel from its integrable form (Tracy-Widom, CMP 263, 2006):
+
+        K(x, y) = [p''(x) q(y) - p'(x) q'(y) + p(x) q''(y) - s p(x) q(y)]
+                  / (x - y)
+
+    with p, q the single contour integrals of pearcey_p and pearcey_q and
+    their derivatives taken as quadrature moments; the diagonal uses the
+    confluent form p''' q - p'' q' + p' q'' - s p' q.  The xi contour is
+    the X of rays at +-pi/4 with vertices at +-d, d = max(0.75, sqrt(s))
+    (the steepest-descent crossing of the quadratic term for s > 0), and
+    at +-0.6 d for the second discretization, whose truncation and panel
+    counts differ too.  The two must agree to 1e-7, and the value must be
+    real to 1e-7, else ArithmeticError is raised; large |x|, |y| or s << 0
+    amplify the cancellation in p and q past double precision and end up
+    there.  Agrees with the double contour integral _pearcey_raw to 1e-9
+    on [-2, 2]^2 for s in {-1, 0, 1, 3} (tests/test_kernels.py).
     """
     if abs(x) > 20.0 or abs(y) > 20.0:
         raise ValueError("pearcey_kernel: |x|, |y| must not exceed 20")
     if abs(s) > 10.0:
         raise ValueError("pearcey_kernel: |s| must not exceed 10")
     d0 = max(0.75, math.sqrt(max(s, 0.0)))
-    scale = min(4, 1 + int(0.4 * (abs(x) + abs(y)) + 0.3 * abs(s)))
-    a = _pearcey_raw(x, y, s, d0, 12.0, 50 * scale, 110 * scale)
-    b = _pearcey_raw(x, y, s, d0 + 0.7, 13.0, 61 * scale, 137 * scale)
+    a = _pearcey_integrable(x, y, s, _xi_contour(d0, 12.0, 60), _eta_axis(12.0, 120))
+    b = _pearcey_integrable(x, y, s, _xi_contour(0.6 * d0, 13.0, 73), _eta_axis(13.0, 149))
     if abs(a - b) > 1e-7 * max(1.0, abs(a)):
         raise ArithmeticError(
             f"pearcey_kernel: contour discretizations disagree by {abs(a - b):.2e}"
@@ -230,18 +272,13 @@ def pearcey_p(x: float, s: float, moment: int = 0) -> complex:
     """xi-factor of the Pearcey integrand:
     p(x) = (1/2 pi i) Int_C e^{xi^4/4 - s xi^2/2 + xi x} dxi,
     with xi^moment inserted (moment = k gives the k-th derivative of p)."""
-    xi, wxi = _xi_contour(1.0, 12.0, 60)
-    f = np.exp(0.25 * xi ** 4 - 0.5 * s * xi ** 2 + xi * x) * wxi * xi ** moment
-    return complex(f.sum() / (2.0j * np.pi))
+    return complex(_p_moments(x, s, *_xi_contour(1.0, 12.0, 60), moment)[moment])
 
 
 def pearcey_q(y: float, s: float, moment: int = 0) -> complex:
     """eta-factor: q(y) = (1/2 pi i) Int_{-i inf}^{i inf}
     e^{-eta^4/4 + s eta^2/2 - eta y} d eta, with eta^moment inserted."""
-    u, wu = _panel_nodes(-12.0, 12.0, 120)
-    eta = 1j * u
-    f = np.exp(-0.25 * eta ** 4 + 0.5 * s * eta ** 2 - eta * y) * (1j * wu) * eta ** moment
-    return complex(f.sum() / (2.0j * np.pi))
+    return complex(_q_moments(y, s, *_eta_axis(12.0, 120), moment)[moment])
 
 
 # ---------------------------------------------------------------------------
@@ -272,34 +309,28 @@ def matrix_kernel_bulk(beta: int, x: float, y: float) -> np.ndarray:
     raise ValueError("matrix_kernel_bulk: beta must be 1 or 4")
 
 
-_kernel_tail_cache: dict = {}
+def _airy_kernel_column(t, y):
+    """K_Ai(t, y) for an array t and a scalar y.  Entries in the diagonal
+    band of airy_kernel take its confluent value at the pair midpoint."""
+    at, apt = airy_real(t)
+    ay, apy = airy_real(y)
+    d = t - y
+    near = np.abs(d) < 1e-6 * (1.0 + np.abs(t) + abs(y))
+    out = (at * apy - apt * ay) / np.where(near, 1.0, d)
+    if near.any():
+        m = 0.5 * (t[near] + y)
+        am, apm = airy_real(m)
+        out[near] = apm * apm - m * am * am
+    return out
 
 
 def _airy_kernel_tail_integral(x: float, y: float) -> float:
-    """integral_x^inf K_Ai(t, y) dt by composite Gauss-Legendre panels on a
-    fixed knot grid, with per-y suffix sums cached for grid evaluation."""
+    """integral_x^inf K_Ai(t, y) dt as one composite Gauss-Legendre
+    quadrature on [x, max(x, 12) + 2] with panels of width at most 1/2;
+    beyond the cut the integrand is below 1e-15."""
     hi = max(x, 12.0) + 2.0
-    key = round(y, 14)
-    knots, suffix = _kernel_tail_cache.get(key, (None, None))
-    if knots is None or knots[-1] < hi - 1e-9:
-        knots = np.arange(math.floor(min(x, -6.0) * 2) / 2.0, hi + 0.26, 0.5)
-        vals = []
-        for lo, up in zip(knots[:-1], knots[1:]):
-            mid, half = 0.5 * (lo + up), 0.5 * (up - lo)
-            t = mid + half * _GLP_NODES
-            vals.append(float(np.array([airy_kernel(ti, y) for ti in t]) @ _GLP_WEIGHTS) * half)
-        suffix = np.zeros(len(knots))
-        suffix[:-1] = np.cumsum(np.array(vals)[::-1])[::-1]
-        if len(_kernel_tail_cache) > 4096:
-            _kernel_tail_cache.clear()
-        _kernel_tail_cache[key] = (knots, suffix)
-    j = int(np.searchsorted(knots, x, side="right"))
-    if j >= len(knots):
-        return 0.0
-    mid, half = 0.5 * (x + knots[j]), 0.5 * (knots[j] - x)
-    t = mid + half * _GLP_NODES
-    part = float(np.array([airy_kernel(ti, y) for ti in t]) @ _GLP_WEIGHTS) * half
-    return part + float(suffix[j])
+    t, w = gauss_legendre_panels(x, hi, math.ceil(2.0 * (hi - x)), _GLP_ORDER)
+    return float(_airy_kernel_column(t.ravel(), y) @ w.ravel())
 
 
 def matrix_kernel_edge(beta: int, x: float, y: float) -> np.ndarray:

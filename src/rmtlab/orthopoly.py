@@ -19,12 +19,14 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import equilibrium as eqm
 from .equilibrium import NonConvergenceError, Potential
+from .quadrature import gauss_legendre_panels
 
 __all__ = [
     "WeightSpec",
@@ -157,29 +159,29 @@ class RecurrenceTable:
 
     @classmethod
     def from_text(cls, text: str) -> "RecurrenceTable":
+        """Parse a to_text record.  Raises ValueError when the record is
+        malformed, truncated, of the wrong length or not finite."""
         rows = [ln.split() for ln in text.strip().splitlines()]
-        if rows[0][0] != "rmtlab-recurrence" or rows[0][1] != "v1":
+        if not rows or rows[0][:2] != ["rmtlab-recurrence", "v1"]:
             raise ValueError("unrecognized recurrence record")
-        kv = {r[0]: r[1:] for r in rows[1:]}
-        return cls(
-            N=int(kv["N"][0]),
-            n_max=int(kv["n_max"][0]),
-            a=np.array([float(v) for v in kv["a"]]),
-            b=np.array([float(v) for v in kv["b"]]),
-            gamma_sq=np.array([float(v) for v in kv["gamma_sq"]]),
-            window=(float(kv["window"][0]), float(kv["window"][1])),
-        )
-
-
-def _panel_grid(lo, hi, n_nodes, order=32):
-    gl_t, gl_w = np.polynomial.legendre.leggauss(order)
-    panels = max(4, int(math.ceil(n_nodes / order)))
-    edges = np.linspace(lo, hi, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    x = (mid[:, None] + half * gl_t[None, :]).ravel()
-    w = np.tile(half * gl_w, panels)
-    return x, w
+        kv = {r[0]: r[1:] for r in rows[1:] if r}
+        try:
+            table = cls(
+                N=int(kv["N"][0]),
+                n_max=int(kv["n_max"][0]),
+                a=np.array(kv["a"], dtype=float),
+                b=np.array(kv["b"], dtype=float),
+                gamma_sq=np.array(kv["gamma_sq"], dtype=float),
+                window=(float(kv["window"][0]), float(kv["window"][1])),
+            )
+        except (KeyError, IndexError, ValueError) as exc:
+            raise ValueError(f"malformed recurrence record: {exc!r}") from exc
+        n = table.n_max
+        if (len(table.a), len(table.b), len(table.gamma_sq)) != (n, n + 1, n + 1):
+            raise ValueError("recurrence record has the wrong length")
+        if not all(np.isfinite(v).all() for v in (table.a, table.b, table.gamma_sq)):
+            raise ValueError("recurrence record holds non-finite values")
+        return table
 
 
 def _lanczos_coefficients(w: WeightSpec, n_max, x, quad_w):
@@ -230,14 +232,15 @@ def recurrence_table(w: WeightSpec, n_max: int, use_cache: bool = True) -> Recur
     if n_max > 512:
         raise ValueError("n_max must not exceed 512")
     cache_path = _cache_path(w, n_max) if use_cache else None
-    if cache_path and os.path.exists(cache_path):
-        with open(cache_path) as fh:
-            return RecurrenceTable.from_text(fh.read())
+    cached = _read_cache(cache_path, w, n_max) if cache_path else None
+    if cached is not None:
+        return cached
     lo, hi = w.window(n_max)
     nodes = max(1200, 8 * n_max)
     prev = None
     for _ in range(5):
-        x, qw = _panel_grid(lo, hi, nodes)
+        x, qw = gauss_legendre_panels(lo, hi, max(4, math.ceil(nodes / 32)), 32)
+        x, qw = x.ravel(), qw.ravel()
         a, b, gsq = _lanczos_coefficients(w, n_max, x, qw)
         if prev is not None:
             pa, pb = prev
@@ -248,8 +251,7 @@ def recurrence_table(w: WeightSpec, n_max: int, use_cache: bool = True) -> Recur
                                         gamma_sq=gsq, window=(lo, hi),
                                         nodes_used=len(x))
                 if cache_path:
-                    with open(cache_path, "w") as fh:
-                        fh.write(table.to_text())
+                    _write_cache(cache_path, table.to_text())
                 return table
         prev = (a, b)
         nodes *= 2
@@ -257,15 +259,49 @@ def recurrence_table(w: WeightSpec, n_max: int, use_cache: bool = True) -> Recur
         "recurrence coefficients not stable after 4 grid doublings")
 
 
+# Part of the cache key; bump it whenever the computed coefficients change.
+_CACHE_ALGORITHM = "lanczos-gl32-doubling-1"
+
+
 def _cache_path(w: WeightSpec, n_max: int):
     root = os.environ.get("RMTLAB_CACHE")
     if not root:
         return None
     os.makedirs(root, exist_ok=True)
-    key = repr((tuple(w.potential.coefficients), w.potential.hard_edge,
-                w.potential.singularity_alpha, w.N, w.truncation, n_max))
+    key = repr((_CACHE_ALGORITHM, tuple(w.potential.coefficients),
+                w.potential.hard_edge, w.potential.singularity_alpha, w.N,
+                w.truncation, n_max))
     h = hashlib.sha256(key.encode()).hexdigest()[:20]
     return os.path.join(root, f"recurrence-{h}.txt")
+
+
+def _read_cache(path, w: WeightSpec, n_max: int):
+    """The cached table, or None when the record is missing, truncated or
+    otherwise unusable; the caller then recomputes and replaces it."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        table = RecurrenceTable.from_text(text)
+    except (OSError, ValueError):
+        return None
+    # to_text ends every record with a newline; without it the last
+    # number may have been cut short
+    if not text.endswith("\n") or (table.N, table.n_max) != (w.N, n_max):
+        return None
+    return table
+
+
+def _write_cache(path, text):
+    """Write through a temporary file in the same directory and rename it
+    into place, so readers never see a partial record."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

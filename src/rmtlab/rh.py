@@ -88,8 +88,6 @@ def g_function(ctx: DescentContext, z) -> complex:
     """g(z) = Int log(z - x) dmu(x) by Gauss-Chebyshev against the density,
     principal branch; g(z) = log z + O(1/z) at infinity."""
     a, b = ctx.support
-    if min(abs(z - b), abs(z.real - min(z.real, b))) == 0 and abs(z.imag) < 1e-10 and z.real <= b:
-        raise ValueError("g_function: z on the branch cut (-inf, b]")
     if abs(z.imag) < 1e-10 and z.real <= b + 1e-10:
         raise ValueError("g_function: z too close to the branch cut (-inf, b]")
     c, r = 0.5 * (a + b), 0.5 * (b - a)

@@ -1,34 +1,38 @@
-"""High-accuracy Airy and Bessel evaluation plus the oscillatory primitives.
+"""Airy and Bessel evaluation plus the oscillatory primitives.
 
 Every other module (universal kernels, Riemann-Hilbert parametrices,
-scaling-limit experiments) consumes these four primitives, so the accuracy
-budget is deliberately tight: ~1e-12 relative for real Airy arguments in
-the classical range, better than 1e-8 for complex arguments of moderate
-modulus, and ~1e-10 absolute for the integral transforms.
+scaling-limit experiments) consumes these primitives.  What computes what:
 
-Evaluation strategy for Ai(z), Ai'(z):
+* Ai(z), Ai'(z): scipy.special.airy (the AMOS routines) for real z; for
+  complex z the exponentially scaled airye times e^{-zeta},
+  zeta = (2/3) z^{3/2}, which stays finite up to the overflow guard.  This
+  module adds the |z| <= 1e3 range check and raises OverflowError in the
+  deep growth sectors (Re zeta < -700).
+* J_alpha(x), J_alpha'(x): scipy.special.jv and jvp, with the range checks
+  and the x = 0 conventions of bessel_j.
+* integral_0^t sin(pi u)/(pi u) du: scipy.special.sici.
+* integral_x^inf Ai: a cumulative composite Gauss-Legendre table fed by the
+  vectorized Airy (scipy's itairy reaches only ~1e-7), with integration by
+  parts beyond x = 8.
 
-* Maclaurin pair series f, g near the origin (the two series constants
-  come from Gamma(1/3), Gamma(2/3)).
-* Saddle-point Gauss-Hermite quadrature of the contour representation
-  through t = sqrt(z) + i*s on the band 4.2 < |z| <= 7.6, |arg z| <= pi/3,
-  where the power series cancels catastrophically but the Poincare
-  expansion has not yet converged to full precision.
-* Poincare asymptotic expansions beyond.
-* The rotation identity Ai(z) = -w*Ai(w*z) - w^2*Ai(w^2*z), w = e^{2pi i/3},
-  folds |arg z| > 2pi/3 back onto the covered sectors.
-
-J_alpha(x) uses the ascending series at small and moderate x, the Hankel
-asymptotic expansion at large x, and a Schlaefli-integral fallback whenever
-the divergent expansion cannot reach the target accuracy (large order).
+Accuracy verified against mpmath and quadrature oracles in
+tests/test_specfun.py: Ai, Ai' to 1e-10 relative on [-20, 20] and to 1e-8
+relative for complex |z| <= 30 in every sector; J_alpha to 1e-10 for
+-1 < alpha <= 40, x <= 50; the Airy tail to 1e-9 absolute; the sine
+integral to 1e-10 absolute for |t| <= 1e5.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy import special
+
+from .quadrature import gauss_legendre_panels
 
 __all__ = [
     "FunctionValuePair",
@@ -38,31 +42,6 @@ __all__ = [
     "bessel_j",
     "sinc_integral",
 ]
-
-# Ai(0) = 3^(-2/3)/Gamma(2/3),  Ai'(0) = -3^(-1/3)/Gamma(1/3)
-_AI0 = 0.3550280538878172392600631860041831763980
-_AIP0 = -0.2588194037928067984051835601892039634793
-
-_OMEGA = complex(-0.5, 0.8660254037844386467637231707529362)  # e^{2 pi i/3}
-
-_R_SERIES_NARROW = 4.2   # series limit on the positive real axis
-_R_SADDLE = 7.6          # saddle limit, then Poincare takes over
-_R_SERIES_WIDE = 7.0     # series limit for |arg z| > pi/2
-_SADDLE_ANGLE = 1.36     # saddle usable for |arg z| below this
-
-
-def _series_radius(costh32_pos):
-    """Largest modulus at which the Maclaurin pair series still yields
-    ~1e-11 relative accuracy.  The cancellation loss is exp((2/3) r^{3/2}
-    (|c| + c)) with c = cos(3 arg(z)/2); it vanishes off the positive axis.
-    """
-    if costh32_pos <= 1e-3:
-        return 6.5
-    return min(6.5, (8.65 / costh32_pos) ** (2.0 / 3.0))
-
-_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(44)
-_GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_GL64_NODES, _GL64_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
 @dataclass(frozen=True)
@@ -76,186 +55,34 @@ class FunctionValuePair:
 # ---------------------------------------------------------------------------
 # Airy
 
-def _airy_series(z):
-    z = np.asarray(z, dtype=complex)
-    z3 = z ** 3
-    f = np.ones_like(z)
-    g = z.copy()
-    fp = np.zeros_like(z)
-    gp = np.ones_like(z)
-    tf = np.ones_like(z)
-    tg = z.copy()
-    zsafe = np.where(z == 0, 1.0, z)
-    for k in range(1, 121):
-        tk = 3 * k
-        tf = tf * z3 / (tk * (tk - 1))
-        tg = tg * z3 / ((tk + 1) * tk)
-        f += tf
-        g += tg
-        fp += tf * tk / zsafe
-        gp += tg * (tk + 1) / zsafe
-        if np.max(np.abs(tf) + np.abs(tg)) < 1e-19 * np.max(np.abs(f) + np.abs(g)):
-            break
-    return _AI0 * f + _AIP0 * g, _AI0 * fp + _AIP0 * gp
-
-
-def _airy_saddle(z):
-    """Gauss-Hermite quadrature through the saddle t = sqrt(z) + i s:
-
-        Ai(z)  = e^{-zeta}/(2 pi) * Int_R e^{-sqrt(z) s^2} cos(s^3/3) ds
-        Ai'(z) = -e^{-zeta}/(2 pi) * (sqrt(z) Ic + Is)
-
-    evaluated on the real s-contour scaled by Re(sqrt z), so the integrand
-    keeps a true Gaussian envelope at every angle.  Spectrally accurate for
-    4 <~ |z| <~ 8, |arg z| <= pi/2.
-    """
-    z = np.asarray(z, dtype=complex)
-    rz = np.sqrt(z)
-    zeta = (2.0 / 3.0) * z * rz
-    r = np.sqrt(rz.real)
-    beta = rz.imag / rz.real
-    gamma = 1.0 / (3.0 * r ** 3)
-    v = _GH_NODES
-    quad_phase = np.exp(-1j * np.outer(beta, v ** 2))
-    cu = np.cos(np.outer(gamma, v ** 3)) * quad_phase
-    su = (np.sin(np.outer(gamma, v ** 3)) * v) * quad_phase
-    ic = (cu @ _GH_WEIGHTS) / r
-    isin = (su @ _GH_WEIGHTS) / r ** 2
-    pref = np.exp(-zeta) / (2.0 * np.pi)
-    return pref * ic, -pref * (rz * ic + isin)
-
-
-_AIRY_U = [1.0]
-_AIRY_V = [1.0]
-for _k in range(1, 41):
-    _AIRY_U.append(_AIRY_U[-1] * (6 * _k - 1) * (6 * _k - 5) / (72.0 * _k))
-    _AIRY_V.append(-_AIRY_U[-1] * (6 * _k + 1) / (6 * _k - 1))
-
-
-def _airy_asymptotic(z):
-    """Poincare expansion with optimal truncation; relative error ~e^{-2|zeta|}."""
-    z = np.asarray(z, dtype=complex)
-    zeta = (2.0 / 3.0) * z ** 1.5
-    su = np.ones_like(z)
-    sv = np.ones_like(z)
-    term = np.ones_like(z)
-    active = np.ones(z.shape, dtype=bool)
-    prev = np.full(z.shape, np.inf)
-    for k in range(1, 41):
-        term = term / (-zeta)
-        tu = _AIRY_U[k] * term
-        grew = np.abs(tu) > prev
-        active &= ~grew
-        if not active.any():
-            break
-        su = np.where(active, su + tu, su)
-        sv = np.where(active, sv + _AIRY_V[k] * term, sv)
-        prev = np.where(active, np.abs(tu), prev)
-        if np.all(~active | (np.abs(tu) < 1e-18 * np.abs(su))):
-            break
-    q = z ** 0.25
-    e = np.exp(-zeta) / (2.0 * math.sqrt(math.pi))
-    return e * su / q, -q * e * sv
-
-
-def _airy_direct(z):
-    """Single-point evaluation for |arg z| <= 2pi/3."""
-    r = abs(z)
-    th = abs(np.angle(z))
-    if th <= _SADDLE_ANGLE:
-        c = max(math.cos(1.5 * th), 0.0)
-        if r <= _series_radius(c):
-            branch = _airy_series
-        elif r <= _R_SADDLE:
-            branch = _airy_saddle
-        else:
-            branch = _airy_asymptotic
-    else:
-        branch = _airy_series if r <= _R_SERIES_WIDE else _airy_asymptotic
-    a, ap = branch(np.array([z], dtype=complex))
-    return a[0], ap[0]
-
-
 def airy(z) -> FunctionValuePair:
     """Airy function Ai and derivative Ai' for real or complex argument.
 
-    Accuracy: ~1e-12 relative on the real axis in [-20, 20], at least 1e-8
-    relative for complex |z| <= 30.  Raises OverflowError in the deep
-    growth sectors where the result would overflow; underflow in the decay
+    Real input gives float values, complex input complex values.  Raises
+    ValueError beyond |z| = 1e3 and OverflowError in the deep growth
+    sectors where the result would overflow; underflow in the decay
     sector degrades gracefully to 0.
     """
     zin = z
     z = complex(z)
     if abs(z) > 1.1e3:
         raise ValueError("airy: |z| exceeds the supported range 1e3")
-    if abs(z) > 20.0:
-        rezeta = ((2.0 / 3.0) * z ** 1.5).real
-        if -abs(rezeta) < -700.0 and rezeta < 0.0:
-            raise OverflowError("airy: result too large to represent")
-    th = np.angle(z)
-    if abs(th) <= 2.0 * np.pi / 3.0:
-        ai, aip = _airy_direct(z)
-    else:
-        # fold onto the covered sectors; both rotations land in |arg| <= 2pi/3
-        w = _OMEGA
-        a1, a1p = _airy_direct(w * z)
-        a2, a2p = _airy_direct(w * w * z)
-        ai = -w * a1 - w * w * a2
-        aip = -w * w * a1p - w * a2p
-    if isinstance(zin, complex) and not isinstance(zin, float):
-        return FunctionValuePair(complex(ai), complex(aip))
-    if getattr(zin, "imag", 0) != 0:
-        return FunctionValuePair(complex(ai), complex(aip))
-    return FunctionValuePair(float(ai.real), float(aip.real))
+    zeta = (2.0 / 3.0) * z * cmath.sqrt(z)
+    if abs(z) > 20.0 and zeta.real < -700.0:
+        raise OverflowError("airy: result too large to represent")
+    if isinstance(zin, complex) or getattr(zin, "imag", 0) != 0:
+        # scaled pair times e^{-zeta}: unscaled AMOS returns 0 or nan once
+        # Re zeta < -666 in the growth sectors, short of the guard above
+        eai, eaip, _, _ = special.airye(z)
+        scale = cmath.exp(-zeta)
+        return FunctionValuePair(complex(eai * scale), complex(eaip * scale))
+    ai, aip, _, _ = special.airy(z.real)
+    return FunctionValuePair(float(ai), float(aip))
 
 
 def airy_real(x):
-    """Vectorized (Ai, Ai') on the real axis.
-
-    Same branch structure as airy() but batched; kernel grids and the tail
-    cache need many thousands of real evaluations.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    ai = np.empty_like(x)
-    aip = np.empty_like(x)
-
-    m = np.abs(x) <= _R_SERIES_NARROW
-    if m.any():
-        a, ap = _airy_series(x[m])
-        ai[m], aip[m] = a.real, ap.real
-
-    m = (x > _R_SERIES_NARROW) & (x <= _R_SADDLE)
-    if m.any():
-        a, ap = _airy_saddle(x[m])
-        ai[m], aip[m] = a.real, ap.real
-
-    m = x > _R_SADDLE
-    if m.any():
-        a, ap = _airy_asymptotic(x[m])
-        ai[m], aip[m] = a.real, ap.real
-
-    m = x < -_R_SERIES_NARROW
-    if m.any():
-        # rotated arguments sit on arg = -/+ pi/3 where the series has no
-        # exponential cancellation; the saddle bridges to the Poincare zone
-        w = _OMEGA
-        z = x[m].astype(complex)
-        z1, z2 = w * z, w * w * z
-        a1 = np.empty_like(z1)
-        a1p = np.empty_like(z1)
-        a2 = np.empty_like(z2)
-        a2p = np.empty_like(z2)
-        r = np.abs(z)
-        for sel, fn in (
-            (r <= 6.5, _airy_series),
-            ((r > 6.5) & (r <= _R_SADDLE), _airy_saddle),
-            (r > _R_SADDLE, _airy_asymptotic),
-        ):
-            if sel.any():
-                a1[sel], a1p[sel] = fn(z1[sel])
-                a2[sel], a2p[sel] = fn(z2[sel])
-        ai[m] = (-w * a1 - w * w * a2).real
-        aip[m] = (-w * w * a1p - w * a2p).real
+    """Vectorized (Ai, Ai') on the real axis, as two 1-d arrays."""
+    ai, aip, _, _ = special.airy(np.atleast_1d(np.asarray(x, dtype=float)))
     return ai, aip
 
 
@@ -264,15 +91,15 @@ def airy_real(x):
 
 _TAIL_ANCHOR = 8.0
 _TAIL_LEFT = -40.5
-_TAIL_STEP = 0.25
-_tail_cache = None
+_TAIL_PANELS = 194   # panels of width 1/4 on [_TAIL_LEFT, _TAIL_ANCHOR]
+_TAIL_ORDER = 16
 
 
 def _airy_tail_asym(x):
     """integral_x^inf Ai for x >= 8 by repeated integration by parts
     (Ai'' = x Ai); four levels leave a relative remainder below 4e-6 of an
     already ~1e-8 sized tail."""
-    a, ap = airy_real(np.array([x]))
+    a, ap = airy_real(x)
     a, ap = float(a[0]), float(ap[0])
     total = 0.0
     coef = 1.0
@@ -284,15 +111,15 @@ def _airy_tail_asym(x):
     return total
 
 
-def _build_tail_cache():
-    knots = np.arange(_TAIL_LEFT, _TAIL_ANCHOR + 0.5 * _TAIL_STEP, _TAIL_STEP)
-    mid = 0.5 * (knots[:-1] + knots[1:])
-    half = 0.5 * _TAIL_STEP
-    pts = (mid[:, None] + half * _GL16_NODES[None, :]).ravel()
-    ai, _ = airy_real(pts)
-    panel = (ai.reshape(len(mid), -1) @ _GL16_WEIGHTS) * half
+@lru_cache(maxsize=None)
+def _tail_table():
+    """Knots and suffix sums integral_{knot}^inf Ai, built once."""
+    t, w = gauss_legendre_panels(_TAIL_LEFT, _TAIL_ANCHOR, _TAIL_PANELS, _TAIL_ORDER)
+    ai, _ = airy_real(t.ravel())
+    panel = (ai.reshape(t.shape) * w).sum(axis=1)
+    knots = np.linspace(_TAIL_LEFT, _TAIL_ANCHOR, _TAIL_PANELS + 1)
     suffix = np.zeros(len(knots))
-    suffix[-1] = _airy_tail_asym(knots[-1])
+    suffix[-1] = _airy_tail_asym(_TAIL_ANCHOR)
     suffix[:-1] = suffix[-1] + panel[::-1].cumsum()[::-1]
     return knots, suffix
 
@@ -304,109 +131,27 @@ def airy_tail(x: float) -> float:
     by a cumulative panel table built once on first use (read-only after),
     so dense kernel-grid evaluation stays cheap.
     """
-    global _tail_cache
     x = float(x)
     if x < _TAIL_LEFT + 0.49:
         raise ValueError("airy_tail: argument below supported range -40")
     if x >= _TAIL_ANCHOR:
         return _airy_tail_asym(x)
-    if _tail_cache is None:
-        _tail_cache = _build_tail_cache()
-    knots, suffix = _tail_cache
+    knots, suffix = _tail_table()
     j = int(np.searchsorted(knots, x, side="right"))
-    lo, hi = x, knots[j]
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    ai, _ = airy_real(mid + half * _GL16_NODES)
-    return float(ai @ _GL16_WEIGHTS * half + suffix[j])
+    t, w = gauss_legendre_panels(x, knots[j], 1, _TAIL_ORDER)
+    ai, _ = airy_real(t.ravel())
+    return float(ai @ w.ravel() + suffix[j])
 
 
 # ---------------------------------------------------------------------------
 # Bessel J of real order
 
-def _bessel_series(alpha, x):
-    """Ascending series in 80-bit precision; converges for every x, usable
-    until the e^x cancellation eats the guard digits (x <~ 20)."""
-    if x == 0.0:
-        j = 1.0 if alpha == 0.0 else 0.0
-        if alpha == 0.0 or alpha > 1.0:
-            jp = 0.0
-        elif alpha == 1.0:
-            jp = 0.5
-        else:
-            jp = math.inf
-        return j, jp
-    xl = np.longdouble(x)
-    h = xl / 2.0
-    q = h * h
-    t = np.longdouble(1.0) / np.longdouble(math.gamma(alpha + 1.0))
-    s = t
-    sd = t * alpha  # accumulates (alpha + 2k) t_k
-    k = 0
-    while True:
-        k += 1
-        t = -t * q / (k * (k + alpha))
-        s += t
-        sd += t * (alpha + 2 * k)
-        if abs(t) < 1e-24 * abs(s) + np.longdouble(1e-320) or k > 500:
-            break
-    pref = h ** np.longdouble(alpha)
-    return float(pref * s), float(pref / xl * sd)
-
-
-def _hankel_pq(alpha, x):
-    """P, Q sums of the Hankel expansion, or None when the divergent series
-    bottoms out above 1e-14."""
-    mu = 4.0 * alpha * alpha
-    c = 1.0
-    terms = [c]
-    for k in range(1, 50):
-        c = c * (mu - (2 * k - 1) ** 2) / (k * 8.0 * x)
-        if abs(c) > abs(terms[-1]) and k > 2:
-            break
-        terms.append(c)
-        if abs(c) < 1e-16:
-            break
-    if abs(terms[-1]) > 1e-14:
-        return None
-    p = sum(t * (-1) ** (i // 2) for i, t in enumerate(terms) if i % 2 == 0)
-    q = sum(t * (-1) ** (i // 2) for i, t in enumerate(terms) if i % 2 == 1)
-    return p, q
-
-
-def _bessel_schlafli(alpha, x):
-    """Schlaefli integral: (1/pi) Int_0^pi cos(a th - x sin th) dth minus
-    the sin(a pi) exponential tail; robust at large order."""
-    n = min(4096, max(192, int(3.6 * (x + abs(alpha))) + 32))
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    th = 0.5 * math.pi * (nodes + 1.0)
-    w = 0.5 * math.pi * weights
-    val = float(np.cos(alpha * th - x * np.sin(th)) @ w) / math.pi
-    s = math.sin(alpha * math.pi)
-    if abs(s) > 1e-16:
-        tmax = math.asinh(60.0 / max(x, 1e-9))
-        t = 0.5 * tmax * (_GL64_NODES + 1.0)
-        wt = 0.5 * tmax * _GL64_WEIGHTS
-        val -= s / math.pi * float(np.exp(-alpha * t - x * np.sinh(t)) @ wt)
-    return val
-
-
-def _bessel_one(alpha, x):
-    if x <= max(16.0, 2.0 * alpha):
-        return _bessel_series(alpha, x)[0]
-    pq = _hankel_pq(alpha, x)
-    if pq is None:
-        return _bessel_schlafli(alpha, x)
-    p, q = pq
-    chi = x - (0.5 * alpha + 0.25) * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(chi) - q * math.sin(chi))
-
-
 def bessel_j(alpha: float, x: float) -> FunctionValuePair:
     """Bessel function J_alpha(x) and its derivative, real order alpha > -1,
-    x >= 0.  Relative accuracy ~1e-11 for x <= 50.
+    0 <= x <= 1e3.
 
-    The derivative comes from the contiguous-order recurrence
-    J_a'(x) = J_{a-1}(x) - (a/x) J_a(x) outside the series region.
+    At x = 0 the value is 1 for alpha = 0 and 0 otherwise; the derivative
+    is 0 for alpha = 0 or alpha > 1, 1/2 for alpha = 1 and inf in between.
     """
     alpha = float(alpha)
     x = float(x)
@@ -416,12 +161,16 @@ def bessel_j(alpha: float, x: float) -> FunctionValuePair:
         raise ValueError("bessel_j: argument must be nonnegative")
     if x > 1.001e3:
         raise ValueError("bessel_j: argument exceeds the supported range 1e3")
-    if x <= max(16.0, 2.0 * alpha):
-        j, jp = _bessel_series(alpha, x)
+    if x == 0.0:
+        j = 1.0 if alpha == 0.0 else 0.0
+        if alpha == 0.0 or alpha > 1.0:
+            jp = 0.0
+        elif alpha == 1.0:
+            jp = 0.5
+        else:
+            jp = math.inf
         return FunctionValuePair(j, jp)
-    j = _bessel_one(alpha, x)
-    jm1 = _bessel_one(alpha - 1.0, x)
-    return FunctionValuePair(j, jm1 - alpha / x * j)
+    return FunctionValuePair(float(special.jv(alpha, x)), float(special.jvp(alpha, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -429,47 +178,9 @@ def bessel_j(alpha: float, x: float) -> FunctionValuePair:
 
 def sinc_integral(t: float) -> float:
     """integral_0^t sin(pi u)/(pi u) du = Si(pi t)/pi; odd in t, absolute
-    accuracy ~2e-11 over |t| <= 1e6."""
+    accuracy ~1e-10 over |t| <= 1e6."""
     t = float(t)
-    if t == 0.0:
-        return 0.0
     if abs(t) > 1.001e6:
         raise ValueError("sinc_integral: argument exceeds the supported range 1e6")
-    sgn = 1.0 if t > 0 else -1.0
-    w = math.pi * abs(t)
-    if w <= 24.0:
-        wl = np.longdouble(w)
-        w2 = wl * wl
-        term = wl
-        total = wl
-        k = 0
-        while True:
-            k += 1
-            term = -term * w2 / ((2 * k) * (2 * k + 1))
-            total += term / (2 * k + 1)
-            if abs(term) < 1e-26 * abs(total) or k > 120:
-                break
-        return sgn * float(total) / math.pi
-    # Si(w) = pi/2 - f(w) cos w - g(w) sin w with asymptotic auxiliaries
-    f = 0.0
-    g = 0.0
-    ft = 1.0 / w           # (2k)!/w^{2k+1} at k=0
-    gt = 1.0 / (w * w)     # (2k+1)!/w^{2k+2} at k=0
-    sign = 1.0
-    k = 0
-    while True:
-        f += sign * ft
-        g += sign * gt
-        k += 1
-        ftn = ft * (2 * k) * (2 * k - 1) / (w * w)
-        gtn = gt * (2 * k) * (2 * k + 1) / (w * w)
-        if ftn >= ft or k > 60:
-            break
-        ft, gt = ftn, gtn
-        sign = -sign
-        if ft < 1e-19:
-            f += sign * ft
-            g += sign * gt
-            break
-    si = 0.5 * math.pi - f * math.cos(w) - g * math.sin(w)
-    return sgn * si / math.pi
+    si, _ = special.sici(math.pi * abs(t))
+    return math.copysign(float(si), t) / math.pi

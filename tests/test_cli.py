@@ -94,6 +94,28 @@ class TestOppoly:
         assert len(lines) == 1 + 25
 
 
+    @pytest.mark.parametrize("keep", [0.5, -3])
+    def test_truncated_cache_is_recomputed(self, tmp_path, monkeypatch, keep):
+        # a cut record (half the file, or the last number cut short) is a
+        # cache miss: same coefficients, exit 0, and the record is rewritten
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("RMTLAB_CACHE", str(cache))
+        args = ["oppoly", "--potential", "0,0,0.5", "--N", "16", "--nmax", "12"]
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(args + ["--out", str(first)]) == 0
+        (record,) = cache.iterdir()
+        text = record.read_text()
+        record.write_text(text[:int(keep * len(text))] if keep > 0 else text[:keep])
+        assert main(args + ["--out", str(second)]) == 0
+
+        def rows(p):
+            return [ln for ln in p.read_text().splitlines() if not ln.startswith("#")]
+
+        assert rows(second) == rows(first)
+        assert [p.name for p in cache.iterdir()] == [record.name]
+        assert record.read_text() == text
+
+
 class TestConverge:
     def test_bulk_errors_decrease(self, tmp_path):
         out = tmp_path / "conv.csv"

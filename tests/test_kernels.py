@@ -152,6 +152,25 @@ class TestPearcey:
         assert k2 == pytest.approx(0.37658350, abs=1e-6)
         assert k0 < k2 < k4
 
+    @pytest.mark.parametrize("s", [-1.0, 0.0, 1.0, 3.0])
+    def test_integrable_form_against_double_integral(self, s):
+        # _pearcey_raw (double contour integral) is the independent oracle
+        grid = np.linspace(-2.0, 2.0, 5)
+        for x in grid:
+            for y in grid:
+                ref = kr._pearcey_raw(x, y, s, 0.75, 12.0, 30, 65)
+                assert abs(kr.pearcey_kernel(x, y, s) - ref.real) <= 1e-9
+
+    def test_honesty_and_range_errors(self):
+        # at x = y = 12, s = -5 the cancellation in p and q exceeds double
+        # precision and the two discretizations disagree
+        with pytest.raises(ArithmeticError):
+            kr.pearcey_kernel(12.0, 12.0, -5.0)
+        with pytest.raises(ValueError):
+            kr.pearcey_kernel(20.5, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            kr.pearcey_kernel(0.0, 0.0, 10.5)
+
     def test_not_symmetric(self):
         # symmetry in (x, y) is not a property of this kernel
         assert abs(kr.pearcey_kernel(0.9, 0.3, 0.0) - kr.pearcey_kernel(0.3, 0.9, 0.0)) > 0.05
@@ -205,6 +224,25 @@ class TestMatrixKernels:
         assert got == pytest.approx(want, abs=1e-7)
         # analytically both sides are 0 there
         assert got == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("x, y", [(-3.0, -3.0), (0.5, 0.5), (-1.0, 2.0), (2.0, -1.0),
+                                      (-10.0, 0.3), (-25.0, -25.0), (1.0, 1.0 + 1e-7)])
+    def test_edge_tail_integral_against_quad(self, x, y):
+        # integral_x^inf K_Ai(t, y) dt; adaptive quadrature of the scalar
+        # kernel up to t = 30, where the integrand is far below 1e-20
+        import scipy.integrate
+
+        def f(t):
+            return kr.airy_kernel(t, y)
+
+        cut = min(x + 10.0, 30.0)
+        ref = sum(scipy.integrate.quad(f, a, b, limit=400, epsabs=1e-14)[0]
+                  for a, b in [(x, cut), (cut, 30.0)] if b > a)
+        assert kr._airy_kernel_tail_integral(x, y) == pytest.approx(ref, abs=1e-12)
+
+    def test_edge_argument_range(self):
+        with pytest.raises(ValueError):
+            kr.matrix_kernel_edge(1, -30.5, 0.0)
 
     @pytest.mark.parametrize("beta", [1, 4])
     def test_edge_assembled_skew(self, beta):

@@ -105,6 +105,29 @@ class TestAiry:
         with pytest.raises(OverflowError):
             specfun.airy(900.0 * np.exp(2j * np.pi / 3.0))
 
+    @pytest.mark.parametrize("theta", np.linspace(-np.pi, np.pi, 13))
+    def test_complex_sectors_against_mpmath(self, theta):
+        # every sector on a fixed ray grid, |arg z| > 2pi/3 included
+        for r in (0.3, 1.0, 3.0, 8.0, 15.0, 30.0):
+            z = complex(r * np.exp(1j * theta))
+            got = specfun.airy(z)
+            ra = complex(mp.airyai(z))
+            rap = complex(mp.airyai(z, 1))
+            assert abs(got.value - ra) <= 1e-12 * abs(ra)
+            assert abs(got.derivative - rap) <= 1e-12 * abs(rap)
+
+    @pytest.mark.parametrize("theta", [2.0 * np.pi / 3.0, -0.6 * np.pi, 0.9 * np.pi])
+    def test_overflow_boundary(self, theta):
+        # the guard fires at Re zeta = -700, zeta = (2/3) z^{3/2}; just
+        # inside it the value is finite and still accurate
+        r_edge = (1050.0 / abs(math.cos(1.5 * theta))) ** (2.0 / 3.0)
+        z = complex(0.999 * r_edge * np.exp(1j * theta))
+        got = specfun.airy(z)
+        ra = complex(mp.airyai(z))
+        assert abs(got.value - ra) <= 1e-10 * abs(ra)
+        with pytest.raises(OverflowError):
+            specfun.airy(1.001 * r_edge * np.exp(1j * theta))
+
 
 class TestAiryTail:
     def test_decay(self):
@@ -182,6 +205,15 @@ class TestBessel:
             scale = abs(rj) + abs(rjp)
             if x > 0 and scale > 1e-280:
                 assert abs(got.value - rj) + abs(got.derivative - rjp) <= 1e-10 * max(scale, 0.05)
+
+    @pytest.mark.parametrize("alpha, x", [(40.0, 30.0), (40.5, 45.0), (25.3, 12.0),
+                                          (0.3, 1e-6), (-0.7, 1e-5), (2.5, 1e-3)])
+    def test_large_order_and_small_argument_against_mpmath(self, alpha, x):
+        got = specfun.bessel_j(alpha, x)
+        rj = float(mp.besselj(alpha, x))
+        rjp = float(mp.besselj(alpha, x, derivative=1))
+        assert abs(got.value - rj) <= 1e-12 * abs(rj)
+        assert abs(got.derivative - rjp) <= 1e-12 * abs(rjp)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
