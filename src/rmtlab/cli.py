@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import argparse
 import json
+from functools import partial
+from itertools import product
 
 import os
 import sys
@@ -142,19 +144,10 @@ def _cmd_kernel(args):
     handle = _kernel_handle(args)
     grid = _parse_grid(args.grid)
     config = _config_dict(args, ["family", "alpha", "s", "grid", "out"])
-    rows = []
-    if handle.arity == "scalar":
-        cols = ["x", "y", "value"]
-        for x in grid:
-            for y in grid:
-                rows.append((float(x), float(y), float(handle.evaluate(x, y))))
-    else:
-        cols = ["x", "y", "k11", "k12", "k21", "k22"]
-        for x in grid:
-            for y in grid:
-                k = handle.evaluate(x, y)
-                rows.append((float(x), float(y), float(k[0, 0]), float(k[0, 1]),
-                             float(k[1, 0]), float(k[1, 1])))
+    cols = ["x", "y"] + (["value"] if handle.arity == "scalar"
+                         else ["k11", "k12", "k21", "k22"])
+    k = np.reshape([handle.evaluate(x, y) for x in grid for y in grid], (grid.size ** 2, -1))
+    rows = [(float(x), float(y), *v) for (x, y), v in zip(product(grid, grid), k.tolist())]
     _write_csv(args.out, config, cols, rows)
     return 0
 
@@ -187,62 +180,52 @@ _CONVERGE_DEFAULTS = {
 }
 
 
-def _converge_one(pot, mode, n, grid, alpha, want_grid=False):
+def _converge_one(pot, n, win, ref):
+    """Rescaled finite-n kernel at n against the universal grid ref;
+    returns ((sup, l1, runtime_seconds), rescaled grid)."""
     start = time.perf_counter()
     w = op.WeightSpec(pot, N=n)
-    table = op.recurrence_table(w, n)
-    mu = eqm.solve_equilibrium(pot)
-    if mode == "bulk":
-        win = op.bulk_window(mu, 0.0, grid)
-        ref = np.array([[kr.sine_kernel(u, v) for v in grid] for u in grid])
-    elif mode == "edge":
-        win = op.soft_edge_window(mu, grid)
-        ref = np.array([[kr.airy_kernel(u, v) for v in grid] for u in grid])
-    elif mode == "hard":
-        win = op.hard_edge_window(mu, grid)
-        ref = np.array([[kr.bessel_hard_kernel(alpha, u, v) for v in grid]
-                        for u in grid])
-    else:
-        win = op.origin_window(mu, grid)
-        ref = np.array([[kr.bessel_origin_kernel(alpha, u, v) for v in grid]
-                        for u in grid])
-    got = op.rescaled_kernel(table, w, n, win)
+    got = op.rescaled_kernel(op.recurrence_table(w, n), w, n, win)
     diff = np.abs(got - ref)
-    span = grid[-1] - grid[0]
-    sup = float(diff.max())
-    l1 = float(diff.mean() * span * span)
-    row = (n, mode, sup, l1, time.perf_counter() - start)
-    return (row, got, ref) if want_grid else row
-
-
-def _converge_one_star(a):
-    return _converge_one(*a)
+    span = win.grid[-1] - win.grid[0]
+    return (float(diff.max()), float(diff.mean() * span * span),
+            time.perf_counter() - start), got
 
 
 def _cmd_converge(args):
     pot = _parse_potential(args)
-    ns = _parse_ns(args.n)
+    ns = sorted(_parse_ns(args.n))
     if args.mode == "hard" and not pot.hard_edge:
         raise ValidationError("hard mode needs --hard-edge")
     grid = _parse_grid(args.grid or _CONVERGE_DEFAULTS[args.mode])
     alpha = args.alpha or 0.0
     config = _config_dict(args, ["potential", "hard_edge", "alpha", "mode",
                                  "n", "grid", "workers", "out", "grid_out"])
-    tasks = [(pot, args.mode, n, grid, alpha) for n in ns]
+    # the measure, the window and the universal target do not depend on n
+    mu = eqm.solve_equilibrium(pot)
+    if args.mode == "bulk":
+        win, kernel = op.bulk_window(mu, 0.0, grid), kr.sine_kernel
+    elif args.mode == "edge":
+        win, kernel = op.soft_edge_window(mu, grid), kr.airy_kernel
+    elif args.mode == "hard":
+        win, kernel = op.hard_edge_window(mu, grid), partial(kr.bessel_hard_kernel, alpha)
+    else:
+        win, kernel = op.origin_window(mu, grid), partial(kr.bessel_origin_kernel, alpha)
+    ref = np.array([[kernel(u, v) for v in grid] for u in grid])
+    tasks = [(pot, n, win, ref) for n in ns]
     if args.workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_converge_one_star, tasks))
+            results = list(pool.map(_converge_one, *zip(*tasks)))
     else:
-        rows = [_converge_one(*t) for t in tasks]
-    rows.sort(key=lambda r: r[0])
+        results = [_converge_one(*t) for t in tasks]
     _write_csv(args.out, config,
-               ["n", "mode", "sup_error", "l1_error", "runtime_seconds"], rows)
+               ["n", "mode", "sup_error", "l1_error", "runtime_seconds"],
+               [(n, args.mode) + errs for n, (errs, _) in zip(ns, results)])
     if args.grid_out:
         # rescaled-kernel grid of the largest n, next to the universal target
-        _, got, ref = _converge_one(pot, args.mode, max(ns), grid, alpha,
-                                    want_grid=True)
+        got = results[-1][1]
         grows = [(float(u), float(v), float(got[i, j]), float(ref[i, j]))
                  for i, u in enumerate(grid) for j, v in enumerate(grid)]
         _write_csv(args.grid_out, config,

@@ -30,6 +30,8 @@ import scipy.integrate
 from numpy.polynomial import polynomial as npoly
 from scipy.special import roots_jacobi
 
+from .quadrature import gauss_chebyshev_u
+
 __all__ = [
     "Potential",
     "EquilibriumMeasure",
@@ -300,9 +302,7 @@ def _check_one_cut(signs):
 # ---------------------------------------------------------------------------
 # moment map
 
-_GC_M = 320
-_GC_T = np.cos(np.pi * np.arange(1, _GC_M + 1) / (_GC_M + 1))
-_GC_W = (np.pi / (_GC_M + 1)) * np.sin(np.pi * np.arange(1, _GC_M + 1) / (_GC_M + 1)) ** 2
+_GC_T, _GC_W = gauss_chebyshev_u(320)
 
 _GJ_T, _GJ_W = roots_jacobi(160, 0.5, -0.5)
 
@@ -466,19 +466,16 @@ def _newton_polish(pot, m, even, steps: int = 12):
 def _extract_h(pot, moments, a, b):
     """Polynomial h with rho = h sqrt((b-x)(x-a))/pi (soft) or
     h sqrt((b-x)/x)/pi (hard edge); h^2 is an exact polynomial division."""
-    d = pot.degree
+    deg_h = max(pot.degree - (1 if pot.hard_edge else 2), 0)
+    t = np.cos(np.pi * (np.arange(2 * deg_h + 9) + 0.5) / (2 * deg_h + 9))
     if pot.hard_edge:
         beta = _hard_beta(pot, moments)
         p = npoly.polysub(npoly.polymulx(_q_polynomial(pot, moments)), np.array([beta]))
-        deg_h = max(d - 1, 0)
-        t = np.cos(np.pi * (np.arange(2 * deg_h + 9) + 0.5) / (2 * deg_h + 9))
         x = 0.5 * b * (t + 1.0) * 0.999 + 0.0005 * b
         hsq = np.maximum(-npoly.polyval(x, p) / (b - x), 0.0)
     else:
         q = _q_polynomial(pot, moments)
-        deg_h = max(d - 2, 0)
         c, r = 0.5 * (a + b), 0.5 * (b - a)
-        t = np.cos(np.pi * (np.arange(2 * deg_h + 9) + 0.5) / (2 * deg_h + 9))
         x = c + 0.999 * r * t
         hsq = np.maximum(-npoly.polyval(x, q) / ((b - x) * (x - a)), 0.0)
     h = npoly.polyfit(x, np.sqrt(hsq), deg_h)

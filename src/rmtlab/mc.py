@@ -153,10 +153,6 @@ def _gaussian_draws(beta, n, children):
     return out
 
 
-def _gaussian_draws_star(args):
-    return _gaussian_draws(*args)
-
-
 def sample_gaussian(beta: int, n: int, count: int, seed: int,
                     workers: int = 1) -> SampleBatch:
     """Eigenvalue batches of dense GOE (beta 1), GUE (2) or GSE (4)
@@ -176,7 +172,7 @@ def sample_gaussian(beta: int, n: int, count: int, seed: int,
         blocks = np.array_split(np.arange(count), min(workers, count))
         args = [(beta, n, [children[i] for i in blk]) for blk in blocks if len(blk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            out = np.concatenate(list(pool.map(_gaussian_draws_star, args)), axis=0)
+            out = np.concatenate(list(pool.map(_gaussian_draws, *zip(*args))), axis=0)
     else:
         out = _gaussian_draws(beta, n, children)
     return SampleBatch(beta=beta, n=n, N=n, seed=seed, eigenvalue_sets=out)
@@ -286,17 +282,13 @@ def sample_invariant(V: Potential, beta: int, n: int, N: int, count: int,
         args = [(V, beta, n, N, [seeds[i] for i in blk], per, burn, spacing,
                  mu.support) for blk in blocks if len(blk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_chains_star, args))
+            parts = list(pool.map(_run_chains, *zip(*args)))
         sets = np.concatenate(parts, axis=0)
     else:
         sets = _run_chains(V, beta, n, N, seeds, per, burn, spacing, mu.support)
     # chain-major order: records of chain c sit at rows [c*per, (c+1)*per)
     sets = sets[:count] if per == 1 else _interleave_trim(sets, chains, per, count)
     return SampleBatch(beta=beta, n=n, N=N, seed=seed, eigenvalue_sets=sets)
-
-
-def _run_chains_star(args):
-    return _run_chains(*args)
 
 
 def _interleave_trim(sets, chains, per, count):
@@ -320,6 +312,16 @@ def empirical_density(batch: SampleBatch, bins: int, range_: tuple) -> Histogram
     return Histogram(centers=centers, density=counts, edges=edges)
 
 
+def _window_bounds(batch: SampleBatch, window):
+    """(lo, hi, local density) of a local_statistics window."""
+    if hasattr(window, "x_star"):
+        x0, c = window.x_star, window.c
+        half = float(np.max(np.abs(window.grid))) / window.c_n(batch.n)
+    else:
+        x0, half, c = window
+    return x0 - half, x0 + half, c
+
+
 def local_statistics(batch: SampleBatch, window) -> np.ndarray:
     """Consecutive spacings inside a window around a bulk point, unfolded
     by the local density so the mean spacing is 1.
@@ -327,13 +329,7 @@ def local_statistics(batch: SampleBatch, window) -> np.ndarray:
     window: an orthopoly.ScalingWindow (x_star, c = local density, grid
     extent interpreted at scale c*n) or a plain (x_star, half_width,
     density) triple."""
-    if hasattr(window, "x_star"):
-        c = window.c
-        x0 = window.x_star
-        half = float(np.max(np.abs(window.grid))) / window.c_n(batch.n)
-    else:
-        x0, half, c = window
-    lo, hi = x0 - half, x0 + half
+    lo, hi, c = _window_bounds(batch, window)
     out = []
     for row in batch.eigenvalue_sets:
         sel = row[(row >= lo) & (row <= hi)]
@@ -348,13 +344,7 @@ def poisson_contrast(batch: SampleBatch, window, seed: int = 0) -> np.ndarray:
     """Unfolded spacings of a Poisson resample: per set, the same number
     of points dropped uniformly in the window (the null model against
     which eigenvalue repulsion is judged)."""
-    if hasattr(window, "x_star"):
-        c = window.c
-        x0 = window.x_star
-        half = float(np.max(np.abs(window.grid))) / window.c_n(batch.n)
-    else:
-        x0, half, c = window
-    lo, hi = x0 - half, x0 + half
+    lo, hi, c = _window_bounds(batch, window)
     rng = np.random.default_rng(np.random.SeedSequence([seed, batch.seed & 0x7FFFFFFF]))
     out = []
     for row in batch.eigenvalue_sets:
@@ -362,6 +352,8 @@ def poisson_contrast(batch: SampleBatch, window, seed: int = 0) -> np.ndarray:
         if k >= 2:
             pts = np.sort(rng.uniform(lo, hi, k))
             out.append(np.diff(pts) * batch.n * c)
+    if not out:
+        raise ValueError("no eigenvalues found in the window")
     return np.concatenate(out)
 
 

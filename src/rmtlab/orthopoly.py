@@ -1,17 +1,20 @@
 """Orthogonal polynomials for varying weights e^{-N V(x)} and their
 Christoffel-Darboux kernels.
 
-Recurrence coefficients come from a discretized Stieltjes procedure:
-Lanczos with full reorthogonalization on a composite Gauss-Legendre grid,
-with the grid density doubled until every coefficient is stable to 1e-12.
-The truncation window is chosen from the equilibrium measure of the
-scaled potential (N/n_max) V plus an exponential fringe, which is where
-the weighted polynomials actually live; the weight's own tail criterion
-alone would truncate into the oscillatory region.
+Recurrence coefficients come from the discretized Stieltjes procedure
+(Gautschi 2004, sec. 2.2) on composite Gauss-Legendre nodes, with x = +-u^2
+and a Gauss-Jacobi first u-panel at a hard edge or an origin singularity.
+A pass on max(1200, 8 n_max) nodes and a verification pass on twice as
+many must agree to 1e-12, which holds for n_max <= 512 for every supported
+weight and every alpha >= 0.  The truncation window is chosen from the
+equilibrium measure of the scaled potential (N/n_max) V plus an
+exponential fringe, which is where the weighted polynomials actually
+live; the weight's own tail criterion alone would truncate into the
+oscillatory region.
 
-Weighted functions phi_k = P_k e^{-N V/2} / gamma_k are evaluated by the
-orthonormal three-term recurrence with periodic rescaling and a tracked
-log-scale, so nothing overflows for n up to 512.
+The same orthonormal three-term recurrence, with periodic rescaling and a
+tracked log-scale, evaluates phi_k = P_k e^{-N V/2} / gamma_k, so nothing
+overflows for n up to 512.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import logsumexp
 
 from . import equilibrium as eqm
 from .equilibrium import NonConvergenceError, Potential
-from .quadrature import gauss_legendre_panels
+from .quadrature import gauss_legendre_panels, power_weight_panels
 
 __all__ = [
     "WeightSpec",
@@ -75,13 +79,10 @@ class WeightSpec:
         x = np.asarray(x, dtype=float)
         lw = -self.N * self.potential(x)
         a = self.alpha
-        if self.potential.hard_edge:
-            if a != 0.0:
-                with np.errstate(divide="ignore"):
-                    lw = lw + a * np.log(np.maximum(x, 0.0))
-        elif a != 0.0:
+        if a != 0.0:
             with np.errstate(divide="ignore"):
-                lw = lw + 2.0 * a * np.log(np.abs(x))
+                lw = lw + (a * np.log(np.maximum(x, 0.0)) if self.potential.hard_edge
+                           else 2.0 * a * np.log(np.abs(x)))
         return lw
 
     def window(self, n_max: int):
@@ -117,16 +118,14 @@ def _auto_window(w: WeightSpec, n_max: int):
     a, b = mu.support
     hb = abs(float(np.polyval(mu.h[::-1], b)))
     target = 74.0
+
+    def fringe(slope):
+        return 1.3 * (3.0 * target / (4.0 * n_max * max(slope, 1e-12))) ** (2.0 / 3.0)
+
     if pot.hard_edge:
-        slope = hb / math.sqrt(max(b, 1e-12))
-        m = (3.0 * target / (4.0 * n_max * max(slope, 1e-12))) ** (2.0 / 3.0)
-        return 0.0, b + 1.3 * m
-    slope = hb * math.sqrt(b - a)
-    m = (3.0 * target / (4.0 * n_max * max(slope, 1e-12))) ** (2.0 / 3.0)
+        return 0.0, b + fringe(hb / math.sqrt(max(b, 1e-12)))
     ha = abs(float(np.polyval(mu.h[::-1], a)))
-    slope_a = ha * math.sqrt(b - a)
-    ma = (3.0 * target / (4.0 * n_max * max(slope_a, 1e-12))) ** (2.0 / 3.0)
-    return a - 1.3 * ma, b + 1.3 * m
+    return a - fringe(ha * math.sqrt(b - a)), b + fringe(hb * math.sqrt(b - a))
 
 
 @dataclass
@@ -140,7 +139,7 @@ class RecurrenceTable:
     b: np.ndarray          # b_k for k = 0..n_max
     gamma_sq: np.ndarray   # k = 0..n_max
     window: tuple = (0.0, 0.0)
-    nodes_used: int = 0
+    nodes_used: int = 0    # nodes of the verification pass that was kept
 
     def sqrt_a(self):
         return np.sqrt(self.a)
@@ -148,9 +147,10 @@ class RecurrenceTable:
     def to_text(self) -> str:
         fmt = lambda arr: " ".join(repr(float(v)) for v in arr)
         return "\n".join([
-            "rmtlab-recurrence v1",
+            "rmtlab-recurrence v2",
             f"N {self.N}",
             f"n_max {self.n_max}",
+            f"nodes_used {self.nodes_used}",
             f"window {float(self.window[0])!r} {float(self.window[1])!r}",
             "a " + fmt(self.a),
             "b " + fmt(self.b),
@@ -160,9 +160,10 @@ class RecurrenceTable:
     @classmethod
     def from_text(cls, text: str) -> "RecurrenceTable":
         """Parse a to_text record.  Raises ValueError when the record is
-        malformed, truncated, of the wrong length or not finite."""
+        malformed, truncated, of the wrong length, not finite, or has
+        nodes_used <= n_max."""
         rows = [ln.split() for ln in text.strip().splitlines()]
-        if not rows or rows[0][:2] != ["rmtlab-recurrence", "v1"]:
+        if not rows or rows[0][:2] != ["rmtlab-recurrence", "v2"]:
             raise ValueError("unrecognized recurrence record")
         kv = {r[0]: r[1:] for r in rows[1:] if r}
         try:
@@ -173,94 +174,82 @@ class RecurrenceTable:
                 b=np.array(kv["b"], dtype=float),
                 gamma_sq=np.array(kv["gamma_sq"], dtype=float),
                 window=(float(kv["window"][0]), float(kv["window"][1])),
+                nodes_used=int(kv["nodes_used"][0]),
             )
         except (KeyError, IndexError, ValueError) as exc:
             raise ValueError(f"malformed recurrence record: {exc!r}") from exc
         n = table.n_max
         if (len(table.a), len(table.b), len(table.gamma_sq)) != (n, n + 1, n + 1):
             raise ValueError("recurrence record has the wrong length")
+        if table.nodes_used <= n:
+            raise ValueError("recurrence record has nodes_used <= n_max")
         if not all(np.isfinite(v).all() for v in (table.a, table.b, table.gamma_sq)):
             raise ValueError("recurrence record holds non-finite values")
         return table
 
 
-def _lanczos_coefficients(w: WeightSpec, n_max, x, quad_w):
-    lw = w.log_weight(x)
-    shift = lw.max()
-    if not np.isfinite(shift):
+# Node count of the first Stieltjes pass: max(_NODES_MIN, 8 n_max), in
+# Gauss panels of _PANEL_ORDER points; the verification pass uses twice
+# as many.
+_NODES_MIN = 1200
+_PANEL_ORDER = 32
+
+
+def _stieltjes(w: WeightSpec, n_max: int, lo: float, hi: float, nodes: int):
+    """Discretized Stieltjes procedure (Gautschi 2004, sec. 2.2) on about
+    `nodes` quadrature nodes; returns (a, b, log gamma_0^2, node count)."""
+    panels = max(4, math.ceil(nodes / _PANEL_ORDER))
+    pot, al = w.potential, w.alpha
+    if pot.hard_edge or (al != 0.0 and lo < 0.0 < hi):
+        # x = +-u^2 absorbs x^alpha (hard edge) or |x|^{2 alpha} (line)
+        x, qw = power_weight_panels(lo, hi, al if pot.hard_edge else 2.0 * al,
+                                    panels, _PANEL_ORDER)
+        lw = np.log(qw) - w.N * pot(x)
+    else:
+        x, qw = (v.ravel() for v in gauss_legendre_panels(lo, hi, panels, _PANEL_ORDER))
+        lw = np.log(qw) + w.log_weight(x)
+    log_g0 = logsumexp(lw)
+    if not np.isfinite(log_g0):
         raise UnderflowError("weight vanishes identically on the grid")
-    dens = np.exp(lw - shift) * quad_w
-    if dens.max() <= 0.0 or not np.isfinite(dens).all():
-        raise UnderflowError("weight dynamic range exceeded")
-    g0 = dens.sum()
-    v = np.sqrt(dens / g0)
-    basis = np.empty((n_max + 1, len(x)))
-    basis[0] = v
-    a = np.zeros(n_max)
-    b = np.zeros(n_max + 1)
-    vm1 = np.zeros_like(v)
-    sq_prev = 0.0
-    for k in range(n_max + 1):
-        xv = x * basis[k]
-        b[k] = float(basis[k] @ xv)
-        if k == n_max:
-            break
-        r = xv - b[k] * basis[k] - sq_prev * vm1
-        # full reorthogonalization, twice
-        for _ in range(2):
-            r -= basis[: k + 1].T @ (basis[: k + 1] @ r)
-        nrm = float(np.linalg.norm(r))
-        if nrm < 1e-200:
-            raise NonConvergenceError("Lanczos breakdown: grid too coarse")
-        a[k] = nrm * nrm
-        sq_prev = nrm
-        vm1 = basis[k]
-        basis[k + 1] = r / nrm
-    log_g0 = math.log(g0) + shift
-    log_gamma = log_g0 + np.concatenate([[0.0], np.cumsum(np.log(a))])
-    gamma_sq = np.exp(np.clip(log_gamma, -700.0, 700.0))
-    return a, b, gamma_sq
+    a, b = _scaled_recurrence(x, 0.5 * (lw - log_g0), n_max)
+    return a, b, log_g0, len(x)
 
 
 def recurrence_table(w: WeightSpec, n_max: int, use_cache: bool = True) -> RecurrenceTable:
-    """Recurrence coefficients and norms for the weight, up to n_max.
+    """Recurrence coefficients and norms for the weight, up to n_max <= 512.
 
-    Doubles the quadrature grid (up to 4 times) until a and b are stable
-    to 1e-12 relative; raises NonConvergenceError otherwise.  Results are
-    cached in $RMTLAB_CACHE when that variable is set.
+    One Stieltjes pass on max(1200, 8 n_max) nodes and a verification pass
+    on twice as many must agree to 1e-12 relative in a and b; otherwise
+    NonConvergenceError.  The finer pass is returned.  Results are cached
+    in $RMTLAB_CACHE when that variable is set.
     """
-    if n_max > 512:
-        raise ValueError("n_max must not exceed 512")
+    if not 1 <= n_max <= 512:
+        raise ValueError("n_max must be between 1 and 512")
     cache_path = _cache_path(w, n_max) if use_cache else None
     cached = _read_cache(cache_path, w, n_max) if cache_path else None
     if cached is not None:
         return cached
     lo, hi = w.window(n_max)
-    nodes = max(1200, 8 * n_max)
-    prev = None
-    for _ in range(5):
-        x, qw = gauss_legendre_panels(lo, hi, max(4, math.ceil(nodes / 32)), 32)
-        x, qw = x.ravel(), qw.ravel()
-        a, b, gsq = _lanczos_coefficients(w, n_max, x, qw)
-        if prev is not None:
-            pa, pb = prev
-            da = np.abs(a - pa) / np.maximum(np.abs(a), 1e-30)
-            db = np.abs(b - pb) / np.maximum(np.sqrt(a[:1].max()) + np.abs(b), 1e-30)
-            if da.max() <= 1e-12 and db.max() <= 1e-12:
-                table = RecurrenceTable(N=w.N, n_max=n_max, a=a, b=b,
-                                        gamma_sq=gsq, window=(lo, hi),
-                                        nodes_used=len(x))
-                if cache_path:
-                    _write_cache(cache_path, table.to_text())
-                return table
-        prev = (a, b)
-        nodes *= 2
-    raise NonConvergenceError(
-        "recurrence coefficients not stable after 4 grid doublings")
+    nodes = max(_NODES_MIN, 8 * n_max)
+    pa, pb, _, coarse = _stieltjes(w, n_max, lo, hi, nodes)
+    a, b, log_g0, used = _stieltjes(w, n_max, lo, hi, 2 * nodes)
+    dev = max((np.abs(a - pa) / a).max(),
+              (np.abs(b - pb) / (math.sqrt(a[0]) + np.abs(b))).max())
+    if not dev <= 1e-12:
+        raise NonConvergenceError(
+            f"recurrence coefficients on {coarse} and {used} quadrature nodes "
+            f"differ by {dev:.1e} relative (limit 1e-12)")
+    log_gamma = log_g0 + np.concatenate([[0.0], np.cumsum(np.log(a))])
+    table = RecurrenceTable(N=w.N, n_max=n_max, a=a, b=b,
+                            gamma_sq=np.exp(np.clip(log_gamma, -700.0, 700.0)),
+                            window=(lo, hi), nodes_used=used)
+    if cache_path:
+        _write_cache(cache_path, table.to_text())
+    return table
 
 
 # Part of the cache key; bump it whenever the computed coefficients change.
-_CACHE_ALGORITHM = "lanczos-gl32-doubling-1"
+_CACHE_ALGORITHM = "stieltjes-sqrt-nodes-1"
 
 
 def _cache_path(w: WeightSpec, n_max: int):
@@ -307,47 +296,63 @@ def _write_cache(path, text):
 # ---------------------------------------------------------------------------
 # weighted functions and kernels
 
-def _phi_recurrence(t: RecurrenceTable, w: WeightSpec, x, n, derivatives=False):
-    """Orthonormal weighted functions phi_k(x), k = 0..n, evaluated by the
-    three-term recurrence with rescale-by-max every 8 steps and a log-scale
-    accumulator.  Returns (phi, dphi or None) with shape (n+1, len(x))."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if w.potential.hard_edge and np.any(x < 0.0):
-        raise ValueError("hard-edge weight evaluated at negative argument")
-    sa = np.concatenate([[1.0], t.sqrt_a()])
-    npts = len(x)
-    y = np.zeros((n + 1, npts))
-    yp = np.zeros((n + 1, npts)) if derivatives else None
-    logs = np.zeros((n + 1, npts))
-    logscale = np.zeros(npts)
-    g0 = math.sqrt(t.gamma_sq[0])
-    y[0] = 1.0 / g0
-    cur = y[0].copy()
-    prev = np.zeros(npts)
-    curp = np.zeros(npts)
-    prevp = np.zeros(npts)
-    for k in range(n):
-        nxt = ((x - t.b[k]) * cur - sa[k] * prev) / sa[k + 1]
+def _scaled_recurrence(x, logscale, n, t: RecurrenceTable = None,
+                       derivatives=False):
+    """The one orthonormal three-term recurrence r_k = (x - b_k) phi_k -
+    sqrt(a_k) phi_{k-1} = sqrt(a_{k+1}) phi_{k+1} on the points x, from
+    phi_0 = exp(logscale).  phi_k is carried as y_k exp(logscale_k); every
+    8 steps y is divided pointwise by max(|y_k|, |y_{k-1}|), whose log
+    joins the log-scale, so neither polynomial growth nor a tiny weight
+    leaves the double range.
+
+    Without a table, x are quadrature nodes whose weights are folded into
+    phi_0, and b_k = sum x phi_k^2, a_{k+1} = sum r_k^2 are discrete inner
+    products; returns (a, b).  With a table, returns (y, dy or None,
+    logscale), each (n+1, len(x)), dy the derivative of p_k on y's scale."""
+    build = t is None
+    a, b = (np.zeros(n), np.zeros(n + 1)) if build else (t.a, t.b)
+    mass = np.exp(2.0 * logscale) if build else None
+    cur, prev, s_prev = np.ones(len(x)), 0.0, 0.0
+    curp = prevp = np.zeros(len(x))
+    steps = [(cur, curp, logscale)]
+    for k in range(n + 1):
+        if build:
+            b[k] = np.dot(x * cur * cur, mass)
+        if k == n:
+            break
+        r = (x - b[k]) * cur - s_prev * prev
+        if build:
+            a[k] = np.dot(r * r, mass)
+            if not a[k] > 0.0:
+                raise NonConvergenceError("Stieltjes breakdown: too few nodes")
+        s = math.sqrt(a[k])
         if derivatives:
-            nxtp = (cur + (x - t.b[k]) * curp - sa[k] * prevp) / sa[k + 1]
-            prevp, curp = curp, nxtp
-        prev, cur = cur, nxt
+            prevp, curp = curp, (cur + (x - b[k]) * curp - s_prev * prevp) / s
+        prev, cur, s_prev = cur, r / s, s
         if (k + 1) % 8 == 0:
             m = np.maximum(np.abs(cur), np.abs(prev))
             m = np.where(m > 0, m, 1.0)
-            cur /= m
-            prev /= m
-            if derivatives:
-                curp /= m
-                prevp /= m
-            logscale += np.log(m)
-        y[k + 1] = cur
-        logs[k + 1] = logscale
-        if derivatives:
-            yp[k + 1] = curp
-    # assemble in log space: phi_k = y_k * exp(logs_k) * sqrt(weight)
-    lw = 0.5 * w.log_weight(x)
-    grow = np.exp(np.clip(logs + lw[None, :], -745.0, 705.0))
+            cur, prev, curp, prevp = cur / m, prev / m, curp / m, prevp / m
+            logscale = logscale + np.log(m)
+            mass = np.exp(2.0 * logscale) if build else None
+        if not build:
+            steps.append((cur, curp, logscale))
+    if build:
+        return a, b
+    y, yp, logs = (np.array(v) for v in zip(*steps))
+    return y, (yp if derivatives else None), logs
+
+
+def _phi_recurrence(t: RecurrenceTable, w: WeightSpec, x, n, derivatives=False):
+    """Orthonormal weighted functions phi_k(x), k = 0..n, from the table.
+    Returns (phi, dphi or None) with shape (n+1, len(x))."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if w.potential.hard_edge and np.any(x < 0.0):
+        raise ValueError("hard-edge weight evaluated at negative argument")
+    # phi_0 = sqrt(weight) / gamma_0
+    log_phi0 = 0.5 * (w.log_weight(x) - math.log(t.gamma_sq[0]))
+    y, yp, logs = _scaled_recurrence(x, log_phi0, n, t, derivatives)
+    grow = np.exp(np.clip(logs, -745.0, 705.0))
     phi = y * grow
     if not derivatives:
         return phi, None
@@ -380,16 +385,7 @@ def cd_kernel(t: RecurrenceTable, w: WeightSpec, n: int, x: float, y: float) -> 
                    / (x - y)
 
     with the confluent (derivative-recurrence) form on the diagonal."""
-    if n > t.n_max:
-        raise ValueError("n exceeds the table's n_max")
-    san = math.sqrt(t.a[n - 1])
-    if abs(x - y) < 1e-7 * (1.0 + abs(x)):
-        m = 0.5 * (x + y)
-        phi, dphi = _phi_recurrence(t, w, m, n, derivatives=True)
-        return san * float(dphi[n, 0] * phi[n - 1, 0] - dphi[n - 1, 0] * phi[n, 0])
-    phi, _ = _phi_recurrence(t, w, np.array([x, y]), n)
-    num = phi[n, 0] * phi[n - 1, 1] - phi[n - 1, 0] * phi[n, 1]
-    return san * float(num) / (x - y)
+    return float(cd_kernel_grid(t, w, n, x, y)[0, 0])
 
 
 def cd_kernel_sum(t: RecurrenceTable, w: WeightSpec, n: int, x: float, y: float) -> float:
@@ -406,8 +402,8 @@ def cd_kernel_grid(t: RecurrenceTable, w: WeightSpec, n: int, xs, ys) -> np.ndar
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     san = math.sqrt(t.a[n - 1])
-    px, _ = _phi_recurrence(t, w, xs, n)
-    py, _ = _phi_recurrence(t, w, ys, n)
+    phi, _ = _phi_recurrence(t, w, np.concatenate([xs, ys]), n)
+    px, py = phi[:, :len(xs)], phi[:, len(xs):]
     dx = xs[:, None] - ys[None, :]
     num = px[n][:, None] * py[n - 1][None, :] - px[n - 1][:, None] * py[n][None, :]
     near = np.abs(dx) < 1e-7 * (1.0 + np.abs(xs[:, None]))

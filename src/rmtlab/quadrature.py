@@ -1,14 +1,15 @@
-"""Composite Gauss-Legendre rules, the one panel quadrature behind the Airy
-tail table, the edge matrix-kernel tail integral, the Pearcey contours and
-the discretized Stieltjes grids."""
+"""Quadrature rules: composite Gauss-Legendre panels, the power-weight rule
+behind the discretized Stieltjes nodes, and Gauss-Chebyshev of the second
+kind for the equilibrium moment map and the g-function."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import roots_jacobi
 
-__all__ = ["gauss_legendre_panels"]
+__all__ = ["gauss_legendre_panels", "power_weight_panels", "gauss_chebyshev_u"]
 
 
 @lru_cache(maxsize=None)
@@ -25,3 +26,35 @@ def gauss_legendre_panels(lo: float, hi: float, panels: int, order: int):
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
     return mid[:, None] + half * t[None, :], np.broadcast_to(half * w, (panels, order))
+
+
+def power_weight_panels(lo: float, hi: float, beta: float, panels: int, order: int):
+    """Flat nodes and weights for int_lo^hi f(x) |x|^beta dx, lo <= 0 <= hi:
+    x = +-u^2 on each side of 0 turns |x|^beta dx into 2 u^{2 beta + 1} du,
+    a Gauss-Jacobi first u-panel absorbs u^{2 beta + 1} and the others are
+    Gauss-Legendre, so smooth f converges spectrally for any beta >= 0.
+    The sides share the panels in proportion to their length in u."""
+    sides = [(s, np.sqrt(e)) for s, e in ((-1.0, -lo), (1.0, hi)) if e > 0.0]
+    total = sum(root for _, root in sides)
+    t, tw = roots_jacobi(order, 0.0, 2.0 * beta + 1.0)
+    xs, ws = [], []
+    for sign, root in sides:
+        count = max(2, round(panels * root / total))
+        u, uw = gauss_legendre_panels(0.0, root, count, order)
+        u, uw = u.copy(), 2.0 * uw * u ** (2.0 * beta + 1.0)
+        half = 0.5 * root / count
+        u[0] = half * (t + 1.0)
+        uw[0] = 2.0 * half ** (2.0 * beta + 2.0) * tw
+        xs.append(sign * u.ravel() ** 2)
+        ws.append(uw.ravel())
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+@lru_cache(maxsize=None)
+def gauss_chebyshev_u(m: int):
+    """Read-only nodes cos(theta_k) and weights pi/(m+1) sin^2(theta_k),
+    theta_k = k pi/(m+1), for int_{-1}^{1} f(t) sqrt(1 - t^2) dt."""
+    th = np.pi * np.arange(1, m + 1) / (m + 1)
+    t, w = np.cos(th), (np.pi / (m + 1)) * np.sin(th) ** 2
+    t.flags.writeable = w.flags.writeable = False
+    return t, w

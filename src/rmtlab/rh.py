@@ -25,6 +25,7 @@ import numpy as np
 
 from . import equilibrium as eqm
 from .equilibrium import EquilibriumMeasure
+from .quadrature import gauss_chebyshev_u
 from .specfun import airy
 
 __all__ = [
@@ -44,9 +45,7 @@ __all__ = [
 ]
 
 _GL96_T, _GL96_W = np.polynomial.legendre.leggauss(96)
-_GC_M = 256
-_GC_TH = np.pi * np.arange(1, _GC_M + 1) / (_GC_M + 1)
-_GC_W = (np.pi / (_GC_M + 1)) * np.sin(_GC_TH) ** 2
+_GC_T, _GC_W = gauss_chebyshev_u(256)
 
 
 @dataclass
@@ -91,7 +90,7 @@ def g_function(ctx: DescentContext, z) -> complex:
     if abs(z.imag) < 1e-10 and z.real <= b + 1e-10:
         raise ValueError("g_function: z too close to the branch cut (-inf, b]")
     c, r = 0.5 * (a + b), 0.5 * (b - a)
-    x = c + r * np.cos(_GC_TH)
+    x = c + r * _GC_T
     hv = np.polyval(ctx.measure.h[::-1], x)
     w = (r * r / np.pi) * _GC_W * hv
     return complex(np.sum(w * np.log(z - x)))
@@ -105,7 +104,6 @@ def phi(ctx: DescentContext, z, variant: str = "right") -> complex:
     a, b = ctx.support
     if variant == "left":
         h = ctx.measure.h
-        k = np.arange(len(h))
         # coefficients of h(a+b-x)
         refl = np.zeros_like(h)
         s = a + b

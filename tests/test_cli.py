@@ -3,6 +3,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from rmtlab.cli import main
@@ -116,7 +117,45 @@ class TestOppoly:
         assert record.read_text() == text
 
 
+    def test_fractional_alpha(self, tmp_path):
+        out = tmp_path / "t.csv"
+        assert main(["oppoly", "--potential", "0,0,0.5", "--alpha", "0.25",
+                     "--N", "64", "--nmax", "64", "--out", str(out)]) == 0
+
+    def test_disagreeing_passes_exit3(self, tmp_path, monkeypatch):
+        from rmtlab import orthopoly
+
+        monkeypatch.setattr(orthopoly, "_NODES_MIN", 0)
+        rc = main(["oppoly", "--potential", "0,0,0.5", "--N", "16",
+                   "--nmax", "16", "--out", str(tmp_path / "t.csv")])
+        assert rc == 3
+
+
 class TestConverge:
+    def test_grid_out_reuses_main_pass(self, tmp_path, monkeypatch):
+        from rmtlab import orthopoly
+
+        calls = []
+        table = orthopoly.recurrence_table
+        monkeypatch.setattr(orthopoly, "recurrence_table",
+                            lambda w, n, *a, **k: calls.append(n) or table(w, n, *a, **k))
+        out, grid_out = tmp_path / "conv.csv", tmp_path / "grid.csv"
+        rc = main(["converge", "--potential", "0,0,0.5", "--mode", "edge",
+                   "--n", "32,16", "--grid=-2:2:5", "--workers", "1",
+                   "--out", str(out), "--grid-out", str(grid_out)])
+        assert rc == 0
+        assert sorted(calls) == [16, 32]
+
+        def rows(p):
+            return [ln.split(",") for ln in p.read_text().splitlines()
+                    if not ln.startswith("#")][1:]
+
+        sup = {int(r[0]): float(r[2]) for r in rows(out)}
+        got = np.array([[float(v) for v in r] for r in rows(grid_out)])
+        assert len(got) == 25
+        # the grid is the n = 32 pass itself, so its sup error is the row's
+        assert np.abs(got[:, 2] - got[:, 3]).max() == sup[32]
+
     def test_bulk_errors_decrease(self, tmp_path):
         out = tmp_path / "conv.csv"
         rc = main(["converge", "--potential", "0,0,0.5", "--mode", "bulk",

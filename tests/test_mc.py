@@ -98,6 +98,10 @@ class TestSpacings:
         with pytest.raises(ValueError):
             mc.local_statistics(gue128, (10.0, 0.1, 1.0))
 
+    def test_poisson_contrast_empty_window(self, gue128):
+        with pytest.raises(ValueError, match="no eigenvalues found in the window"):
+            mc.poisson_contrast(gue128, (10.0, 0.1, 1.0))
+
     def test_repulsion_vs_poisson(self, gue128):
         win = (0.0, 0.5, 1.0 / math.pi)
         s = mc.local_statistics(gue128, win)

@@ -8,6 +8,7 @@ projection identities.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,9 +101,76 @@ class TestRecurrenceTable:
         t2 = op.recurrence_table(w, 8)
         assert np.array_equal(t1.a, t2.a)
 
+    def test_cache_keeps_nodes_used(self, tmp_path, monkeypatch):
+        w = op.WeightSpec(HERMITE, N=8)
+        fresh = op.recurrence_table(w, 8, use_cache=False)
+        monkeypatch.setenv("RMTLAB_CACHE", str(tmp_path))
+        op.recurrence_table(w, 8)
+        warm = op.recurrence_table(w, 8)
+        assert fresh.nodes_used > 8
+        assert warm.nodes_used == fresh.nodes_used
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: re.sub(r"nodes_used \d+\n", "", text),
+        lambda text: re.sub(r"nodes_used \d+", "nodes_used 40", text),
+        lambda text: re.sub(r"nodes_used \d+", "nodes_used many", text),
+    ])
+    def test_record_nodes_used_validated(self, herm16, edit):
+        _, t = herm16
+        with pytest.raises(ValueError):
+            op.RecurrenceTable.from_text(edit(t.to_text()))
+
+    def test_disagreeing_passes_raise(self, monkeypatch):
+        # 128 and 256 nodes do not resolve Hermite N = n_max = 16 to 1e-12
+        monkeypatch.setattr(op, "_NODES_MIN", 0)
+        with pytest.raises(eq.NonConvergenceError, match="differ by"):
+            op.recurrence_table(op.WeightSpec(HERMITE, N=16), 16, use_cache=False)
+
     def test_explicit_truncation_validated(self):
         with pytest.raises(ValueError):
             op.WeightSpec(HERMITE, N=4, truncation=0.5).window(8)
+
+
+def _closed_form_error(pot, n):
+    """Relative error of the N = n table against the exact monic
+    coefficients: Hermite and generalized Hermite |x|^{2 alpha} e^{-n x^2/2}
+    (a_k = (k + 2 alpha [k odd])/n, b_k = 0) and Laguerre x^alpha e^{-n x}
+    (a_k = k(k + alpha)/n^2, b_k = (2k + alpha + 1)/n)."""
+    t = op.recurrence_table(op.WeightSpec(pot, N=n), n, use_cache=False)
+    k, al = np.arange(n + 1, dtype=float), pot.singularity_alpha
+    if pot.hard_edge:
+        a, b = k[1:] * (k[1:] + al) / n ** 2, (2.0 * k + al + 1.0) / n
+    else:
+        a, b = (k[1:] + 2.0 * al * (k[1:] % 2)) / n, np.zeros(n + 1)
+    return max(np.max(np.abs(t.a - a) / a),
+               np.max(np.abs(t.b - b) / (np.abs(b) + math.sqrt(a.max())))), t
+
+
+class TestDocumentedRange:
+    """n_max <= 512 holds for every weight, to 1e-12 relative."""
+
+    @pytest.mark.parametrize("n", [384, 512])
+    @pytest.mark.parametrize("pot", [
+        HERMITE,
+        Potential((0.0, 1.0), hard_edge=True),
+        Potential((0.0, 1.0), hard_edge=True, singularity_alpha=0.5),
+        Potential((0.0, 1.0), hard_edge=True, singularity_alpha=1.5),
+        Potential((0.0, 0.0, 0.5), singularity_alpha=0.25),
+        Potential((0.0, 0.0, 0.5), singularity_alpha=0.5),
+    ], ids=["hermite", "laguerre0", "laguerre0.5", "laguerre1.5",
+            "genhermite0.25", "genhermite0.5"])
+    def test_closed_form(self, pot, n):
+        err, t = _closed_form_error(pot, n)
+        assert err <= 1e-12
+        # one pass on 8 n nodes, the verification pass on 16 n is kept
+        assert t.nodes_used == 16 * n
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.125, 0.25, 0.5, 1.0, 1.5])
+    def test_fractional_alpha(self, alpha):
+        # the hard edge with fractional alpha used to fail already at n = 64
+        for pot in (Potential((0.0, 1.0), hard_edge=True, singularity_alpha=alpha),
+                    Potential((0.0, 0.0, 0.5), singularity_alpha=alpha)):
+            assert _closed_form_error(pot, 64)[0] <= 1e-12
 
 
 class TestWeightedPolys:
@@ -126,10 +194,11 @@ class TestWeightedPolys:
             op.cd_kernel(t, w, 24, 0.3, 0.3), abs=1e-9)
 
     def test_no_overflow_large_n(self):
-        w = op.WeightSpec(HERMITE, N=256)
-        t = op.recurrence_table(w, 256)
-        phi = op.weighted_polys(t, w, np.linspace(-2.2, 2.2, 7), 256)
-        assert np.isfinite(phi).all()
+        for n in (256, 512):
+            w = op.WeightSpec(HERMITE, N=n)
+            t = op.recurrence_table(w, n)
+            phi = op.weighted_polys(t, w, np.linspace(-2.2, 2.2, 7), n)
+            assert np.isfinite(phi).all()
 
 
 class TestCdKernel:
