@@ -17,7 +17,7 @@ mu = eq.solve_equilibrium(HERMITE)
 
 print("=== bulk: (1/cn) K_n(u/cn, v/cn) -> sine kernel, c = rho(0) = 1/pi ===")
 grid = np.linspace(-2.0, 2.0, 33)
-ref = np.array([[kr.sine_kernel(u, v) for v in grid] for u in grid])
+ref = kr.sine_kernel(grid[:, None], grid[None, :])
 for n in (16, 32, 64, 128):
     w = op.WeightSpec(HERMITE, N=n)
     t = op.recurrence_table(w, n)
@@ -27,7 +27,7 @@ for n in (16, 32, 64, 128):
 
 print("\n=== soft edge: scale n^(2/3) at x* = 2 -> Airy kernel ===")
 grid = np.linspace(-4.0, 4.0, 25)
-ref = np.array([[kr.airy_kernel(u, v) for v in grid] for u in grid])
+ref = kr.airy_kernel(grid[:, None], grid[None, :])
 for n in (32, 64, 128):
     w = op.WeightSpec(HERMITE, N=n)
     t = op.recurrence_table(w, n)
@@ -40,7 +40,7 @@ grid = np.linspace(0.4, 8.0, 16)
 for alpha in (0.0, 1.0):
     pot = Potential((0.0, 1.0), hard_edge=True, singularity_alpha=alpha)
     muh = eq.solve_equilibrium(pot)
-    ref = np.array([[kr.bessel_hard_kernel(alpha, u, v) for v in grid] for u in grid])
+    ref = kr.bessel_hard_kernel(alpha, grid[:, None], grid[None, :])
     for n in (64, 128):
         w = op.WeightSpec(pot, N=n)
         t = op.recurrence_table(w, n)
@@ -50,7 +50,7 @@ for alpha in (0.0, 1.0):
 
 print("\n=== spectral singularity: |x|^2 e^(-n x^2/2) at the origin ===")
 grid = np.linspace(0.15, 3.0, 16)
-ref = np.array([[kr.bessel_origin_kernel(1.0, u, v) for v in grid] for u in grid])
+ref = kr.bessel_origin_kernel(1.0, grid[:, None], grid[None, :])
 for n in (32, 64, 128):
     pot = Potential((0.0, 0.0, 0.5), singularity_alpha=1.0)
     w = op.WeightSpec(pot, N=n)

@@ -146,7 +146,7 @@ def _cmd_kernel(args):
     config = _config_dict(args, ["family", "alpha", "s", "grid", "out"])
     cols = ["x", "y"] + (["value"] if handle.arity == "scalar"
                          else ["k11", "k12", "k21", "k22"])
-    k = np.reshape([handle.evaluate(x, y) for x in grid for y in grid], (grid.size ** 2, -1))
+    k = np.reshape(handle.evaluate(grid[:, None], grid[None, :]), (grid.size ** 2, -1))
     rows = [(float(x), float(y), *v) for (x, y), v in zip(product(grid, grid), k.tolist())]
     _write_csv(args.out, config, cols, rows)
     return 0
@@ -154,8 +154,11 @@ def _cmd_kernel(args):
 
 def _cmd_oppoly(args):
     pot = _parse_potential(args)
-    w = op.WeightSpec(pot, N=args.N, truncation=args.truncation)
-    table = op.recurrence_table(w, args.nmax)
+    try:
+        w = op.WeightSpec(pot, N=args.N, truncation=args.truncation)
+        table = op.recurrence_table(w, args.nmax)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
     config = _config_dict(args, ["potential", "hard_edge", "alpha", "N",
                                  "nmax", "out"])
     rows = [(k, float(table.a[k - 1]) if k >= 1 else 0.0, float(table.b[k]),
@@ -164,6 +167,8 @@ def _cmd_oppoly(args):
     if args.kernel_out:
         if not args.kernel_n or not args.kernel_grid:
             raise ValidationError("--kernel-out needs --kernel-n and --kernel-grid")
+        if not 1 <= args.kernel_n <= args.nmax:
+            raise ValidationError("--kernel-n must be between 1 and --nmax")
         grid = _parse_grid(args.kernel_grid)
         kmat = op.cd_kernel_grid(table, w, args.kernel_n, grid, grid)
         rows = [(float(x), float(y), float(kmat[i, j]))
@@ -211,7 +216,7 @@ def _cmd_converge(args):
         win, kernel = op.hard_edge_window(mu, grid), partial(kr.bessel_hard_kernel, alpha)
     else:
         win, kernel = op.origin_window(mu, grid), partial(kr.bessel_origin_kernel, alpha)
-    ref = np.array([[kernel(u, v) for v in grid] for u in grid])
+    ref = kernel(grid[:, None], grid[None, :])
     tasks = [(pot, n, win, ref) for n in ns]
     if args.workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -6,6 +6,13 @@ the 2x2 matrix kernels of the orthogonal (beta = 1) and symplectic
 correlation assembly that turns kernel values into k-point correlation
 numbers.
 
+Every kernel broadcasts over its x and y arguments like a numpy ufunc,
+with one code path for scalars and arrays: scalar kernels return a float
+for scalar input and an array of the broadcast shape otherwise, matrix
+kernels return shape (..., 2, 2).  A grid is K(xs[:, None], ys[None, :]).
+A plain callable handed to correlation_det or correlation_pfaffian must
+broadcast the same way.
+
 Conventions: sgn(0) = 0 throughout; diagonal values come from explicit
 confluent (L'Hopital) formulas rather than small-offset evaluation, since
 the raw quotients cancel catastrophically near x = y.
@@ -20,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .quadrature import gauss_legendre_panels
-from .specfun import airy, airy_real, airy_tail, bessel_j, sinc_integral
+from .specfun import _scalar_or_array, airy_real, airy_tail, bessel_j, sinc_integral
 
 __all__ = [
     "KernelHandle",
@@ -47,51 +54,92 @@ _MATRIX_FAMILIES = ("sine_beta1", "sine_beta4", "airy_beta1", "airy_beta4")
 # ---------------------------------------------------------------------------
 # scalar kernels
 
-def sine_kernel(x: float, y: float) -> float:
+def _integrable_quotient(x, y, band, numerator, confluent):
+    """numerator(x, y) / (x - y), broadcast over x and y, with
+    confluent(x, y) on the entries inside the diagonal band
+    |x - y| < band.  numerator sees x and y as given, so what it computes
+    per argument is computed once per x and once per y of a grid;
+    confluent sees the band entries only, as 1-d arrays."""
+    d = x - y
+    near = np.abs(d) < band
+    out = np.asarray(numerator(x, y) / np.where(near, 1.0, d))
+    if near.any():
+        xb, yb = np.broadcast_arrays(x, y)
+        out[near] = confluent(xb[near], yb[near])
+    return out
+
+
+def _args(x, y):
+    return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+
+
+def sine_kernel(x, y):
     """sin(pi(x-y)) / (pi(x-y)) with Taylor handling of the diagonal."""
-    d = x - y
-    if abs(d) < 1e-8:
-        w = math.pi * d
+    x, y = _args(x, y)
+
+    def taylor(x, y):
+        w = np.pi * (x - y)
         return 1.0 - w * w / 6.0 + w ** 4 / 120.0
-    return math.sin(math.pi * d) / (math.pi * d)
+
+    return _scalar_or_array(_integrable_quotient(
+        x, y, 1e-8, lambda x, y: np.sin(np.pi * (x - y)) / np.pi, taylor))
 
 
-def sine_kernel_dx(x: float, y: float) -> float:
+def sine_kernel_dx(x, y):
     """d/dx of the sine kernel; odd in (x-y), 0 on the diagonal."""
-    d = x - y
-    if abs(d) < 1e-4:
-        w2 = (math.pi * d) ** 2
-        return math.pi * math.pi * d * (-1.0 / 3.0 + w2 / 30.0 - w2 * w2 / 840.0)
-    return (math.pi * d * math.cos(math.pi * d) - math.sin(math.pi * d)) / (math.pi * d * d)
+    x, y = _args(x, y)
+
+    def numerator(x, y):
+        return np.cos(np.pi * (x - y)) - np.sinc(x - y)
+
+    def taylor(x, y):
+        d = x - y
+        w2 = (np.pi * d) ** 2
+        return np.pi * np.pi * d * (-1.0 / 3.0 + w2 / 30.0 - w2 * w2 / 840.0)
+
+    return _scalar_or_array(_integrable_quotient(x, y, 1e-4, numerator, taylor))
 
 
-def _airy_pair(x):
-    v = airy(float(x))
-    return v.value, v.derivative
+def _ai(x):
+    """(Ai, Ai') with x's shape."""
+    ai, aip = airy_real(x)
+    return ai.reshape(np.shape(x)), aip.reshape(np.shape(x))
 
 
-def airy_kernel(x: float, y: float) -> float:
+def airy_kernel(x, y):
     """(Ai(x)Ai'(y) - Ai'(x)Ai(y)) / (x - y); diagonal Ai'(x)^2 - x Ai(x)^2."""
-    if abs(x - y) < 1e-6 * (1.0 + abs(x) + abs(y)):
+    x, y = _args(x, y)
+
+    def numerator(x, y):
+        (ax, apx), (ay, apy) = _ai(x), _ai(y)
+        return ax * apy - apx * ay
+
+    def confluent(x, y):
         m = 0.5 * (x + y)
-        a, ap = _airy_pair(m)
+        a, ap = _ai(m)
         return ap * ap - m * a * a
-    ax, apx = _airy_pair(x)
-    ay, apy = _airy_pair(y)
-    return (ax * apy - apx * ay) / (x - y)
+
+    return _scalar_or_array(_integrable_quotient(
+        x, y, 1e-6 * (1.0 + np.abs(x) + np.abs(y)), numerator, confluent))
 
 
-def airy_kernel_dy(x: float, y: float) -> float:
+def airy_kernel_dy(x, y):
     """partial_y of the Airy kernel.
 
-    Away from the diagonal, differentiate the quotient using Ai''(y)=yAi(y).
-    Near the diagonal use the confluent numerator expansion: with h = y - x
-    the kernel equals -(c0 + c1 h + c2 h^2 + ...) where
-    c_k = (Ai(x) Ai^{(k+1)}(x) - Ai'(x) Ai^{(k)}(x)) / (k+1)!.
+    Away from the diagonal, d_y [N / (x - y)] = [d_y N + K_Ai] / (x - y)
+    with Ai''(y) = y Ai(y).  Near the diagonal use the confluent numerator
+    expansion: with h = y - x the kernel equals -(c0 + c1 h + c2 h^2 + ...)
+    where c_k = (Ai(x) Ai^{(k+1)}(x) - Ai'(x) Ai^{(k)}(x)) / (k+1)!.
     """
-    h = y - x
-    if abs(h) < 1e-4 * (1.0 + abs(x) + abs(y)):
-        a, ap = _airy_pair(x)
+    x, y = _args(x, y)
+
+    def numerator(x, y):
+        (ax, apx), (ay, apy) = _ai(x), _ai(y)
+        return ax * y * ay - apx * apy + airy_kernel(x, y)
+
+    def confluent(x, y):
+        h = y - x
+        a, ap = _ai(x)
         a2 = x * a
         a3 = a + x * ap
         a4 = 2.0 * ap + x * x * a
@@ -100,13 +148,19 @@ def airy_kernel_dy(x: float, y: float) -> float:
         c2 = (a * a4 - ap * a3) / 6.0
         c3 = (a * a5 - ap * a4) / 24.0
         return -(c1 + 2.0 * c2 * h + 3.0 * c3 * h * h)
-    ax, apx = _airy_pair(x)
-    ay, apy = _airy_pair(y)
-    k = (ax * apy - apx * ay) / (x - y)
-    return (ax * y * ay - apx * apy) / (x - y) + k / (x - y)
+
+    return _scalar_or_array(_integrable_quotient(
+        x, y, 1e-4 * (1.0 + np.abs(x) + np.abs(y)), numerator, confluent))
 
 
-def bessel_hard_kernel(alpha: float, x: float, y: float) -> float:
+def _positive_args(name, x, y):
+    x, y = _args(x, y)
+    if (x <= 0.0).any() or (y <= 0.0).any():
+        raise ValueError(f"{name}: arguments must be positive")
+    return x, y
+
+
+def bessel_hard_kernel(alpha: float, x, y):
     """Hard-edge Bessel kernel of order alpha > -1 for x, y > 0:
 
         [J_a(sqrt x) sqrt(y) J_a'(sqrt y) - sqrt(x) J_a'(sqrt x) J_a(sqrt y)]
@@ -114,20 +168,22 @@ def bessel_hard_kernel(alpha: float, x: float, y: float) -> float:
     """
     if alpha <= -1.0:
         raise ValueError("bessel_hard_kernel: order must exceed -1")
-    if x <= 0.0 or y <= 0.0:
-        raise ValueError("bessel_hard_kernel: arguments must be positive")
-    if abs(x - y) < 1e-5 * (1.0 + x):
+    x, y = _positive_args("bessel_hard_kernel", x, y)
+
+    def numerator(x, y):
+        u, v = np.sqrt(x), np.sqrt(y)
+        fu, fv = bessel_j(alpha, u), bessel_j(alpha, v)
+        return 0.5 * (fu.value * v * fv.derivative - u * fu.derivative * fv.value)
+
+    def confluent(x, y):
         m = 0.5 * (x + y)
-        u = math.sqrt(m)
-        f = bessel_j(alpha, u)
+        f = bessel_j(alpha, np.sqrt(m))
         return 0.25 * ((1.0 - alpha * alpha / m) * f.value ** 2 + f.derivative ** 2)
-    u, v = math.sqrt(x), math.sqrt(y)
-    fu = bessel_j(alpha, u)
-    fv = bessel_j(alpha, v)
-    return (fu.value * v * fv.derivative - u * fu.derivative * fv.value) / (2.0 * (x - y))
+
+    return _scalar_or_array(_integrable_quotient(x, y, 1e-5 * (1.0 + x), numerator, confluent))
 
 
-def bessel_origin_kernel(alpha: float, x: float, y: float) -> float:
+def bessel_origin_kernel(alpha: float, x, y):
     """Origin Bessel kernel of a spectral singularity of strength alpha > -1/2:
 
         pi sqrt(xy) [J_{a+1/2}(pi x) J_{a-1/2}(pi y)
@@ -137,19 +193,20 @@ def bessel_origin_kernel(alpha: float, x: float, y: float) -> float:
     """
     if alpha <= -0.5:
         raise ValueError("bessel_origin_kernel: order must exceed -1/2")
-    if x <= 0.0 or y <= 0.0:
-        raise ValueError("bessel_origin_kernel: arguments must be positive")
+    x, y = _positive_args("bessel_origin_kernel", x, y)
     p, m = alpha + 0.5, alpha - 0.5
-    if abs(x - y) < 1e-5 * (1.0 + x):
+
+    def numerator(x, y):
+        fpx, fmx = bessel_j(p, np.pi * x).value, bessel_j(m, np.pi * x).value
+        fpy, fmy = bessel_j(p, np.pi * y).value, bessel_j(m, np.pi * y).value
+        return 0.5 * np.pi * np.sqrt(x * y) * (fpx * fmy - fmx * fpy)
+
+    def confluent(x, y):
         c = 0.5 * (x + y)
-        fp = bessel_j(p, math.pi * c)
-        fm = bessel_j(m, math.pi * c)
-        return (math.pi ** 2 * c / 2.0) * (fm.value * fp.derivative - fp.value * fm.derivative)
-    fpx = bessel_j(p, math.pi * x).value
-    fmx = bessel_j(m, math.pi * x).value
-    fpy = bessel_j(p, math.pi * y).value
-    fmy = bessel_j(m, math.pi * y).value
-    return math.pi * math.sqrt(x * y) * (fpx * fmy - fmx * fpy) / (2.0 * (x - y))
+        fp, fm = bessel_j(p, np.pi * c), bessel_j(m, np.pi * c)
+        return (np.pi ** 2 * c / 2.0) * (fm.value * fp.derivative - fp.value * fm.derivative)
+
+    return _scalar_or_array(_integrable_quotient(x, y, 1e-5 * (1.0 + x), numerator, confluent))
 
 
 # ---------------------------------------------------------------------------
@@ -200,18 +257,18 @@ def _pearcey_raw(x, y, s, delta, tmax, xi_panels, eta_panels):
     return val / (2.0j * np.pi) ** 2
 
 
-def _p_moments(x, s, xi, wxi, kmax):
-    """(1/2 pi i) Int xi^k e^{xi^4/4 - s xi^2/2 + x xi} d xi, k = 0..kmax;
-    the k-th moment is p^(k)(x)."""
-    f = np.exp(0.25 * xi ** 4 - 0.5 * s * xi ** 2 + xi * x) * wxi
-    return np.vander(xi, kmax + 1, increasing=True).T @ f / (2j * np.pi)
-
-
-def _q_moments(y, s, eta, weta, kmax):
-    """(1/2 pi i) Int eta^k e^{-eta^4/4 + s eta^2/2 - y eta} d eta,
-    k = 0..kmax; the k-th moment is (-1)^k q^(k)(y)."""
-    f = np.exp(-0.25 * eta ** 4 + 0.5 * s * eta ** 2 - eta * y) * weta
-    return np.vander(eta, kmax + 1, increasing=True).T @ f / (2j * np.pi)
+def _moments(v, s, nodes, weights, kmax, sign=1.0):
+    """(1/2 pi i) Int t^k e^{sign (t^4/4 - s t^2/2 + v t)} dt, k = 0..kmax,
+    on the leading axis, followed by v's shape: p^(k)(v) for sign = 1 on
+    the xi contour, (-1)^k q^(k)(v) for sign = -1 on the eta axis.  Each
+    distinct v is integrated once and summed on its own, so a value does
+    not depend on which other arguments share the batch."""
+    u, inv = np.unique(v, return_inverse=True)
+    f = np.exp(sign * (0.25 * nodes ** 4 - 0.5 * s * nodes ** 2
+                       + np.multiply.outer(u, nodes))) * weights
+    powers = np.vander(nodes, kmax + 1, increasing=True).T
+    m = np.stack([(f * pk).sum(axis=-1) for pk in powers]) / (2j * np.pi)
+    return m[:, inv.reshape(np.shape(v))]
 
 
 def _pearcey_integrable(x, y, s, xi_contour, eta_axis):
@@ -222,19 +279,22 @@ def _pearcey_integrable(x, y, s, xi_contour, eta_axis):
     the kernel is the Taylor form N_x(y, y) + (x - y) N_xx(y, y) / 2, whose
     first term is the confluent p''' q - p'' q' + p' q'' - s p' q.
     """
-    near = abs(x - y) < 1e-6 * (1.0 + abs(x) + abs(y))
-    p = _p_moments(y if near else x, s, *xi_contour, 4)
-    q = _q_moments(y, s, *eta_axis, 2) * np.array([1.0, -1.0, 1.0])
+    def numerators(xp, yq, ks):
+        p = _moments(xp, s, *xi_contour, max(ks) + 2)
+        q = _moments(yq, s, *eta_axis, 2, sign=-1.0)
+        q[1] = -q[1]
+        return [p[k + 2] * q[0] - p[k + 1] * q[1] + p[k] * q[2] - s * p[k] * q[0]
+                for k in ks]
 
-    def numerator(k):
-        return p[k + 2] * q[0] - p[k + 1] * q[1] + p[k] * q[2] - s * p[k] * q[0]
+    def confluent(x, y):
+        n1, n2 = numerators(y, y, (1, 2))
+        return n1 + 0.5 * (x - y) * n2
 
-    if near:
-        return numerator(1) + 0.5 * (x - y) * numerator(2)
-    return numerator(0) / (x - y)
+    return _integrable_quotient(x, y, 1e-6 * (1.0 + np.abs(x) + np.abs(y)),
+                                lambda x, y: numerators(x, y, (0,))[0], confluent)
 
 
-def pearcey_kernel(x: float, y: float, s: float) -> float:
+def pearcey_kernel(x, y, s: float):
     """Pearcey kernel from its integrable form (Tracy-Widom, CMP 263, 2006):
 
         K(x, y) = [p''(x) q(y) - p'(x) q'(y) + p(x) q''(y) - s p(x) q(y)]
@@ -246,110 +306,115 @@ def pearcey_kernel(x: float, y: float, s: float) -> float:
     the X of rays at +-pi/4 with vertices at +-d, d = max(0.75, sqrt(s))
     (the steepest-descent crossing of the quadratic term for s > 0), and
     at +-0.6 d for the second discretization, whose truncation and panel
-    counts differ too.  The two must agree to 1e-7, and the value must be
-    real to 1e-7, else ArithmeticError is raised; large |x|, |y| or s << 0
-    amplify the cancellation in p and q past double precision and end up
-    there.  Agrees with the double contour integral _pearcey_raw to 1e-9
-    on [-2, 2]^2 for s in {-1, 0, 1, 3} (tests/test_kernels.py).
+    counts differ too.  On every entry the two must agree to 1e-7, and the
+    value must be real to 1e-7, else ArithmeticError is raised; large |x|,
+    |y| or s << 0 amplify the cancellation in p and q past double
+    precision and end up there.  Agrees with the double contour integral
+    _pearcey_raw to 1e-9 on [-2, 2]^2 for s in {-1, 0, 1, 3}
+    (tests/test_kernels.py).
     """
-    if abs(x) > 20.0 or abs(y) > 20.0:
+    x, y = _args(x, y)
+    if (np.abs(x) > 20.0).any() or (np.abs(y) > 20.0).any():
         raise ValueError("pearcey_kernel: |x|, |y| must not exceed 20")
     if abs(s) > 10.0:
         raise ValueError("pearcey_kernel: |s| must not exceed 10")
     d0 = max(0.75, math.sqrt(max(s, 0.0)))
     a = _pearcey_integrable(x, y, s, _xi_contour(d0, 12.0, 60), _eta_axis(12.0, 120))
     b = _pearcey_integrable(x, y, s, _xi_contour(0.6 * d0, 13.0, 73), _eta_axis(13.0, 149))
-    if abs(a - b) > 1e-7 * max(1.0, abs(a)):
+    gap = np.abs(a - b)
+    if (gap > 1e-7 * np.maximum(1.0, np.abs(a))).any():
         raise ArithmeticError(
-            f"pearcey_kernel: contour discretizations disagree by {abs(a - b):.2e}"
+            f"pearcey_kernel: contour discretizations disagree by {gap.max():.2e}"
         )
-    if abs(a.imag) > 1e-7 * max(1.0, abs(a.real)):
+    if (np.abs(a.imag) > 1e-7 * np.maximum(1.0, np.abs(a.real))).any():
         raise ArithmeticError("pearcey_kernel: non-real kernel value")
-    return float(a.real)
+    return _scalar_or_array(a.real)
 
 
 def pearcey_p(x: float, s: float, moment: int = 0) -> complex:
     """xi-factor of the Pearcey integrand:
     p(x) = (1/2 pi i) Int_C e^{xi^4/4 - s xi^2/2 + xi x} dxi,
     with xi^moment inserted (moment = k gives the k-th derivative of p)."""
-    return complex(_p_moments(x, s, *_xi_contour(1.0, 12.0, 60), moment)[moment])
+    return complex(_moments(x, s, *_xi_contour(1.0, 12.0, 60), moment)[moment])
 
 
 def pearcey_q(y: float, s: float, moment: int = 0) -> complex:
     """eta-factor: q(y) = (1/2 pi i) Int_{-i inf}^{i inf}
     e^{-eta^4/4 + s eta^2/2 - eta y} d eta, with eta^moment inserted."""
-    return complex(_q_moments(y, s, *_eta_axis(12.0, 120), moment)[moment])
+    return complex(_moments(y, s, *_eta_axis(12.0, 120), moment, sign=-1.0)[moment])
 
 
 # ---------------------------------------------------------------------------
 # 2x2 matrix kernels (orthogonal / symplectic classes)
 
-def _sgn(t: float) -> float:
-    return 0.0 if t == 0.0 else math.copysign(1.0, t)
+def _blocks(k11, k12, k21, k22) -> np.ndarray:
+    """The four broadcast entries as (..., 2, 2) blocks."""
+    k11, k12, k21, k22 = np.broadcast_arrays(k11, k12, k21, k22)
+    return np.stack([np.stack([k11, k12], -1), np.stack([k21, k22], -1)], -2)
 
 
-def matrix_kernel_bulk(beta: int, x: float, y: float) -> np.ndarray:
+def matrix_kernel_bulk(beta: int, x, y) -> np.ndarray:
     """Bulk 2x2 matrix kernel; beta = 1 (orthogonal) or 4 (symplectic).
 
     Entries are built from the sine kernel, its x-derivative, the sine
     integral and sgn with sgn(0) = 0; the beta = 4 entries carry doubled
-    frequency and no sgn term.
+    frequency and no sgn term.  Broadcasts over x and y; the result has
+    shape (..., 2, 2).
     """
+    if beta not in (1, 4):
+        raise ValueError("matrix_kernel_bulk: beta must be 1 or 4")
+    x, y = _args(x, y)
     d = x - y
-    if beta == 1:
-        k11 = -sine_kernel_dx(x, y)
-        k12 = sine_kernel(x, y)
-        k22 = sinc_integral(d) - 0.5 * _sgn(d)
-        return np.array([[k11, k12], [-k12, k22]])
-    if beta == 4:
-        k11 = -2.0 * sine_kernel_dx(2.0 * x, 2.0 * y)
-        k12 = sine_kernel(2.0 * x, 2.0 * y)
-        k22 = 0.5 * sinc_integral(2.0 * d)
-        return np.array([[k11, k12], [-k12, k22]])
-    raise ValueError("matrix_kernel_bulk: beta must be 1 or 4")
+    f = 1.0 if beta == 1 else 2.0
+    k12 = sine_kernel(f * x, f * y)
+    k22 = sinc_integral(d) - 0.5 * np.sign(d) if beta == 1 else 0.5 * sinc_integral(2.0 * d)
+    return _blocks(-f * sine_kernel_dx(f * x, f * y), k12, -k12, k22)
 
 
-def _airy_kernel_column(t, y):
-    """K_Ai(t, y) for an array t and a scalar y.  Entries in the diagonal
-    band of airy_kernel take its confluent value at the pair midpoint."""
-    at, apt = airy_real(t)
-    ay, apy = airy_real(y)
-    d = t - y
-    near = np.abs(d) < 1e-6 * (1.0 + np.abs(t) + abs(y))
-    out = (at * apy - apt * ay) / np.where(near, 1.0, d)
-    if near.any():
-        m = 0.5 * (t[near] + y)
-        am, apm = airy_real(m)
-        out[near] = apm * apm - m * am * am
-    return out
+_EDGE_LEFT, _EDGE_CUT = -30.0, 14.0
+_EDGE_PANELS = 88   # panels of width 1/2 on [_EDGE_LEFT, _EDGE_CUT]
 
 
-def _airy_kernel_tail_integral(x: float, y: float) -> float:
-    """integral_x^inf K_Ai(t, y) dt as one composite Gauss-Legendre
-    quadrature on [x, max(x, 12) + 2] with panels of width at most 1/2;
-    beyond the cut the integrand is below 1e-15."""
-    hi = max(x, 12.0) + 2.0
-    t, w = gauss_legendre_panels(x, hi, math.ceil(2.0 * (hi - x)), _GLP_ORDER)
-    return float(_airy_kernel_column(t.ravel(), y) @ w.ravel())
+def _airy_kernel_tail_integral(x, y):
+    """integral_x^inf K_Ai(t, y) dt for x >= -30, broadcast over x and y, as
+    one batched composite Gauss-Legendre quadrature on panels of width 1/2:
+    the panels between the knots -30, -29.5, ..., 14 are summed from the
+    right once per distinct y, and each pair adds its partial panel from x
+    to the next knot.  Beyond t = 14 the integrand is below 1e-15.  What
+    an entry sums does not depend on the rest of the batch."""
+    x, y = np.broadcast_arrays(*_args(x, y))
+    knots = np.linspace(_EDGE_LEFT, _EDGE_CUT, _EDGE_PANELS + 1)
+    t, w = gauss_legendre_panels(_EDGE_LEFT, _EDGE_CUT, _EDGE_PANELS, _GLP_ORDER)
+    ys, iy = np.unique(y, return_inverse=True)
+    panel = (airy_kernel(t, ys[:, None, None]) * w).sum(axis=-1)
+    suffix = np.zeros((len(ys), _EDGE_PANELS + 1))
+    suffix[:, :-1] = panel[:, ::-1].cumsum(axis=1)[:, ::-1]
+    lo = np.minimum(x, _EDGE_CUT)
+    j = np.searchsorted(knots, lo)
+    t, w = gauss_legendre_panels(lo, knots[j], 1, _GLP_ORDER)
+    part = (airy_kernel(t, y[..., None, None]) * w).sum(axis=(-2, -1))
+    return _scalar_or_array(part + suffix[iy.reshape(y.shape), j])
 
 
-def matrix_kernel_edge(beta: int, x: float, y: float) -> np.ndarray:
+def matrix_kernel_edge(beta: int, x, y) -> np.ndarray:
     """Soft-edge 2x2 matrix kernel; beta = 1 (orthogonal) or 4 (symplectic).
 
     Built from the scalar Airy kernel, its y-derivative, Ai, the Airy tail
-    integrals, and integral_x^inf K_Ai(., y).
+    integrals, and integral_x^inf K_Ai(., y).  Broadcasts over x and y; the
+    result has shape (..., 2, 2).
 
     The lower-left entry is -K12 with the arguments swapped,
     K21(x, y) = -K12(y, x); unlike in the bulk (where K12 is even in x - y
     and the swap is invisible) this is what makes the assembled 2k x 2k
     block matrix exactly skew-symmetric, as the Pfaffian requires.
     """
-    if x < -30.0 or y < -30.0:
+    x, y = _args(x, y)
+    if (x < -30.0).any() or (y < -30.0).any():
         raise ValueError("matrix_kernel_edge: arguments must be >= -30")
-    ax = airy(float(x)).value
-    ay = airy(float(y)).value
-    tx = airy_tail(x)
-    ty = airy_tail(y)
+    if beta not in (1, 4):
+        raise ValueError("matrix_kernel_edge: beta must be 1 or 4")
+    ax, ay = _ai(x)[0], _ai(y)[0]
+    tx, ty = airy_tail(x), airy_tail(y)
     kxy = airy_kernel(x, y)
     dky = airy_kernel_dy(x, y)
     kint = _airy_kernel_tail_integral(x, y)
@@ -358,15 +423,13 @@ def matrix_kernel_edge(beta: int, x: float, y: float) -> np.ndarray:
         k12 = kxy + 0.5 * ax * (1.0 - ty)
         k21 = -(kxy + 0.5 * ay * (1.0 - tx))
         # int_x^y Ai = airy_tail(x) - airy_tail(y)
-        k22 = -kint - 0.5 * (tx - ty) + 0.5 * tx * ty - 0.5 * _sgn(x - y)
-        return np.array([[k11, k12], [k21, k22]])
-    if beta == 4:
-        k11 = 0.5 * dky + 0.25 * ax * ay
-        k12 = 0.5 * kxy - 0.25 * ax * ty
-        k21 = -(0.5 * kxy - 0.25 * ay * tx)
-        k22 = -0.5 * kint + 0.25 * tx * ty
-        return np.array([[k11, k12], [k21, k22]])
-    raise ValueError("matrix_kernel_edge: beta must be 1 or 4")
+        k22 = -kint - 0.5 * (tx - ty) + 0.5 * tx * ty - 0.5 * np.sign(x - y)
+        return _blocks(k11, k12, k21, k22)
+    k11 = 0.5 * dky + 0.25 * ax * ay
+    k12 = 0.5 * kxy - 0.25 * ax * ty
+    k21 = -(0.5 * kxy - 0.25 * ay * tx)
+    k22 = -0.5 * kint + 0.25 * tx * ty
+    return _blocks(k11, k12, k21, k22)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +465,11 @@ class KernelHandle:
     def arity(self) -> str:
         return "scalar" if self.family in _SCALAR_FAMILIES else "matrix2x2"
 
-    def evaluate(self, x: float, y: float):
+    def evaluate(self, x, y):
+        """The kernel at (x, y), broadcast over x and y like a numpy ufunc:
+        scalar families give a float for scalar input and an array of the
+        broadcast shape otherwise, matrix families append a (2, 2) axis
+        pair.  A grid is evaluate(xs[:, None], ys[None, :])."""
         f = self.family
         if f == "sine":
             return sine_kernel(x, y)
@@ -423,23 +490,34 @@ class KernelHandle:
         return matrix_kernel_edge(4, x, y)
 
 
+def _kernel_mesh(name, kernel, arity, points, kmax):
+    """K(x_i, x_j) on the point mesh from one broadcast call, shape (k, k)
+    or (k, k, 2, 2)."""
+    if isinstance(kernel, KernelHandle):
+        if kernel.arity != arity:
+            what = "a scalar" if arity == "scalar" else "a 2x2 matrix"
+            raise ValueError(f"{name} needs {what} kernel")
+        kernel = kernel.evaluate
+    pts = np.array(list(points), dtype=float)
+    k = len(pts)
+    if not 1 <= k <= kmax:
+        raise ValueError(f"{name} supports 1 <= k <= {kmax} points")
+    mesh = np.asarray(kernel(pts[:, None], pts[None, :]), dtype=float)
+    want = (k, k) if arity == "scalar" else (k, k, 2, 2)
+    if mesh.shape != want:
+        raise ValueError(f"{name}: kernel returned shape {mesh.shape} on a "
+                         f"{k}-point mesh, expected {want}; it must broadcast")
+    return mesh
+
+
 def correlation_det(kernel, points) -> float:
     """k-point correlation det[K(x_i, x_j)] for a scalar kernel.
 
-    kernel may be a KernelHandle of scalar arity or a plain callable.
-    Determinant by LU with partial pivoting.
+    kernel may be a KernelHandle of scalar arity or a plain callable, which
+    must broadcast over its two arguments: it is called once, on the
+    (k, 1) x (1, k) point mesh.  Determinant by LU with partial pivoting.
     """
-    if isinstance(kernel, KernelHandle):
-        if kernel.arity != "scalar":
-            raise ValueError("correlation_det needs a scalar kernel")
-        f = kernel.evaluate
-    else:
-        f = kernel
-    pts = list(points)
-    if not 1 <= len(pts) <= 12:
-        raise ValueError("correlation_det supports 1 <= k <= 12 points")
-    mat = np.array([[f(a, b) for b in pts] for a in pts])
-    return float(np.linalg.det(mat))
+    return float(np.linalg.det(_kernel_mesh("correlation_det", kernel, "scalar", points, 12)))
 
 
 def pfaffian(a: np.ndarray) -> float:
@@ -497,26 +575,16 @@ def _pfaffian_expand(a: np.ndarray) -> float:
 def correlation_pfaffian(kernel, points) -> float:
     """k-point correlation Pf[K(x_i, x_j)] for a 2x2 matrix kernel.
 
-    Assembles the 2k x 2k block matrix, verifies skew-symmetry to 1e-8
-    (relative to the largest entry) and returns its Pfaffian; Pf^2 = det.
+    kernel may be a KernelHandle of matrix arity or a plain callable, which
+    must broadcast over its two arguments and return (..., 2, 2) blocks: it
+    is called once, on the (k, 1) x (1, k) point mesh.  Every block,
+    (j, i) as well as (i, j), comes from that call, so the 2k x 2k matrix
+    is verified skew-symmetric to 1e-8 (relative to the largest entry)
+    before its Pfaffian is returned; Pf^2 = det.
     """
-    if isinstance(kernel, KernelHandle):
-        if kernel.arity != "matrix2x2":
-            raise ValueError("correlation_pfaffian needs a 2x2 matrix kernel")
-        f = kernel.evaluate
-    else:
-        f = kernel
-    pts = list(points)
-    k = len(pts)
-    if not 1 <= k <= 8:
-        raise ValueError("correlation_pfaffian supports 1 <= k <= 8 points")
-    a = np.zeros((2 * k, 2 * k))
-    for i in range(k):
-        for j in range(i, k):
-            blk = np.asarray(f(pts[i], pts[j]), dtype=float)
-            a[2 * i:2 * i + 2, 2 * j:2 * j + 2] = blk
-            if j > i:
-                a[2 * j:2 * j + 2, 2 * i:2 * i + 2] = -blk.T
+    blocks = _kernel_mesh("correlation_pfaffian", kernel, "matrix2x2", points, 8)
+    k = len(blocks)
+    a = blocks.transpose(0, 2, 1, 3).reshape(2 * k, 2 * k)
     scale = 1.0 + float(np.abs(a).max())
     skew_defect = float(np.abs(a + a.T).max())
     if skew_defect > 1e-8 * scale:

@@ -141,9 +141,6 @@ class RecurrenceTable:
     window: tuple = (0.0, 0.0)
     nodes_used: int = 0    # nodes of the verification pass that was kept
 
-    def sqrt_a(self):
-        return np.sqrt(self.a)
-
     def to_text(self) -> str:
         fmt = lambda arr: " ".join(repr(float(v)) for v in arr)
         return "\n".join([
@@ -314,7 +311,10 @@ def _scaled_recurrence(x, logscale, n, t: RecurrenceTable = None,
     mass = np.exp(2.0 * logscale) if build else None
     cur, prev, s_prev = np.ones(len(x)), 0.0, 0.0
     curp = prevp = np.zeros(len(x))
-    steps = [(cur, curp, logscale)]
+    if not build:
+        y, logs = np.empty((n + 1, len(x))), np.empty((n + 1, len(x)))
+        yp = np.zeros((n + 1, len(x))) if derivatives else None
+        y[0], logs[0] = cur, logscale
     for k in range(n + 1):
         if build:
             b[k] = np.dot(x * cur * cur, mass)
@@ -336,11 +336,10 @@ def _scaled_recurrence(x, logscale, n, t: RecurrenceTable = None,
             logscale = logscale + np.log(m)
             mass = np.exp(2.0 * logscale) if build else None
         if not build:
-            steps.append((cur, curp, logscale))
-    if build:
-        return a, b
-    y, yp, logs = (np.array(v) for v in zip(*steps))
-    return y, (yp if derivatives else None), logs
+            y[k + 1], logs[k + 1] = cur, logscale
+            if derivatives:
+                yp[k + 1] = curp
+    return (a, b) if build else (y, yp, logs)
 
 
 def _phi_recurrence(t: RecurrenceTable, w: WeightSpec, x, n, derivatives=False):
@@ -351,9 +350,10 @@ def _phi_recurrence(t: RecurrenceTable, w: WeightSpec, x, n, derivatives=False):
         raise ValueError("hard-edge weight evaluated at negative argument")
     # phi_0 = sqrt(weight) / gamma_0
     log_phi0 = 0.5 * (w.log_weight(x) - math.log(t.gamma_sq[0]))
-    y, yp, logs = _scaled_recurrence(x, log_phi0, n, t, derivatives)
-    grow = np.exp(np.clip(logs, -745.0, 705.0))
-    phi = y * grow
+    # the recurrence's arrays are scaled in place, so no extra copies
+    phi, dphi, grow = _scaled_recurrence(x, log_phi0, n, t, derivatives)
+    np.exp(np.clip(grow, -745.0, 705.0, out=grow), out=grow)
+    phi *= grow
     if not derivatives:
         return phi, None
     # phi' = (p' + p * (log sqrt(weight))') sqrt(weight)
@@ -362,7 +362,8 @@ def _phi_recurrence(t: RecurrenceTable, w: WeightSpec, x, n, derivatives=False):
     if al != 0.0:
         xs = np.where(x != 0.0, x, np.inf)
         dlw = dlw + (0.5 * al if w.potential.hard_edge else al) / xs
-    dphi = yp * grow + phi * dlw[None, :]
+    dphi *= grow
+    dphi += phi * dlw[None, :]
     return phi, dphi
 
 
@@ -402,18 +403,21 @@ def cd_kernel_grid(t: RecurrenceTable, w: WeightSpec, n: int, xs, ys) -> np.ndar
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     san = math.sqrt(t.a[n - 1])
-    phi, _ = _phi_recurrence(t, w, np.concatenate([xs, ys]), n)
-    px, py = phi[:, :len(xs)], phi[:, len(xs):]
     dx = xs[:, None] - ys[None, :]
-    num = px[n][:, None] * py[n - 1][None, :] - px[n - 1][:, None] * py[n][None, :]
     near = np.abs(dx) < 1e-7 * (1.0 + np.abs(xs[:, None]))
+    ii, jj = np.nonzero(near)
+    mids = 0.5 * (xs[ii] + ys[jj])
+    # one recurrence over xs, ys and the band midpoints; the derivative
+    # rows are only carried when some pair needs the confluent form
+    phi, dphi = _phi_recurrence(t, w, np.concatenate([xs, ys, mids]), n,
+                                derivatives=len(mids) > 0)
+    px, py = phi[:, :len(xs)], phi[:, len(xs):len(xs) + len(ys)]
+    num = px[n][:, None] * py[n - 1][None, :] - px[n - 1][:, None] * py[n][None, :]
     out = np.empty_like(dx)
     np.divide(num, dx, out=out, where=~near)
     out *= san
-    if near.any():
-        ii, jj = np.nonzero(near)
-        mids = 0.5 * (xs[ii] + ys[jj])
-        pm, dm = _phi_recurrence(t, w, mids, n, derivatives=True)
+    if len(mids):
+        pm, dm = phi[:, -len(mids):], dphi[:, -len(mids):]
         out[ii, jj] = san * (dm[n] * pm[n - 1] - dm[n - 1] * pm[n])
     return out
 

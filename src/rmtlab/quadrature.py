@@ -17,15 +17,17 @@ def _legendre(order):
     return np.polynomial.legendre.leggauss(order)
 
 
-def gauss_legendre_panels(lo: float, hi: float, panels: int, order: int):
+def gauss_legendre_panels(lo, hi, panels: int, order: int):
     """Nodes and weights of `panels` equal panels on [lo, hi], each carrying
     an `order`-point Gauss-Legendre rule; both arrays have shape
-    (panels, order), so row sums are the per-panel integrals."""
+    (panels, order), so row sums are the per-panel integrals.  Array lo and
+    hi broadcast: one rule per interval, with shape (..., panels, order)."""
     t, w = _legendre(order)
-    edges = np.linspace(lo, hi, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    return mid[:, None] + half * t[None, :], np.broadcast_to(half * w, (panels, order))
+    edges = np.linspace(lo, hi, panels + 1, axis=-1)
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    half = 0.5 * (edges[..., 1:2] - edges[..., :1])
+    return (mid[..., None] + half[..., None] * t,
+            np.broadcast_to(half[..., None] * w, mid.shape + (order,)))
 
 
 def power_weight_panels(lo: float, hi: float, beta: float, panels: int, order: int):

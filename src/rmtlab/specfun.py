@@ -15,6 +15,11 @@ scaling-limit experiments) consumes these primitives.  What computes what:
   vectorized Airy (scipy's itairy reaches only ~1e-7), with integration by
   parts beyond x = 8.
 
+bessel_j, sinc_integral and airy_tail broadcast over their argument like
+numpy ufuncs (scalar input gives floats), and each range guard raises if
+any element is out of range; airy_real flattens its argument and airy
+takes one scalar.
+
 Accuracy verified against mpmath and quadrature oracles in
 tests/test_specfun.py: Ai, Ai' to 1e-10 relative on [-20, 20] and to 1e-8
 relative for complex |z| <= 30 in every sector; J_alpha to 1e-10 for
@@ -46,10 +51,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FunctionValuePair:
-    """A special-function value bundled with its first derivative."""
+    """A special-function value bundled with its first derivative; arrays
+    when the argument was an array."""
 
     value: complex
     derivative: complex
+
+
+def _scalar_or_array(v):
+    """A 0-d result as a Python float, anything else as an array."""
+    v = np.asarray(v)
+    return float(v) if v.ndim == 0 else v
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +94,7 @@ def airy(z) -> FunctionValuePair:
 
 def airy_real(x):
     """Vectorized (Ai, Ai') on the real axis, as two 1-d arrays."""
-    ai, aip, _, _ = special.airy(np.atleast_1d(np.asarray(x, dtype=float)))
+    ai, aip, _, _ = special.airy(np.ravel(np.asarray(x, dtype=float)))
     return ai, aip
 
 
@@ -100,7 +112,6 @@ def _airy_tail_asym(x):
     (Ai'' = x Ai); four levels leave a relative remainder below 4e-6 of an
     already ~1e-8 sized tail."""
     a, ap = airy_real(x)
-    a, ap = float(a[0]), float(ap[0])
     total = 0.0
     coef = 1.0
     m = 0
@@ -115,72 +126,78 @@ def _airy_tail_asym(x):
 def _tail_table():
     """Knots and suffix sums integral_{knot}^inf Ai, built once."""
     t, w = gauss_legendre_panels(_TAIL_LEFT, _TAIL_ANCHOR, _TAIL_PANELS, _TAIL_ORDER)
-    ai, _ = airy_real(t.ravel())
+    ai, _ = airy_real(t)
     panel = (ai.reshape(t.shape) * w).sum(axis=1)
     knots = np.linspace(_TAIL_LEFT, _TAIL_ANCHOR, _TAIL_PANELS + 1)
     suffix = np.zeros(len(knots))
-    suffix[-1] = _airy_tail_asym(_TAIL_ANCHOR)
+    suffix[-1] = _airy_tail_asym(_TAIL_ANCHOR)[0]
     suffix[:-1] = suffix[-1] + panel[::-1].cumsum()[::-1]
     return knots, suffix
 
 
-def airy_tail(x: float) -> float:
-    """integral_x^infinity Ai(t) dt, absolute accuracy ~1e-12.
+def airy_tail(x):
+    """integral_x^infinity Ai(t) dt, absolute accuracy ~1e-12; broadcasts
+    over x, and scalar x gives a float.
 
     The complementary integral over (-inf, y] is 1 - airy_tail(y).  Backed
     by a cumulative panel table built once on first use (read-only after),
     so dense kernel-grid evaluation stays cheap.
     """
-    x = float(x)
-    if x < _TAIL_LEFT + 0.49:
+    x = np.asarray(x, dtype=float)
+    if (x < _TAIL_LEFT + 0.49).any():
         raise ValueError("airy_tail: argument below supported range -40")
-    if x >= _TAIL_ANCHOR:
-        return _airy_tail_asym(x)
     knots, suffix = _tail_table()
-    j = int(np.searchsorted(knots, x, side="right"))
-    t, w = gauss_legendre_panels(x, knots[j], 1, _TAIL_ORDER)
-    ai, _ = airy_real(t.ravel())
-    return float(ai @ w.ravel() + suffix[j])
+    lo = np.minimum(x, _TAIL_ANCHOR)
+    j = np.minimum(np.searchsorted(knots, lo, side="right"), len(knots) - 1)
+    t, w = gauss_legendre_panels(lo, knots[j], 1, _TAIL_ORDER)
+    ai, _ = airy_real(t)
+    out = np.asarray((ai.reshape(t.shape) * w).sum(axis=(-2, -1)) + suffix[j])
+    far = x >= _TAIL_ANCHOR
+    if far.any():
+        out[far] = _airy_tail_asym(x[far])
+    return _scalar_or_array(out)
 
 
 # ---------------------------------------------------------------------------
 # Bessel J of real order
 
-def bessel_j(alpha: float, x: float) -> FunctionValuePair:
+def bessel_j(alpha: float, x) -> FunctionValuePair:
     """Bessel function J_alpha(x) and its derivative, real order alpha > -1,
-    0 <= x <= 1e3.
+    0 <= x <= 1e3; broadcasts over x (scalar x gives floats).
 
     At x = 0 the value is 1 for alpha = 0 and 0 otherwise; the derivative
     is 0 for alpha = 0 or alpha > 1, 1/2 for alpha = 1 and inf in between.
     """
     alpha = float(alpha)
-    x = float(x)
+    x = np.asarray(x, dtype=float)
     if alpha <= -1.0:
         raise ValueError("bessel_j: order must exceed -1")
-    if x < 0.0:
+    if (x < 0.0).any():
         raise ValueError("bessel_j: argument must be nonnegative")
-    if x > 1.001e3:
+    if (x > 1.001e3).any():
         raise ValueError("bessel_j: argument exceeds the supported range 1e3")
-    if x == 0.0:
-        j = 1.0 if alpha == 0.0 else 0.0
+    j, jp = special.jv(alpha, x), special.jvp(alpha, x)
+    zero = x == 0.0
+    if zero.any():
+        j = np.where(zero, 1.0 if alpha == 0.0 else 0.0, j)
         if alpha == 0.0 or alpha > 1.0:
-            jp = 0.0
+            jp0 = 0.0
         elif alpha == 1.0:
-            jp = 0.5
+            jp0 = 0.5
         else:
-            jp = math.inf
-        return FunctionValuePair(j, jp)
-    return FunctionValuePair(float(special.jv(alpha, x)), float(special.jvp(alpha, x)))
+            jp0 = math.inf
+        jp = np.where(zero, jp0, jp)
+    return FunctionValuePair(_scalar_or_array(j), _scalar_or_array(jp))
 
 
 # ---------------------------------------------------------------------------
 # sine integral primitive
 
-def sinc_integral(t: float) -> float:
+def sinc_integral(t):
     """integral_0^t sin(pi u)/(pi u) du = Si(pi t)/pi; odd in t, absolute
-    accuracy ~1e-10 over |t| <= 1e6."""
-    t = float(t)
-    if abs(t) > 1.001e6:
+    accuracy ~1e-10 over |t| <= 1e6; broadcasts over t."""
+    t = np.asarray(t, dtype=float)
+    if (np.abs(t) > 1.001e6).any():
         raise ValueError("sinc_integral: argument exceeds the supported range 1e6")
-    si, _ = special.sici(math.pi * abs(t))
-    return math.copysign(float(si), t) / math.pi
+    si, _ = special.sici(math.pi * np.abs(t))
+    return _scalar_or_array(np.copysign(si, t) / math.pi)

@@ -122,6 +122,18 @@ class TestOppoly:
         assert main(["oppoly", "--potential", "0,0,0.5", "--alpha", "0.25",
                      "--N", "64", "--nmax", "64", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("args", [["--N", "8", "--nmax", "600"],
+                                      ["--N", "8", "--nmax", "0"],
+                                      ["--N", "0", "--nmax", "8"],
+                                      ["--N", "8", "--nmax", "8", "--kernel-n", "9",
+                                       "--kernel-grid=-1:1:3"]])
+    def test_out_of_range_exit2(self, tmp_path, capsys, args):
+        # a bad --nmax, --N or --kernel-n is a validation error, not a traceback
+        rc = main(["oppoly", "--potential", "0,0,0.5", "--out", str(tmp_path / "t.csv"),
+                   "--kernel-out", str(tmp_path / "k.csv")] + args)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("rmtlab: ")
+
     def test_disagreeing_passes_exit3(self, tmp_path, monkeypatch):
         from rmtlab import orthopoly
 

@@ -226,19 +226,23 @@ class TestMatrixKernels:
         assert got == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("x, y", [(-3.0, -3.0), (0.5, 0.5), (-1.0, 2.0), (2.0, -1.0),
-                                      (-10.0, 0.3), (-25.0, -25.0), (1.0, 1.0 + 1e-7)])
+                                      (-10.0, 0.3), (-25.0, -25.0), (1.0, 1.0 + 1e-7),
+                                      (np.array([-30.0, -3.0, 0.5, -1.0, 2.0, -10.0, 13.2]),
+                                       np.array([-29.0, -3.0, 0.5, 2.0, -1.0, 0.3, 13.2]))])
     def test_edge_tail_integral_against_quad(self, x, y):
         # integral_x^inf K_Ai(t, y) dt; adaptive quadrature of the scalar
-        # kernel up to t = 30, where the integrand is far below 1e-20
+        # kernel up to t = 30, where the integrand is far below 1e-20; an
+        # array of pairs goes through one batched quadrature
         import scipy.integrate
 
-        def f(t):
-            return kr.airy_kernel(t, y)
+        def ref(x, y):
+            cut = min(x + 10.0, 30.0)
+            return sum(scipy.integrate.quad(lambda t: kr.airy_kernel(t, y), a, b,
+                                            limit=400, epsabs=1e-14)[0]
+                       for a, b in [(x, cut), (cut, 30.0)] if b > a)
 
-        cut = min(x + 10.0, 30.0)
-        ref = sum(scipy.integrate.quad(f, a, b, limit=400, epsabs=1e-14)[0]
-                  for a, b in [(x, cut), (cut, 30.0)] if b > a)
-        assert kr._airy_kernel_tail_integral(x, y) == pytest.approx(ref, abs=1e-12)
+        want = np.vectorize(ref)(x, y)
+        assert kr._airy_kernel_tail_integral(x, y) == pytest.approx(want, abs=1e-12)
 
     def test_edge_argument_range(self):
         with pytest.raises(ValueError):
@@ -352,3 +356,137 @@ class TestScalarKernelInvariants:
             for k in [2, 3, 4]:
                 pts = np.sort(rng.uniform(lo, hi, k))
                 assert kr.correlation_det(h, pts) >= -1e-10
+
+
+# families, parameters and a centre inside each family's range; the offsets
+# put entries inside every diagonal band (sine 1e-8, Airy and Pearcey 1e-6,
+# Bessel 1e-5, sine_dx and airy_dy 1e-4) and outside them
+FAMILIES = [(KernelHandle("sine"), 0.4), (KernelHandle("airy"), -1.3),
+            (KernelHandle("bessel_hard", alpha=0.7), 1.2),
+            (KernelHandle("bessel_origin", alpha=1.3), 0.8),
+            (KernelHandle("pearcey", s=0.5), 0.3),
+            (KernelHandle("sine_beta1"), 0.2), (KernelHandle("sine_beta4"), 0.2),
+            (KernelHandle("airy_beta1"), -0.5), (KernelHandle("airy_beta4"), -0.5)]
+OFFSETS = np.array([0.0, 3e-9, 4e-7, 5e-6, 5e-5, 0.3, 1.1])
+
+
+class TestBroadcasting:
+    @pytest.mark.parametrize("h, c", FAMILIES, ids=[h.family for h, _ in FAMILIES])
+    def test_grid_equals_scalar_calls(self, h, c):
+        xs = c + np.array([0.0, 0.5, -0.1])
+        ys = c + OFFSETS
+        grid = h.evaluate(xs[:, None], ys[None, :])
+        each = np.array([[h.evaluate(x, y) for y in ys] for x in xs])
+        np.testing.assert_array_equal(grid, each)
+
+    @pytest.mark.parametrize("fn", [kr.sine_kernel_dx, kr.airy_kernel_dy])
+    def test_derivative_grid_equals_scalar_calls(self, fn):
+        xs = 0.3 + np.array([0.0, 0.5, -0.1])
+        ys = 0.3 + OFFSETS
+        each = np.array([[fn(x, y) for y in ys] for x in xs])
+        np.testing.assert_array_equal(fn(xs[:, None], ys[None, :]), each)
+
+    @pytest.mark.parametrize("h, c", FAMILIES, ids=[h.family for h, _ in FAMILIES])
+    def test_shapes(self, h, c):
+        block = () if h.arity == "scalar" else (2, 2)
+        one = h.evaluate(c, c + 0.2)
+        if block:
+            assert isinstance(one, np.ndarray) and one.shape == block
+        else:
+            assert type(one) is float
+        xs, ys = c + np.linspace(0.0, 0.6, 4), c + np.linspace(0.0, 0.4, 3)
+        assert h.evaluate(xs[:, None], ys[None, :]).shape == (4, 3) + block
+        assert h.evaluate(xs, c).shape == (4,) + block
+        assert h.evaluate(xs[:3], ys).shape == (3,) + block
+
+    def test_specfun_arrays_equal_scalar_calls(self):
+        from rmtlab import specfun
+
+        xs = np.linspace(-40.0, 20.0, 61)
+        np.testing.assert_array_equal(specfun.airy_tail(xs),
+                                      [specfun.airy_tail(x) for x in xs])
+        np.testing.assert_array_equal(specfun.sinc_integral(xs),
+                                      [specfun.sinc_integral(x) for x in xs])
+        us = np.abs(xs).reshape(61, 1)
+        for alpha in (0.0, 0.5, 1.0, 3.3):
+            got = specfun.bessel_j(alpha, us)
+            assert got.value.shape == got.derivative.shape == (61, 1)
+            np.testing.assert_array_equal(got.value[:, 0],
+                                          [specfun.bessel_j(alpha, u).value for u in us[:, 0]])
+            np.testing.assert_array_equal(
+                got.derivative[:, 0], [specfun.bessel_j(alpha, u).derivative for u in us[:, 0]])
+        assert type(specfun.airy_tail(0.5)) is float
+        assert type(specfun.sinc_integral(0.5)) is float
+        assert type(specfun.bessel_j(0.5, 0.0).derivative) is float
+
+    def test_bessel_zero_conventions_in_arrays(self):
+        from rmtlab import specfun
+
+        for alpha, jp in [(0.0, 0.0), (0.5, math.inf), (1.0, 0.5), (2.5, 0.0)]:
+            got = specfun.bessel_j(alpha, np.array([0.0, 1.0]))
+            assert got.value[0] == (1.0 if alpha == 0.0 else 0.0)
+            assert got.derivative[0] == jp
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: kr.bessel_hard_kernel(0.0, np.array([1.0, 2.0, -1.0]), 2.0), "positive"),
+        (lambda: kr.bessel_origin_kernel(1.0, 1.0, np.array([0.5, 0.0])), "positive"),
+        (lambda: kr.pearcey_kernel(np.array([0.0, 20.5]), 0.0, 0.0), "exceed 20"),
+        (lambda: kr.pearcey_kernel(0.0, np.array([[0.0], [-21.0]]), 0.0), "exceed 20"),
+        (lambda: kr.matrix_kernel_edge(1, 0.0, np.array([0.0, -30.5])), ">= -30"),
+        (lambda: kr.matrix_kernel_edge(4, np.array([-30.5, 1.0]), 0.0), ">= -30"),
+    ])
+    def test_kernel_range_guard_on_one_element(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda sf: sf.bessel_j(0.0, np.array([1.0, 2.0, -0.5])), "nonnegative"),
+        (lambda sf: sf.bessel_j(0.0, np.array([1.0, 1001.5])), "range 1e3"),
+        (lambda sf: sf.sinc_integral(np.array([0.0, 2e6])), "range 1e6"),
+        (lambda sf: sf.airy_tail(np.array([0.0, 3.0, -41.0])), "range -40"),
+    ])
+    def test_specfun_range_guard_on_one_element(self, call, message):
+        from rmtlab import specfun
+
+        with pytest.raises(ValueError, match=message):
+            call(specfun)
+
+    def test_pearcey_one_bad_entry_fails_the_grid(self):
+        # (0, 0) alone is fine; (12, 12) at s = -5 fails its agreement check
+        assert kr.pearcey_kernel(0.0, 0.0, -5.0) == pytest.approx(
+            kr.pearcey_kernel(np.array([0.0]), np.array([0.0]), -5.0)[0])
+        pts = np.array([0.0, 12.0])
+        with pytest.raises(ArithmeticError):
+            kr.pearcey_kernel(pts[:, None], pts[None, :], -5.0)
+        with pytest.raises(ArithmeticError):
+            kr.pearcey_kernel(pts, pts, -5.0)
+
+
+class TestCorrelationMesh:
+    def test_one_call_on_the_point_mesh(self):
+        seen = []
+
+        def sine(x, y):
+            seen.append((np.shape(x), np.shape(y)))
+            return kr.sine_kernel(x, y)
+
+        pts = [0.0, 0.3, 1.1]
+        assert kr.correlation_det(sine, pts) == pytest.approx(
+            kr.correlation_det(KernelHandle("sine"), pts), abs=0.0)
+        assert seen == [((3, 1), (1, 3))]
+
+    def test_non_broadcasting_callable_rejected(self):
+        with pytest.raises(ValueError):
+            kr.correlation_det(lambda x, y: 1.0, [0.0, 0.5])
+
+    def test_pfaffian_checks_independent_blocks(self):
+        # diagonal blocks skew, off-diagonal blocks not: K(y, x) != -K(x, y)^T
+        def lopsided(x, y):
+            x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+            zero = np.zeros_like(x)
+            return np.stack([np.stack([zero, 1.0 + x], -1),
+                             np.stack([-(1.0 + x), zero], -1)], -2)
+
+        assert kr.correlation_pfaffian(lopsided, [0.5]) == pytest.approx(1.5)
+        with pytest.raises(ValueError, match="skew"):
+            kr.correlation_pfaffian(lopsided, [0.0, 0.5])

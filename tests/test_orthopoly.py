@@ -240,6 +240,17 @@ class TestCdKernel:
             for j, yv in enumerate(xs):
                 assert grid[i, j] == pytest.approx(op.cd_kernel(t, w, 10, xv, yv), rel=1e-11)
 
+    def test_one_recurrence_per_grid(self, herm16, monkeypatch):
+        # the band midpoints share the recurrence of xs and ys
+        w, t = herm16
+        calls = []
+        real = op._phi_recurrence
+        monkeypatch.setattr(op, "_phi_recurrence",
+                            lambda *a, **k: calls.append(k) or real(*a, **k))
+        op.cd_kernel(t, w, 10, 0.3, 0.3)
+        op.cd_kernel_grid(t, w, 10, np.array([-1.0, 0.5]), np.array([0.2]))
+        assert calls == [{"derivatives": True}, {"derivatives": False}]
+
     def test_positive_definite_random_points(self, herm64):
         w, t = herm64
         rng = np.random.default_rng(8)
