@@ -154,6 +154,12 @@ def _cmd_kernel(args):
 
 def _cmd_oppoly(args):
     pot = _parse_potential(args)
+    if args.kernel_out:
+        if not args.kernel_n or not args.kernel_grid:
+            raise ValidationError("--kernel-out needs --kernel-n and --kernel-grid")
+        if not 1 <= args.kernel_n <= args.nmax:
+            raise ValidationError("--kernel-n must be between 1 and --nmax")
+        grid = _parse_grid(args.kernel_grid)
     try:
         w = op.WeightSpec(pot, N=args.N, truncation=args.truncation)
         table = op.recurrence_table(w, args.nmax)
@@ -165,11 +171,6 @@ def _cmd_oppoly(args):
              float(table.gamma_sq[k])) for k in range(args.nmax + 1)]
     _write_csv(args.out, config, ["k", "a", "b", "gamma_sq"], rows)
     if args.kernel_out:
-        if not args.kernel_n or not args.kernel_grid:
-            raise ValidationError("--kernel-out needs --kernel-n and --kernel-grid")
-        if not 1 <= args.kernel_n <= args.nmax:
-            raise ValidationError("--kernel-n must be between 1 and --nmax")
-        grid = _parse_grid(args.kernel_grid)
         kmat = op.cd_kernel_grid(table, w, args.kernel_n, grid, grid)
         rows = [(float(x), float(y), float(kmat[i, j]))
                 for i, x in enumerate(grid) for j, y in enumerate(grid)]

@@ -26,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .quadrature import gauss_legendre_panels
-from .specfun import _scalar_or_array, airy_real, airy_tail, bessel_j, sinc_integral
+from .quadrature import gauss_legendre_panels, panel_suffix, partial_panel
+from .specfun import _scalar_or_array, airy, airy_tail, bessel_j, sinc_integral
 
 __all__ = [
     "KernelHandle",
@@ -100,24 +100,18 @@ def sine_kernel_dx(x, y):
     return _scalar_or_array(_integrable_quotient(x, y, 1e-4, numerator, taylor))
 
 
-def _ai(x):
-    """(Ai, Ai') with x's shape."""
-    ai, aip = airy_real(x)
-    return ai.reshape(np.shape(x)), aip.reshape(np.shape(x))
-
-
 def airy_kernel(x, y):
     """(Ai(x)Ai'(y) - Ai'(x)Ai(y)) / (x - y); diagonal Ai'(x)^2 - x Ai(x)^2."""
     x, y = _args(x, y)
 
     def numerator(x, y):
-        (ax, apx), (ay, apy) = _ai(x), _ai(y)
-        return ax * apy - apx * ay
+        fx, fy = airy(x), airy(y)
+        return fx.value * fy.derivative - fx.derivative * fy.value
 
     def confluent(x, y):
         m = 0.5 * (x + y)
-        a, ap = _ai(m)
-        return ap * ap - m * a * a
+        f = airy(m)
+        return f.derivative * f.derivative - m * f.value * f.value
 
     return _scalar_or_array(_integrable_quotient(
         x, y, 1e-6 * (1.0 + np.abs(x) + np.abs(y)), numerator, confluent))
@@ -134,12 +128,13 @@ def airy_kernel_dy(x, y):
     x, y = _args(x, y)
 
     def numerator(x, y):
-        (ax, apx), (ay, apy) = _ai(x), _ai(y)
-        return ax * y * ay - apx * apy + airy_kernel(x, y)
+        fx, fy = airy(x), airy(y)
+        return fx.value * y * fy.value - fx.derivative * fy.derivative + airy_kernel(x, y)
 
     def confluent(x, y):
         h = y - x
-        a, ap = _ai(x)
+        f = airy(x)
+        a, ap = f.value, f.derivative
         a2 = x * a
         a3 = a + x * ap
         a4 = 2.0 * ap + x * x * a
@@ -383,16 +378,11 @@ def _airy_kernel_tail_integral(x, y):
     to the next knot.  Beyond t = 14 the integrand is below 1e-15.  What
     an entry sums does not depend on the rest of the batch."""
     x, y = np.broadcast_arrays(*_args(x, y))
-    knots = np.linspace(_EDGE_LEFT, _EDGE_CUT, _EDGE_PANELS + 1)
-    t, w = gauss_legendre_panels(_EDGE_LEFT, _EDGE_CUT, _EDGE_PANELS, _GLP_ORDER)
     ys, iy = np.unique(y, return_inverse=True)
-    panel = (airy_kernel(t, ys[:, None, None]) * w).sum(axis=-1)
-    suffix = np.zeros((len(ys), _EDGE_PANELS + 1))
-    suffix[:, :-1] = panel[:, ::-1].cumsum(axis=1)[:, ::-1]
-    lo = np.minimum(x, _EDGE_CUT)
-    j = np.searchsorted(knots, lo)
-    t, w = gauss_legendre_panels(lo, knots[j], 1, _GLP_ORDER)
-    part = (airy_kernel(t, y[..., None, None]) * w).sum(axis=(-2, -1))
+    knots, suffix = panel_suffix(lambda t: airy_kernel(t, ys[:, None, None]),
+                                 _EDGE_LEFT, _EDGE_CUT, _EDGE_PANELS, _GLP_ORDER)
+    j, part = partial_panel(lambda t: airy_kernel(t, y[..., None, None]),
+                            np.minimum(x, _EDGE_CUT), knots, _GLP_ORDER)
     return _scalar_or_array(part + suffix[iy.reshape(y.shape), j])
 
 
@@ -413,7 +403,7 @@ def matrix_kernel_edge(beta: int, x, y) -> np.ndarray:
         raise ValueError("matrix_kernel_edge: arguments must be >= -30")
     if beta not in (1, 4):
         raise ValueError("matrix_kernel_edge: beta must be 1 or 4")
-    ax, ay = _ai(x)[0], _ai(y)[0]
+    ax, ay = airy(x).value, airy(y).value
     tx, ty = airy_tail(x), airy_tail(y)
     kxy = airy_kernel(x, y)
     dky = airy_kernel_dy(x, y)
@@ -471,23 +461,16 @@ class KernelHandle:
         broadcast shape otherwise, matrix families append a (2, 2) axis
         pair.  A grid is evaluate(xs[:, None], ys[None, :])."""
         f = self.family
-        if f == "sine":
-            return sine_kernel(x, y)
-        if f == "airy":
-            return airy_kernel(x, y)
+        if f in _MATRIX_FAMILIES:
+            matrix = matrix_kernel_bulk if f.startswith("sine") else matrix_kernel_edge
+            return matrix(int(f[-1]), x, y)
         if f == "bessel_hard":
             return bessel_hard_kernel(self.alpha, x, y)
         if f == "bessel_origin":
             return bessel_origin_kernel(self.alpha, x, y)
         if f == "pearcey":
             return pearcey_kernel(x, y, self.s)
-        if f == "sine_beta1":
-            return matrix_kernel_bulk(1, x, y)
-        if f == "sine_beta4":
-            return matrix_kernel_bulk(4, x, y)
-        if f == "airy_beta1":
-            return matrix_kernel_edge(1, x, y)
-        return matrix_kernel_edge(4, x, y)
+        return sine_kernel(x, y) if f == "sine" else airy_kernel(x, y)
 
 
 def _kernel_mesh(name, kernel, arity, points, kmax):

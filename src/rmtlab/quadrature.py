@@ -1,6 +1,7 @@
-"""Quadrature rules: composite Gauss-Legendre panels, the power-weight rule
-behind the discretized Stieltjes nodes, and Gauss-Chebyshev of the second
-kind for the equilibrium moment map and the g-function."""
+"""Quadrature rules: composite Gauss-Legendre panels and their suffix sums
+for tail integrals, the power-weight rule behind the discretized Stieltjes
+nodes, and Gauss-Chebyshev of the second kind for the equilibrium moment
+map and the g-function."""
 
 from __future__ import annotations
 
@@ -9,7 +10,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
-__all__ = ["gauss_legendre_panels", "power_weight_panels", "gauss_chebyshev_u"]
+__all__ = ["gauss_legendre_panels", "panel_suffix", "partial_panel",
+           "power_weight_panels", "gauss_chebyshev_u"]
 
 
 @lru_cache(maxsize=None)
@@ -28,6 +30,26 @@ def gauss_legendre_panels(lo, hi, panels: int, order: int):
     half = 0.5 * (edges[..., 1:2] - edges[..., :1])
     return (mid[..., None] + half[..., None] * t,
             np.broadcast_to(half[..., None] * w, mid.shape + (order,)))
+
+
+def panel_suffix(f, lo, hi, panels: int, order: int):
+    """Knots of `panels` equal panels on [lo, hi] and the integrals of f from
+    each knot to hi; f may add leading axes (one integrand each) to the
+    (panels, order) nodes."""
+    t, w = gauss_legendre_panels(lo, hi, panels, order)
+    panel = (f(t) * w).sum(axis=-1)
+    suffix = np.zeros(panel.shape[:-1] + (panels + 1,))
+    suffix[..., :-1] = panel[..., ::-1].cumsum(axis=-1)[..., ::-1]
+    return np.linspace(lo, hi, panels + 1), suffix
+
+
+def partial_panel(f, x, knots, order: int):
+    """Index j of the first knot >= x and the integral of f over [x, knots[j]]
+    on one Gauss-Legendre panel, broadcast over x; adding the panel_suffix
+    sum at j integrates from x to the last knot."""
+    j = np.searchsorted(knots, x)
+    t, w = gauss_legendre_panels(x, knots[j], 1, order)
+    return j, (f(t) * w).sum(axis=(-2, -1))
 
 
 def power_weight_panels(lo: float, hi: float, beta: float, panels: int, order: int):

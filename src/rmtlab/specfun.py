@@ -15,10 +15,10 @@ scaling-limit experiments) consumes these primitives.  What computes what:
   vectorized Airy (scipy's itairy reaches only ~1e-7), with integration by
   parts beyond x = 8.
 
-bessel_j, sinc_integral and airy_tail broadcast over their argument like
-numpy ufuncs (scalar input gives floats), and each range guard raises if
-any element is out of range; airy_real flattens its argument and airy
-takes one scalar.
+airy (for real input), bessel_j, sinc_integral and airy_tail broadcast
+over their argument like numpy ufuncs (scalar input gives floats), and
+each range guard raises if any element is out of range; complex airy
+takes one scalar, and airy_real flattens its argument.
 
 Accuracy verified against mpmath and quadrature oracles in
 tests/test_specfun.py: Ai, Ai' to 1e-10 relative on [-20, 20] and to 1e-8
@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .quadrature import gauss_legendre_panels
+from .quadrature import panel_suffix, partial_panel
 
 __all__ = [
     "FunctionValuePair",
@@ -70,30 +70,33 @@ def _scalar_or_array(v):
 def airy(z) -> FunctionValuePair:
     """Airy function Ai and derivative Ai' for real or complex argument.
 
-    Real input gives float values, complex input complex values.  Raises
+    Real input broadcasts like a numpy ufunc (scalar input gives floats);
+    complex input is one scalar and gives complex values.  Raises
     ValueError beyond |z| = 1e3 and OverflowError in the deep growth
     sectors where the result would overflow; underflow in the decay
     sector degrades gracefully to 0.
     """
-    zin = z
-    z = complex(z)
-    if abs(z) > 1.1e3:
+    if np.any(np.abs(z) > 1.1e3):
         raise ValueError("airy: |z| exceeds the supported range 1e3")
+    if not np.iscomplexobj(z):
+        x = np.asarray(z, dtype=float)
+        ai, aip = airy_real(x)
+        return FunctionValuePair(_scalar_or_array(ai.reshape(x.shape)),
+                                 _scalar_or_array(aip.reshape(x.shape)))
+    z = complex(z)
     zeta = (2.0 / 3.0) * z * cmath.sqrt(z)
     if abs(z) > 20.0 and zeta.real < -700.0:
         raise OverflowError("airy: result too large to represent")
-    if isinstance(zin, complex) or getattr(zin, "imag", 0) != 0:
-        # scaled pair times e^{-zeta}: unscaled AMOS returns 0 or nan once
-        # Re zeta < -666 in the growth sectors, short of the guard above
-        eai, eaip, _, _ = special.airye(z)
-        scale = cmath.exp(-zeta)
-        return FunctionValuePair(complex(eai * scale), complex(eaip * scale))
-    ai, aip, _, _ = special.airy(z.real)
-    return FunctionValuePair(float(ai), float(aip))
+    # scaled pair times e^{-zeta}: unscaled AMOS returns 0 or nan once
+    # Re zeta < -666 in the growth sectors, short of the guard above
+    eai, eaip, _, _ = special.airye(z)
+    scale = cmath.exp(-zeta)
+    return FunctionValuePair(complex(eai * scale), complex(eaip * scale))
 
 
 def airy_real(x):
-    """Vectorized (Ai, Ai') on the real axis, as two 1-d arrays."""
+    """Vectorized (Ai, Ai') on the real axis, as two 1-d arrays (x is
+    flattened); no range check."""
     ai, aip, _, _ = special.airy(np.ravel(np.asarray(x, dtype=float)))
     return ai, aip
 
@@ -111,28 +114,26 @@ def _airy_tail_asym(x):
     """integral_x^inf Ai for x >= 8 by repeated integration by parts
     (Ai'' = x Ai); four levels leave a relative remainder below 4e-6 of an
     already ~1e-8 sized tail."""
-    a, ap = airy_real(x)
+    f = airy(x)
     total = 0.0
     coef = 1.0
     m = 0
     for _ in range(4):
-        total += coef * (-ap / x ** (m + 1) - (m + 1) * a / x ** (m + 2))
+        total += coef * (-f.derivative / x ** (m + 1) - (m + 1) * f.value / x ** (m + 2))
         coef *= (m + 1) * (m + 2)
         m += 3
     return total
 
 
+def _airy_value(t):
+    return airy(t).value
+
+
 @lru_cache(maxsize=None)
 def _tail_table():
     """Knots and suffix sums integral_{knot}^inf Ai, built once."""
-    t, w = gauss_legendre_panels(_TAIL_LEFT, _TAIL_ANCHOR, _TAIL_PANELS, _TAIL_ORDER)
-    ai, _ = airy_real(t)
-    panel = (ai.reshape(t.shape) * w).sum(axis=1)
-    knots = np.linspace(_TAIL_LEFT, _TAIL_ANCHOR, _TAIL_PANELS + 1)
-    suffix = np.zeros(len(knots))
-    suffix[-1] = _airy_tail_asym(_TAIL_ANCHOR)[0]
-    suffix[:-1] = suffix[-1] + panel[::-1].cumsum()[::-1]
-    return knots, suffix
+    knots, suffix = panel_suffix(_airy_value, _TAIL_LEFT, _TAIL_ANCHOR, _TAIL_PANELS, _TAIL_ORDER)
+    return knots, suffix + _airy_tail_asym(_TAIL_ANCHOR)
 
 
 def airy_tail(x):
@@ -147,11 +148,8 @@ def airy_tail(x):
     if (x < _TAIL_LEFT + 0.49).any():
         raise ValueError("airy_tail: argument below supported range -40")
     knots, suffix = _tail_table()
-    lo = np.minimum(x, _TAIL_ANCHOR)
-    j = np.minimum(np.searchsorted(knots, lo, side="right"), len(knots) - 1)
-    t, w = gauss_legendre_panels(lo, knots[j], 1, _TAIL_ORDER)
-    ai, _ = airy_real(t)
-    out = np.asarray((ai.reshape(t.shape) * w).sum(axis=(-2, -1)) + suffix[j])
+    j, part = partial_panel(_airy_value, np.minimum(x, _TAIL_ANCHOR), knots, _TAIL_ORDER)
+    out = np.asarray(part + suffix[j])
     far = x >= _TAIL_ANCHOR
     if far.any():
         out[far] = _airy_tail_asym(x[far])

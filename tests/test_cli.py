@@ -126,13 +126,15 @@ class TestOppoly:
                                       ["--N", "8", "--nmax", "0"],
                                       ["--N", "0", "--nmax", "8"],
                                       ["--N", "8", "--nmax", "8", "--kernel-n", "9",
-                                       "--kernel-grid=-1:1:3"]])
-    def test_out_of_range_exit2(self, tmp_path, capsys, args):
-        # a bad --nmax, --N or --kernel-n is a validation error, not a traceback
-        rc = main(["oppoly", "--potential", "0,0,0.5", "--out", str(tmp_path / "t.csv"),
-                   "--kernel-out", str(tmp_path / "k.csv")] + args)
-        assert rc == 2
+                                       "--kernel-grid=-1:1:3", "--kernel-out", "k.csv"],
+                                      ["--N", "8", "--nmax", "8", "--kernel-out", "k.csv"]])
+    def test_out_of_range_exit2(self, tmp_path, monkeypatch, capsys, args):
+        # a bad --nmax, --N or --kernel-n (or --kernel-out without --kernel-n)
+        # is a validation error, not a traceback, and writes no file
+        monkeypatch.chdir(tmp_path)
+        assert main(["oppoly", "--potential", "0,0,0.5", "--out", "t.csv"] + args) == 2
         assert capsys.readouterr().err.startswith("rmtlab: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_disagreeing_passes_exit3(self, tmp_path, monkeypatch):
         from rmtlab import orthopoly

@@ -415,6 +415,13 @@ class TestBroadcasting:
                                           [specfun.bessel_j(alpha, u).value for u in us[:, 0]])
             np.testing.assert_array_equal(
                 got.derivative[:, 0], [specfun.bessel_j(alpha, u).derivative for u in us[:, 0]])
+        ai = specfun.airy(xs.reshape(61, 1))
+        assert ai.value.shape == ai.derivative.shape == (61, 1)
+        np.testing.assert_array_equal(ai.value[:, 0], [specfun.airy(x).value for x in xs])
+        np.testing.assert_array_equal(ai.derivative[:, 0],
+                                      [specfun.airy(x).derivative for x in xs])
+        assert type(specfun.airy(0.5).value) is float
+        assert type(specfun.airy(0.5 + 0j).value) is complex
         assert type(specfun.airy_tail(0.5)) is float
         assert type(specfun.sinc_integral(0.5)) is float
         assert type(specfun.bessel_j(0.5, 0.0).derivative) is float
@@ -444,6 +451,7 @@ class TestBroadcasting:
         (lambda sf: sf.bessel_j(0.0, np.array([1.0, 1001.5])), "range 1e3"),
         (lambda sf: sf.sinc_integral(np.array([0.0, 2e6])), "range 1e6"),
         (lambda sf: sf.airy_tail(np.array([0.0, 3.0, -41.0])), "range -40"),
+        (lambda sf: sf.airy(np.array([[0.0], [-1200.0]])), "range 1e3"),
     ])
     def test_specfun_range_guard_on_one_element(self, call, message):
         from rmtlab import specfun

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import gamma, gammaincc
 
-from rmtlab.quadrature import gauss_chebyshev_u, power_weight_panels
+from rmtlab.quadrature import (gauss_chebyshev_u, panel_suffix, partial_panel,
+                               power_weight_panels)
 
 
 class TestPowerWeightPanels:
@@ -25,6 +26,23 @@ class TestPowerWeightPanels:
         half = lambda end: 0.5 * gamma((beta + 1) / 2) * (1 - gammaincc((beta + 1) / 2, end ** 2))
         assert w @ np.exp(-x * x) == pytest.approx(half(3.0) + half(5.0), rel=1e-14)
         assert (x < 0).sum() < (x > 0).sum()
+
+
+class TestPanelTail:
+    def test_tail_of_exponentials(self):
+        # int_x^2 e^{c t} dt for a family c (leading axis) and an array of x
+        cs = np.array([-1.0, 0.5, 2.0])
+        knots, suffix = panel_suffix(lambda t: np.exp(cs[:, None, None] * t), -1.0, 2.0, 6, 16)
+        np.testing.assert_array_equal(knots, np.linspace(-1.0, 2.0, 7))
+        want = (np.exp(2.0 * cs[:, None]) - np.exp(cs[:, None] * knots)) / cs[:, None]
+        np.testing.assert_allclose(suffix, want, rtol=1e-14, atol=1e-15)
+        x = np.array([[-1.0, -0.3], [0.5, 2.0]])
+        c = np.array([[0.5], [2.0]])
+        j, part = partial_panel(lambda t: np.exp(c[..., None, None] * t), x, knots, 16)
+        assert part.shape == j.shape == (2, 2)
+        assert np.all((knots[j] >= x) & (knots[j] - x < 0.5))
+        total = part + suffix[np.array([[1], [2]]), j]
+        np.testing.assert_allclose(total, (np.exp(2.0 * c) - np.exp(c * x)) / c, rtol=1e-14)
 
 
 class TestGaussChebyshevU:
