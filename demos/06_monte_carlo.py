@@ -1,8 +1,9 @@
 """Monte Carlo ensembles against the analytic predictions.
 
-Samples dense GOE/GUE/GSE spectra and Metropolis draws from an invariant
-density, then compares: histogram vs equilibrium density, unfolded
-spacings vs the beta-repulsion picture, and a Poisson null model.
+Samples GOE/GUE/GSE spectra (tridiagonal beta-Hermite model) and
+Metropolis draws from an invariant density, then compares: histogram vs
+equilibrium density, unfolded spacings vs the beta-repulsion picture, and
+a Poisson null model.
 """
 
 import math
@@ -45,6 +46,9 @@ b = mc.sample_invariant(HERMITE, 2, 32, 32, count=1600, steps=400, seed=5)
 h2 = mc.empirical_density(b, 25, (-2.2, 2.2))
 sup2, _ = mc.compare_to_kernel(h2, eq.density(mu, h2.centers))
 print(f"{b.count} recorded states; histogram vs semicircle sup {sup2:.4f}")
+print(f"per-chain acceptance rates {b.acceptance_rates.min():.3f} to "
+      f"{b.acceptance_rates.max():.3f}, proposal widths "
+      f"{b.proposal_widths.min():.4f} to {b.proposal_widths.max():.4f}")
 
 print("\n=== reproducibility ===")
 again = mc.sample_gaussian(2, 128, 500, seed=42)

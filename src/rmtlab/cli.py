@@ -299,34 +299,54 @@ def _cmd_rh(args):
     return 0
 
 
+def _parse_floats(text, count, what):
+    try:
+        vals = tuple(float(v) for v in text.split(":"))
+    except ValueError as exc:
+        raise ValidationError(f"bad {what} {text!r}") from exc
+    if len(vals) != count:
+        raise ValidationError(f"bad {what} {text!r}: expected {count} values")
+    return vals
+
+
 def _cmd_sample(args):
     config = _config_dict(args, ["beta", "n", "N", "count", "seed", "steps",
                                  "metropolis", "potential", "bins", "range",
                                  "window", "workers", "out"])
+    lo, hi, _ = _parse_floats(args.range, 3, "range")
+    window = args.window and _parse_floats(args.window, 3, "window")
+    if not 1 <= args.bins <= 1000 or not hi > lo:
+        raise ValidationError("need 1 <= --bins <= 1000 and a range with hi > lo")
+    if args.N is not None and args.N < 1:
+        raise ValidationError("--N must be at least 1")
     if args.metropolis:
         if not args.potential:
             raise ValidationError("--metropolis needs --potential")
-        pot = _parse_potential(args)
-        batch = mc.sample_invariant(pot, args.beta, args.n, args.N or args.n,
-                                    args.count, args.steps, args.seed,
-                                    workers=args.workers)
+        sample = partial(mc.sample_invariant, _parse_potential(args), args.beta,
+                         args.n, args.N or args.n, args.count, args.steps)
     else:
-        batch = mc.sample_gaussian(args.beta, args.n, args.count, args.seed,
-                                   workers=args.workers)
+        sample = partial(mc.sample_gaussian, args.beta, args.n, args.count)
+    try:
+        batch = sample(args.seed, workers=args.workers)
+        spacings = window and mc.local_statistics(batch, window)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
     with open(args.out, "wb") as fh:
         fh.write(batch.to_bytes())
     base = args.out.rsplit(".", 1)[0]
     if args.csv:
         with open(base + ".csv", "w") as fh:
             fh.write("\n".join(_header_lines(config)) + "\n" + batch.to_csv())
-    lo, hi, _ = (float(v) for v in args.range.split(":"))
     hist = mc.empirical_density(batch, args.bins, (lo, hi))
+    if batch.acceptance_rates is not None:
+        for name, vals in (("acceptance_rate", batch.acceptance_rates),
+                           ("proposal_width", batch.proposal_widths)):
+            for stat, fn in (("min", np.min), ("median", np.median), ("max", np.max)):
+                config[f"{name}_{stat}"] = repr(float(fn(vals)))
     with open(base + "_hist.csv", "w") as fh:
         fh.write("\n".join(_header_lines(config)) + "\n" + hist.to_csv())
-    if args.window:
-        x0, half, dens = (float(v) for v in args.window.split(":"))
-        spac = mc.local_statistics(batch, (x0, half, dens))
-        rows = [(float(s),) for s in spac]
+    if window:
+        rows = [(float(s),) for s in spacings]
         _write_csv(base + "_spacing.csv", config, ["unfolded_spacing"], rows)
     return 0
 

@@ -1,17 +1,23 @@
 """Monte Carlo eigenvalue ensembles.
 
-Dense Gaussian ensembles (GOE / GUE / GSE via the 2n x 2n complex
-embedding of quaternion self-dual matrices) and a Metropolis random-walk
-sampler for general invariant eigenvalue densities
+Gaussian ensembles (GOE / GUE / GSE, beta = 1, 2, 4) drawn from the
+Dumitriu-Edelman tridiagonal beta-Hermite model (J. Math. Phys. 43, 5830,
+2002): H = tridiag(d, e) / sqrt(beta n) with d_k ~ N(0, 2) on the diagonal
+and e_k ~ chi_{beta k}, k = n-1, ..., 1, off it.  Its eigenvalues have the
+same joint law as those of the dense ensembles, so no n x n (or 2n x 2n)
+matrix is ever formed.  A Metropolis random-walk sampler covers general
+invariant eigenvalue densities with log-density
 
-    p(x) ~ prod_{i<j} |x_i - x_j|^beta  prod_j w(x_j)^{beta/2-ish},
+    beta sum_{i<j} log|x_i - x_j| - N sum_j V(x_j)
+        + alpha sum_j log x_j        (hard edge, x_j > 0)
+        + 2 alpha sum_j log|x_j|     (singularity on the line),
 
 together with the empirical statistics (histograms, unfolded spacings,
 Poisson contrast) used to cross-check the kernel predictions.
 
-Entry variances are normalized so every Gaussian ensemble has limiting
-density supported on [-2, 2]; that keeps the beta in {1, 2, 4} spacing
-comparisons on a common local density.
+Variances are normalized so every Gaussian ensemble has limiting density
+supported on [-2, 2] (diagonal variance 2 / (beta n)); that keeps the
+beta in {1, 2, 4} spacing comparisons on a common local density.
 
 Reproducibility: each matrix draw / chain owns a child of
 numpy.random.SeedSequence(seed), so batches are byte-identical for a fixed
@@ -26,6 +32,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 from . import equilibrium as eqm
 from .equilibrium import Potential
@@ -56,6 +63,9 @@ class SampleBatch:
     N: int
     seed: int
     eigenvalue_sets: np.ndarray  # shape (count, n), each row sorted
+    # Metropolis diagnostics, one per chain; not part of the RMTB record
+    acceptance_rates: np.ndarray | None = None
+    proposal_widths: np.ndarray | None = None
 
     @property
     def count(self) -> int:
@@ -105,66 +115,34 @@ class Histogram:
 
 
 # ---------------------------------------------------------------------------
-# dense Gaussian ensembles
-
-def _goe_matrix(rng, n):
-    a = rng.normal(scale=math.sqrt(2.0 / n), size=(n, n))
-    return (a + a.T) / 2.0
-
-
-def _gue_matrix(rng, n):
-    re = rng.normal(scale=math.sqrt(1.0 / n), size=(n, n))
-    im = rng.normal(scale=math.sqrt(1.0 / n), size=(n, n))
-    a = re + 1j * im
-    return (a + a.conj().T) / 2.0
-
-
-def _gse_matrix(rng, n):
-    """Complex 2n x 2n embedding [[A, B], [-conj B, conj A]] with A
-    Hermitian and B antisymmetric; every eigenvalue appears twice."""
-    re = rng.normal(scale=math.sqrt(0.5 / n), size=(n, n))
-    im = rng.normal(scale=math.sqrt(0.5 / n), size=(n, n))
-    a = (re + 1j * im)
-    a = (a + a.conj().T) / 2.0
-    re = rng.normal(scale=math.sqrt(0.5 / n), size=(n, n))
-    im = rng.normal(scale=math.sqrt(0.5 / n), size=(n, n))
-    b = re + 1j * im
-    b = (b - b.T) / 2.0
-    top = np.hstack([a, b])
-    bot = np.hstack([-b.conj(), a.conj()])
-    return np.vstack([top, bot])
-
+# Gaussian ensembles
 
 def _gaussian_draws(beta, n, children):
+    scale = 1.0 / math.sqrt(beta * n)
+    df = beta * np.arange(n - 1, 0, -1)
     out = np.empty((len(children), n))
     for i, child in enumerate(children):
         rng = np.random.default_rng(child)
-        if beta == 1:
-            ev = np.linalg.eigvalsh(_goe_matrix(rng, n))
-        elif beta == 2:
-            ev = np.linalg.eigvalsh(_gue_matrix(rng, n))
-        else:
-            full = np.linalg.eigvalsh(_gse_matrix(rng, n))
-            pairs = full.reshape(n, 2)
-            if np.abs(pairs[:, 0] - pairs[:, 1]).max() > 1e-10:
-                raise AssertionError("GSE spectrum not doubly degenerate")
-            ev = pairs.mean(axis=1)
-        out[i] = np.sort(ev)
+        d = rng.normal(scale=math.sqrt(2.0), size=n)
+        e = np.sqrt(rng.chisquare(df))
+        out[i] = eigvalsh_tridiagonal(scale * d, scale * e)  # ascending
     return out
 
 
 def sample_gaussian(beta: int, n: int, count: int, seed: int,
                     workers: int = 1) -> SampleBatch:
-    """Eigenvalue batches of dense GOE (beta 1), GUE (2) or GSE (4)
-    matrices, scaled so the limiting density is the semicircle on [-2, 2].
+    """Eigenvalue batches of GOE (beta 1), GUE (2) or GSE (4), scaled so
+    the limiting density is the semicircle on [-2, 2].
 
-    The GSE spectrum is computed from the 2n x 2n complex embedding and
-    deduplicated (Kramers pairs verified to 1e-10).  Each draw owns a
-    spawned substream, so the batch does not depend on `workers`."""
+    Each draw is the spectrum of a Dumitriu-Edelman tridiagonal
+    beta-Hermite matrix (O(n) memory, O(n^2) time), which has the same
+    eigenvalue law as the dense ensemble.  Supported: 1 <= n <= 512,
+    1 <= count <= 1e4.  Each draw owns a spawned substream, so the batch
+    does not depend on `workers`."""
     if beta not in (1, 2, 4):
         raise ValueError("beta must be 1, 2 or 4")
-    if n > 512 or count > 10_000:
-        raise ValueError("supported ranges: n <= 512, count <= 1e4")
+    if not (1 <= n <= 512 and 1 <= count <= 10_000):
+        raise ValueError("supported ranges: 1 <= n <= 512, 1 <= count <= 1e4")
     children = np.random.SeedSequence(seed).spawn(count)
     if workers > 1 and count > 8:
         from concurrent.futures import ProcessPoolExecutor
@@ -199,7 +177,8 @@ def _run_chains(V: Potential, beta: int, n: int, N: int, seeds, per: int,
                 burn: int, spacing: int, support):
     """Advance a block of independent Metropolis chains (one spawned seed
     each, proposal width tuned per chain) and record `per` sorted states
-    per chain at the given sweep spacing."""
+    per chain at the given sweep spacing.  Returns the records in
+    (chain, record) order, the frozen acceptance rates and the widths."""
     chains = len(seeds)
     rngs = [np.random.default_rng(s) for s in seeds]
     a, b = support
@@ -208,28 +187,28 @@ def _run_chains(V: Potential, beta: int, n: int, N: int, seeds, per: int,
     if V.hard_edge:
         x = np.abs(x) + 1e-6
     width = np.full(chains, 0.5 * (b - a) / math.sqrt(n))
+    al = V.singularity_alpha
+    fac = al if V.hard_edge else 2.0 * al
 
     def sweep(tune_step=None):
+        z = np.stack([r.standard_normal(n) for r in rngs])
+        log_u = np.log(np.stack([r.random(n) for r in rngs]))
+        # coordinate i only changes at step i, so every proposal and its
+        # one-body log-density change are known when the sweep starts
+        prop = x + width[:, None] * z
+        gain = -N * (V(prop) - V(x))
+        if fac != 0.0:
+            gain += fac * np.log(np.abs(prop / x))
+        if V.hard_edge:
+            gain[prop <= 0.0] = -np.inf
         accepted = np.zeros(chains)
         for i in range(n):
-            prop = np.array([r.normal(0.0, wi) for r, wi in zip(rngs, width)])
-            u = np.array([r.uniform() for r in rngs])
-            xi_new = x[:, i] + prop
-            delta = -N * (V(xi_new) - V(x[:, i]))
-            others = np.delete(np.arange(n), i)
-            dnew = np.abs(xi_new[:, None] - x[:, others])
-            dold = np.abs(x[:, i][:, None] - x[:, others])
-            with np.errstate(divide="ignore"):
-                delta += beta * (np.sum(np.log(dnew), axis=1)
-                                 - np.sum(np.log(dold), axis=1))
-                al = V.singularity_alpha
-                if al != 0.0:
-                    fac = al if V.hard_edge else 2.0 * al
-                    delta += fac * (np.log(np.abs(xi_new)) - np.log(np.abs(x[:, i])))
-            if V.hard_edge:
-                delta = np.where(xi_new > 0.0, delta, -np.inf)
-            take = np.log(u) < delta
-            x[take, i] = xi_new[take]
+            num = prop[:, i, None] - x
+            den = x[:, i, None] - x
+            num[:, i] = den[:, i] = 1.0
+            delta = gain[:, i] + beta * np.log(np.abs(num / den)).sum(axis=1)
+            take = log_u[:, i] < delta
+            x[:, i] = np.where(take, prop[:, i], x[:, i])
             accepted += take
         rate = accepted / n
         if tune_step is not None:
@@ -249,26 +228,31 @@ def _run_chains(V: Potential, beta: int, n: int, N: int, seeds, per: int,
     for _ in range(per):
         for _ in range(spacing):
             sweep()
-        records.append(np.sort(x, axis=1).copy())
+        records.append(np.sort(x, axis=1))
     # (chain, record) ordering so chain blocks concatenate cleanly
-    return np.stack(records, axis=1).reshape(chains * per, n)
+    return np.stack(records, axis=1).reshape(chains * per, n), rate, width
 
 
 def sample_invariant(V: Potential, beta: int, n: int, N: int, count: int,
                      steps: int, seed: int, workers: int = 1) -> SampleBatch:
-    """Metropolis random-walk sampling of the invariant eigenvalue density
-    with log-density beta sum log|x_i - x_j| - N sum V.
+    """Metropolis sampling of the invariant eigenvalue density (module
+    docstring) at 1 <= n <= 128, 1 <= count <= 1e4, steps >= 1.
 
-    Per-coordinate Gaussian proposals across independent parallel chains,
-    each owning a spawned substream and its own Robbins-Monro width tuning
-    (target acceptance 0.3 during the burn-in of steps/2 sweeps, frozen
-    after; AcceptanceRateError if a frozen rate leaves [0.1, 0.6]).
-    Records are spaced over the remaining sweep budget.  Chain blocks may
-    be distributed over processes; results are independent of `workers`."""
+    min(count, 64) independent chains run systematic-scan sweeps of
+    single-coordinate Gaussian proposals.  Each chain owns a spawned
+    substream, draws a sweep's n normals and n uniforms as one array each,
+    and tunes its own width by Robbins-Monro (target acceptance 0.3 during
+    the burn-in of max(steps/2, 20) sweeps, frozen after;
+    AcceptanceRateError if a frozen rate leaves [0.1, 0.6]).  Records are
+    spaced over the remaining sweep budget.  The returned batch carries
+    the frozen per-chain acceptance rates and proposal widths.  Chain
+    blocks may be distributed over processes; results are independent of
+    `workers`."""
     if beta not in (1, 2, 4):
         raise ValueError("beta must be 1, 2 or 4")
-    if n > 128:
-        raise ValueError("sample_invariant supports n <= 128")
+    if not (1 <= n <= 128 and 1 <= count <= 10_000 and steps >= 1):
+        raise ValueError("sample_invariant supports 1 <= n <= 128, "
+                         "1 <= count <= 1e4, steps >= 1")
     chains = min(count, 64)
     per = -(-count // chains)
     seeds = np.random.SeedSequence(seed).spawn(chains)
@@ -283,19 +267,21 @@ def sample_invariant(V: Potential, beta: int, n: int, N: int, count: int,
                  mu.support) for blk in blocks if len(blk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_chains, *zip(*args)))
-        sets = np.concatenate(parts, axis=0)
+        sets, rates, widths = (np.concatenate(p) for p in zip(*parts))
     else:
-        sets = _run_chains(V, beta, n, N, seeds, per, burn, spacing, mu.support)
-    # chain-major order: records of chain c sit at rows [c*per, (c+1)*per)
-    sets = sets[:count] if per == 1 else _interleave_trim(sets, chains, per, count)
-    return SampleBatch(beta=beta, n=n, N=N, seed=seed, eigenvalue_sets=sets)
+        sets, rates, widths = _run_chains(V, beta, n, N, seeds, per, burn,
+                                          spacing, mu.support)
+    return SampleBatch(beta=beta, n=n, N=N, seed=seed,
+                       eigenvalue_sets=_interleave_trim(sets, chains, per, count),
+                       acceptance_rates=rates, proposal_widths=widths)
 
 
 def _interleave_trim(sets, chains, per, count):
-    """Take records round-robin across chains so truncation to `count`
-    drops late records evenly."""
-    idx = [c * per + r for r in range(per) for c in range(chains)]
-    return sets[np.array(idx[:count])]
+    """Reorder chain-major records (chain c at rows [c*per, (c+1)*per))
+    round-robin across chains, so truncation to `count` drops late records
+    evenly."""
+    n = sets.shape[1]
+    return sets.reshape(chains, per, n).transpose(1, 0, 2).reshape(-1, n)[:count]
 
 
 # ---------------------------------------------------------------------------

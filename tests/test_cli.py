@@ -234,6 +234,34 @@ class TestSample:
                    str(tmp_path / "b.bin")])
         assert rc == 2
 
+    @pytest.mark.parametrize("extra", [
+        ["--n", "600"], ["--count", "20000"], ["--n", "0"], ["--count", "0"],
+        ["--metropolis", "--potential", "0,0,0.5", "--n", "200"],
+        ["--metropolis", "--potential", "0,0,0.5", "--steps", "0"],
+        ["--N", "0"], ["--bins", "1001"], ["--range", "1:2"], ["--window", "0:x:1"],
+        ["--window", "10:0.1:1"],
+    ])
+    def test_out_of_range_exit2(self, tmp_path, extra):
+        argv = ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "1",
+                "--out", str(tmp_path / "b.bin"), "--workers", "1"]
+        assert main(argv + extra) == 2
+        assert not list(tmp_path.iterdir())
+
+    def test_metropolis_diagnostics_header(self, tmp_path):
+        out = tmp_path / "m.bin"
+        rc = main(["sample", "--beta", "2", "--n", "8", "--count", "16",
+                   "--seed", "2", "--metropolis", "--potential", "0,0,0.5",
+                   "--steps", "40", "--out", str(out), "--workers", "1"])
+        assert rc == 0
+        head = dict(ln[2:].split(" = ") for ln in
+                    (tmp_path / "m_hist.csv").read_text().splitlines()
+                    if ln.startswith("# ") and " = " in ln)
+        for name in ("acceptance_rate", "proposal_width"):
+            lo, mid, hi = (float(head[f"{name}_{s}"]) for s in ("min", "median", "max"))
+            assert 0.0 < lo <= mid <= hi
+        assert 0.1 <= float(head["acceptance_rate_min"])
+        assert float(head["acceptance_rate_max"]) <= 0.6
+
     def test_byte_identical_reruns(self, tmp_path):
         # same config, same output path, run twice: identical up to the
         # timestamp header line

@@ -13,6 +13,29 @@ from rmtlab.equilibrium import Potential
 HERMITE = Potential((0.0, 0.0, 0.5))
 
 
+def dense_spectra(beta, n, count, seed):
+    """Reference sampler: eigenvalues of dense GOE / GUE / GSE matrices with
+    diagonal variance 2 / (beta n); GSE through the 2n x 2n complex
+    embedding [[A, B], [-conj B, conj A]], whose eigenvalues come in pairs."""
+    g = np.random.default_rng(seed).normal(
+        scale=math.sqrt(2.0 / (beta * n)), size=(beta, count, n, n))
+    if beta == 1:
+        return np.linalg.eigvalsh((g[0] + g[0].transpose(0, 2, 1)) / 2.0)
+    a = g[0] + 1j * g[1]
+    a = (a + a.conj().transpose(0, 2, 1)) / 2.0
+    if beta == 2:
+        return np.linalg.eigvalsh(a)
+    b = g[2] + 1j * g[3]
+    b = (b - b.transpose(0, 2, 1)) / 2.0
+    return np.linalg.eigvalsh(np.block([[a, b], [-b.conj(), a.conj()]]))[:, ::2]
+
+
+def interleave_trim_loop(sets, chains, per, count):
+    """Round-robin record order as an explicit index list (reference)."""
+    idx = [c * per + r for r in range(per) for c in range(chains)]
+    return sets[np.array(idx[:count])]
+
+
 @pytest.fixture(scope="module")
 def semicircle():
     return eq.solve_equilibrium(HERMITE)
@@ -35,7 +58,7 @@ class TestGaussianEnsembles:
         assert abs(v.mean()) <= 3.0 * v.std() / math.sqrt(v.size)
 
     def test_gse_kramers_pairs(self):
-        # duplication is verified inside the sampler; a crash would fail this
+        # the tridiagonal model gives the n distinct GSE eigenvalues directly
         b = mc.sample_gaussian(4, 16, 50, seed=9)
         assert b.eigenvalue_sets.shape == (50, 16)
 
@@ -62,6 +85,30 @@ class TestGaussianEnsembles:
         h = mc.empirical_density(gue128, 21, (-2.1, 2.1))
         mid = h.density[10]
         assert mid == pytest.approx(1.0 / math.pi, abs=0.05)
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_mean_square_closed_form(self, beta):
+        # E[tr H^2] / n = (n - 1 + 2 / beta) / n for the normalized ensembles
+        n, count = 16, 4000
+        m = (mc.sample_gaussian(beta, n, count, seed=31 + beta)
+             .eigenvalue_sets ** 2).mean(axis=1)
+        sigma = m.std() / math.sqrt(count)
+        assert abs(m.mean() - (n - 1 + 2.0 / beta) / n) <= 4.0 * sigma
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_matches_dense_ensemble(self, beta):
+        from scipy.stats import ks_2samp
+
+        n, count = 8, 4000
+        tri = mc.sample_gaussian(beta, n, count, seed=50 + beta).eigenvalue_sets
+        dense = dense_spectra(beta, n, count, seed=60 + beta)
+        for stat in (lambda ev: ev[:, -1], lambda ev: ev[:, n // 2] - ev[:, n // 2 - 1]):
+            assert ks_2samp(stat(tri), stat(dense)).pvalue > 0.01
+
+    def test_range_checks(self):
+        for n, count in ((0, 5), (4, 0), (513, 5), (4, 10_001)):
+            with pytest.raises(ValueError):
+                mc.sample_gaussian(2, n, count, seed=1)
 
 
 class TestEmpiricalDensity:
@@ -201,6 +248,55 @@ class TestMetropolis:
         pred = op.cd_kernel_grid(t, w, 2, h.centers, h.centers).diagonal() / 2.0
         sup, _ = mc.compare_to_kernel(h, pred)
         assert sup <= 0.03
+
+    @pytest.mark.parametrize("pot, range_", [
+        (Potential((0.0, 1.0), hard_edge=True, singularity_alpha=1.0), (0.0, 5.0)),
+        (Potential((0.0, 0.0, 0.5), singularity_alpha=1.0), (-3.0, 3.0)),
+    ], ids=["hard_edge_x_alpha", "line_abs_x_2alpha"])
+    def test_singular_weight_n2_one_point_function(self, pot, range_):
+        # weight x^alpha e^{-NV} at a hard edge, |x|^{2 alpha} e^{-NV} on the
+        # line: the n = 2 histogram against K_2(x, x) / 2 of the same weight
+        b = mc.sample_invariant(pot, 2, 2, 2, 10_000, 1200, seed=1)
+        w = op.WeightSpec(pot, N=2)
+        t = op.recurrence_table(w, 4)
+        h = mc.empirical_density(b, 30, range_)
+        pred = op.cd_kernel_grid(t, w, 2, h.centers, h.centers).diagonal() / 2.0
+        sup, _ = mc.compare_to_kernel(h, pred)
+        assert sup <= 0.06
+
+    def test_diagnostics_on_batch(self):
+        b = mc.sample_invariant(HERMITE, 2, 8, 8, 100, 60, seed=4)
+        assert b.acceptance_rates.shape == b.proposal_widths.shape == (64,)
+        assert np.all((0.1 <= b.acceptance_rates) & (b.acceptance_rates <= 0.6))
+        assert np.all(b.proposal_widths > 0.0)
+        assert mc.SampleBatch.from_bytes(b.to_bytes()).acceptance_rates is None
+
+    def test_range_checks(self):
+        for n, count, steps in ((0, 5, 10), (4, 0, 10), (129, 5, 10),
+                                (4, 10_001, 10), (4, 5, 0)):
+            with pytest.raises(ValueError):
+                mc.sample_invariant(HERMITE, 2, n, n, count, steps, seed=1)
+
+    @pytest.mark.parametrize("chains, per, count", [
+        (1, 1, 1), (64, 1, 40), (64, 2, 128), (64, 3, 150), (5, 4, 17), (3, 7, 21)])
+    def test_interleave_trim_order(self, chains, per, count):
+        sets = np.arange(chains * per * 3, dtype=float).reshape(chains * per, 3)
+        got = mc._interleave_trim(sets, chains, per, count)
+        assert np.array_equal(got, interleave_trim_loop(sets, chains, per, count))
+
+
+class TestWorkers:
+    def test_gaussian_worker_independent(self):
+        one = mc.sample_gaussian(4, 12, 30, seed=7, workers=1)
+        two = mc.sample_gaussian(4, 12, 30, seed=7, workers=2)
+        assert np.array_equal(one.eigenvalue_sets, two.eigenvalue_sets)
+
+    def test_metropolis_worker_independent(self):
+        one = mc.sample_invariant(HERMITE, 1, 6, 6, 90, 40, seed=7, workers=1)
+        two = mc.sample_invariant(HERMITE, 1, 6, 6, 90, 40, seed=7, workers=2)
+        assert one.to_bytes() == two.to_bytes()
+        assert np.array_equal(one.acceptance_rates, two.acceptance_rates)
+        assert np.array_equal(one.proposal_widths, two.proposal_widths)
 
 
 class TestSerialization:
