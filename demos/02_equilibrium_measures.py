@@ -22,7 +22,8 @@ for name, pot in cases:
     mu = eq.solve_equilibrium(pot)
     a, b = mu.support
     print(f"--- {name}")
-    print(f"    support [{a:+.12f}, {b:+.12f}]   ell = {mu.ell:+.10f}")
+    print(f"    support [{a:+.12f}, {b:+.12f}]   ell = {mu.ell:+.10f}"
+          f"   ({mu.solver}, Newton steps: {mu.iterations})")
     print(f"    h coefficients: {np.array_str(mu.h, precision=10)}")
     mid = 0.5 * (a + b) + 0.1 * (b - a)
     print(f"    effective potential inside: {eq.effective_potential(mu, pot, mid):+.2e}"
@@ -38,13 +39,14 @@ for x in (0.0, 0.5, 1.0, 1.5, 1.95):
           f"   critical quartic {eq.density(mu_crit, x):.6f}")
 print("    (the critical density vanishes quadratically at 0)")
 
-print("\n--- genuinely two-cut potential is rejected")
-try:
-    eq.solve_equilibrium(Potential((0.0, 0.0, -2.0, 0.0, 0.25)))
-except eq.MultiCutError as exc:
-    print(f"    MultiCutError: {exc}")
+print("\n--- two-cut potentials are rejected, also just past criticality")
+for c2 in (-2.0, -1.001):
+    try:
+        eq.solve_equilibrium(Potential((0.0, 0.0, c2, 0.0, 0.25)))
+    except eq.MultiCutError as exc:
+        print(f"    V = x^4/4 {c2:+g} x^2: MultiCutError: {exc}")
 
-print("\n--- brute-force grid oracle vs the moment solver (semicircle)")
+print("\n--- brute-force grid oracle vs the endpoint solver (semicircle)")
 g = eq.grid_energy_minimize(Potential((0.0, 0.0, 0.5)), 600, box=(-3.0, 3.0),
                             strict=False)
 err = np.abs(g.density - eq.density(mu_semi, g.x))

@@ -122,7 +122,8 @@ def _cmd_eqm(args):
             {"location": loc, "kind": kind, "k": int(k)} for loc, kind, k in cls],
         "record": mu.to_text(),
     }
-    diag = {"iterations": mu.iterations, "residual": mu.residual}
+    diag = {"iterations": mu.iterations, "residual": mu.residual,
+            "solver": mu.solver, "margin": mu.margin}
     if args.format == "json":
         _write_json(args.out, config, results, diag)
     else:

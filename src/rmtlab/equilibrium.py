@@ -1,20 +1,47 @@
 """Equilibrium measures for polynomial external fields.
 
-Solves the weighted logarithmic-energy minimization in the one-cut case by
-a damped fixed point on the moments of the measure: a polynomial potential
-V of degree d determines
+One-cut equilibrium measures come from Newton's method on the endpoint
+equations (Saff-Totik, Logarithmic Potentials with External Fields, 1997,
+ch. IV; Deift-Kriecherbauer-McLaughlin, J. Approx. Theory 95, 1998).  On a
+soft edge, with support [c - r, c + r] and x = c + r cos(theta),
 
-    q(x) = (V'(x)/2)^2 - Int (V'(x) - V'(t))/(x - t) dmu(t)
-           [ - (1/x) Int V' dmu   on the half line ]
+    mean_theta V'(x) = 0,        mean_theta r cos(theta) V'(x) = 2;
 
-whose coefficients are linear in the first few moments of mu, and the
-minimizer's density is rho(x) = sqrt(max(-q, 0))/pi.  Iterating
+on a hard edge, support [0, b] and x = b (1 + cos theta)/2, the single
+equation
 
-    moments  ->  moments of sqrt(q^-)/pi
+    (1/2 pi) Int_0^b V'(x) sqrt(x/(b - x)) dx = (1/2) mean_theta x V'(x) = 1.
 
-from a discrete-grid seed converges to the equilibrium measure; a Newton
-polish on the same map finishes to ~1e-14 when the damped iteration slows
-down (near-critical potentials).
+Both say that grad Phi = 0 for the Mhaskar-Saff functional of the interval,
+Phi = mean_theta V(x) - 2 log r (soft) or - 2 log b (hard), whose least
+value picks the support among intervals (Saff-Totik ch. IV).  So on a soft
+edge Newton descends on Phi from an interval that encloses every critical
+point of V, with the Hessian shifted positive definite where it is not; on
+a hard edge the equation is a polynomial in b, and Newton polishes the
+positive root of least Phi.  For polynomial V the theta-means are exact on
+deg V + 2 Gauss-Chebyshev nodes, and so is the Jacobian (through V'').  The
+density is
+
+    soft:  rho(x) = h(x) sqrt((b-x)(x-a))/pi,  h(x) = (1/2) mean (V'(x) - V'(t))/(x - t),
+    hard:  rho(x) = h(x) sqrt((b-x)/x)/pi,     h(x) = (1/2) mean (xV'(x) - tV'(t))/(x - t),
+
+the means over the arcsine law t of the support; h is exact polynomial
+algebra on the arcsine moments, and the power moments are exact
+Gauss-Chebyshev quadratures of rho.
+
+On both edges dmu = p(t) dt/sqrt(1 - t^2) with p a polynomial in
+t = (x - c)/r, so one Chebyshev-T expansion of p gives Int log|x - y| dmu
+exactly on the support, through Int log|t - s| T_k(s) ds/sqrt(1 - s^2) =
+-pi T_k(t)/k (and -pi log 2 for k = 0).  Off the support the effective
+potential is 2 phi, phi(x) = Int_b^x h(s) sqrt((s-a)(s-b)) ds (soft) or
+Int_b^x h(s) sqrt((s-b)/s) ds (hard), mirrored from a on the left.
+
+Failures are honest: MultiCutError when h < -1e-10 max|h| somewhere on the
+support, or the effective potential is negative at a real zero of h off
+it (its only possible minima there); NonConvergenceError when |h| <=
+1e-6 max|h| at an endpoint (the edge-critical case, where the Jacobian is
+singular and the endpoint is fixed only to about the square root of the
+rounding error), or when Newton does not settle in 60 steps.
 
 Also provides the density / effective-potential / classification helpers
 and the brute-force grid minimizer used as an independent oracle.
@@ -23,14 +50,13 @@ and the brute-force grid minimizer used as an independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
+from numpy.polynomial import Polynomial, chebyshev
 from numpy.polynomial import polynomial as npoly
-from scipy.special import roots_jacobi
 
-from .quadrature import gauss_chebyshev_u
+from .quadrature import gauss_chebyshev_t, gauss_chebyshev_u, gauss_legendre_panels
 
 __all__ = [
     "Potential",
@@ -41,6 +67,7 @@ __all__ = [
     "solve_equilibrium",
     "qv",
     "density",
+    "phi",
     "effective_potential",
     "classify",
     "grid_energy_minimize",
@@ -48,11 +75,13 @@ __all__ = [
 
 
 class MultiCutError(RuntimeError):
-    """The negative set of q has more than one component."""
+    """The one-cut ansatz is not the equilibrium measure: its support has
+    more than one component."""
 
 
 class NonConvergenceError(RuntimeError):
-    """An iterative routine exhausted its budget."""
+    """An iterative routine exhausted its budget, or its answer is not
+    determined to working accuracy (an edge-critical potential)."""
 
 
 @dataclass(frozen=True)
@@ -119,7 +148,10 @@ class EquilibriumMeasure:
     hard edge, on [0, b]:   (1/pi) h(x) sqrt((b-x)/x)
 
     h is a polynomial (coefficients ascending); moments are the power
-    moments of the measure; ell the Euler-Lagrange constant.
+    moments m_0 .. m_{deg V + 2}; ell the Euler-Lagrange constant.
+    iterations counts the Newton steps on the endpoint equations (bracket
+    growth not included), and residual is the largest endpoint-equation
+    residual at the returned support.
     """
 
     potential: Potential
@@ -129,7 +161,16 @@ class EquilibriumMeasure:
     ell: float
     iterations: int = 0
     residual: float = 0.0
-    _ucoef: np.ndarray = field(default=None, repr=False)
+
+    @property
+    def solver(self) -> str:
+        return "hard-newton" if self.potential.hard_edge else "soft-newton"
+
+    @property
+    def margin(self) -> float:
+        """One-cut margin min h / max |h| on the support."""
+        hmin, hmax = _h_range(self.h, *self.support)
+        return hmin / hmax
 
     def to_text(self) -> str:
         pot = ",".join(repr(float(v)) for v in self.potential.coefficients)
@@ -171,21 +212,8 @@ class EquilibriumMeasure:
 def _q_polynomial(pot: Potential, moments: np.ndarray) -> np.ndarray:
     """Coefficients of the polynomial part of q; moments[j] is the j-th
     power moment of the measure (m_0 = 1 expected)."""
-    v = np.asarray(pot.coefficients, dtype=float)
-    d = pot.degree
-    vp = npoly.polyder(v)
-    q = npoly.polymul(vp, vp) / 4.0
-    div = np.zeros(max(d - 1, 1))
-    for k in range(2, d + 1):
-        for i in range(k - 1):
-            div[i] += k * v[k] * moments[k - 2 - i]
-    return npoly.polysub(q, div)
-
-
-def _hard_beta(pot: Potential, moments: np.ndarray) -> float:
-    """Int V' dmu expressed in moments."""
-    v = np.asarray(pot.coefficients, dtype=float)
-    return float(sum(k * v[k] * moments[k - 1] for k in range(1, pot.degree + 1)))
+    vp = npoly.polyder(np.asarray(pot.coefficients[: pot.degree + 1]))
+    return npoly.polysub(npoly.polymul(vp, vp) / 4.0, _divided_mean(vp, moments))
 
 
 def qv(V: Potential, mu: "EquilibriumMeasure | np.ndarray", x):
@@ -199,12 +227,18 @@ def qv(V: Potential, mu: "EquilibriumMeasure | np.ndarray", x):
     if V.hard_edge:
         if np.any(x == 0.0):
             raise ZeroDivisionError("qv: x = 0 is the hard-edge pole")
-        val = val - _hard_beta(V, moments) / x
+        vp = npoly.polyder(np.asarray(V.coefficients[: V.degree + 1]))
+        val = val - float(vp @ moments[: V.degree]) / x  # beta = Int V' dmu
     return val if val.ndim else float(val)
 
 
 # ---------------------------------------------------------------------------
-# support detection
+# endpoint equations
+
+_NEWTON_STEPS = 60
+
+_PHI_T, _PHI_W = (v[0] for v in gauss_legendre_panels(0.0, 1.0, 1, 96))
+
 
 def _real_roots(coeffs: np.ndarray):
     c = np.asarray(coeffs, dtype=float)
@@ -220,386 +254,235 @@ def _real_roots(coeffs: np.ndarray):
     return rr
 
 
-def _negativity_interval(pot: Potential, moments: np.ndarray, strict: bool = False):
-    """Bracketing interval of the negativity set of q.
+def _soft_newton(v, t):
+    """Support [c - r, c + r] by descending Newton on grad Phi = 0 over the
+    arcsine nodes t (module docstring); also the Newton steps and the
+    residual of the endpoint equations (grad Phi with its r-part times r)."""
+    vp = npoly.polyder(v)
+    vpp = npoly.polyder(vp)
 
-    During the iteration (strict=False) a transiently multi-component
-    negative set is bracketed by its hull; the density clamp zeroes the
-    positive bump in between.  On the converged solution (strict=True) a
-    genuinely positive region between negativity components, at relative
-    tolerance 1e-9 on a 1e4-point scan with polynomial root polishing,
-    raises MultiCutError; q merely touching zero from below (even-order
-    interior roots, the critical cases) stays one-cut.
-    """
-    if pot.hard_edge:
-        beta = _hard_beta(pot, moments)
-        if beta <= 0.0:
-            raise MultiCutError("hard edge not active: Int V' dmu <= 0")
-        p = npoly.polysub(
-            npoly.polymulx(_q_polynomial(pot, moments)), np.array([beta]))
-        roots = _real_roots(p)
-        roots = roots[roots > 1e-12]
-        if len(roots) == 0:
-            raise NonConvergenceError("no positive root of x q(x)")
-        # the negative region starts at 0 where q -> -inf
-        cells = np.concatenate([[0.0], roots, [roots[-1] * 2 + 1.0]])
-        signs = _cell_signs(p, cells)
-        if strict:
-            _check_one_cut(signs)
-        idx = 0
-        while idx < len(signs) and signs[idx] <= 0:
-            idx += 1
-        return 0.0, float(cells[idx])
-    q = _q_polynomial(pot, moments)
-    roots = _real_roots(q)
-    if len(roots) < 2:
-        raise NonConvergenceError("q has no real roots; no support found")
-    pad = 0.5 * (roots[-1] - roots[0] + 1.0)
-    cells = np.concatenate([[roots[0] - pad], roots, [roots[-1] + pad]])
-    signs = _cell_signs(q, cells)
-    if strict:
-        _check_one_cut(signs)
-    neg = [i for i, s in enumerate(signs) if s < 0]
-    if not neg:
-        raise NonConvergenceError("q is nonnegative everywhere")
-    return float(cells[neg[0]]), float(cells[neg[-1] + 1])
+    def merit(c, r):
+        return npoly.polyval(c + r * t, v).mean() - 2.0 * math.log(r)
 
+    def equations(c, r):
+        x = c + r * t
+        d1, d2 = npoly.polyval(x, vp), npoly.polyval(x, vpp)
+        grad = np.array([d1.mean(), (t * d1).mean() - 2.0 / r])
+        hess = np.array([[d2.mean(), (t * d2).mean()],
+                         [(t * d2).mean(), (t * t * d2).mean() + 2.0 / (r * r)]])
+        return grad, hess, np.array([grad[0], r * grad[1]])
 
-def _cell_signs(poly, cells):
-    scan = npoly.polyval(np.linspace(cells[0], cells[-1], 10_000), poly)
-    scale = np.abs(scan).max() + 1e-300
-    signs = []
-    for lo, hi in zip(cells[:-1], cells[1:]):
-        xs = np.linspace(lo, hi, 12)[1:-1]
-        vals = npoly.polyval(xs, poly)
-        tol = 1e-9 * scale
-        if np.all(vals > tol):
-            signs.append(1)
-        elif np.all(vals < -tol):
-            signs.append(-1)
-        elif np.all(np.abs(vals) <= tol):
-            signs.append(0)
-        else:
-            signs.append(1 if vals.max() > -vals.min() else -1)
-    return signs
-
-
-def _check_one_cut(signs):
-    runs = 0
-    prev_pos = True
-    for s in signs:
-        if s < 0 and prev_pos:
-            runs += 1
-            prev_pos = False
-        elif s > 0:
-            prev_pos = True
-    if runs > 1:
-        raise MultiCutError(f"q has {runs} negativity components")
-    if runs == 0:
-        raise NonConvergenceError("q is nonnegative everywhere")
-
-
-# ---------------------------------------------------------------------------
-# moment map
-
-_GC_T, _GC_W = gauss_chebyshev_u(320)
-
-_GJ_T, _GJ_W = roots_jacobi(160, 0.5, -0.5)
-
-
-def _moment_map(pot: Potential, moments: np.ndarray):
-    """One application of moments -> moments of sqrt(q^-)/pi, normalized to
-    unit mass; also returns the detected support."""
-    a, b = _negativity_interval(pot, moments)
-    nm = len(moments)
-    if pot.hard_edge:
-        beta = _hard_beta(pot, moments)
-        p = npoly.polysub(npoly.polymulx(_q_polynomial(pot, moments)), np.array([beta]))
-        x = 0.5 * b * (_GJ_T + 1.0)
-        ratio = np.maximum(-npoly.polyval(x, p) / (b - x), 0.0)
-        w = 0.5 * b * _GJ_W / np.pi * np.sqrt(ratio)
-        raw = np.array([np.sum(w * x ** j) for j in range(nm)])
-    else:
-        c, r = 0.5 * (a + b), 0.5 * (b - a)
-        x = c + r * _GC_T
-        q = _q_polynomial(pot, moments)
-        ratio = np.maximum(-npoly.polyval(x, q) / ((b - x) * (x - a)), 0.0)
-        w = r * r * _GC_W / np.pi * np.sqrt(ratio)
-        raw = np.array([np.sum(w * x ** j) for j in range(nm)])
-    if raw[0] <= 0.0:
-        raise NonConvergenceError("vanishing mass in moment map")
-    return raw / raw[0], (a, b)
-
-
-def _n_moments(pot: Potential) -> int:
-    d = pot.degree
-    return max(d - 1, 1) + (1 if pot.hard_edge else 0)
-
-
-def solve_equilibrium(V: Potential, seed_moments=None, damping: float = 0.5,
-                      budget: int = 500) -> EquilibriumMeasure:
-    """Solve the one-cut equilibrium problem for the potential V.
-
-    Fixed point on the moment vector (m_0 = 1 held), damped by `damping`,
-    seeded from the discrete grid minimizer unless seed_moments is given;
-    a finite-difference Newton polish on the same map finishes off when
-    the damped iteration has slowed down.  Raises MultiCutError for
-    potentials whose q develops more than one negativity component and
-    NonConvergenceError when the budget is exhausted.
-    """
-    nm = _n_moments(V)
-    if seed_moments is not None:
-        m = np.asarray(seed_moments, dtype=float)[:nm].copy()
-        m[0] = 1.0
-    elif nm == 1 or V.degree <= 2:
-        m = np.zeros(nm)
-        m[0] = 1.0
-        if nm > 1:
-            m[1:] = 0.1
-    else:
-        g = grid_energy_minimize(V, 400, max_iter=600, tol=1e-8, strict=False)
-        m = np.array([np.sum(g.weights * g.x ** j) for j in range(nm)])
-        m[0] = 1.0
-    even = V.is_even and not V.hard_edge
-    if even:
-        m[1::2] = 0.0
-
-    resid = np.inf
-    lo_hist, hi_hist = np.full(nm, np.inf), np.full(nm, -np.inf)
-    it = 0
-    for it in range(1, budget + 1):
-        new, _ = _moment_map(V, m)
-        if even:
-            new[1::2] = 0.0
-        resid = float(np.abs(new - m).max())
-        m = (1.0 - damping) * m + damping * new
-        lo_hist = np.minimum(lo_hist, m)
-        hi_hist = np.maximum(hi_hist, m)
-        if resid < 1e-14 * (1.0 + np.abs(m).max()):
+    # start outside the outermost critical point of V, with mean r t V'(x)
+    # at 4x its target 2: from r = 1 Newton can run off to infinity
+    # (critical quartic)
+    roots = _real_roots(vp)
+    c, r = 0.5 * (roots[0] + roots[-1]), max(0.5 * (roots[-1] - roots[0]), 1.0)
+    while equations(c, r)[2][1] < 6.0:
+        r *= 1.5
+    for it in range(1, _NEWTON_STEPS + 1):
+        grad, hess, _ = equations(c, r)
+        shift = max(0.0, -2.0 * np.linalg.eigvalsh(hess)[0])
+        try:
+            dc, dr = np.linalg.solve(hess + shift * np.eye(2), grad)
+        except np.linalg.LinAlgError:
+            raise NonConvergenceError("singular endpoint Jacobian") from None
+        if abs(dc) + abs(dr) <= 4e-16 * (abs(c) + r):
+            c, r = c - dc, r - dr
             break
-        if it > 60 and resid < 1e-6:
-            break
-    if resid > 1e-13 * (1.0 + np.abs(m).max()):
-        free = [j for j in range(1, nm) if not (even and j % 2)]
-        if len(free) == 1:
-            # a single free moment: bracketed root finding on the residual,
-            # robust through the non-smooth critical point of the map
-            m = _brent_refine(V, m, free[0], lo_hist[free[0]], hi_hist[free[0]], even)
-            resid = float(np.abs(_moment_map(V, m)[0] - m)[free].max())
+        level = merit(c, r)
+        level += 1e-13 * (1.0 + abs(level))  # Phi is flat to rounding near its minimum
+        for _ in range(50):
+            if r - dr > 0.0 and merit(c - dc, r - dr) <= level:
+                break
+            dc, dr = 0.5 * dc, 0.5 * dr
         else:
-            m, resid = _newton_polish(V, m, even)
-        if resid > 1e-10 * (1.0 + np.abs(m).max()):
-            raise NonConvergenceError(
-                f"moment iteration stalled at residual {resid:.2e} after {it} steps")
-
-    # the converged q must have a single negativity component
-    support = _negativity_interval(V, m, strict=True)
-    a, b = support
-    h = _extract_h(V, m, a, b)
-    mu = EquilibriumMeasure(potential=V, support=(a, b), h=h, moments=m,
-                            ell=0.0, iterations=it, residual=resid)
-    mu.ell = _ell_at_midpoint(mu)
-    return mu
+            raise NonConvergenceError("endpoint Newton found no descent step")
+        c, r = c - dc, r - dr
+    else:
+        raise NonConvergenceError(f"endpoint Newton did not settle in {_NEWTON_STEPS} steps")
+    return (c - r, c + r), it, float(np.abs(equations(c, r)[2]).max())
 
 
-def _brent_refine(pot, m, j, lo, hi, even):
-    """Root of the scalar residual m_j - Phi_j(m) by bracketing; handles
-    the kink that the moment map develops at critical potentials."""
-    from scipy.optimize import brentq
+def _hard_newton(v, u):
+    """b from mean x V'(x) = 2, x = b u over the arcsine nodes u of [0, 1].
 
-    def resid(val):
-        mm = m.copy()
-        mm[j] = val
-        if even:
-            mm[1::2] = 0.0
-        return float(mm[j] - _moment_map(pot, mm)[0][j])
+    The left side is a polynomial in b that vanishes at b = 0; its positive
+    roots are the critical points of Phi(b) = mean V(x) - 2 log b, and the
+    one of least Phi, polished by Newton, is the support of a one-cut
+    measure.  Returns b, the Newton steps and the residual."""
+    mom = np.mean(u[:, None] ** np.arange(len(v)), axis=0)
+    f = 0.5 * np.arange(len(v)) * v * mom
+    f[0] -= 1.0
+    roots = _real_roots(f)
+    b = min(roots[roots > 0.0],
+            key=lambda x: npoly.polyval(x, v * mom) - 2.0 * math.log(x))
+    fp = npoly.polyder(f)
+    for it in range(1, _NEWTON_STEPS + 1):
+        step = npoly.polyval(b, f) / npoly.polyval(b, fp)
+        b -= step
+        if abs(step) <= 4e-16 * b:
+            break
+    else:
+        raise NonConvergenceError(f"endpoint Newton did not settle in {_NEWTON_STEPS} steps")
+    return float(b), it, abs(float(npoly.polyval(b, f)))
 
-    span = max(hi - lo, 1e-6 * (1.0 + abs(m[j])))
-    a, b = lo - 0.5 * span, hi + 0.5 * span
-    fa, fb = resid(a), resid(b)
-    grow = 0
-    while fa * fb > 0 and grow < 40:
-        a -= span
-        b += span
-        fa, fb = resid(a), resid(b)
-        grow += 1
-    if fa * fb > 0:
-        raise NonConvergenceError("could not bracket the moment fixed point")
-    root = brentq(resid, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    out = m.copy()
-    out[j] = root
-    if even:
-        out[1::2] = 0.0
+
+def _divided_mean(w, m):
+    """Coefficients of Int (W(x) - W(t))/(x - t) dmu(t), W = sum w_j x^j,
+    from the power moments m of mu."""
+    out = np.zeros(max(len(w) - 1, 1))
+    for j in range(1, len(w)):
+        out[:j] += w[j] * m[j - 1::-1]
     return out
 
 
-def _newton_polish(pot, m, even, steps: int = 12):
-    """Newton on R(m) = m - Phi(m) over the free coordinates, finite
-    difference Jacobian; the map is low dimensional (deg V - 2 unknowns)."""
-    nm = len(m)
-    free = [j for j in range(1, nm) if not (even and j % 2)]
-    resid = np.inf
-    for _ in range(steps):
-        phi, _ = _moment_map(pot, m)
-        r = (m - phi)[free]
-        resid = float(np.abs(r).max()) if len(r) else 0.0
-        if resid < 1e-14 * (1.0 + np.abs(m).max()) or len(r) == 0:
-            break
-        eps = 1e-7
-        jac = np.zeros((len(free), len(free)))
-        for col, j in enumerate(free):
-            mp = m.copy()
-            mp[j] += eps
-            phij, _ = _moment_map(pot, mp)
-            jac[:, col] = ((mp - phij)[free] - r) / eps
-        try:
-            step = np.linalg.solve(jac, r)
-        except np.linalg.LinAlgError:
-            break
-        m = m.copy()
-        m[free] -= step
-    phi, _ = _moment_map(pot, m)
-    resid = float(np.abs((m - phi)[free]).max()) if free else 0.0
-    return m, resid
+def _h_range(h, a, b):
+    """Minimum and max |h| of the polynomial h on [a, b]."""
+    crit = _real_roots(npoly.polyder(h))
+    xs = np.concatenate([[a, b], crit[(crit > a) & (crit < b)]])
+    hv = npoly.polyval(xs, h)
+    return float(hv.min()), float(np.abs(hv).max())
 
 
-def _extract_h(pot, moments, a, b):
-    """Polynomial h with rho = h sqrt((b-x)(x-a))/pi (soft) or
-    h sqrt((b-x)/x)/pi (hard edge); h^2 is an exact polynomial division."""
-    deg_h = max(pot.degree - (1 if pot.hard_edge else 2), 0)
-    t = np.cos(np.pi * (np.arange(2 * deg_h + 9) + 0.5) / (2 * deg_h + 9))
-    if pot.hard_edge:
-        beta = _hard_beta(pot, moments)
-        p = npoly.polysub(npoly.polymulx(_q_polynomial(pot, moments)), np.array([beta]))
-        x = 0.5 * b * (t + 1.0) * 0.999 + 0.0005 * b
-        hsq = np.maximum(-npoly.polyval(x, p) / (b - x), 0.0)
+def solve_equilibrium(V: Potential) -> EquilibriumMeasure:
+    """Solve the one-cut equilibrium problem for the potential V by Newton
+    on the endpoint equations (see the module docstring).
+
+    Raises NonConvergenceError when h (nearly) vanishes at an endpoint,
+    where the endpoint Jacobian is singular, or when Newton does not
+    settle; MultiCutError when h < 0 somewhere on the support or the
+    effective potential is negative at a real zero of h off it, so that
+    the one-cut ansatz is not the equilibrium measure.
+    """
+    v = np.asarray(V.coefficients[: V.degree + 1])
+    t = gauss_chebyshev_t(V.degree + 2)
+    if V.hard_edge:
+        b, it, resid = _hard_newton(v, 0.5 * (1.0 + t))
+        a, w = 0.0, npoly.polymulx(npoly.polyder(v))
     else:
-        q = _q_polynomial(pot, moments)
-        c, r = 0.5 * (a + b), 0.5 * (b - a)
-        x = c + 0.999 * r * t
-        hsq = np.maximum(-npoly.polyval(x, q) / ((b - x) * (x - a)), 0.0)
-    h = npoly.polyfit(x, np.sqrt(hsq), deg_h)
-    return np.atleast_1d(h)
+        (a, b), it, resid = _soft_newton(v, t)
+        w = npoly.polyder(v)
+    x = 0.5 * (a + b) + 0.5 * (b - a) * t
+    h = 0.5 * _divided_mean(w, np.mean(x[:, None] ** np.arange(len(w)), axis=0))
+
+    hmin, hmax = _h_range(h, a, b)
+    for edge in ([b] if V.hard_edge else [a, b]):
+        if abs(npoly.polyval(edge, h)) <= 1e-6 * hmax:
+            raise NonConvergenceError(
+                f"h vanishes at the endpoint {edge:.6g} (edge-critical potential): "
+                "the endpoint equations are singular there")
+    if hmin < -1e-10 * hmax:
+        raise MultiCutError(
+            f"h changes sign on [{a:.6g}, {b:.6g}] (min h / max h = {hmin / hmax:.2e})")
+    mu = EquilibriumMeasure(potential=V, support=(a, b), h=h,
+                            moments=_moments(V, a, b, h), ell=0.0,
+                            iterations=it, residual=resid)
+    roots = _real_roots(h)
+    for side in ("right",) if V.hard_edge else ("right", "left"):
+        xs = roots[roots > b] if side == "right" else roots[roots < a]
+        e = 2.0 * phi(mu, xs, side).real
+        bad = e < -1e-10 * (1.0 + np.abs(V(xs)))
+        if bad.any():
+            raise MultiCutError(
+                f"effective potential {e[bad][0]:.2e} < 0 at x = {xs[bad][0]:.6g} "
+                "off the support")
+    c = 0.5 * (a + b)
+    mu.ell = float(V(c)) - 2.0 * float(_log_potential(mu, c))
+    return mu
+
+
+def _moments(V, a, b, h):
+    """Power moments m_0 .. m_{deg V + 2}, exact by Gauss-Chebyshev (second
+    kind): x = c + r t on a soft edge, x = b u^2 on a hard edge."""
+    d = V.degree
+    t, w = gauss_chebyshev_u(2 * d + 4)
+    if V.hard_edge:
+        x, w = b * t * t, (b / np.pi) * w
+    else:
+        r = 0.5 * (b - a)
+        x, w = 0.5 * (a + b) + r * t, (r * r / np.pi) * w
+    m = (w * npoly.polyval(x, h)) @ (x[:, None] ** np.arange(d + 3))
+    return m / m[0]
 
 
 # ---------------------------------------------------------------------------
-# density and effective potential
+# density, log potential, phi and the effective potential
 
 def density(mu: EquilibriumMeasure, x):
-    """rho(x) = sqrt(max(-q(x), 0))/pi; zero off the support."""
+    """rho(x) = h(x) sqrt((b-x)(x-a))/pi, or h(x) sqrt((b-x)/x)/pi on a
+    hard edge (infinite at x = 0); zero off the support."""
     x = np.asarray(x, dtype=float)
-    pot = mu.potential
-    if pot.hard_edge:
-        beta = _hard_beta(pot, mu.moments)
-        p = npoly.polysub(npoly.polymulx(_q_polynomial(pot, mu.moments)), np.array([beta]))
-        xs = np.where(x == 0.0, 1.0, x)
-        val = np.where(x > 0.0,
-                       np.sqrt(np.maximum(-npoly.polyval(xs, p) / xs, 0.0)) / np.pi,
-                       np.where(x == 0.0, np.inf, 0.0))
+    a, b = mu.support
+    hv = np.maximum(npoly.polyval(x, mu.h), 0.0)
+    if mu.potential.hard_edge:
+        xs = np.where(x > 0.0, x, 1.0)
+        root = np.where(x > 0.0, np.sqrt(np.maximum(b - x, 0.0) / xs),
+                        np.where(x == 0.0, np.inf, 0.0))
     else:
-        q = npoly.polyval(x, _q_polynomial(pot, mu.moments))
-        val = np.sqrt(np.maximum(-q, 0.0)) / np.pi
+        root = np.sqrt(np.maximum((b - x) * (x - a), 0.0))
+    val = hv * root / np.pi
     return val if val.ndim else float(val)
 
 
-_LOG_M = 256
+def _log_potential(mu: EquilibriumMeasure, x):
+    """Int log|x - y| dmu(y) for x on the support.
 
-
-def _u_coefficients(mu: EquilibriumMeasure):
-    """Chebyshev-U expansion of h on the support (soft edge only)."""
-    if mu._ucoef is not None:
-        return mu._ucoef
+    With x = c + r t, dmu = p(t) dt/sqrt(1 - t^2) for a polynomial p on both
+    edges, and Int log|t - s| T_k(s) ds/sqrt(1 - s^2) = -pi T_k(t)/k
+    (k >= 1), -pi log 2 (k = 0), so the Chebyshev-T coefficients of p give
+    the integral exactly."""
     a, b = mu.support
     c, r = 0.5 * (a + b), 0.5 * (b - a)
-    th = np.pi * np.arange(1, _LOG_M + 1) / (_LOG_M + 1)
-    u = np.cos(th)
-    hv = npoly.polyval(c + r * u, mu.h)
-    deg = len(mu.h) + 1
-    coef = np.zeros(deg + 3)
-    for k in range(deg + 3):
-        coef[k] = (2.0 / (_LOG_M + 1)) * np.sum(hv * np.sin((k + 1) * th) * np.sin(th))
-    mu._ucoef = coef
-    return coef
+    p = npoly.polymul(Polynomial(mu.h)(Polynomial([c, r])).coef, [1.0, -1.0])
+    if not mu.potential.hard_edge:
+        p = npoly.polymul(p, [r, r])
+    p = chebyshev.poly2cheb(p * (r / np.pi))
+    k = np.arange(1, len(p))
+    t = np.clip((np.asarray(x, dtype=float) - c) / r, -1.0, 1.0)
+    return np.pi * (p[0] * math.log(0.5 * r) - chebyshev.chebval(t, np.r_[0.0, p[1:] / k]))
 
 
-def _log_potential_inside(mu: EquilibriumMeasure, t):
-    """Int log|x - y| dmu(y) for t = (x-c)/r in [-1, 1], via the classical
-    Chebyshev expansion of the logarithmic kernel (exact for polynomial h)."""
+def phi(mu: EquilibriumMeasure, z, side: str = "right"):
+    """phi(z) = Int_b^z h(s) R(s) ds along a straight path, R(s) =
+    ((s-a)(s-b))^{1/2} on a soft edge and ((s-b)/s)^{1/2} on a hard edge;
+    side 'left' (soft edge only) is the mirror image Int_z^a h(s)
+    ((a-s)(b-s))^{1/2} ds.  For z on (a, b) this is the +side boundary value
+    of the right variant; off the support the effective potential is
+    2 phi.  Broadcasts over z; returns complex values."""
     a, b = mu.support
-    r = 0.5 * (b - a)
-    coef = _u_coefficients(mu)
-    mass = mu.moments[0]
-    total = math.log(r) * mass
-    tcheb = [np.ones_like(t), t]
-    for _ in range(len(coef) + 2):
-        tcheb.append(2.0 * t * tcheb[-1] - tcheb[-2])
-    s = coef[0] * (-(np.pi / 2.0) * math.log(2.0) + (np.pi / 4.0) * tcheb[2])
-    for k in range(1, len(coef)):
-        s += coef[k] * (-(np.pi / 2.0) * (tcheb[k] / k - tcheb[k + 2] / (k + 2)))
-    return total + (r * r / np.pi) * s
-
-
-def _log_potential_outside(mu: EquilibriumMeasure, x):
-    a, b = mu.support
-    c, r = 0.5 * (a + b), 0.5 * (b - a)
-    y = c + r * _GC_T
-    hv = npoly.polyval(y, mu.h)
-    w = (r * r / np.pi) * _GC_W * hv
-    return np.array([np.sum(w * np.log(np.abs(xx - y))) for xx in np.atleast_1d(x)])
-
-
-def _log_potential_hard(mu: EquilibriumMeasure, x):
-    """Int log|x - y| dmu for a hard-edge measure, by the smooth
-    substitution y = b sin^2(psi) and adaptive quadrature."""
-    b = mu.support[1]
-    h = mu.h
-
-    out = []
-    for xx in np.atleast_1d(x):
-        def f(psi):
-            y = b * math.sin(psi) ** 2
-            return (2.0 * b / math.pi) * npoly.polyval(y, h) * math.cos(psi) ** 2 \
-                * math.log(abs(xx - y) + 1e-300)
-
-        pts = []
-        if 0.0 < xx < b:
-            pts = [math.asin(math.sqrt(xx / b))]
-        val, _ = scipy.integrate.quad(f, 0.0, math.pi / 2.0, points=pts or None,
-                                      limit=200, epsabs=1e-12, epsrel=1e-11)
-        out.append(val)
-    return np.array(out)
+    hard = mu.potential.hard_edge
+    if side == "right":
+        sign, e, o = 1.0, b, a
+    elif side == "left" and not hard:
+        sign, e, o = -1.0, a, b
+    else:
+        raise ValueError("side must be 'right' or, on a soft edge, 'left'")
+    u = sign * (np.asarray(z, dtype=complex) - e)
+    u = np.where((u.imag == 0.0) & (u.real < 0.0) & (u.real > a - b), u + 1e-300j, u)
+    # s = e + (z - e) t^2 isolates the u^{3/2} factor
+    s = e + sign * u[..., None] * _PHI_T ** 2
+    root = np.sqrt(sign * (s - o))
+    core = (_PHI_W * _PHI_T ** 2 * npoly.polyval(s, mu.h)
+            * (1.0 / root if hard else root)).sum(axis=-1)
+    return 2.0 * u * np.sqrt(u) * core
 
 
 def effective_potential(mu: EquilibriumMeasure, V: Potential, x):
-    """2 Int log(1/|x-y|) dmu(y) + V(x) - ell: zero on the support,
-    nonnegative off it for regular potentials."""
+    """2 Int log(1/|x-y|) dmu(y) + V(x) - ell: zero on the support and 2 phi
+    off it, nonnegative for a one-cut measure; x >= 0 on a hard edge."""
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     a, b = mu.support
-    if V.hard_edge:
-        logpot = _log_potential_hard(mu, x)
-    else:
-        c, r = 0.5 * (a + b), 0.5 * (b - a)
-        t = (x - c) / r
-        inside = np.abs(t) <= 1.0 + 1e-12
-        logpot = np.empty_like(x)
-        if inside.any():
-            logpot[inside] = _log_potential_inside(mu, np.clip(t[inside], -1.0, 1.0))
-        if (~inside).any():
-            logpot[~inside] = _log_potential_outside(mu, x[~inside])
-    val = -2.0 * logpot + V(x) - mu.ell
+    if V.hard_edge and np.any(x < 0.0):
+        raise ValueError("the hard-edge effective potential lives on x >= 0")
+    val = np.empty_like(x)
+    inside = (x >= a) & (x <= b)
+    val[inside] = V(x[inside]) - 2.0 * _log_potential(mu, x[inside]) - mu.ell
+    val[x > b] = 2.0 * phi(mu, x[x > b]).real
+    if not V.hard_edge:
+        val[x < a] = 2.0 * phi(mu, x[x < a], "left").real
     return float(val[0]) if scalar else val
-
-
-def _ell_at_midpoint(mu: EquilibriumMeasure) -> float:
-    a, b = mu.support
-    mid = 0.5 * (a + b)
-    if mu.potential.hard_edge:
-        lp = float(_log_potential_hard(mu, mid)[0])
-    else:
-        lp = float(_log_potential_inside(mu, np.array([0.0]))[0])
-    return -2.0 * lp + float(mu.potential(mid))
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +507,7 @@ def classify(mu: EquilibriumMeasure, V: Potential):
             clusters[-1] = ((loc * mult + r) / (mult + 1), mult + 1)
         else:
             clusters.append((r, 1))
-    hscale = np.abs(npoly.polyval(np.linspace(a, b, 64), mu.h)).max() + 1e-300
+    hscale = _h_range(mu.h, a, b)[1]
     for loc, mult in clusters:
         if not (a - tol <= loc <= b + tol):
             continue

@@ -469,9 +469,8 @@ def soft_edge_window(mu, grid, side: str = "right") -> ScalingWindow:
 
 
 def hard_edge_window(mu, grid) -> ScalingWindow:
-    from .equilibrium import _hard_beta
-
-    beta = _hard_beta(mu.potential, mu.moments)
+    # beta = Int V' dmu = b h(0)^2, read off h as soft_edge_window reads h(b)
+    beta = mu.support[1] * float(mu.h[0]) ** 2
     return ScalingWindow(0.0, 2.0, 2.0 * math.sqrt(beta), grid)
 
 

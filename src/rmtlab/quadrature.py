@@ -1,7 +1,8 @@
 """Quadrature rules: composite Gauss-Legendre panels and their suffix sums
 for tail integrals, the power-weight rule behind the discretized Stieltjes
-nodes, and Gauss-Chebyshev of the second kind for the equilibrium moment
-map and the g-function."""
+nodes, Gauss-Chebyshev of the first kind for the equilibrium endpoint
+equations and h, and of the second kind for the equilibrium moments and
+the g-function."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 __all__ = ["gauss_legendre_panels", "panel_suffix", "partial_panel",
-           "power_weight_panels", "gauss_chebyshev_u"]
+           "power_weight_panels", "gauss_chebyshev_t", "gauss_chebyshev_u"]
 
 
 @lru_cache(maxsize=None)
@@ -72,6 +73,16 @@ def power_weight_panels(lo: float, hi: float, beta: float, panels: int, order: i
         xs.append(sign * u.ravel() ** 2)
         ws.append(uw.ravel())
     return np.concatenate(xs), np.concatenate(ws)
+
+
+@lru_cache(maxsize=None)
+def gauss_chebyshev_t(m: int):
+    """Read-only nodes cos(theta_k), theta_k = (k + 1/2) pi/m; the plain mean
+    of f over them is (1/pi) int_{-1}^{1} f(t) dt/sqrt(1 - t^2), exact for
+    polynomials of degree < 2m."""
+    t = np.cos(np.pi * (np.arange(m) + 0.5) / m)
+    t.flags.writeable = False
+    return t
 
 
 @lru_cache(maxsize=None)

@@ -71,7 +71,7 @@ class DescentContext:
             t = np.linspace(-0.98, 0.98, 64)
             c, r = 0.5 * (a + b), 0.5 * (b - a)
             lips = c + r * t + 1j * self.lens_height * r * (1.0 - t * t)
-            re = np.array([phi(self, z).real for z in lips])
+            re = eqm.phi(self.measure, lips).real
             if np.all(re < 0.0):
                 break
             self.lens_height *= 0.6
@@ -98,33 +98,10 @@ def g_function(ctx: DescentContext, z) -> complex:
 
 def phi(ctx: DescentContext, z, variant: str = "right") -> complex:
     """phi(z) = Int_b^z h(s) ((s-b)(s-a))^{1/2} ds along a straight path
-    (right variant), or the analogous integral from a (left variant, via
-    the reflection x -> a+b-x).  For z on (a, b) this returns the +side
-    boundary value."""
-    a, b = ctx.support
-    if variant == "left":
-        h = ctx.measure.h
-        # coefficients of h(a+b-x)
-        refl = np.zeros_like(h)
-        s = a + b
-        for j, cj in enumerate(h):
-            # expand c_j (s - x)^j
-            for m in range(j + 1):
-                refl[m] += cj * math.comb(j, m) * s ** (j - m) * (-1.0) ** m
-        return _phi_right(a, b, refl, a + b - z)
-    return _phi_right(a, b, ctx.measure.h, z)
-
-
-def _phi_right(a, b, hcoef, z):
-    z = complex(z)
-    if z.imag == 0.0 and a < z.real < b:
-        z = complex(z.real, 1e-300)  # +side boundary value
-    t = 0.5 * (_GL96_T + 1.0)
-    w = 0.5 * _GL96_W
-    s = b + (z - b) * t * t
-    integrand = t * t * np.polyval(hcoef[::-1], s) * np.sqrt(s - a)
-    core = np.sum(w * integrand)
-    return 2.0 * (z - b) * cmath.sqrt(z - b) * complex(core)
+    (right variant), or the mirror-image integral from a (left variant);
+    for z on (a, b) this returns the +side boundary value
+    (equilibrium.phi)."""
+    return complex(eqm.phi(ctx.measure, complex(z), variant))
 
 
 def phi_plus_imag(ctx: DescentContext, x: float) -> float:

@@ -30,6 +30,25 @@ class TestEqm:
         assert rc == 3
         assert not out.exists()
 
+    def test_barely_two_cut_exit3(self, tmp_path):
+        out = tmp_path / "eqm.json"
+        rc = main(["eqm", "--potential", "0,0,-1.001,0,0.25", "--out", str(out)])
+        assert rc == 3
+        assert not out.exists()
+
+    def test_solver_diagnostics(self, tmp_path):
+        out = tmp_path / "eqm.json"
+        assert main(["eqm", "--potential", "0,0,-1,0,0.25", "--out", str(out)]) == 0
+        diag = json.loads(out.read_text())["diagnostics"]
+        assert diag["solver"] == "soft-newton"
+        assert 1 <= diag["iterations"] <= 12
+        assert diag["residual"] <= 1e-14
+        assert abs(diag["margin"]) <= 1e-14  # h(0) = 0: critical
+        assert main(["eqm", "--potential", "0,1", "--hard-edge", "--out", str(out)]) == 0
+        diag = json.loads(out.read_text())["diagnostics"]
+        assert diag["solver"] == "hard-newton"
+        assert diag["margin"] == pytest.approx(1.0)
+
     def test_malformed_potential_exit2(self, tmp_path):
         out = tmp_path / "eqm.json"
         rc = main(["eqm", "--potential", "0,zap,1", "--out", str(out)])

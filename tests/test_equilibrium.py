@@ -1,9 +1,10 @@
 """Tests for the equilibrium-measure solver.
 
 Oracles: symbolic q for the quadratic potential (divided difference of
-V' = x is the constant 1, so q = x^2/4 - m0), the normalization integral
-for the critical quartic, Marchenko-Pastur for the hard edge, and the
-brute-force grid minimizer for everything else.
+V' = x is the constant 1, so q = x^2/4 - m0), closed-form supports, h and
+moments (semicircle, x^4/4, the critical quartic, Marchenko-Pastur and
+V = x + x^2 on the hard edge), adaptive quadrature of the log potential,
+and the brute-force grid minimizer for everything else.
 """
 
 import math
@@ -12,8 +13,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from rmtlab.equilibrium import (EquilibriumMeasure, MultiCutError, Potential,
-                                classify, density, effective_potential,
+from rmtlab.equilibrium import (EquilibriumMeasure, MultiCutError, NonConvergenceError,
+                                Potential, classify, density, effective_potential,
                                 grid_energy_minimize, qv, solve_equilibrium)
 
 SEMI = Potential((0.0, 0.0, 0.5))
@@ -93,6 +94,11 @@ class TestSemicircle:
     def test_classify_regular(self, semicircle):
         assert classify(semicircle, SEMI) == []
 
+    def test_effective_potential_left_of_support(self, semicircle):
+        # even potential: the mirrored phi integral gives the same value
+        assert effective_potential(semicircle, SEMI, -3.0) == pytest.approx(
+            effective_potential(semicircle, SEMI, 3.0), abs=1e-14)
+
 
 class TestCriticalQuartic:
     def test_support(self, quartic):
@@ -143,6 +149,17 @@ class TestHardEdge:
     def test_effective_potential(self, mp):
         assert effective_potential(mp, MP, 1.0) == pytest.approx(0.0, abs=1e-8)
         assert effective_potential(mp, MP, 6.0) > 0.05
+
+    def test_effective_potential_needs_half_line(self, mp):
+        with pytest.raises(ValueError):
+            effective_potential(mp, MP, -1.0)
+
+    def test_ell_against_quadrature_oracle(self, mp):
+        # ell = V(x) - 2 Int log|x - y| dmu(y) at any x of the support
+        val, _ = scipy.integrate.quad(
+            lambda y: math.log(abs(1.0 - y)) * math.sqrt((4.0 - y) / y) / (2.0 * math.pi),
+            0.0, 4.0, points=[1.0], limit=200)
+        assert mp.ell == pytest.approx(1.0 - 2.0 * val, abs=1e-10)
 
 
 class TestSolverInvariants:
@@ -203,20 +220,22 @@ class TestSolverInvariants:
             solve_equilibrium(Potential((0.0, 0.0, -2.0, 0.0, 0.25)))
 
     def test_perturbed_quartic_consistency(self):
-        # near-critical: whatever the classifier reports must agree with
-        # the sign of q on the interior
-        pot = Potential((0.0, 0.0, -1.001, 0.0, 0.25))
+        # just past criticality the one-cut ansatz has h(0) = -5.0e-4 and an
+        # effective potential below zero inside its support: two cuts
+        with pytest.raises(MultiCutError):
+            solve_equilibrium(Potential((0.0, 0.0, -1.001, 0.0, 0.25)))
+
+    def test_subcritical_quartic_one_cut(self):
+        pot = Potential((0.0, 0.0, -0.999, 0.0, 0.25))
         mu = solve_equilibrium(pot)
-        out = [c for c in classify(mu, pot) if c[1] == "interior"]
-        xs = np.linspace(-1.0, 1.0, 4001)
-        qmax = qv(pot, mu, xs).max()
-        qscale = np.abs(qv(pot, mu, np.linspace(-2.5, 2.5, 101))).max()
-        if out:
-            # singular points reported: q must touch zero there
-            for loc, _, _ in out:
-                assert abs(qv(pot, mu, loc)) <= 1e-6 * qscale
-        else:
-            assert qmax < -1e-9 * qscale
+        a, b = mu.support
+        assert np.polynomial.polynomial.polyval(np.linspace(a, b, 2001), mu.h).min() > 0.0
+        assert mu.margin > 0.0
+        assert classify(mu, pot) == []
+        w = b - a
+        outside = np.concatenate([np.linspace(a - w, a, 200, endpoint=False),
+                                  np.linspace(b, b + w, 201)[1:]])
+        assert effective_potential(mu, pot, outside).min() >= 0.0
 
     def test_serialization_roundtrip(self, quartic):
         text = quartic.to_text()
@@ -226,6 +245,92 @@ class TestSolverInvariants:
         assert np.array_equal(back.h, quartic.h)
         assert np.array_equal(back.moments, quartic.moments)
         assert back.potential == quartic.potential
+
+
+class TestClosedForms:
+    def test_marchenko_pastur_catalan(self, mp):
+        assert abs(mp.support[1] - 4.0) <= 1e-14
+        assert np.abs(mp.moments[:4] - [1.0, 1.0, 2.0, 5.0]).max() <= 1e-14
+
+    def test_hard_edge_x_plus_x2(self):
+        # (1/2 pi) Int_0^b (1 + 2x) sqrt(x/(b-x)) dx = b/4 + 3b^2/8 = 1
+        mu = solve_equilibrium(Potential((0.0, 1.0, 1.0), hard_edge=True))
+        assert mu.support[0] == 0.0
+        assert abs(mu.support[1] - 4.0 / 3.0) <= 1e-14
+        assert np.abs(mu.h - [7.0 / 6.0, 1.0]).max() <= 1e-14
+
+    def test_hard_edge_several_roots(self):
+        # mean x V'(x) = 2 has three positive roots for both fields; the one
+        # of least Phi carries the measure for lam = 45, while for lam = 38.5
+        # its effective potential dips below 0 at x = 0.687: two cuts
+        def field(lam):
+            return Potential(tuple(lam * c for c in (0.0, 1.0, -1.7, 1.0)), hard_edge=True)
+
+        mu = solve_equilibrium(field(45.0))
+        b = mu.support[1]
+        assert b < 0.2
+        assert mu.margin > 0.0
+        xs = np.linspace(b, b + 3.0, 301)
+        assert effective_potential(mu, field(45.0), xs).min() >= -1e-14
+        with pytest.raises(MultiCutError):
+            solve_equilibrium(field(38.5))
+
+    def test_pure_quartic(self):
+        # V = x^4/4: r^2 = 4/sqrt(3), h = x^2/2 + 1/sqrt(3)
+        mu = solve_equilibrium(Potential((0.0, 0.0, 0.0, 0.0, 0.25)))
+        a, b = mu.support
+        assert abs(b * b - 4.0 / math.sqrt(3.0)) <= 1e-14
+        assert abs(a + b) <= 1e-14
+        assert np.abs(mu.h - [1.0 / math.sqrt(3.0), 0.0, 0.5]).max() <= 1e-14
+
+    def test_critical_quartic(self, quartic):
+        assert np.abs(np.array(quartic.support) - [-2.0, 2.0]).max() <= 1e-14
+        assert np.abs(quartic.h - [0.0, 0.0, 0.5]).max() <= 1e-14
+
+    @pytest.mark.parametrize("coefs", [(0.0, 0.0, 0.5), (0.0, 0.0, -1.0, 0.0, 0.25),
+                                       (0.0, 0.0, 0.0, 0.0, 0.25),
+                                       (0.0, 0.0, 0.5, 0.0, 1.0 / 12.0),
+                                       (0.0, 0.3, 0.5, 0.2, 0.25)])
+    def test_newton_steps(self, coefs):
+        mu = solve_equilibrium(Potential(coefs))
+        assert 1 <= mu.iterations <= 12
+        assert mu.residual <= 1e-14
+
+    def test_edge_critical_is_exact_or_rejected(self):
+        # built from h = 0.1 (x - 2)^2 on [-2, 2]: rho vanishes like
+        # (2 - x)^{5/2} and the endpoint Jacobian is singular
+        pot = Potential(tuple(0.2 * c for c in (0.0, 8.0, 1.0, -4.0 / 3.0, 0.25)))
+        try:
+            mu = solve_equilibrium(pot)
+        except NonConvergenceError:
+            return
+        assert np.abs(np.array(mu.support) - [-2.0, 2.0]).max() <= 1e-12
+        assert any(kind == "edge" for _, kind, _ in classify(mu, pot))
+
+    def test_translation_covariance(self):
+        # V(x) = W(x - 5) moves the support of W by 5 and h along with it
+        base = solve_equilibrium(QUARTIC_REG)
+        shifted = np.polynomial.Polynomial(QUARTIC_REG.coefficients)(
+            np.polynomial.Polynomial([-5.0, 1.0])).coef
+        mu = solve_equilibrium(Potential(tuple(shifted)))
+        assert np.abs(np.array(mu.support) - np.array(base.support) - 5.0).max() <= 1e-12
+        xs = np.linspace(-1.0, 1.0, 7)
+        assert np.abs(np.polynomial.polynomial.polyval(xs + 5.0, mu.h)
+                      - np.polynomial.polynomial.polyval(xs, base.h)).max() <= 1e-11
+
+    def test_one_cut_in_one_well(self):
+        # the deeper well of an asymmetric double well carries all the mass
+        pot = Potential((0.0, 0.4373320529391518, -0.3812625527332747,
+                         0.7888526262807323, 0.2618410139972495))
+        mu = solve_equilibrium(pot)
+        a, b = mu.support
+        assert b < -1.5
+        assert mu.margin > 0.0
+        xs = np.concatenate([np.linspace(a - 3.0, a, 100, endpoint=False),
+                             np.linspace(b, b + 6.0, 301)[1:]])
+        assert effective_potential(mu, pot, xs).min() >= 0.0
+        g = grid_energy_minimize(pot, 800, strict=False)
+        assert np.abs(g.density - density(mu, g.x)).max() <= 0.1
 
 
 class TestGridOracle:

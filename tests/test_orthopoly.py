@@ -329,6 +329,14 @@ class TestScalingWindows:
         got = op.rescaled_kernel(t, w, n, win)[0, 0]
         assert got == pytest.approx(kr.bessel_hard_kernel(0.0, 1.0, 1.0), abs=0.05)
 
+    @pytest.mark.parametrize("coefs, beta", [((0.0, 1.0), 1.0),
+                                             ((0.0, 1.0, 1.0), 49.0 / 27.0)])
+    def test_hard_edge_window_scale(self, coefs, beta):
+        # c = 2 sqrt(beta), beta = Int V' dmu: 1 for V = x, 49/27 for x + x^2
+        mu = eq.solve_equilibrium(Potential(coefs, hard_edge=True))
+        win = op.hard_edge_window(mu, np.array([1.0]))
+        assert win.c == pytest.approx(2.0 * math.sqrt(beta), rel=1e-14)
+
     def test_window_outside_truncation(self, herm64):
         w, t = herm64
         win = op.ScalingWindow(0.0, 1.0, 1.0 / 64.0, np.array([0.0, 100.0]))
