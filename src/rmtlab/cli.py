@@ -9,8 +9,11 @@ Conventions: grids are lo:hi:count, potentials are comma-separated
 ascending coefficients.  Exit codes: 0 success, 2 validation error,
 3 numerical non-convergence.  Every output file starts with a header
 block carrying the resolved configuration; the timestamp sits on its own
-line so that repeated runs differ in exactly that line.  The environment
-variable RMTLAB_CACHE names a directory for recurrence-table caching.
+line so that repeated runs differ in exactly that line.  CSV tables are
+written column by column (rmtlab._table), numbers as Python's shortest
+round-trip repr, so parsing a cell gives back the exact double.  The
+environment variable RMTLAB_CACHE names a directory for recurrence-table
+caching.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 from functools import partial
-from itertools import product
 
 import os
 import sys
@@ -32,7 +34,9 @@ from . import kernels as kr
 from . import mc
 from . import orthopoly as op
 from . import rh
+from ._table import table_text
 from .equilibrium import MultiCutError, NonConvergenceError, Potential
+from .specfun import airy
 
 __all__ = ["main", "run"]
 
@@ -71,22 +75,14 @@ def _parse_ns(text):
         raise ValidationError(f"bad n list {text!r}") from exc
 
 
-def _header_lines(config):
+def _write_csv(path, config, table):
+    """The header block, then table: the text of table_text or a to_csv."""
     lines = [f"# rmtlab {__version__}",
              f"# timestamp = {time.strftime('%Y-%m-%dT%H:%M:%S')}"]
-    for key in sorted(config):
-        lines.append(f"# {key} = {config[key]}")
-    return lines
-
-
-def _write_csv(path, config, columns, rows):
-    text = "\n".join(_header_lines(config)) + "\n"
-    text += ",".join(columns) + "\n"
-    for row in rows:
-        text += ",".join(repr(float(v)) if isinstance(v, float) else str(v)
-                         for v in row) + "\n"
+    lines += [f"# {key} = {config[key]}" for key in sorted(config)]
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write("\n".join(lines) + "\n")
+        fh.write(table)
 
 
 def _write_json(path, config, results, diagnostics):
@@ -130,7 +126,7 @@ def _cmd_eqm(args):
         rows = [("a", mu.support[0]), ("b", mu.support[1]), ("ell", mu.ell)]
         rows += [(f"h{k}", float(v)) for k, v in enumerate(mu.h)]
         rows += [(f"m{k}", float(v)) for k, v in enumerate(mu.moments)]
-        _write_csv(args.out, config, ["quantity", "value"], rows)
+        _write_csv(args.out, config, table_text(["quantity", "value"], *zip(*rows)))
     return 0
 
 
@@ -148,8 +144,8 @@ def _cmd_kernel(args):
     cols = ["x", "y"] + (["value"] if handle.arity == "scalar"
                          else ["k11", "k12", "k21", "k22"])
     k = np.reshape(handle.evaluate(grid[:, None], grid[None, :]), (grid.size ** 2, -1))
-    rows = [(float(x), float(y), *v) for (x, y), v in zip(product(grid, grid), k.tolist())]
-    _write_csv(args.out, config, cols, rows)
+    _write_csv(args.out, config, table_text(
+        cols, *np.meshgrid(grid, grid, indexing="ij"), *k.T))
     return 0
 
 
@@ -168,14 +164,13 @@ def _cmd_oppoly(args):
         raise ValidationError(str(exc)) from exc
     config = _config_dict(args, ["potential", "hard_edge", "alpha", "N",
                                  "nmax", "out"])
-    rows = [(k, float(table.a[k - 1]) if k >= 1 else 0.0, float(table.b[k]),
-             float(table.gamma_sq[k])) for k in range(args.nmax + 1)]
-    _write_csv(args.out, config, ["k", "a", "b", "gamma_sq"], rows)
+    _write_csv(args.out, config, table_text(
+        ["k", "a", "b", "gamma_sq"], range(args.nmax + 1),
+        np.concatenate([[0.0], table.a]), table.b, table.gamma_sq))
     if args.kernel_out:
         kmat = op.cd_kernel_grid(table, w, args.kernel_n, grid, grid)
-        rows = [(float(x), float(y), float(kmat[i, j]))
-                for i, x in enumerate(grid) for j, y in enumerate(grid)]
-        _write_csv(args.kernel_out, config, ["x", "y", "value"], rows)
+        _write_csv(args.kernel_out, config, table_text(
+            ["x", "y", "value"], *np.meshgrid(grid, grid, indexing="ij"), kmat))
     return 0
 
 
@@ -227,16 +222,14 @@ def _cmd_converge(args):
             results = list(pool.map(_converge_one, *zip(*tasks)))
     else:
         results = [_converge_one(*t) for t in tasks]
-    _write_csv(args.out, config,
-               ["n", "mode", "sup_error", "l1_error", "runtime_seconds"],
-               [(n, args.mode) + errs for n, (errs, _) in zip(ns, results)])
+    rows = [(n, args.mode) + errs for n, (errs, _) in zip(ns, results)]
+    _write_csv(args.out, config, table_text(
+        ["n", "mode", "sup_error", "l1_error", "runtime_seconds"], *zip(*rows)))
     if args.grid_out:
         # rescaled-kernel grid of the largest n, next to the universal target
-        got = results[-1][1]
-        grows = [(float(u), float(v), float(got[i, j]), float(ref[i, j]))
-                 for i, u in enumerate(grid) for j, v in enumerate(grid)]
-        _write_csv(args.grid_out, config,
-                   ["u", "v", "value", "universal_value"], grows)
+        _write_csv(args.grid_out, config, table_text(
+            ["u", "v", "value", "universal_value"],
+            *np.meshgrid(grid, grid, indexing="ij"), results[-1][1], ref))
     return 0
 
 
@@ -262,8 +255,6 @@ def _cmd_rh(args):
     w3 = np.exp(2j * np.pi / 3.0)
     for _ in range(6):
         z = complex(rng.uniform(-6, 6), rng.uniform(-6, 6))
-        from .specfun import airy
-
         y0 = airy(z).value
         y1 = w3 * airy(w3 * z).value
         y2 = w3 * w3 * airy(w3 * w3 * z).value
@@ -296,7 +287,7 @@ def _cmd_rh(args):
     a_inf, b_inf = rh.asymptotic_recurrence(ctx0)
     rows.append(("a_inf", "", a_inf))
     rows.append(("b_inf", "", b_inf))
-    _write_csv(args.out, config, ["check", "param", "value"], rows)
+    _write_csv(args.out, config, table_text(["check", "param", "value"], *zip(*rows)))
     return 0
 
 
@@ -336,19 +327,16 @@ def _cmd_sample(args):
         fh.write(batch.to_bytes())
     base = args.out.rsplit(".", 1)[0]
     if args.csv:
-        with open(base + ".csv", "w") as fh:
-            fh.write("\n".join(_header_lines(config)) + "\n" + batch.to_csv())
+        _write_csv(base + ".csv", config, batch.to_csv())
     hist = mc.empirical_density(batch, args.bins, (lo, hi))
     if batch.acceptance_rates is not None:
         for name, vals in (("acceptance_rate", batch.acceptance_rates),
                            ("proposal_width", batch.proposal_widths)):
             for stat, fn in (("min", np.min), ("median", np.median), ("max", np.max)):
                 config[f"{name}_{stat}"] = repr(float(fn(vals)))
-    with open(base + "_hist.csv", "w") as fh:
-        fh.write("\n".join(_header_lines(config)) + "\n" + hist.to_csv())
+    _write_csv(base + "_hist.csv", config, hist.to_csv())
     if window:
-        rows = [(float(s),) for s in spacings]
-        _write_csv(base + "_spacing.csv", config, ["unfolded_spacing"], rows)
+        _write_csv(base + "_spacing.csv", config, table_text(["unfolded_spacing"], spacings))
     return 0
 
 

@@ -238,18 +238,31 @@ def _eta_axis(tmax, panels):
     return 1j * u, 1j * wu
 
 
+def _factor(v, s, nodes, weights, sign=1.0):
+    """e^{sign (t^4/4 - s t^2/2 + v t)} dt at the nodes t, one row per
+    distinct v, and the index of each v's row (shaped like v)."""
+    u, inv = np.unique(v, return_inverse=True)
+    f = np.exp(sign * (0.25 * nodes ** 4 - 0.5 * s * nodes ** 2
+                       + np.multiply.outer(u, nodes))) * weights
+    return f, inv.reshape(np.shape(v))
+
+
 def _pearcey_raw(x, y, s, delta, tmax, xi_panels, eta_panels):
+    """The double contour integral (Bleher-Kuijlaars, CMP 270, 2007),
+    broadcasting over x and y: the oracle of the integrable form.  The
+    Cauchy matrix C = 1/(eta - xi), built in blocks of at most 4M entries,
+    does not depend on x or y, so one call is one product F_xi C F_eta^T."""
+    x, y = np.broadcast_arrays(*_args(x, y))
     xi, wxi = _xi_contour(delta, tmax, xi_panels)
-    u, wu = _panel_nodes(-tmax, tmax, eta_panels)
-    eta = 1j * u
-    f_xi = np.exp(0.25 * xi ** 4 - 0.5 * s * xi ** 2 + xi * x) * wxi
-    f_eta = np.exp(-0.25 * eta ** 4 + 0.5 * s * eta ** 2 - eta * y) * (1j * wu)
-    val = 0.0 + 0.0j
-    step = max(1, 4_000_000 // len(eta))
-    for lo in range(0, len(xi), step):
+    eta, weta = _eta_axis(tmax, eta_panels)
+    f_xi, ix = _factor(x, s, xi, wxi)
+    f_eta, iy = _factor(y, s, eta, weta, sign=-1.0)
+    val = 0.0
+    step = max(1, 4_000_000 // eta.size)
+    for lo in range(0, xi.size, step):
         block = 1.0 / (eta[None, :] - xi[lo:lo + step, None])
-        val += f_xi[lo:lo + step] @ block @ f_eta
-    return val / (2.0j * np.pi) ** 2
+        val = val + f_xi[:, lo:lo + step] @ block @ f_eta.T
+    return (val[ix, iy] / (2.0j * np.pi) ** 2)[()]
 
 
 def _moments(v, s, nodes, weights, kmax, sign=1.0):
@@ -258,12 +271,10 @@ def _moments(v, s, nodes, weights, kmax, sign=1.0):
     the xi contour, (-1)^k q^(k)(v) for sign = -1 on the eta axis.  Each
     distinct v is integrated once and summed on its own, so a value does
     not depend on which other arguments share the batch."""
-    u, inv = np.unique(v, return_inverse=True)
-    f = np.exp(sign * (0.25 * nodes ** 4 - 0.5 * s * nodes ** 2
-                       + np.multiply.outer(u, nodes))) * weights
+    f, inv = _factor(v, s, nodes, weights, sign)
     powers = np.vander(nodes, kmax + 1, increasing=True).T
     m = np.stack([(f * pk).sum(axis=-1) for pk in powers]) / (2j * np.pi)
-    return m[:, inv.reshape(np.shape(v))]
+    return m[:, inv]
 
 
 def _pearcey_integrable(x, y, s, xi_contour, eta_axis):

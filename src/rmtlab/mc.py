@@ -26,7 +26,6 @@ seed and independent of any worker partitioning.
 
 from __future__ import annotations
 
-import io
 import math
 import struct
 from dataclasses import dataclass
@@ -35,6 +34,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from . import equilibrium as eqm
+from ._table import table_text
 from .equilibrium import Potential
 
 __all__ = [
@@ -88,12 +88,9 @@ class SampleBatch:
                    eigenvalue_sets=data.copy())
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("set_index,eigenvalue\n")
-        for i, row in enumerate(self.eigenvalue_sets):
-            for v in row:
-                buf.write(f"{i},{float(v)!r}\n")
-        return buf.getvalue()
+        count, n = self.eigenvalue_sets.shape
+        return table_text(["set_index", "eigenvalue"], np.repeat(range(count), n).tolist(),
+                          self.eigenvalue_sets)
 
 
 @dataclass
@@ -107,11 +104,7 @@ class Histogram:
         return float(np.sum(self.density * np.diff(self.edges)))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("bin_center,density\n")
-        for c, d in zip(self.centers, self.density):
-            buf.write(f"{float(c)!r},{float(d)!r}\n")
-        return buf.getvalue()
+        return table_text(["bin_center", "density"], self.centers, self.density)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,16 @@ def strip_timestamp(text: str) -> str:
     return re.sub(r"# timestamp = .*", "", text)
 
 
+def parse_table(path):
+    """The numeric rows of a CSV output, each cell read back with float()."""
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    return np.array([[float(t) for t in ln.split(",")] for ln in lines[1:]])
+
+
+def grid_columns(grid):
+    return np.stack([g.ravel() for g in np.meshgrid(grid, grid, indexing="ij")], axis=1)
+
+
 class TestEqm:
     def test_semicircle_json(self, tmp_path):
         out = tmp_path / "eqm.json"
@@ -79,6 +89,20 @@ class TestKernel:
                   if not ln.startswith("#")][0]
         assert header == "x,y,k11,k12,k21,k22"
 
+    @pytest.mark.parametrize("family", ["sine", "sine_beta1"])
+    def test_table_parses_back_bit_identical(self, tmp_path, family):
+        from rmtlab.kernels import KernelHandle
+
+        out = tmp_path / "k.csv"
+        assert main(["kernel", "--family", family, "--grid=-2:2:9", "--out", str(out)]) == 0
+        grid = np.linspace(-2.0, 2.0, 9)
+        want = np.reshape(KernelHandle(family).evaluate(grid[:, None], grid[None, :]),
+                          (grid.size ** 2, -1))
+        got = parse_table(out)
+        assert got.shape == (81, 2 + want.shape[1])
+        assert got[:, :2].tobytes() == grid_columns(grid).tobytes()
+        assert np.ascontiguousarray(got[:, 2:]).tobytes() == want.tobytes()
+
     def test_bad_family_parameters_exit2(self, tmp_path):
         rc = main(["kernel", "--family", "bessel_hard", "--grid", "1:2:3",
                    "--out", str(tmp_path / "x.csv")])
@@ -113,6 +137,20 @@ class TestOppoly:
         lines = [ln for ln in kout.read_text().splitlines() if not ln.startswith("#")]
         assert len(lines) == 1 + 25
 
+    def test_kernel_grid_parses_back_bit_identical(self, tmp_path):
+        from rmtlab import orthopoly as op
+        from rmtlab.equilibrium import Potential
+
+        kout = tmp_path / "kn.csv"
+        assert main(["oppoly", "--potential", "0,0,0.5", "--N", "16", "--nmax", "16",
+                     "--kernel-n", "12", "--kernel-grid=-1.5:1.5:13",
+                     "--kernel-out", str(kout), "--out", str(tmp_path / "t.csv")]) == 0
+        grid = np.linspace(-1.5, 1.5, 13)
+        w = op.WeightSpec(Potential((0.0, 0.0, 0.5)), N=16)
+        want = op.cd_kernel_grid(op.recurrence_table(w, 16), w, 12, grid, grid)
+        got = parse_table(kout)
+        assert got[:, :2].tobytes() == grid_columns(grid).tobytes()
+        assert np.ascontiguousarray(got[:, 2]).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("keep", [0.5, -3])
     def test_truncated_cache_is_recomputed(self, tmp_path, monkeypatch, keep):
@@ -188,6 +226,26 @@ class TestConverge:
         assert len(got) == 25
         # the grid is the n = 32 pass itself, so its sup error is the row's
         assert np.abs(got[:, 2] - got[:, 3]).max() == sup[32]
+
+    def test_grid_out_parses_back_bit_identical(self, tmp_path):
+        from rmtlab import equilibrium as eqm
+        from rmtlab import kernels as kr
+        from rmtlab import orthopoly as op
+
+        grid_out = tmp_path / "grid.csv"
+        assert main(["converge", "--potential", "0,0,0.5", "--mode", "edge",
+                     "--n", "24", "--grid=-2:2:7", "--workers", "1",
+                     "--out", str(tmp_path / "conv.csv"), "--grid-out", str(grid_out)]) == 0
+        pot = eqm.Potential((0.0, 0.0, 0.5))
+        grid = np.linspace(-2.0, 2.0, 7)
+        w = op.WeightSpec(pot, N=24)
+        win = op.soft_edge_window(eqm.solve_equilibrium(pot), grid)
+        want = op.rescaled_kernel(op.recurrence_table(w, 24), w, 24, win)
+        got = parse_table(grid_out)
+        assert got[:, :2].tobytes() == grid_columns(grid).tobytes()
+        assert np.ascontiguousarray(got[:, 2]).tobytes() == want.tobytes()
+        ref = kr.airy_kernel(grid[:, None], grid[None, :])
+        assert np.ascontiguousarray(got[:, 3]).tobytes() == ref.tobytes()
 
     def test_bulk_errors_decrease(self, tmp_path):
         out = tmp_path / "conv.csv"

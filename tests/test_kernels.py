@@ -156,10 +156,25 @@ class TestPearcey:
     def test_integrable_form_against_double_integral(self, s):
         # _pearcey_raw (double contour integral) is the independent oracle
         grid = np.linspace(-2.0, 2.0, 5)
-        for x in grid:
-            for y in grid:
-                ref = kr._pearcey_raw(x, y, s, 0.75, 12.0, 30, 65)
-                assert abs(kr.pearcey_kernel(x, y, s) - ref.real) <= 1e-9
+        ref = kr._pearcey_raw(grid[:, None], grid[None, :], s, 0.75, 12.0, 30, 65)
+        for i, x in enumerate(grid):
+            for j, y in enumerate(grid):
+                assert abs(kr.pearcey_kernel(x, y, s) - ref[i, j].real) <= 1e-9
+
+    def test_double_integral_entry_independent_of_batch(self):
+        # one (x, y) entry of the oracle is the same, to rounding, whichever
+        # other x and y values share the call, on a grid or as pairs
+        xs, ys = np.array([-1.5, 0.25, 2.0]), np.array([0.5, -0.75])
+        grid = kr._pearcey_raw(xs[:, None], ys[None, :], 0.5, 0.75, 12.0, 30, 65)
+        assert grid.shape == (3, 2)
+        pairs = kr._pearcey_raw(np.array([2.0, 7.0, 0.25]), np.array([0.5, 3.0, 0.5]),
+                                0.5, 0.75, 12.0, 30, 65)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                alone = kr._pearcey_raw(x, y, 0.5, 0.75, 12.0, 30, 65)
+                assert abs(alone - grid[i, j]) <= 1e-14
+        assert abs(pairs[0] - grid[2, 0]) <= 1e-14
+        assert abs(pairs[2] - grid[1, 0]) <= 1e-14
 
     def test_honesty_and_range_errors(self):
         # at x = y = 12, s = -5 the cancellation in p and q exceeds double
