@@ -135,10 +135,6 @@ class Potential:
     def deriv(self, x):
         return npoly.polyval(x, npoly.polyder(np.asarray(self.coefficients)))
 
-    @property
-    def is_even(self) -> bool:
-        return all(v == 0.0 for v in self.coefficients[1::2])
-
 
 @dataclass
 class EquilibriumMeasure:
@@ -490,10 +486,10 @@ def effective_potential(mu: EquilibriumMeasure, V: Potential, x):
 
 def classify(mu: EquilibriumMeasure, V: Potential):
     """Scan for singular points: interior zeros of rho (even order 2k),
-    endpoint zeros of h (vanishing order k + 1/2), and off-support points
-    where the effective potential degenerates to zero.  Returns a list of
-    (location, kind, k) with kind in {'interior', 'edge', 'exterior'};
-    regular one-cut inputs give []."""
+    endpoint zeros of h (vanishing order k + 1/2), and real zeros of h off
+    the support where the effective potential degenerates to zero.  Returns
+    a list of (location, kind, k) with kind in {'interior', 'edge',
+    'exterior'}; regular one-cut inputs give []."""
     a, b = mu.support
     width = b - a
     out = []
@@ -518,19 +514,12 @@ def classify(mu: EquilibriumMeasure, V: Potential):
         else:
             k = max(1, round(mult / 2))
             out.append((float(loc), "interior", k))
-    # exterior singular points: zeros of the effective potential off support
-    for lo, hi in [(a - 2.0 * width, a - 1e-3 * width), (b + 1e-3 * width, b + 2.0 * width)]:
-        if V.hard_edge and lo < 0:
-            lo = max(lo, 1e-6)
-            if lo >= hi:
-                continue
-        xs = np.linspace(lo, hi, 160)
-        vals = effective_potential(mu, V, xs)
-        scale = 1.0 + np.abs(vals).max()
-        j = int(np.argmin(vals))
-        if vals[j] <= 1e-8 * scale and 0 < j < len(xs) - 1:
-            out.append((float(xs[j]), "exterior", 0))
-    return out
+    # exterior singular points: off the support the effective potential 2 phi
+    # has its minima at the real zeros of h, so it can only touch 0 there
+    xs = np.array([loc for loc, _ in clusters if loc > b + 100 * tol
+                   or (loc < a - 100 * tol and not V.hard_edge)])
+    e = effective_potential(mu, V, xs)
+    return out + [(float(x), "exterior", 0) for x in xs[e <= 1e-8 * (1.0 + np.abs(V(xs)))]]
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from . import equilibrium as eqm
 from ._table import table_text
 from .equilibrium import Potential
+from .orthopoly import WeightSpec
 
 __all__ = [
     "SampleBatch",
@@ -158,12 +159,46 @@ def log_density(V: Potential, beta: int, n: int, N: int, x: np.ndarray):
     x = np.asarray(x, dtype=float)
     d = np.abs(x[:, None] - x[None, :])
     iu = np.triu_indices(n, 1)
-    lp = beta * np.sum(np.log(d[iu]))
-    lp -= N * np.sum(V(x))
-    al = V.singularity_alpha
-    if al != 0.0:
-        lp += (al if V.hard_edge else 2.0 * al) * np.sum(np.log(np.abs(x)))
-    return lp
+    return beta * np.sum(np.log(d[iu])) + np.sum(WeightSpec(V, N).log_weight(x))
+
+
+def _draws(rngs, n):
+    """Per sweep, the (n, chains) normals and log-uniforms.  Each chain
+    draws those of max(1, 1024 // n) sweeps at a time from its own stream,
+    so the draws do not depend on how chains are split over workers."""
+    block = max(1, 1024 // n)
+    while True:
+        z = np.stack([r.standard_normal((block, n)) for r in rngs], axis=-1)
+        u = np.stack([r.random((block, n)) for r in rngs], axis=-1)
+        yield from zip(z, np.log(u))
+
+
+def _sweep(V: Potential, beta: int, N: int, x, step, log_u):
+    """One systematic-scan sweep, in place, over the chain states x of shape
+    (n, chains): coordinate i proposes x_i + s_i and takes it where log_u_i
+    is below the log-density change.  Returns the acceptance mask and the
+    two parts of each change, the pair log-ratio beta sum_{j != i}
+    log|1 + s_i / (x_i - x_j)| and the one-body gain."""
+    # coordinate i only changes at step i, so every proposal and its
+    # one-body log-density change are known when the sweep starts
+    prop = x + step
+    log_weight = WeightSpec(V, N).log_weight
+    gain = log_weight(prop) - log_weight(x)
+    if V.hard_edge:
+        gain[prop <= 0.0] = -np.inf
+    thresh = (log_u - gain) / beta
+    pair, d, take = np.empty_like(x), np.empty_like(x), np.empty(x.shape, dtype=bool)
+    for i, (xi, si, pi, ti, li, ki) in enumerate(zip(x, step, prop, thresh, pair, take)):
+        np.subtract(xi, x, out=d)
+        d[i] = np.inf  # log|1 + s_i / inf| = 0 drops j = i
+        np.divide(si, d, out=d)
+        d += 1.0
+        np.abs(d, out=d)
+        np.log(d, out=d)
+        np.add.reduce(d, axis=0, out=li)
+        np.greater(li, ti, out=ki)
+        np.copyto(xi, pi, where=ki)
+    return take, beta * pair, gain
 
 
 def _run_chains(V: Potential, beta: int, n: int, N: int, seeds, per: int,
@@ -176,40 +211,19 @@ def _run_chains(V: Potential, beta: int, n: int, N: int, seeds, per: int,
     rngs = [np.random.default_rng(s) for s in seeds]
     a, b = support
     base = np.linspace(a + 0.05 * (b - a), b - 0.05 * (b - a), n)
-    x = np.stack([base + 0.01 * (b - a) * r.standard_normal(n) for r in rngs])
+    # chain states by coordinate: row i holds x_i of every chain
+    x = np.stack([base + 0.01 * (b - a) * r.standard_normal(n) for r in rngs], axis=1)
     if V.hard_edge:
         x = np.abs(x) + 1e-6
     width = np.full(chains, 0.5 * (b - a) / math.sqrt(n))
-    al = V.singularity_alpha
-    fac = al if V.hard_edge else 2.0 * al
+    draws = _draws(rngs, n)
 
-    def sweep(tune_step=None):
-        z = np.stack([r.standard_normal(n) for r in rngs])
-        log_u = np.log(np.stack([r.random(n) for r in rngs]))
-        # coordinate i only changes at step i, so every proposal and its
-        # one-body log-density change are known when the sweep starts
-        prop = x + width[:, None] * z
-        gain = -N * (V(prop) - V(x))
-        if fac != 0.0:
-            gain += fac * np.log(np.abs(prop / x))
-        if V.hard_edge:
-            gain[prop <= 0.0] = -np.inf
-        accepted = np.zeros(chains)
-        for i in range(n):
-            num = prop[:, i, None] - x
-            den = x[:, i, None] - x
-            num[:, i] = den[:, i] = 1.0
-            delta = gain[:, i] + beta * np.log(np.abs(num / den)).sum(axis=1)
-            take = log_u[:, i] < delta
-            x[:, i] = np.where(take, prop[:, i], x[:, i])
-            accepted += take
-        rate = accepted / n
-        if tune_step is not None:
-            width[:] = width * np.exp((rate - 0.3) / math.sqrt(1.0 + tune_step))
-        return rate
+    def sweep():
+        z, log_u = next(draws)
+        return _sweep(V, beta, N, x, width * z, log_u)[0].mean(axis=0)
 
     for t in range(burn):
-        sweep(tune_step=t)
+        width *= np.exp((sweep() - 0.3) / math.sqrt(1.0 + t))
     # frozen-rate check averaged over enough sweeps to beat binomial noise
     check_sweeps = max(8, 256 // n)
     rate = np.mean([sweep() for _ in range(check_sweeps)], axis=0)
@@ -221,7 +235,7 @@ def _run_chains(V: Potential, beta: int, n: int, N: int, seeds, per: int,
     for _ in range(per):
         for _ in range(spacing):
             sweep()
-        records.append(np.sort(x, axis=1))
+        records.append(np.sort(x, axis=0).T)
     # (chain, record) ordering so chain blocks concatenate cleanly
     return np.stack(records, axis=1).reshape(chains * per, n), rate, width
 
@@ -232,15 +246,16 @@ def sample_invariant(V: Potential, beta: int, n: int, N: int, count: int,
     docstring) at 1 <= n <= 128, 1 <= count <= 1e4, steps >= 1.
 
     min(count, 64) independent chains run systematic-scan sweeps of
-    single-coordinate Gaussian proposals.  Each chain owns a spawned
-    substream, draws a sweep's n normals and n uniforms as one array each,
-    and tunes its own width by Robbins-Monro (target acceptance 0.3 during
-    the burn-in of max(steps/2, 20) sweeps, frozen after;
-    AcceptanceRateError if a frozen rate leaves [0.1, 0.6]).  Records are
-    spaced over the remaining sweep budget.  The returned batch carries
-    the frozen per-chain acceptance rates and proposal widths.  Chain
-    blocks may be distributed over processes; results are independent of
-    `workers`."""
+    single-coordinate Gaussian proposals over states stored by coordinate,
+    one in-place log-ratio per coordinate.  Each chain owns a spawned
+    substream, draws the normals and uniforms of max(1, 1024 // n) sweeps
+    as one array each, and tunes its own width by Robbins-Monro (target
+    acceptance 0.3 during the burn-in of max(steps/2, 20) sweeps, frozen
+    after; AcceptanceRateError if a frozen rate leaves [0.1, 0.6]).
+    Records are spaced over the remaining sweep budget.  The returned
+    batch carries the frozen per-chain acceptance rates and proposal
+    widths.  Chain blocks may be distributed over processes; results are
+    independent of `workers`."""
     if beta not in (1, 2, 4):
         raise ValueError("beta must be 1, 2 or 4")
     if not (1 <= n <= 128 and 1 <= count <= 10_000 and steps >= 1):
@@ -309,14 +324,12 @@ def local_statistics(batch: SampleBatch, window) -> np.ndarray:
     extent interpreted at scale c*n) or a plain (x_star, half_width,
     density) triple."""
     lo, hi, c = _window_bounds(batch, window)
-    out = []
-    for row in batch.eigenvalue_sets:
-        sel = row[(row >= lo) & (row <= hi)]
-        if len(sel) >= 2:
-            out.append(np.diff(sel) * batch.n * c)
-    if not out:
+    E = batch.eigenvalue_sets
+    m = (E >= lo) & (E <= hi)  # rows are sorted: consecutive in-window pairs
+    out = np.diff(E, axis=1)[m[:, 1:] & m[:, :-1]] * batch.n * c
+    if not out.size:
         raise ValueError("no eigenvalues found in the window")
-    return np.concatenate(out)
+    return out
 
 
 def poisson_contrast(batch: SampleBatch, window, seed: int = 0) -> np.ndarray:
@@ -325,15 +338,13 @@ def poisson_contrast(batch: SampleBatch, window, seed: int = 0) -> np.ndarray:
     which eigenvalue repulsion is judged)."""
     lo, hi, c = _window_bounds(batch, window)
     rng = np.random.default_rng(np.random.SeedSequence([seed, batch.seed & 0x7FFFFFFF]))
-    out = []
-    for row in batch.eigenvalue_sets:
-        k = int(((row >= lo) & (row <= hi)).sum())
-        if k >= 2:
-            pts = np.sort(rng.uniform(lo, hi, k))
-            out.append(np.diff(pts) * batch.n * c)
-    if not out:
+    k = ((batch.eigenvalue_sets >= lo) & (batch.eigenvalue_sets <= hi)).sum(axis=1)
+    row = np.repeat(np.arange(k.size), np.where(k >= 2, k, 0))
+    if not row.size:
         raise ValueError("no eigenvalues found in the window")
-    return np.concatenate(out)
+    pts = rng.uniform(lo, hi, row.size)  # the same stream as one draw per set
+    pts = pts[np.lexsort((pts, row))]
+    return np.diff(pts)[row[1:] == row[:-1]] * batch.n * c
 
 
 def compare_to_kernel(empirical: Histogram, predicted: np.ndarray):

@@ -237,6 +237,33 @@ class TestSolverInvariants:
                                   np.linspace(b, b + w, 201)[1:]])
         assert effective_potential(mu, pot, outside).min() >= 0.0
 
+    def test_classify_exterior_singular_point(self):
+        # tilted double well x^4/4 - x^2 + t x: the measure sits in the left
+        # well and the effective potential has a local minimum > 0 in the
+        # right one, at a real zero of h; bisect t until it reaches 0 from
+        # above (below it the one-cut measure is not the equilibrium one)
+        def tilted(t):
+            pot = Potential((0.0, t, -1.0, 0.0, 0.25))
+            try:
+                mu = solve_equilibrium(pot)
+            except MultiCutError:
+                return pot, None, -1.0, None
+            r = np.polynomial.polynomial.polyroots(mu.h)
+            x0 = r.real.max()
+            assert np.all(r.imag == 0.0) and x0 > mu.support[1]
+            return pot, mu, effective_potential(mu, pot, x0), x0
+
+        pot, mu, e, _ = tilted(1.8)
+        assert e > 0.1 and classify(mu, pot) == []
+        lo, hi = 1.6, 1.8
+        assert tilted(lo)[2] < 0.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if tilted(mid)[2] > 0.0 else (mid, hi)
+        pot, mu, e, x0 = tilted(hi)
+        assert 0.0 < e <= 1e-12
+        assert classify(mu, pot) == [(pytest.approx(x0, abs=1e-12), "exterior", 0)]
+
     def test_serialization_roundtrip(self, quartic):
         text = quartic.to_text()
         back = EquilibriumMeasure.from_text(text)

@@ -30,6 +30,24 @@ def dense_spectra(beta, n, count, seed):
     return np.linalg.eigvalsh(np.block([[a, b], [-b.conj(), a.conj()]]))[:, ::2]
 
 
+def local_statistics_loop(batch, lo, hi, c):
+    """Per-row spacings of the in-window eigenvalues (reference)."""
+    out = [np.diff(row[(row >= lo) & (row <= hi)]) * batch.n * c
+           for row in batch.eigenvalue_sets]
+    return np.concatenate(out)
+
+
+def poisson_contrast_loop(batch, lo, hi, c, seed):
+    """Per-row Poisson resample spacings (reference)."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, batch.seed & 0x7FFFFFFF]))
+    out = []
+    for row in batch.eigenvalue_sets:
+        k = int(((row >= lo) & (row <= hi)).sum())
+        if k >= 2:
+            out.append(np.diff(np.sort(rng.uniform(lo, hi, k))) * batch.n * c)
+    return np.concatenate(out)
+
+
 def interleave_trim_loop(sets, chains, per, count):
     """Round-robin record order as an explicit index list (reference)."""
     idx = [c * per + r for r in range(per) for c in range(chains)]
@@ -140,6 +158,17 @@ class TestSpacings:
         win = op.bulk_window(semicircle, 0.0, np.linspace(-0.5 / math.pi * 128, 0.5 / math.pi * 128, 5))
         s = mc.local_statistics(gue128, win)
         assert s.mean() == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("window", [(0.0, 0.5, 1.0 / math.pi), (1.9, 0.3, 0.1),
+                                        (-2.5, 0.6, 0.2), (0.0, 5.0, 1.0)])
+    def test_matches_row_loops(self, gue128, window):
+        got = mc.local_statistics(gue128, window)
+        x0, half, c = window
+        want = local_statistics_loop(gue128, x0 - half, x0 + half, c)
+        assert got.tobytes() == want.tobytes()
+        got = mc.poisson_contrast(gue128, window, seed=3)
+        want = poisson_contrast_loop(gue128, x0 - half, x0 + half, c, seed=3)
+        assert got.tobytes() == want.tobytes()
 
     def test_empty_window(self, gue128):
         with pytest.raises(ValueError):
@@ -263,6 +292,46 @@ class TestMetropolis:
         pred = op.cd_kernel_grid(t, w, 2, h.centers, h.centers).diagonal() / 2.0
         sup, _ = mc.compare_to_kernel(h, pred)
         assert sup <= 0.06
+
+    @pytest.mark.parametrize("pot", [
+        HERMITE,
+        Potential((0.0, 0.0, 0.5), singularity_alpha=1.5),
+        Potential((0.0, 1.0), hard_edge=True),
+        Potential((0.0, 1.0, 0.5), hard_edge=True, singularity_alpha=0.5),
+    ], ids=["hermite", "line_singular", "hard_edge", "hard_edge_singular"])
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_sweep_log_ratio_oracle(self, pot, beta):
+        # each coordinate's pair log-ratio plus its one-body gain is the
+        # change of log_density between the states before and after its
+        # proposal, replayed coordinate by coordinate through the sweep
+        n, N, chains = 5, 7, 3
+        rng = np.random.default_rng(beta)
+        x0 = rng.uniform(0.05, 2.0, (n, chains))
+        if not pot.hard_edge:
+            x0 -= 1.0
+        step = rng.normal(scale=0.6, size=(n, chains))
+        log_u = np.log(rng.random((n, chains)))
+        x = x0.copy()
+        take, pair, gain = mc._sweep(pot, beta, N, x, step, log_u)
+        state = x0.copy()
+        checked = 0
+        for i in range(n):
+            for k in range(chains):
+                before = state[:, k]
+                after = before.copy()
+                after[i] = before[i] + step[i, k]
+                if pot.hard_edge and after[i] <= 0.0:
+                    assert gain[i, k] == -np.inf and not take[i, k]
+                    continue
+                want = (mc.log_density(pot, beta, n, N, after)
+                        - mc.log_density(pot, beta, n, N, before))
+                assert pair[i, k] + gain[i, k] == pytest.approx(want, abs=1e-12)
+                assert take[i, k] == (log_u[i, k] < want)
+                checked += 1
+                if take[i, k]:
+                    state[:, k] = after
+        assert np.array_equal(state, x)
+        assert checked >= n * chains // 2
 
     def test_diagnostics_on_batch(self):
         b = mc.sample_invariant(HERMITE, 2, 8, 8, 100, 60, seed=4)
