@@ -38,13 +38,12 @@ fp = (rh.conformal_f(ctx, 2.0 + h) - rh.conformal_f(ctx, 2.0 - h)) / (2 * h)
 print(f"conformal map: f(2) = 0, f'(2) = {fp.real:.8f} (= (h(b) sqrt(b-a))^(2/3))")
 
 print("\n--- matching on the disk boundary, sup |P M^-1 - I|")
+circle = 2.0 + 0.1 * np.exp(1j * np.linspace(0, 2 * np.pi, 24, endpoint=False))
 for n in (32, 64, 128, 256):
     c = rh.DescentContext(mu, n=n, delta=0.1)
-    sup = max(np.abs(rh.local_parametrix(c, 2.0 + 0.1 * np.exp(1j * t))
-                     @ np.linalg.inv(rh.outer_parametrix(c, 2.0 + 0.1 * np.exp(1j * t)))
-                     - np.eye(2)).max()
-              for t in np.linspace(0, 2 * np.pi, 24, endpoint=False))
-    print(f"  n = {n:3d}: {sup:.5f}")
+    # one call each on the whole circle: shape (24, 2, 2)
+    dev = rh.local_parametrix(c, circle) @ np.linalg.inv(rh.outer_parametrix(c, circle))
+    print(f"  n = {n:3d}: {np.abs(dev - np.eye(2)).max():.5f}")
 print("  (halving with n: the O(1/n) matching estimate)")
 
 print("\n--- bulk kernel from the phase function vs the exact CD kernel")

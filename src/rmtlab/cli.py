@@ -6,9 +6,10 @@ kernel tables), oppoly (recurrence tables and finite-n kernels), converge
 diagnostics), sample (Monte Carlo batches, histograms, spacings).
 
 Conventions: grids are lo:hi:count, potentials are comma-separated
-ascending coefficients.  Exit codes: 0 success, 2 validation error,
-3 numerical non-convergence.  Every output file starts with a header
-block carrying the resolved configuration; the timestamp sits on its own
+ascending coefficients.  Exit codes: 0 success, 2 invalid input (any
+ValueError), 3 numerical failure (non-convergence, a multi-cut measure,
+ArithmeticError, LinAlgError).  Every output file starts with a header
+block carrying the arguments as given; the timestamp sits on its own
 line so that repeated runs differ in exactly that line.  CSV tables are
 written column by column (rmtlab._table), numbers as Python's shortest
 round-trip repr, so parsing a cell gives back the exact double.  The
@@ -36,13 +37,8 @@ from . import orthopoly as op
 from . import rh
 from ._table import table_text
 from .equilibrium import MultiCutError, NonConvergenceError, Potential
-from .specfun import airy
 
 __all__ = ["main", "run"]
-
-
-class ValidationError(ValueError):
-    pass
 
 
 def _parse_grid(text):
@@ -50,9 +46,9 @@ def _parse_grid(text):
         lo, hi, count = text.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as exc:
-        raise ValidationError(f"bad grid {text!r}, expected lo:hi:count") from exc
+        raise ValueError(f"bad grid {text!r}, expected lo:hi:count") from exc
     if count < 2 or not hi > lo:
-        raise ValidationError(f"bad grid {text!r}: need hi > lo and count >= 2")
+        raise ValueError(f"bad grid {text!r}: need hi > lo and count >= 2")
     return np.linspace(lo, hi, count)
 
 
@@ -60,19 +56,16 @@ def _parse_potential(args):
     try:
         coeffs = tuple(float(v) for v in args.potential.split(","))
     except ValueError as exc:
-        raise ValidationError(f"bad potential {args.potential!r}") from exc
-    try:
-        return Potential(coeffs, hard_edge=getattr(args, "hard_edge", False),
-                         singularity_alpha=getattr(args, "alpha", 0.0) or 0.0)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+        raise ValueError(f"bad potential {args.potential!r}") from exc
+    return Potential(coeffs, hard_edge=getattr(args, "hard_edge", False),
+                     singularity_alpha=getattr(args, "alpha", 0.0) or 0.0)
 
 
 def _parse_ns(text):
     try:
         return [int(v) for v in text.split(",")]
     except ValueError as exc:
-        raise ValidationError(f"bad n list {text!r}") from exc
+        raise ValueError(f"bad n list {text!r}") from exc
 
 
 def _write_csv(path, config, table):
@@ -92,6 +85,12 @@ def _write_json(path, config, results, diagnostics):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _pool_size(workers):
+    """The --workers value, or by default min(4, CPU count); resolved only
+    where a pool may be built, so headers record --workers as given."""
+    return min(4, os.cpu_count() or 1) if workers is None else workers
 
 
 def _config_dict(args, keys):
@@ -130,15 +129,8 @@ def _cmd_eqm(args):
     return 0
 
 
-def _kernel_handle(args):
-    try:
-        return kr.KernelHandle(args.family, alpha=args.alpha, s=args.s)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-
-
 def _cmd_kernel(args):
-    handle = _kernel_handle(args)
+    handle = kr.KernelHandle(args.family, alpha=args.alpha, s=args.s)
     grid = _parse_grid(args.grid)
     config = _config_dict(args, ["family", "alpha", "s", "grid", "out"])
     cols = ["x", "y"] + (["value"] if handle.arity == "scalar"
@@ -153,15 +145,12 @@ def _cmd_oppoly(args):
     pot = _parse_potential(args)
     if args.kernel_out:
         if not args.kernel_n or not args.kernel_grid:
-            raise ValidationError("--kernel-out needs --kernel-n and --kernel-grid")
+            raise ValueError("--kernel-out needs --kernel-n and --kernel-grid")
         if not 1 <= args.kernel_n <= args.nmax:
-            raise ValidationError("--kernel-n must be between 1 and --nmax")
+            raise ValueError("--kernel-n must be between 1 and --nmax")
         grid = _parse_grid(args.kernel_grid)
-    try:
-        w = op.WeightSpec(pot, N=args.N, truncation=args.truncation)
-        table = op.recurrence_table(w, args.nmax)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    w = op.WeightSpec(pot, N=args.N, truncation=args.truncation)
+    table = op.recurrence_table(w, args.nmax)
     config = _config_dict(args, ["potential", "hard_edge", "alpha", "N",
                                  "nmax", "out"])
     _write_csv(args.out, config, table_text(
@@ -198,7 +187,7 @@ def _cmd_converge(args):
     pot = _parse_potential(args)
     ns = sorted(_parse_ns(args.n))
     if args.mode == "hard" and not pot.hard_edge:
-        raise ValidationError("hard mode needs --hard-edge")
+        raise ValueError("hard mode needs --hard-edge")
     grid = _parse_grid(args.grid or _CONVERGE_DEFAULTS[args.mode])
     alpha = args.alpha or 0.0
     config = _config_dict(args, ["potential", "hard_edge", "alpha", "mode",
@@ -215,10 +204,11 @@ def _cmd_converge(args):
         win, kernel = op.origin_window(mu, grid), partial(kr.bessel_origin_kernel, alpha)
     ref = kernel(grid[:, None], grid[None, :])
     tasks = [(pot, n, win, ref) for n in ns]
-    if args.workers > 1 and len(tasks) > 1:
+    workers = _pool_size(args.workers)
+    if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_converge_one, *zip(*tasks)))
     else:
         results = [_converge_one(*t) for t in tasks]
@@ -236,57 +226,8 @@ def _cmd_converge(args):
 def _cmd_rh(args):
     pot = _parse_potential(args)
     ns = _parse_ns(args.n)
-    mu = eqm.solve_equilibrium(pot)
     config = _config_dict(args, ["potential", "n", "delta", "out"])
-    rows = []
-    ctx0 = rh.DescentContext(mu, n=ns[0], delta=args.delta)
-    rng = np.random.default_rng(0)
-    for _ in range(6):
-        z = complex(rng.uniform(-4, 4), rng.uniform(0.2, 3.0))
-        rows.append(("det_M_minus_1", repr(z),
-                     abs(np.linalg.det(rh.outer_parametrix(ctx0, z)) - 1.0)))
-    for _ in range(6):
-        z = complex(rng.uniform(-4, 4), rng.uniform(0.2, 4.0))
-        try:
-            rows.append(("det_A_minus_1", repr(z),
-                         abs(np.linalg.det(rh.airy_model(z)) - 1.0)))
-        except ValueError:
-            continue
-    w3 = np.exp(2j * np.pi / 3.0)
-    for _ in range(6):
-        z = complex(rng.uniform(-6, 6), rng.uniform(-6, 6))
-        y0 = airy(z).value
-        y1 = w3 * airy(w3 * z).value
-        y2 = w3 * w3 * airy(w3 * w3 * z).value
-        m = max(abs(y0), abs(y1), abs(y2))
-        rows.append(("connection_identity", repr(z), abs(y0 + y1 + y2) / m))
-    for name, theta, sgn in [("0", 0.0, 1.0), ("2pi/3", 2 * np.pi / 3, -1.0),
-                             ("-2pi/3", -2 * np.pi / 3, -1.0)]:
-        for r in (0.9, 2.1):
-            eps = 1e-9
-            ap = rh.airy_model(r * np.exp(1j * (theta + sgn * eps)))
-            am = rh.airy_model(r * np.exp(1j * (theta - sgn * eps)))
-            resid = np.abs(ap - am @ rh.AIRY_JUMPS[name]).max()
-            rows.append((f"A_jump_{name}", repr(r), resid / max(1.0, np.abs(ap).max())))
-    for r in (0.9, 2.1):
-        eps = 1e-9
-        ap = rh.airy_model(r * np.exp(1j * (np.pi - eps)))
-        am = rh.airy_model(r * np.exp(-1j * (np.pi - eps)))
-        resid = np.abs(ap - am @ rh.AIRY_JUMPS["pi"]).max()
-        rows.append(("A_jump_pi", repr(r), resid / max(1.0, np.abs(ap).max())))
-    b = mu.support[1]
-    for n in ns:
-        ctx = rh.DescentContext(mu, n=n, delta=args.delta)
-        sup = 0.0
-        for t in np.linspace(0, 2 * np.pi, 32, endpoint=False):
-            z = b + args.delta * np.exp(1j * t)
-            p = rh.local_parametrix(ctx, z)
-            m = rh.outer_parametrix(ctx, z)
-            sup = max(sup, float(np.abs(p @ np.linalg.inv(m) - np.eye(2)).max()))
-        rows.append(("matching_sup", n, sup))
-    a_inf, b_inf = rh.asymptotic_recurrence(ctx0)
-    rows.append(("a_inf", "", a_inf))
-    rows.append(("b_inf", "", b_inf))
+    rows = rh.diagnostics(eqm.solve_equilibrium(pot), ns, args.delta)
     _write_csv(args.out, config, table_text(["check", "param", "value"], *zip(*rows)))
     return 0
 
@@ -295,9 +236,9 @@ def _parse_floats(text, count, what):
     try:
         vals = tuple(float(v) for v in text.split(":"))
     except ValueError as exc:
-        raise ValidationError(f"bad {what} {text!r}") from exc
+        raise ValueError(f"bad {what} {text!r}") from exc
     if len(vals) != count:
-        raise ValidationError(f"bad {what} {text!r}: expected {count} values")
+        raise ValueError(f"bad {what} {text!r}: expected {count} values")
     return vals
 
 
@@ -308,21 +249,18 @@ def _cmd_sample(args):
     lo, hi, _ = _parse_floats(args.range, 3, "range")
     window = args.window and _parse_floats(args.window, 3, "window")
     if not 1 <= args.bins <= 1000 or not hi > lo:
-        raise ValidationError("need 1 <= --bins <= 1000 and a range with hi > lo")
+        raise ValueError("need 1 <= --bins <= 1000 and a range with hi > lo")
     if args.N is not None and args.N < 1:
-        raise ValidationError("--N must be at least 1")
+        raise ValueError("--N must be at least 1")
     if args.metropolis:
         if not args.potential:
-            raise ValidationError("--metropolis needs --potential")
+            raise ValueError("--metropolis needs --potential")
         sample = partial(mc.sample_invariant, _parse_potential(args), args.beta,
                          args.n, args.N or args.n, args.count, args.steps)
     else:
         sample = partial(mc.sample_gaussian, args.beta, args.n, args.count)
-    try:
-        batch = sample(args.seed, workers=args.workers)
-        spacings = window and mc.local_statistics(batch, window)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    batch = sample(args.seed, workers=_pool_size(args.workers))
+    spacings = window and mc.local_statistics(batch, window)
     with open(args.out, "wb") as fh:
         fh.write(batch.to_bytes())
     base = args.out.rsplit(".", 1)[0]
@@ -350,9 +288,9 @@ def _build_parser():
 
     def add_common(sp):
         sp.add_argument("--out", required=True, help="output file")
-        sp.add_argument("--workers", type=int,
-                        default=min(4, os.cpu_count() or 1),
-                        help="parallelism cap (results are worker-independent)")
+        sp.add_argument("--workers", type=int, default=None,
+                        help="parallelism cap, by default min(4, CPU count) "
+                             "(results are worker-independent)")
 
     sp = sub.add_parser("eqm", help="solve an equilibrium measure")
     sp.add_argument("--potential", required=True,
@@ -441,13 +379,14 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    except ValidationError as exc:
-        print(f"rmtlab: {exc}", file=sys.stderr)
-        return 2
+    # LinAlgError is a ValueError, so it is caught first
     except (MultiCutError, NonConvergenceError, mc.AcceptanceRateError,
-            ArithmeticError) as exc:
+            ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"rmtlab: numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"rmtlab: {exc}", file=sys.stderr)
+        return 2
 
 
 def main(argv=None) -> int:

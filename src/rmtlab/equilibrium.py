@@ -420,19 +420,24 @@ def density(mu: EquilibriumMeasure, x):
     return val if val.ndim else float(val)
 
 
-def _log_potential(mu: EquilibriumMeasure, x):
-    """Int log|x - y| dmu(y) for x on the support.
-
-    With x = c + r t, dmu = p(t) dt/sqrt(1 - t^2) for a polynomial p on both
-    edges, and Int log|t - s| T_k(s) ds/sqrt(1 - s^2) = -pi T_k(t)/k
-    (k >= 1), -pi log 2 (k = 0), so the Chebyshev-T coefficients of p give
-    the integral exactly."""
+def _arcsine_chebyshev(mu: EquilibriumMeasure):
+    """c, r and the Chebyshev-T coefficients of the polynomial p with
+    dmu = p(t) dt/sqrt(1 - t^2), x = c + r t, on both edges."""
     a, b = mu.support
     c, r = 0.5 * (a + b), 0.5 * (b - a)
     p = npoly.polymul(Polynomial(mu.h)(Polynomial([c, r])).coef, [1.0, -1.0])
     if not mu.potential.hard_edge:
         p = npoly.polymul(p, [r, r])
-    p = chebyshev.poly2cheb(p * (r / np.pi))
+    return c, r, chebyshev.poly2cheb(p * (r / np.pi))
+
+
+def _log_potential(mu: EquilibriumMeasure, x):
+    """Int log|x - y| dmu(y) for x on the support.
+
+    Int log|t - s| T_k(s) ds/sqrt(1 - s^2) = -pi T_k(t)/k (k >= 1) and
+    -pi log 2 (k = 0), so the Chebyshev-T coefficients of p
+    (_arcsine_chebyshev) give the integral exactly."""
+    c, r, p = _arcsine_chebyshev(mu)
     k = np.arange(1, len(p))
     t = np.clip((np.asarray(x, dtype=float) - c) / r, -1.0, 1.0)
     return np.pi * (p[0] * math.log(0.5 * r) - chebyshev.chebval(t, np.r_[0.0, p[1:] / k]))
@@ -445,6 +450,14 @@ def phi(mu: EquilibriumMeasure, z, side: str = "right"):
     ((a-s)(b-s))^{1/2} ds.  For z on (a, b) this is the +side boundary value
     of the right variant; off the support the effective potential is
     2 phi.  Broadcasts over z; returns complex values."""
+    u, core = _phi_core(mu, z, side)
+    return 2.0 * u * np.sqrt(u) * core
+
+
+def _phi_core(mu: EquilibriumMeasure, z, side: str = "right"):
+    """u = z - b (or a - z on the left) and the analytic factor
+    core = Int_0^1 t^2 h(s) R(s) dt, s = e + (z - e) t^2, of
+    phi = 2 u^{3/2} core; core is analytic and positive at the endpoint e."""
     a, b = mu.support
     hard = mu.potential.hard_edge
     if side == "right":
@@ -460,7 +473,7 @@ def phi(mu: EquilibriumMeasure, z, side: str = "right"):
     root = np.sqrt(sign * (s - o))
     core = (_PHI_W * _PHI_T ** 2 * npoly.polyval(s, mu.h)
             * (1.0 / root if hard else root)).sum(axis=-1)
-    return 2.0 * u * np.sqrt(u) * core
+    return u, core
 
 
 def effective_potential(mu: EquilibriumMeasure, V: Potential, x):

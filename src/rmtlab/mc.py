@@ -184,8 +184,6 @@ def _sweep(V: Potential, beta: int, N: int, x, step, log_u):
     prop = x + step
     log_weight = WeightSpec(V, N).log_weight
     gain = log_weight(prop) - log_weight(x)
-    if V.hard_edge:
-        gain[prop <= 0.0] = -np.inf
     thresh = (log_u - gain) / beta
     pair, d, take = np.empty_like(x), np.empty_like(x), np.empty(x.shape, dtype=bool)
     for i, (xi, si, pi, ti, li, ki) in enumerate(zip(x, step, prop, thresh, pair, take)):

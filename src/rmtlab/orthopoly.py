@@ -75,7 +75,7 @@ class WeightSpec:
         return self.potential.singularity_alpha
 
     def log_weight(self, x):
-        """log of the weight, -inf where it vanishes."""
+        """log of the weight, -inf where it vanishes (x < 0 on a hard edge)."""
         x = np.asarray(x, dtype=float)
         lw = -self.N * self.potential(x)
         a = self.alpha
@@ -83,7 +83,7 @@ class WeightSpec:
             with np.errstate(divide="ignore"):
                 lw = lw + (a * np.log(np.maximum(x, 0.0)) if self.potential.hard_edge
                            else 2.0 * a * np.log(np.abs(x)))
-        return lw
+        return np.where(x < 0.0, -np.inf, lw) if self.potential.hard_edge else lw
 
     def window(self, n_max: int):
         """Integration window [lo, hi]."""

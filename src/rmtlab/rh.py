@@ -7,7 +7,15 @@ Airy model solution A, the conformal map f near the right endpoint, the
 analytic prefactor E_n, and the local parametrix P = E_n A(n^{2/3} f)
 e^{n phi sigma3}.  From these come the bulk kernel approximation, the edge
 kernel expressed through A, and the leading-order recurrence coefficients,
-each cross-checkable against the finite-n orthogonal-polynomial kernels.
+each cross-checkable against the finite-n orthogonal-polynomial kernels;
+diagnostics() runs the identity, jump and matching checks of `rmtlab rh`.
+
+Every function broadcasts over its point arguments like a numpy ufunc:
+scalar points give a complex, a float or a (2, 2) array, array points the
+broadcast shape, with (..., 2, 2) for the matrix functions, and a range
+guard raises if any point is out of range.  phi and the conformal map share
+the quadrature core of equilibrium.phi; F = pi mu([x, b]) is exact through
+the Chebyshev-T coefficients of the density.
 
 Branch bookkeeping: beta(z) = ((z-b)/(z-a))^{1/4} uses the principal
 fourth root of the ratio (cut exactly on [a, b]); phi is computed through
@@ -25,8 +33,9 @@ import numpy as np
 
 from . import equilibrium as eqm
 from .equilibrium import EquilibriumMeasure
+from .kernels import _blocks, _integrable_quotient
 from .quadrature import gauss_chebyshev_u
-from .specfun import airy
+from .specfun import _scalar_or_array, airy
 
 __all__ = [
     "DescentContext",
@@ -42,9 +51,9 @@ __all__ = [
     "bulk_kernel_approx",
     "edge_kernel_from_A",
     "asymptotic_recurrence",
+    "diagnostics",
 ]
 
-_GL96_T, _GL96_W = np.polynomial.legendre.leggauss(96)
 _GC_T, _GC_W = gauss_chebyshev_u(256)
 
 
@@ -64,6 +73,8 @@ class DescentContext:
     def __post_init__(self):
         if self.measure.potential.hard_edge:
             raise ValueError("steepest descent requires a soft-edge measure")
+        if self.n < 1:
+            raise ValueError("n must be at least 1")
         a, b = self.measure.support
         if not 0.0 < self.delta < (b - a) / 4.0:
             raise ValueError("delta must lie in (0, (b-a)/4)")
@@ -83,52 +94,58 @@ class DescentContext:
         return self.measure.support
 
 
-def g_function(ctx: DescentContext, z) -> complex:
+def g_function(ctx: DescentContext, z):
     """g(z) = Int log(z - x) dmu(x) by Gauss-Chebyshev against the density,
     principal branch; g(z) = log z + O(1/z) at infinity."""
     a, b = ctx.support
-    if abs(z.imag) < 1e-10 and z.real <= b + 1e-10:
+    z = np.asarray(z, dtype=complex)
+    if np.any((np.abs(z.imag) < 1e-10) & (z.real <= b + 1e-10)):
         raise ValueError("g_function: z too close to the branch cut (-inf, b]")
     c, r = 0.5 * (a + b), 0.5 * (b - a)
     x = c + r * _GC_T
     hv = np.polyval(ctx.measure.h[::-1], x)
     w = (r * r / np.pi) * _GC_W * hv
-    return complex(np.sum(w * np.log(z - x)))
+    return _scalar_or_array(np.sum(w * np.log(z[..., None] - x), axis=-1))
 
 
-def phi(ctx: DescentContext, z, variant: str = "right") -> complex:
+def phi(ctx: DescentContext, z, variant: str = "right"):
     """phi(z) = Int_b^z h(s) ((s-b)(s-a))^{1/2} ds along a straight path
     (right variant), or the mirror-image integral from a (left variant);
     for z on (a, b) this returns the +side boundary value
     (equilibrium.phi)."""
-    return complex(eqm.phi(ctx.measure, complex(z), variant))
+    return _scalar_or_array(eqm.phi(ctx.measure, z, variant))
 
 
-def phi_plus_imag(ctx: DescentContext, x: float) -> float:
-    """F(x) = -Im phi_+(x) = pi mu([x, b]) for x in (a, b); phi_+ = -i F."""
-    a, b = ctx.support
-    c, r = 0.5 * (a + b), 0.5 * (b - a)
-    tx = min(max((x - c) / r, -1.0), 1.0)
-    th_x = math.acos(tx)
-    th = 0.5 * th_x * (_GL96_T + 1.0)
-    w = 0.5 * th_x * _GL96_W
-    hv = np.polyval(ctx.measure.h[::-1], c + r * np.cos(th))
-    return float(r * r * np.sum(w * hv * np.sin(th) ** 2))
+def phi_plus_imag(ctx: DescentContext, x):
+    """F(x) = -Im phi_+(x) = pi mu([x, b]) for x in (a, b); phi_+ = -i F.
+
+    Exact for polynomial h: with x = c + r cos(theta) and p_k the
+    Chebyshev-T coefficients of the density (dmu = p(t) dt/sqrt(1 - t^2)),
+    mu([x, b]) = p_0 theta + sum_k p_k sin(k theta)/k."""
+    c, r, p = eqm._arcsine_chebyshev(ctx.measure)
+    th = np.arccos(np.clip((np.asarray(x, dtype=float) - c) / r, -1.0, 1.0))
+    k = np.arange(1, len(p))
+    return _scalar_or_array(np.pi * (p[0] * th + np.sin(th[..., None] * k) @ (p[1:] / k)))
 
 
 # ---------------------------------------------------------------------------
 # parametrices
 
+def _beta(ctx: DescentContext, z):
+    a, b = ctx.support
+    return ((z - b) / (z - a)) ** 0.25
+
+
 def outer_parametrix(ctx: DescentContext, z) -> np.ndarray:
     """Global parametrix M built from beta = ((z-b)/(z-a))^{1/4}."""
     a, b = ctx.support
-    z = complex(z)
-    if z.imag == 0.0 and a <= z.real <= b:
+    z = np.asarray(z, dtype=complex)
+    if np.any((z.imag == 0.0) & (a <= z.real) & (z.real <= b)):
         raise ValueError("outer parametrix is not defined on the cut [a, b]")
-    beta = ((z - b) / (z - a)) ** 0.25
+    beta = _beta(ctx, z)
     co = 0.5 * (beta + 1.0 / beta)
     si = (beta - 1.0 / beta) / 2.0j
-    return np.array([[co, si], [-si, co]])
+    return _blocks(co, si, -si, co)
 
 
 AIRY_JUMPS = {
@@ -140,6 +157,7 @@ AIRY_JUMPS = {
 
 _SQ2PI = math.sqrt(2.0 * math.pi)
 _W3 = cmath.exp(2j * cmath.pi / 3.0)
+_RAYS = np.array([0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0, math.pi, -math.pi])
 
 
 def airy_model(z) -> np.ndarray:
@@ -150,52 +168,29 @@ def airy_model(z) -> np.ndarray:
     w = e^{2 pi i/3}.  (In the second sector the lower-left entry is
     +i y1'; the variant with -i y1' fails det A = 1, which pins the sign.)
     """
-    z = complex(z)
-    th = cmath.phase(z)
-    rays = [0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0, math.pi]
-    if abs(z) > 0 and abs(z) * min(abs(th - r) for r in rays + [-math.pi]) < 1e-13:
+    z = np.asarray(z, dtype=complex)
+    th = np.angle(z)
+    if np.any((z != 0.0) & (np.abs(z) * np.abs(th[..., None] - _RAYS).min(axis=-1) < 1e-13)):
         raise ValueError("airy_model: z on the jump contour")
-
-    def pair(zz):
-        v = airy(zz)
-        return v.value, v.derivative
-
-    if 0.0 < th < 2.0 * math.pi / 3.0:
-        y0, y0p = pair(z)
-        a2, a2p = pair(_W3 * _W3 * z)
-        y2, y2p = _W3 * _W3 * a2, _W3 * a2p
-        m = [[y0, -y2], [-1j * y0p, 1j * y2p]]
-    elif 2.0 * math.pi / 3.0 < th <= math.pi:
-        a1, a1p = pair(_W3 * z)
-        y1, y1p = _W3 * a1, _W3 * _W3 * a1p
-        a2, a2p = pair(_W3 * _W3 * z)
-        y2, y2p = _W3 * _W3 * a2, _W3 * a2p
-        m = [[-y1, -y2], [1j * y1p, 1j * y2p]]
-    elif -math.pi < th < -2.0 * math.pi / 3.0:
-        a1, a1p = pair(_W3 * z)
-        y1, y1p = _W3 * a1, _W3 * _W3 * a1p
-        a2, a2p = pair(_W3 * _W3 * z)
-        y2, y2p = _W3 * _W3 * a2, _W3 * a2p
-        m = [[-y2, y1], [1j * y2p, -1j * y1p]]
-    else:
-        y0, y0p = pair(z)
-        a1, a1p = pair(_W3 * z)
-        y1, y1p = _W3 * a1, _W3 * _W3 * a1p
-        m = [[y0, y1], [-1j * y0p, -1j * y1p]]
-    return _SQ2PI * np.array(m)
+    # the columns (y_k, -i y_k'), with y_k' = w^{2k} Ai'(w^k z)
+    c0, c1, c2 = (np.stack([wk * v.value, -1j * (wk2 * v.derivative)], -1)
+                  for wk, wk2, v in ((1.0, 1.0, airy(z)),
+                                     (_W3, _W3 * _W3, airy(_W3 * z)),
+                                     (_W3 * _W3, _W3, airy(_W3 * _W3 * z))))
+    # sectors II (2pi/3, pi], III (-pi, -2pi/3), I (0, 2pi/3); IV otherwise
+    sector = [c[..., None, None] for c in (th > 2.0 * math.pi / 3.0,
+                                           th < -2.0 * math.pi / 3.0, th > 0.0)]
+    cols = [np.stack(pair, -1) for pair in ((-c1, -c2), (-c2, c1), (c0, -c2))]
+    return _SQ2PI * np.select(sector, cols, np.stack((c0, c1), -1))
 
 
-def conformal_f(ctx: DescentContext, z) -> complex:
+def conformal_f(ctx: DescentContext, z):
     """Conformal map f(z) = [(3/2) phi(z)]^{2/3} near b, real positive for
-    z > b; computed as (z - b) G(z)^{2/3} with G analytic and positive at b,
-    so no branch cut enters the disk."""
-    a, b = ctx.support
-    z = complex(z)
-    t = 0.5 * (_GL96_T + 1.0)
-    w = 0.5 * _GL96_W
-    s = b + (z - b) * t * t
-    g = 3.0 * np.sum(w * t * t * np.polyval(ctx.measure.h[::-1], s) * np.sqrt(s - a))
-    return (z - b) * complex(g) ** (2.0 / 3.0)
+    z > b; computed as (z - b) (3 core)^{2/3} from the core of
+    equilibrium.phi (phi = 2 (z - b)^{3/2} core), which is analytic and
+    positive at b, so no branch cut enters the disk."""
+    u, core = eqm._phi_core(ctx.measure, z)
+    return _scalar_or_array(u * (3.0 * core) ** (2.0 / 3.0))
 
 
 def prefactor_e(ctx: DescentContext, z) -> np.ndarray:
@@ -206,53 +201,53 @@ def prefactor_e(ctx: DescentContext, z) -> np.ndarray:
 
     the principal-branch jumps of f^{1/4} and beta on (b - delta, b)
     cancel, leaving E_n analytic in the disk (residue-tested)."""
-    n = ctx.n
-    f = conformal_f(ctx, z)
-    a, b = ctx.support
-    z = complex(z)
-    beta = ((z - b) / (z - a)) ** 0.25
-    u = (n ** (2.0 / 3.0) * f) ** 0.25 / beta
-    rt = 1.0 / math.sqrt(2.0)
-    return rt * np.array([[u, -1j / u], [-1j * u, 1.0 / u]])
+    z = np.asarray(z, dtype=complex)
+    u = (ctx.n ** (2.0 / 3.0) * conformal_f(ctx, z)) ** 0.25 / _beta(ctx, z)
+    return (1.0 / math.sqrt(2.0)) * _blocks(u, -1j / u, -1j * u, 1.0 / u)
 
 
 def local_parametrix(ctx: DescentContext, z) -> np.ndarray:
     """P(z) = E_n(z) A(n^{2/3} f(z)) diag(e^{n phi}, e^{-n phi}) in the
     right-endpoint disk."""
-    a, b = ctx.support
-    z = complex(z)
-    if abs(z - b) >= ctx.delta + 1e-12:
+    b = ctx.support[1]
+    z = np.asarray(z, dtype=complex)
+    if np.any(np.abs(z - b) >= ctx.delta + 1e-12):
         raise ValueError("local parametrix only defined for |z - b| < delta")
-    if abs(z.imag) < 1e-12 * (1.0 + abs(z.real)):
-        # effectively on the axis: take the boundary value, from above when
-        # the tiny imaginary part does not indicate a side
-        side = -1.0 if z.imag < 0.0 else 1.0
-        z = complex(z.real, side * 1e-10 * (1.0 + abs(z.real)))
+    # effectively on the axis: take the boundary value, from above when
+    # the tiny imaginary part does not indicate a side
+    x = z.real
+    nudge = np.where(z.imag < 0.0, -1e-10, 1e-10) * (1.0 + np.abs(x))
+    z = np.where(np.abs(z.imag) < 1e-12 * (1.0 + np.abs(x)), x + 1j * nudge, z)
     n = ctx.n
-    ph = phi(ctx, z)
+    ph = eqm.phi(ctx.measure, z)
     am = airy_model(n ** (2.0 / 3.0) * conformal_f(ctx, z))
-    e = prefactor_e(ctx, z)
-    expo = np.array([[cmath.exp(n * ph), 0.0], [0.0, cmath.exp(-n * ph)]])
-    return e @ am @ expo
+    expo = _blocks(np.exp(n * ph), 0.0, 0.0, np.exp(-n * ph))
+    return prefactor_e(ctx, z) @ am @ expo
 
 
 # ---------------------------------------------------------------------------
 # kernels and recurrence asymptotics
 
-def bulk_kernel_approx(ctx: DescentContext, x: float, y: float) -> float:
+def bulk_kernel_approx(ctx: DescentContext, x, y):
     """Leading bulk approximation sin(n [F(x) - F(y)]) / (pi (x - y)) with
     F(x) = pi mu([x, b]); diagonal limit n rho(x)."""
     a, b = ctx.support
-    if not (a < x < b and a < y < b):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not (np.all((a < x) & (x < b)) and np.all((a < y) & (y < b))):
         raise ValueError("bulk kernel approximation needs x, y inside (a, b)")
-    if abs(x - y) < 1e-9 * (1.0 + abs(x)):
-        return ctx.n * float(eqm.density(ctx.measure, 0.5 * (x + y)))
-    fx = phi_plus_imag(ctx, x)
-    fy = phi_plus_imag(ctx, y)
-    return math.sin(ctx.n * (fy - fx)) / (math.pi * (x - y))
+    n = ctx.n
+
+    def numerator(x, y):
+        return np.sin(n * (phi_plus_imag(ctx, y) - phi_plus_imag(ctx, x))) / math.pi
+
+    def confluent(x, y):
+        return n * eqm.density(ctx.measure, 0.5 * (x + y))
+
+    return _scalar_or_array(_integrable_quotient(
+        x, y, 1e-9 * (1.0 + np.abs(x)), numerator, confluent))
 
 
-def edge_kernel_from_A(x: float, y: float) -> float:
+def edge_kernel_from_A(x, y):
     """The Airy kernel assembled from the model solution A:
 
         (row_y) A_+^{-1}(y) A_+(x) (col_x) / (2 pi i (x - y))
@@ -260,43 +255,88 @@ def edge_kernel_from_A(x: float, y: float) -> float:
     with row (0, 1) for y > 0 and (-1, 1) for y < 0, column (1, 0)^T for
     x > 0 and (1, 1)^T for x < 0; A_+ is the boundary value from the upper
     half plane."""
-    if x == y:
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if np.any(x == y):
         raise ValueError("edge kernel from A needs x != y")
-
-    def a_plus(t):
-        eps = 1e-9 * (1.0 + abs(t))
-        return airy_model(complex(t, eps))
-
-    ax = a_plus(x)
-    ay = a_plus(y)
-    ay_inv = np.array([[ay[1, 1], -ay[0, 1]], [-ay[1, 0], ay[0, 0]]])  # det = 1
-    row = np.array([0.0, 1.0]) if y > 0 else np.array([-1.0, 1.0])
-    col = np.array([1.0, 0.0]) if x > 0 else np.array([1.0, 1.0])
-    val = row @ ay_inv @ ax @ col / (2.0j * math.pi * (x - y))
-    if abs(val.imag) > 1e-8 * (1.0 + abs(val.real)):
+    ax, ay = (airy_model(t + 1j * (1e-9 * (1.0 + np.abs(t)))) for t in (x, y))
+    inv = _blocks(ay[..., 1, 1], -ay[..., 0, 1], -ay[..., 1, 0], ay[..., 0, 0])  # det = 1
+    row = inv[..., 1, :] - (y <= 0.0)[..., None] * inv[..., 0, :]
+    col = ax[..., 0] + (x <= 0.0)[..., None] * ax[..., 1]
+    val = np.sum(row * col, axis=-1) / (2.0j * math.pi * (x - y))
+    if np.any(np.abs(val.imag) > 1e-8 * (1.0 + np.abs(val.real))):
         raise ArithmeticError("edge kernel from A: non-real value")
-    return float(val.real)
+    return _scalar_or_array(val.real)
 
 
 def asymptotic_recurrence(ctx: DescentContext):
     """Leading-order recurrence coefficients from the expansion of the
     outer parametrix at infinity, M(z) = I + M1/z + M2/z^2 + ...:
 
-        a_inf = (M1)_12 (M1)_21,   b_inf = (M2)_12/(M1)_12 - (M1)_22.
+        a_inf = (M1)_12 (M1)_21,   b_inf = (M2)_12/(M1)_12 - (M1)_22;
 
-    Extracted by a least-squares fit of M - I in powers of 1/z on a large
-    circle; equals ((b-a)/4)^2 and (a+b)/2."""
-    radius = 1e3 * (1.0 + abs(ctx.support[0]) + abs(ctx.support[1]))
-    thetas = np.linspace(0.1, 2.0 * math.pi - 0.1, 24)
-    zs = radius * np.exp(1j * thetas)
-    rows = np.stack([1.0 / zs, 1.0 / zs ** 2, 1.0 / zs ** 3], axis=1)
-    m1 = np.zeros((2, 2), dtype=complex)
-    m2 = np.zeros((2, 2), dtype=complex)
-    vals = np.stack([outer_parametrix(ctx, z) - np.eye(2) for z in zs])
-    for i in range(2):
-        for j in range(2):
-            coef, *_ = np.linalg.lstsq(rows, vals[:, i, j], rcond=None)
-            m1[i, j], m2[i, j] = coef[0], coef[1]
+    equal to ((b-a)/4)^2 and (a+b)/2.  M_k = (1/2 pi i) oint (M - I) z^(k-1) dz
+    is the mean of (M - I) z^k over 64 equispaced points of the circle
+    |z| = 2 max(|a|, |b|) + 1.  M is analytic for |z| > max(|a|, |b|), less
+    than half that radius, so the trapezoidal rule converges like 2^-64
+    (Trefethen-Weideman, SIAM Rev. 56, 2014); the rounding error of M2 is
+    about eps |z|^2."""
+    a, b = ctx.support
+    z = (2.0 * max(abs(a), abs(b)) + 1.0) * np.exp(2j * np.pi * np.arange(64) / 64)
+    dev = outer_parametrix(ctx, z) - np.eye(2)
+    m1, m2 = (np.mean(dev * (z ** k)[:, None, None], axis=0) for k in (1, 2))
     a_inf = (m1[0, 1] * m1[1, 0]).real
     b_inf = (m2[0, 1] / m1[0, 1] - m1[1, 1]).real
     return float(a_inf), float(b_inf)
+
+
+# ---------------------------------------------------------------------------
+# the checks of `rmtlab rh`
+
+def _complex_points(u):
+    """(k, 2) uniform draws as k complex points (real, imag)."""
+    return u[:, 0] + 1j * u[:, 1]
+
+
+def diagnostics(measure: EquilibriumMeasure, ns, delta: float = 0.1):
+    """The checks of `rmtlab rh` as (check, param, value) rows:
+
+    det_M_minus_1, det_A_minus_1  |det - 1| of M (first n) and of A
+    connection_identity           |y0 + y1 + y2| / max |y_k|
+    A_jump_<ray>                  max |A_+ - A_- J| / max(1, max |A_+|),
+                                  1e-9 off each ray at radii 0.9 and 2.1
+    matching_sup                  sup |P M^{-1} - I| on 32 points of
+                                  |z - b| = delta, for each n
+    a_inf, b_inf                  asymptotic_recurrence (first n)
+
+    Six random points per point check, from numpy's default_rng(0); param
+    is the point, the radius or n."""
+    ctxs = [DescentContext(measure, n=n, delta=delta) for n in ns]
+    rng = np.random.default_rng(0)
+    zm = _complex_points(rng.uniform([-4.0, 0.2], [4.0, 3.0], size=(6, 2)))
+    za = _complex_points(rng.uniform([-4.0, 0.2], [4.0, 4.0], size=(6, 2)))
+    zc = _complex_points(rng.uniform(-6.0, 6.0, size=(6, 2)))
+    y = np.stack([wk * airy(wk * zc).value for wk in (1.0, _W3, _W3 * _W3)])
+    checks = [("det_M_minus_1", zm, np.abs(np.linalg.det(outer_parametrix(ctxs[0], zm)) - 1.0)),
+              ("det_A_minus_1", za, np.abs(np.linalg.det(airy_model(za)) - 1.0)),
+              ("connection_identity", zc, np.abs(y.sum(axis=0)) / np.abs(y).max(axis=0))]
+    rows = [(check, repr(complex(z)), v) for check, zs, vals in checks for z, v in zip(zs, vals)]
+
+    # the arguments of the + and - sides of each ray, 1e-9 off it
+    eps, w, radii = 1e-9, 2.0 * math.pi / 3.0, (0.9, 2.1)
+    sides = {"0": (eps, -eps), "2pi/3": (w - eps, w + eps), "-2pi/3": (-w - eps, -w + eps),
+             "pi": (math.pi - eps, -(math.pi - eps))}
+    ap, am = (airy_model(np.multiply.outer(np.exp(1j * np.array(t)), radii))
+              for t in zip(*sides.values()))
+    jumps = np.stack([AIRY_JUMPS[name] for name in sides])[:, None]
+    resid = np.abs(ap - am @ jumps).max(axis=(-2, -1))
+    resid /= np.maximum(1.0, np.abs(ap).max(axis=(-2, -1)))
+    rows += [(f"A_jump_{name}", repr(r), v)
+             for name, vals in zip(sides, resid) for r, v in zip(radii, vals)]
+
+    t = np.linspace(0, 2 * np.pi, 32, endpoint=False)
+    circle = measure.support[1] + delta * np.exp(1j * t)
+    for ctx in ctxs:
+        dev = local_parametrix(ctx, circle) @ np.linalg.inv(outer_parametrix(ctx, circle))
+        rows.append(("matching_sup", ctx.n, float(np.abs(dev - np.eye(2)).max())))
+    a_inf, b_inf = asymptotic_recurrence(ctxs[0])
+    return rows + [("a_inf", "", a_inf), ("b_inf", "", b_inf)]

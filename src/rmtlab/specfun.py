@@ -15,10 +15,10 @@ scaling-limit experiments) consumes these primitives.  What computes what:
   vectorized Airy (scipy's itairy reaches only ~1e-7), with integration by
   parts beyond x = 8.
 
-airy (for real input), bessel_j, sinc_integral and airy_tail broadcast
-over their argument like numpy ufuncs (scalar input gives floats), and
-each range guard raises if any element is out of range; complex airy
-takes one scalar, and airy_real flattens its argument.
+airy, bessel_j, sinc_integral and airy_tail broadcast over their argument
+like numpy ufuncs (scalar input gives a float, or a complex for complex
+airy), and each range guard raises if any element is out of range;
+airy_real flattens its argument.
 
 Accuracy verified against mpmath and quadrature oracles in
 tests/test_specfun.py: Ai, Ai' to 1e-10 relative on [-20, 20] and to 1e-8
@@ -29,7 +29,6 @@ integral to 1e-10 absolute for |t| <= 1e5.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -59,9 +58,12 @@ class FunctionValuePair:
 
 
 def _scalar_or_array(v):
-    """A 0-d result as a Python float, anything else as an array."""
+    """A 0-d result as a Python float (complex if v is), anything else as
+    an array."""
     v = np.asarray(v)
-    return float(v) if v.ndim == 0 else v
+    if v.ndim:
+        return v
+    return complex(v) if np.iscomplexobj(v) else float(v)
 
 
 # ---------------------------------------------------------------------------
@@ -70,11 +72,10 @@ def _scalar_or_array(v):
 def airy(z) -> FunctionValuePair:
     """Airy function Ai and derivative Ai' for real or complex argument.
 
-    Real input broadcasts like a numpy ufunc (scalar input gives floats);
-    complex input is one scalar and gives complex values.  Raises
-    ValueError beyond |z| = 1e3 and OverflowError in the deep growth
-    sectors where the result would overflow; underflow in the decay
-    sector degrades gracefully to 0.
+    Broadcasts like a numpy ufunc: scalar input gives floats, or complex
+    values for complex input.  Raises ValueError if any |z| exceeds 1e3 and
+    OverflowError if any z lies in the deep growth sectors where the result
+    would overflow; underflow in the decay sector degrades gracefully to 0.
     """
     if np.any(np.abs(z) > 1.1e3):
         raise ValueError("airy: |z| exceeds the supported range 1e3")
@@ -83,15 +84,15 @@ def airy(z) -> FunctionValuePair:
         ai, aip = airy_real(x)
         return FunctionValuePair(_scalar_or_array(ai.reshape(x.shape)),
                                  _scalar_or_array(aip.reshape(x.shape)))
-    z = complex(z)
-    zeta = (2.0 / 3.0) * z * cmath.sqrt(z)
-    if abs(z) > 20.0 and zeta.real < -700.0:
+    z = np.asarray(z, dtype=complex)
+    zeta = (2.0 / 3.0) * z * np.sqrt(z)
+    if np.any((np.abs(z) > 20.0) & (zeta.real < -700.0)):
         raise OverflowError("airy: result too large to represent")
     # scaled pair times e^{-zeta}: unscaled AMOS returns 0 or nan once
     # Re zeta < -666 in the growth sectors, short of the guard above
     eai, eaip, _, _ = special.airye(z)
-    scale = cmath.exp(-zeta)
-    return FunctionValuePair(complex(eai * scale), complex(eaip * scale))
+    scale = np.exp(-zeta)
+    return FunctionValuePair(_scalar_or_array(eai * scale), _scalar_or_array(eaip * scale))
 
 
 def airy_real(x):

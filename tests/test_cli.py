@@ -354,6 +354,56 @@ class TestSample:
         assert texts[0] == texts[1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--family", "pearcey", "--s", "0", "--grid=-30:30:3"],
+    ["kernel", "--family", "pearcey", "--s", "20", "--grid=-1:1:3"],
+    ["kernel", "--family", "bessel_hard", "--alpha", "0", "--grid=-1:1:3"],
+    ["kernel", "--family", "airy_beta1", "--grid=-40:0:3"],
+    ["kernel", "--family", "airy", "--grid=-2000:0:3"],
+    ["converge", "--potential", "0,0,0.5", "--mode", "edge", "--n", "0"],
+    ["converge", "--potential", "0,0,0.5", "--mode", "edge", "--n", "600"],
+    ["converge", "--potential", "0,0,0.5", "--mode", "bulk", "--n", "8", "--grid=-50:50:5"],
+    ["rh", "--potential", "0,0,0.5", "--n", "16", "--delta", "5"],
+    ["rh", "--potential", "0,0,0.5", "--n", "16", "--delta", "0"],
+    ["rh", "--potential", "0,0,0.5", "--n", "0"],
+    ["rh", "--potential", "0,0,0.5", "--n", "-3"],
+])
+def test_rejected_input_exit2_without_file(tmp_path, monkeypatch, capsys, argv):
+    # an out-of-range argument is a validation error (exit 2), not a
+    # traceback, and leaves no output behind
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "o.csv", "--workers", "1"]) == 2
+    assert capsys.readouterr().err.startswith("rmtlab: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_singular_linear_system_exit3(tmp_path, monkeypatch):
+    # LinAlgError is a ValueError but a numerical failure
+    from rmtlab import rh
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(rh, "diagnostics", singular)
+    assert main(["rh", "--potential", "0,0,0.5", "--n", "16",
+                 "--out", str(tmp_path / "rh.csv")]) == 3
+
+
+def test_header_does_not_depend_on_cpu_count(tmp_path, monkeypatch):
+    # without --workers the header records the argument as given, not the
+    # pool size resolved from the host's CPU count
+    monkeypatch.chdir(tmp_path)
+    heads = []
+    for cpus in (1, 8):
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        assert main(["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "1",
+                     "--out", "o.bin"]) == 0
+        heads.append([ln for ln in (tmp_path / "o_hist.csv").read_text().splitlines()
+                      if ln.startswith("# ") and not ln.startswith("# timestamp")])
+    assert heads[0] == heads[1]
+    assert "# workers = None" in heads[0]
+
+
 class TestHelp:
     @pytest.mark.parametrize("cmd", ["eqm", "kernel", "oppoly", "converge",
                                      "rh", "sample"])

@@ -386,3 +386,10 @@ class TestSerialization:
         lines = h.to_csv().strip().splitlines()
         assert lines[0] == "bin_center,density"
         assert len(lines) == 6
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_log_density_negative_coordinate_on_hard_edge(alpha):
+    V = Potential((0.0, 1.0), hard_edge=True, singularity_alpha=alpha)
+    assert mc.log_density(V, 2, 3, 3, np.array([0.5, 1.0, 2.0])) > -math.inf
+    assert mc.log_density(V, 2, 3, 3, np.array([-0.5, 1.0, 2.0])) == -math.inf

@@ -352,3 +352,13 @@ class TestScalingWindows:
         left = op.rescaled_kernel(t, w, n, op.soft_edge_window(semicircle, grid, side="left"))
         # even potential: the two edges agree exactly
         assert np.abs(left - right).max() <= 1e-9
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_hard_edge_log_weight_vanishes_below_zero(alpha):
+    # x^alpha e^{-N V} lives on [0, inf): -inf for x < 0 whatever alpha is
+    w = op.WeightSpec(Potential((0.0, 1.0), hard_edge=True, singularity_alpha=alpha), 2)
+    lw = w.log_weight([-1.0, -1e-300, 0.5, 3.0])
+    assert lw[0] == -math.inf and lw[1] == -math.inf
+    np.testing.assert_allclose(lw[2:], -2.0 * np.array([0.5, 3.0])
+                               + alpha * np.log([0.5, 3.0]), rtol=1e-15)

@@ -310,3 +310,187 @@ class TestRecurrenceAsymptotics:
         middle = np.array([[0.0, 1.0], [-1.0, 0.0]])
         upper = np.array([[1.0, 0.0], [e2p, 1.0]])
         assert np.abs(lower @ middle @ upper - jt).max() <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# broadcasting: an array of points gives the scalar values point by point
+
+def _complex_points(rng, shape, lo, hi, min_imag=0.1):
+    z = rng.uniform(lo, hi, shape) + 1j * rng.uniform(lo, hi, shape)
+    return np.where(np.abs(z.imag) < min_imag, z.real + 0.5j, z)
+
+
+def _disk_points(rng, shape, b=2.0, radius=0.09):
+    z = b + radius * rng.uniform(0.0, 1.0, shape) * np.exp(1j * rng.uniform(-np.pi, np.pi, shape))
+    z[0, :4] = [b - 0.05, b + 0.05, b + 0.05 + 1e-14j, b - 0.03 - 1e-14j]  # on the axis
+    return z
+
+
+def _broadcast_cases(ctx):
+    rng = np.random.default_rng(5)
+    off = _complex_points(rng, (3, 4), -3.0, 3.0)
+    disk = _disk_points(rng, (3, 4))
+    xs = rng.uniform(-1.9, 1.9, 7)
+    ex = np.array([-2.5, -0.7, -0.1, 0.3, 1.1, 2.4])
+    return {
+        "g_function": (lambda z: rh.g_function(ctx, z), (off,), ()),
+        "phi": (lambda z: rh.phi(ctx, z), (np.r_[off.ravel(), 2.5, 0.5, -0.3],), ()),
+        "phi_left": (lambda z: rh.phi(ctx, z, "left"), (off,), ()),
+        "phi_plus_imag": (lambda x: rh.phi_plus_imag(ctx, x), (xs.reshape(7, 1),), ()),
+        "outer_parametrix": (lambda z: rh.outer_parametrix(ctx, z), (off,), (2, 2)),
+        "airy_model": (rh.airy_model, (2.0 * off,), (2, 2)),  # |zeta| up to 30
+        "conformal_f": (lambda z: rh.conformal_f(ctx, z), (disk,), ()),
+        "prefactor_e": (lambda z: rh.prefactor_e(ctx, z), (disk,), (2, 2)),
+        "local_parametrix": (lambda z: rh.local_parametrix(ctx, z), (disk,), (2, 2)),
+        "bulk_kernel_approx": (lambda x, y: rh.bulk_kernel_approx(ctx, x, y),
+                               (xs[:, None], np.r_[xs[:3], 0.2][None, :]), ()),
+        "edge_kernel_from_A": (rh.edge_kernel_from_A, (ex[:, None], ex[None, :4] + 0.37), ()),
+    }
+
+
+@pytest.mark.parametrize("name", ["g_function", "phi", "phi_left", "phi_plus_imag",
+                                  "outer_parametrix", "airy_model", "conformal_f",
+                                  "prefactor_e", "local_parametrix", "bulk_kernel_approx",
+                                  "edge_kernel_from_A"])
+def test_array_call_equals_scalar_calls(ctx64, name):
+    fn, args, tail = _broadcast_cases(ctx64)[name]
+    got = fn(*args)
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    assert got.shape == shape + tail
+    points = zip(*(np.broadcast_to(a, shape).ravel() for a in args))
+    one = [fn(*(p.item() for p in pt)) for pt in points]
+    scalar_type = np.ndarray if tail else (complex if np.iscomplexobj(got) else float)
+    assert all(type(v) is scalar_type for v in one)
+    one = np.reshape(one, got.shape)
+    axes = tuple(range(len(shape), got.ndim))
+    err = np.abs(got - one).max(axis=axes, initial=0.0)
+    # A carries e^{-+zeta}, zeta = (2/3) z^{3/2}: vectorized and one-element
+    # complex products may round zeta differently (fused multiply-add), and
+    # the exponential turns that into |zeta| ulps
+    cond = 1.0 + np.abs(args[0]) ** 1.5 if name == "airy_model" else 1.0
+    assert np.all(err <= 1e-15 * cond * np.abs(one).max(axis=axes, initial=0.0))
+
+
+def test_asymptotic_recurrence_exact_on_semicircle(ctx64):
+    # the trapezoidal Laurent coefficients of M give ((b-a)/4)^2 and (a+b)/2
+    # to rounding, not to a fit residual
+    a_inf, b_inf = rh.asymptotic_recurrence(ctx64)
+    assert abs(a_inf - 1.0) <= 1e-14 and abs(b_inf) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# oracles: the scalar formulas these functions replaced
+
+_GL96_T, _GL96_W = np.polynomial.legendre.leggauss(96)
+_W3 = cmath.exp(2j * cmath.pi / 3.0)
+
+
+def old_conformal_f(ctx, z):
+    a, b = ctx.support
+    z = complex(z)
+    t = 0.5 * (_GL96_T + 1.0)
+    w = 0.5 * _GL96_W
+    s = b + (z - b) * t * t
+    g = 3.0 * np.sum(w * t * t * np.polyval(ctx.measure.h[::-1], s) * np.sqrt(s - a))
+    return (z - b) * complex(g) ** (2.0 / 3.0)
+
+
+def old_phi_plus_imag(ctx, x):
+    a, b = ctx.support
+    c, r = 0.5 * (a + b), 0.5 * (b - a)
+    th_x = math.acos(min(max((x - c) / r, -1.0), 1.0))
+    th = 0.5 * th_x * (_GL96_T + 1.0)
+    w = 0.5 * th_x * _GL96_W
+    hv = np.polyval(ctx.measure.h[::-1], c + r * np.cos(th))
+    return float(r * r * np.sum(w * hv * np.sin(th) ** 2))
+
+
+def old_airy_model(z):
+    from rmtlab.specfun import airy
+
+    z = complex(z)
+    th = cmath.phase(z)
+
+    def pair(zz):
+        v = airy(zz)
+        return v.value, v.derivative
+
+    if 0.0 < th < 2.0 * math.pi / 3.0:
+        y0, y0p = pair(z)
+        a2, a2p = pair(_W3 * _W3 * z)
+        y2, y2p = _W3 * _W3 * a2, _W3 * a2p
+        m = [[y0, -y2], [-1j * y0p, 1j * y2p]]
+    elif 2.0 * math.pi / 3.0 < th <= math.pi:
+        a1, a1p = pair(_W3 * z)
+        y1, y1p = _W3 * a1, _W3 * _W3 * a1p
+        a2, a2p = pair(_W3 * _W3 * z)
+        y2, y2p = _W3 * _W3 * a2, _W3 * a2p
+        m = [[-y1, -y2], [1j * y1p, 1j * y2p]]
+    elif -math.pi < th < -2.0 * math.pi / 3.0:
+        a1, a1p = pair(_W3 * z)
+        y1, y1p = _W3 * a1, _W3 * _W3 * a1p
+        a2, a2p = pair(_W3 * _W3 * z)
+        y2, y2p = _W3 * _W3 * a2, _W3 * a2p
+        m = [[-y2, y1], [1j * y2p, -1j * y1p]]
+    else:
+        y0, y0p = pair(z)
+        a1, a1p = pair(_W3 * z)
+        y1, y1p = _W3 * a1, _W3 * _W3 * a1p
+        m = [[y0, y1], [-1j * y0p, -1j * y1p]]
+    return math.sqrt(2.0 * math.pi) * np.array(m)
+
+
+ONE_CUT = [(0.0, 0.0, 0.5), (0.5, -1.0, 0.5), (0.0, 0.0, 0.5, 0.0, 0.25),
+           (0.0, 0.3, 0.4, 0.1, 0.2)]
+
+
+@pytest.fixture(scope="module", params=ONE_CUT, ids=lambda c: ",".join(map(str, c)))
+def one_cut_ctx(request):
+    mu = eq.solve_equilibrium(Potential(request.param))
+    a, b = mu.support
+    return rh.DescentContext(mu, n=32, delta=0.05 * (b - a))
+
+
+def test_phi_plus_imag_matches_quadrature_oracle(one_cut_ctx):
+    a, b = one_cut_ctx.support
+    xs = np.linspace(a, b, 41)
+    old = np.array([old_phi_plus_imag(one_cut_ctx, x) for x in xs])
+    np.testing.assert_allclose(rh.phi_plus_imag(one_cut_ctx, xs), old, rtol=0, atol=1e-13)
+
+
+def test_phi_plus_imag_is_pi_at_a(one_cut_ctx):
+    a, b = one_cut_ctx.support
+    assert rh.phi_plus_imag(one_cut_ctx, a) == pytest.approx(math.pi, abs=1e-14)
+    assert abs(rh.phi_plus_imag(one_cut_ctx, b)) <= 1e-14
+
+
+def test_conformal_f_matches_quadrature_oracle(one_cut_ctx):
+    b, delta = one_cut_ctx.support[1], one_cut_ctx.delta
+    z = _disk_points(np.random.default_rng(8), (4, 10), b, 0.95 * delta)
+    old = np.array([old_conformal_f(one_cut_ctx, v) for v in z.ravel()]).reshape(z.shape)
+    got = rh.conformal_f(one_cut_ctx, z)
+    assert np.all(np.abs(got - old) <= 1e-13 * np.abs(old))
+
+
+def test_airy_model_matches_sector_oracle():
+    rng = np.random.default_rng(12)
+    z = rng.uniform(0.05, 12.0, 400) * np.exp(1j * rng.uniform(-np.pi, np.pi, 400))
+    got = rh.airy_model(z)
+    old = np.stack([old_airy_model(v) for v in z])
+    err = np.abs(got - old).max(axis=(1, 2)) / np.abs(old).max(axis=(1, 2))
+    assert err.max() <= 1e-13
+
+
+def test_diagnostics_rows_are_the_cli_table(tmp_path):
+    from rmtlab.cli import main
+
+    out = tmp_path / "rh.csv"
+    assert main(["rh", "--potential", "0,0,0.5", "--n", "64,128", "--out", str(out)]) == 0
+    lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    table = [ln.split(",") for ln in lines[1:]]
+    rows = rh.diagnostics(eq.solve_equilibrium(HERMITE), [64, 128], 0.1)
+    assert [(c, p) for c, p, _ in table] == [(c, str(p)) for c, p, _ in rows]
+    assert [float(v) for _, _, v in table] == [v for _, _, v in rows]
+    names = [c for c, _, _ in rows]
+    assert [names.count(c) for c in ("det_M_minus_1", "det_A_minus_1", "connection_identity",
+                                     "A_jump_0", "A_jump_pi", "matching_sup")] == [6, 6, 6, 2, 2, 2]

@@ -236,3 +236,26 @@ class TestSincIntegral:
         for t in [1e-3, 0.25, 1.0, 5.5, 7.639, 24.0 / math.pi + 0.01, 40.0, 333.3, 1e5]:
             ref = float(mp.si(mp.pi * t)) / math.pi
             assert specfun.sinc_integral(t) == pytest.approx(ref, abs=1e-10)
+
+
+def test_complex_airy_broadcasts_like_scalar_calls():
+    rng = np.random.default_rng(11)
+    z = (rng.uniform(0.0, 30.0, (4, 5)) * np.exp(1j * rng.uniform(-np.pi, np.pi, (4, 5))))
+    got = specfun.airy(z)
+    assert got.value.shape == got.derivative.shape == (4, 5)
+    assert got.value.dtype == complex
+    one = [specfun.airy(complex(v)) for v in z.ravel()]
+    assert all(isinstance(f.value, complex) and isinstance(f.derivative, complex) for f in one)
+    # vectorized and one-element complex products may round differently
+    # (fused multiply-add), and e^{-zeta} turns that into |zeta| ulps
+    np.testing.assert_allclose(got.value.ravel(), [f.value for f in one], rtol=1e-13)
+    np.testing.assert_allclose(got.derivative.ravel(), [f.derivative for f in one], rtol=1e-13)
+
+
+@pytest.mark.parametrize("bad,error", [(2000.0 + 0j, ValueError),
+                                       (900.0 * np.exp(2j * np.pi / 3.0), OverflowError)])
+def test_complex_airy_guard_fires_on_one_element(bad, error):
+    z = np.array([1.0 + 1.0j, -3.0 + 0.5j, bad, 0.2j])
+    with pytest.raises(error):
+        specfun.airy(z)
+    specfun.airy(z[[0, 1, 3]])  # the rest is in range
