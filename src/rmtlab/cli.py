@@ -12,9 +12,7 @@ ArithmeticError, LinAlgError).  Every output file starts with a header
 block carrying the arguments as given; the timestamp sits on its own
 line so that repeated runs differ in exactly that line.  CSV tables are
 written column by column (rmtlab._table), numbers as Python's shortest
-round-trip repr, so parsing a cell gives back the exact double.  The
-environment variable RMTLAB_CACHE names a directory for recurrence-table
-caching.
+round-trip repr, so parsing a cell gives back the exact double.
 """
 
 from __future__ import annotations
@@ -286,9 +284,15 @@ def _build_parser():
         description="random-matrix universality laboratory")
     sub = p.add_subparsers(dest="command", required=True)
 
+    def positive_int(text):
+        n = int(text)
+        if n < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+        return n
+
     def add_common(sp):
         sp.add_argument("--out", required=True, help="output file")
-        sp.add_argument("--workers", type=int, default=None,
+        sp.add_argument("--workers", type=positive_int, default=None,
                         help="parallelism cap, by default min(4, CPU count) "
                              "(results are worker-independent)")
 

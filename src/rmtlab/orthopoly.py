@@ -19,10 +19,7 @@ overflows for n up to 512.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +66,8 @@ class WeightSpec:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N must be a positive integer")
+        if self.truncation is not None and not 0.0 < self.truncation < math.inf:
+            raise ValueError("truncation must be finite and positive")
 
     @property
     def alpha(self) -> float:
@@ -138,51 +137,8 @@ class RecurrenceTable:
     a: np.ndarray          # a_k for k = 1..n_max
     b: np.ndarray          # b_k for k = 0..n_max
     gamma_sq: np.ndarray   # k = 0..n_max
-    window: tuple = (0.0, 0.0)
-    nodes_used: int = 0    # nodes of the verification pass that was kept
-
-    def to_text(self) -> str:
-        fmt = lambda arr: " ".join(repr(float(v)) for v in arr)
-        return "\n".join([
-            "rmtlab-recurrence v2",
-            f"N {self.N}",
-            f"n_max {self.n_max}",
-            f"nodes_used {self.nodes_used}",
-            f"window {float(self.window[0])!r} {float(self.window[1])!r}",
-            "a " + fmt(self.a),
-            "b " + fmt(self.b),
-            "gamma_sq " + fmt(self.gamma_sq),
-        ]) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "RecurrenceTable":
-        """Parse a to_text record.  Raises ValueError when the record is
-        malformed, truncated, of the wrong length, not finite, or has
-        nodes_used <= n_max."""
-        rows = [ln.split() for ln in text.strip().splitlines()]
-        if not rows or rows[0][:2] != ["rmtlab-recurrence", "v2"]:
-            raise ValueError("unrecognized recurrence record")
-        kv = {r[0]: r[1:] for r in rows[1:] if r}
-        try:
-            table = cls(
-                N=int(kv["N"][0]),
-                n_max=int(kv["n_max"][0]),
-                a=np.array(kv["a"], dtype=float),
-                b=np.array(kv["b"], dtype=float),
-                gamma_sq=np.array(kv["gamma_sq"], dtype=float),
-                window=(float(kv["window"][0]), float(kv["window"][1])),
-                nodes_used=int(kv["nodes_used"][0]),
-            )
-        except (KeyError, IndexError, ValueError) as exc:
-            raise ValueError(f"malformed recurrence record: {exc!r}") from exc
-        n = table.n_max
-        if (len(table.a), len(table.b), len(table.gamma_sq)) != (n, n + 1, n + 1):
-            raise ValueError("recurrence record has the wrong length")
-        if table.nodes_used <= n:
-            raise ValueError("recurrence record has nodes_used <= n_max")
-        if not all(np.isfinite(v).all() for v in (table.a, table.b, table.gamma_sq)):
-            raise ValueError("recurrence record holds non-finite values")
-        return table
+    window: tuple          # truncation interval (lo, hi)
+    nodes_used: int        # nodes of the verification pass that was kept
 
 
 # Node count of the first Stieltjes pass: max(_NODES_MIN, 8 n_max), in
@@ -212,20 +168,15 @@ def _stieltjes(w: WeightSpec, n_max: int, lo: float, hi: float, nodes: int):
     return a, b, log_g0, len(x)
 
 
-def recurrence_table(w: WeightSpec, n_max: int, use_cache: bool = True) -> RecurrenceTable:
+def recurrence_table(w: WeightSpec, n_max: int) -> RecurrenceTable:
     """Recurrence coefficients and norms for the weight, up to n_max <= 512.
 
     One Stieltjes pass on max(1200, 8 n_max) nodes and a verification pass
     on twice as many must agree to 1e-12 relative in a and b; otherwise
-    NonConvergenceError.  The finer pass is returned.  Results are cached
-    in $RMTLAB_CACHE when that variable is set.
+    NonConvergenceError.  The finer pass is returned.
     """
     if not 1 <= n_max <= 512:
         raise ValueError("n_max must be between 1 and 512")
-    cache_path = _cache_path(w, n_max) if use_cache else None
-    cached = _read_cache(cache_path, w, n_max) if cache_path else None
-    if cached is not None:
-        return cached
     lo, hi = w.window(n_max)
     nodes = max(_NODES_MIN, 8 * n_max)
     pa, pb, _, coarse = _stieltjes(w, n_max, lo, hi, nodes)
@@ -237,57 +188,9 @@ def recurrence_table(w: WeightSpec, n_max: int, use_cache: bool = True) -> Recur
             f"recurrence coefficients on {coarse} and {used} quadrature nodes "
             f"differ by {dev:.1e} relative (limit 1e-12)")
     log_gamma = log_g0 + np.concatenate([[0.0], np.cumsum(np.log(a))])
-    table = RecurrenceTable(N=w.N, n_max=n_max, a=a, b=b,
-                            gamma_sq=np.exp(np.clip(log_gamma, -700.0, 700.0)),
-                            window=(lo, hi), nodes_used=used)
-    if cache_path:
-        _write_cache(cache_path, table.to_text())
-    return table
-
-
-# Part of the cache key; bump it whenever the computed coefficients change.
-_CACHE_ALGORITHM = "stieltjes-sqrt-nodes-1"
-
-
-def _cache_path(w: WeightSpec, n_max: int):
-    root = os.environ.get("RMTLAB_CACHE")
-    if not root:
-        return None
-    os.makedirs(root, exist_ok=True)
-    key = repr((_CACHE_ALGORITHM, tuple(w.potential.coefficients),
-                w.potential.hard_edge, w.potential.singularity_alpha, w.N,
-                w.truncation, n_max))
-    h = hashlib.sha256(key.encode()).hexdigest()[:20]
-    return os.path.join(root, f"recurrence-{h}.txt")
-
-
-def _read_cache(path, w: WeightSpec, n_max: int):
-    """The cached table, or None when the record is missing, truncated or
-    otherwise unusable; the caller then recomputes and replaces it."""
-    try:
-        with open(path) as fh:
-            text = fh.read()
-        table = RecurrenceTable.from_text(text)
-    except (OSError, ValueError):
-        return None
-    # to_text ends every record with a newline; without it the last
-    # number may have been cut short
-    if not text.endswith("\n") or (table.N, table.n_max) != (w.N, n_max):
-        return None
-    return table
-
-
-def _write_cache(path, text):
-    """Write through a temporary file in the same directory and rename it
-    into place, so readers never see a partial record."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    return RecurrenceTable(N=w.N, n_max=n_max, a=a, b=b,
+                           gamma_sq=np.exp(np.clip(log_gamma, -700.0, 700.0)),
+                           window=(lo, hi), nodes_used=used)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +346,9 @@ class ScalingWindow:
             raise ValueError("exponent must be 1 (bulk/origin), 2/3 (edge) or 2 (hard edge)")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +-1")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError("scaling constant c must be finite and positive, "
+                             f"got {self.c} at x_star = {self.x_star}")
         object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
 
     def c_n(self, n: int) -> float:
@@ -453,10 +359,7 @@ class ScalingWindow:
 
 
 def bulk_window(mu, x_star: float, grid) -> ScalingWindow:
-    c = eqm.density(mu, x_star)
-    if c <= 0.0:
-        raise ValueError("bulk window needs positive density at x_star")
-    return ScalingWindow(x_star, 1.0, float(c), grid)
+    return ScalingWindow(x_star, 1.0, float(eqm.density(mu, x_star)), grid)
 
 
 def soft_edge_window(mu, grid, side: str = "right") -> ScalingWindow:
@@ -475,8 +378,7 @@ def hard_edge_window(mu, grid) -> ScalingWindow:
 
 
 def origin_window(mu, grid) -> ScalingWindow:
-    c = eqm.density(mu, 0.0)
-    return ScalingWindow(0.0, 1.0, float(c), grid)
+    return ScalingWindow(0.0, 1.0, float(eqm.density(mu, 0.0)), grid)
 
 
 def rescaled_kernel(t: RecurrenceTable, w: WeightSpec, n: int,

@@ -152,27 +152,24 @@ class TestOppoly:
         assert got[:, :2].tobytes() == grid_columns(grid).tobytes()
         assert np.ascontiguousarray(got[:, 2]).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("keep", [0.5, -3])
-    def test_truncated_cache_is_recomputed(self, tmp_path, monkeypatch, keep):
-        # a cut record (half the file, or the last number cut short) is a
-        # cache miss: same coefficients, exit 0, and the record is rewritten
-        cache = tmp_path / "cache"
-        monkeypatch.setenv("RMTLAB_CACHE", str(cache))
-        args = ["oppoly", "--potential", "0,0,0.5", "--N", "16", "--nmax", "12"]
-        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(args + ["--out", str(first)]) == 0
-        (record,) = cache.iterdir()
-        text = record.read_text()
-        record.write_text(text[:int(keep * len(text))] if keep > 0 else text[:keep])
-        assert main(args + ["--out", str(second)]) == 0
-
-        def rows(p):
-            return [ln for ln in p.read_text().splitlines() if not ln.startswith("#")]
-
-        assert rows(second) == rows(first)
-        assert [p.name for p in cache.iterdir()] == [record.name]
-        assert record.read_text() == text
-
+    @pytest.mark.parametrize("kind", ["file", "empty_dir"])
+    def test_cache_variable_is_ignored(self, tmp_path, monkeypatch, kind):
+        # tables are recomputed on every run: RMTLAB_CACHE naming a regular
+        # file or an empty directory changes nothing and gets nothing written
+        target = tmp_path / "cache"
+        if kind == "file":
+            target.write_text("not a directory\n")
+        else:
+            target.mkdir()
+        monkeypatch.setenv("RMTLAB_CACHE", str(target))
+        out = tmp_path / "t.csv"
+        assert main(["oppoly", "--potential", "0,0,0.5", "--N", "16", "--nmax", "12",
+                     "--out", str(out)]) == 0
+        assert out.exists()
+        if kind == "file":
+            assert target.read_text() == "not a directory\n"
+        else:
+            assert list(target.iterdir()) == []
 
     def test_fractional_alpha(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -367,6 +364,13 @@ class TestSample:
     ["rh", "--potential", "0,0,0.5", "--n", "16", "--delta", "0"],
     ["rh", "--potential", "0,0,0.5", "--n", "0"],
     ["rh", "--potential", "0,0,0.5", "--n", "-3"],
+    # the density is infinite at a hard edge and zero at the critical
+    # quartic's origin, so neither gives a scaling window
+    ["converge", "--potential", "0,1", "--hard-edge", "--mode", "bulk", "--n", "32"],
+    ["converge", "--potential", "0,1", "--hard-edge", "--mode", "origin", "--n", "32"],
+    ["converge", "--potential", "0,0,-1,0,0.25", "--mode", "origin", "--n", "32"],
+    ["oppoly", "--potential", "0,0,0.5", "--N", "16", "--nmax", "16", "--truncation", "nan"],
+    ["oppoly", "--potential", "0,0,0.5", "--N", "16", "--nmax", "16", "--truncation", "inf"],
 ])
 def test_rejected_input_exit2_without_file(tmp_path, monkeypatch, capsys, argv):
     # an out-of-range argument is a validation error (exit 2), not a
@@ -374,6 +378,14 @@ def test_rejected_input_exit2_without_file(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert main(argv + ["--out", "o.csv", "--workers", "1"]) == 2
     assert capsys.readouterr().err.startswith("rmtlab: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit2_without_file(tmp_path, monkeypatch, workers):
+    monkeypatch.chdir(tmp_path)
+    assert main(["converge", "--potential", "0,0,0.5", "--mode", "bulk", "--n", "8,16",
+                 "--workers", workers, "--out", "o.csv"]) == 2
     assert list(tmp_path.iterdir()) == []
 
 
