@@ -103,8 +103,10 @@ class Potential:
         c = tuple(float(v) for v in self.coefficients)
         object.__setattr__(self, "coefficients", c)
         d = self.degree
-        if self.singularity_alpha < 0.0:
-            raise ValueError("singularity_alpha must be nonnegative")
+        if not all(math.isfinite(v) for v in c):
+            raise ValueError("potential coefficients must be finite")
+        if not 0.0 <= self.singularity_alpha < math.inf:
+            raise ValueError("singularity_alpha must be finite and nonnegative")
         if self.hard_edge:
             if d < 1 or c[-1] <= 0.0:
                 raise ValueError("hard-edge potential needs positive leading coefficient")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -100,12 +101,9 @@ def sine_kernel_dx(x, y):
     return _scalar_or_array(_integrable_quotient(x, y, 1e-4, numerator, taylor))
 
 
-def airy_kernel(x, y):
-    """(Ai(x)Ai'(y) - Ai'(x)Ai(y)) / (x - y); diagonal Ai'(x)^2 - x Ai(x)^2."""
-    x, y = _args(x, y)
-
+def _airy_quotient(x, y, fx, fy):
+    """K_Ai from the Airy pairs fx at x and fy at y; only its diagonal band calls airy."""
     def numerator(x, y):
-        fx, fy = airy(x), airy(y)
         return fx.value * fy.derivative - fx.derivative * fy.value
 
     def confluent(x, y):
@@ -113,8 +111,13 @@ def airy_kernel(x, y):
         f = airy(m)
         return f.derivative * f.derivative - m * f.value * f.value
 
-    return _scalar_or_array(_integrable_quotient(
-        x, y, 1e-6 * (1.0 + np.abs(x) + np.abs(y)), numerator, confluent))
+    return _integrable_quotient(x, y, 1e-6 * (1.0 + np.abs(x) + np.abs(y)), numerator, confluent)
+
+
+def airy_kernel(x, y):
+    """(Ai(x)Ai'(y) - Ai'(x)Ai(y)) / (x - y); diagonal Ai'(x)^2 - x Ai(x)^2."""
+    x, y = _args(x, y)
+    return _scalar_or_array(_airy_quotient(x, y, airy(x), airy(y)))
 
 
 def airy_kernel_dy(x, y):
@@ -161,7 +164,7 @@ def bessel_hard_kernel(alpha: float, x, y):
         [J_a(sqrt x) sqrt(y) J_a'(sqrt y) - sqrt(x) J_a'(sqrt x) J_a(sqrt y)]
         / (2 (x - y))
     """
-    if alpha <= -1.0:
+    if not alpha > -1.0:
         raise ValueError("bessel_hard_kernel: order must exceed -1")
     x, y = _positive_args("bessel_hard_kernel", x, y)
 
@@ -186,7 +189,7 @@ def bessel_origin_kernel(alpha: float, x, y):
 
     Reduces identically to the sine kernel at alpha = 0.
     """
-    if alpha <= -0.5:
+    if not alpha > -0.5:
         raise ValueError("bessel_origin_kernel: order must exceed -1/2")
     x, y = _positive_args("bessel_origin_kernel", x, y)
     p, m = alpha + 0.5, alpha - 0.5
@@ -381,20 +384,31 @@ _EDGE_LEFT, _EDGE_CUT = -30.0, 14.0
 _EDGE_PANELS = 88   # panels of width 1/2 on [_EDGE_LEFT, _EDGE_CUT]
 
 
+@lru_cache(maxsize=None)
+def _edge_tail_nodes():
+    """Read-only Ai, Ai' at the full-panel nodes of the edge tail integral."""
+    t, _ = gauss_legendre_panels(_EDGE_LEFT, _EDGE_CUT, _EDGE_PANELS, _GLP_ORDER)
+    f = airy(t)
+    f.value.flags.writeable = f.derivative.flags.writeable = False
+    return f
+
+
 def _airy_kernel_tail_integral(x, y):
     """integral_x^inf K_Ai(t, y) dt for x >= -30, broadcast over x and y, as
     one batched composite Gauss-Legendre quadrature on panels of width 1/2:
-    the panels between the knots -30, -29.5, ..., 14 are summed from the
-    right once per distinct y, and each pair adds its partial panel from x
-    to the next knot.  Beyond t = 14 the integrand is below 1e-15.  What
-    an entry sums does not depend on the rest of the batch."""
+    the panels between the knots -30, -29.5, ..., 14 (Airy at their nodes is
+    evaluated once per process) are summed from the right per distinct y,
+    and each distinct x adds its partial panel to the next knot.  Beyond
+    t = 14 the integrand is below 1e-15.  An entry does not depend on the
+    rest of the batch."""
     x, y = np.broadcast_arrays(*_args(x, y))
     ys, iy = np.unique(y, return_inverse=True)
-    knots, suffix = panel_suffix(lambda t: airy_kernel(t, ys[:, None, None]),
+    xs, ix = np.unique(np.minimum(x, _EDGE_CUT), return_inverse=True)
+    col = ys[:, None, None]
+    knots, suffix = panel_suffix(lambda t: _airy_quotient(t, col, _edge_tail_nodes(), airy(col)),
                                  _EDGE_LEFT, _EDGE_CUT, _EDGE_PANELS, _GLP_ORDER)
-    j, part = partial_panel(lambda t: airy_kernel(t, y[..., None, None]),
-                            np.minimum(x, _EDGE_CUT), knots, _GLP_ORDER)
-    return _scalar_or_array(part + suffix[iy.reshape(y.shape), j])
+    j, part = partial_panel(lambda t: airy_kernel(t, col[..., None]), xs, knots, _GLP_ORDER)
+    return _scalar_or_array((part[iy, ix] + suffix[iy, j[ix]]).reshape(x.shape))
 
 
 def matrix_kernel_edge(beta: int, x, y) -> np.ndarray:
@@ -451,6 +465,8 @@ class KernelHandle:
     def __post_init__(self):
         if self.family not in _SCALAR_FAMILIES + _MATRIX_FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
+        if any(v is not None and not math.isfinite(v) for v in (self.alpha, self.s)):
+            raise ValueError(f"{self.family} parameters must be finite")
         if self.family == "bessel_hard" and (self.alpha is None or self.alpha <= -1.0):
             raise ValueError("bessel_hard requires alpha > -1")
         if self.family == "bessel_origin" and (self.alpha is None or self.alpha <= -0.5):
@@ -514,22 +530,38 @@ def correlation_det(kernel, points) -> float:
     return float(np.linalg.det(_kernel_mesh("correlation_det", kernel, "scalar", points, 12)))
 
 
+@lru_cache(maxsize=None)
+def _matchings(n):
+    """Read-only row and column indices, shape ((n-1)!!, n/2), and signs of the
+    perfect matchings of 0..n-1, in the order of cofactor expansion along row 0."""
+    def expand(rest):
+        if not rest:
+            yield (), (), 1
+        for j in range(1, len(rest)):
+            for r, c, sign in expand(rest[1:j] + rest[j + 1:]):
+                yield (rest[0],) + r, (rest[j],) + c, (-1) ** (j - 1) * sign
+
+    rows, cols, signs = (np.array(v, dtype=np.intp) for v in zip(*expand(tuple(range(n)))))
+    rows.flags.writeable = cols.flags.writeable = signs.flags.writeable = False
+    return rows, cols, signs
+
+
 def pfaffian(a: np.ndarray) -> float:
     """Pfaffian of an even-dimensional skew-symmetric matrix.
 
-    Recursive cofactor expansion up to 8x8; Householder skew
-    tridiagonalization above (the Pfaffian of the tridiagonal form is the
-    product of its odd superdiagonal entries, and each reflector
-    contributes det = -1).
+    Up to 8x8 the signed sum over the (n-1)!! perfect matchings, from one
+    gather: within 1e-15 prod_j |a_j|^(1/2) even where column sizes differ
+    by orders of magnitude.  Above, Householder skew tridiagonalization
+    (the product of the odd superdiagonal entries times det = -1 per
+    reflector), which is accurate only normwise.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if a.ndim != 2 or a.shape != (n, n) or n % 2:
         raise ValueError("pfaffian needs an even-dimensional square matrix")
-    if n == 0:
-        return 1.0
     if n <= 8:
-        return _pfaffian_expand(a)
+        rows, cols, signs = _matchings(n)
+        return float(signs @ a[rows, cols].prod(axis=1))
     t = a.copy()
     sign = 1.0
     for k in range(n - 2):
@@ -550,20 +582,6 @@ def pfaffian(a: np.ndarray) -> float:
     for i in range(0, n - 1, 2):
         pf *= t[i, i + 1]
     return float(pf)
-
-
-def _pfaffian_expand(a: np.ndarray) -> float:
-    n = a.shape[0]
-    if n == 2:
-        return float(a[0, 1])
-    total = 0.0
-    idx = np.arange(n)
-    for j in range(1, n):
-        if a[0, j] == 0.0:
-            continue
-        keep = idx[(idx != 0) & (idx != j)]
-        total += (-1.0) ** (j - 1) * a[0, j] * _pfaffian_expand(a[np.ix_(keep, keep)])
-    return total
 
 
 def correlation_pfaffian(kernel, points) -> float:

@@ -371,6 +371,13 @@ class TestSample:
     ["converge", "--potential", "0,0,-1,0,0.25", "--mode", "origin", "--n", "32"],
     ["oppoly", "--potential", "0,0,0.5", "--N", "16", "--nmax", "16", "--truncation", "nan"],
     ["oppoly", "--potential", "0,0,0.5", "--N", "16", "--nmax", "16", "--truncation", "inf"],
+    # non-finite coefficients and parameters
+    ["eqm", "--potential", "0,0,nan"],
+    ["oppoly", "--potential", "0,0,nan", "--N", "8", "--nmax", "8"],
+    ["eqm", "--potential", "0,0,0.5", "--alpha", "nan"],
+    ["kernel", "--family", "bessel_origin", "--alpha", "nan", "--grid=0.1:1:3"],
+    ["kernel", "--family", "bessel_hard", "--alpha", "inf", "--grid=0.5:1:3"],
+    ["kernel", "--family", "pearcey", "--s", "nan", "--grid=-0.5:0.5:2"],
 ])
 def test_rejected_input_exit2_without_file(tmp_path, monkeypatch, capsys, argv):
     # an out-of-range argument is a validation error (exit 2), not a

@@ -53,6 +53,17 @@ class TestPotentialValidation:
         with pytest.raises(ValueError):
             Potential((0.0, 0.0, -1.0))
 
+    def test_rejects_non_finite_coefficients_and_alpha(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                Potential((0.0, 0.0, bad))
+            with pytest.raises(ValueError):
+                Potential((bad, 0.0, 0.5))
+            with pytest.raises(ValueError):
+                Potential((0.0, 0.0, 0.5), singularity_alpha=bad)
+        assert Potential((0.0, 0.0, 0.5), singularity_alpha=-0.0).singularity_alpha == 0.0
+        assert Potential((-0.0, -0.0, 0.5)).degree == 2
+
     def test_hard_edge_needs_increasing_potential(self):
         Potential((0.0, 1.0), hard_edge=True)
         with pytest.raises(ValueError):

@@ -13,6 +13,36 @@ AI0 = 0.35502805388781724
 AIP0 = -0.25881940379280680
 
 
+def _pfaffian_expand(a):
+    """Pfaffian by recursive cofactor expansion along the first row."""
+    n = a.shape[0]
+    if n == 2:
+        return float(a[0, 1])
+    total = 0.0
+    idx = np.arange(n)
+    for j in range(1, n):
+        if a[0, j] == 0.0:
+            continue
+        keep = idx[(idx != 0) & (idx != j)]
+        total += (-1.0) ** (j - 1) * a[0, j] * _pfaffian_expand(a[np.ix_(keep, keep)])
+    return total
+
+
+def _tail_integral_per_pair(x, y):
+    """The edge tail integral with nothing kept between calls: every call
+    evaluates Airy at the full-panel nodes again, and every (x, y) pair
+    gets its own partial panel."""
+    from rmtlab.quadrature import panel_suffix, partial_panel
+
+    x, y = np.broadcast_arrays(*kr._args(x, y))
+    ys, iy = np.unique(y, return_inverse=True)
+    knots, suffix = panel_suffix(lambda t: kr.airy_kernel(t, ys[:, None, None]),
+                                 kr._EDGE_LEFT, kr._EDGE_CUT, kr._EDGE_PANELS, kr._GLP_ORDER)
+    j, part = partial_panel(lambda t: kr.airy_kernel(t, y[..., None, None]),
+                            np.minimum(x, kr._EDGE_CUT), knots, kr._GLP_ORDER)
+    return kr._scalar_or_array(part + suffix[iy.reshape(y.shape), j])
+
+
 class TestSineKernel:
     def test_diagonal(self):
         assert kr.sine_kernel(0.3, 0.3) == 1.0
@@ -259,6 +289,56 @@ class TestMatrixKernels:
         want = np.vectorize(ref)(x, y)
         assert kr._airy_kernel_tail_integral(x, y) == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_edge_tail_integral_bitwise_per_pair(self, seed, monkeypatch):
+        # repeated x and y values, x beyond the cut at 14, pairs inside the
+        # diagonal band and on the knots
+        rng = np.random.default_rng(seed)
+        x = np.round(rng.uniform(-30.0, 20.0, size=6), 1)
+        y = np.round(rng.uniform(-30.0, 20.0, size=5), 1)
+        x = np.concatenate([x, x[:2], y[:2] + 1e-7, [14.0, 17.5, -30.0]])
+        y = np.concatenate([y, y[:1], x[:2], [-30.0]])
+        for a, b in [(x[:, None], y[None, :]), (x[:len(y)], y), (x[3], y[0])]:
+            want = _tail_integral_per_pair(a, b)
+            got = kr._airy_kernel_tail_integral(a, b)
+            assert np.array_equal(np.asarray(got).view(np.uint64),
+                                  np.asarray(want).view(np.uint64))
+        edges = [kr.matrix_kernel_edge(beta, x[:, None], y[None, :]) for beta in (1, 4)]
+        monkeypatch.setattr(kr, "_airy_kernel_tail_integral", _tail_integral_per_pair)
+        for beta, got in zip((1, 4), edges):
+            want = kr.matrix_kernel_edge(beta, x[:, None], y[None, :])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_edge_airy_points_after_warm_up(self, monkeypatch):
+        # the full-panel Airy values are built once; a second call evaluates
+        # Airy only at the mesh points, their tail and partial panels (each
+        # once per distinct x) and the diagonal bands
+        import rmtlab.specfun as sf
+
+        pts = np.array([-1.2, -0.4, 0.35, 1.3])
+        kr.matrix_kernel_edge(4, pts[:, None], pts[None, :])
+        points = []
+
+        def counted(x):
+            out = real(x)
+            points.append(out[0].size)
+            return out
+
+        real = sf.airy_real
+        monkeypatch.setattr(sf, "airy_real", counted)
+        kr.matrix_kernel_edge(4, pts[:, None], pts[None, :])
+        assert 0 < sum(points) <= 300
+
+    def test_cached_tables_read_only(self):
+        f = kr._edge_tail_nodes()
+        arrays = [f.value, f.derivative]
+        for n in (2, 4, 6, 8):
+            arrays += kr._matchings(n)
+        for v in arrays:
+            assert not v.flags.writeable
+            with pytest.raises(ValueError):
+                v[(0,) * v.ndim] = 1.0
+
     def test_edge_argument_range(self):
         with pytest.raises(ValueError):
             kr.matrix_kernel_edge(1, -30.5, 0.0)
@@ -310,7 +390,47 @@ class TestCorrelations:
         big[0, 9] = 1.0
         big[9, 0] = -1.0
         # Pf of the padded matrix by reduction; compare against expansion
-        assert kr.pfaffian(big) == pytest.approx(kr._pfaffian_expand(big), rel=1e-10)
+        assert kr.pfaffian(big) == pytest.approx(_pfaffian_expand(big), rel=1e-10)
+
+    @staticmethod
+    def _assert_matches_mpmath(a):
+        # within 1e-15 of the Hadamard bound prod_j |a_j|^(1/2), against a
+        # 50-digit expansion of the same (exactly converted) entries
+        import mpmath
+
+        def expand(m):
+            if not m:
+                return mpmath.mpf(1)
+            return sum((-1) ** (j - 1) * m[0][j]
+                       * expand([[r[c] for c in range(1, len(m)) if c != j]
+                                 for i, r in enumerate(m) if i not in (0, j)])
+                       for j in range(1, len(m)))
+
+        with mpmath.workdps(50):
+            want = expand([[mpmath.mpf(float(v)) for v in row] for row in a])
+            err = abs(kr.pfaffian(a) - want)
+        bound = float(np.prod(np.sqrt(np.linalg.norm(a, axis=0))))
+        assert float(err) <= 1e-15 * bound
+
+    def test_pfaffian_random_skew_against_mpmath(self):
+        rng = np.random.default_rng(3)
+        for n in (2, 4, 6, 8):
+            for _ in range(4):
+                m = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-6, 6, size=n)
+                self._assert_matches_mpmath(m - m.T)
+
+    @pytest.mark.parametrize("family", ["sine_beta1", "sine_beta4",
+                                        "airy_beta1", "airy_beta4"])
+    def test_pfaffian_kernel_meshes_against_mpmath(self, family):
+        rng = np.random.default_rng(4)
+        h = KernelHandle(family)
+        for k in (1, 2, 3, 4):
+            for _ in range(3):
+                # columns from the oscillating and the decaying side of the edge
+                pts = np.sort(rng.uniform(-6.0, 8.0, size=k))
+                blocks = h.evaluate(pts[:, None], pts[None, :])
+                self._assert_matches_mpmath(
+                    blocks.transpose(0, 2, 1, 3).reshape(2 * k, 2 * k))
 
     def test_correlation_pfaffian_bulk(self):
         # Pf(A)^2 = det(A) for the 4x4 assembled from the beta=1 bulk kernel
@@ -336,6 +456,16 @@ class TestCorrelations:
         with pytest.raises(ValueError):
             KernelHandle("nope")
         assert KernelHandle("bessel_hard", alpha=0.5).arity == "scalar"
+        for bad in (math.nan, math.inf, -math.inf):
+            for family, kw in [("bessel_hard", "alpha"), ("bessel_origin", "alpha"),
+                               ("pearcey", "s")]:
+                with pytest.raises(ValueError):
+                    KernelHandle(family, **{kw: bad})
+        assert KernelHandle("bessel_origin", alpha=-0.0).alpha == 0.0
+        assert KernelHandle("pearcey", s=-0.0).s == 0.0
+        for call in (kr.bessel_hard_kernel, kr.bessel_origin_kernel):
+            with pytest.raises(ValueError):
+                call(math.nan, 0.5, 0.7)
         assert KernelHandle("airy_beta4").arity == "matrix2x2"
 
 
