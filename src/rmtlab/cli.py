@@ -80,15 +80,12 @@ def _write_json(path, config, results, diagnostics):
     diagnostics = dict(diagnostics)
     diagnostics["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     obj = {"config": config, "results": results, "diagnostics": diagnostics}
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ArithmeticError(f"non-finite value in the JSON output: {exc}") from exc
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _pool_size(workers):
-    """The --workers value, or by default min(4, CPU count); resolved only
-    where a pool may be built, so headers record --workers as given."""
-    return min(4, os.cpu_count() or 1) if workers is None else workers
+        fh.write(text + "\n")
 
 
 def _config_dict(args, keys):
@@ -113,7 +110,6 @@ def _cmd_eqm(args):
         "ell": mu.ell,
         "classification": [
             {"location": loc, "kind": kind, "k": int(k)} for loc, kind, k in cls],
-        "record": mu.to_text(),
     }
     diag = {"iterations": mu.iterations, "residual": mu.residual,
             "solver": mu.solver, "margin": mu.margin}
@@ -151,13 +147,16 @@ def _cmd_oppoly(args):
     table = op.recurrence_table(w, args.nmax)
     config = _config_dict(args, ["potential", "hard_edge", "alpha", "N",
                                  "nmax", "out"])
-    _write_csv(args.out, config, table_text(
+    # every table is formatted, and so checked, before any file is written
+    tables = [(args.out, table_text(
         ["k", "a", "b", "gamma_sq"], range(args.nmax + 1),
-        np.concatenate([[0.0], table.a]), table.b, table.gamma_sq))
+        np.concatenate([[0.0], table.a]), table.b, table.gamma_sq))]
     if args.kernel_out:
         kmat = op.cd_kernel_grid(table, w, args.kernel_n, grid, grid)
-        _write_csv(args.kernel_out, config, table_text(
-            ["x", "y", "value"], *np.meshgrid(grid, grid, indexing="ij"), kmat))
+        tables.append((args.kernel_out, table_text(
+            ["x", "y", "value"], *np.meshgrid(grid, grid, indexing="ij"), kmat)))
+    for path, text in tables:
+        _write_csv(path, config, text)
     return 0
 
 
@@ -167,18 +166,6 @@ _CONVERGE_DEFAULTS = {
     "hard": "0.4:8:20",
     "origin": "0.15:3:20",
 }
-
-
-def _converge_one(pot, n, win, ref):
-    """Rescaled finite-n kernel at n against the universal grid ref;
-    returns ((sup, l1, runtime_seconds), rescaled grid)."""
-    start = time.perf_counter()
-    w = op.WeightSpec(pot, N=n)
-    got = op.rescaled_kernel(op.recurrence_table(w, n), w, n, win)
-    diff = np.abs(got - ref)
-    span = win.grid[-1] - win.grid[0]
-    return (float(diff.max()), float(diff.mean() * span * span),
-            time.perf_counter() - start), got
 
 
 def _cmd_converge(args):
@@ -201,23 +188,25 @@ def _cmd_converge(args):
     else:
         win, kernel = op.origin_window(mu, grid), partial(kr.bessel_origin_kernel, alpha)
     ref = kernel(grid[:, None], grid[None, :])
-    tasks = [(pot, n, win, ref) for n in ns]
-    workers = _pool_size(args.workers)
-    if workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_converge_one, *zip(*tasks)))
-    else:
-        results = [_converge_one(*t) for t in tasks]
-    rows = [(n, args.mode) + errs for n, (errs, _) in zip(ns, results)]
-    _write_csv(args.out, config, table_text(
-        ["n", "mode", "sup_error", "l1_error", "runtime_seconds"], *zip(*rows)))
+    span, rows = grid[-1] - grid[0], []
+    for n in ns:
+        # the rescaled kernel against the universal one; N = n_max = n, so
+        # mu, the measure of V, is every table's window measure
+        start = time.perf_counter()
+        w = op.WeightSpec(pot, N=n)
+        got = op.rescaled_kernel(op.recurrence_table(w, n, mu), w, n, win)
+        diff = np.abs(got - ref)
+        rows.append((n, args.mode, float(diff.max()), float(diff.mean() * span * span),
+                     time.perf_counter() - start))
+    tables = [(args.out, table_text(
+        ["n", "mode", "sup_error", "l1_error", "runtime_seconds"], *zip(*rows)))]
     if args.grid_out:
         # rescaled-kernel grid of the largest n, next to the universal target
-        _write_csv(args.grid_out, config, table_text(
+        tables.append((args.grid_out, table_text(
             ["u", "v", "value", "universal_value"],
-            *np.meshgrid(grid, grid, indexing="ij"), results[-1][1], ref))
+            *np.meshgrid(grid, grid, indexing="ij"), got, ref)))
+    for path, text in tables:
+        _write_csv(path, config, text)
     return 0
 
 
@@ -257,22 +246,27 @@ def _cmd_sample(args):
                          args.n, args.N or args.n, args.count, args.steps)
     else:
         sample = partial(mc.sample_gaussian, args.beta, args.n, args.count)
-    batch = sample(args.seed, workers=_pool_size(args.workers))
-    spacings = window and mc.local_statistics(batch, window)
-    with open(args.out, "wb") as fh:
-        fh.write(batch.to_bytes())
-    base = args.out.rsplit(".", 1)[0]
-    if args.csv:
-        _write_csv(base + ".csv", config, batch.to_csv())
+    # resolved only here, so the headers record --workers as given
+    batch = sample(args.seed, workers=min(4, os.cpu_count() or 1)
+                   if args.workers is None else args.workers)
     hist = mc.empirical_density(batch, args.bins, (lo, hi))
+    # every table is formatted, and so checked, before any file is written;
+    # the raw CSV's header carries no Metropolis statistics
+    base = args.out.rsplit(".", 1)[0]
+    tables = [(base + ".csv", dict(config), batch.to_csv())] if args.csv else []
     if batch.acceptance_rates is not None:
         for name, vals in (("acceptance_rate", batch.acceptance_rates),
                            ("proposal_width", batch.proposal_widths)):
             for stat, fn in (("min", np.min), ("median", np.median), ("max", np.max)):
                 config[f"{name}_{stat}"] = repr(float(fn(vals)))
-    _write_csv(base + "_hist.csv", config, hist.to_csv())
+    tables.append((base + "_hist.csv", config, hist.to_csv()))
     if window:
-        _write_csv(base + "_spacing.csv", config, table_text(["unfolded_spacing"], spacings))
+        tables.append((base + "_spacing.csv", config, table_text(
+            ["unfolded_spacing"], mc.local_statistics(batch, window))))
+    with open(args.out, "wb") as fh:
+        fh.write(batch.to_bytes())
+    for path, cfg, text in tables:
+        _write_csv(path, cfg, text)
     return 0
 
 
@@ -293,7 +287,8 @@ def _build_parser():
     def add_common(sp):
         sp.add_argument("--out", required=True, help="output file")
         sp.add_argument("--workers", type=positive_int, default=None,
-                        help="parallelism cap, by default min(4, CPU count) "
+                        help="worker processes of sample, by default min(4, CPU "
+                             "count); other commands run in one process "
                              "(results are worker-independent)")
 
     sp = sub.add_parser("eqm", help="solve an equilibrium measure")

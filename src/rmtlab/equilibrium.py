@@ -170,39 +170,6 @@ class EquilibriumMeasure:
         hmin, hmax = _h_range(self.h, *self.support)
         return hmin / hmax
 
-    def to_text(self) -> str:
-        pot = ",".join(repr(float(v)) for v in self.potential.coefficients)
-        lines = [
-            "rmtlab-eqmeasure v1",
-            f"potential {pot}",
-            f"hard_edge {int(self.potential.hard_edge)}",
-            f"singularity_alpha {float(self.potential.singularity_alpha)!r}",
-            f"support {float(self.support[0])!r} {float(self.support[1])!r}",
-            f"ell {float(self.ell)!r}",
-            "h " + " ".join(repr(float(v)) for v in self.h),
-            "moments " + " ".join(repr(float(v)) for v in self.moments),
-        ]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "EquilibriumMeasure":
-        rows = [ln.split() for ln in text.strip().splitlines()]
-        if rows[0][0] != "rmtlab-eqmeasure" or rows[0][1] != "v1":
-            raise ValueError("unrecognized equilibrium-measure record")
-        kv = {r[0]: r[1:] for r in rows[1:]}
-        pot = Potential(
-            tuple(float(v) for v in kv["potential"][0].split(",")),
-            hard_edge=bool(int(kv["hard_edge"][0])),
-            singularity_alpha=float(kv["singularity_alpha"][0]),
-        )
-        return cls(
-            potential=pot,
-            support=(float(kv["support"][0]), float(kv["support"][1])),
-            h=np.array([float(v) for v in kv["h"]]),
-            moments=np.array([float(v) for v in kv["moments"]]),
-            ell=float(kv["ell"][0]),
-        )
-
 
 # ---------------------------------------------------------------------------
 # q from moments (exact polynomial arithmetic)

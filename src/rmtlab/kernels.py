@@ -399,15 +399,20 @@ def _airy_kernel_tail_integral(x, y):
     the panels between the knots -30, -29.5, ..., 14 (Airy at their nodes is
     evaluated once per process) are summed from the right per distinct y,
     and each distinct x adds its partial panel to the next knot.  Beyond
-    t = 14 the integrand is below 1e-15.  An entry does not depend on the
-    rest of the batch."""
+    t = 14 the integrand is below 1e-15.  An x on a knot has an empty
+    partial panel, which adds 0 and is not evaluated.  An entry does not
+    depend on the rest of the batch."""
     x, y = np.broadcast_arrays(*_args(x, y))
     ys, iy = np.unique(y, return_inverse=True)
     xs, ix = np.unique(np.minimum(x, _EDGE_CUT), return_inverse=True)
     col = ys[:, None, None]
     knots, suffix = panel_suffix(lambda t: _airy_quotient(t, col, _edge_tail_nodes(), airy(col)),
                                  _EDGE_LEFT, _EDGE_CUT, _EDGE_PANELS, _GLP_ORDER)
-    j, part = partial_panel(lambda t: airy_kernel(t, col[..., None]), xs, knots, _GLP_ORDER)
+    j = np.searchsorted(knots, xs)
+    gap = xs < knots[j]
+    part = np.zeros((len(ys), len(xs)))
+    part[:, gap] = partial_panel(lambda t: airy_kernel(t, col[..., None]), xs[gap], knots,
+                                 _GLP_ORDER)[1]
     return _scalar_or_array((part[iy, ix] + suffix[iy, j[ix]]).reshape(x.shape))
 
 

@@ -295,11 +295,13 @@ def _interleave_trim(sets, chains, per, count):
 
 def empirical_density(batch: SampleBatch, bins: int, range_: tuple) -> Histogram:
     """Normalized histogram of all eigenvalues (integrates to 1 over the
-    range)."""
+    range); ValueError when the range holds no eigenvalue."""
     if bins > 1000:
         raise ValueError("bins must not exceed 1000")
-    counts, edges = np.histogram(batch.eigenvalue_sets.ravel(), bins=bins,
-                                 range=range_, density=True)
+    vals = batch.eigenvalue_sets.ravel()
+    if not np.any((vals >= range_[0]) & (vals <= range_[1])):
+        raise ValueError(f"no eigenvalue in the histogram range {tuple(range_)}")
+    counts, edges = np.histogram(vals, bins=bins, range=range_, density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return Histogram(centers=centers, density=counts, edges=edges)
 

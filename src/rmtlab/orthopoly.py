@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import equilibrium as eqm
 from .equilibrium import NonConvergenceError, Potential
@@ -84,14 +83,23 @@ class WeightSpec:
                            else 2.0 * a * np.log(np.abs(x)))
         return np.where(x < 0.0, -np.inf, lw) if self.potential.hard_edge else lw
 
-    def window(self, n_max: int):
-        """Integration window [lo, hi]."""
+    def window(self, n_max: int, measure=None):
+        """Integration window [lo, hi].  The automatic one reads measure,
+        the equilibrium measure of (N/n_max) V, solved for if not given:
+        the top polynomial P_{n_max} under e^{-N V} spreads over its support."""
+        ratio, pot = self.N / n_max, self.potential
+        scaled = Potential(tuple(c * ratio for c in pot.coefficients),
+                           hard_edge=pot.hard_edge, singularity_alpha=pot.singularity_alpha)
+        if measure is not None and measure.potential != scaled:
+            raise ValueError("measure is not the equilibrium measure of (N/n_max) V")
         if self.truncation is not None:
-            lo = 0.0 if self.potential.hard_edge else -self.truncation
+            lo = 0.0 if pot.hard_edge else -self.truncation
             hi = self.truncation
             self._check_tail(lo, hi)
             return lo, hi
-        return _auto_window(self, n_max)
+        if measure is None:
+            measure = eqm.solve_equilibrium(scaled)
+        return _auto_window(self, n_max, measure)
 
     def _check_tail(self, lo, hi):
         xs = np.linspace(lo, hi, 512)
@@ -103,17 +111,10 @@ class WeightSpec:
                     "truncation window too small: weight tail not negligible")
 
 
-def _auto_window(w: WeightSpec, n_max: int):
-    """Support of the scaled equilibrium measure plus the fringe where the
-    top weighted polynomial has decayed below ~1e-32 of its peak."""
-    # the top polynomial P_{n_max} under e^{-N V} spreads over the support
-    # of the equilibrium measure in the field (N/n_max) V
-    ratio = w.N / n_max
+def _auto_window(w: WeightSpec, n_max: int, mu):
+    """Support of the scaled equilibrium measure mu plus the fringe where
+    the top weighted polynomial has decayed below ~1e-32 of its peak."""
     pot = w.potential
-    scaled = Potential(tuple(c * ratio for c in pot.coefficients),
-                       hard_edge=pot.hard_edge,
-                       singularity_alpha=pot.singularity_alpha)
-    mu = eqm.solve_equilibrium(scaled)
     a, b = mu.support
     hb = abs(float(np.polyval(mu.h[::-1], b)))
     target = 74.0
@@ -148,6 +149,17 @@ _NODES_MIN = 1200
 _PANEL_ORDER = 32
 
 
+def _logsumexp(v):
+    """log(sum(exp(v))) in the arithmetic of scipy.special.logsumexp: the
+    largest terms apart, the rest shifted by the maximum."""
+    top = v.max()
+    hit = v == top
+    count = np.float64(np.count_nonzero(hit))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rest = np.exp(np.where(hit, -np.inf, v) - top).sum()
+        return np.log1p(rest / count if rest else rest) + np.log(count) + top
+
+
 def _stieltjes(w: WeightSpec, n_max: int, lo: float, hi: float, nodes: int):
     """Discretized Stieltjes procedure (Gautschi 2004, sec. 2.2) on about
     `nodes` quadrature nodes; returns (a, b, log gamma_0^2, node count)."""
@@ -161,23 +173,25 @@ def _stieltjes(w: WeightSpec, n_max: int, lo: float, hi: float, nodes: int):
     else:
         x, qw = (v.ravel() for v in gauss_legendre_panels(lo, hi, panels, _PANEL_ORDER))
         lw = np.log(qw) + w.log_weight(x)
-    log_g0 = logsumexp(lw)
+    log_g0 = _logsumexp(lw)
     if not np.isfinite(log_g0):
         raise UnderflowError("weight vanishes identically on the grid")
     a, b = _scaled_recurrence(x, 0.5 * (lw - log_g0), n_max)
     return a, b, log_g0, len(x)
 
 
-def recurrence_table(w: WeightSpec, n_max: int) -> RecurrenceTable:
+def recurrence_table(w: WeightSpec, n_max: int, measure=None) -> RecurrenceTable:
     """Recurrence coefficients and norms for the weight, up to n_max <= 512.
 
     One Stieltjes pass on max(1200, 8 n_max) nodes and a verification pass
     on twice as many must agree to 1e-12 relative in a and b; otherwise
-    NonConvergenceError.  The finer pass is returned.
+    NonConvergenceError.  The finer pass is returned.  measure, the
+    equilibrium measure of (N/n_max) V, spares the window its own solve
+    (ValueError for the measure of any other potential).
     """
     if not 1 <= n_max <= 512:
         raise ValueError("n_max must be between 1 and 512")
-    lo, hi = w.window(n_max)
+    lo, hi = w.window(n_max, measure)
     nodes = max(_NODES_MIN, 8 * n_max)
     pa, pb, _, coarse = _stieltjes(w, n_max, lo, hi, nodes)
     a, b, log_g0, used = _stieltjes(w, n_max, lo, hi, 2 * nodes)
@@ -197,64 +211,81 @@ def recurrence_table(w: WeightSpec, n_max: int) -> RecurrenceTable:
 # weighted functions and kernels
 
 def _scaled_recurrence(x, logscale, n, t: RecurrenceTable = None,
-                       derivatives=False):
+                       derivatives=False, first=0):
     """The one orthonormal three-term recurrence r_k = (x - b_k) phi_k -
     sqrt(a_k) phi_{k-1} = sqrt(a_{k+1}) phi_{k+1} on the points x, from
     phi_0 = exp(logscale).  phi_k is carried as y_k exp(logscale_k); every
     8 steps y is divided pointwise by max(|y_k|, |y_{k-1}|), whose log
     joins the log-scale, so neither polynomial growth nor a tiny weight
-    leaves the double range.
+    leaves the double range.  Each step writes into buffers allocated once.
 
     Without a table, x are quadrature nodes whose weights are folded into
     phi_0, and b_k = sum x phi_k^2, a_{k+1} = sum r_k^2 are discrete inner
     products; returns (a, b).  With a table, returns (y, dy or None,
-    logscale), each (n+1, len(x)), dy the derivative of p_k on y's scale."""
+    logscale) for the rows k = first..n, each (n+1-first, len(x)), dy the
+    derivative of p_k on y's scale."""
     build = t is None
     a, b = (np.zeros(n), np.zeros(n + 1)) if build else (t.a, t.b)
-    mass = np.exp(2.0 * logscale) if build else None
-    cur, prev, s_prev = np.ones(len(x)), 0.0, 0.0
-    curp = prevp = np.zeros(len(x))
-    if not build:
-        y, logs = np.empty((n + 1, len(x))), np.empty((n + 1, len(x)))
-        yp = np.zeros((n + 1, len(x))) if derivatives else None
-        y[0], logs[0] = cur, logscale
+    logscale = np.array(logscale, dtype=float)  # a copy: updated in place
+    size = len(x)
+    cur, prev, xb, tmp = np.ones(size), np.zeros(size), np.empty(size), np.empty(size)
+    s_prev = 0.0
+    if build:
+        mass = np.exp(2.0 * logscale)
+    else:
+        y, logs = np.empty((n + 1 - first, size)), np.empty((n + 1 - first, size))
+        yp = np.zeros((n + 1 - first, size)) if derivatives else None
+        if first == 0:
+            y[0], logs[0] = cur, logscale
+    if derivatives:
+        curp, prevp = np.zeros(size), np.zeros(size)
     for k in range(n + 1):
         if build:
-            b[k] = np.dot(x * cur * cur, mass)
+            np.multiply(x, cur, out=tmp)
+            tmp *= cur
+            b[k] = np.dot(tmp, mass)
         if k == n:
             break
-        r = (x - b[k]) * cur - s_prev * prev
+        # r overwrites prev, whose last use is s_prev * prev
+        np.subtract(x, b[k], out=xb)
+        np.multiply(prev, s_prev, out=tmp)
+        r = np.multiply(xb, cur, out=prev)
+        r -= tmp
         if build:
-            a[k] = np.dot(r * r, mass)
+            a[k] = np.dot(np.multiply(r, r, out=tmp), mass)
             if not a[k] > 0.0:
                 raise NonConvergenceError("Stieltjes breakdown: too few nodes")
         s = math.sqrt(a[k])
         if derivatives:
-            prevp, curp = curp, (cur + (x - b[k]) * curp - s_prev * prevp) / s
-        prev, cur, s_prev = cur, r / s, s
+            prevp, curp = curp, (cur + xb * curp - s_prev * prevp) / s
+        r /= s
+        prev, cur, s_prev = cur, r, s
         if (k + 1) % 8 == 0:
-            m = np.maximum(np.abs(cur), np.abs(prev))
-            m = np.where(m > 0, m, 1.0)
-            cur, prev, curp, prevp = cur / m, prev / m, curp / m, prevp / m
-            logscale = logscale + np.log(m)
-            mass = np.exp(2.0 * logscale) if build else None
-        if not build:
-            y[k + 1], logs[k + 1] = cur, logscale
+            m = np.maximum(np.abs(cur), np.abs(prev, out=tmp))
+            m[~(m > 0)] = 1.0
+            for v in (cur, prev, curp, prevp) if derivatives else (cur, prev):
+                v /= m
+            logscale += np.log(m, out=m)
+            if build:
+                np.exp(np.multiply(2.0, logscale, out=mass), out=mass)
+        if not build and k + 1 >= first:
+            y[k + 1 - first], logs[k + 1 - first] = cur, logscale
             if derivatives:
-                yp[k + 1] = curp
+                yp[k + 1 - first] = curp
     return (a, b) if build else (y, yp, logs)
 
 
-def _phi_recurrence(t: RecurrenceTable, w: WeightSpec, x, n, derivatives=False):
-    """Orthonormal weighted functions phi_k(x), k = 0..n, from the table.
-    Returns (phi, dphi or None) with shape (n+1, len(x))."""
+def _phi_recurrence(t: RecurrenceTable, w: WeightSpec, x, n, derivatives=False,
+                    first=0):
+    """Orthonormal weighted functions phi_k(x), k = first..n, from the
+    table.  Returns (phi, dphi or None) with shape (n+1-first, len(x))."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if w.potential.hard_edge and np.any(x < 0.0):
         raise ValueError("hard-edge weight evaluated at negative argument")
     # phi_0 = sqrt(weight) / gamma_0
     log_phi0 = 0.5 * (w.log_weight(x) - math.log(t.gamma_sq[0]))
     # the recurrence's arrays are scaled in place, so no extra copies
-    phi, dphi, grow = _scaled_recurrence(x, log_phi0, n, t, derivatives)
+    phi, dphi, grow = _scaled_recurrence(x, log_phi0, n, t, derivatives, first)
     np.exp(np.clip(grow, -745.0, 705.0, out=grow), out=grow)
     phi *= grow
     if not derivatives:
@@ -310,18 +341,22 @@ def cd_kernel_grid(t: RecurrenceTable, w: WeightSpec, n: int, xs, ys) -> np.ndar
     near = np.abs(dx) < 1e-7 * (1.0 + np.abs(xs[:, None]))
     ii, jj = np.nonzero(near)
     mids = 0.5 * (xs[ii] + ys[jj])
-    # one recurrence over xs, ys and the band midpoints; the derivative
-    # rows are only carried when some pair needs the confluent form
-    phi, dphi = _phi_recurrence(t, w, np.concatenate([xs, ys, mids]), n,
-                                derivatives=len(mids) > 0)
-    px, py = phi[:, :len(xs)], phi[:, len(xs):len(xs) + len(ys)]
-    num = px[n][:, None] * py[n - 1][None, :] - px[n - 1][:, None] * py[n][None, :]
+    # one pointwise recurrence, keeping rows n-1 and n, over the distinct
+    # bit patterns of xs, ys and the band midpoints (a square grid is one
+    # set); the derivative rows only when some pair is confluent
+    pts, idx = np.unique(np.concatenate([xs, ys, mids]).view(np.int64),
+                         return_inverse=True)
+    phi, dphi = _phi_recurrence(t, w, pts.view(np.float64), n,
+                                derivatives=len(mids) > 0, first=n - 1)
+    ix, iy, im = np.split(idx, [len(xs), len(xs) + len(ys)])
+    px, py = phi[:, ix], phi[:, iy]
+    num = px[1][:, None] * py[0][None, :] - px[0][:, None] * py[1][None, :]
     out = np.empty_like(dx)
     np.divide(num, dx, out=out, where=~near)
     out *= san
     if len(mids):
-        pm, dm = phi[:, -len(mids):], dphi[:, -len(mids):]
-        out[ii, jj] = san * (dm[n] * pm[n - 1] - dm[n - 1] * pm[n])
+        pm, dm = phi[:, im], dphi[:, im]
+        out[ii, jj] = san * (dm[1] * pm[0] - dm[0] * pm[1])
     return out
 
 

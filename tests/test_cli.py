@@ -33,6 +33,7 @@ class TestEqm:
         assert obj["results"]["support"][1] == pytest.approx(2.0, abs=1e-10)
         assert obj["config"]["potential"] == "0,0,0.5"
         assert obj["results"]["classification"] == []
+        assert sorted(obj["results"]) == ["classification", "ell", "h", "moments", "support"]
 
     def test_multicut_exit3(self, tmp_path):
         out = tmp_path / "eqm.json"
@@ -255,6 +256,24 @@ class TestConverge:
         assert len(sups) == 3
         assert sups[0] > sups[1] > sups[2]
 
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "bulk", "--potential", "0,0,0.5"],
+        ["--mode", "edge", "--potential", "0,0,0.5"],
+        ["--mode", "hard", "--potential", "0,1", "--hard-edge"],
+        ["--mode", "origin", "--potential", "0,0,0.5", "--alpha", "1"],
+    ], ids=["bulk", "edge", "hard", "origin"])
+    def test_one_equilibrium_solve_per_command(self, tmp_path, monkeypatch, argv):
+        # N = n_max = n for every table, so the command's own measure of V
+        # picks every table's window
+        from rmtlab import equilibrium as eqm
+
+        solves = []
+        solve = eqm.solve_equilibrium
+        monkeypatch.setattr(eqm, "solve_equilibrium", lambda V: solves.append(V) or solve(V))
+        assert main(["converge", *argv, "--n", "8,16,24",
+                     "--out", str(tmp_path / "conv.csv")]) == 0
+        assert len(solves) == 1
+
     def test_worker_independence(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path, workers in [(a, "1"), (b, "2")]:
@@ -369,6 +388,8 @@ class TestSample:
     ["converge", "--potential", "0,1", "--hard-edge", "--mode", "bulk", "--n", "32"],
     ["converge", "--potential", "0,1", "--hard-edge", "--mode", "origin", "--n", "32"],
     ["converge", "--potential", "0,0,-1,0,0.25", "--mode", "origin", "--n", "32"],
+    # a histogram range that holds no eigenvalue
+    ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "1", "--range", "10:20:1"],
     ["oppoly", "--potential", "0,0,0.5", "--N", "16", "--nmax", "16", "--truncation", "nan"],
     ["oppoly", "--potential", "0,0,0.5", "--N", "16", "--nmax", "16", "--truncation", "inf"],
     # non-finite coefficients and parameters
@@ -385,6 +406,19 @@ def test_rejected_input_exit2_without_file(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert main(argv + ["--out", "o.csv", "--workers", "1"]) == 2
     assert capsys.readouterr().err.startswith("rmtlab: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_result_exit3_without_file(tmp_path, monkeypatch, capsys, fmt):
+    # the support is +-1.4e150 and the moments overflow: a numerical
+    # failure, with no nan or Infinity written anywhere
+    monkeypatch.chdir(tmp_path)
+    assert main(["eqm", "--potential", "0,0,1e-300", "--format", fmt,
+                 "--out", f"o.{fmt}"]) == 3
+    err = capsys.readouterr().err
+    assert "rmtlab: numerical failure: non-finite value" in err
+    assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
 

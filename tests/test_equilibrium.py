@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from rmtlab.equilibrium import (EquilibriumMeasure, MultiCutError, NonConvergenceError,
-                                Potential, classify, density, effective_potential,
-                                grid_energy_minimize, qv, solve_equilibrium)
+from rmtlab.equilibrium import (MultiCutError, NonConvergenceError, Potential, classify,
+                                density, effective_potential, grid_energy_minimize, qv,
+                                solve_equilibrium)
 
 SEMI = Potential((0.0, 0.0, 0.5))
 QUARTIC_CRIT = Potential((0.0, 0.0, -1.0, 0.0, 0.25))
@@ -274,15 +274,6 @@ class TestSolverInvariants:
         pot, mu, e, x0 = tilted(hi)
         assert 0.0 < e <= 1e-12
         assert classify(mu, pot) == [(pytest.approx(x0, abs=1e-12), "exterior", 0)]
-
-    def test_serialization_roundtrip(self, quartic):
-        text = quartic.to_text()
-        back = EquilibriumMeasure.from_text(text)
-        assert back.support == quartic.support
-        assert back.ell == quartic.ell
-        assert np.array_equal(back.h, quartic.h)
-        assert np.array_equal(back.moments, quartic.moments)
-        assert back.potential == quartic.potential
 
 
 class TestClosedForms:

@@ -329,6 +329,24 @@ class TestMatrixKernels:
         kr.matrix_kernel_edge(4, pts[:, None], pts[None, :])
         assert 0 < sum(points) <= 300
 
+    def test_edge_knot_points_skip_empty_panels(self, monkeypatch):
+        # -1.5 and -0.5 are knots of the tail integral: their partial panels
+        # are empty, so they add an exact 0 and call Airy nowhere (with y = x
+        # the 20 coincident nodes would also take the confluent form)
+        import rmtlab.specfun as sf
+
+        pts = np.array([-1.5, -0.5, 0.3, 1.1])
+        got = [kr.matrix_kernel_edge(beta, pts[:, None], pts[None, :]) for beta in (1, 4)]
+        points = []
+        real = sf.airy_real
+        monkeypatch.setattr(sf, "airy_real", lambda x: points.append(np.size(x)) or real(x))
+        kr.matrix_kernel_edge(4, pts[:, None], pts[None, :])
+        assert 0 < sum(points) <= 260
+        monkeypatch.setattr(kr, "_airy_kernel_tail_integral", _tail_integral_per_pair)
+        for beta, g in zip((1, 4), got):
+            want = kr.matrix_kernel_edge(beta, pts[:, None], pts[None, :])
+            assert np.array_equal(g.view(np.uint64), want.view(np.uint64))
+
     def test_cached_tables_read_only(self):
         f = kr._edge_tail_nodes()
         arrays = [f.value, f.derivative]

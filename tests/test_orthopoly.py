@@ -4,13 +4,17 @@ Classical oracles: monic Hermite under e^{-N x^2/2} has a_k = k/N via the
 substitution x -> x sqrt(N), and monic Laguerre under x^a e^{-N x} has
 b_k = (2k + 1 + a)/N, a_k = k(k + a)/N^2; both follow from the textbook
 recurrences by rescaling.  Quadrature oracles check orthonormality and the
-projection identities.
+projection identities.  The allocating recurrence that keeps every row,
+the grid that evaluates xs, ys and the band midpoints apart, and scipy's
+logsumexp are kept here as references that the tables and grids must
+match bit for bit.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from rmtlab import equilibrium as eq
 from rmtlab import kernels as kr
@@ -206,15 +210,19 @@ class TestCdKernel:
                 assert grid[i, j] == pytest.approx(op.cd_kernel(t, w, 10, xv, yv), rel=1e-11)
 
     def test_one_recurrence_per_grid(self, herm16, monkeypatch):
-        # the band midpoints share the recurrence of xs and ys
+        # the band midpoints share the recurrence of xs and ys, which keeps
+        # rows n-1 and n only; a point repeated among them is evaluated once
         w, t = herm16
         calls = []
         real = op._phi_recurrence
         monkeypatch.setattr(op, "_phi_recurrence",
-                            lambda *a, **k: calls.append(k) or real(*a, **k))
+                            lambda *a, **k: calls.append((len(a[2]), k)) or real(*a, **k))
         op.cd_kernel(t, w, 10, 0.3, 0.3)
         op.cd_kernel_grid(t, w, 10, np.array([-1.0, 0.5]), np.array([0.2]))
-        assert calls == [{"derivatives": True}, {"derivatives": False}]
+        op.cd_kernel_grid(t, w, 10, np.array([-1.0, 0.5, 0.9]), np.array([-1.0, 0.5, 0.9]))
+        assert calls == [(1, {"derivatives": True, "first": 9}),
+                         (3, {"derivatives": False, "first": 9}),
+                         (3, {"derivatives": True, "first": 9})]
 
     def test_positive_definite_random_points(self, herm64):
         w, t = herm64
@@ -254,6 +262,155 @@ class TestCdKernel:
             diag = op.cd_kernel_grid(t, w, n, xs, xs).diagonal() / n
             vals[alpha] = diag.mean()
         assert abs(vals[1.0] - vals[0.0]) <= 2e-2
+
+
+def _ref_scaled_recurrence(x, logscale, n, t=None, derivatives=False):
+    """The recurrence with fresh arrays at every step and every row kept."""
+    build = t is None
+    a, b = (np.zeros(n), np.zeros(n + 1)) if build else (t.a, t.b)
+    mass = np.exp(2.0 * logscale) if build else None
+    cur, prev, s_prev = np.ones(len(x)), 0.0, 0.0
+    curp = prevp = np.zeros(len(x))
+    if not build:
+        y, logs = np.empty((n + 1, len(x))), np.empty((n + 1, len(x)))
+        yp = np.zeros((n + 1, len(x))) if derivatives else None
+        y[0], logs[0] = cur, logscale
+    for k in range(n + 1):
+        if build:
+            b[k] = np.dot(x * cur * cur, mass)
+        if k == n:
+            break
+        r = (x - b[k]) * cur - s_prev * prev
+        if build:
+            a[k] = np.dot(r * r, mass)
+        s = math.sqrt(a[k])
+        if derivatives:
+            prevp, curp = curp, (cur + (x - b[k]) * curp - s_prev * prevp) / s
+        prev, cur, s_prev = cur, r / s, s
+        if (k + 1) % 8 == 0:
+            m = np.maximum(np.abs(cur), np.abs(prev))
+            m = np.where(m > 0, m, 1.0)
+            cur, prev, curp, prevp = cur / m, prev / m, curp / m, prevp / m
+            logscale = logscale + np.log(m)
+            mass = np.exp(2.0 * logscale) if build else None
+        if not build:
+            y[k + 1], logs[k + 1] = cur, logscale
+            if derivatives:
+                yp[k + 1] = curp
+    return (a, b) if build else (y, yp, logs)
+
+
+def _ref_cd_kernel_grid(t, w, n, xs, ys):
+    """K_n with xs, ys and the band midpoints concatenated, every row kept."""
+    xs, ys = np.atleast_1d(np.asarray(xs, float)), np.atleast_1d(np.asarray(ys, float))
+    dx = xs[:, None] - ys[None, :]
+    near = np.abs(dx) < 1e-7 * (1.0 + np.abs(xs[:, None]))
+    ii, jj = np.nonzero(near)
+    mids = 0.5 * (xs[ii] + ys[jj])
+    pts = np.concatenate([xs, ys, mids])
+    phi, dphi, grow = _ref_scaled_recurrence(
+        pts, 0.5 * (w.log_weight(pts) - math.log(t.gamma_sq[0])), n, t, len(mids) > 0)
+    grow = np.exp(np.clip(grow, -745.0, 705.0))
+    phi = phi * grow
+    if len(mids):
+        dlw = -0.5 * w.N * w.potential.deriv(pts)
+        if w.alpha != 0.0:
+            dlw = dlw + (0.5 * w.alpha if w.potential.hard_edge else w.alpha) / np.where(
+                pts != 0.0, pts, np.inf)
+        dphi = dphi * grow + phi * dlw[None, :]
+    san = math.sqrt(t.a[n - 1])
+    px, py = phi[:, :len(xs)], phi[:, len(xs):len(xs) + len(ys)]
+    num = px[n][:, None] * py[n - 1][None, :] - px[n - 1][:, None] * py[n][None, :]
+    out = np.empty_like(dx)
+    np.divide(num, dx, out=out, where=~near)
+    out *= san
+    if len(mids):
+        pm, dm = phi[:, -len(mids):], dphi[:, -len(mids):]
+        out[ii, jj] = san * (dm[n] * pm[n - 1] - dm[n - 1] * pm[n])
+    return out
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+class TestBitwiseReference:
+    """In-place Stieltjes passes, two-row grids and the numpy logsumexp
+    change no bit of a table or a kernel value."""
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 512])
+    @pytest.mark.parametrize("pot", [
+        HERMITE,
+        Potential((0.0, 1.0), hard_edge=True),
+        Potential((0.0, 1.0), hard_edge=True, singularity_alpha=1.5),
+        Potential((0.0, 0.0, 0.5), singularity_alpha=0.25),
+        Potential((0.0, 0.0, -1.0, 0.0, 0.25)),
+        Potential((0.0, 1.0, 1.0), hard_edge=True),
+    ], ids=["hermite", "laguerre0", "laguerre1.5", "genhermite0.25",
+            "critical_quartic", "x+x2_hard"])
+    def test_table(self, pot, n, monkeypatch):
+        w = op.WeightSpec(pot, N=n)
+        with monkeypatch.context() as m:
+            m.setattr(op, "_scaled_recurrence", _ref_scaled_recurrence)
+            m.setattr(op, "_logsumexp", logsumexp)
+            want = op.recurrence_table(w, n)
+        got = op.recurrence_table(w, n)
+        for name in ("a", "b", "gamma_sq"):
+            assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+        assert got.window == want.window and got.nodes_used == want.nodes_used
+
+    def test_logsumexp(self):
+        rng = np.random.default_rng(11)
+        cases = [rng.normal(scale=s, size=k) for s in (1.0, 300.0) for k in (1, 5, 4096)]
+        cases += [np.array([2.0, 2.0, -1.0, 2.0]), np.array([-np.inf, 0.5, -np.inf]),
+                  np.array([-800.0, -801.0, -1e4]), np.array([3.0, -np.inf, 3.0])]
+        for v in cases:
+            assert _bits(op._logsumexp(v)) == _bits(logsumexp(v))
+        for v in (np.full(3, -np.inf), np.array([0.0, np.nan])):
+            assert not np.isfinite(op._logsumexp(v))
+
+    @pytest.mark.parametrize("xs, ys", [
+        (np.linspace(-2.0, 2.0, 41), None),                       # square, diagonal band
+        (np.linspace(-2.0, 2.0, 9), np.linspace(-1.7, 1.9, 5)),   # no band pair
+        (np.array([-1.0, 0.3, 0.3, 1.2]), np.array([0.3, 1.2 + 1e-9, 2.0])),
+        (np.array([-0.0, 0.0, 0.5]), None),                       # signed zeros stay apart
+    ], ids=["square", "disjoint", "band_pairs", "signed_zero"])
+    @pytest.mark.parametrize("n", [1, 2, 9, 64])
+    def test_cd_grid(self, herm64, xs, ys, n):
+        w, t = herm64
+        ys = xs if ys is None else ys
+        assert _bits(op.cd_kernel_grid(t, w, n, xs, ys)) == _bits(_ref_cd_kernel_grid(t, w, n, xs, ys))
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.5])
+    def test_cd_grid_hard_edge(self, alpha):
+        pot = Potential((0.0, 1.0), hard_edge=True, singularity_alpha=alpha)
+        w = op.WeightSpec(pot, N=48)
+        t = op.recurrence_table(w, 48)
+        for xs, ys in [(np.linspace(0.0, 3.5, 15),) * 2,
+                       (np.array([0.0, 0.7, 2.0]), np.array([0.7, 3.0]))]:
+            assert _bits(op.cd_kernel_grid(t, w, 48, xs, ys)) == _bits(
+                _ref_cd_kernel_grid(t, w, 48, xs, ys))
+
+
+class TestMeasure:
+    def test_given_measure_gives_the_same_table(self, semicircle, monkeypatch):
+        w = op.WeightSpec(HERMITE, N=64)
+        want = op.recurrence_table(w, 64)
+        monkeypatch.setattr(eq, "solve_equilibrium", None)  # must not be called
+        got = op.recurrence_table(w, 64, semicircle)
+        assert got.window == want.window
+        assert _bits(got.a) == _bits(want.a) and _bits(got.b) == _bits(want.b)
+
+    def test_measure_of_another_potential_raises(self, semicircle):
+        # N = 32, n_max = 64 windows by the measure of V/2, not of V; the
+        # singularity exponent is part of the potential; a given truncation
+        # does not excuse a wrong measure
+        alpha1 = Potential((0.0, 0.0, 0.5), singularity_alpha=1.0)
+        for w, n_max in [(op.WeightSpec(HERMITE, N=32), 64),
+                         (op.WeightSpec(alpha1, N=64), 64),
+                         (op.WeightSpec(HERMITE, N=32, truncation=8.0), 64)]:
+            with pytest.raises(ValueError, match="equilibrium measure"):
+                op.recurrence_table(w, n_max, semicircle)
 
 
 class TestScalingWindows:
