@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
-from functools import partial
+from functools import cache, partial
 
 import os
 import sys
@@ -272,7 +272,9 @@ def _cmd_sample(args):
 
 # ---------------------------------------------------------------------------
 
+@cache
 def _build_parser():
+    """Built at the first run; parse_args fills a new namespace each call."""
     p = argparse.ArgumentParser(
         prog="rmtlab",
         description="random-matrix universality laboratory")

@@ -352,13 +352,13 @@ def solve_equilibrium(V: Potential) -> EquilibriumMeasure:
                 f"effective potential {e[bad][0]:.2e} < 0 at x = {xs[bad][0]:.6g} "
                 "off the support")
     c = 0.5 * (a + b)
-    mu.ell = float(V(c)) - 2.0 * float(_log_potential(mu, c))
+    mu.ell = float(V(c)) - 2.0 * _log_transform(mu, c).real
     return mu
 
 
 def _moments(V, a, b, h):
     """Power moments m_0 .. m_{deg V + 2}, exact by Gauss-Chebyshev (second
-    kind): x = c + r t on a soft edge, x = b u^2 on a hard edge."""
+    kind), x = c + r t (soft) or b u^2 (hard); overflow raises ArithmeticError."""
     d = V.degree
     t, w = gauss_chebyshev_u(2 * d + 4)
     if V.hard_edge:
@@ -366,7 +366,11 @@ def _moments(V, a, b, h):
     else:
         r = 0.5 * (b - a)
         x, w = 0.5 * (a + b) + r * t, (r * r / np.pi) * w
-    m = (w * npoly.polyval(x, h)) @ (x[:, None] ** np.arange(d + 3))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            m = (w * npoly.polyval(x, h)) @ (x[:, None] ** np.arange(d + 3))
+    except FloatingPointError as exc:
+        raise ArithmeticError(f"non-finite value in the moments ({exc})") from None
     return m / m[0]
 
 
@@ -400,16 +404,21 @@ def _arcsine_chebyshev(mu: EquilibriumMeasure):
     return c, r, chebyshev.poly2cheb(p * (r / np.pi))
 
 
-def _log_potential(mu: EquilibriumMeasure, x):
-    """Int log|x - y| dmu(y) for x on the support.
+def _log_transform(mu: EquilibriumMeasure, z):
+    """g(z) = Int log(z - y) dmu(y), principal branch, broadcast over complex
+    z off (-inf, b]; on the support (Im z = +0) the boundary value from
+    above, Int log|x - y| dmu(y) + i pi mu([x, b]).
 
-    Int log|t - s| T_k(s) ds/sqrt(1 - s^2) = -pi T_k(t)/k (k >= 1) and
-    -pi log 2 (k = 0), so the Chebyshev-T coefficients of p
-    (_arcsine_chebyshev) give the integral exactly."""
+    With w = (z - c)/r and zeta = w + sqrt(w - 1) sqrt(w + 1), |zeta| >= 1,
+    Int log(w - s) T_k(s) ds/sqrt(1 - s^2) = -pi zeta^{-k}/k (k >= 1) and
+    pi log(zeta/2) (k = 0), so the Chebyshev-T coefficients of p
+    (_arcsine_chebyshev) give g exactly."""
     c, r, p = _arcsine_chebyshev(mu)
+    w = (np.asarray(z, dtype=complex) - c) / r
+    zeta = w + np.sqrt(w - 1.0) * np.sqrt(w + 1.0)
     k = np.arange(1, len(p))
-    t = np.clip((np.asarray(x, dtype=float) - c) / r, -1.0, 1.0)
-    return np.pi * (p[0] * math.log(0.5 * r) - chebyshev.chebval(t, np.r_[0.0, p[1:] / k]))
+    series = npoly.polyval(1.0 / zeta, np.r_[0.0, p[1:] / k])
+    return np.pi * (p[0] * (math.log(0.5 * r) + np.log(zeta)) - series)
 
 
 def phi(mu: EquilibriumMeasure, z, side: str = "right"):
@@ -456,7 +465,7 @@ def effective_potential(mu: EquilibriumMeasure, V: Potential, x):
         raise ValueError("the hard-edge effective potential lives on x >= 0")
     val = np.empty_like(x)
     inside = (x >= a) & (x <= b)
-    val[inside] = V(x[inside]) - 2.0 * _log_potential(mu, x[inside]) - mu.ell
+    val[inside] = V(x[inside]) - 2.0 * _log_transform(mu, x[inside]).real - mu.ell
     val[x > b] = 2.0 * phi(mu, x[x > b]).real
     if not V.hard_edge:
         val[x < a] = 2.0 * phi(mu, x[x < a], "left").real

@@ -27,8 +27,9 @@ from typing import Optional
 
 import numpy as np
 
-from .quadrature import gauss_legendre_panels, panel_suffix, partial_panel
-from .specfun import _scalar_or_array, airy, airy_tail, bessel_j, sinc_integral
+from .quadrature import gauss_legendre_panels, panel_suffix, panel_tail
+from .specfun import (_TAIL_CUT, _TAIL_LEFT, _TAIL_ORDER, _TAIL_PANELS, _scalar_or_array,
+                      _tail_nodes, airy, airy_tail, bessel_j, sinc_integral)
 
 __all__ = [
     "KernelHandle",
@@ -380,40 +381,20 @@ def matrix_kernel_bulk(beta: int, x, y) -> np.ndarray:
     return _blocks(-f * sine_kernel_dx(f * x, f * y), k12, -k12, k22)
 
 
-_EDGE_LEFT, _EDGE_CUT = -30.0, 14.0
-_EDGE_PANELS = 88   # panels of width 1/2 on [_EDGE_LEFT, _EDGE_CUT]
-
-
-@lru_cache(maxsize=None)
-def _edge_tail_nodes():
-    """Read-only Ai, Ai' at the full-panel nodes of the edge tail integral."""
-    t, _ = gauss_legendre_panels(_EDGE_LEFT, _EDGE_CUT, _EDGE_PANELS, _GLP_ORDER)
-    f = airy(t)
-    f.value.flags.writeable = f.derivative.flags.writeable = False
-    return f
-
-
 def _airy_kernel_tail_integral(x, y):
-    """integral_x^inf K_Ai(t, y) dt for x >= -30, broadcast over x and y, as
-    one batched composite Gauss-Legendre quadrature on panels of width 1/2:
-    the panels between the knots -30, -29.5, ..., 14 (Airy at their nodes is
-    evaluated once per process) are summed from the right per distinct y,
-    and each distinct x adds its partial panel to the next knot.  Beyond
-    t = 14 the integrand is below 1e-15.  An x on a knot has an empty
-    partial panel, which adds 0 and is not evaluated.  An entry does not
-    depend on the rest of the batch."""
+    """integral_x^inf K_Ai(t, y) dt for x >= -30, broadcast over x and y: the
+    panels of specfun's tail grid (Airy at their nodes cached) summed from
+    the right per distinct y, plus one partial panel per distinct x
+    (quadrature.panel_tail).  Beyond t = 14 the integrand is below 1e-15.
+    An entry does not depend on the rest of the batch."""
     x, y = np.broadcast_arrays(*_args(x, y))
     ys, iy = np.unique(y, return_inverse=True)
-    xs, ix = np.unique(np.minimum(x, _EDGE_CUT), return_inverse=True)
     col = ys[:, None, None]
-    knots, suffix = panel_suffix(lambda t: _airy_quotient(t, col, _edge_tail_nodes(), airy(col)),
-                                 _EDGE_LEFT, _EDGE_CUT, _EDGE_PANELS, _GLP_ORDER)
-    j = np.searchsorted(knots, xs)
-    gap = xs < knots[j]
-    part = np.zeros((len(ys), len(xs)))
-    part[:, gap] = partial_panel(lambda t: airy_kernel(t, col[..., None]), xs[gap], knots,
-                                 _GLP_ORDER)[1]
-    return _scalar_or_array((part[iy, ix] + suffix[iy, j[ix]]).reshape(x.shape))
+    knots, suffix = panel_suffix(lambda t: _airy_quotient(t, col, _tail_nodes(), airy(col)),
+                                 _TAIL_LEFT, _TAIL_CUT, _TAIL_PANELS, _TAIL_ORDER)
+    vals, ix = panel_tail(lambda t: airy_kernel(t, col[..., None]), np.minimum(x, _TAIL_CUT),
+                          knots, suffix, _TAIL_ORDER)
+    return _scalar_or_array(vals[iy.reshape(y.shape), ix])
 
 
 def matrix_kernel_edge(beta: int, x, y) -> np.ndarray:

@@ -1,8 +1,8 @@
-"""Quadrature rules: composite Gauss-Legendre panels and their suffix sums
-for tail integrals, the power-weight rule behind the discretized Stieltjes
-nodes, Gauss-Chebyshev of the first kind for the equilibrium endpoint
-equations and h, and of the second kind for the equilibrium moments and
-the g-function."""
+"""Quadrature rules: composite Gauss-Legendre panels, their suffix sums
+and the partial panels of tail integrals, the power-weight rule behind
+the discretized Stieltjes nodes, Gauss-Chebyshev of the first kind for the
+equilibrium endpoint equations and h, and of the second kind for the
+equilibrium moments."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
-__all__ = ["gauss_legendre_panels", "panel_suffix", "partial_panel",
+__all__ = ["gauss_legendre_panels", "panel_suffix", "panel_tail",
            "power_weight_panels", "gauss_chebyshev_t", "gauss_chebyshev_u"]
 
 
@@ -44,13 +44,19 @@ def panel_suffix(f, lo, hi, panels: int, order: int):
     return np.linspace(lo, hi, panels + 1), suffix
 
 
-def partial_panel(f, x, knots, order: int):
-    """Index j of the first knot >= x and the integral of f over [x, knots[j]]
-    on one Gauss-Legendre panel, broadcast over x; adding the panel_suffix
-    sum at j integrates from x to the last knot."""
-    j = np.searchsorted(knots, x)
-    t, w = gauss_legendre_panels(x, knots[j], 1, order)
-    return j, (f(t) * w).sum(axis=(-2, -1))
+def panel_tail(f, x, knots, suffix, order: int):
+    """integral_x f to the last knot at each distinct x between the knots,
+    and the index of each x into them: the panel_suffix sum at the next
+    knot plus one Gauss-Legendre panel from x, which an x on a knot skips.
+    f and suffix may carry the same leading axes, one integrand each."""
+    xs, ix = np.unique(x, return_inverse=True)
+    j = np.searchsorted(knots, xs)
+    out = suffix[..., j]
+    gap = xs < knots[j]
+    if gap.any():
+        t, w = gauss_legendre_panels(xs[gap], knots[j[gap]], 1, order)
+        out[..., gap] += (f(t) * w).sum(axis=(-2, -1))
+    return out, ix.reshape(np.shape(x))
 
 
 def power_weight_panels(lo: float, hi: float, beta: float, panels: int, order: int):

@@ -14,8 +14,8 @@ Every function broadcasts over its point arguments like a numpy ufunc:
 scalar points give a complex, a float or a (2, 2) array, array points the
 broadcast shape, with (..., 2, 2) for the matrix functions, and a range
 guard raises if any point is out of range.  phi and the conformal map share
-the quadrature core of equilibrium.phi; F = pi mu([x, b]) is exact through
-the Chebyshev-T coefficients of the density.
+the quadrature core of equilibrium.phi; g and F = pi mu([x, b]) = Im g_+
+are exact (equilibrium._log_transform).
 
 Branch bookkeeping: beta(z) = ((z-b)/(z-a))^{1/4} uses the principal
 fourth root of the ratio (cut exactly on [a, b]); phi is computed through
@@ -34,7 +34,6 @@ import numpy as np
 from . import equilibrium as eqm
 from .equilibrium import EquilibriumMeasure
 from .kernels import _blocks, _integrable_quotient
-from .quadrature import gauss_chebyshev_u
 from .specfun import _scalar_or_array, airy
 
 __all__ = [
@@ -53,8 +52,6 @@ __all__ = [
     "asymptotic_recurrence",
     "diagnostics",
 ]
-
-_GC_T, _GC_W = gauss_chebyshev_u(256)
 
 
 @dataclass
@@ -95,17 +92,13 @@ class DescentContext:
 
 
 def g_function(ctx: DescentContext, z):
-    """g(z) = Int log(z - x) dmu(x) by Gauss-Chebyshev against the density,
-    principal branch; g(z) = log z + O(1/z) at infinity."""
-    a, b = ctx.support
+    """g(z) = Int log(z - x) dmu(x), principal branch, exact for polynomial h
+    (equilibrium._log_transform); g(z) = log z + O(1/z) at infinity."""
+    b = ctx.support[1]
     z = np.asarray(z, dtype=complex)
     if np.any((np.abs(z.imag) < 1e-10) & (z.real <= b + 1e-10)):
         raise ValueError("g_function: z too close to the branch cut (-inf, b]")
-    c, r = 0.5 * (a + b), 0.5 * (b - a)
-    x = c + r * _GC_T
-    hv = np.polyval(ctx.measure.h[::-1], x)
-    w = (r * r / np.pi) * _GC_W * hv
-    return _scalar_or_array(np.sum(w * np.log(z[..., None] - x), axis=-1))
+    return _scalar_or_array(eqm._log_transform(ctx.measure, z))
 
 
 def phi(ctx: DescentContext, z, variant: str = "right"):
@@ -119,13 +112,11 @@ def phi(ctx: DescentContext, z, variant: str = "right"):
 def phi_plus_imag(ctx: DescentContext, x):
     """F(x) = -Im phi_+(x) = pi mu([x, b]) for x in (a, b); phi_+ = -i F.
 
-    Exact for polynomial h: with x = c + r cos(theta) and p_k the
-    Chebyshev-T coefficients of the density (dmu = p(t) dt/sqrt(1 - t^2)),
-    mu([x, b]) = p_0 theta + sum_k p_k sin(k theta)/k."""
-    c, r, p = eqm._arcsine_chebyshev(ctx.measure)
-    th = np.arccos(np.clip((np.asarray(x, dtype=float) - c) / r, -1.0, 1.0))
-    k = np.arange(1, len(p))
-    return _scalar_or_array(np.pi * (p[0] * th + np.sin(th[..., None] * k) @ (p[1:] / k)))
+    F = Im g_+(x), exact for polynomial h (equilibrium._log_transform); x
+    is clipped to [a, b], so F is pi left of the support and 0 right of it."""
+    a, b = ctx.support
+    x = np.clip(np.asarray(x, dtype=float), a, b)
+    return _scalar_or_array(eqm._log_transform(ctx.measure, x + 0j).imag)
 
 
 # ---------------------------------------------------------------------------

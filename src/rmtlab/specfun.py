@@ -11,9 +11,9 @@ scaling-limit experiments) consumes these primitives.  What computes what:
 * J_alpha(x), J_alpha'(x): scipy.special.jv and jvp, with the range checks
   and the x = 0 conventions of bessel_j.
 * integral_0^t sin(pi u)/(pi u) du: scipy.special.sici.
-* integral_x^inf Ai: a cumulative composite Gauss-Legendre table fed by the
-  vectorized Airy (scipy's itairy reaches only ~1e-7), with integration by
-  parts beyond x = 8.
+* integral_x^inf Ai: suffix sums over the one tail grid, which the edge
+  kernel tail integral shares, fed by cached Airy node values (scipy's
+  itairy reaches only ~1e-7), with integration by parts beyond x = 14.
 
 airy, bessel_j, sinc_integral and airy_tail broadcast over their argument
 like numpy ufuncs (scalar input gives a float, or a complex for complex
@@ -23,8 +23,9 @@ airy_real flattens its argument.
 Accuracy verified against mpmath and quadrature oracles in
 tests/test_specfun.py: Ai, Ai' to 1e-10 relative on [-20, 20] and to 1e-8
 relative for complex |z| <= 30 in every sector; J_alpha to 1e-10 for
--1 < alpha <= 40, x <= 50; the Airy tail to 1e-9 absolute; the sine
-integral to 1e-10 absolute for |t| <= 1e5.
+-1 < alpha <= 40, x <= 50; the Airy tail to 1e-14 absolute on [-40, 20]
+and 1e-8 relative beyond 8; the sine integral to 1e-10 absolute for
+|t| <= 1e5.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .quadrature import panel_suffix, partial_panel
+from .quadrature import gauss_legendre_panels, panel_suffix, panel_tail
 
 __all__ = [
     "FunctionValuePair",
@@ -105,16 +106,24 @@ def airy_real(x):
 # ---------------------------------------------------------------------------
 # integral of Ai over [x, infinity)
 
-_TAIL_ANCHOR = 8.0
-_TAIL_LEFT = -40.5
-_TAIL_PANELS = 194   # panels of width 1/4 on [_TAIL_LEFT, _TAIL_ANCHOR]
-_TAIL_ORDER = 16
+# the one tail grid: order-20 Gauss-Legendre panels between the knots
+# -40.5, -40, ..., 14, shared with the edge kernel tail integral
+_TAIL_LEFT, _TAIL_CUT, _TAIL_PANELS, _TAIL_ORDER = -40.5, 14.0, 109, 20
+
+
+@lru_cache(maxsize=None)
+def _tail_nodes():
+    """Read-only Ai, Ai' at the (panels, order) nodes of the tail grid."""
+    t, _ = gauss_legendre_panels(_TAIL_LEFT, _TAIL_CUT, _TAIL_PANELS, _TAIL_ORDER)
+    f = airy(t)
+    f.value.flags.writeable = f.derivative.flags.writeable = False
+    return f
 
 
 def _airy_tail_asym(x):
-    """integral_x^inf Ai for x >= 8 by repeated integration by parts
-    (Ai'' = x Ai); four levels leave a relative remainder below 4e-6 of an
-    already ~1e-8 sized tail."""
+    """integral_x^inf Ai for x >= 14 by repeated integration by parts
+    (Ai'' = x Ai); four levels leave a relative remainder below 1e-8 of a
+    tail below 1e-16."""
     f = airy(x)
     total = 0.0
     coef = 1.0
@@ -126,32 +135,30 @@ def _airy_tail_asym(x):
     return total
 
 
-def _airy_value(t):
-    return airy(t).value
-
-
 @lru_cache(maxsize=None)
 def _tail_table():
-    """Knots and suffix sums integral_{knot}^inf Ai, built once."""
-    knots, suffix = panel_suffix(_airy_value, _TAIL_LEFT, _TAIL_ANCHOR, _TAIL_PANELS, _TAIL_ORDER)
-    return knots, suffix + _airy_tail_asym(_TAIL_ANCHOR)
+    """Knots and suffix sums integral_{knot}^inf Ai of the tail grid."""
+    knots, suffix = panel_suffix(lambda t: _tail_nodes().value,
+                                 _TAIL_LEFT, _TAIL_CUT, _TAIL_PANELS, _TAIL_ORDER)
+    return knots, suffix + _airy_tail_asym(_TAIL_CUT)
 
 
 def airy_tail(x):
-    """integral_x^infinity Ai(t) dt, absolute accuracy ~1e-12; broadcasts
-    over x, and scalar x gives a float.
+    """integral_x^infinity Ai(t) dt for x >= -40, absolute accuracy ~1e-15;
+    broadcasts over x, and scalar x gives a float.
 
     The complementary integral over (-inf, y] is 1 - airy_tail(y).  Backed
-    by a cumulative panel table built once on first use (read-only after),
-    so dense kernel-grid evaluation stays cheap.
+    by the suffix sums of the tail grid, built once on first use, plus one
+    partial panel per distinct x below 14 that is not a knot.
     """
     x = np.asarray(x, dtype=float)
     if (x < _TAIL_LEFT + 0.49).any():
         raise ValueError("airy_tail: argument below supported range -40")
     knots, suffix = _tail_table()
-    j, part = partial_panel(_airy_value, np.minimum(x, _TAIL_ANCHOR), knots, _TAIL_ORDER)
-    out = np.asarray(part + suffix[j])
-    far = x >= _TAIL_ANCHOR
+    vals, ix = panel_tail(lambda t: airy(t).value, np.minimum(x, _TAIL_CUT), knots, suffix,
+                          _TAIL_ORDER)
+    out = np.asarray(vals[ix])
+    far = x > _TAIL_CUT
     if far.any():
         out[far] = _airy_tail_asym(x[far])
     return _scalar_or_array(out)

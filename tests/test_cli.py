@@ -422,6 +422,16 @@ def test_non_finite_result_exit3_without_file(tmp_path, monkeypatch, capsys, fmt
     assert list(tmp_path.iterdir()) == []
 
 
+def test_overflowing_moments_raise_before_numpy_warns(tmp_path, monkeypatch):
+    import warnings
+
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["eqm", "--potential", "0,0,1e-300", "--out", "o.json"]) == 3
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_exit2_without_file(tmp_path, monkeypatch, workers):
     monkeypatch.chdir(tmp_path)
@@ -469,3 +479,21 @@ class TestHelp:
     def test_top_help(self, capsys):
         assert main(["--help"]) == 0
         assert "eqm" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_and_runs_share_no_arguments(tmp_path, monkeypatch, capsys):
+    # the cached parser fills a new namespace per run: --kernel-out of the
+    # first run does not reach the third, and --help in between exits 0
+    from rmtlab import cli
+
+    monkeypatch.chdir(tmp_path)
+    base = ["oppoly", "--potential", "0,0,0.5", "--N", "8", "--nmax", "8"]
+    assert main(base + ["--kernel-n", "8", "--kernel-grid=-1:1:3", "--kernel-out", "k.csv",
+                        "--out", "t1.csv"]) == 0
+    assert main(["oppoly", "--help"]) == 0
+    assert main(base + ["--out", "t2.csv"]) == 0
+    assert "--kernel-out" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k.csv", "t1.csv", "t2.csv"]
+    assert (strip_timestamp((tmp_path / "t1.csv").read_text()).replace("t1.csv", "t2.csv")
+            == strip_timestamp((tmp_path / "t2.csv").read_text()))
+    assert cli._build_parser() is cli._build_parser()

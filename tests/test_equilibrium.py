@@ -276,6 +276,25 @@ class TestSolverInvariants:
         assert classify(mu, pot) == [(pytest.approx(x0, abs=1e-12), "exterior", 0)]
 
 
+@pytest.mark.parametrize("pot", [SEMI, QUARTIC_CRIT, QUARTIC_REG, MP,
+                                 Potential((0.0, 0.3, 0.4, 0.1, 0.2)),
+                                 Potential((0.0, 1.0, 1.0), hard_edge=True)])
+def test_log_transform_real_part_is_the_chebyshev_log_potential(pot):
+    # on the support Re g_+ is pi [p_0 log(r/2) - sum_k p_k T_k(t)/k]; at the
+    # centre the two agree bit for bit, so ell is the Chebyshev value
+    from numpy.polynomial import chebyshev
+
+    from rmtlab.equilibrium import _arcsine_chebyshev, _log_transform
+
+    mu = solve_equilibrium(pot)
+    c, r, p = _arcsine_chebyshev(mu)
+    t = np.linspace(-1.0, 1.0, 41)
+    q = np.r_[0.0, p[1:] / np.arange(1, len(p))]
+    old = np.pi * (p[0] * math.log(0.5 * r) - chebyshev.chebval(t, q))
+    np.testing.assert_allclose(_log_transform(mu, c + r * t).real, old, rtol=0, atol=1e-14)
+    assert mu.ell == float(pot(c)) - 2.0 * float(old[20])
+
+
 class TestClosedForms:
     def test_marchenko_pastur_catalan(self, mp):
         assert abs(mp.support[1] - 4.0) <= 1e-14

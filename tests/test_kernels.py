@@ -32,14 +32,16 @@ def _tail_integral_per_pair(x, y):
     """The edge tail integral with nothing kept between calls: every call
     evaluates Airy at the full-panel nodes again, and every (x, y) pair
     gets its own partial panel."""
-    from rmtlab.quadrature import panel_suffix, partial_panel
+    from rmtlab import specfun as sf
+    from rmtlab.quadrature import gauss_legendre_panels, panel_suffix
 
     x, y = np.broadcast_arrays(*kr._args(x, y))
     ys, iy = np.unique(y, return_inverse=True)
     knots, suffix = panel_suffix(lambda t: kr.airy_kernel(t, ys[:, None, None]),
-                                 kr._EDGE_LEFT, kr._EDGE_CUT, kr._EDGE_PANELS, kr._GLP_ORDER)
-    j, part = partial_panel(lambda t: kr.airy_kernel(t, y[..., None, None]),
-                            np.minimum(x, kr._EDGE_CUT), knots, kr._GLP_ORDER)
+                                 sf._TAIL_LEFT, sf._TAIL_CUT, sf._TAIL_PANELS, sf._TAIL_ORDER)
+    j = np.searchsorted(knots, np.minimum(x, sf._TAIL_CUT))
+    t, w = gauss_legendre_panels(np.minimum(x, sf._TAIL_CUT), knots[j], 1, sf._TAIL_ORDER)
+    part = (kr.airy_kernel(t, y[..., None, None]) * w).sum(axis=(-2, -1))
     return kr._scalar_or_array(part + suffix[iy.reshape(y.shape), j])
 
 
@@ -348,7 +350,9 @@ class TestMatrixKernels:
             assert np.array_equal(g.view(np.uint64), want.view(np.uint64))
 
     def test_cached_tables_read_only(self):
-        f = kr._edge_tail_nodes()
+        from rmtlab.specfun import _tail_nodes
+
+        f = _tail_nodes()
         arrays = [f.value, f.derivative]
         for n in (2, 4, 6, 8):
             arrays += kr._matchings(n)

@@ -64,6 +64,15 @@ class TestGFunction:
         gp = (rh.g_function(ctx64, 1e3 + h + 0j) - rh.g_function(ctx64, 1e3 - h + 0j)) / (2 * h)
         assert abs(1e3 * gp - 1.0) <= 2e-3
 
+    @pytest.mark.parametrize("z", [0.5 + 1e-2j, 0.5 + 1e-3j, 0.5 - 1e-4j, 1.9 + 1e-4j,
+                                   -1.9 + 1e-4j, -1.9 - 1e-4j, 2.0 + 1e-4j, 3.0 + 0.5j,
+                                   -3.0 + 1e-3j, 1j])
+    def test_semicircle_closed_form_near_the_cut(self, ctx64, z):
+        # V = x^2/2: g = z^2/4 - z s/4 + log((z + s)/2) - 1/2, s = sqrt(z^2 - 4)
+        s = cmath.sqrt(z - 2.0) * cmath.sqrt(z + 2.0)
+        want = z * z / 4.0 - z * s / 4.0 + cmath.log((z + s) / 2.0) - 0.5
+        assert abs(rh.g_function(ctx64, z) - want) <= 1e-14
+
     def test_cut_rejected(self, ctx64):
         with pytest.raises(ValueError):
             rh.g_function(ctx64, 0.5 + 0j)
@@ -456,6 +465,21 @@ def test_phi_plus_imag_matches_quadrature_oracle(one_cut_ctx):
     xs = np.linspace(a, b, 41)
     old = np.array([old_phi_plus_imag(one_cut_ctx, x) for x in xs])
     np.testing.assert_allclose(rh.phi_plus_imag(one_cut_ctx, xs), old, rtol=0, atol=1e-13)
+
+
+def test_g_function_matches_quadrature_oracle_off_the_cut(one_cut_ctx):
+    # 2048 Gauss-Chebyshev nodes against the density converge geometrically
+    # at a distance 0.5 from the support
+    from rmtlab.quadrature import gauss_chebyshev_u
+
+    a, b = one_cut_ctx.support
+    c, r = 0.5 * (a + b), 0.5 * (b - a)
+    t, w = gauss_chebyshev_u(2048)
+    x = c + r * t
+    w = (r * r / np.pi) * w * np.polyval(one_cut_ctx.measure.h[::-1], x)
+    z = np.array([c + 0.5j, a - 0.5 + 0.5j, b + 0.5 - 0.5j, a - 3.0 - 0.5j, b + 0.5])
+    old = (w * np.log(z[:, None] - x)).sum(axis=1)
+    np.testing.assert_allclose(rh.g_function(one_cut_ctx, z), old, rtol=0, atol=1e-13)
 
 
 def test_phi_plus_imag_is_pi_at_a(one_cut_ctx):

@@ -156,6 +156,30 @@ class TestAiryTail:
             ref = scipy.integrate.quad(lambda t: scipy.special.airy(t)[0], x, 30.0, limit=300)[0]
             assert specfun.airy_tail(x) == pytest.approx(ref, abs=1e-9)
 
+    @pytest.mark.parametrize("x", [-40.0, -35.3, -30.0, -7.3, 0.0, 7.9, 8.0, 9.5, 12.0, 14.0,
+                                   20.0])
+    def test_against_mpmath(self, x):
+        # unit subintervals keep mpmath's quadrature on the oscillatory side
+        with mp.workdps(30):
+            nodes = [mp.mpf(x)] + list(range(math.ceil(x), 0)) + [mp.mpf(max(x, 0.0)) + 4, mp.inf]
+            ref = mp.quad(mp.airyai, sorted(set(nodes)))
+        err = abs(specfun.airy_tail(x) - float(ref))
+        assert err <= 1e-14
+        if x >= 8.0:
+            assert err <= 1e-8 * float(ref)
+
+    def test_knots_call_airy_nowhere_once_warm(self, monkeypatch):
+        # -1.5 and -0.5 are knots of the tail grid: each is a suffix sum,
+        # with no partial panel to evaluate
+        specfun.airy_tail(0.3)
+        points = []
+        real = specfun.airy_real
+        monkeypatch.setattr(specfun, "airy_real", lambda x: points.append(np.size(x)) or real(x))
+        got = specfun.airy_tail([-1.5, -0.5])
+        assert points == []
+        knots, suffix = specfun._tail_table()
+        np.testing.assert_array_equal(got, suffix[np.searchsorted(knots, [-1.5, -0.5])])
+
     def test_derivative_is_minus_airy(self):
         h = 1e-5
         for x in [-12.3, -3.0, 0.7, 5.1]:
