@@ -7,23 +7,24 @@ diagnostics), sample (Monte Carlo batches, histograms, spacings).
 
 Conventions: grids are lo:hi:count, potentials are comma-separated
 ascending coefficients.  Exit codes: 0 success, 2 invalid input (any
-ValueError), 3 numerical failure (non-convergence, a multi-cut measure,
-ArithmeticError, LinAlgError).  Every output file starts with a header
-block carrying the arguments as given; the timestamp sits on its own
-line so that repeated runs differ in exactly that line.  CSV tables are
-written column by column (rmtlab._table), numbers as Python's shortest
-round-trip repr, so parsing a cell gives back the exact double.
+ValueError, an unwritable output path), 3 numerical failure
+(non-convergence, a multi-cut measure, ArithmeticError, LinAlgError); a
+command that exits 2 or 3 leaves no file.  Every output file starts with
+a header block carrying the arguments as given; the timestamp sits on
+its own line so that repeated runs differ in exactly that line.  CSV
+tables are written column by column (rmtlab._table), numbers as Python's
+shortest round-trip repr, so parsing a cell gives back the exact double.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-from functools import cache, partial
-
 import os
 import sys
 import time
+from functools import cache, partial
 
 import numpy as np
 
@@ -66,26 +67,22 @@ def _parse_ns(text):
         raise ValueError(f"bad n list {text!r}") from exc
 
 
-def _write_csv(path, config, table):
+def _csv_text(config, table):
     """The header block, then table: the text of table_text or a to_csv."""
     lines = [f"# rmtlab {__version__}",
              f"# timestamp = {time.strftime('%Y-%m-%dT%H:%M:%S')}"]
     lines += [f"# {key} = {config[key]}" for key in sorted(config)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-        fh.write(table)
+    return "\n".join(lines) + "\n" + table
 
 
-def _write_json(path, config, results, diagnostics):
+def _json_text(config, results, diagnostics):
     diagnostics = dict(diagnostics)
     diagnostics["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     obj = {"config": config, "results": results, "diagnostics": diagnostics}
     try:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise ArithmeticError(f"non-finite value in the JSON output: {exc}") from exc
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
 
 
 def _config_dict(args, keys):
@@ -114,13 +111,11 @@ def _cmd_eqm(args):
     diag = {"iterations": mu.iterations, "residual": mu.residual,
             "solver": mu.solver, "margin": mu.margin}
     if args.format == "json":
-        _write_json(args.out, config, results, diag)
-    else:
-        rows = [("a", mu.support[0]), ("b", mu.support[1]), ("ell", mu.ell)]
-        rows += [(f"h{k}", float(v)) for k, v in enumerate(mu.h)]
-        rows += [(f"m{k}", float(v)) for k, v in enumerate(mu.moments)]
-        _write_csv(args.out, config, table_text(["quantity", "value"], *zip(*rows)))
-    return 0
+        return [(args.out, _json_text(config, results, diag))]
+    rows = [("a", mu.support[0]), ("b", mu.support[1]), ("ell", mu.ell)]
+    rows += [(f"h{k}", float(v)) for k, v in enumerate(mu.h)]
+    rows += [(f"m{k}", float(v)) for k, v in enumerate(mu.moments)]
+    return [(args.out, _csv_text(config, table_text(["quantity", "value"], *zip(*rows))))]
 
 
 def _cmd_kernel(args):
@@ -130,9 +125,8 @@ def _cmd_kernel(args):
     cols = ["x", "y"] + (["value"] if handle.arity == "scalar"
                          else ["k11", "k12", "k21", "k22"])
     k = np.reshape(handle.evaluate(grid[:, None], grid[None, :]), (grid.size ** 2, -1))
-    _write_csv(args.out, config, table_text(
-        cols, *np.meshgrid(grid, grid, indexing="ij"), *k.T))
-    return 0
+    return [(args.out, _csv_text(config, table_text(
+        cols, *np.meshgrid(grid, grid, indexing="ij"), *k.T)))]
 
 
 def _cmd_oppoly(args):
@@ -147,17 +141,14 @@ def _cmd_oppoly(args):
     table = op.recurrence_table(w, args.nmax)
     config = _config_dict(args, ["potential", "hard_edge", "alpha", "N",
                                  "nmax", "out"])
-    # every table is formatted, and so checked, before any file is written
-    tables = [(args.out, table_text(
+    outputs = [(args.out, _csv_text(config, table_text(
         ["k", "a", "b", "gamma_sq"], range(args.nmax + 1),
-        np.concatenate([[0.0], table.a]), table.b, table.gamma_sq))]
+        np.concatenate([[0.0], table.a]), table.b, table.gamma_sq)))]
     if args.kernel_out:
         kmat = op.cd_kernel_grid(table, w, args.kernel_n, grid, grid)
-        tables.append((args.kernel_out, table_text(
-            ["x", "y", "value"], *np.meshgrid(grid, grid, indexing="ij"), kmat)))
-    for path, text in tables:
-        _write_csv(path, config, text)
-    return 0
+        outputs.append((args.kernel_out, _csv_text(config, table_text(
+            ["x", "y", "value"], *np.meshgrid(grid, grid, indexing="ij"), kmat))))
+    return outputs
 
 
 _CONVERGE_DEFAULTS = {
@@ -198,16 +189,14 @@ def _cmd_converge(args):
         diff = np.abs(got - ref)
         rows.append((n, args.mode, float(diff.max()), float(diff.mean() * span * span),
                      time.perf_counter() - start))
-    tables = [(args.out, table_text(
-        ["n", "mode", "sup_error", "l1_error", "runtime_seconds"], *zip(*rows)))]
+    outputs = [(args.out, _csv_text(config, table_text(
+        ["n", "mode", "sup_error", "l1_error", "runtime_seconds"], *zip(*rows))))]
     if args.grid_out:
         # rescaled-kernel grid of the largest n, next to the universal target
-        tables.append((args.grid_out, table_text(
+        outputs.append((args.grid_out, _csv_text(config, table_text(
             ["u", "v", "value", "universal_value"],
-            *np.meshgrid(grid, grid, indexing="ij"), got, ref)))
-    for path, text in tables:
-        _write_csv(path, config, text)
-    return 0
+            *np.meshgrid(grid, grid, indexing="ij"), got, ref))))
+    return outputs
 
 
 def _cmd_rh(args):
@@ -215,8 +204,7 @@ def _cmd_rh(args):
     ns = _parse_ns(args.n)
     config = _config_dict(args, ["potential", "n", "delta", "out"])
     rows = rh.diagnostics(eqm.solve_equilibrium(pot), ns, args.delta)
-    _write_csv(args.out, config, table_text(["check", "param", "value"], *zip(*rows)))
-    return 0
+    return [(args.out, _csv_text(config, table_text(["check", "param", "value"], *zip(*rows))))]
 
 
 def _parse_floats(text, count, what):
@@ -250,24 +238,21 @@ def _cmd_sample(args):
     batch = sample(args.seed, workers=min(4, os.cpu_count() or 1)
                    if args.workers is None else args.workers)
     hist = mc.empirical_density(batch, args.bins, (lo, hi))
-    # every table is formatted, and so checked, before any file is written;
     # the raw CSV's header carries no Metropolis statistics
     base = args.out.rsplit(".", 1)[0]
-    tables = [(base + ".csv", dict(config), batch.to_csv())] if args.csv else []
+    outputs = [(args.out, batch.to_bytes())]
+    if args.csv:
+        outputs.append((base + ".csv", _csv_text(config, batch.to_csv())))
     if batch.acceptance_rates is not None:
         for name, vals in (("acceptance_rate", batch.acceptance_rates),
                            ("proposal_width", batch.proposal_widths)):
             for stat, fn in (("min", np.min), ("median", np.median), ("max", np.max)):
                 config[f"{name}_{stat}"] = repr(float(fn(vals)))
-    tables.append((base + "_hist.csv", config, hist.to_csv()))
+    outputs.append((base + "_hist.csv", _csv_text(config, hist.to_csv())))
     if window:
-        tables.append((base + "_spacing.csv", config, table_text(
-            ["unfolded_spacing"], mc.local_statistics(batch, window))))
-    with open(args.out, "wb") as fh:
-        fh.write(batch.to_bytes())
-    for path, cfg, text in tables:
-        _write_csv(path, cfg, text)
-    return 0
+        outputs.append((base + "_spacing.csv", _csv_text(config, table_text(
+            ["unfolded_spacing"], mc.local_statistics(batch, window)))))
+    return outputs
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +289,7 @@ def _build_parser():
 
     sp = sub.add_parser("kernel", help="tabulate a universal kernel")
     sp.add_argument("--family", required=True,
-                    choices=["sine", "airy", "bessel_hard", "bessel_origin",
-                             "pearcey", "sine_beta1", "sine_beta4",
-                             "airy_beta1", "airy_beta4"])
+                    choices=kr._SCALAR_FAMILIES + kr._MATRIX_FAMILIES)
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--s", type=float, default=None)
     sp.add_argument("--grid", required=True, help="lo:hi:count")
@@ -379,7 +362,7 @@ def run(argv) -> int:
         # argparse exits 0 for --help, 2 for usage errors
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.command](args)
+        outputs = _DISPATCH[args.command](args)
     # LinAlgError is a ValueError, so it is caught first
     except (MultiCutError, NonConvergenceError, mc.AcceptanceRateError,
             ArithmeticError, np.linalg.LinAlgError) as exc:
@@ -388,6 +371,21 @@ def run(argv) -> int:
     except ValueError as exc:
         print(f"rmtlab: {exc}", file=sys.stderr)
         return 2
+    opened = []
+    for path, data in outputs:
+        try:
+            with open(path, "wb" if isinstance(data, bytes) else "w") as fh:
+                opened.append(path)
+                fh.write(data)
+        except OSError as exc:
+            # no partial result: this also removes a file that existed
+            # before this command truncated it
+            for done in opened:
+                with contextlib.suppress(OSError):
+                    os.remove(done)
+            print(f"rmtlab: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
+    return 0
 
 
 def main(argv=None) -> int:

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .quadrature import gauss_legendre_panels, panel_suffix, panel_tail
-from .specfun import (_TAIL_CUT, _TAIL_LEFT, _TAIL_ORDER, _TAIL_PANELS, _scalar_or_array,
-                      _tail_nodes, airy, airy_tail, bessel_j, sinc_integral)
+from .specfun import (_TAIL_CUT, _TAIL_LEFT, _TAIL_ORDER, _TAIL_PANELS, FunctionValuePair,
+                      _scalar_or_array, _tail_nodes, airy, airy_tail, bessel_j, sinc_integral)
 
 __all__ = [
     "KernelHandle",
@@ -383,17 +382,24 @@ def matrix_kernel_bulk(beta: int, x, y) -> np.ndarray:
 
 def _airy_kernel_tail_integral(x, y):
     """integral_x^inf K_Ai(t, y) dt for x >= -30, broadcast over x and y: the
-    panels of specfun's tail grid (Airy at their nodes cached) summed from
-    the right per distinct y, plus one partial panel per distinct x
-    (quadrature.panel_tail).  Beyond t = 14 the integrand is below 1e-15.
-    An entry does not depend on the rest of the batch."""
+    panels of specfun's tail grid (Airy at their nodes cached) right of the
+    knot below min(x), summed from the right per distinct y, plus one
+    partial panel per distinct x (quadrature.panel_tail).  Beyond t = 14
+    the integrand is below 1e-15.  The suffix sums start at the right end,
+    so an entry does not depend on the rest of the batch."""
     x, y = np.broadcast_arrays(*_args(x, y))
+    x = np.minimum(x, _TAIL_CUT)
     ys, iy = np.unique(y, return_inverse=True)
     col = ys[:, None, None]
-    knots, suffix = panel_suffix(lambda t: _airy_quotient(t, col, _tail_nodes(), airy(col)),
-                                 _TAIL_LEFT, _TAIL_CUT, _TAIL_PANELS, _TAIL_ORDER)
-    vals, ix = panel_tail(lambda t: airy_kernel(t, col[..., None]), np.minimum(x, _TAIL_CUT),
-                          knots, suffix, _TAIL_ORDER)
+    width = (_TAIL_CUT - _TAIL_LEFT) / _TAIL_PANELS
+    j0 = min(int((x.min(initial=_TAIL_CUT) - _TAIL_LEFT) // width), _TAIL_PANELS - 1)
+    nodes = _tail_nodes()
+    fx = FunctionValuePair(nodes.value[j0:], nodes.derivative[j0:])
+    knots, suffix = panel_suffix(lambda t: _airy_quotient(t, col, fx, airy(col)),
+                                 _TAIL_LEFT + width * j0, _TAIL_CUT, _TAIL_PANELS - j0,
+                                 _TAIL_ORDER)
+    vals, ix = panel_tail(lambda t: airy_kernel(t, col[..., None]), x, knots, suffix,
+                          _TAIL_ORDER)
     return _scalar_or_array(vals[iy.reshape(y.shape), ix])
 
 
@@ -516,57 +522,37 @@ def correlation_det(kernel, points) -> float:
     return float(np.linalg.det(_kernel_mesh("correlation_det", kernel, "scalar", points, 12)))
 
 
-@lru_cache(maxsize=None)
-def _matchings(n):
-    """Read-only row and column indices, shape ((n-1)!!, n/2), and signs of the
-    perfect matchings of 0..n-1, in the order of cofactor expansion along row 0."""
-    def expand(rest):
-        if not rest:
-            yield (), (), 1
-        for j in range(1, len(rest)):
-            for r, c, sign in expand(rest[1:j] + rest[j + 1:]):
-                yield (rest[0],) + r, (rest[j],) + c, (-1) ** (j - 1) * sign
-
-    rows, cols, signs = (np.array(v, dtype=np.intp) for v in zip(*expand(tuple(range(n)))))
-    rows.flags.writeable = cols.flags.writeable = signs.flags.writeable = False
-    return rows, cols, signs
-
-
 def pfaffian(a: np.ndarray) -> float:
-    """Pfaffian of an even-dimensional skew-symmetric matrix.
+    """Pfaffian of an even-dimensional skew-symmetric matrix, read from its
+    strict upper triangle (the lower one is taken as its negative).
 
-    Up to 8x8 the signed sum over the (n-1)!! perfect matchings, from one
-    gather: within 1e-15 prod_j |a_j|^(1/2) even where column sizes differ
-    by orders of magnitude.  Above, Householder skew tridiagonalization
-    (the product of the odd superdiagonal entries times det = -1 per
-    reflector), which is accurate only normwise.
+    Skew LTL^T elimination with pivoting (Parlett-Reid, BIT 10, 1970;
+    Wimmer, ACM TOMS 38, 2012), the same loop at every size: each step
+    swaps the largest entry of the first column into row 1 (a sign flip),
+    multiplies the result by the pivot a[0, 1] and leaves the rank-2
+    update of the trailing block.  Within 1e-15 prod_j |a_j|^(1/2) of a
+    50-digit expansion even where column sizes differ by orders of
+    magnitude; 0.0 when a pivot column is zero, 1.0 for the empty matrix.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if a.ndim != 2 or a.shape != (n, n) or n % 2:
         raise ValueError("pfaffian needs an even-dimensional square matrix")
-    if n <= 8:
-        rows, cols, signs = _matchings(n)
-        return float(signs @ a[rows, cols].prod(axis=1))
-    t = a.copy()
-    sign = 1.0
-    for k in range(n - 2):
-        col = t[k + 1:, k].copy()
-        norm = float(np.linalg.norm(col))
-        if norm < 1e-300:
-            continue
-        v = col
-        v[0] += math.copysign(norm, col[0] if col[0] != 0 else 1.0)
-        vn = float(np.linalg.norm(v))
-        if vn < 1e-300:
-            continue
-        v = v / vn
-        t[k + 1:, :] -= 2.0 * np.outer(v, v @ t[k + 1:, :])
-        t[:, k + 1:] -= 2.0 * np.outer(t[:, k + 1:] @ v, v)
-        sign = -sign
-    pf = sign
-    for i in range(0, n - 1, 2):
-        pf *= t[i, i + 1]
+    a = np.triu(a, 1)
+    a = a - a.T
+    pf = 1.0
+    while a.size:
+        p = 1 + int(np.abs(a[1:, 0]).argmax())
+        if p != 1:
+            a[[1, p]] = a[[p, 1]]
+            a[:, [1, p]] = a[:, [p, 1]]
+            pf = -pf
+        pivot = a[0, 1]
+        if pivot == 0.0:
+            return 0.0
+        pf *= pivot
+        u = np.outer(a[0, 2:] / pivot, a[2:, 1])
+        a = a[2:, 2:] + (u - u.T)
     return float(pf)
 
 

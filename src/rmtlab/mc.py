@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
@@ -108,6 +109,19 @@ class Histogram:
         return table_text(["bin_center", "density"], self.centers, self.density)
 
 
+def _map_blocks(fn, items, workers):
+    """[fn(block)] over consecutive blocks of items: one block per worker
+    process when workers > 1, else all items in this process.  fn must
+    pickle (a module-level function or a partial of one)."""
+    if workers <= 1:
+        return [fn(items)]
+    from concurrent.futures import ProcessPoolExecutor
+
+    blocks = np.array_split(np.arange(len(items)), min(workers, len(items)))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, [[items[i] for i in blk] for blk in blocks]))
+
+
 # ---------------------------------------------------------------------------
 # Gaussian ensembles
 
@@ -138,15 +152,8 @@ def sample_gaussian(beta: int, n: int, count: int, seed: int,
     if not (1 <= n <= 512 and 1 <= count <= 10_000):
         raise ValueError("supported ranges: 1 <= n <= 512, 1 <= count <= 1e4")
     children = np.random.SeedSequence(seed).spawn(count)
-    if workers > 1 and count > 8:
-        from concurrent.futures import ProcessPoolExecutor
-
-        blocks = np.array_split(np.arange(count), min(workers, count))
-        args = [(beta, n, [children[i] for i in blk]) for blk in blocks if len(blk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            out = np.concatenate(list(pool.map(_gaussian_draws, *zip(*args))), axis=0)
-    else:
-        out = _gaussian_draws(beta, n, children)
+    out = np.concatenate(_map_blocks(partial(_gaussian_draws, beta, n), children,
+                                     workers if count > 8 else 1))
     return SampleBatch(beta=beta, n=n, N=n, seed=seed, eigenvalue_sets=out)
 
 
@@ -199,8 +206,8 @@ def _sweep(V: Potential, beta: int, N: int, x, step, log_u):
     return take, beta * pair, gain
 
 
-def _run_chains(V: Potential, beta: int, n: int, N: int, seeds, per: int,
-                burn: int, spacing: int, support):
+def _run_chains(V: Potential, beta: int, n: int, N: int, per: int, burn: int,
+                spacing: int, support, seeds):
     """Advance a block of independent Metropolis chains (one spawned seed
     each, proposal width tuned per chain) and record `per` sorted states
     per chain at the given sweep spacing.  Returns the records in
@@ -265,18 +272,9 @@ def sample_invariant(V: Potential, beta: int, n: int, N: int, count: int,
     mu = eqm.solve_equilibrium(V)
     burn = max(steps // 2, 20)
     spacing = max(1, (steps - burn) // max(per, 1))
-    if workers > 1 and chains > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        blocks = np.array_split(np.arange(chains), min(workers, chains))
-        args = [(V, beta, n, N, [seeds[i] for i in blk], per, burn, spacing,
-                 mu.support) for blk in blocks if len(blk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_chains, *zip(*args)))
-        sets, rates, widths = (np.concatenate(p) for p in zip(*parts))
-    else:
-        sets, rates, widths = _run_chains(V, beta, n, N, seeds, per, burn,
-                                          spacing, mu.support)
+    parts = _map_blocks(partial(_run_chains, V, beta, n, N, per, burn, spacing, mu.support),
+                        seeds, workers if chains > 1 else 1)
+    sets, rates, widths = (np.concatenate(p) for p in zip(*parts))
     return SampleBatch(beta=beta, n=n, N=N, seed=seed,
                        eigenvalue_sets=_interleave_trim(sets, chains, per, count),
                        acceptance_rates=rates, proposal_widths=widths)

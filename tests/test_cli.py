@@ -409,6 +409,31 @@ def test_rejected_input_exit2_without_file(tmp_path, monkeypatch, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("dirs, existing, argv", [
+    # a missing directory
+    ([], [], ["eqm", "--potential", "0,0,0.5", "--out", "missing/x.json"]),
+    # --out names a directory
+    (["o.csv"], [], ["kernel", "--family", "sine", "--grid=-1:1:3", "--out", "o.csv"]),
+    # --kernel-out fails after --out, whose earlier contents are gone too
+    ([], ["table.csv"], ["oppoly", "--potential", "0,0,0.5", "--N", "8", "--nmax", "8",
+                         "--kernel-n", "8", "--kernel-grid=-1:1:3",
+                         "--kernel-out", "nodir/k.csv", "--out", "table.csv"]),
+    # the histogram path is a directory, after the batch and the raw CSV
+    (["d/x_hist.csv"], [], ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "1",
+                            "--csv", "--workers", "1", "--out", "d/x.bin"]),
+], ids=["missing_dir", "out_is_dir", "bad_kernel_out", "hist_is_dir"])
+def test_unwritable_output_exit2_without_file(tmp_path, monkeypatch, capsys, dirs, existing,
+                                              argv):
+    monkeypatch.chdir(tmp_path)
+    for d in dirs:
+        (tmp_path / d).mkdir(parents=True)
+    for f in existing:
+        (tmp_path / f).write_text("an earlier table\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("rmtlab: cannot write ")
+    assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_non_finite_result_exit3_without_file(tmp_path, monkeypatch, capsys, fmt):
     # the support is +-1.4e150 and the moments overflow: a numerical

@@ -1,5 +1,6 @@
 """Tests for the universal kernels and correlation assembly."""
 
+import functools
 import math
 
 import numpy as np
@@ -26,6 +27,25 @@ def _pfaffian_expand(a):
         keep = idx[(idx != 0) & (idx != j)]
         total += (-1.0) ** (j - 1) * a[0, j] * _pfaffian_expand(a[np.ix_(keep, keep)])
     return total
+
+
+def _pfaffian_mpmath(a):
+    """50-digit Pfaffian of the (exactly converted) strict upper triangle,
+    by cofactor expansion along the first remaining row, memoized over the
+    remaining indices."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        m = [[mpmath.mpf(float(v)) for v in row] for row in a]
+
+        @functools.cache
+        def expand(rest):
+            if not rest:
+                return mpmath.mpf(1)
+            return sum((-1) ** (j - 1) * m[rest[0]][rest[j]] * expand(rest[1:j] + rest[j + 1:])
+                       for j in range(1, len(rest)))
+
+        return expand(tuple(range(len(m))))
 
 
 def _tail_integral_per_pair(x, y):
@@ -353,10 +373,7 @@ class TestMatrixKernels:
         from rmtlab.specfun import _tail_nodes
 
         f = _tail_nodes()
-        arrays = [f.value, f.derivative]
-        for n in (2, 4, 6, 8):
-            arrays += kr._matchings(n)
-        for v in arrays:
+        for v in (f.value, f.derivative):
             assert not v.flags.writeable
             with pytest.raises(ValueError):
                 v[(0,) * v.ndim] = 1.0
@@ -420,17 +437,8 @@ class TestCorrelations:
         # 50-digit expansion of the same (exactly converted) entries
         import mpmath
 
-        def expand(m):
-            if not m:
-                return mpmath.mpf(1)
-            return sum((-1) ** (j - 1) * m[0][j]
-                       * expand([[r[c] for c in range(1, len(m)) if c != j]
-                                 for i, r in enumerate(m) if i not in (0, j)])
-                       for j in range(1, len(m)))
-
         with mpmath.workdps(50):
-            want = expand([[mpmath.mpf(float(v)) for v in row] for row in a])
-            err = abs(kr.pfaffian(a) - want)
+            err = abs(kr.pfaffian(a) - _pfaffian_mpmath(a))
         bound = float(np.prod(np.sqrt(np.linalg.norm(a, axis=0))))
         assert float(err) <= 1e-15 * bound
 
@@ -453,6 +461,29 @@ class TestCorrelations:
                 blocks = h.evaluate(pts[:, None], pts[None, :])
                 self._assert_matches_mpmath(
                     blocks.transpose(0, 2, 1, 3).reshape(2 * k, 2 * k))
+
+    @pytest.mark.parametrize("family", ["sine_beta1", "sine_beta4",
+                                        "airy_beta1", "airy_beta4"])
+    def test_pfaffian_large_kernel_meshes_against_mpmath(self, family):
+        # 10x10 to 16x16: the correlations of k = 5...8 points
+        rng = np.random.default_rng(5)
+        h = KernelHandle(family)
+        for k in (5, 6, 7, 8):
+            pts = np.sort(rng.uniform(-6.0, 8.0, size=k))
+            blocks = h.evaluate(pts[:, None], pts[None, :])
+            self._assert_matches_mpmath(blocks.transpose(0, 2, 1, 3).reshape(2 * k, 2 * k))
+
+    def test_pfaffian_padded_edge_mesh_against_mpmath(self):
+        # an airy_beta1 mesh from both sides of the edge, whose columns
+        # differ in size by orders of magnitude, padded to 10x10 by a unit
+        # pair: a reduction that is accurate only normwise, such as
+        # Householder tridiagonalization, misses it by about 5e-13
+        pts = np.array([-2.75, -0.5, 6.25, 6.75])
+        blocks = KernelHandle("airy_beta1").evaluate(pts[:, None], pts[None, :])
+        big = np.zeros((10, 10))
+        big[1:9, 1:9] = blocks.transpose(0, 2, 1, 3).reshape(8, 8)
+        big[0, 9], big[9, 0] = 1.0, -1.0
+        self._assert_matches_mpmath(big)
 
     def test_correlation_pfaffian_bulk(self):
         # Pf(A)^2 = det(A) for the 4x4 assembled from the beta=1 bulk kernel
@@ -565,6 +596,7 @@ class TestBroadcasting:
         assert h.evaluate(xs[:, None], ys[None, :]).shape == (4, 3) + block
         assert h.evaluate(xs, c).shape == (4,) + block
         assert h.evaluate(xs[:3], ys).shape == (3,) + block
+        assert h.evaluate(xs[:0, None], ys[None, :]).shape == (0, 3) + block
 
     def test_specfun_arrays_equal_scalar_calls(self):
         from rmtlab import specfun
