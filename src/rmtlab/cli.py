@@ -239,7 +239,7 @@ def _cmd_sample(args):
                    if args.workers is None else args.workers)
     hist = mc.empirical_density(batch, args.bins, (lo, hi))
     # the raw CSV's header carries no Metropolis statistics
-    base = args.out.rsplit(".", 1)[0]
+    base = os.path.splitext(args.out)[0]
     outputs = [(args.out, batch.to_bytes())]
     if args.csv:
         outputs.append((base + ".csv", _csv_text(config, batch.to_csv())))

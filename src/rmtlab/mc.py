@@ -180,30 +180,35 @@ def _draws(rngs, n):
         yield from zip(z, np.log(u))
 
 
-def _sweep(V: Potential, beta: int, N: int, x, step, log_u):
+def _sweep(V: Potential, beta: int, N: int, x, step, log_u, lw=None):
     """One systematic-scan sweep, in place, over the chain states x of shape
-    (n, chains): coordinate i proposes x_i + s_i and takes it where log_u_i
-    is below the log-density change.  Returns the acceptance mask and the
-    two parts of each change, the pair log-ratio beta sum_{j != i}
-    log|1 + s_i / (x_i - x_j)| and the one-body gain."""
+    (n, chains): coordinate i proposes x_i + s_i and takes it where the pair
+    ratio R_i = prod_{j != i} (1 + s_i / (x_i - x_j)) has |R_i| above
+    exp((log_u_i - gain_i) / beta), gain_i being the log-weight change.  lw,
+    the log-weights of x (computed when None), is updated in place.  Returns
+    the acceptance mask, the pair log-ratios beta log|R_i| and the gains."""
     # coordinate i only changes at step i, so every proposal and its
     # one-body log-density change are known when the sweep starts
     prop = x + step
     log_weight = WeightSpec(V, N).log_weight
-    gain = log_weight(prop) - log_weight(x)
-    thresh = (log_u - gain) / beta
-    pair, d, take = np.empty_like(x), np.empty_like(x), np.empty(x.shape, dtype=bool)
-    for i, (xi, si, pi, ti, li, ki) in enumerate(zip(x, step, prop, thresh, pair, take)):
-        np.subtract(xi, x, out=d)
-        d[i] = np.inf  # log|1 + s_i / inf| = 0 drops j = i
-        np.divide(si, d, out=d)
-        d += 1.0
-        np.abs(d, out=d)
-        np.log(d, out=d)
-        np.add.reduce(d, axis=0, out=li)
-        np.greater(li, ti, out=ki)
-        np.copyto(xi, pi, where=ki)
-    return take, beta * pair, gain
+    lw = log_weight(x) if lw is None else lw
+    lw_prop = log_weight(prop)
+    gain = lw_prop - lw
+    # R = 0 (a proposal on another coordinate) or nan fails, as its log-sum would
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        bound = np.exp((log_u - gain) / beta)
+        ratio, d, take = np.empty_like(x), np.empty_like(x), np.empty(x.shape, dtype=bool)
+        for i, (xi, si, pi, bi, ri, ki) in enumerate(zip(x, step, prop, bound, ratio, take)):
+            np.subtract(xi, x, out=d)
+            d[i] = np.inf  # 1 + s_i / inf = 1 drops j = i
+            np.divide(si, d, out=d)
+            d += 1.0
+            np.multiply.reduce(d, axis=0, out=ri)
+            np.abs(ri, out=ri)
+            np.greater(ri, bi, out=ki)
+            np.copyto(xi, pi, where=ki)
+        np.copyto(lw, lw_prop, where=take)
+        return take, beta * np.log(ratio), gain
 
 
 def _run_chains(V: Potential, beta: int, n: int, N: int, per: int, burn: int,
@@ -220,18 +225,19 @@ def _run_chains(V: Potential, beta: int, n: int, N: int, per: int, burn: int,
     x = np.stack([base + 0.01 * (b - a) * r.standard_normal(n) for r in rngs], axis=1)
     if V.hard_edge:
         x = np.abs(x) + 1e-6
+    lw = WeightSpec(V, N).log_weight(x)  # carried with x through every sweep
     width = np.full(chains, 0.5 * (b - a) / math.sqrt(n))
     draws = _draws(rngs, n)
 
     def sweep():
         z, log_u = next(draws)
-        return _sweep(V, beta, N, x, width * z, log_u)[0].mean(axis=0)
+        return _sweep(V, beta, N, x, width * z, log_u, lw)[0]
 
     for t in range(burn):
-        width *= np.exp((sweep() - 0.3) / math.sqrt(1.0 + t))
+        width *= np.exp((sweep().mean(axis=0) - 0.3) / math.sqrt(1.0 + t))
     # frozen-rate check averaged over enough sweeps to beat binomial noise
     check_sweeps = max(8, 256 // n)
-    rate = np.mean([sweep() for _ in range(check_sweeps)], axis=0)
+    rate = np.mean([sweep().mean(axis=0) for _ in range(check_sweeps)], axis=0)
     if rate.min() < 0.1 or rate.max() > 0.6:
         raise AcceptanceRateError(
             f"tuned acceptance rate in [{rate.min():.3f}, {rate.max():.3f}] "
@@ -252,15 +258,15 @@ def sample_invariant(V: Potential, beta: int, n: int, N: int, count: int,
 
     min(count, 64) independent chains run systematic-scan sweeps of
     single-coordinate Gaussian proposals over states stored by coordinate,
-    one in-place log-ratio per coordinate.  Each chain owns a spawned
-    substream, draws the normals and uniforms of max(1, 1024 // n) sweeps
-    as one array each, and tunes its own width by Robbins-Monro (target
-    acceptance 0.3 during the burn-in of max(steps/2, 20) sweeps, frozen
-    after; AcceptanceRateError if a frozen rate leaves [0.1, 0.6]).
-    Records are spaced over the remaining sweep budget.  The returned
-    batch carries the frozen per-chain acceptance rates and proposal
-    widths.  Chain blocks may be distributed over processes; results are
-    independent of `workers`."""
+    with one pair-ratio product per coordinate and the log-weights carried
+    between sweeps.  Each chain owns a spawned substream, draws the normals
+    and uniforms of max(1, 1024 // n) sweeps as one array each, and tunes
+    its own width by Robbins-Monro (target acceptance 0.3 during the
+    burn-in of max(steps/2, 20) sweeps, frozen after; AcceptanceRateError
+    if a frozen rate leaves [0.1, 0.6]).  Records are spaced over the
+    remaining sweep budget.  The returned batch carries the frozen
+    per-chain acceptance rates and proposal widths.  Chain blocks may be
+    distributed over processes; results are independent of `workers`."""
     if beta not in (1, 2, 4):
         raise ValueError("beta must be 1, 2 or 4")
     if not (1 <= n <= 128 and 1 <= count <= 10_000 and steps >= 1):
@@ -311,6 +317,8 @@ def _window_bounds(batch: SampleBatch, window):
         half = float(np.max(np.abs(window.grid))) / window.c_n(batch.n)
     else:
         x0, half, c = window
+    if not (math.isfinite(x0) and 0.0 < half < math.inf and 0.0 < c < math.inf):
+        raise ValueError(f"window needs finite x0, half-width > 0, density > 0: {x0}, {half}, {c}")
     return x0 - half, x0 + half, c
 
 

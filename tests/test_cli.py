@@ -321,6 +321,19 @@ class TestSample:
         assert (tmp_path / "batch_spacing.csv").exists()
         assert (tmp_path / "batch.csv").exists()
 
+    def test_side_files_next_to_batch_in_dotted_directory(self, tmp_path, monkeypatch):
+        # the side-file base drops only the batch name's own extension, so a
+        # dot in the directory name keeps every file in that directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.d").mkdir()
+        rc = main(["sample", "--beta", "2", "--n", "16", "--count", "20", "--seed", "7",
+                   "--window", "0:0.5:0.3183", "--csv", "--workers", "1",
+                   "--out", "run.d/batch"])
+        assert rc == 0
+        assert sorted(p.name for p in (tmp_path / "run.d").iterdir()) == [
+            "batch", "batch.csv", "batch_hist.csv", "batch_spacing.csv"]
+        assert [p.name for p in tmp_path.iterdir()] == ["run.d"]
+
     def test_metropolis_requires_potential(self, tmp_path):
         rc = main(["sample", "--beta", "2", "--n", "8", "--count", "4",
                    "--seed", "1", "--metropolis", "--out",
@@ -399,6 +412,16 @@ class TestSample:
     ["kernel", "--family", "bessel_origin", "--alpha", "nan", "--grid=0.1:1:3"],
     ["kernel", "--family", "bessel_hard", "--alpha", "inf", "--grid=0.5:1:3"],
     ["kernel", "--family", "pearcey", "--s", "nan", "--grid=-0.5:0.5:2"],
+    # a spacing window needs a finite x0, half-width > 0 and density > 0
+    ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "1", "--window", "0:0.5:-1"],
+    ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "1", "--window", "0:0.5:0"],
+    ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "1", "--window", "0:0.5:inf"],
+    ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "1", "--window", "0:0.5:nan"],
+    ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "1", "--window", "0:0:1"],
+    ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "1", "--window", "0:-0.5:1"],
+    ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "1", "--window", "0:inf:1"],
+    ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "1", "--window", "nan:0.5:1"],
+    ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "1", "--window", "inf:0.5:1"],
 ])
 def test_rejected_input_exit2_without_file(tmp_path, monkeypatch, capsys, argv):
     # an out-of-range argument is a validation error (exit 2), not a

@@ -54,6 +54,25 @@ def interleave_trim_loop(sets, chains, per, count):
     return sets[np.array(idx[:count])]
 
 
+def sweep_log_sum(V, beta, N, x, step, log_u):
+    """Reference sweep in the log-sum form: coordinate i takes its proposal
+    where sum_{j != i} log|1 + s_i / (x_i - x_j)| exceeds
+    (log_u_i - gain_i) / beta, gain_i being the log-weight change.  Returns
+    the acceptance mask."""
+    prop = x + step
+    log_weight = op.WeightSpec(V, N).log_weight
+    thresh = (log_u - (log_weight(prop) - log_weight(x))) / beta
+    take = np.empty(x.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(x.shape[0]):
+            d = x[i] - x
+            d[i] = np.inf
+            pair = np.add.reduce(np.log(np.abs(step[i] / d + 1.0)), axis=0)
+            take[i] = pair > thresh[i]
+            x[i] = np.where(take[i], prop[i], x[i])
+    return take
+
+
 @pytest.fixture(scope="module")
 def semicircle():
     return eq.solve_equilibrium(HERMITE)
@@ -173,6 +192,16 @@ class TestSpacings:
     def test_empty_window(self, gue128):
         with pytest.raises(ValueError):
             mc.local_statistics(gue128, (10.0, 0.1, 1.0))
+
+    @pytest.mark.parametrize("window", [
+        (0.0, 0.5, -1.0), (0.0, 0.5, 0.0), (0.0, 0.5, math.inf), (0.0, 0.5, math.nan),
+        (0.0, 0.0, 1.0), (0.0, -0.5, 1.0), (0.0, math.inf, 1.0), (math.nan, 0.5, 1.0),
+        (-math.inf, 0.5, 1.0)])
+    def test_bad_window_rejected(self, gue128, window):
+        with pytest.raises(ValueError, match="window needs"):
+            mc.local_statistics(gue128, window)
+        with pytest.raises(ValueError, match="window needs"):
+            mc.poisson_contrast(gue128, window)
 
     def test_poisson_contrast_empty_window(self, gue128):
         with pytest.raises(ValueError, match="no eigenvalues found in the window"):
@@ -332,6 +361,72 @@ class TestMetropolis:
                     state[:, k] = after
         assert np.array_equal(state, x)
         assert checked >= n * chains // 2
+
+    @pytest.mark.parametrize("pot", [
+        HERMITE,
+        Potential((0.0, 0.0, 0.5), singularity_alpha=1.5),
+        Potential((0.0, 1.0), hard_edge=True),
+        Potential((0.0, 1.0, 0.5), hard_edge=True, singularity_alpha=0.5),
+    ], ids=["hermite", "line_singular", "hard_edge", "hard_edge_singular"])
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_sweep_product_matches_log_sum(self, pot, beta):
+        # 60 sweeps of the product form with carried log-weights against
+        # the log-sum reference: the same masks, states and log-weights
+        n, N, chains = 8, 8, 6
+        rng = np.random.default_rng(10 + beta)
+        x = np.sort(rng.uniform(0.05, 2.0, (n, chains)), axis=0)
+        if not pot.hard_edge:
+            x -= 1.0
+        ref = x.copy()
+        lw = op.WeightSpec(pot, N).log_weight(x)
+        for _ in range(60):
+            step = rng.normal(scale=0.4, size=(n, chains))
+            log_u = np.log(rng.random((n, chains)))
+            take = mc._sweep(pot, beta, N, x, step, log_u, lw)[0]
+            assert np.array_equal(take, sweep_log_sum(pot, beta, N, ref, step, log_u))
+            assert np.array_equal(x, ref)
+        assert np.array_equal(lw, op.WeightSpec(pot, N).log_weight(x))
+
+    def test_sweep_proposal_on_another_coordinate_rejected(self):
+        # 1 + s_0 / (x_0 - x_1) = 1 - 0.25 / 0.25 = 0 exactly: R_0 = 0 fails
+        # even against log_u = -inf
+        x = np.array([[0.5, 0.5], [0.25, 0.25], [1.0, 1.0]])
+        step = np.array([[-0.25, -0.25], [0.0, 0.0], [0.0, 0.0]])
+        log_u = np.array([[-1.0, -np.inf], [-1.0, -1.0], [-1.0, -1.0]])
+        ref = x.copy()
+        take, pair, _ = mc._sweep(HERMITE, 2, 3, x, step, log_u)
+        assert not take[0].any() and np.all(pair[0] == -np.inf)
+        assert np.array_equal(take, sweep_log_sum(HERMITE, 2, 3, ref, step, log_u))
+        assert np.array_equal(x, ref)
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_sweep_near_coincident_coordinates(self, beta):
+        # x_0 proposes to land within 2e-12 of x_1, a factor near 1e-11 that
+        # some log_u still accept; where it is taken, x_1 then moves from a
+        # coordinate 1e-12 away.  Every decision is the log-sum's.
+        rng = np.random.default_rng(beta)
+        chains = 48
+        x = np.tile(np.array([[0.3], [0.5], [-0.5], [0.8]]), (1, chains))
+        step = rng.normal(scale=0.3, size=x.shape)
+        step[0] = 0.2 + 1e-12 * rng.uniform(-2.0, 2.0, chains)
+        log_u = np.log(rng.random(x.shape))
+        log_u[0] = -np.linspace(0.0, 200.0, chains)
+        ref = x.copy()
+        take = mc._sweep(HERMITE, beta, 4, x, step, log_u)[0]
+        assert np.array_equal(take, sweep_log_sum(HERMITE, beta, 4, ref, step, log_u))
+        assert np.array_equal(x, ref)
+        assert take[0].any() and not take[0].all()
+        assert np.abs(x[0] - 0.5).min() < 3e-12
+
+    @pytest.mark.parametrize("log_u", [-1.0, -np.inf])
+    def test_sweep_hard_edge_proposal_below_zero_rejected(self, log_u):
+        V = Potential((0.0, 1.0), hard_edge=True, singularity_alpha=0.5)
+        x = np.array([[0.2], [1.0]])
+        lw = op.WeightSpec(V, 2).log_weight(x)
+        take, _, gain = mc._sweep(V, 2, 2, x, np.array([[-0.5], [0.0]]),
+                                  np.array([[log_u], [-1.0]]), lw)
+        assert not take[0, 0] and gain[0, 0] == -np.inf
+        assert x[0, 0] == 0.2 and np.array_equal(lw, op.WeightSpec(V, 2).log_weight(x))
 
     def test_diagnostics_on_batch(self):
         b = mc.sample_invariant(HERMITE, 2, 8, 8, 100, 60, seed=4)
