@@ -5,15 +5,18 @@ kernel tables), oppoly (recurrence tables and finite-n kernels), converge
 (rescaled-kernel vs universal-kernel error tables over n), rh (parametrix
 diagnostics), sample (Monte Carlo batches, histograms, spacings).
 
-Conventions: grids are lo:hi:count, potentials are comma-separated
-ascending coefficients.  Exit codes: 0 success, 2 invalid input (any
-ValueError, an unwritable output path), 3 numerical failure
-(non-convergence, a multi-cut measure, ArithmeticError, LinAlgError); a
-command that exits 2 or 3 leaves no file.  Every output file starts with
-a header block carrying the arguments as given; the timestamp sits on
-its own line so that repeated runs differ in exactly that line.  CSV
-tables are written column by column (rmtlab._table), numbers as Python's
-shortest round-trip repr, so parsing a cell gives back the exact double.
+Conventions: grids are lo:hi:count with finite lo < hi and 2 <= count
+<= 1000, potentials are comma-separated ascending coefficients, and a
+sample seed lies in [0, 2**63), the int64 of the batch record.  Exit
+codes: 0 success, 2 invalid input (any ValueError, an unwritable output
+path), 3 numerical failure (any ArithmeticError, which every error class
+of the package is, or a LinAlgError).  Inputs are checked before any
+solve or draw, and a command that exits 2 or 3 leaves no file.  Every
+output file starts with a header block carrying the arguments as given;
+the timestamp sits on its own line so that repeated runs differ in
+exactly that line.  CSV tables are written column by column
+(rmtlab._table), numbers as Python's shortest round-trip repr, so
+parsing a cell gives back the exact double.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from . import mc
 from . import orthopoly as op
 from . import rh
 from ._table import table_text
-from .equilibrium import MultiCutError, NonConvergenceError, Potential
+from .equilibrium import Potential
 
 __all__ = ["main", "run"]
 
@@ -46,8 +49,8 @@ def _parse_grid(text):
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as exc:
         raise ValueError(f"bad grid {text!r}, expected lo:hi:count") from exc
-    if count < 2 or not hi > lo:
-        raise ValueError(f"bad grid {text!r}: need hi > lo and count >= 2")
+    if not (2 <= count <= 1000 and -np.inf < lo < hi < np.inf):
+        raise ValueError(f"bad grid {text!r}: need finite lo < hi and 2 <= count <= 1000")
     return np.linspace(lo, hi, count)
 
 
@@ -140,12 +143,14 @@ def _cmd_oppoly(args):
     w = op.WeightSpec(pot, N=args.N, truncation=args.truncation)
     table = op.recurrence_table(w, args.nmax)
     config = _config_dict(args, ["potential", "hard_edge", "alpha", "N",
-                                 "nmax", "out"])
+                                 "nmax", "truncation", "out"])
     outputs = [(args.out, _csv_text(config, table_text(
         ["k", "a", "b", "gamma_sq"], range(args.nmax + 1),
         np.concatenate([[0.0], table.a]), table.b, table.gamma_sq)))]
     if args.kernel_out:
         kmat = op.cd_kernel_grid(table, w, args.kernel_n, grid, grid)
+        config.update(kernel_n=args.kernel_n, kernel_grid=args.kernel_grid,
+                      kernel_out=args.kernel_out)
         outputs.append((args.kernel_out, _csv_text(config, table_text(
             ["x", "y", "value"], *np.meshgrid(grid, grid, indexing="ij"), kmat))))
     return outputs
@@ -212,8 +217,8 @@ def _parse_floats(text, count, what):
         vals = tuple(float(v) for v in text.split(":"))
     except ValueError as exc:
         raise ValueError(f"bad {what} {text!r}") from exc
-    if len(vals) != count:
-        raise ValueError(f"bad {what} {text!r}: expected {count} values")
+    if len(vals) != count or not np.isfinite(vals).all():
+        raise ValueError(f"bad {what} {text!r}: expected {count} finite values")
     return vals
 
 
@@ -223,10 +228,14 @@ def _cmd_sample(args):
                                  "window", "workers", "out"])
     lo, hi, _ = _parse_floats(args.range, 3, "range")
     window = args.window and _parse_floats(args.window, 3, "window")
+    if window:
+        mc._window_bounds(None, window)  # a bad triple fails before any draw
     if not 1 <= args.bins <= 1000 or not hi > lo:
         raise ValueError("need 1 <= --bins <= 1000 and a range with hi > lo")
     if args.N is not None and args.N < 1:
         raise ValueError("--N must be at least 1")
+    if not 0 <= args.seed < 2 ** 63:
+        raise ValueError("--seed must lie in [0, 2**63)")
     if args.metropolis:
         if not args.potential:
             raise ValueError("--metropolis needs --potential")
@@ -364,8 +373,7 @@ def run(argv) -> int:
     try:
         outputs = _DISPATCH[args.command](args)
     # LinAlgError is a ValueError, so it is caught first
-    except (MultiCutError, NonConvergenceError, mc.AcceptanceRateError,
-            ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"rmtlab: numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

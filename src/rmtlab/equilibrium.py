@@ -74,12 +74,12 @@ __all__ = [
 ]
 
 
-class MultiCutError(RuntimeError):
+class MultiCutError(ArithmeticError):
     """The one-cut ansatz is not the equilibrium measure: its support has
     more than one component."""
 
 
-class NonConvergenceError(RuntimeError):
+class NonConvergenceError(ArithmeticError):
     """An iterative routine exhausted its budget, or its answer is not
     determined to working accuracy (an edge-critical potential)."""
 

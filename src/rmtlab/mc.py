@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 
-class AcceptanceRateError(RuntimeError):
+class AcceptanceRateError(ArithmeticError):
     """Metropolis proposal tuning left the [0.1, 0.6] band."""
 
 
@@ -311,7 +311,8 @@ def empirical_density(batch: SampleBatch, bins: int, range_: tuple) -> Histogram
 
 
 def _window_bounds(batch: SampleBatch, window):
-    """(lo, hi, local density) of a local_statistics window."""
+    """(lo, hi, local density) of a local_statistics window; a plain
+    triple needs no batch."""
     if hasattr(window, "x_star"):
         x0, c = window.x_star, window.c
         half = float(np.max(np.abs(window.grid))) / window.c_n(batch.n)

@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 
-class UnderflowError(RuntimeError):
+class UnderflowError(ArithmeticError):
     """The weight's dynamic range defeats the log-scaling safeguards."""
 
 
@@ -102,13 +102,11 @@ class WeightSpec:
         return _auto_window(self, n_max, measure)
 
     def _check_tail(self, lo, hi):
-        xs = np.linspace(lo, hi, 512)
-        lw = self.log_weight(xs)
-        peak = lw.max()
-        for edge in ([hi] if self.potential.hard_edge else [lo, hi]):
-            if self.log_weight(np.array([edge]))[0] > peak + math.log(1e-30):
-                raise ValueError(
-                    "truncation window too small: weight tail not negligible")
+        with np.errstate(over="ignore"):  # where V overflows, the log-weight is -inf
+            lw = self.log_weight(np.linspace(lo, hi, 512))
+        tail = lw[-1] if self.potential.hard_edge else max(lw[0], lw[-1])
+        if tail > lw.max() + math.log(1e-30):
+            raise ValueError("truncation window too small: weight tail not negligible")
 
 
 def _auto_window(w: WeightSpec, n_max: int, mu):
@@ -169,14 +167,18 @@ def _stieltjes(w: WeightSpec, n_max: int, lo: float, hi: float, nodes: int):
         # x = +-u^2 absorbs x^alpha (hard edge) or |x|^{2 alpha} (line)
         x, qw = power_weight_panels(lo, hi, al if pot.hard_edge else 2.0 * al,
                                     panels, _PANEL_ORDER)
-        lw = np.log(qw) - w.N * pot(x)
+        with np.errstate(over="ignore"):  # where V overflows, the log-weight is -inf
+            lw = np.log(qw) - w.N * pot(x)
     else:
         x, qw = (v.ravel() for v in gauss_legendre_panels(lo, hi, panels, _PANEL_ORDER))
-        lw = np.log(qw) + w.log_weight(x)
+        with np.errstate(over="ignore"):
+            lw = np.log(qw) + w.log_weight(x)
     log_g0 = _logsumexp(lw)
     if not np.isfinite(log_g0):
         raise UnderflowError("weight vanishes identically on the grid")
-    a, b = _scaled_recurrence(x, 0.5 * (lw - log_g0), n_max)
+    # on too few nodes r can overflow; its inf or nan ends in a breakdown
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = _scaled_recurrence(x, 0.5 * (lw - log_g0), n_max)
     return a, b, log_g0, len(x)
 
 

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from rmtlab.cli import main
+from rmtlab.equilibrium import MultiCutError, NonConvergenceError
+from rmtlab.mc import AcceptanceRateError
+from rmtlab.orthopoly import UnderflowError
 
 
 def strip_timestamp(text: str) -> str:
@@ -131,12 +134,18 @@ class TestOppoly:
         out = tmp_path / "t.csv"
         kout = tmp_path / "kn.csv"
         rc = main(["oppoly", "--potential", "0,0,0.5", "--N", "8",
-                   "--nmax", "8", "--out", str(out),
+                   "--nmax", "8", "--truncation", "6", "--out", str(out),
                    "--kernel-n", "8", "--kernel-grid=-1:1:5",
                    "--kernel-out", str(kout)])
         assert rc == 0
         lines = [ln for ln in kout.read_text().splitlines() if not ln.startswith("#")]
         assert len(lines) == 1 + 25
+        # each header records what made its file: the table's the truncation,
+        # the kernel file's also the kernel arguments
+        kernel_keys = {"# kernel_n = 8", "# kernel_grid = -1:1:5", f"# kernel_out = {kout}"}
+        table_head = set(out.read_text().splitlines())
+        assert "# truncation = 6.0" in table_head and not kernel_keys & table_head
+        assert {"# truncation = 6.0"} | kernel_keys <= set(kout.read_text().splitlines())
 
     def test_kernel_grid_parses_back_bit_identical(self, tmp_path):
         from rmtlab import orthopoly as op
@@ -422,6 +431,24 @@ class TestSample:
     ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "1", "--window", "0:inf:1"],
     ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "1", "--window", "nan:0.5:1"],
     ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "1", "--window", "inf:0.5:1"],
+    # grids are finite and hold at most 1000 points a side
+    ["kernel", "--family", "sine", "--grid=0:1:100000000"],
+    ["kernel", "--family", "sine", "--grid=0:1:1001"],
+    ["kernel", "--family", "sine", "--grid=0:inf:3"],
+    ["kernel", "--family", "sine", "--grid=-inf:0:3"],
+    ["kernel", "--family", "sine", "--grid=nan:1:3"],
+    ["oppoly", "--potential", "0,0,0.5", "--N", "8", "--nmax", "8", "--kernel-n", "8",
+     "--kernel-grid=0:1:100000000", "--kernel-out", "k.csv"],
+    ["oppoly", "--potential", "0,0,0.5", "--N", "8", "--nmax", "8", "--kernel-n", "8",
+     "--kernel-grid=-inf:1:3", "--kernel-out", "k.csv"],
+    ["converge", "--potential", "0,0,0.5", "--mode", "bulk", "--n", "8",
+     "--grid=0:1:100000000"],
+    ["converge", "--potential", "0,0,0.5", "--mode", "bulk", "--n", "8", "--grid=0:inf:3"],
+    # the batch record stores the seed as an int64
+    ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "9223372036854775808"],
+    ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "-1"],
+    ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "1", "--range=-inf:inf:0"],
+    ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "1", "--range=-2:2:nan"],
 ])
 def test_rejected_input_exit2_without_file(tmp_path, monkeypatch, capsys, argv):
     # an out-of-range argument is a validation error (exit 2), not a
@@ -430,6 +457,38 @@ def test_rejected_input_exit2_without_file(tmp_path, monkeypatch, capsys, argv):
     assert main(argv + ["--out", "o.csv", "--workers", "1"]) == 2
     assert capsys.readouterr().err.startswith("rmtlab: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("extra", [
+    ["--window", "0:0.5:-1"], ["--window", "0:0:1"], ["--window", "0:0.5:nan"],
+    ["--range=-inf:inf:0"], ["--seed", "9223372036854775808"], ["--seed", "-1"],
+])
+@pytest.mark.parametrize("sampler", ["gaussian", "metropolis"])
+def test_sample_inputs_checked_before_any_draw(tmp_path, monkeypatch, capsys, sampler, extra):
+    from rmtlab import mc
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a sample before checking the inputs")
+
+    monkeypatch.setattr(mc, "sample_gaussian", no_draw)
+    monkeypatch.setattr(mc, "sample_invariant", no_draw)
+    monkeypatch.chdir(tmp_path)
+    argv = ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "1",
+            "--workers", "1", "--out", "b.bin"]
+    if sampler == "metropolis":
+        argv += ["--metropolis", "--potential", "0,0,0.5"]
+    assert main(argv + extra) == 2
+    assert capsys.readouterr().err.startswith("rmtlab: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_largest_seed_round_trips(tmp_path):
+    from rmtlab.mc import SampleBatch
+
+    out = tmp_path / "b.bin"
+    assert main(["sample", "--beta", "2", "--n", "8", "--count", "4", "--workers", "1",
+                 "--seed", str(2 ** 63 - 1), "--out", str(out)]) == 0
+    assert SampleBatch.from_bytes(out.read_bytes()).seed == 2 ** 63 - 1
 
 
 @pytest.mark.parametrize("dirs, existing, argv", [
@@ -477,6 +536,58 @@ def test_overflowing_moments_raise_before_numpy_warns(tmp_path, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["eqm", "--potential", "0,0,1e-300", "--out", "o.json"]) == 3
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("truncation", ["1e155", "1e300"])
+def test_huge_truncation_exit3_without_warning(tmp_path, monkeypatch, capsys, truncation):
+    # the weight underflows on every quadrature node, or on all but too few:
+    # a numerical failure, with no RuntimeWarning on the way
+    import warnings
+
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["oppoly", "--potential", "0,0,0.5", "--N", "16", "--nmax", "16",
+                     "--truncation", truncation, "--out", "o.csv"]) == 3
+    assert capsys.readouterr().err.startswith("rmtlab: numerical failure: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+PACKAGE_ERRORS = [MultiCutError, NonConvergenceError, UnderflowError, AcceptanceRateError]
+
+
+def test_every_package_error_is_arithmetic():
+    # cli.run maps ArithmeticError to exit 3, so no error class of the
+    # package can escape that branch
+    import importlib
+    import inspect
+    import pkgutil
+
+    import rmtlab
+
+    found = []
+    for info in pkgutil.iter_modules(rmtlab.__path__):
+        mod = importlib.import_module(f"rmtlab.{info.name}")
+        found += [cls for _, cls in inspect.getmembers(mod, inspect.isclass)
+                  if issubclass(cls, Exception) and cls.__module__ == mod.__name__]
+    assert set(found) >= set(PACKAGE_ERRORS)
+    assert all(issubclass(cls, ArithmeticError) for cls in found)
+
+
+@pytest.mark.parametrize("error", PACKAGE_ERRORS, ids=lambda cls: cls.__name__)
+def test_package_error_exit3_without_file(tmp_path, monkeypatch, capsys, error):
+    from rmtlab import equilibrium
+
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(equilibrium, "solve_equilibrium", fail)
+    monkeypatch.chdir(tmp_path)
+    assert main(["eqm", "--potential", "0,0,0.5", "--out", "o.json"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("rmtlab: numerical failure: injected")
+    assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
 
