@@ -63,11 +63,14 @@ def _parse_potential(args):
                      singularity_alpha=getattr(args, "alpha", 0.0) or 0.0)
 
 
-def _parse_ns(text):
+def _parse_ns(text, top=np.inf):
     try:
-        return [int(v) for v in text.split(",")]
+        ns = [int(v) for v in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"bad n list {text!r}") from exc
+    if not all(1 <= n <= top for n in ns):
+        raise ValueError(f"bad n list {text!r}: each n must lie in [1, {top}]")
+    return ns
 
 
 def _csv_text(config, table):
@@ -100,7 +103,7 @@ def _config_dict(args, keys):
 
 def _cmd_eqm(args):
     pot = _parse_potential(args)
-    config = _config_dict(args, ["potential", "hard_edge", "alpha", "out", "format"])
+    config = _config_dict(args, ["potential", "hard_edge", "alpha", "out"])
     mu = eqm.solve_equilibrium(pot)
     cls = eqm.classify(mu, pot)
     results = {
@@ -113,12 +116,7 @@ def _cmd_eqm(args):
     }
     diag = {"iterations": mu.iterations, "residual": mu.residual,
             "solver": mu.solver, "margin": mu.margin}
-    if args.format == "json":
-        return [(args.out, _json_text(config, results, diag))]
-    rows = [("a", mu.support[0]), ("b", mu.support[1]), ("ell", mu.ell)]
-    rows += [(f"h{k}", float(v)) for k, v in enumerate(mu.h)]
-    rows += [(f"m{k}", float(v)) for k, v in enumerate(mu.moments)]
-    return [(args.out, _csv_text(config, table_text(["quantity", "value"], *zip(*rows))))]
+    return [(args.out, _json_text(config, results, diag))]
 
 
 def _cmd_kernel(args):
@@ -166,7 +164,7 @@ _CONVERGE_DEFAULTS = {
 
 def _cmd_converge(args):
     pot = _parse_potential(args)
-    ns = sorted(_parse_ns(args.n))
+    ns = sorted(_parse_ns(args.n, 512))
     if args.mode == "hard" and not pot.hard_edge:
         raise ValueError("hard mode needs --hard-edge")
     grid = _parse_grid(args.grid or _CONVERGE_DEFAULTS[args.mode])
@@ -232,6 +230,8 @@ def _cmd_sample(args):
         mc._window_bounds(None, window)  # a bad triple fails before any draw
     if not 1 <= args.bins <= 1000 or not hi > lo:
         raise ValueError("need 1 <= --bins <= 1000 and a range with hi > lo")
+    if not args.metropolis and (args.potential or args.N is not None):
+        raise ValueError("--potential and --N need --metropolis")
     if args.N is not None and args.N < 1:
         raise ValueError("--N must be at least 1")
     if not 0 <= args.seed < 2 ** 63:
@@ -293,7 +293,6 @@ def _build_parser():
     sp.add_argument("--hard-edge", dest="hard_edge", action="store_true")
     sp.add_argument("--alpha", type=float, default=0.0,
                     help="hard-edge / singularity exponent")
-    sp.add_argument("--format", choices=["json", "csv"], default="json")
     add_common(sp)
 
     sp = sub.add_parser("kernel", help="tabulate a universal kernel")

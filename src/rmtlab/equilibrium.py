@@ -55,8 +55,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial, chebyshev
 from numpy.polynomial import polynomial as npoly
+from scipy.special import roots_chebyu
 
-from .quadrature import gauss_chebyshev_t, gauss_chebyshev_u, gauss_legendre_panels
+from .quadrature import gauss_legendre_panels
 
 __all__ = [
     "Potential",
@@ -84,15 +85,20 @@ class NonConvergenceError(ArithmeticError):
     determined to working accuracy (an edge-critical potential)."""
 
 
+# the largest alpha of a weight x^alpha or |x|^{2 alpha} and of a Bessel kernel:
+# at 1000 the Gauss-Jacobi rule of the recurrence nodes and J_alpha overflow
+ALPHA_MAX = 100.0
+
+
 @dataclass(frozen=True)
 class Potential:
     """Polynomial external field V(x) = sum coefficients[k] x^k.
 
     hard_edge restricts the support to [0, inf) with weight x^alpha e^{-NV};
     singularity_alpha is the exponent alpha (also the strength of the
-    |x|^{2 alpha} spectral singularity on the full line).  The singularity
-    never alters the equilibrium measure itself, only local statistics, so
-    the solver ignores it by design.
+    |x|^{2 alpha} spectral singularity on the full line), 0 <= alpha <=
+    ALPHA_MAX.  The singularity never alters the equilibrium measure
+    itself, only local statistics, so the solver ignores it by design.
     """
 
     coefficients: tuple
@@ -105,8 +111,8 @@ class Potential:
         d = self.degree
         if not all(math.isfinite(v) for v in c):
             raise ValueError("potential coefficients must be finite")
-        if not 0.0 <= self.singularity_alpha < math.inf:
-            raise ValueError("singularity_alpha must be finite and nonnegative")
+        if not 0.0 <= self.singularity_alpha <= ALPHA_MAX:
+            raise ValueError(f"singularity_alpha must lie in [0, {ALPHA_MAX:g}]")
         if self.hard_edge:
             if d < 1 or c[-1] <= 0.0:
                 raise ValueError("hard-edge potential needs positive leading coefficient")
@@ -317,10 +323,20 @@ def solve_equilibrium(V: Potential) -> EquilibriumMeasure:
     where the endpoint Jacobian is singular, or when Newton does not
     settle; MultiCutError when h < 0 somewhere on the support or the
     effective potential is negative at a real zero of h off it, so that
-    the one-cut ansatz is not the equilibrium measure.
+    the one-cut ansatz is not the equilibrium measure; ArithmeticError
+    ("non-finite value ...") when a step overflows or turns invalid,
+    before numpy can warn.
     """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _solve_one_cut(V)
+    except FloatingPointError as exc:
+        raise ArithmeticError(f"non-finite value in the equilibrium solve ({exc})") from None
+
+
+def _solve_one_cut(V: Potential) -> EquilibriumMeasure:
     v = np.asarray(V.coefficients[: V.degree + 1])
-    t = gauss_chebyshev_t(V.degree + 2)
+    t = chebyshev.chebgauss(V.degree + 2)[0]
     if V.hard_edge:
         b, it, resid = _hard_newton(v, 0.5 * (1.0 + t))
         a, w = 0.0, npoly.polymulx(npoly.polyder(v))
@@ -358,19 +374,15 @@ def solve_equilibrium(V: Potential) -> EquilibriumMeasure:
 
 def _moments(V, a, b, h):
     """Power moments m_0 .. m_{deg V + 2}, exact by Gauss-Chebyshev (second
-    kind), x = c + r t (soft) or b u^2 (hard); overflow raises ArithmeticError."""
+    kind), x = c + r t (soft) or b u^2 (hard)."""
     d = V.degree
-    t, w = gauss_chebyshev_u(2 * d + 4)
+    t, w = roots_chebyu(2 * d + 4)
     if V.hard_edge:
         x, w = b * t * t, (b / np.pi) * w
     else:
         r = 0.5 * (b - a)
         x, w = 0.5 * (a + b) + r * t, (r * r / np.pi) * w
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            m = (w * npoly.polyval(x, h)) @ (x[:, None] ** np.arange(d + 3))
-    except FloatingPointError as exc:
-        raise ArithmeticError(f"non-finite value in the moments ({exc})") from None
+    m = (w * npoly.polyval(x, h)) @ (x[:, None] ** np.arange(d + 3))
     return m / m[0]
 
 

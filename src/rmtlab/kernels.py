@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from .equilibrium import ALPHA_MAX
 from .quadrature import gauss_legendre_panels, panel_suffix, panel_tail
 from .specfun import (_TAIL_CUT, _TAIL_LEFT, _TAIL_ORDER, _TAIL_PANELS, FunctionValuePair,
                       _scalar_or_array, _tail_nodes, airy, airy_tail, bessel_j, sinc_integral)
@@ -75,15 +76,9 @@ def _args(x, y):
 
 
 def sine_kernel(x, y):
-    """sin(pi(x-y)) / (pi(x-y)) with Taylor handling of the diagonal."""
+    """sin(pi(x-y)) / (pi(x-y)), numpy's sinc (1 on the diagonal)."""
     x, y = _args(x, y)
-
-    def taylor(x, y):
-        w = np.pi * (x - y)
-        return 1.0 - w * w / 6.0 + w ** 4 / 120.0
-
-    return _scalar_or_array(_integrable_quotient(
-        x, y, 1e-8, lambda x, y: np.sin(np.pi * (x - y)) / np.pi, taylor))
+    return _scalar_or_array(np.sinc(x - y))
 
 
 def sine_kernel_dx(x, y):
@@ -459,10 +454,9 @@ class KernelHandle:
             raise ValueError(f"unknown kernel family {self.family!r}")
         if any(v is not None and not math.isfinite(v) for v in (self.alpha, self.s)):
             raise ValueError(f"{self.family} parameters must be finite")
-        if self.family == "bessel_hard" and (self.alpha is None or self.alpha <= -1.0):
-            raise ValueError("bessel_hard requires alpha > -1")
-        if self.family == "bessel_origin" and (self.alpha is None or self.alpha <= -0.5):
-            raise ValueError("bessel_origin requires alpha > -1/2")
+        lowest = {"bessel_hard": -1.0, "bessel_origin": -0.5}.get(self.family)
+        if lowest is not None and (self.alpha is None or not lowest < self.alpha <= ALPHA_MAX):
+            raise ValueError(f"{self.family} requires {lowest:g} < alpha <= {ALPHA_MAX:g}")
         if self.family == "pearcey" and self.s is None:
             raise ValueError("pearcey requires the parameter s")
         if self.family not in ("bessel_hard", "bessel_origin") and self.alpha is not None:

@@ -27,6 +27,7 @@ seed and independent of any worker partitioning.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from functools import partial
@@ -111,13 +112,15 @@ class Histogram:
 
 def _map_blocks(fn, items, workers):
     """[fn(block)] over consecutive blocks of items: one block per worker
-    process when workers > 1, else all items in this process.  fn must
-    pickle (a module-level function or a partial of one)."""
+    process, with at most one worker per item and per CPU, or all items in
+    this process for one worker.  fn must pickle (a module-level function
+    or a partial of one)."""
+    workers = min(workers, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(items)]
     from concurrent.futures import ProcessPoolExecutor
 
-    blocks = np.array_split(np.arange(len(items)), min(workers, len(items)))
+    blocks = np.array_split(np.arange(len(items)), workers)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, [[items[i] for i in blk] for blk in blocks]))
 
@@ -254,7 +257,7 @@ def _run_chains(V: Potential, beta: int, n: int, N: int, per: int, burn: int,
 def sample_invariant(V: Potential, beta: int, n: int, N: int, count: int,
                      steps: int, seed: int, workers: int = 1) -> SampleBatch:
     """Metropolis sampling of the invariant eigenvalue density (module
-    docstring) at 1 <= n <= 128, 1 <= count <= 1e4, steps >= 1.
+    docstring) at 1 <= n <= 128, 1 <= count <= 1e4, 1 <= steps <= 1e5.
 
     min(count, 64) independent chains run systematic-scan sweeps of
     single-coordinate Gaussian proposals over states stored by coordinate,
@@ -269,9 +272,9 @@ def sample_invariant(V: Potential, beta: int, n: int, N: int, count: int,
     distributed over processes; results are independent of `workers`."""
     if beta not in (1, 2, 4):
         raise ValueError("beta must be 1, 2 or 4")
-    if not (1 <= n <= 128 and 1 <= count <= 10_000 and steps >= 1):
+    if not (1 <= n <= 128 and 1 <= count <= 10_000 and 1 <= steps <= 100_000):
         raise ValueError("sample_invariant supports 1 <= n <= 128, "
-                         "1 <= count <= 1e4, steps >= 1")
+                         "1 <= count <= 1e4, 1 <= steps <= 1e5")
     chains = min(count, 64)
     per = -(-count // chains)
     seeds = np.random.SeedSequence(seed).spawn(chains)

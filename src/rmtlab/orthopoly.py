@@ -6,15 +6,16 @@ Recurrence coefficients come from the discretized Stieltjes procedure
 and a Gauss-Jacobi first u-panel at a hard edge or an origin singularity.
 A pass on max(1200, 8 n_max) nodes and a verification pass on twice as
 many must agree to 1e-12, which holds for n_max <= 512 for every supported
-weight and every alpha >= 0.  The truncation window is chosen from the
-equilibrium measure of the scaled potential (N/n_max) V plus an
-exponential fringe, which is where the weighted polynomials actually
-live; the weight's own tail criterion alone would truncate into the
-oscillatory region.
+weight and every alpha up to ALPHA_MAX = 100.  The truncation window is
+chosen from the equilibrium measure of the scaled potential (N/n_max) V
+plus an exponential fringe, which is where the weighted polynomials
+actually live; the weight's own tail criterion alone would truncate into
+the oscillatory region.
 
 The same orthonormal three-term recurrence, with periodic rescaling and a
-tracked log-scale, evaluates phi_k = P_k e^{-N V/2} / gamma_k, so nothing
-overflows for n up to 512.
+tracked log-scale, evaluates phi_k = P_k e^{-N V/2} / gamma_k from the
+table's log gamma_k^2, so nothing overflows for n up to 512 and a
+constant added to V only shifts log gamma_k^2.
 """
 
 from __future__ import annotations
@@ -65,22 +66,26 @@ class WeightSpec:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N must be a positive integer")
-        if self.truncation is not None and not 0.0 < self.truncation < math.inf:
-            raise ValueError("truncation must be finite and positive")
+        # the window [-truncation, truncation] must have a finite width
+        if self.truncation is not None and not 0.0 < 2.0 * self.truncation < math.inf:
+            raise ValueError("truncation must be positive, with 2 * truncation finite")
 
     @property
     def alpha(self) -> float:
         return self.potential.singularity_alpha
 
+    @property
+    def exponent(self) -> float:
+        """The power of |x| in the weight: alpha on a hard edge, 2 alpha on the line."""
+        return self.alpha if self.potential.hard_edge else 2.0 * self.alpha
+
     def log_weight(self, x):
         """log of the weight, -inf where it vanishes (x < 0 on a hard edge)."""
         x = np.asarray(x, dtype=float)
         lw = -self.N * self.potential(x)
-        a = self.alpha
-        if a != 0.0:
+        if self.alpha != 0.0:
             with np.errstate(divide="ignore"):
-                lw = lw + (a * np.log(np.maximum(x, 0.0)) if self.potential.hard_edge
-                           else 2.0 * a * np.log(np.abs(x)))
+                lw = lw + self.exponent * np.log(np.abs(x))
         return np.where(x < 0.0, -np.inf, lw) if self.potential.hard_edge else lw
 
     def window(self, n_max: int, measure=None):
@@ -112,18 +117,14 @@ class WeightSpec:
 def _auto_window(w: WeightSpec, n_max: int, mu):
     """Support of the scaled equilibrium measure mu plus the fringe where
     the top weighted polynomial has decayed below ~1e-32 of its peak."""
-    pot = w.potential
     a, b = mu.support
-    hb = abs(float(np.polyval(mu.h[::-1], b)))
     target = 74.0
 
-    def fringe(slope):
-        return 1.3 * (3.0 * target / (4.0 * n_max * max(slope, 1e-12))) ** (2.0 / 3.0)
+    def fringe(side):
+        slope = max(_soft_edge_constant(mu, side), 1e-12)
+        return 1.3 * (3.0 * target / (4.0 * n_max * slope)) ** (2.0 / 3.0)
 
-    if pot.hard_edge:
-        return 0.0, b + fringe(hb / math.sqrt(max(b, 1e-12)))
-    ha = abs(float(np.polyval(mu.h[::-1], a)))
-    return a - fringe(ha * math.sqrt(b - a)), b + fringe(hb * math.sqrt(b - a))
+    return (0.0 if w.potential.hard_edge else a - fringe("left")), b + fringe("right")
 
 
 @dataclass
@@ -133,11 +134,16 @@ class RecurrenceTable:
 
     N: int
     n_max: int
-    a: np.ndarray          # a_k for k = 1..n_max
-    b: np.ndarray          # b_k for k = 0..n_max
-    gamma_sq: np.ndarray   # k = 0..n_max
-    window: tuple          # truncation interval (lo, hi)
-    nodes_used: int        # nodes of the verification pass that was kept
+    a: np.ndarray             # a_k for k = 1..n_max
+    b: np.ndarray             # b_k for k = 0..n_max
+    log_gamma_sq: np.ndarray  # log gamma_k^2, k = 0..n_max
+    window: tuple             # truncation interval (lo, hi)
+    nodes_used: int           # nodes of the verification pass that was kept
+
+    @property
+    def gamma_sq(self) -> np.ndarray:
+        with np.errstate(over="ignore"):  # 0.0 where it underflows, inf where it overflows
+            return np.exp(self.log_gamma_sq)
 
 
 # Node count of the first Stieltjes pass: max(_NODES_MIN, 8 n_max), in
@@ -162,12 +168,12 @@ def _stieltjes(w: WeightSpec, n_max: int, lo: float, hi: float, nodes: int):
     """Discretized Stieltjes procedure (Gautschi 2004, sec. 2.2) on about
     `nodes` quadrature nodes; returns (a, b, log gamma_0^2, node count)."""
     panels = max(4, math.ceil(nodes / _PANEL_ORDER))
-    pot, al = w.potential, w.alpha
-    if pot.hard_edge or (al != 0.0 and lo < 0.0 < hi):
-        # x = +-u^2 absorbs x^alpha (hard edge) or |x|^{2 alpha} (line)
-        x, qw = power_weight_panels(lo, hi, al if pot.hard_edge else 2.0 * al,
-                                    panels, _PANEL_ORDER)
-        with np.errstate(over="ignore"):  # where V overflows, the log-weight is -inf
+    pot = w.potential
+    if pot.hard_edge or (w.alpha != 0.0 and lo < 0.0 < hi):
+        # x = +-u^2 absorbs |x|^exponent; an underflowing power factor or an overflowing
+        # V is a -inf log-weight, and a window too wide ends in the checks below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            x, qw = power_weight_panels(lo, hi, w.exponent, panels, _PANEL_ORDER)
             lw = np.log(qw) - w.N * pot(x)
     else:
         x, qw = (v.ravel() for v in gauss_legendre_panels(lo, hi, panels, _PANEL_ORDER))
@@ -203,9 +209,8 @@ def recurrence_table(w: WeightSpec, n_max: int, measure=None) -> RecurrenceTable
         raise NonConvergenceError(
             f"recurrence coefficients on {coarse} and {used} quadrature nodes "
             f"differ by {dev:.1e} relative (limit 1e-12)")
-    log_gamma = log_g0 + np.concatenate([[0.0], np.cumsum(np.log(a))])
     return RecurrenceTable(N=w.N, n_max=n_max, a=a, b=b,
-                           gamma_sq=np.exp(np.clip(log_gamma, -700.0, 700.0)),
+                           log_gamma_sq=log_g0 + np.concatenate([[0.0], np.cumsum(np.log(a))]),
                            window=(lo, hi), nodes_used=used)
 
 
@@ -285,7 +290,7 @@ def _phi_recurrence(t: RecurrenceTable, w: WeightSpec, x, n, derivatives=False,
     if w.potential.hard_edge and np.any(x < 0.0):
         raise ValueError("hard-edge weight evaluated at negative argument")
     # phi_0 = sqrt(weight) / gamma_0
-    log_phi0 = 0.5 * (w.log_weight(x) - math.log(t.gamma_sq[0]))
+    log_phi0 = 0.5 * (w.log_weight(x) - t.log_gamma_sq[0])
     # the recurrence's arrays are scaled in place, so no extra copies
     phi, dphi, grow = _scaled_recurrence(x, log_phi0, n, t, derivatives, first)
     np.exp(np.clip(grow, -745.0, 705.0, out=grow), out=grow)
@@ -294,10 +299,8 @@ def _phi_recurrence(t: RecurrenceTable, w: WeightSpec, x, n, derivatives=False,
         return phi, None
     # phi' = (p' + p * (log sqrt(weight))') sqrt(weight)
     dlw = -0.5 * w.N * w.potential.deriv(x)
-    al = w.alpha
-    if al != 0.0:
-        xs = np.where(x != 0.0, x, np.inf)
-        dlw = dlw + (0.5 * al if w.potential.hard_edge else al) / xs
+    if w.alpha != 0.0:
+        dlw = dlw + 0.5 * w.exponent / np.where(x != 0.0, x, np.inf)
     dphi *= grow
     dphi += phi * dlw[None, :]
     return phi, dphi
@@ -399,13 +402,22 @@ def bulk_window(mu, x_star: float, grid) -> ScalingWindow:
     return ScalingWindow(x_star, 1.0, float(eqm.density(mu, x_star)), grid)
 
 
-def soft_edge_window(mu, grid, side: str = "right") -> ScalingWindow:
+def _soft_edge_constant(mu, side: str) -> float:
+    """kappa of rho(x) ~ kappa sqrt|x - e|/pi at the soft edge e of mu:
+    |h(e)| sqrt(b - a) on the line, |h(b)|/sqrt(b) at the right edge of a
+    hard-edge measure, whose left edge 0 is hard (ValueError)."""
     a, b = mu.support
-    if side == "right":
-        hb = abs(float(np.polyval(mu.h[::-1], b)))
-        return ScalingWindow(b, 2.0 / 3.0, hb * math.sqrt(b - a), grid, orientation=1)
-    ha = abs(float(np.polyval(mu.h[::-1], a)))
-    return ScalingWindow(a, 2.0 / 3.0, ha * math.sqrt(b - a), grid, orientation=-1)
+    if side not in ("right", "left") or (side == "left" and mu.potential.hard_edge):
+        raise ValueError("side must be 'right' or, on a soft edge, 'left'")
+    e = b if side == "right" else a
+    he = abs(float(np.polyval(mu.h[::-1], e)))
+    return he / math.sqrt(b) if mu.potential.hard_edge else he * math.sqrt(b - a)
+
+
+def soft_edge_window(mu, grid, side: str = "right") -> ScalingWindow:
+    kappa, right = _soft_edge_constant(mu, side), side == "right"
+    return ScalingWindow(mu.support[1 if right else 0], 2.0 / 3.0, kappa, grid,
+                         orientation=1 if right else -1)
 
 
 def hard_edge_window(mu, grid) -> ScalingWindow:

@@ -1,8 +1,7 @@
 """Quadrature rules: composite Gauss-Legendre panels, their suffix sums
-and the partial panels of tail integrals, the power-weight rule behind
-the discretized Stieltjes nodes, Gauss-Chebyshev of the first kind for the
-equilibrium endpoint equations and h, and of the second kind for the
-equilibrium moments."""
+and the partial panels of tail integrals, and the power-weight rule
+behind the discretized Stieltjes nodes.  The Gauss-Chebyshev rules of the
+equilibrium solver are numpy's chebgauss and scipy's roots_chebyu."""
 
 from __future__ import annotations
 
@@ -11,8 +10,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
-__all__ = ["gauss_legendre_panels", "panel_suffix", "panel_tail",
-           "power_weight_panels", "gauss_chebyshev_t", "gauss_chebyshev_u"]
+__all__ = ["gauss_legendre_panels", "panel_suffix", "panel_tail", "power_weight_panels"]
 
 
 @lru_cache(maxsize=None)
@@ -79,23 +77,3 @@ def power_weight_panels(lo: float, hi: float, beta: float, panels: int, order: i
         xs.append(sign * u.ravel() ** 2)
         ws.append(uw.ravel())
     return np.concatenate(xs), np.concatenate(ws)
-
-
-@lru_cache(maxsize=None)
-def gauss_chebyshev_t(m: int):
-    """Read-only nodes cos(theta_k), theta_k = (k + 1/2) pi/m; the plain mean
-    of f over them is (1/pi) int_{-1}^{1} f(t) dt/sqrt(1 - t^2), exact for
-    polynomials of degree < 2m."""
-    t = np.cos(np.pi * (np.arange(m) + 0.5) / m)
-    t.flags.writeable = False
-    return t
-
-
-@lru_cache(maxsize=None)
-def gauss_chebyshev_u(m: int):
-    """Read-only nodes cos(theta_k) and weights pi/(m+1) sin^2(theta_k),
-    theta_k = k pi/(m+1), for int_{-1}^{1} f(t) sqrt(1 - t^2) dt."""
-    th = np.pi * np.arange(1, m + 1) / (m + 1)
-    t, w = np.cos(th), (np.pi / (m + 1)) * np.sin(th) ** 2
-    t.flags.writeable = w.flags.writeable = False
-    return t, w

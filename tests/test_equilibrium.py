@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from rmtlab.equilibrium import (MultiCutError, NonConvergenceError, Potential, classify,
-                                density, effective_potential, grid_energy_minimize, qv,
-                                solve_equilibrium)
+from rmtlab.equilibrium import (ALPHA_MAX, MultiCutError, NonConvergenceError, Potential,
+                                classify, density, effective_potential, grid_energy_minimize,
+                                qv, solve_equilibrium)
 
 SEMI = Potential((0.0, 0.0, 0.5))
 QUARTIC_CRIT = Potential((0.0, 0.0, -1.0, 0.0, 0.25))
@@ -63,6 +63,15 @@ class TestPotentialValidation:
                 Potential((0.0, 0.0, 0.5), singularity_alpha=bad)
         assert Potential((0.0, 0.0, 0.5), singularity_alpha=-0.0).singularity_alpha == 0.0
         assert Potential((-0.0, -0.0, 0.5)).degree == 2
+
+    def test_alpha_bound(self):
+        # alpha = ALPHA_MAX is the largest exponent accepted, on both weights
+        for hard, coefs in ((False, (0.0, 0.0, 0.5)), (True, (0.0, 1.0))):
+            pot = Potential(coefs, hard_edge=hard, singularity_alpha=ALPHA_MAX)
+            assert pot.singularity_alpha == 100.0
+            for bad in (math.nextafter(ALPHA_MAX, math.inf), 1000.0, 1e300):
+                with pytest.raises(ValueError, match="singularity_alpha must lie in"):
+                    Potential(coefs, hard_edge=hard, singularity_alpha=bad)
 
     def test_hard_edge_needs_increasing_potential(self):
         Potential((0.0, 1.0), hard_edge=True)
@@ -174,6 +183,20 @@ class TestHardEdge:
 
 
 class TestSolverInvariants:
+    @pytest.mark.parametrize("coefs", [(0.0, 1e300, 0.5), (0.0, 1e30, 0.5), (0.0, 0.0, 1e-300)])
+    def test_overflow_raises_before_numpy_warns(self, coefs):
+        # one guard around the whole solve turns an overflow or an invalid
+        # value anywhere in it into an ArithmeticError, and leaves numpy's
+        # error state as it found it
+        import warnings
+
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ArithmeticError, match="^non-finite value"):
+                solve_equilibrium(Potential(coefs))
+        assert np.geterr() == before
+
     @pytest.mark.parametrize("pot", [SEMI, QUARTIC_CRIT, QUARTIC_REG])
     def test_mass_and_selfconsistency(self, pot):
         mu = solve_equilibrium(pot)

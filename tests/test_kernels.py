@@ -144,6 +144,16 @@ class TestBesselKernels:
         assert a == pytest.approx(kr.bessel_origin_kernel(1.0, 2.2, 0.4), rel=1e-12)
         assert kr.bessel_origin_kernel(1.0, 0.05, 0.05) < 1.0
 
+    @pytest.mark.parametrize("family", ["bessel_hard", "bessel_origin"])
+    def test_handle_alpha_bound(self, family):
+        # the handles take alpha up to the documented ALPHA_MAX = 100
+        from rmtlab.equilibrium import ALPHA_MAX
+
+        assert np.isfinite(kr.KernelHandle(family, alpha=ALPHA_MAX).evaluate(0.5, 0.7))
+        for bad in (math.nextafter(ALPHA_MAX, math.inf), 1000.0, 1e300):
+            with pytest.raises(ValueError, match=f"{family} requires .* < alpha <= 100"):
+                kr.KernelHandle(family, alpha=bad)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             kr.bessel_hard_kernel(0.0, -1.0, 2.0)

@@ -437,7 +437,7 @@ class TestMetropolis:
 
     def test_range_checks(self):
         for n, count, steps in ((0, 5, 10), (4, 0, 10), (129, 5, 10),
-                                (4, 10_001, 10), (4, 5, 0)):
+                                (4, 10_001, 10), (4, 5, 0), (4, 5, 100_001), (4, 5, 10 ** 30)):
             with pytest.raises(ValueError):
                 mc.sample_invariant(HERMITE, 2, n, n, count, steps, seed=1)
 
@@ -450,6 +450,34 @@ class TestMetropolis:
 
 
 class TestWorkers:
+    @pytest.mark.parametrize("items, cpus, want", [(10, 3, 3), (2, 8, 2), (10, 1, None)])
+    def test_pool_size_capped_by_items_and_cpus(self, monkeypatch, items, cpus, want):
+        # however many workers are asked for, the pool has at most one per
+        # item and per CPU, and one worker runs in this process (a stand-in
+        # pool records its size and starts nothing)
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, blocks):
+                return map(fn, blocks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        got = mc._map_blocks(sum, list(range(items)), 10 ** 30)
+        assert sum(got) == sum(range(items))
+        assert sizes == ([want] if want else [])
+
     def test_gaussian_worker_independent(self):
         one = mc.sample_gaussian(4, 12, 30, seed=7, workers=1)
         two = mc.sample_gaussian(4, 12, 30, seed=7, workers=2)

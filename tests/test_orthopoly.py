@@ -99,6 +99,58 @@ class TestRecurrenceTable:
         with pytest.raises(ValueError):
             op.WeightSpec(HERMITE, N=4, truncation=0.5).window(8)
 
+    @pytest.mark.parametrize("truncation", [1e308, math.inf, math.nan, 0.0, -1.0])
+    def test_truncation_needs_finite_window_width(self, truncation):
+        # the window [-truncation, truncation] is 2 truncation wide
+        with pytest.raises(ValueError, match="truncation must be positive"):
+            op.WeightSpec(HERMITE, N=4, truncation=truncation)
+
+    def test_gamma_sq_read_from_the_log(self, herm16):
+        # gamma_sq is the exp of the stored log norms, and read-only
+        _, t = herm16
+        assert np.array_equal(t.gamma_sq, np.exp(t.log_gamma_sq))
+        with pytest.raises(AttributeError):
+            t.gamma_sq = t.gamma_sq
+
+    @pytest.mark.parametrize("hard", [False, True])
+    def test_weight_exponent(self, hard):
+        # alpha on a hard edge, 2 alpha on the line
+        pot = Potential((0.0, 1.0) if hard else (0.0, 0.0, 0.5), hard_edge=hard,
+                        singularity_alpha=0.75)
+        assert op.WeightSpec(pot, N=4).exponent == (0.75 if hard else 1.5)
+
+
+class TestConstantShift:
+    """V + c scales the weight by e^{-N c}, which the norms absorb: the
+    weighted functions and K_n do not depend on c, also where gamma_k^2
+    leaves the double range (c = +-800 at N = 1)."""
+
+    XS = np.array([-1.7, -1.0, -0.35, 0.6, 1.3, 2.2])
+
+    @staticmethod
+    def _evaluate(c):
+        w = op.WeightSpec(Potential((c, 0.0, 0.5)), N=1)
+        t = op.recurrence_table(w, 8)
+        xs = TestConstantShift.XS
+        return t, (op.cd_kernel_grid(t, w, 8, xs, xs),
+                   np.array([[op.cd_kernel_sum(t, w, 8, x, y) for y in xs] for x in xs]),
+                   op.weighted_polys(t, w, xs, 8))
+
+    @pytest.mark.parametrize("c", [-800.0, 50.0, 800.0])
+    def test_kernel_and_weighted_functions_do_not_move(self, c):
+        _, want = self._evaluate(0.0)
+        t, got = self._evaluate(c)
+        for g, v in zip(got, want):
+            assert np.abs(g - v).max() <= 1e-12 * np.abs(v).max()
+        assert np.allclose(t.log_gamma_sq, self._evaluate(0.0)[0].log_gamma_sq - c,
+                           rtol=0.0, atol=1e-12 * abs(c))
+
+    def test_norms_outside_the_double_range(self):
+        # gamma_k^2 = e^{-N c} gamma_k^2(0): 0.0 once it underflows, inf once
+        # it overflows; the log is kept exactly
+        assert (self._evaluate(800.0)[0].gamma_sq == 0.0).all()
+        assert (self._evaluate(-800.0)[0].gamma_sq == np.inf).all()
+
 
 def _closed_form_error(pot, n):
     """Relative error of the N = n table against the exact monic
@@ -464,6 +516,22 @@ class TestScalingWindows:
         win = op.ScalingWindow(0.0, 1.0, 1.0 / 64.0, np.array([0.0, 100.0]))
         with pytest.raises(ValueError):
             op.rescaled_kernel(t, w, 64, win)
+
+    def test_hard_edge_measure_has_no_soft_left_edge(self):
+        mu = eq.solve_equilibrium(Potential((0.0, 1.0), hard_edge=True))
+        with pytest.raises(ValueError, match="on a soft edge, 'left'"):
+            op.soft_edge_window(mu, np.array([0.0]), "left")
+
+    @pytest.mark.parametrize("coefs", [(0.0, 1.0), (0.0, 1.0, 1.0)])
+    def test_soft_edge_constant_at_a_hard_edge_measure(self, coefs):
+        # rho = h(x) sqrt((b - x)/x)/pi ~ (h(b)/sqrt(b)) sqrt(b - x)/pi at b
+        mu = eq.solve_equilibrium(Potential(coefs, hard_edge=True))
+        b = mu.support[1]
+        win = op.soft_edge_window(mu, np.array([0.0]))
+        assert win.c == pytest.approx(np.polyval(mu.h[::-1], b) / math.sqrt(b), rel=1e-15)
+        x = b - 1e-8
+        assert eq.density(mu, x) == pytest.approx(win.c * math.sqrt(b - x) / math.pi,
+                                                  rel=1e-7)
 
     def test_left_edge_orientation(self, semicircle):
         grid = np.linspace(-2.0, 2.0, 9)

@@ -1,13 +1,10 @@
 """Tests for the shared quadrature rules."""
 
-import math
-
 import numpy as np
 import pytest
 from scipy.special import gamma, gammaincc
 
-from rmtlab.quadrature import (gauss_chebyshev_u, panel_suffix, panel_tail,
-                               power_weight_panels)
+from rmtlab.quadrature import panel_suffix, panel_tail, power_weight_panels
 
 
 class TestPowerWeightPanels:
@@ -58,23 +55,3 @@ class TestPanelTail:
         vals, ix = panel_tail(f, np.array([0.25, 1.0, 0.25]), knots, suffix, 8)
         np.testing.assert_array_equal(vals[ix], suffix[[1, 4, 1]])
 
-
-class TestGaussChebyshevU:
-    @pytest.mark.parametrize("m", [256, 320])
-    def test_matches_closed_form_bitwise(self, m):
-        th = np.pi * np.arange(1, m + 1) / (m + 1)
-        t, w = gauss_chebyshev_u(m)
-        assert np.array_equal(t, np.cos(th))
-        assert np.array_equal(w, (np.pi / (m + 1)) * np.sin(th) ** 2)
-
-    def test_exact_for_polynomials(self):
-        # int_{-1}^{1} t^4 sqrt(1 - t^2) dt = pi/16
-        t, w = gauss_chebyshev_u(12)
-        assert w @ t ** 4 == pytest.approx(math.pi / 16.0, rel=1e-14)
-
-    def test_cached_arrays_read_only(self):
-        t, w = gauss_chebyshev_u(8)
-        with pytest.raises(ValueError):
-            t[0] = 0.0
-        with pytest.raises(ValueError):
-            w[0] = 0.0
