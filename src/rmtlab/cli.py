@@ -73,11 +73,13 @@ def _parse_ns(text, top=np.inf):
     return ns
 
 
-def _csv_text(config, table):
-    """The header block, then table: the text of table_text or a to_csv."""
+def _csv_text(config, table, diagnostics=()):
+    """The header block, then table: the text of table_text or a to_csv.
+    diagnostics are (name, value) pairs, written as '# diag.name = value'."""
     lines = [f"# rmtlab {__version__}",
              f"# timestamp = {time.strftime('%Y-%m-%dT%H:%M:%S')}"]
     lines += [f"# {key} = {config[key]}" for key in sorted(config)]
+    lines += [f"# diag.{name} = {value!r}" for name, value in diagnostics]
     return "\n".join(lines) + "\n" + table
 
 
@@ -144,7 +146,8 @@ def _cmd_oppoly(args):
                                  "nmax", "truncation", "out"])
     outputs = [(args.out, _csv_text(config, table_text(
         ["k", "a", "b", "gamma_sq"], range(args.nmax + 1),
-        np.concatenate([[0.0], table.a]), table.b, table.gamma_sq)))]
+        np.concatenate([[0.0], table.a]), table.b, table.gamma_sq),
+        [("recurrence_delta", table.verify_delta)]))]
     if args.kernel_out:
         kmat = op.cd_kernel_grid(table, w, args.kernel_n, grid, grid)
         config.update(kernel_n=args.kernel_n, kernel_grid=args.kernel_grid,

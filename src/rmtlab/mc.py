@@ -13,7 +13,9 @@ invariant eigenvalue densities with log-density
         + 2 alpha sum_j log|x_j|     (singularity on the line),
 
 together with the empirical statistics (histograms, unfolded spacings,
-Poisson contrast) used to cross-check the kernel predictions.
+Poisson contrast) used to cross-check the kernel predictions.  The
+constant term of V is left out of the log-density, so however large it
+is, it cannot round away the x-dependence.
 
 Variances are normalized so every Gaussian ensemble has limiting density
 supported on [-2, 2] (diagonal variance 2 / (beta n)); that keeps the
@@ -165,7 +167,8 @@ def sample_gaussian(beta: int, n: int, count: int, seed: int,
 
 def log_density(V: Potential, beta: int, n: int, N: int, x: np.ndarray):
     """log of the unnormalized eigenvalue density
-    beta sum_{i<j} log|x_i-x_j| - N sum V(x_j) (+ singularity factors)."""
+    beta sum_{i<j} log|x_i-x_j| - N sum (V(x_j) - V(0)) (+ singularity
+    factors)."""
     x = np.asarray(x, dtype=float)
     d = np.abs(x[:, None] - x[None, :])
     iu = np.triu_indices(n, 1)

@@ -6,16 +6,25 @@ Recurrence coefficients come from the discretized Stieltjes procedure
 and a Gauss-Jacobi first u-panel at a hard edge or an origin singularity.
 A pass on max(1200, 8 n_max) nodes and a verification pass on twice as
 many must agree to 1e-12, which holds for n_max <= 512 for every supported
-weight and every alpha up to ALPHA_MAX = 100.  The truncation window is
-chosen from the equilibrium measure of the scaled potential (N/n_max) V
-plus an exponential fringe, which is where the weighted polynomials
-actually live; the weight's own tail criterion alone would truncate into
-the oscillatory region.
+weight and every alpha up to ALPHA_MAX = 100; the table keeps the gap as
+verify_delta.  The truncation window is chosen from the equilibrium
+measure of the scaled potential (N/n_max) V plus an exponential fringe,
+which is where the weighted polynomials actually live; the weight's own
+tail criterion alone would truncate into the oscillatory region.
 
-The same orthonormal three-term recurrence, with periodic rescaling and a
-tracked log-scale, evaluates phi_k = P_k e^{-N V/2} / gamma_k from the
-table's log gamma_k^2, so nothing overflows for n up to 512 and a
-constant added to V only shifts log gamma_k^2.
+An even weight (no hard edge, no odd power in V) gets an exactly
+symmetric window, and both passes run on the nodes x > 0 of a rule with
+half the panels on [0, hi], their weights doubled: phi_k(-x) = (-1)^k
+phi_k(x), so b_k = 0 exactly and is not computed.  nodes_used counts the
+nodes of the whole mirrored rule.
+
+The constant term of V only scales the weight by e^{-N V(0)}: log_weight
+and the quadrature leave it out, so it cannot round away the
+x-dependence, and it enters log gamma_k^2 as exactly -N V(0).  The same
+orthonormal three-term recurrence, with periodic rescaling and a tracked
+log-scale, evaluates phi_k = P_k e^{-N V/2} / gamma_k, so nothing
+overflows for n up to 512; a point beyond the window where every phi_k
+rounds to 0.0 gets 0.0 without running it.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from . import equilibrium as eqm
 from .equilibrium import NonConvergenceError, Potential
@@ -79,10 +89,24 @@ class WeightSpec:
         """The power of |x| in the weight: alpha on a hard edge, 2 alpha on the line."""
         return self.alpha if self.potential.hard_edge else 2.0 * self.alpha
 
+    @property
+    def even(self) -> bool:
+        """The weight is even: no hard edge and no odd power in V."""
+        return not self.potential.hard_edge and not any(self.potential.coefficients[1::2])
+
+    def _nv(self, x):
+        """N (V(x) - V(0)): the constant term of V only scales the weight by
+        e^{-N V(0)}, which log_gamma_sq carries, and left in it would round
+        away the x-dependence.  inf where V overflows."""
+        c = self.potential.coefficients
+        with np.errstate(over="ignore"):
+            return self.N * npoly.polyval(x, np.asarray((0.0,) + c[1:]))
+
     def log_weight(self, x):
-        """log of the weight, -inf where it vanishes (x < 0 on a hard edge)."""
+        """log of the weight over its constant factor e^{-N V(0)}: -inf where
+        it vanishes (x < 0 on a hard edge) or V overflows."""
         x = np.asarray(x, dtype=float)
-        lw = -self.N * self.potential(x)
+        lw = -self._nv(x)
         if self.alpha != 0.0:
             with np.errstate(divide="ignore"):
                 lw = lw + self.exponent * np.log(np.abs(x))
@@ -107,8 +131,7 @@ class WeightSpec:
         return _auto_window(self, n_max, measure)
 
     def _check_tail(self, lo, hi):
-        with np.errstate(over="ignore"):  # where V overflows, the log-weight is -inf
-            lw = self.log_weight(np.linspace(lo, hi, 512))
+        lw = self.log_weight(np.linspace(lo, hi, 512))
         tail = lw[-1] if self.potential.hard_edge else max(lw[0], lw[-1])
         if tail > lw.max() + math.log(1e-30):
             raise ValueError("truncation window too small: weight tail not negligible")
@@ -124,7 +147,10 @@ def _auto_window(w: WeightSpec, n_max: int, mu):
         slope = max(_soft_edge_constant(mu, side), 1e-12)
         return 1.3 * (3.0 * target / (4.0 * n_max * slope)) ** (2.0 / 3.0)
 
-    return (0.0 if w.potential.hard_edge else a - fringe("left")), b + fringe("right")
+    hi = b + fringe("right")
+    if w.even:  # exactly symmetric, so the Stieltjes passes can run on [0, hi]
+        return -hi, hi
+    return (0.0 if w.potential.hard_edge else a - fringe("left")), hi
 
 
 @dataclass
@@ -139,6 +165,8 @@ class RecurrenceTable:
     log_gamma_sq: np.ndarray  # log gamma_k^2, k = 0..n_max
     window: tuple             # truncation interval (lo, hi)
     nodes_used: int           # nodes of the verification pass that was kept
+    log_mass: float           # log gamma_0^2 + N V(0): the mass of exp(log_weight)
+    verify_delta: float       # largest relative gap between the two passes
 
     @property
     def gamma_sq(self) -> np.ndarray:
@@ -166,26 +194,33 @@ def _logsumexp(v):
 
 def _stieltjes(w: WeightSpec, n_max: int, lo: float, hi: float, nodes: int):
     """Discretized Stieltjes procedure (Gautschi 2004, sec. 2.2) on about
-    `nodes` quadrature nodes; returns (a, b, log gamma_0^2, node count)."""
+    `nodes` quadrature nodes; returns (a, b, log gamma_0^2 + N V(0), node
+    count).  An even weight on its symmetric window runs only the nodes
+    x > 0 of a rule with half the panels on [0, hi], with doubled weights:
+    b_k = 0 exactly, and the count is that of the mirrored rule."""
     panels = max(4, math.ceil(nodes / _PANEL_ORDER))
-    pot = w.potential
-    if pot.hard_edge or (w.alpha != 0.0 and lo < 0.0 < hi):
+    power = w.potential.hard_edge or (w.alpha != 0.0 and lo < 0.0 < hi)
+    even = w.even
+    if even:
+        lo, panels = 0.0, (panels + 1) // 2
+    if power:
         # x = +-u^2 absorbs |x|^exponent; an underflowing power factor or an overflowing
         # V is a -inf log-weight, and a window too wide ends in the checks below
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             x, qw = power_weight_panels(lo, hi, w.exponent, panels, _PANEL_ORDER)
-            lw = np.log(qw) - w.N * pot(x)
+            lw = np.log(qw) - w._nv(x)
     else:
         x, qw = (v.ravel() for v in gauss_legendre_panels(lo, hi, panels, _PANEL_ORDER))
-        with np.errstate(over="ignore"):
-            lw = np.log(qw) + w.log_weight(x)
+        lw = np.log(qw) + w.log_weight(x)
+    if even:
+        lw += math.log(2.0)
     log_g0 = _logsumexp(lw)
     if not np.isfinite(log_g0):
         raise UnderflowError("weight vanishes identically on the grid")
     # on too few nodes r can overflow; its inf or nan ends in a breakdown
     with np.errstate(over="ignore", invalid="ignore"):
-        a, b = _scaled_recurrence(x, 0.5 * (lw - log_g0), n_max)
-    return a, b, log_g0, len(x)
+        a, b = _scaled_recurrence(x, 0.5 * (lw - log_g0), n_max, even=even)
+    return a, b, log_g0, len(x) * (2 if even else 1)
 
 
 def recurrence_table(w: WeightSpec, n_max: int, measure=None) -> RecurrenceTable:
@@ -193,9 +228,11 @@ def recurrence_table(w: WeightSpec, n_max: int, measure=None) -> RecurrenceTable
 
     One Stieltjes pass on max(1200, 8 n_max) nodes and a verification pass
     on twice as many must agree to 1e-12 relative in a and b; otherwise
-    NonConvergenceError.  The finer pass is returned.  measure, the
-    equilibrium measure of (N/n_max) V, spares the window its own solve
-    (ValueError for the measure of any other potential).
+    NonConvergenceError.  The finer pass is returned, with the gap between
+    the two as verify_delta.  measure, the equilibrium measure of
+    (N/n_max) V, spares the window its own solve (ValueError for the
+    measure of any other potential).  The constant term of V enters only
+    log_gamma_sq, as exactly -N V(0).
     """
     if not 1 <= n_max <= 512:
         raise ValueError("n_max must be between 1 and 512")
@@ -209,16 +246,18 @@ def recurrence_table(w: WeightSpec, n_max: int, measure=None) -> RecurrenceTable
         raise NonConvergenceError(
             f"recurrence coefficients on {coarse} and {used} quadrature nodes "
             f"differ by {dev:.1e} relative (limit 1e-12)")
+    log_gamma0 = log_g0 - w.N * w.potential.coefficients[0]
     return RecurrenceTable(N=w.N, n_max=n_max, a=a, b=b,
-                           log_gamma_sq=log_g0 + np.concatenate([[0.0], np.cumsum(np.log(a))]),
-                           window=(lo, hi), nodes_used=used)
+                           log_gamma_sq=log_gamma0 + np.concatenate([[0.0], np.cumsum(np.log(a))]),
+                           window=(lo, hi), nodes_used=used, log_mass=log_g0,
+                           verify_delta=float(dev))
 
 
 # ---------------------------------------------------------------------------
 # weighted functions and kernels
 
 def _scaled_recurrence(x, logscale, n, t: RecurrenceTable = None,
-                       derivatives=False, first=0):
+                       derivatives=False, first=0, even=False):
     """The one orthonormal three-term recurrence r_k = (x - b_k) phi_k -
     sqrt(a_k) phi_{k-1} = sqrt(a_{k+1}) phi_{k+1} on the points x, from
     phi_0 = exp(logscale).  phi_k is carried as y_k exp(logscale_k); every
@@ -228,14 +267,17 @@ def _scaled_recurrence(x, logscale, n, t: RecurrenceTable = None,
 
     Without a table, x are quadrature nodes whose weights are folded into
     phi_0, and b_k = sum x phi_k^2, a_{k+1} = sum r_k^2 are discrete inner
-    products; returns (a, b).  With a table, returns (y, dy or None,
-    logscale) for the rows k = first..n, each (n+1-first, len(x)), dy the
-    derivative of p_k on y's scale."""
+    products; returns (a, b).  even says the nodes are the half x > 0 of
+    a symmetric rule under an even weight: b_k = 0 and x - b_k = x, so
+    neither is computed.  With a table, returns (y, dy or None, logscale)
+    for the rows k = first..n, each (n+1-first, len(x)), dy the derivative
+    of p_k on y's scale."""
     build = t is None
     a, b = (np.zeros(n), np.zeros(n + 1)) if build else (t.a, t.b)
     logscale = np.array(logscale, dtype=float)  # a copy: updated in place
     size = len(x)
-    cur, prev, xb, tmp = np.ones(size), np.zeros(size), np.empty(size), np.empty(size)
+    cur, prev, tmp = np.ones(size), np.zeros(size), np.empty(size)
+    xb = x if even else np.empty(size)
     s_prev = 0.0
     if build:
         mass = np.exp(2.0 * logscale)
@@ -247,14 +289,15 @@ def _scaled_recurrence(x, logscale, n, t: RecurrenceTable = None,
     if derivatives:
         curp, prevp = np.zeros(size), np.zeros(size)
     for k in range(n + 1):
-        if build:
+        if build and not even:
             np.multiply(x, cur, out=tmp)
             tmp *= cur
             b[k] = np.dot(tmp, mass)
         if k == n:
             break
         # r overwrites prev, whose last use is s_prev * prev
-        np.subtract(x, b[k], out=xb)
+        if not even:
+            np.subtract(x, b[k], out=xb)
         np.multiply(prev, s_prev, out=tmp)
         r = np.multiply(xb, cur, out=prev)
         r -= tmp
@@ -282,6 +325,25 @@ def _scaled_recurrence(x, logscale, n, t: RecurrenceTable = None,
     return (a, b) if build else (y, yp, logs)
 
 
+def _underflowed(t: RecurrenceTable, x, log_phi0, n):
+    """Mask of the points beyond the window at which every phi_k, k <= n,
+    rounds to 0.0, or None if there is none.  The zeros of P_k lie in the
+    window [-R, R], so |phi_k(x)| <= phi_0(x) (|x| + R)^k / sqrt(a_1 ...
+    a_k).  Where the log of that bound is below -800 (the smallest
+    subnormal is e^-744.4) the point gets 0.0 without the recurrence,
+    which could overflow there: y grows like |x|^8 between rescales, past
+    the double range for |x| above about 1e38."""
+    reach = max(-t.window[0], t.window[1])
+    far = np.abs(x) > reach
+    if not far.any():
+        return None
+    # |x| + R < 2 |x| there, whose log cannot overflow
+    norm = float(np.max(-0.5 * np.cumsum(np.log(t.a[:n])), initial=0.0))
+    dead = np.zeros(len(x), dtype=bool)
+    dead[far] = log_phi0[far] + n * (math.log(2.0) + np.log(np.abs(x[far]))) + norm < -800.0
+    return dead if dead.any() else None
+
+
 def _phi_recurrence(t: RecurrenceTable, w: WeightSpec, x, n, derivatives=False,
                     first=0):
     """Orthonormal weighted functions phi_k(x), k = first..n, from the
@@ -290,7 +352,18 @@ def _phi_recurrence(t: RecurrenceTable, w: WeightSpec, x, n, derivatives=False,
     if w.potential.hard_edge and np.any(x < 0.0):
         raise ValueError("hard-edge weight evaluated at negative argument")
     # phi_0 = sqrt(weight) / gamma_0
-    log_phi0 = 0.5 * (w.log_weight(x) - t.log_gamma_sq[0])
+    log_phi0 = 0.5 * (w.log_weight(x) - t.log_mass)
+    dead = _underflowed(t, x, log_phi0, n)
+    if dead is not None:
+        phi = np.zeros((n + 1 - first, len(x)))
+        dphi = np.zeros_like(phi) if derivatives else None
+        if not dead.all():
+            live = ~dead
+            p, dp = _phi_recurrence(t, w, x[live], n, derivatives, first)
+            phi[:, live] = p
+            if derivatives:
+                dphi[:, live] = dp
+        return phi, dphi
     # the recurrence's arrays are scaled in place, so no extra copies
     phi, dphi, grow = _scaled_recurrence(x, log_phi0, n, t, derivatives, first)
     np.exp(np.clip(grow, -745.0, 705.0, out=grow), out=grow)

@@ -230,6 +230,34 @@ class TestOppoly:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["k0.csv", "k800.csv",
                                                              "t0.csv", "t800.csv"]
 
+    def test_huge_constant_term(self, tmp_path, monkeypatch):
+        # V(0) = 1e30 would round away x^2/2 if it were evaluated with it;
+        # it enters only the norms, so a, b and K_n are those of V(0) = 0
+        monkeypatch.chdir(tmp_path)
+        for c in ("0", "1e30"):
+            assert main(["oppoly", f"--potential={c},0,0.5", "--N", "8", "--nmax", "8",
+                         "--kernel-n", "8", "--kernel-grid=-1:1:5", "--kernel-out",
+                         f"k{c}.csv", "--out", f"t{c}.csv"]) == 0
+        t0, t30 = parse_table(tmp_path / "t0.csv"), parse_table(tmp_path / "t1e30.csv")
+        assert np.array_equal(t30[:, :3], t0[:, :3])
+        assert (t30[:, 3] == 0.0).all()
+        assert np.array_equal(parse_table(tmp_path / "k1e30.csv"), parse_table(tmp_path / "k0.csv"))
+        assert main(["converge", "--potential=1e30,0,0.5", "--mode", "bulk", "--n", "16,32",
+                     "--out", "c.csv"]) == 0
+
+    def test_recurrence_delta_header(self, tmp_path):
+        # the verification gap between the two Stieltjes passes, a
+        # deterministic diagnostic that reruns write the same
+        heads = []
+        for name in ("a.csv", "b.csv"):
+            assert main(["oppoly", "--potential", "0,0,-1,0,0.25", "--N", "64", "--nmax", "64",
+                         "--out", str(tmp_path / name)]) == 0
+            heads.append([ln for ln in (tmp_path / name).read_text().splitlines()
+                          if ln.startswith("# diag.")])
+        (line,), _ = heads
+        assert heads[1] == heads[0] and line.startswith("# diag.recurrence_delta = ")
+        assert 0.0 <= float(line.split(" = ")[1]) <= 1e-12
+
     def test_disagreeing_passes_exit3(self, tmp_path, monkeypatch):
         from rmtlab import orthopoly
 
@@ -402,6 +430,14 @@ class TestSample:
                 "--out", str(tmp_path / "b.bin"), "--workers", "1"]
         assert main(argv + extra) == 2
         assert not list(tmp_path.iterdir())
+
+    def test_metropolis_huge_constant_term(self, tmp_path):
+        # the one-body log-weight drops V(0), so V(0) = 1e30 draws the same batch
+        for c in ("0", "1e30"):
+            assert main(["sample", "--beta", "2", "--n", "8", "--count", "8", "--seed", "3",
+                         "--metropolis", f"--potential={c},0,0.5", "--steps", "40",
+                         "--out", str(tmp_path / f"m{c}.bin"), "--workers", "1"]) == 0
+        assert (tmp_path / "m1e30.bin").read_bytes() == (tmp_path / "m0.bin").read_bytes()
 
     def test_metropolis_diagnostics_header(self, tmp_path):
         out = tmp_path / "m.bin"
@@ -858,11 +894,7 @@ CORNERS = [
 ]
 
 # rows that still fail, each with the CHANGES.md FOUND line that records it
-STILL_FAILING = {
-    "oppoly --potential=0,0,0.5 --N 8 --nmax 8 --kernel-n 8 --kernel-grid=-1:1e300:3 "
-    "--kernel-out k.csv": "CHANGES.md FOUND: a CD kernel point beyond ~1e38 overflows "
-                          "the recurrence with a RuntimeWarning before its exit 3",
-}
+STILL_FAILING = {}
 
 
 def _hostile_rows():

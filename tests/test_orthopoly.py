@@ -22,6 +22,7 @@ from rmtlab import orthopoly as op
 from rmtlab.equilibrium import Potential
 
 HERMITE = Potential((0.0, 0.0, 0.5))
+_PANEL_NODES = 32  # nodes per Gauss panel of the Stieltjes rules
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +137,7 @@ class TestConstantShift:
                    np.array([[op.cd_kernel_sum(t, w, 8, x, y) for y in xs] for x in xs]),
                    op.weighted_polys(t, w, xs, 8))
 
-    @pytest.mark.parametrize("c", [-800.0, 50.0, 800.0])
+    @pytest.mark.parametrize("c", [-800.0, 50.0, 800.0, 1e30])
     def test_kernel_and_weighted_functions_do_not_move(self, c):
         _, want = self._evaluate(0.0)
         t, got = self._evaluate(c)
@@ -276,6 +277,24 @@ class TestCdKernel:
                          (3, {"derivatives": False, "first": 9}),
                          (3, {"derivatives": True, "first": 9})]
 
+    def test_points_where_the_weight_underflows(self, herm16):
+        # beyond about 1e38 the recurrence would overflow; there, as at every
+        # point far outside the window, phi_k and K_n are 0.0 in double
+        import warnings
+
+        w, t = herm16
+        xs = np.array([-1e300, -1e39, -0.5, 0.7, 30.0, 1e300])
+        inner = np.abs(xs) < 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            k = op.cd_kernel_grid(t, w, 16, xs, xs)
+            phi = op.weighted_polys(t, w, xs, 16)
+        assert (k[~inner] == 0.0).all() and (k[:, ~inner] == 0.0).all()
+        assert (phi[:, ~inner] == 0.0).all()
+        assert _bits(k[np.ix_(inner, inner)]) == _bits(
+            op.cd_kernel_grid(t, w, 16, xs[inner], xs[inner]))
+        assert _bits(phi[:, inner]) == _bits(op.weighted_polys(t, w, xs[inner], 16))
+
     def test_positive_definite_random_points(self, herm64):
         w, t = herm64
         rng = np.random.default_rng(8)
@@ -316,8 +335,9 @@ class TestCdKernel:
         assert abs(vals[1.0] - vals[0.0]) <= 2e-2
 
 
-def _ref_scaled_recurrence(x, logscale, n, t=None, derivatives=False):
-    """The recurrence with fresh arrays at every step and every row kept."""
+def _ref_scaled_recurrence(x, logscale, n, t=None, derivatives=False, even=False):
+    """The recurrence with fresh arrays at every step and every row kept;
+    even: b_k = 0 on the half-line nodes of an even weight."""
     build = t is None
     a, b = (np.zeros(n), np.zeros(n + 1)) if build else (t.a, t.b)
     mass = np.exp(2.0 * logscale) if build else None
@@ -329,7 +349,7 @@ def _ref_scaled_recurrence(x, logscale, n, t=None, derivatives=False):
         y[0], logs[0] = cur, logscale
     for k in range(n + 1):
         if build:
-            b[k] = np.dot(x * cur * cur, mass)
+            b[k] = 0.0 if even else np.dot(x * cur * cur, mass)
         if k == n:
             break
         r = (x - b[k]) * cur - s_prev * prev
@@ -388,7 +408,9 @@ def _bits(v):
 
 class TestBitwiseReference:
     """In-place Stieltjes passes, two-row grids and the numpy logsumexp
-    change no bit of a table or a kernel value."""
+    change no bit of a table or a kernel value.  Even weights run on the
+    half-line nodes (TestEvenHalfLine checks them against the full rule);
+    the other rows pin the full-line path."""
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 512])
     @pytest.mark.parametrize("pot", [
@@ -398,8 +420,9 @@ class TestBitwiseReference:
         Potential((0.0, 0.0, 0.5), singularity_alpha=0.25),
         Potential((0.0, 0.0, -1.0, 0.0, 0.25)),
         Potential((0.0, 1.0, 1.0), hard_edge=True),
+        Potential((0.0, 0.0, -0.5, 0.1, 0.25)),
     ], ids=["hermite", "laguerre0", "laguerre1.5", "genhermite0.25",
-            "critical_quartic", "x+x2_hard"])
+            "critical_quartic", "x+x2_hard", "tilted_quartic"])
     def test_table(self, pot, n, monkeypatch):
         w = op.WeightSpec(pot, N=n)
         with monkeypatch.context() as m:
@@ -442,6 +465,58 @@ class TestBitwiseReference:
                        (np.array([0.0, 0.7, 2.0]), np.array([0.7, 3.0]))]:
             assert _bits(op.cd_kernel_grid(t, w, 48, xs, ys)) == _bits(
                 _ref_cd_kernel_grid(t, w, 48, xs, ys))
+
+
+EVEN_WEIGHTS = {
+    "hermite": HERMITE,
+    "quartic": Potential((0.0, 0.0, 0.0, 0.0, 0.25)),
+    "critical_quartic": Potential((0.0, 0.0, -1.0, 0.0, 0.25)),
+    "sextic": Potential((0.0, 0.0, -0.5, 0.0, 0.3, 0.0, 0.1)),
+    "genhermite0.25": Potential((0.0, 0.0, 0.5), singularity_alpha=0.25),
+    "genhermite1": Potential((0.0, 0.0, 0.5), singularity_alpha=1.0),
+    "genhermite100": Potential((0.0, 0.0, 0.5), singularity_alpha=100.0),
+}
+
+
+class TestEvenHalfLine:
+    """An even weight runs both Stieltjes passes on the nodes x > 0 with
+    doubled weights; the reference runs every node of the full-line rule
+    and takes b_k from its inner product."""
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 512])
+    @pytest.mark.parametrize("name", list(EVEN_WEIGHTS))
+    def test_matches_the_full_rule(self, name, n, monkeypatch):
+        w = op.WeightSpec(EVEN_WEIGHTS[name], N=n)
+        got = op.recurrence_table(w, n)
+        with monkeypatch.context() as m:
+            m.setattr(op.WeightSpec, "even", property(lambda self: False))
+            want = op.recurrence_table(w, n)
+        assert (np.abs(got.a - want.a) / want.a).max() <= 1e-13
+        assert (got.b == 0.0).all()
+        assert np.abs(got.log_gamma_sq - want.log_gamma_sq).max() <= 1e-12
+        assert got.window[1] == want.window[1] and got.verify_delta <= 1e-12
+        # the count of the mirrored rule: half the panels, twice the nodes
+        assert got.nodes_used == 2 * _PANEL_NODES * math.ceil(
+            math.ceil(2 * max(1200, 8 * n) / _PANEL_NODES) / 2)
+
+    @pytest.mark.parametrize("pot, even", [
+        (Potential((0.0, 1.0, 0.5)), False),
+        (Potential((0.0, 0.0, 0.5, 1e-300, 0.25)), False),
+        (Potential((0.0, 1.0), hard_edge=True), False),
+        (Potential((0.0, 1.0, 1.0), hard_edge=True), False),
+        (Potential((0.0, 1.0), hard_edge=True, singularity_alpha=1.0), False),
+        (Potential((5.0, 0.0, 0.3, 0.0, 0.1)), True),
+        (Potential((0.0, 0.0, 0.3, 0.0, 0.1)), True),
+        (Potential((0.0, 0.0, 0.5), singularity_alpha=2.5), True),
+    ])
+    def test_even_truth_table(self, pot, even):
+        assert op.WeightSpec(pot, N=4).even is even
+
+    @pytest.mark.parametrize("name", ["quartic", "critical_quartic", "sextic", "genhermite1"])
+    @pytest.mark.parametrize("n", [8, 128])
+    def test_auto_window_is_symmetric(self, name, n):
+        lo, hi = op.WeightSpec(EVEN_WEIGHTS[name], N=n).window(n)
+        assert lo == -hi
 
 
 class TestMeasure:
