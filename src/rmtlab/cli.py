@@ -185,18 +185,21 @@ def _cmd_converge(args):
     else:
         win, kernel = op.origin_window(mu, grid), partial(kr.bessel_origin_kernel, alpha)
     ref = kernel(grid[:, None], grid[None, :])
-    span, rows = grid[-1] - grid[0], []
+    span, rows, delta = grid[-1] - grid[0], [], 0.0
     for n in ns:
         # the rescaled kernel against the universal one; N = n_max = n, so
         # mu, the measure of V, is every table's window measure
         start = time.perf_counter()
         w = op.WeightSpec(pot, N=n)
-        got = op.rescaled_kernel(op.recurrence_table(w, n, mu), w, n, win)
+        table = op.recurrence_table(w, n, mu)
+        delta = max(delta, table.verify_delta)
+        got = op.rescaled_kernel(table, w, n, win)
         diff = np.abs(got - ref)
         rows.append((n, args.mode, float(diff.max()), float(diff.mean() * span * span),
                      time.perf_counter() - start))
     outputs = [(args.out, _csv_text(config, table_text(
-        ["n", "mode", "sup_error", "l1_error", "runtime_seconds"], *zip(*rows))))]
+        ["n", "mode", "sup_error", "l1_error", "runtime_seconds"], *zip(*rows)),
+        [("recurrence_delta", delta)]))]
     if args.grid_out:
         # rescaled-kernel grid of the largest n, next to the universal target
         outputs.append((args.grid_out, _csv_text(config, table_text(

@@ -116,8 +116,11 @@ class Potential:
         if self.hard_edge:
             if d < 1 or c[-1] <= 0.0:
                 raise ValueError("hard-edge potential needs positive leading coefficient")
-            xs = np.linspace(0.0, 10.0 * self._scale(), 512)
-            if np.any(self.deriv(xs) <= 0.0):
+            # V'(0) > 0 and no root of V' on (0, inf); coefficients too far
+            # apart for the companion matrix are a numerical failure
+            with np.errstate(over="raise", invalid="raise"):
+                roots = _real_roots(npoly.polyder(np.asarray(c)))
+            if not c[1] > 0.0 or np.any(roots > 0.0):
                 raise ValueError("hard-edge potential must have V' > 0 on [0, inf)")
         else:
             if d < 2 or d % 2:
@@ -133,15 +136,8 @@ class Potential:
             d -= 1
         return d
 
-    def _scale(self) -> float:
-        lead = self.coefficients[self.degree]
-        return max(1.0, (1.0 / lead) ** (1.0 / self.degree))
-
     def __call__(self, x):
         return npoly.polyval(x, np.asarray(self.coefficients))
-
-    def deriv(self, x):
-        return npoly.polyval(x, npoly.polyder(np.asarray(self.coefficients)))
 
 
 @dataclass

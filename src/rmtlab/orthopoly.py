@@ -25,6 +25,11 @@ orthonormal three-term recurrence, with periodic rescaling and a tracked
 log-scale, evaluates phi_k = P_k e^{-N V/2} / gamma_k, so nothing
 overflows for n up to 512; a point beyond the window where every phi_k
 rounds to 0.0 gets 0.0 without running it.
+
+Every kernel grid is the defining sum K_n(x, y) = sum_{k<n} phi_k(x)
+phi_k(y), taken as the Gram product Phi(x)^T Phi(y) of the rows 0..n-1,
+on and off the diagonal alike.  The scalar cd_kernel keeps the
+Christoffel-Darboux quotient as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -256,8 +261,7 @@ def recurrence_table(w: WeightSpec, n_max: int, measure=None) -> RecurrenceTable
 # ---------------------------------------------------------------------------
 # weighted functions and kernels
 
-def _scaled_recurrence(x, logscale, n, t: RecurrenceTable = None,
-                       derivatives=False, first=0, even=False):
+def _scaled_recurrence(x, logscale, n, t: RecurrenceTable = None, even=False):
     """The one orthonormal three-term recurrence r_k = (x - b_k) phi_k -
     sqrt(a_k) phi_{k-1} = sqrt(a_{k+1}) phi_{k+1} on the points x, from
     phi_0 = exp(logscale).  phi_k is carried as y_k exp(logscale_k); every
@@ -269,9 +273,8 @@ def _scaled_recurrence(x, logscale, n, t: RecurrenceTable = None,
     phi_0, and b_k = sum x phi_k^2, a_{k+1} = sum r_k^2 are discrete inner
     products; returns (a, b).  even says the nodes are the half x > 0 of
     a symmetric rule under an even weight: b_k = 0 and x - b_k = x, so
-    neither is computed.  With a table, returns (y, dy or None, logscale)
-    for the rows k = first..n, each (n+1-first, len(x)), dy the derivative
-    of p_k on y's scale."""
+    neither is computed.  With a table, returns (y, logscale) for the rows
+    k = 0..n, each (n+1, len(x))."""
     build = t is None
     a, b = (np.zeros(n), np.zeros(n + 1)) if build else (t.a, t.b)
     logscale = np.array(logscale, dtype=float)  # a copy: updated in place
@@ -282,12 +285,8 @@ def _scaled_recurrence(x, logscale, n, t: RecurrenceTable = None,
     if build:
         mass = np.exp(2.0 * logscale)
     else:
-        y, logs = np.empty((n + 1 - first, size)), np.empty((n + 1 - first, size))
-        yp = np.zeros((n + 1 - first, size)) if derivatives else None
-        if first == 0:
-            y[0], logs[0] = cur, logscale
-    if derivatives:
-        curp, prevp = np.zeros(size), np.zeros(size)
+        y, logs = np.empty((n + 1, size)), np.empty((n + 1, size))
+        y[0], logs[0] = cur, logscale
     for k in range(n + 1):
         if build and not even:
             np.multiply(x, cur, out=tmp)
@@ -306,23 +305,19 @@ def _scaled_recurrence(x, logscale, n, t: RecurrenceTable = None,
             if not a[k] > 0.0:
                 raise NonConvergenceError("Stieltjes breakdown: too few nodes")
         s = math.sqrt(a[k])
-        if derivatives:
-            prevp, curp = curp, (cur + xb * curp - s_prev * prevp) / s
         r /= s
         prev, cur, s_prev = cur, r, s
         if (k + 1) % 8 == 0:
             m = np.maximum(np.abs(cur), np.abs(prev, out=tmp))
             m[~(m > 0)] = 1.0
-            for v in (cur, prev, curp, prevp) if derivatives else (cur, prev):
-                v /= m
+            cur /= m
+            prev /= m
             logscale += np.log(m, out=m)
             if build:
                 np.exp(np.multiply(2.0, logscale, out=mass), out=mass)
-        if not build and k + 1 >= first:
-            y[k + 1 - first], logs[k + 1 - first] = cur, logscale
-            if derivatives:
-                yp[k + 1 - first] = curp
-    return (a, b) if build else (y, yp, logs)
+        if not build:
+            y[k + 1], logs[k + 1] = cur, logscale
+    return (a, b) if build else (y, logs)
 
 
 def _underflowed(t: RecurrenceTable, x, log_phi0, n):
@@ -344,10 +339,9 @@ def _underflowed(t: RecurrenceTable, x, log_phi0, n):
     return dead if dead.any() else None
 
 
-def _phi_recurrence(t: RecurrenceTable, w: WeightSpec, x, n, derivatives=False,
-                    first=0):
-    """Orthonormal weighted functions phi_k(x), k = first..n, from the
-    table.  Returns (phi, dphi or None) with shape (n+1-first, len(x))."""
+def _phi_recurrence(t: RecurrenceTable, w: WeightSpec, x, n):
+    """Orthonormal weighted functions phi_k(x), k = 0..n, from the table,
+    shape (n+1, len(x))."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if w.potential.hard_edge and np.any(x < 0.0):
         raise ValueError("hard-edge weight evaluated at negative argument")
@@ -355,28 +349,15 @@ def _phi_recurrence(t: RecurrenceTable, w: WeightSpec, x, n, derivatives=False,
     log_phi0 = 0.5 * (w.log_weight(x) - t.log_mass)
     dead = _underflowed(t, x, log_phi0, n)
     if dead is not None:
-        phi = np.zeros((n + 1 - first, len(x)))
-        dphi = np.zeros_like(phi) if derivatives else None
+        phi = np.zeros((n + 1, len(x)))
         if not dead.all():
-            live = ~dead
-            p, dp = _phi_recurrence(t, w, x[live], n, derivatives, first)
-            phi[:, live] = p
-            if derivatives:
-                dphi[:, live] = dp
-        return phi, dphi
+            phi[:, ~dead] = _phi_recurrence(t, w, x[~dead], n)
+        return phi
     # the recurrence's arrays are scaled in place, so no extra copies
-    phi, dphi, grow = _scaled_recurrence(x, log_phi0, n, t, derivatives, first)
+    phi, grow = _scaled_recurrence(x, log_phi0, n, t)
     np.exp(np.clip(grow, -745.0, 705.0, out=grow), out=grow)
     phi *= grow
-    if not derivatives:
-        return phi, None
-    # phi' = (p' + p * (log sqrt(weight))') sqrt(weight)
-    dlw = -0.5 * w.N * w.potential.deriv(x)
-    if w.alpha != 0.0:
-        dlw = dlw + 0.5 * w.exponent / np.where(x != 0.0, x, np.inf)
-    dphi *= grow
-    dphi += phi * dlw[None, :]
-    return phi, dphi
+    return phi
 
 
 def weighted_polys(t: RecurrenceTable, w: WeightSpec, x, n: int):
@@ -386,56 +367,43 @@ def weighted_polys(t: RecurrenceTable, w: WeightSpec, x, n: int):
     if n > t.n_max:
         raise ValueError("n exceeds the table's n_max")
     scalar = np.ndim(x) == 0
-    phi, _ = _phi_recurrence(t, w, x, max(n - 1, 0))
-    out = phi[:n]
+    out = _phi_recurrence(t, w, x, max(n - 1, 0))[:n]
     return [float(v) for v in out[:, 0]] if scalar else out
 
 
 def cd_kernel(t: RecurrenceTable, w: WeightSpec, n: int, x: float, y: float) -> float:
-    """Christoffel-Darboux kernel K_n(x, y) from the weighted functions:
+    """The Christoffel-Darboux quotient
 
         K_n(x,y) = sqrt(a_n) [phi_n(x) phi_{n-1}(y) - phi_{n-1}(x) phi_n(y)]
-                   / (x - y)
+                   / (x - y),
 
-    with the confluent (derivative-recurrence) form on the diagonal."""
-    return float(cd_kernel_grid(t, w, n, x, y)[0, 0])
+    the sum cd_kernel_sum where |x - y| < 1e-7 (1 + |x|).  A cross-check
+    of cd_kernel_grid's Gram product, by a second formula."""
+    if n > t.n_max:
+        raise ValueError("n exceeds the table's n_max")
+    if abs(x - y) < 1e-7 * (1.0 + abs(x)):
+        return cd_kernel_sum(t, w, n, x, y)
+    (px, py), (qx, qy) = _phi_recurrence(t, w, np.array([x, y]), n)[n - 1:]
+    return float((qx * py - px * qy) / (x - y) * math.sqrt(t.a[n - 1]))
 
 
 def cd_kernel_sum(t: RecurrenceTable, w: WeightSpec, n: int, x: float, y: float) -> float:
-    """Direct sum form sum_k phi_k(x) phi_k(y), k < n (cross-check)."""
-    phi, _ = _phi_recurrence(t, w, np.array([x, y]), n - 1)
-    return float(np.sum(phi[:n, 0] * phi[:n, 1]))
+    """K_n(x, y) = sum_k phi_k(x) phi_k(y), k < n: one entry of cd_kernel_grid."""
+    return float(cd_kernel_grid(t, w, n, x, y)[0, 0])
 
 
 def cd_kernel_grid(t: RecurrenceTable, w: WeightSpec, n: int, xs, ys) -> np.ndarray:
-    """K_n on the tensor grid xs x ys, vectorized; near-diagonal entries
-    use the confluent form at the pair midpoint."""
+    """K_n(x, y) = sum_k phi_k(x) phi_k(y), k < n, on the tensor grid
+    xs x ys: the Gram product Phi(xs)^T Phi(ys) of one recurrence over the
+    distinct bit patterns of xs and ys (a square grid is one set of points)."""
     if n > t.n_max:
         raise ValueError("n exceeds the table's n_max")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    san = math.sqrt(t.a[n - 1])
-    dx = xs[:, None] - ys[None, :]
-    near = np.abs(dx) < 1e-7 * (1.0 + np.abs(xs[:, None]))
-    ii, jj = np.nonzero(near)
-    mids = 0.5 * (xs[ii] + ys[jj])
-    # one pointwise recurrence, keeping rows n-1 and n, over the distinct
-    # bit patterns of xs, ys and the band midpoints (a square grid is one
-    # set); the derivative rows only when some pair is confluent
-    pts, idx = np.unique(np.concatenate([xs, ys, mids]).view(np.int64),
-                         return_inverse=True)
-    phi, dphi = _phi_recurrence(t, w, pts.view(np.float64), n,
-                                derivatives=len(mids) > 0, first=n - 1)
-    ix, iy, im = np.split(idx, [len(xs), len(xs) + len(ys)])
-    px, py = phi[:, ix], phi[:, iy]
-    num = px[1][:, None] * py[0][None, :] - px[0][:, None] * py[1][None, :]
-    out = np.empty_like(dx)
-    np.divide(num, dx, out=out, where=~near)
-    out *= san
-    if len(mids):
-        pm, dm = phi[:, im], dphi[:, im]
-        out[ii, jj] = san * (dm[1] * pm[0] - dm[0] * pm[1])
-    return out
+    pts, idx = np.unique(np.concatenate([xs, ys]).view(np.int64), return_inverse=True)
+    phi = _phi_recurrence(t, w, pts.view(np.float64), n - 1)
+    ix, iy = np.split(idx, [len(xs)])
+    return phi[:, ix].T @ phi[:, iy]
 
 
 # ---------------------------------------------------------------------------

@@ -352,6 +352,19 @@ class TestConverge:
                      "--out", str(tmp_path / "conv.csv")]) == 0
         assert len(solves) == 1
 
+    def test_recurrence_delta_header(self, tmp_path):
+        # the largest verification gap of the command's tables, deterministic,
+        # so reruns write the same line
+        heads = []
+        for name in ("a.csv", "b.csv"):
+            assert main(["converge", "--potential", "0,1", "--hard-edge", "--mode", "hard",
+                         "--n", "16,64", "--out", str(tmp_path / name)]) == 0
+            heads.append([ln for ln in (tmp_path / name).read_text().splitlines()
+                          if ln.startswith("# diag.")])
+        (line,), _ = heads
+        assert heads[1] == heads[0] and line.startswith("# diag.recurrence_delta = ")
+        assert 0.0 <= float(line.split(" = ")[1]) <= 1e-12
+
     def test_worker_independence(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path, workers in [(a, "1"), (b, "2")]:
@@ -491,6 +504,8 @@ class TestSample:
     ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "1", "--range", "10:20:1"],
     ["oppoly", "--potential", "0,0,0.5", "--N", "16", "--nmax", "16", "--truncation", "nan"],
     ["oppoly", "--potential", "0,0,0.5", "--N", "16", "--nmax", "16", "--truncation", "inf"],
+    # a hard-edge V' = (x - 19)(x - 21) that is negative between its roots
+    ["eqm", "--potential", "0,399,-20,0.3333333333333333", "--hard-edge"],
     # non-finite coefficients and parameters
     ["eqm", "--potential", "0,0,nan"],
     ["oppoly", "--potential", "0,0,nan", "--N", "8", "--nmax", "8"],

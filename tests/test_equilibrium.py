@@ -73,10 +73,17 @@ class TestPotentialValidation:
                 with pytest.raises(ValueError, match="singularity_alpha must lie in"):
                     Potential(coefs, hard_edge=hard, singularity_alpha=bad)
 
-    def test_hard_edge_needs_increasing_potential(self):
+    @pytest.mark.parametrize("coefs", [
+        (0.0, -1.0, 1.0),
+        (0.0, 0.0, 1.0),                            # V'(0) = 0
+        (0.0, 399.0, -20.0, 1.0 / 3.0),             # V' = (x - 19)(x - 21)
+        (0.0, 1.000019, -1.00001, 1.0 / 3.0),       # V' < 0 on (0.99901, 1.00101)
+    ])
+    def test_hard_edge_needs_increasing_potential(self, coefs):
         Potential((0.0, 1.0), hard_edge=True)
-        with pytest.raises(ValueError):
-            Potential((0.0, -1.0, 1.0), hard_edge=True)
+        Potential((0.0, 1.0, 1.0), hard_edge=True)
+        with pytest.raises(ValueError, match="V' > 0 on"):
+            Potential(coefs, hard_edge=True)
 
 
 class TestSemicircle:

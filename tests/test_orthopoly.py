@@ -4,17 +4,18 @@ Classical oracles: monic Hermite under e^{-N x^2/2} has a_k = k/N via the
 substitution x -> x sqrt(N), and monic Laguerre under x^a e^{-N x} has
 b_k = (2k + 1 + a)/N, a_k = k(k + a)/N^2; both follow from the textbook
 recurrences by rescaling.  Quadrature oracles check orthonormality and the
-projection identities.  The allocating recurrence that keeps every row,
-the grid that evaluates xs, ys and the band midpoints apart, and scipy's
-logsumexp are kept here as references that the tables and grids must
-match bit for bit.
+projection identities.  The allocating recurrence that keeps every row
+and scipy's logsumexp are kept here as references that the tables and
+weighted functions must match bit for bit; the kernel grid is checked
+against their Gram product, with xs and ys evaluated apart, and against
+the exact Laguerre kernel at the hard edge.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import eval_laguerre, logsumexp
 
 from rmtlab import equilibrium as eq
 from rmtlab import kernels as kr
@@ -263,8 +264,8 @@ class TestCdKernel:
                 assert grid[i, j] == pytest.approx(op.cd_kernel(t, w, 10, xv, yv), rel=1e-11)
 
     def test_one_recurrence_per_grid(self, herm16, monkeypatch):
-        # the band midpoints share the recurrence of xs and ys, which keeps
-        # rows n-1 and n only; a point repeated among them is evaluated once
+        # xs and ys share one recurrence, and a point repeated among them is
+        # evaluated once; the diagonal needs nothing else
         w, t = herm16
         calls = []
         real = op._phi_recurrence
@@ -273,9 +274,7 @@ class TestCdKernel:
         op.cd_kernel(t, w, 10, 0.3, 0.3)
         op.cd_kernel_grid(t, w, 10, np.array([-1.0, 0.5]), np.array([0.2]))
         op.cd_kernel_grid(t, w, 10, np.array([-1.0, 0.5, 0.9]), np.array([-1.0, 0.5, 0.9]))
-        assert calls == [(1, {"derivatives": True, "first": 9}),
-                         (3, {"derivatives": False, "first": 9}),
-                         (3, {"derivatives": True, "first": 9})]
+        assert calls == [(1, {}), (3, {}), (3, {})]
 
     def test_points_where_the_weight_underflows(self, herm16):
         # beyond about 1e38 the recurrence would overflow; there, as at every
@@ -335,17 +334,31 @@ class TestCdKernel:
         assert abs(vals[1.0] - vals[0.0]) <= 2e-2
 
 
-def _ref_scaled_recurrence(x, logscale, n, t=None, derivatives=False, even=False):
+class TestLaguerreOracle:
+    """K_n for V = x on the hard edge, N = n, at the converge --mode hard
+    points: phi_k(x) = sqrt(N) L_k(N x) e^{-N x / 2} exactly."""
+
+    @pytest.mark.parametrize("n, bound", [(128, 1e-12), (512, 1e-11)])
+    def test_hard_edge_window(self, n, bound):
+        pot = Potential((0.0, 1.0), hard_edge=True)
+        w = op.WeightSpec(pot, N=n)
+        win = op.hard_edge_window(eq.solve_equilibrium(pot), np.linspace(0.4, 8.0, 20))
+        x = win.points(n)
+        phi = math.sqrt(n) * eval_laguerre(np.arange(n)[:, None], n * x) * np.exp(-0.5 * n * x)
+        want = phi.T @ phi
+        got = op.cd_kernel_grid(op.recurrence_table(w, n), w, n, x, x)
+        assert np.abs(got - want).max() <= bound * np.abs(want).max()
+
+
+def _ref_scaled_recurrence(x, logscale, n, t=None, even=False):
     """The recurrence with fresh arrays at every step and every row kept;
     even: b_k = 0 on the half-line nodes of an even weight."""
     build = t is None
     a, b = (np.zeros(n), np.zeros(n + 1)) if build else (t.a, t.b)
     mass = np.exp(2.0 * logscale) if build else None
     cur, prev, s_prev = np.ones(len(x)), 0.0, 0.0
-    curp = prevp = np.zeros(len(x))
     if not build:
         y, logs = np.empty((n + 1, len(x))), np.empty((n + 1, len(x)))
-        yp = np.zeros((n + 1, len(x))) if derivatives else None
         y[0], logs[0] = cur, logscale
     for k in range(n + 1):
         if build:
@@ -356,50 +369,27 @@ def _ref_scaled_recurrence(x, logscale, n, t=None, derivatives=False, even=False
         if build:
             a[k] = np.dot(r * r, mass)
         s = math.sqrt(a[k])
-        if derivatives:
-            prevp, curp = curp, (cur + (x - b[k]) * curp - s_prev * prevp) / s
         prev, cur, s_prev = cur, r / s, s
         if (k + 1) % 8 == 0:
             m = np.maximum(np.abs(cur), np.abs(prev))
             m = np.where(m > 0, m, 1.0)
-            cur, prev, curp, prevp = cur / m, prev / m, curp / m, prevp / m
+            cur, prev = cur / m, prev / m
             logscale = logscale + np.log(m)
             mass = np.exp(2.0 * logscale) if build else None
         if not build:
             y[k + 1], logs[k + 1] = cur, logscale
-            if derivatives:
-                yp[k + 1] = curp
-    return (a, b) if build else (y, yp, logs)
+    return (a, b) if build else (y, logs)
+
+
+def _ref_phi(t, w, x, n):
+    """phi_0 .. phi_{n-1} at x from the allocating recurrence."""
+    y, grow = _ref_scaled_recurrence(x, 0.5 * (w.log_weight(x) - t.log_mass), n - 1, t)
+    return y * np.exp(np.clip(grow, -745.0, 705.0))
 
 
 def _ref_cd_kernel_grid(t, w, n, xs, ys):
-    """K_n with xs, ys and the band midpoints concatenated, every row kept."""
-    xs, ys = np.atleast_1d(np.asarray(xs, float)), np.atleast_1d(np.asarray(ys, float))
-    dx = xs[:, None] - ys[None, :]
-    near = np.abs(dx) < 1e-7 * (1.0 + np.abs(xs[:, None]))
-    ii, jj = np.nonzero(near)
-    mids = 0.5 * (xs[ii] + ys[jj])
-    pts = np.concatenate([xs, ys, mids])
-    phi, dphi, grow = _ref_scaled_recurrence(
-        pts, 0.5 * (w.log_weight(pts) - math.log(t.gamma_sq[0])), n, t, len(mids) > 0)
-    grow = np.exp(np.clip(grow, -745.0, 705.0))
-    phi = phi * grow
-    if len(mids):
-        dlw = -0.5 * w.N * w.potential.deriv(pts)
-        if w.alpha != 0.0:
-            dlw = dlw + (0.5 * w.alpha if w.potential.hard_edge else w.alpha) / np.where(
-                pts != 0.0, pts, np.inf)
-        dphi = dphi * grow + phi * dlw[None, :]
-    san = math.sqrt(t.a[n - 1])
-    px, py = phi[:, :len(xs)], phi[:, len(xs):len(xs) + len(ys)]
-    num = px[n][:, None] * py[n - 1][None, :] - px[n - 1][:, None] * py[n][None, :]
-    out = np.empty_like(dx)
-    np.divide(num, dx, out=out, where=~near)
-    out *= san
-    if len(mids):
-        pm, dm = phi[:, -len(mids):], dphi[:, -len(mids):]
-        out[ii, jj] = san * (dm[n] * pm[n - 1] - dm[n - 1] * pm[n])
-    return out
+    """K_n = Phi(xs)^T Phi(ys), the rows at xs and at ys evaluated apart."""
+    return _ref_phi(t, w, xs, n).T @ _ref_phi(t, w, ys, n)
 
 
 def _bits(v):
@@ -407,8 +397,9 @@ def _bits(v):
 
 
 class TestBitwiseReference:
-    """In-place Stieltjes passes, two-row grids and the numpy logsumexp
-    change no bit of a table or a kernel value.  Even weights run on the
+    """In-place Stieltjes passes and the numpy logsumexp change no bit of
+    a table or a weighted function, and a kernel grid is the Gram product
+    of those functions.  Even weights run on the
     half-line nodes (TestEvenHalfLine checks them against the full rule);
     the other rows pin the full-line path."""
 
@@ -444,17 +435,25 @@ class TestBitwiseReference:
         for v in (np.full(3, -np.inf), np.array([0.0, np.nan])):
             assert not np.isfinite(op._logsumexp(v))
 
+    @staticmethod
+    def _check_grid(t, w, n, xs, ys):
+        # the rows bit for bit; the last bit of a matrix product depends
+        # on its shape, so the grid to 1e-15 of its largest entry
+        for pts in (xs, ys):
+            assert _bits(op.weighted_polys(t, w, pts, n)) == _bits(_ref_phi(t, w, pts, n))
+        want = _ref_cd_kernel_grid(t, w, n, xs, ys)
+        assert np.abs(op.cd_kernel_grid(t, w, n, xs, ys) - want).max() <= 1e-15 * np.abs(want).max()
+
     @pytest.mark.parametrize("xs, ys", [
-        (np.linspace(-2.0, 2.0, 41), None),                       # square, diagonal band
-        (np.linspace(-2.0, 2.0, 9), np.linspace(-1.7, 1.9, 5)),   # no band pair
+        (np.linspace(-2.0, 2.0, 41), None),                       # square
+        (np.linspace(-2.0, 2.0, 9), np.linspace(-1.7, 1.9, 5)),   # disjoint
         (np.array([-1.0, 0.3, 0.3, 1.2]), np.array([0.3, 1.2 + 1e-9, 2.0])),
         (np.array([-0.0, 0.0, 0.5]), None),                       # signed zeros stay apart
     ], ids=["square", "disjoint", "band_pairs", "signed_zero"])
     @pytest.mark.parametrize("n", [1, 2, 9, 64])
     def test_cd_grid(self, herm64, xs, ys, n):
         w, t = herm64
-        ys = xs if ys is None else ys
-        assert _bits(op.cd_kernel_grid(t, w, n, xs, ys)) == _bits(_ref_cd_kernel_grid(t, w, n, xs, ys))
+        self._check_grid(t, w, n, xs, xs if ys is None else ys)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.5])
     def test_cd_grid_hard_edge(self, alpha):
@@ -463,8 +462,7 @@ class TestBitwiseReference:
         t = op.recurrence_table(w, 48)
         for xs, ys in [(np.linspace(0.0, 3.5, 15),) * 2,
                        (np.array([0.0, 0.7, 2.0]), np.array([0.7, 3.0]))]:
-            assert _bits(op.cd_kernel_grid(t, w, 48, xs, ys)) == _bits(
-                _ref_cd_kernel_grid(t, w, 48, xs, ys))
+            self._check_grid(t, w, 48, xs, ys)
 
 
 EVEN_WEIGHTS = {
