@@ -281,8 +281,11 @@ def _hard_newton(v, u):
     f = 0.5 * np.arange(len(v)) * v * mom
     f[0] -= 1.0
     roots = _real_roots(f)
-    b = min(roots[roots > 0.0],
-            key=lambda x: npoly.polyval(x, v * mom) - 2.0 * math.log(x))
+    roots = roots[roots > 0.0]
+    if not roots.size:
+        raise NonConvergenceError("hard-edge endpoint equation mean x V'(x) = 2, x = b u, "
+                                  "has no positive root b")
+    b = min(roots, key=lambda x: npoly.polyval(x, v * mom) - 2.0 * math.log(x))
     fp = npoly.polyder(f)
     for it in range(1, _NEWTON_STEPS + 1):
         step = npoly.polyval(b, f) / npoly.polyval(b, fp)

@@ -27,9 +27,9 @@ from typing import Optional
 import numpy as np
 
 from .equilibrium import ALPHA_MAX
-from .quadrature import gauss_legendre_panels, panel_suffix, panel_tail
-from .specfun import (_TAIL_CUT, _TAIL_LEFT, _TAIL_ORDER, _TAIL_PANELS, FunctionValuePair,
-                      _scalar_or_array, _tail_nodes, airy, airy_tail, bessel_j, sinc_integral)
+from .quadrature import gauss_legendre_panels
+from .specfun import (_scalar_or_array, _tail_integral, airy, airy_tail, bessel_j,
+                      sinc_integral)
 
 __all__ = [
     "KernelHandle",
@@ -127,7 +127,8 @@ def airy_kernel_dy(x, y):
 
     def numerator(x, y):
         fx, fy = airy(x), airy(y)
-        return fx.value * y * fy.value - fx.derivative * fy.derivative + airy_kernel(x, y)
+        return (fx.value * y * fy.value - fx.derivative * fy.derivative
+                + _airy_quotient(x, y, fx, fy))
 
     def confluent(x, y):
         h = y - x
@@ -376,25 +377,14 @@ def matrix_kernel_bulk(beta: int, x, y) -> np.ndarray:
 
 
 def _airy_kernel_tail_integral(x, y):
-    """integral_x^inf K_Ai(t, y) dt for x >= -30, broadcast over x and y: the
-    panels of specfun's tail grid (Airy at their nodes cached) right of the
-    knot below min(x), summed from the right per distinct y, plus one
-    partial panel per distinct x (quadrature.panel_tail).  Beyond t = 14
-    the integrand is below 1e-15.  The suffix sums start at the right end,
-    so an entry does not depend on the rest of the batch."""
+    """integral_x^inf K_Ai(t, y) dt for x >= -30, broadcast over x and y:
+    specfun's tail integral with one integrand per distinct y.  Beyond
+    t = 14 the integrand is below 1e-15."""
     x, y = np.broadcast_arrays(*_args(x, y))
-    x = np.minimum(x, _TAIL_CUT)
     ys, iy = np.unique(y, return_inverse=True)
     col = ys[:, None, None]
-    width = (_TAIL_CUT - _TAIL_LEFT) / _TAIL_PANELS
-    j0 = min(int((x.min(initial=_TAIL_CUT) - _TAIL_LEFT) // width), _TAIL_PANELS - 1)
-    nodes = _tail_nodes()
-    fx = FunctionValuePair(nodes.value[j0:], nodes.derivative[j0:])
-    knots, suffix = panel_suffix(lambda t: _airy_quotient(t, col, fx, airy(col)),
-                                 _TAIL_LEFT + width * j0, _TAIL_CUT, _TAIL_PANELS - j0,
-                                 _TAIL_ORDER)
-    vals, ix = panel_tail(lambda t: airy_kernel(t, col[..., None]), x, knots, suffix,
-                          _TAIL_ORDER)
+    fy = airy(col)
+    vals, ix = _tail_integral(lambda t, f: _airy_quotient(t, col, f, fy), x)
     return _scalar_or_array(vals[iy.reshape(y.shape), ix])
 
 

@@ -355,7 +355,7 @@ def _phi_recurrence(t: RecurrenceTable, w: WeightSpec, x, n):
         return phi
     # the recurrence's arrays are scaled in place, so no extra copies
     phi, grow = _scaled_recurrence(x, log_phi0, n, t)
-    np.exp(np.clip(grow, -745.0, 705.0, out=grow), out=grow)
+    np.exp(np.minimum(grow, 705.0, out=grow), out=grow)
     phi *= grow
     return phi
 

@@ -1,6 +1,6 @@
-"""Quadrature rules: composite Gauss-Legendre panels, their suffix sums
-and the partial panels of tail integrals, and the power-weight rule
-behind the discretized Stieltjes nodes.  The Gauss-Chebyshev rules of the
+"""Quadrature rules: composite Gauss-Legendre panels (the Airy tail grid
+of specfun, the Pearcey contours) and the power-weight rule behind the
+discretized Stieltjes nodes.  The Gauss-Chebyshev rules of the
 equilibrium solver are numpy's chebgauss and scipy's roots_chebyu."""
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
-__all__ = ["gauss_legendre_panels", "panel_suffix", "panel_tail", "power_weight_panels"]
+__all__ = ["gauss_legendre_panels", "power_weight_panels"]
 
 
 @lru_cache(maxsize=None)
@@ -29,32 +29,6 @@ def gauss_legendre_panels(lo, hi, panels: int, order: int):
     half = 0.5 * (edges[..., 1:2] - edges[..., :1])
     return (mid[..., None] + half[..., None] * t,
             np.broadcast_to(half[..., None] * w, mid.shape + (order,)))
-
-
-def panel_suffix(f, lo, hi, panels: int, order: int):
-    """Knots of `panels` equal panels on [lo, hi] and the integrals of f from
-    each knot to hi; f may add leading axes (one integrand each) to the
-    (panels, order) nodes."""
-    t, w = gauss_legendre_panels(lo, hi, panels, order)
-    panel = (f(t) * w).sum(axis=-1)
-    suffix = np.zeros(panel.shape[:-1] + (panels + 1,))
-    suffix[..., :-1] = panel[..., ::-1].cumsum(axis=-1)[..., ::-1]
-    return np.linspace(lo, hi, panels + 1), suffix
-
-
-def panel_tail(f, x, knots, suffix, order: int):
-    """integral_x f to the last knot at each distinct x between the knots,
-    and the index of each x into them: the panel_suffix sum at the next
-    knot plus one Gauss-Legendre panel from x, which an x on a knot skips.
-    f and suffix may carry the same leading axes, one integrand each."""
-    xs, ix = np.unique(x, return_inverse=True)
-    j = np.searchsorted(knots, xs)
-    out = suffix[..., j]
-    gap = xs < knots[j]
-    if gap.any():
-        t, w = gauss_legendre_panels(xs[gap], knots[j[gap]], 1, order)
-        out[..., gap] += (f(t) * w).sum(axis=(-2, -1))
-    return out, ix.reshape(np.shape(x))
 
 
 def power_weight_panels(lo: float, hi: float, beta: float, panels: int, order: int):

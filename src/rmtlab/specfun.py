@@ -11,9 +11,10 @@ scaling-limit experiments) consumes these primitives.  What computes what:
 * J_alpha(x), J_alpha'(x): scipy.special.jv and jvp, with the range checks
   and the x = 0 conventions of bessel_j.
 * integral_0^t sin(pi u)/(pi u) du: scipy.special.sici.
-* integral_x^inf Ai: suffix sums over the one tail grid, which the edge
-  kernel tail integral shares, fed by cached Airy node values (scipy's
-  itairy reaches only ~1e-7), with integration by parts beyond x = 14.
+* integral_x^inf Ai: _tail_integral, suffix sums over the one tail grid
+  fed by cached Airy node values (scipy's itairy reaches only ~1e-7),
+  with integration by parts beyond x = 14; the edge kernel's tail
+  integral of K_Ai is the same routine with another integrand.
 
 airy, bessel_j, sinc_integral and airy_tail broadcast over their argument
 like numpy ufuncs (scalar input gives a float, or a complex for complex
@@ -37,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .quadrature import gauss_legendre_panels, panel_suffix, panel_tail
+from .quadrature import gauss_legendre_panels
 
 __all__ = [
     "FunctionValuePair",
@@ -113,11 +114,39 @@ _TAIL_LEFT, _TAIL_CUT, _TAIL_PANELS, _TAIL_ORDER = -40.5, 14.0, 109, 20
 
 @lru_cache(maxsize=None)
 def _tail_nodes():
-    """Read-only Ai, Ai' at the (panels, order) nodes of the tail grid."""
-    t, _ = gauss_legendre_panels(_TAIL_LEFT, _TAIL_CUT, _TAIL_PANELS, _TAIL_ORDER)
+    """Read-only nodes t, weights w and Airy pair at t of the tail grid,
+    each of shape (panels, order)."""
+    t, w = gauss_legendre_panels(_TAIL_LEFT, _TAIL_CUT, _TAIL_PANELS, _TAIL_ORDER)
     f = airy(t)
-    f.value.flags.writeable = f.derivative.flags.writeable = False
-    return f
+    for v in (t, f.value, f.derivative):
+        v.flags.writeable = False
+    return t, w, f
+
+
+def _tail_integral(f, x, right=0.0):
+    """integral_x^14 f + right at each distinct x (clipped at 14), and the
+    index of each x into them.  f(t, pair) gets (k, order) nodes and the
+    Airy pair at them, and may add leading axes (one integrand each).  The
+    panels right of the knot below min(x) are summed from the right, so an
+    entry does not depend on the rest of the batch; right joins those
+    suffix sums, then one partial panel per distinct x off a knot."""
+    xs, ix = np.unique(np.minimum(x, _TAIL_CUT), return_inverse=True)
+    width = (_TAIL_CUT - _TAIL_LEFT) / _TAIL_PANELS
+    j0 = min(int((np.min(xs, initial=_TAIL_CUT) - _TAIL_LEFT) // width), _TAIL_PANELS - 1)
+    t, w, pair = _tail_nodes()
+    panel = (f(t[j0:], FunctionValuePair(pair.value[j0:], pair.derivative[j0:]))
+             * w[j0:]).sum(axis=-1)
+    suffix = np.zeros(panel.shape[:-1] + (_TAIL_PANELS - j0 + 1,))
+    suffix[..., :-1] = panel[..., ::-1].cumsum(axis=-1)[..., ::-1]
+    suffix += right
+    knots = _TAIL_LEFT + width * np.arange(j0, _TAIL_PANELS + 1)
+    j = np.searchsorted(knots, xs)
+    out = suffix[..., j]
+    gap = xs < knots[j]
+    if gap.any():
+        tp, wp = (v[:, 0] for v in gauss_legendre_panels(xs[gap], knots[j[gap]], 1, _TAIL_ORDER))
+        out[..., gap] += (f(tp, airy(tp)) * wp).sum(axis=-1)
+    return out, ix.reshape(np.shape(x))
 
 
 def _airy_tail_asym(x):
@@ -135,28 +164,21 @@ def _airy_tail_asym(x):
     return total
 
 
-@lru_cache(maxsize=None)
-def _tail_table():
-    """Knots and suffix sums integral_{knot}^inf Ai of the tail grid."""
-    knots, suffix = panel_suffix(lambda t: _tail_nodes().value,
-                                 _TAIL_LEFT, _TAIL_CUT, _TAIL_PANELS, _TAIL_ORDER)
-    return knots, suffix + _airy_tail_asym(_TAIL_CUT)
+_TAIL_BEYOND_CUT = _airy_tail_asym(_TAIL_CUT)
 
 
 def airy_tail(x):
     """integral_x^infinity Ai(t) dt for x >= -40, absolute accuracy ~1e-15;
     broadcasts over x, and scalar x gives a float.
 
-    The complementary integral over (-inf, y] is 1 - airy_tail(y).  Backed
-    by the suffix sums of the tail grid, built once on first use, plus one
-    partial panel per distinct x below 14 that is not a knot.
+    The complementary integral over (-inf, y] is 1 - airy_tail(y).  The
+    tail grid's integral below 14 (_tail_integral), integration by parts
+    beyond.
     """
     x = np.asarray(x, dtype=float)
     if (x < _TAIL_LEFT + 0.49).any():
         raise ValueError("airy_tail: argument below supported range -40")
-    knots, suffix = _tail_table()
-    vals, ix = panel_tail(lambda t: airy(t).value, np.minimum(x, _TAIL_CUT), knots, suffix,
-                          _TAIL_ORDER)
+    vals, ix = _tail_integral(lambda t, f: f.value, x, _TAIL_BEYOND_CUT)
     out = np.asarray(vals[ix])
     far = x > _TAIL_CUT
     if far.any():

@@ -49,16 +49,20 @@ def _pfaffian_mpmath(a):
 
 
 def _tail_integral_per_pair(x, y):
-    """The edge tail integral with nothing kept between calls: every call
-    evaluates Airy at the full-panel nodes again, and every (x, y) pair
-    gets its own partial panel."""
+    """The edge tail integral with nothing kept between calls and no tail
+    code of the package: every call evaluates Airy at the full-panel nodes
+    again, sums all panels from the right, and every (x, y) pair gets its
+    own partial panel."""
     from rmtlab import specfun as sf
-    from rmtlab.quadrature import gauss_legendre_panels, panel_suffix
+    from rmtlab.quadrature import gauss_legendre_panels
 
     x, y = np.broadcast_arrays(*kr._args(x, y))
     ys, iy = np.unique(y, return_inverse=True)
-    knots, suffix = panel_suffix(lambda t: kr.airy_kernel(t, ys[:, None, None]),
-                                 sf._TAIL_LEFT, sf._TAIL_CUT, sf._TAIL_PANELS, sf._TAIL_ORDER)
+    t, w = gauss_legendre_panels(sf._TAIL_LEFT, sf._TAIL_CUT, sf._TAIL_PANELS, sf._TAIL_ORDER)
+    panel = (kr.airy_kernel(t, ys[:, None, None]) * w).sum(axis=-1)
+    suffix = np.zeros((len(ys), sf._TAIL_PANELS + 1))
+    suffix[:, :-1] = panel[:, ::-1].cumsum(axis=-1)[:, ::-1]
+    knots = np.linspace(sf._TAIL_LEFT, sf._TAIL_CUT, sf._TAIL_PANELS + 1)
     j = np.searchsorted(knots, np.minimum(x, sf._TAIL_CUT))
     t, w = gauss_legendre_panels(np.minimum(x, sf._TAIL_CUT), knots[j], 1, sf._TAIL_ORDER)
     part = (kr.airy_kernel(t, y[..., None, None]) * w).sum(axis=(-2, -1))
@@ -361,6 +365,18 @@ class TestMatrixKernels:
         kr.matrix_kernel_edge(4, pts[:, None], pts[None, :])
         assert 0 < sum(points) <= 300
 
+    def test_airy_kernel_dy_evaluates_airy_once_per_argument(self, monkeypatch):
+        # no pair lies in a diagonal band: Ai at x and at y, and the kernel
+        # term of the numerator reuses them
+        import rmtlab.specfun as sf
+
+        calls = []
+        real = sf.airy_real
+        monkeypatch.setattr(sf, "airy_real", lambda x: calls.append(np.size(x)) or real(x))
+        pts = np.array([-2.0, -0.5, 0.7, 1.9])
+        kr.airy_kernel_dy(pts[:, None], pts[None, :] + 0.25)
+        assert calls == [4, 4]
+
     def test_edge_knot_points_skip_empty_panels(self, monkeypatch):
         # -1.5 and -0.5 are knots of the tail integral: their partial panels
         # are empty, so they add an exact 0 and call Airy nowhere (with y = x
@@ -382,8 +398,8 @@ class TestMatrixKernels:
     def test_cached_tables_read_only(self):
         from rmtlab.specfun import _tail_nodes
 
-        f = _tail_nodes()
-        for v in (f.value, f.derivative):
+        t, w, f = _tail_nodes()
+        for v in (t, w, f.value, f.derivative):
             assert not v.flags.writeable
             with pytest.raises(ValueError):
                 v[(0,) * v.ndim] = 1.0

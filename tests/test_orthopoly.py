@@ -216,6 +216,15 @@ class TestWeightedPolys:
         assert sum(v * v for v in vals) == pytest.approx(
             op.cd_kernel(t, w, 24, 0.3, 0.3), abs=1e-9)
 
+    def test_vanishing_weight_gives_exact_zeros(self):
+        # x^1.5 e^{-48x} vanishes at the hard edge, so every phi_k(0) is 0.0
+        # (a signed zero), not a multiple of the smallest subnormal
+        w = op.WeightSpec(Potential((0.0, 1.0), hard_edge=True, singularity_alpha=1.5), N=48)
+        t = op.recurrence_table(w, 48)
+        assert op.weighted_polys(t, w, 0.0, 48) == [0.0] * 48
+        phi = op.weighted_polys(t, w, np.array([0.0, 0.5]), 48)
+        assert np.all(phi[:, 0] == 0.0) and np.all(phi[:4, 1] != 0.0)
+
     def test_no_overflow_large_n(self):
         for n in (256, 512):
             w = op.WeightSpec(HERMITE, N=n)
@@ -384,7 +393,7 @@ def _ref_scaled_recurrence(x, logscale, n, t=None, even=False):
 def _ref_phi(t, w, x, n):
     """phi_0 .. phi_{n-1} at x from the allocating recurrence."""
     y, grow = _ref_scaled_recurrence(x, 0.5 * (w.log_weight(x) - t.log_mass), n - 1, t)
-    return y * np.exp(np.clip(grow, -745.0, 705.0))
+    return y * np.exp(np.minimum(grow, 705.0))
 
 
 def _ref_cd_kernel_grid(t, w, n, xs, ys):

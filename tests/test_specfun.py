@@ -177,14 +177,50 @@ class TestAiryTail:
         monkeypatch.setattr(specfun, "airy_real", lambda x: points.append(np.size(x)) or real(x))
         got = specfun.airy_tail([-1.5, -0.5])
         assert points == []
-        knots, suffix = specfun._tail_table()
-        np.testing.assert_array_equal(got, suffix[np.searchsorted(knots, [-1.5, -0.5])])
+        vals, ix = specfun._tail_integral(lambda t, f: f.value, np.array([-1.5, -0.5]),
+                                          specfun._TAIL_BEYOND_CUT)
+        np.testing.assert_array_equal(got, vals[ix])
 
     def test_derivative_is_minus_airy(self):
         h = 1e-5
         for x in [-12.3, -3.0, 0.7, 5.1]:
             fd = (specfun.airy_tail(x + h) - specfun.airy_tail(x - h)) / (2.0 * h)
             assert fd == pytest.approx(-specfun.airy(x).value, abs=1e-6)
+
+
+class TestTailIntegral:
+    def test_tail_of_exponentials(self):
+        # int_x^14 e^{c t} dt + right for a family c (leading axis) and an
+        # array of x with a repeated value, a knot, the cut and beyond it
+        cs = np.array([-1.0, 0.5, 2.0])
+        x = np.array([[-2.3, 0.5, 14.0], [1.2, -2.3, -1.0], [13.9, 17.5, 0.5]])
+        vals, ix = specfun._tail_integral(lambda t, f: np.exp(cs[:, None, None] * t), x, 0.25)
+        assert vals.shape == (3, 6) and ix.shape == x.shape
+        c = cs[:, None, None]
+        want = (np.exp(14.0 * c) - np.exp(c * np.minimum(x, 14.0))) / c
+        np.testing.assert_allclose(vals[:, ix], want + 0.25, rtol=1e-14, atol=1e-15)
+
+    def test_knots_call_f_on_the_grid_only(self):
+        # x on a knot is a suffix sum: f sees the grid's panels right of the
+        # knot below min(x), once, and no partial panel
+        t, _, pair = specfun._tail_nodes()
+        seen = []
+
+        def f(t, pair):
+            seen.append((t, pair))
+            return np.cos(t)
+
+        vals, ix = specfun._tail_integral(f, np.array([-0.5, 2.0, -0.5, -1.5]))
+        assert len(seen) == 1
+        assert np.shares_memory(seen[0][0], t) and np.shares_memory(seen[0][1].value, pair.value)
+        np.testing.assert_array_equal(seen[0][0], t[78:])
+        np.testing.assert_allclose(vals[ix], np.sin(14.0) - np.sin([-0.5, 2.0, -0.5, -1.5]),
+                                   rtol=1e-14, atol=1e-14)
+
+    def test_cut_and_beyond_return_right_exactly(self):
+        vals, ix = specfun._tail_integral(lambda t, f: f.value, np.array([14.0, 20.0, 17.5]),
+                                          0.125)
+        np.testing.assert_array_equal(vals[ix], [0.125, 0.125, 0.125])
 
 
 class TestBessel:
