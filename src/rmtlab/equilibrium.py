@@ -208,11 +208,24 @@ _PHI_T, _PHI_W = (v[0] for v in gauss_legendre_panels(0.0, 1.0, 1, 96))
 
 
 def _real_roots(coeffs: np.ndarray):
-    c = np.asarray(coeffs, dtype=float)
-    nz = np.nonzero(np.abs(c) > 0)[0]
-    if len(nz) == 0:
-        return np.array([])
-    c = c[: nz[-1] + 1]
+    """Real roots, ascending, of the polynomial with ascending coefficients.
+
+    A leading coefficient c_n is dropped while the rest, of degree
+    1 <= m < n, has roots it cannot move: |c_n| R^(n-m) <= eps |c_m|, so
+    c_n x^n is below the rounding of the rest on the Cauchy disc
+    |x| <= R = 1 + max_k |c_k / c_m| that holds their roots (compared in
+    logarithms).  The roots c_n adds lie beyond R, and dividing by it would
+    overflow the companion matrix."""
+    c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
+    while len(c) > 2:
+        rest = np.trim_zeros(c[:-1], "b")
+        if len(rest) < 2:
+            break
+        logs = np.log(np.abs(rest[rest != 0.0]))
+        reach = (len(c) - len(rest)) * np.logaddexp(0.0, logs.max() - logs[-1])
+        if math.log(abs(c[-1])) - logs[-1] + reach > math.log(np.finfo(float).eps):
+            break
+        c = rest
     if len(c) <= 1:
         return np.array([])
     r = npoly.polyroots(c)

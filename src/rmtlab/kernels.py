@@ -28,8 +28,8 @@ import numpy as np
 
 from .equilibrium import ALPHA_MAX
 from .quadrature import gauss_legendre_panels
-from .specfun import (_scalar_or_array, _tail_integral, airy, airy_tail, bessel_j,
-                      sinc_integral)
+from .specfun import (_TAIL_BEYOND_CUT, _TAIL_CUT, FunctionValuePair, _airy_tail_asym,
+                      _scalar_or_array, _tail_integral, airy, bessel_j, sinc_integral)
 
 __all__ = [
     "KernelHandle",
@@ -124,11 +124,15 @@ def airy_kernel_dy(x, y):
     where c_k = (Ai(x) Ai^{(k+1)}(x) - Ai'(x) Ai^{(k)}(x)) / (k+1)!.
     """
     x, y = _args(x, y)
+    fx, fy = airy(x), airy(y)
+    return _scalar_or_array(_airy_dy(x, y, fx, fy, _airy_quotient(x, y, fx, fy)))
 
+
+def _airy_dy(x, y, fx, fy, kxy):
+    """partial_y K_Ai from the Airy pairs fx at x and fy at y and K_Ai = kxy
+    at (x, y); only its diagonal band calls airy."""
     def numerator(x, y):
-        fx, fy = airy(x), airy(y)
-        return (fx.value * y * fy.value - fx.derivative * fy.derivative
-                + _airy_quotient(x, y, fx, fy))
+        return fx.value * y * fy.value - fx.derivative * fy.derivative + kxy
 
     def confluent(x, y):
         h = y - x
@@ -143,8 +147,7 @@ def airy_kernel_dy(x, y):
         c3 = (a * a5 - ap * a4) / 24.0
         return -(c1 + 2.0 * c2 * h + 3.0 * c3 * h * h)
 
-    return _scalar_or_array(_integrable_quotient(
-        x, y, 1e-4 * (1.0 + np.abs(x) + np.abs(y)), numerator, confluent))
+    return _integrable_quotient(x, y, 1e-4 * (1.0 + np.abs(x) + np.abs(y)), numerator, confluent)
 
 
 def _positive_args(name, x, y):
@@ -376,16 +379,33 @@ def matrix_kernel_bulk(beta: int, x, y) -> np.ndarray:
     return _blocks(-f * sine_kernel_dx(f * x, f * y), k12, -k12, k22)
 
 
-def _airy_kernel_tail_integral(x, y):
-    """integral_x^inf K_Ai(t, y) dt for x >= -30, broadcast over x and y:
-    specfun's tail integral with one integrand per distinct y.  Beyond
-    t = 14 the integrand is below 1e-15."""
-    x, y = np.broadcast_arrays(*_args(x, y))
-    ys, iy = np.unique(y, return_inverse=True)
-    col = ys[:, None, None]
-    fy = airy(col)
-    vals, ix = _tail_integral(lambda t, f: _airy_quotient(t, col, f, fy), x)
-    return _scalar_or_array(vals[iy.reshape(y.shape), ix])
+def _edge_airy(x, y):
+    """The Airy pairs at x and at y, the Airy tails at x and at y, and
+    integral_x^inf K_Ai(t, y) dt broadcast over x and y, for x, y >= -30.
+    Airy is evaluated once on the distinct values of x and y, and all the
+    tails come from one tail integral: Ai(t) stacked over K_Ai(t, y_j) for
+    each distinct y_j.  Beyond t = 14 the K_Ai integrand is below 1e-15,
+    and the tail of Ai is integrated by parts."""
+    u, iu = np.unique(np.concatenate([x.ravel(), y.ravel()]), return_inverse=True)
+    ix, iy = iu[:x.size].reshape(x.shape), iu[x.size:].reshape(y.shape)
+    f = airy(u)
+    ys, jy = np.unique(iy, return_inverse=True)
+    col = u[ys, None, None]
+    fcol = FunctionValuePair(f.value[ys, None, None], f.derivative[ys, None, None])
+
+    def integrand(t, ft):
+        return np.concatenate([ft.value[None], _airy_quotient(t, col, ft, fcol)])
+
+    vals, it = _tail_integral(integrand, u, np.r_[_TAIL_BEYOND_CUT, np.zeros(ys.size)])
+    tail = vals[0, it]
+    far = u > _TAIL_CUT
+    if far.any():
+        tail[far] = _airy_tail_asym(u[far])
+
+    def at(i):
+        return FunctionValuePair(f.value[i], f.derivative[i])
+
+    return at(ix), at(iy), tail[ix], tail[iy], vals[1 + jy.reshape(y.shape), it[ix]]
 
 
 def matrix_kernel_edge(beta: int, x, y) -> np.ndarray:
@@ -393,7 +413,9 @@ def matrix_kernel_edge(beta: int, x, y) -> np.ndarray:
 
     Built from the scalar Airy kernel, its y-derivative, Ai, the Airy tail
     integrals, and integral_x^inf K_Ai(., y).  Broadcasts over x and y; the
-    result has shape (..., 2, 2).
+    result has shape (..., 2, 2).  One Airy evaluation on the distinct
+    values of x and y serves every entry, K_Ai feeds its y-derivative, and
+    one tail integral gives the Airy tails and the K_Ai tails together.
 
     The lower-left entry is -K12 with the arguments swapped,
     K21(x, y) = -K12(y, x); unlike in the bulk (where K12 is even in x - y
@@ -405,11 +427,10 @@ def matrix_kernel_edge(beta: int, x, y) -> np.ndarray:
         raise ValueError("matrix_kernel_edge: arguments must be >= -30")
     if beta not in (1, 4):
         raise ValueError("matrix_kernel_edge: beta must be 1 or 4")
-    ax, ay = airy(x).value, airy(y).value
-    tx, ty = airy_tail(x), airy_tail(y)
-    kxy = airy_kernel(x, y)
-    dky = airy_kernel_dy(x, y)
-    kint = _airy_kernel_tail_integral(x, y)
+    fx, fy, tx, ty, kint = _edge_airy(x, y)
+    ax, ay = fx.value, fy.value
+    kxy = _airy_quotient(x, y, fx, fy)
+    dky = _airy_dy(x, y, fx, fy, kxy)
     if beta == 1:
         k11 = dky + 0.5 * ax * ay
         k12 = kxy + 0.5 * ax * (1.0 - ty)

@@ -18,6 +18,15 @@ def _legendre(order):
     return np.polynomial.legendre.leggauss(order)
 
 
+@lru_cache(maxsize=32)
+def _jacobi(order, beta):
+    """The order-point Gauss-Jacobi rule for u^{2 beta + 1} du on [-1, 1],
+    read-only: both Stieltjes passes of a table ask for the same rule."""
+    t, w = roots_jacobi(order, 0.0, 2.0 * beta + 1.0)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
 def gauss_legendre_panels(lo, hi, panels: int, order: int):
     """Nodes and weights of `panels` equal panels on [lo, hi], each carrying
     an `order`-point Gauss-Legendre rule; both arrays have shape
@@ -39,7 +48,7 @@ def power_weight_panels(lo: float, hi: float, beta: float, panels: int, order: i
     The sides share the panels in proportion to their length in u."""
     sides = [(s, np.sqrt(e)) for s, e in ((-1.0, -lo), (1.0, hi)) if e > 0.0]
     total = sum(root for _, root in sides)
-    t, tw = roots_jacobi(order, 0.0, 2.0 * beta + 1.0)
+    t, tw = _jacobi(order, beta)
     xs, ws = [], []
     for sign, root in sides:
         count = max(2, round(panels * root / total))

@@ -12,9 +12,11 @@ scaling-limit experiments) consumes these primitives.  What computes what:
   and the x = 0 conventions of bessel_j.
 * integral_0^t sin(pi u)/(pi u) du: scipy.special.sici.
 * integral_x^inf Ai: _tail_integral, suffix sums over the one tail grid
-  fed by cached Airy node values (scipy's itairy reaches only ~1e-7),
-  with integration by parts beyond x = 14; the edge kernel's tail
-  integral of K_Ai is the same routine with another integrand.
+  (scipy's itairy reaches only ~1e-7), with integration by parts beyond
+  x = 14.  The grid's Airy node values are kept, filled panel by panel
+  from the right the first time a call reaches a panel.  The edge
+  kernels integrate Ai and K_Ai(., y) in one call of the same routine,
+  as a stack of integrands.
 
 airy, bessel_j, sinc_integral and airy_tail broadcast over their argument
 like numpy ufuncs (scalar input gives a float, or a complex for complex
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -110,35 +111,49 @@ def airy_real(x):
 # the one tail grid: order-20 Gauss-Legendre panels between the knots
 # -40.5, -40, ..., 14, shared with the edge kernel tail integral
 _TAIL_LEFT, _TAIL_CUT, _TAIL_PANELS, _TAIL_ORDER = -40.5, 14.0, 109, 20
+_TAIL_T, _TAIL_W = gauss_legendre_panels(_TAIL_LEFT, _TAIL_CUT, _TAIL_PANELS, _TAIL_ORDER)
+_TAIL_T.flags.writeable = _TAIL_W.flags.writeable = False
+# the Airy pair on the last panels of the grid, as far left as any call has reached
+_tail_pair = FunctionValuePair(np.empty((0, _TAIL_ORDER)), np.empty((0, _TAIL_ORDER)))
 
 
-@lru_cache(maxsize=None)
-def _tail_nodes():
-    """Read-only nodes t, weights w and Airy pair at t of the tail grid,
-    each of shape (panels, order)."""
-    t, w = gauss_legendre_panels(_TAIL_LEFT, _TAIL_CUT, _TAIL_PANELS, _TAIL_ORDER)
-    f = airy(t)
-    for v in (t, f.value, f.derivative):
-        v.flags.writeable = False
-    return t, w, f
+def _tail_nodes(j0):
+    """Read-only nodes t, weights w and Airy pair at t of the tail grid's
+    panels j0 and beyond, each of shape (panels - j0, order).  The first
+    call that reaches a panel evaluates Airy on it and on every unfilled
+    panel up to those already filled; the extended pair is published in
+    one assignment, so a concurrent caller sees the old or the new pair,
+    never an unfilled panel."""
+    global _tail_pair
+    pair = _tail_pair
+    first = _TAIL_PANELS - len(pair.value)  # the leftmost panel filled
+    if j0 < first:
+        f = airy(_TAIL_T[j0:first])
+        value = np.concatenate([f.value, pair.value])
+        derivative = np.concatenate([f.derivative, pair.derivative])
+        value.flags.writeable = derivative.flags.writeable = False
+        pair = _tail_pair = FunctionValuePair(value, derivative)
+    k = j0 - (_TAIL_PANELS - len(pair.value))
+    return (_TAIL_T[j0:], _TAIL_W[j0:],
+            FunctionValuePair(pair.value[k:], pair.derivative[k:]))
 
 
 def _tail_integral(f, x, right=0.0):
     """integral_x^14 f + right at each distinct x (clipped at 14), and the
     index of each x into them.  f(t, pair) gets (k, order) nodes and the
-    Airy pair at them, and may add leading axes (one integrand each).  The
-    panels right of the knot below min(x) are summed from the right, so an
-    entry does not depend on the rest of the batch; right joins those
-    suffix sums, then one partial panel per distinct x off a knot."""
+    Airy pair at them, and may add leading axes (one integrand each); right
+    is a scalar or one value per integrand.  The panels right of the knot
+    below min(x) are summed from the right, so an entry does not depend on
+    the rest of the batch; right joins those suffix sums, then one partial
+    panel per distinct x off a knot."""
     xs, ix = np.unique(np.minimum(x, _TAIL_CUT), return_inverse=True)
     width = (_TAIL_CUT - _TAIL_LEFT) / _TAIL_PANELS
     j0 = min(int((np.min(xs, initial=_TAIL_CUT) - _TAIL_LEFT) // width), _TAIL_PANELS - 1)
-    t, w, pair = _tail_nodes()
-    panel = (f(t[j0:], FunctionValuePair(pair.value[j0:], pair.derivative[j0:]))
-             * w[j0:]).sum(axis=-1)
+    t, w, pair = _tail_nodes(j0)
+    panel = (f(t, pair) * w).sum(axis=-1)
     suffix = np.zeros(panel.shape[:-1] + (_TAIL_PANELS - j0 + 1,))
     suffix[..., :-1] = panel[..., ::-1].cumsum(axis=-1)[..., ::-1]
-    suffix += right
+    suffix += np.asarray(right)[..., None]
     knots = _TAIL_LEFT + width * np.arange(j0, _TAIL_PANELS + 1)
     j = np.searchsorted(knots, xs)
     out = suffix[..., j]

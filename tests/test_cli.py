@@ -50,19 +50,18 @@ class TestEqm:
         assert rc == 3
         assert not out.exists()
 
-    def test_hard_edge_endpoint_without_positive_root_exit3(self, tmp_path, capsys):
-        # the companion-matrix roots of -1 + b/4 + 4.7e-301 b^3 come out as 0
-        # and +-7.3e149 i: no positive root, so the endpoint equation fails
+    def test_hard_edge_negligible_leading_coefficient_exit0(self, tmp_path):
+        # the endpoint equation -1 + b/4 + 4.7e-301 b^3 = 0 has the root
+        # b = 4 of its linear part; the cubic term cannot move it
         import warnings
 
         out = tmp_path / "eqm.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             rc = main(["eqm", "--potential", "0,1,0,1e-300", "--hard-edge", "--out", str(out)])
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert "hard-edge endpoint equation" in err and "no positive root" in err
-        assert not out.exists()
+        assert rc == 0
+        support = json.loads(out.read_text())["results"]["support"]
+        assert support == [0.0, pytest.approx(4.0, abs=1e-14)]
 
     def test_json_only(self, tmp_path, monkeypatch):
         # eqm writes JSON whatever --out is called; --format is gone

@@ -188,6 +188,25 @@ class TestHardEdge:
             0.0, 4.0, points=[1.0], limit=200)
         assert mp.ell == pytest.approx(1.0 - 2.0 * val, abs=1e-10)
 
+    def test_negligible_leading_coefficient(self):
+        # -1 + b/4 + 4.7e-301 b^3 = 0: the cubic term cannot move the root
+        # b = 4 of the linear part, and the companion matrix of the cubic
+        # would overflow
+        from rmtlab.equilibrium import _real_roots
+
+        assert _real_roots(np.array([-1.0, 0.25, 0.0, 4.7e-301])).tolist() == [4.0]
+        mu = solve_equilibrium(Potential((0.0, 1.0, 0.0, 1e-300), hard_edge=True))
+        assert mu.support == (0.0, pytest.approx(4.0, abs=1e-14))
+
+    def test_endpoint_equation_without_positive_root_raises(self):
+        # a valid hard-edge potential always has a positive root (f(0) = -1
+        # and a positive leading coefficient); V = -x has none
+        from rmtlab.equilibrium import _hard_newton
+
+        u = 0.5 * (1.0 + np.polynomial.chebyshev.chebgauss(3)[0])
+        with pytest.raises(NonConvergenceError, match="no positive root"):
+            _hard_newton(np.array([0.0, -1.0]), u)
+
 
 class TestSolverInvariants:
     @pytest.mark.parametrize("coefs", [(0.0, 1e300, 0.5), (0.0, 1e30, 0.5), (0.0, 0.0, 1e-300)])

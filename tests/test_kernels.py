@@ -69,6 +69,31 @@ def _tail_integral_per_pair(x, y):
     return kr._scalar_or_array(part + suffix[iy.reshape(y.shape), j])
 
 
+def _kernel_tail(x, y):
+    """integral_x^inf K_Ai(t, y) dt as the edge kernel computes it."""
+    return kr._edge_airy(*kr._args(x, y))[4]
+
+
+def _edge_per_pair(beta, x, y):
+    """The soft-edge matrix kernel assembled term by term from the public
+    Airy pieces and _tail_integral_per_pair, each evaluating Airy on its
+    own: the reference for the shared Airy and tail passes."""
+    from rmtlab.specfun import airy_tail
+
+    x, y = kr._args(x, y)
+    ax, ay = airy(x).value, airy(y).value
+    tx, ty = airy_tail(x), airy_tail(y)
+    kxy = kr.airy_kernel(x, y)
+    dky = kr.airy_kernel_dy(x, y)
+    kint = _tail_integral_per_pair(x, y)
+    if beta == 1:
+        return kr._blocks(dky + 0.5 * ax * ay, kxy + 0.5 * ax * (1.0 - ty),
+                          -(kxy + 0.5 * ay * (1.0 - tx)),
+                          -kint - 0.5 * (tx - ty) + 0.5 * tx * ty - 0.5 * np.sign(x - y))
+    return kr._blocks(0.5 * dky + 0.25 * ax * ay, 0.5 * kxy - 0.25 * ax * ty,
+                      -(0.5 * kxy - 0.25 * ay * tx), -0.5 * kint + 0.25 * tx * ty)
+
+
 class TestSineKernel:
     def test_diagonal(self):
         assert kr.sine_kernel(0.3, 0.3) == 1.0
@@ -323,10 +348,10 @@ class TestMatrixKernels:
                        for a, b in [(x, cut), (cut, 30.0)] if b > a)
 
         want = np.vectorize(ref)(x, y)
-        assert kr._airy_kernel_tail_integral(x, y) == pytest.approx(want, abs=1e-12)
+        assert _kernel_tail(x, y) == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_edge_tail_integral_bitwise_per_pair(self, seed, monkeypatch):
+    def test_edge_tail_integral_bitwise_per_pair(self, seed):
         # repeated x and y values, x beyond the cut at 14, pairs inside the
         # diagonal band and on the knots
         rng = np.random.default_rng(seed)
@@ -336,19 +361,18 @@ class TestMatrixKernels:
         y = np.concatenate([y, y[:1], x[:2], [-30.0]])
         for a, b in [(x[:, None], y[None, :]), (x[:len(y)], y), (x[3], y[0])]:
             want = _tail_integral_per_pair(a, b)
-            got = kr._airy_kernel_tail_integral(a, b)
+            got = _kernel_tail(a, b)
             assert np.array_equal(np.asarray(got).view(np.uint64),
                                   np.asarray(want).view(np.uint64))
-        edges = [kr.matrix_kernel_edge(beta, x[:, None], y[None, :]) for beta in (1, 4)]
-        monkeypatch.setattr(kr, "_airy_kernel_tail_integral", _tail_integral_per_pair)
-        for beta, got in zip((1, 4), edges):
-            want = kr.matrix_kernel_edge(beta, x[:, None], y[None, :])
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            for beta in (1, 4):
+                got = kr.matrix_kernel_edge(beta, a, b)
+                assert np.array_equal(got.view(np.uint64),
+                                      _edge_per_pair(beta, a, b).view(np.uint64))
 
     def test_edge_airy_points_after_warm_up(self, monkeypatch):
-        # the full-panel Airy values are built once; a second call evaluates
-        # Airy only at the mesh points, their tail and partial panels (each
-        # once per distinct x) and the diagonal bands
+        # the full-panel Airy values are kept; a second call evaluates Airy
+        # once at the distinct mesh points, once on their partial panels and
+        # on the diagonal bands
         import rmtlab.specfun as sf
 
         pts = np.array([-1.2, -0.4, 0.35, 1.3])
@@ -363,7 +387,7 @@ class TestMatrixKernels:
         real = sf.airy_real
         monkeypatch.setattr(sf, "airy_real", counted)
         kr.matrix_kernel_edge(4, pts[:, None], pts[None, :])
-        assert 0 < sum(points) <= 300
+        assert 0 < sum(points) <= 92
 
     def test_airy_kernel_dy_evaluates_airy_once_per_argument(self, monkeypatch):
         # no pair lies in a diagonal band: Ai at x and at y, and the kernel
@@ -389,16 +413,15 @@ class TestMatrixKernels:
         real = sf.airy_real
         monkeypatch.setattr(sf, "airy_real", lambda x: points.append(np.size(x)) or real(x))
         kr.matrix_kernel_edge(4, pts[:, None], pts[None, :])
-        assert 0 < sum(points) <= 260
-        monkeypatch.setattr(kr, "_airy_kernel_tail_integral", _tail_integral_per_pair)
+        assert 0 < sum(points) <= 52
         for beta, g in zip((1, 4), got):
-            want = kr.matrix_kernel_edge(beta, pts[:, None], pts[None, :])
+            want = _edge_per_pair(beta, pts[:, None], pts[None, :])
             assert np.array_equal(g.view(np.uint64), want.view(np.uint64))
 
     def test_cached_tables_read_only(self):
         from rmtlab.specfun import _tail_nodes
 
-        t, w, f = _tail_nodes()
+        t, w, f = _tail_nodes(0)
         for v in (t, w, f.value, f.derivative):
             assert not v.flags.writeable
             with pytest.raises(ValueError):

@@ -203,7 +203,7 @@ class TestTailIntegral:
     def test_knots_call_f_on_the_grid_only(self):
         # x on a knot is a suffix sum: f sees the grid's panels right of the
         # knot below min(x), once, and no partial panel
-        t, _, pair = specfun._tail_nodes()
+        t, _, pair = specfun._tail_nodes(0)
         seen = []
 
         def f(t, pair):
@@ -216,6 +216,48 @@ class TestTailIntegral:
         np.testing.assert_array_equal(seen[0][0], t[78:])
         np.testing.assert_allclose(vals[ix], np.sin(14.0) - np.sin([-0.5, 2.0, -0.5, -1.5]),
                                    rtol=1e-14, atol=1e-14)
+
+    @pytest.fixture
+    def cold_grid(self, monkeypatch):
+        """A tail grid with no Airy panel filled, as in a fresh process."""
+        empty = np.empty((0, specfun._TAIL_ORDER))
+        monkeypatch.setattr(specfun, "_tail_pair", specfun.FunctionValuePair(empty, empty))
+
+    @pytest.mark.parametrize("order", [(0.3, -30.0), (-30.0, 0.3), (None, 0.3, -30.0)])
+    def test_lazy_grid_bitwise_in_any_order(self, cold_grid, order):
+        # the panels a call reaches first, filled before or after the rest,
+        # give the values of Airy on the whole grid at once
+        from rmtlab.quadrature import gauss_legendre_panels
+
+        whole = specfun.airy(gauss_legendre_panels(specfun._TAIL_LEFT, specfun._TAIL_CUT,
+                                                   specfun._TAIL_PANELS, specfun._TAIL_ORDER)[0])
+        want = {}
+        for x in order:
+            if x is None:
+                specfun._tail_nodes(0)
+            else:
+                want[x] = specfun.airy_tail(x)
+        _, _, pair = specfun._tail_nodes(0)
+        assert np.array_equal(pair.value.view(np.uint64), whole.value.view(np.uint64))
+        assert np.array_equal(pair.derivative.view(np.uint64), whole.derivative.view(np.uint64))
+        for x, got in want.items():
+            again = specfun.airy_tail(x)
+            assert np.float64(got).view(np.uint64) == np.float64(again).view(np.uint64)
+
+    def test_lazy_grid_evaluates_reached_panels_once(self, cold_grid, monkeypatch):
+        points = []
+        real = specfun.airy_real
+        monkeypatch.setattr(specfun, "airy_real", lambda x: points.append(np.size(x)) or real(x))
+        n = specfun._TAIL_ORDER
+        for j0, fresh in [(80, 29), (90, 0), (80, 0), (50, 30), (0, 50)]:
+            t, w, pair = specfun._tail_nodes(j0)
+            assert sum(points) == fresh * n
+            points.clear()
+            assert t.shape == w.shape == pair.value.shape == (specfun._TAIL_PANELS - j0, n)
+            for v in (t, w, pair.value, pair.derivative):
+                assert not v.flags.writeable
+                with pytest.raises(ValueError):
+                    v[0, 0] = 1.0
 
     def test_cut_and_beyond_return_right_exactly(self):
         vals, ix = specfun._tail_integral(lambda t, f: f.value, np.array([14.0, 20.0, 17.5]),
