@@ -13,9 +13,10 @@ kernels return shape (..., 2, 2).  A grid is K(xs[:, None], ys[None, :]).
 A plain callable handed to correlation_det or correlation_pfaffian must
 broadcast the same way.
 
-Conventions: sgn(0) = 0 throughout; diagonal values come from explicit
-confluent (L'Hopital) formulas rather than small-offset evaluation, since
-the raw quotients cancel catastrophically near x = y.
+Conventions: sgn(0) = 0 throughout.  Every scalar kernel is a quotient
+N(x, y) / (x - y), which cancels near x = y; each hands _near_diagonal its
+numerator, its exact diagonal value and a radius r, and entries within
+r / 250 of the diagonal take a Cauchy mean of N on a circle of radius r.
 """
 
 from __future__ import annotations
@@ -56,18 +57,37 @@ _MATRIX_FAMILIES = ("sine_beta1", "sine_beta4", "airy_beta1", "airy_beta4")
 # ---------------------------------------------------------------------------
 # scalar kernels
 
-def _integrable_quotient(x, y, band, numerator, confluent):
-    """numerator(x, y) / (x - y), broadcast over x and y, with
-    confluent(x, y) on the entries inside the diagonal band
-    |x - y| < band.  numerator sees x and y as given, so what it computes
-    per argument is computed once per x and once per y of a grid;
-    confluent sees the band entries only, as 1-d arrays."""
-    d = x - y
-    near = np.abs(d) < band
-    out = np.asarray(numerator(x, y) / np.where(near, 1.0, d))
+# the 13 of the Cauchy mean's 24 nodes z_k / r with Im z_k >= 0, mirrored
+# exactly in the imaginary axis, and their trapezoidal weights
+_ARC = np.exp(1j * np.pi * np.arange(6) / 12)
+_CIRCLE = np.r_[_ARC, 1j, -_ARC[::-1].conj()]
+_WEIGHTS = np.r_[1.0, np.full(11, 2.0), 1.0] / 24.0
+
+
+def _near_diagonal(x, y, numerator, diagonal, radius=lambda m: 0.25, grid=None):
+    """numerator(x, y) / (x - y) broadcast over x and y (grid, if given, is
+    numerator(x, y)), for a numerator analytic, real on the real axis and 0
+    on x = y.  x == y gives diagonal(x); 0 < |x - y| < r / 250, r = radius(m)
+    at the midpoint m, gives the trapezoidal Cauchy mean of K(m + z/2,
+    m - z/2) on |z| = r (Trefethen-Weideman, SIAM Rev. 56, 2014): the mean
+    of numerator(m + z_k/2, m - z_k/2) / (z_k - (x - y)) over 24 nodes z_k.
+    Conjugate nodes give conjugate terms, so numerator sees the 13 with
+    Im z_k >= 0 only, as (k, 13) arrays; m - z_k/2 = conj(m + z_{12-k}/2)."""
+    d, m = x - y, 0.5 * (x + y)
+    r = radius(m)
+    near = np.abs(d) < r / 250.0
+    out = np.asarray((numerator(x, y) if grid is None else grid) / np.where(near, 1.0, d))
     if near.any():
-        xb, yb = np.broadcast_arrays(x, y)
-        out[near] = confluent(xb[near], yb[near])
+        x, d, m, r = (np.broadcast_to(v, near.shape)[near] for v in (x, d, m, r))
+        val = np.empty(d.shape, out.dtype)
+        on = d == 0.0
+        if on.any():
+            val[on] = diagonal(x[on])
+        if not on.all():
+            z, m, d = r[~on, None] * _CIRCLE, m[~on, None], d[~on, None]
+            terms = numerator(m + 0.5 * z, m - 0.5 * z) / (z - d)
+            val[~on] = (terms.real * _WEIGHTS).sum(axis=-1)
+        out[near] = val
     return out
 
 
@@ -82,31 +102,33 @@ def sine_kernel(x, y):
 
 
 def sine_kernel_dx(x, y):
-    """d/dx of the sine kernel; odd in (x-y), 0 on the diagonal."""
+    """d/dx of the sine kernel, [cos(pi d) - sinc(d)] / d with d = x - y."""
     x, y = _args(x, y)
+    return _scalar_or_array(_near_diagonal(
+        x, y, lambda x, y: np.cos(np.pi * (x - y)) - np.sinc(x - y), np.zeros_like))
 
-    def numerator(x, y):
-        return np.cos(np.pi * (x - y)) - np.sinc(x - y)
 
-    def taylor(x, y):
-        d = x - y
-        w2 = (np.pi * d) ** 2
-        return np.pi * np.pi * d * (-1.0 / 3.0 + w2 / 30.0 - w2 * w2 / 840.0)
+def _airy_numerator(fx, fy):
+    return fx.value * fy.derivative - fx.derivative * fy.value
 
-    return _scalar_or_array(_integrable_quotient(x, y, 1e-4, numerator, taylor))
+
+def _circle_pairs(x):
+    """The Airy pairs at the Cauchy mean's points x = m + z_k/2 and at
+    m - z_k/2, x reversed and conjugated (Ai is real on the real axis)."""
+    f = airy(x)
+    return f, FunctionValuePair(f.value[..., ::-1].conj(), f.derivative[..., ::-1].conj())
 
 
 def _airy_quotient(x, y, fx, fy):
-    """K_Ai from the Airy pairs fx at x and fy at y; only its diagonal band calls airy."""
-    def numerator(x, y):
-        return fx.value * fy.derivative - fx.derivative * fy.value
+    """K_Ai from the Airy pairs fx at x and fy at y.  r = 0.1 keeps the band
+    narrow, as tail-integral nodes t fall next to y; past it K_Ai loses
+    digits like 1 / |x - y|, partial_y K_Ai (r = 0.25) like its square."""
+    def diagonal(x):
+        f = airy(x)
+        return f.derivative * f.derivative - x * f.value * f.value
 
-    def confluent(x, y):
-        m = 0.5 * (x + y)
-        f = airy(m)
-        return f.derivative * f.derivative - m * f.value * f.value
-
-    return _integrable_quotient(x, y, 1e-6 * (1.0 + np.abs(x) + np.abs(y)), numerator, confluent)
+    return _near_diagonal(x, y, lambda x, y: _airy_numerator(*_circle_pairs(x)), diagonal,
+                          lambda m: 0.1, _airy_numerator(fx, fy))
 
 
 def airy_kernel(x, y):
@@ -116,13 +138,8 @@ def airy_kernel(x, y):
 
 
 def airy_kernel_dy(x, y):
-    """partial_y of the Airy kernel.
-
-    Away from the diagonal, d_y [N / (x - y)] = [d_y N + K_Ai] / (x - y)
-    with Ai''(y) = y Ai(y).  Near the diagonal use the confluent numerator
-    expansion: with h = y - x the kernel equals -(c0 + c1 h + c2 h^2 + ...)
-    where c_k = (Ai(x) Ai^{(k+1)}(x) - Ai'(x) Ai^{(k)}(x)) / (k+1)!.
-    """
+    """partial_y of the Airy kernel, [d_y N + K_Ai] / (x - y) with N its
+    numerator and Ai''(y) = y Ai(y); on the diagonal -Ai(x)^2 / 2."""
     x, y = _args(x, y)
     fx, fy = airy(x), airy(y)
     return _scalar_or_array(_airy_dy(x, y, fx, fy, _airy_quotient(x, y, fx, fy)))
@@ -130,24 +147,16 @@ def airy_kernel_dy(x, y):
 
 def _airy_dy(x, y, fx, fy, kxy):
     """partial_y K_Ai from the Airy pairs fx at x and fy at y and K_Ai = kxy
-    at (x, y); only its diagonal band calls airy."""
-    def numerator(x, y):
+    at (x, y)."""
+    def numerator(y, fx, fy, kxy):
         return fx.value * y * fy.value - fx.derivative * fy.derivative + kxy
 
-    def confluent(x, y):
-        h = y - x
-        f = airy(x)
-        a, ap = f.value, f.derivative
-        a2 = x * a
-        a3 = a + x * ap
-        a4 = 2.0 * ap + x * x * a
-        a5 = 4.0 * x * a + x * x * ap
-        c1 = (a * a3 - ap * a2) / 2.0
-        c2 = (a * a4 - ap * a3) / 6.0
-        c3 = (a * a5 - ap * a4) / 24.0
-        return -(c1 + 2.0 * c2 * h + 3.0 * c3 * h * h)
+    def at(x, y):
+        fx, fy = _circle_pairs(x)
+        return numerator(y, fx, fy, _airy_numerator(fx, fy) / (x - y))
 
-    return _integrable_quotient(x, y, 1e-4 * (1.0 + np.abs(x) + np.abs(y)), numerator, confluent)
+    return _near_diagonal(x, y, at, lambda x: -0.5 * airy(x).value ** 2,
+                          grid=numerator(y, fx, fy, kxy))
 
 
 def _positive_args(name, x, y):
@@ -172,12 +181,13 @@ def bessel_hard_kernel(alpha: float, x, y):
         fu, fv = bessel_j(alpha, u), bessel_j(alpha, v)
         return 0.5 * (fu.value * v * fv.derivative - u * fu.derivative * fv.value)
 
-    def confluent(x, y):
-        m = 0.5 * (x + y)
-        f = bessel_j(alpha, np.sqrt(m))
-        return 0.25 * ((1.0 - alpha * alpha / m) * f.value ** 2 + f.derivative ** 2)
+    def diagonal(x):
+        f = bessel_j(alpha, np.sqrt(x))
+        return 0.25 * ((1.0 - alpha * alpha / x) * f.value ** 2 + f.derivative ** 2)
 
-    return _scalar_or_array(_integrable_quotient(x, y, 1e-5 * (1.0 + x), numerator, confluent))
+    # the circle keeps its distance from the branch point 0
+    return _scalar_or_array(_near_diagonal(x, y, numerator, diagonal,
+                                           lambda m: np.minimum(m, np.sqrt(m)) / 4.0))
 
 
 def bessel_origin_kernel(alpha: float, x, y):
@@ -198,12 +208,12 @@ def bessel_origin_kernel(alpha: float, x, y):
         fpy, fmy = bessel_j(p, np.pi * y).value, bessel_j(m, np.pi * y).value
         return 0.5 * np.pi * np.sqrt(x * y) * (fpx * fmy - fmx * fpy)
 
-    def confluent(x, y):
-        c = 0.5 * (x + y)
-        fp, fm = bessel_j(p, np.pi * c), bessel_j(m, np.pi * c)
-        return (np.pi ** 2 * c / 2.0) * (fm.value * fp.derivative - fp.value * fm.derivative)
+    def diagonal(x):
+        fp, fm = bessel_j(p, np.pi * x), bessel_j(m, np.pi * x)
+        return (np.pi ** 2 * x / 2.0) * (fm.value * fp.derivative - fp.value * fm.derivative)
 
-    return _scalar_or_array(_integrable_quotient(x, y, 1e-5 * (1.0 + x), numerator, confluent))
+    return _scalar_or_array(_near_diagonal(x, y, numerator, diagonal,
+                                           lambda c: np.minimum(0.25, c / 4.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -280,26 +290,14 @@ def _moments(v, s, nodes, weights, kmax, sign=1.0):
 
 
 def _pearcey_integrable(x, y, s, xi_contour, eta_axis):
-    """[p''(x) q(y) - p'(x) q'(y) + p(x) q''(y) - s p(x) q(y)] / (x - y).
+    """[p''(x) q(y) - p'(x) q'(y) + p(x) q''(y) - s p(x) q(y)] / (x - y),
+    with the numerator's x-derivative (p one derivative up) on the diagonal."""
+    def numerator(x, y, k=0):
+        p = _moments(x, s, *xi_contour, k + 2)[k:]
+        q = _moments(y, s, *eta_axis, 2, sign=-1.0)  # q[1] is -q'
+        return p[2] * q[0] + p[1] * q[1] + p[0] * q[2] - s * p[0] * q[0]
 
-    The numerator N(x, y) vanishes at x = y, and d^k N / dx^k is the same
-    expression with p shifted k derivatives up.  Within the diagonal band
-    the kernel is the Taylor form N_x(y, y) + (x - y) N_xx(y, y) / 2, whose
-    first term is the confluent p''' q - p'' q' + p' q'' - s p' q.
-    """
-    def numerators(xp, yq, ks):
-        p = _moments(xp, s, *xi_contour, max(ks) + 2)
-        q = _moments(yq, s, *eta_axis, 2, sign=-1.0)
-        q[1] = -q[1]
-        return [p[k + 2] * q[0] - p[k + 1] * q[1] + p[k] * q[2] - s * p[k] * q[0]
-                for k in ks]
-
-    def confluent(x, y):
-        n1, n2 = numerators(y, y, (1, 2))
-        return n1 + 0.5 * (x - y) * n2
-
-    return _integrable_quotient(x, y, 1e-6 * (1.0 + np.abs(x) + np.abs(y)),
-                                lambda x, y: numerators(x, y, (0,))[0], confluent)
+    return _near_diagonal(x, y, numerator, lambda x: numerator(x, x, 1))
 
 
 def pearcey_kernel(x, y, s: float):
@@ -309,17 +307,17 @@ def pearcey_kernel(x, y, s: float):
                   / (x - y)
 
     with p, q the single contour integrals of pearcey_p and pearcey_q and
-    their derivatives taken as quadrature moments; the diagonal uses the
-    confluent form p''' q - p'' q' + p' q'' - s p' q.  The xi contour is
-    the X of rays at +-pi/4 with vertices at +-d, d = max(0.75, sqrt(s))
-    (the steepest-descent crossing of the quadratic term for s > 0), and
-    at +-0.6 d for the second discretization, whose truncation and panel
-    counts differ too.  On every entry the two must agree to 1e-7, and the
-    value must be real to 1e-7, else ArithmeticError is raised; large |x|,
-    |y| or s << 0 amplify the cancellation in p and q past double
-    precision and end up there.  Agrees with the double contour integral
-    _pearcey_raw to 1e-9 on [-2, 2]^2 for s in {-1, 0, 1, 3}
-    (tests/test_kernels.py).
+    their derivatives taken as quadrature moments, p''' q - p'' q' + p' q''
+    - s p' q on the diagonal and the Cauchy mean (r = 0.25) within 1e-3 of
+    it.  The xi contour is the X of rays at +-pi/4 with vertices at +-d,
+    d = max(0.75, sqrt(s)) (the steepest-descent crossing of the quadratic
+    term for s > 0), and at +-0.6 d for the second discretization, whose
+    truncation and panel counts differ too.  On every entry the two must
+    agree to 1e-7, and the value must be real to 1e-7, else ArithmeticError
+    is raised; large |x|, |y| or s << 0 amplify the cancellation in p and q
+    past double precision and end up there.  Agrees with the double contour
+    integral _pearcey_raw to 1e-9 on [-2, 2]^2 for s in {-1, 0, 1, 3}, and
+    to 1e-12 within 1e-3 of the diagonal (tests/test_kernels.py).
     """
     x, y = _args(x, y)
     if (np.abs(x) > 20.0).any() or (np.abs(y) > 20.0).any():
@@ -376,7 +374,8 @@ def matrix_kernel_bulk(beta: int, x, y) -> np.ndarray:
     f = 1.0 if beta == 1 else 2.0
     k12 = sine_kernel(f * x, f * y)
     k22 = sinc_integral(d) - 0.5 * np.sign(d) if beta == 1 else 0.5 * sinc_integral(2.0 * d)
-    return _blocks(-f * sine_kernel_dx(f * x, f * y), k12, -k12, k22)
+    # K11 = -f S_x(fx, fy) = f S_x(fy, fx) (S_x is odd), which keeps +0.0 on the diagonal
+    return _blocks(f * sine_kernel_dx(f * y, f * x), k12, -k12, k22)
 
 
 def _edge_airy(x, y):

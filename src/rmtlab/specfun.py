@@ -8,8 +8,8 @@ scaling-limit experiments) consumes these primitives.  What computes what:
   zeta = (2/3) z^{3/2}, which stays finite up to the overflow guard.  This
   module adds the |z| <= 1e3 range check and raises OverflowError in the
   deep growth sectors (Re zeta < -700).
-* J_alpha(x), J_alpha'(x): scipy.special.jv and jvp, with the range checks
-  and the x = 0 conventions of bessel_j.
+* J_alpha(x), J_alpha'(x): scipy.special.jv and jvp (complex x off the
+  negative axis too), with the range checks and the x = 0 conventions.
 * integral_0^t sin(pi u)/(pi u) du: scipy.special.sici.
 * integral_x^inf Ai: _tail_integral, suffix sums over the one tail grid
   (scipy's itairy reaches only ~1e-7), with integration by parts beyond
@@ -87,7 +87,8 @@ def airy(z) -> FunctionValuePair:
         ai, aip = airy_real(x)
         return FunctionValuePair(_scalar_or_array(ai.reshape(x.shape)),
                                  _scalar_or_array(aip.reshape(x.shape)))
-    z = np.asarray(z, dtype=complex)
+    # + 0.0 clears a -0.0 imaginary part, for which AMOS misplaces the cut
+    z = np.asarray(z, dtype=complex) + 0.0
     zeta = (2.0 / 3.0) * z * np.sqrt(z)
     if np.any((np.abs(z) > 20.0) & (zeta.real < -700.0)):
         raise OverflowError("airy: result too large to represent")
@@ -206,18 +207,19 @@ def airy_tail(x):
 
 def bessel_j(alpha: float, x) -> FunctionValuePair:
     """Bessel function J_alpha(x) and its derivative, real order alpha > -1,
-    0 <= x <= 1e3; broadcasts over x (scalar x gives floats).
+    0 <= x <= 1e3 or complex |x| <= 1e3 off the negative axis; broadcasts
+    over x (scalar x gives floats, or complex values for complex x).
 
     At x = 0 the value is 1 for alpha = 0 and 0 otherwise; the derivative
     is 0 for alpha = 0 or alpha > 1, 1/2 for alpha = 1 and inf in between.
     """
     alpha = float(alpha)
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
     if alpha <= -1.0:
         raise ValueError("bessel_j: order must exceed -1")
-    if (x < 0.0).any():
-        raise ValueError("bessel_j: argument must be nonnegative")
-    if (x > 1.001e3).any():
+    if ((x.real < 0.0) & (x.imag == 0.0)).any():
+        raise ValueError("bessel_j: argument must be nonnegative or off the negative axis")
+    if (np.abs(x) > 1.001e3).any():
         raise ValueError("bessel_j: argument exceeds the supported range 1e3")
     j, jp = special.jv(alpha, x), special.jvp(alpha, x)
     zero = x == 0.0

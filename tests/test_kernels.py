@@ -108,9 +108,9 @@ class TestSineKernel:
         assert kr.sine_kernel_dx(0.5, 0.5) == 0.0
         d = kr.sine_kernel_dx(0.3, 0.1)
         assert kr.sine_kernel_dx(0.1, 0.3) == pytest.approx(-d, abs=1e-14)
-        # both branches agree near the Taylor seam (against a central
-        # difference of the kernel itself)
-        for dd in [0.9e-4, 1.1e-4]:
+        # the Cauchy mean and the quotient agree at the band's edge r / 250
+        # = 1e-3 (against a central difference of the kernel itself)
+        for dd in [0.9e-3, 1.1e-3]:
             h = 1e-6
             fd = (kr.sine_kernel(dd + h, 0.0) - kr.sine_kernel(dd - h, 0.0)) / (2 * h)
             assert kr.sine_kernel_dx(dd, 0.0) == pytest.approx(fd, abs=1e-9)
@@ -404,7 +404,7 @@ class TestMatrixKernels:
     def test_edge_knot_points_skip_empty_panels(self, monkeypatch):
         # -1.5 and -0.5 are knots of the tail integral: their partial panels
         # are empty, so they add an exact 0 and call Airy nowhere (with y = x
-        # the 20 coincident nodes would also take the confluent form)
+        # the 20 coincident nodes would also take the exact diagonal value)
         import rmtlab.specfun as sf
 
         pts = np.array([-1.5, -0.5, 0.3, 1.1])
@@ -605,9 +605,177 @@ class TestScalarKernelInvariants:
                 assert kr.correlation_det(h, pts) >= -1e-10
 
 
+def _mp_cached(f):
+    """f at 45 digits, memoized over its (float) arguments."""
+    import mpmath
+
+    @functools.cache
+    def at(*args):
+        with mpmath.workdps(45):
+            return f(mpmath, *args)
+    return at
+
+
+@_mp_cached
+def _mp_airy(mp, x):
+    return mp.airyai(x), mp.airyai(x, 1)
+
+
+def _mp_airy_kernel(x, y, dy=False):
+    """K_Ai, or partial_y K_Ai, at 45 digits."""
+    import mpmath
+
+    (a, ap), (b, bp) = _mp_airy(x), _mp_airy(y)
+    with mpmath.workdps(45):
+        if x == y:
+            return -a * a / 2 if dy else ap * ap - x * a * a
+        d = mpmath.mpf(x) - mpmath.mpf(y)
+        k = (a * bp - ap * b) / d
+        return (a * y * b - ap * bp + k) / d if dy else k
+
+
+@_mp_cached
+def _mp_bessel_pair(mp, alpha, u):
+    return mp.besselj(alpha, u), mp.besselj(alpha, u, 1)
+
+
+def _mp_bessel_hard(alpha, x, y):
+    import mpmath
+
+    with mpmath.workdps(45):
+        u, v = mpmath.sqrt(x), mpmath.sqrt(y)
+        (ju, jpu), (jv, jpv) = _mp_bessel_pair(alpha, u), _mp_bessel_pair(alpha, v)
+        if x == y:
+            return ((1 - alpha * alpha / mpmath.mpf(x)) * ju ** 2 + jpu ** 2) / 4
+        return (ju * v * jpv - u * jpu * jv) / (2 * (mpmath.mpf(x) - mpmath.mpf(y)))
+
+
+def _mp_bessel_origin(alpha, x, y):
+    import mpmath
+
+    with mpmath.workdps(45):
+        half = mpmath.mpf(1) / 2
+        px, mx = _mp_bessel_pair(alpha + half, mpmath.pi * x), _mp_bessel_pair(alpha - half, mpmath.pi * x)
+        if x == y:
+            return mpmath.pi ** 2 * x / 2 * (mx[0] * px[1] - px[0] * mx[1])
+        py, my = _mp_bessel_pair(alpha + half, mpmath.pi * y), _mp_bessel_pair(alpha - half, mpmath.pi * y)
+        return (mpmath.pi * mpmath.sqrt(mpmath.mpf(x) * y) * (px[0] * my[0] - mx[0] * py[0])
+                / (2 * (mpmath.mpf(x) - mpmath.mpf(y))))
+
+
+def _mp_sine_dx(x, y):
+    import mpmath
+
+    with mpmath.workdps(45):
+        d = mpmath.mpf(x) - mpmath.mpf(y)
+        return (mpmath.cos(mpmath.pi * d) - mpmath.sinc(mpmath.pi * d)) / d if d else 0
+
+
+# offsets d from 1e-9 to 0.05, relative to 1 + |x| on the line and to x on
+# the half-line: inside the band r/250, at its edge and past it
+SCAN_OFFSETS = [1e-9, 1e-7, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 0.05]
+# the README's bounds: kernel, mpmath oracle, x points, offsets relative to
+# x (half-line) or to 1 + |x|, error scale at x, bound
+AIRY_XS = np.linspace(-30.0, 20.0, 43)
+NEAR_DIAGONAL_SCANS = {
+    "airy": (kr.airy_kernel, _mp_airy_kernel, AIRY_XS, False,
+             lambda x: abs(float(_mp_airy_kernel(x, x))), 1e-10),
+    "airy_dy": (kr.airy_kernel_dy, functools.partial(_mp_airy_kernel, dy=True), AIRY_XS, False,
+                lambda x: abs(float(_mp_airy_kernel(x, x))) * (1.0 + math.sqrt(abs(x))), 5e-9),
+    "sine_dx": (kr.sine_kernel_dx, _mp_sine_dx, np.linspace(-50.0, 50.0, 21), False,
+                lambda x: 1.0, 2e-13),
+}
+for _alpha, _lo, _bound in [(0.0, 1e-3, 5e-11), (1.5, 1e-3, 5e-9), (100.0, 10.0, 3e-7)]:
+    # at alpha = 100 the kernel underflows below x = 10
+    NEAR_DIAGONAL_SCANS[f"bessel_hard_{_alpha:g}"] = (
+        functools.partial(kr.bessel_hard_kernel, _alpha),
+        functools.partial(_mp_bessel_hard, _alpha), np.geomspace(_lo, 1e5, 25), True,
+        lambda x, a=_alpha: abs(float(_mp_bessel_hard(a, x, x))), _bound)
+for _alpha in (0.5, 1.5, 10.0):
+    NEAR_DIAGONAL_SCANS[f"bessel_origin_{_alpha:g}"] = (
+        functools.partial(kr.bessel_origin_kernel, _alpha),
+        functools.partial(_mp_bessel_origin, _alpha), np.geomspace(1e-3, 300.0, 25), True,
+        lambda x, a=_alpha: abs(float(_mp_bessel_origin(a, x, x))), 3e-11)
+
+
+class TestNearDiagonal:
+    """Each integrable kernel across its diagonal: the exact diagonal value,
+    the Cauchy mean inside the band and the plain quotient past it, against
+    mpmath at 45 digits."""
+
+    @pytest.mark.parametrize("name", NEAR_DIAGONAL_SCANS)
+    def test_scan_against_mpmath(self, name):
+        kernel, oracle, xs, half_line, scale, bound = NEAR_DIAGONAL_SCANS[name]
+        worst = 0.0
+        for x in xs:
+            x = float(x)
+            ys = [x] + [x + d * (x if half_line else 1.0 + abs(x)) for d in SCAN_OFFSETS]
+            got = kernel(x, np.array(ys))
+            want = np.array([float(oracle(x, y)) for y in ys])
+            worst = max(worst, np.abs(got - want).max() / scale(x))
+        assert worst <= bound
+
+    @pytest.mark.parametrize("s", [-1.0, 0.0, 1.0, 3.0])
+    def test_pearcey_against_double_integral(self, s):
+        # d <= 1e-3 is the band of r = 0.25 and its edge
+        xs = np.repeat([-1.7, -0.4, 0.0, 0.9, 2.0], 6)
+        ys = xs + np.tile([0.0, 1e-9, 1e-7, 1e-5, 3e-4, 1e-3], 5)
+        d0 = max(0.75, math.sqrt(max(s, 0.0)))
+        ref = kr._pearcey_raw(xs, ys, s, d0, 12.0, 60, 120).real
+        assert np.abs(kr.pearcey_kernel(xs, ys, s) - ref).max() <= 1e-12
+
+    def test_cauchy_mean_only_inside_the_band(self, monkeypatch):
+        # the band of the Airy kernel is 0 < |x - y| < r / 250 = 4e-4: each
+        # of its entries takes 13 complex Airy pairs, for x and y together, and
+        # the diagonal and the entries past the band take none
+        sizes = []
+        real_airy = kr.airy
+
+        def counted(z):
+            if np.iscomplexobj(z):
+                sizes.append(np.size(z))
+            return real_airy(z)
+
+        monkeypatch.setattr(kr, "airy", counted)
+        y = -1.0 + np.array([0.0, 2e-4, -3.5e-4, 4.5e-4, 0.1])
+        got = kr.airy_kernel(-1.0, y)
+        assert sizes == [26]
+        want = [float(_mp_airy_kernel(-1.0, v)) for v in y]
+        np.testing.assert_allclose(got, want, rtol=0, atol=3e-13)
+
+
+def _fredholm_det(kernel, a, b, m):
+    """det(I - K) on L^2(a, b) by the Nystrom method on m Gauss-Legendre
+    nodes (Bornemann, Math. Comp. 79, 2010)."""
+    t, w = np.polynomial.legendre.leggauss(m)
+    x, w = 0.5 * (b - a) * t + 0.5 * (b + a), 0.5 * (b - a) * w
+    root = np.sqrt(w)
+    return np.linalg.det(np.eye(m) - root[:, None] * kernel(x[:, None], x[None, :]) * root)
+
+
+class TestFredholmOracles:
+    def test_tracy_widom_f2_mean_and_variance(self):
+        # F2(s) = det(I - K_Ai) on (s, inf), cut at s + 14 (48 nodes); the
+        # moments from F2 on 64 Gauss-Legendre nodes of [-8, 8], where
+        # F2 and 1 - F2 are below 1e-16: E s = 8 - Int F2, E s^2 = 64 - 2 Int s F2
+        t, w = np.polynomial.legendre.leggauss(64)
+        s, w = 8.0 * t, 8.0 * w
+        f2 = np.array([_fredholm_det(kr.airy_kernel, v, v + 14.0, 48) for v in s])
+        mean = 8.0 - w @ f2
+        var = 64.0 - 2.0 * w @ (s * f2) - mean * mean
+        assert abs(mean + 1.7710868074116) <= 1e-12
+        assert abs(var - 0.8131947928329) <= 1e-12
+
+    @pytest.mark.parametrize("s", [1.0, 4.0])
+    def test_hard_edge_gap_alpha_zero(self, s):
+        # the alpha = 0 hard-edge gap probability on [0, s] is e^{-s/4}
+        gap = _fredholm_det(functools.partial(kr.bessel_hard_kernel, 0.0), 0.0, s, 20)
+        assert abs(gap - math.exp(-s / 4.0)) <= 1e-14
+
+
 # families, parameters and a centre inside each family's range; the offsets
-# put entries inside every diagonal band (sine 1e-8, Airy and Pearcey 1e-6,
-# Bessel 1e-5, sine_dx and airy_dy 1e-4) and outside them
+# put entries on the diagonal, inside every band of Cauchy means (about 1e-3
+# at these centres; the sine kernel has none) and outside them
 FAMILIES = [(KernelHandle("sine"), 0.4), (KernelHandle("airy"), -1.3),
             (KernelHandle("bessel_hard", alpha=0.7), 1.2),
             (KernelHandle("bessel_origin", alpha=1.3), 0.8),
