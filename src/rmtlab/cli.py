@@ -236,8 +236,9 @@ def _cmd_sample(args):
         mc._window_bounds(None, window)  # a bad triple fails before any draw
     if not 1 <= args.bins <= 1000 or not hi > lo:
         raise ValueError("need 1 <= --bins <= 1000 and a range with hi > lo")
-    if not args.metropolis and (args.potential or args.N is not None):
-        raise ValueError("--potential and --N need --metropolis")
+    if not args.metropolis and (args.potential or args.N is not None or args.hard_edge
+                                or args.alpha is not None):
+        raise ValueError("--potential, --N, --hard-edge and --alpha need --metropolis")
     if args.N is not None and args.N < 1:
         raise ValueError("--N must be at least 1")
     if not 0 <= args.seed < 2 ** 63:
@@ -247,6 +248,8 @@ def _cmd_sample(args):
             raise ValueError("--metropolis needs --potential")
         sample = partial(mc.sample_invariant, _parse_potential(args), args.beta,
                          args.n, args.N or args.n, args.count, args.steps)
+        if args.hard_edge or args.alpha is not None:
+            config.update(hard_edge=args.hard_edge, alpha=args.alpha)
     else:
         sample = partial(mc.sample_gaussian, args.beta, args.n, args.count)
     # resolved only here, so the headers record --workers as given
@@ -348,6 +351,9 @@ def _build_parser():
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--metropolis", action="store_true")
     sp.add_argument("--potential", default=None)
+    sp.add_argument("--hard-edge", dest="hard_edge", action="store_true")
+    sp.add_argument("--alpha", type=float, default=None,
+                    help="hard-edge / singularity exponent")
     sp.add_argument("--steps", type=int, default=400)
     sp.add_argument("--bins", type=int, default=25)
     sp.add_argument("--range", default="-2.125:2.125:0")

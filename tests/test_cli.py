@@ -587,10 +587,12 @@ def test_sample_inputs_checked_before_any_draw(tmp_path, monkeypatch, capsys, sa
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("extra", [["--potential", "0,0,0,0,0.25"], ["--N", "8"]])
+@pytest.mark.parametrize("extra", [["--potential", "0,0,0,0,0.25"], ["--N", "8"],
+                                   ["--hard-edge"], ["--alpha", "0.5"]])
 def test_metropolis_arguments_need_metropolis(tmp_path, monkeypatch, capsys, extra):
-    # the Gaussian sampler reads neither --potential nor --N, so a header
-    # recording them would describe a batch that was not drawn
+    # the Gaussian sampler reads none of --potential, --N, --hard-edge and
+    # --alpha, so a header recording them would describe a batch that was
+    # not drawn
     from rmtlab import mc
 
     def no_draw(*args, **kwargs):
@@ -600,8 +602,31 @@ def test_metropolis_arguments_need_metropolis(tmp_path, monkeypatch, capsys, ext
     monkeypatch.chdir(tmp_path)
     assert main(["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "1",
                  "--out", "b.bin"] + extra) == 2
-    assert capsys.readouterr().err == "rmtlab: --potential and --N need --metropolis\n"
+    assert capsys.readouterr().err == (
+        "rmtlab: --potential, --N, --hard-edge and --alpha need --metropolis\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_metropolis_hard_edge_histogram(tmp_path):
+    # V = x on the hard edge with alpha = 0.5 at n = N = 32: the histogram of
+    # 128 records lies within 0.15 (perfbench's Metropolis bound) of the
+    # equilibrium density (1/2 pi) sqrt((4 - x)/x), whatever alpha, averaged
+    # over each bin by its distribution function (1/2 pi) [sqrt(x(4 - x))
+    # + 4 arcsin(sqrt(x)/2)], as the density is singular at 0 (measured
+    # 0.027 ... 0.044 on seeds 1-5)
+    out = tmp_path / "h.bin"
+    assert main(["sample", "--metropolis", "--potential", "0,1", "--hard-edge",
+                 "--alpha", "0.5", "--beta", "2", "--n", "32", "--count", "128",
+                 "--seed", "1", "--range", "0:4:0", "--bins", "25", "--workers", "1",
+                 "--out", str(out)]) == 0
+    lines = (tmp_path / "h_hist.csv").read_text().splitlines()
+    head = dict(ln[2:].split(" = ") for ln in lines if ln.startswith("# ") and " = " in ln)
+    assert (head["hard_edge"], head["alpha"]) == ("True", "0.5")
+    rows = [ln for ln in lines if not ln.startswith("#")][1:]
+    density = np.array([float(ln.split(",")[1]) for ln in rows])
+    x = np.linspace(0.0, 4.0, 26)
+    cdf = (np.sqrt(x * (4.0 - x)) + 4.0 * np.arcsin(np.sqrt(x) / 2.0)) / (2.0 * np.pi)
+    assert np.abs(density - np.diff(cdf) / np.diff(x)).max() <= 0.15
 
 
 @pytest.mark.parametrize("argv", [
@@ -875,6 +900,8 @@ HOSTILE_TEMPLATES = [
     "sample --metropolis --potential=0,0,0.5 --beta 2 --n 4 --count 4 --steps={} --seed 1",
     "sample --metropolis --potential=0,0,0.5 --beta 2 --n 4 --count 1 --steps 20 --seed 1 "
     "--workers={}",
+    "sample --metropolis --potential=0,1 --hard-edge --alpha={} --beta 2 --n 4 --count 4 "
+    "--steps 20 --seed 1",
 ]
 
 # two-point grids whose off-diagonal entries lie inside the kernel's
@@ -928,6 +955,8 @@ CORNERS = [
     # arguments that only --metropolis reads, and n lists checked before the solve
     "sample --beta 2 --n 8 --count 4 --seed 1 --potential=0,0,0,0,0.25",
     "sample --beta 2 --n 8 --count 4 --seed 1 --N 8",
+    "sample --beta 2 --n 8 --count 4 --seed 1 --hard-edge",
+    "sample --beta 2 --n 8 --count 4 --seed 1 --alpha=0.5",
     "converge --potential=0,0,0.5 --mode bulk --n 32,513",
     "rh --potential=0,0,0.5 --n 64,0",
 ]
