@@ -29,7 +29,7 @@ import numpy as np
 
 from .equilibrium import ALPHA_MAX
 from .quadrature import gauss_legendre_panels
-from .specfun import (_TAIL_BEYOND_CUT, _TAIL_CUT, FunctionValuePair, _airy_tail_asym,
+from .specfun import (_TAIL_BEYOND_CUT, _TAIL_CUT, FunctionValuePair, _airy_tail_asym, _in_range,
                       _scalar_or_array, _tail_integral, airy, bessel_j, sinc_integral)
 
 __all__ = [
@@ -91,19 +91,20 @@ def _near_diagonal(x, y, numerator, diagonal, radius=lambda m: 0.25, grid=None):
     return out
 
 
-def _args(x, y):
-    return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+def _args(name, x, y, what="arguments must be finite", *bounds):
+    """x and y as float arrays, each checked by _in_range(name, what, ., *bounds)."""
+    return tuple(_in_range(name, what, np.asarray(v, dtype=float), *bounds) for v in (x, y))
 
 
 def sine_kernel(x, y):
     """sin(pi(x-y)) / (pi(x-y)), numpy's sinc (1 on the diagonal)."""
-    x, y = _args(x, y)
+    x, y = _args("sine_kernel", x, y)
     return _scalar_or_array(np.sinc(x - y))
 
 
 def sine_kernel_dx(x, y):
     """d/dx of the sine kernel, [cos(pi d) - sinc(d)] / d with d = x - y."""
-    x, y = _args(x, y)
+    x, y = _args("sine_kernel_dx", x, y)
     return _scalar_or_array(_near_diagonal(
         x, y, lambda x, y: np.cos(np.pi * (x - y)) - np.sinc(x - y), np.zeros_like))
 
@@ -133,14 +134,14 @@ def _airy_quotient(x, y, fx, fy):
 
 def airy_kernel(x, y):
     """(Ai(x)Ai'(y) - Ai'(x)Ai(y)) / (x - y); diagonal Ai'(x)^2 - x Ai(x)^2."""
-    x, y = _args(x, y)
+    x, y = _args("airy_kernel", x, y)
     return _scalar_or_array(_airy_quotient(x, y, airy(x), airy(y)))
 
 
 def airy_kernel_dy(x, y):
     """partial_y of the Airy kernel, [d_y N + K_Ai] / (x - y) with N its
     numerator and Ai''(y) = y Ai(y); on the diagonal -Ai(x)^2 / 2."""
-    x, y = _args(x, y)
+    x, y = _args("airy_kernel_dy", x, y)
     fx, fy = airy(x), airy(y)
     return _scalar_or_array(_airy_dy(x, y, fx, fy, _airy_quotient(x, y, fx, fy)))
 
@@ -159,22 +160,24 @@ def _airy_dy(x, y, fx, fy, kxy):
                           grid=numerator(y, fx, fy, kxy))
 
 
-def _positive_args(name, x, y):
-    x, y = _args(x, y)
-    if (x <= 0.0).any() or (y <= 0.0).any():
-        raise ValueError(f"{name}: arguments must be positive")
-    return x, y
+def _order(family, alpha):
+    lowest = -1.0 if family == "bessel_hard" else -0.5
+    _in_range(f"{family}_kernel", f"{family} requires {lowest:g} < alpha <= {ALPHA_MAX:g}",
+              np.float64(alpha), math.nextafter(lowest, 0.0), ALPHA_MAX)
+
+
+def _bessel_args(family, alpha, x, y):
+    _order(family, alpha)
+    return _args(f"{family}_kernel", x, y, "arguments must be finite and positive", math.ulp(0.0))
 
 
 def bessel_hard_kernel(alpha: float, x, y):
-    """Hard-edge Bessel kernel of order alpha > -1 for x, y > 0:
+    """Hard-edge Bessel kernel of order -1 < alpha <= ALPHA_MAX, finite x, y > 0:
 
         [J_a(sqrt x) sqrt(y) J_a'(sqrt y) - sqrt(x) J_a'(sqrt x) J_a(sqrt y)]
         / (2 (x - y))
     """
-    if not alpha > -1.0:
-        raise ValueError("bessel_hard_kernel: order must exceed -1")
-    x, y = _positive_args("bessel_hard_kernel", x, y)
+    x, y = _bessel_args("bessel_hard", alpha, x, y)
 
     def numerator(x, y):
         u, v = np.sqrt(x), np.sqrt(y)
@@ -191,16 +194,14 @@ def bessel_hard_kernel(alpha: float, x, y):
 
 
 def bessel_origin_kernel(alpha: float, x, y):
-    """Origin Bessel kernel of a spectral singularity of strength alpha > -1/2:
+    """Origin Bessel kernel, singularity strength -1/2 < alpha <= ALPHA_MAX, x, y > 0:
 
         pi sqrt(xy) [J_{a+1/2}(pi x) J_{a-1/2}(pi y)
                      - J_{a-1/2}(pi x) J_{a+1/2}(pi y)] / (2 (x - y))
 
     Reduces identically to the sine kernel at alpha = 0.
     """
-    if not alpha > -0.5:
-        raise ValueError("bessel_origin_kernel: order must exceed -1/2")
-    x, y = _positive_args("bessel_origin_kernel", x, y)
+    x, y = _bessel_args("bessel_origin", alpha, x, y)
     p, m = alpha + 0.5, alpha - 0.5
 
     def numerator(x, y):
@@ -264,7 +265,7 @@ def _pearcey_raw(x, y, s, delta, tmax, xi_panels, eta_panels):
     broadcasting over x and y: the oracle of the integrable form.  The
     Cauchy matrix C = 1/(eta - xi), built in blocks of at most 4M entries,
     does not depend on x or y, so one call is one product F_xi C F_eta^T."""
-    x, y = np.broadcast_arrays(*_args(x, y))
+    x, y = np.broadcast_arrays(*_args("_pearcey_raw", x, y))
     xi, wxi = _xi_contour(delta, tmax, xi_panels)
     eta, weta = _eta_axis(tmax, eta_panels)
     f_xi, ix = _factor(x, s, xi, wxi)
@@ -311,6 +312,19 @@ def _pearcey_integrable(x, y, s, xi_contour, eta_axis):
         grid=numerator(p[:3, np.searchsorted(ux, x)], q[:, np.searchsorted(uxy, y)]))
 
 
+def _pearcey_s(s, name="pearcey_kernel"):
+    _in_range(name, "pearcey requires -10 <= s <= 10", np.float64(s), -10.0, 10.0)
+
+
+def _pearcey_rules(name, s, x, y=0.0):
+    """x and y (|x|, |y| <= 20) and the kernel's two discretizations at s (|s| <= 10)."""
+    x, y = _args(name, x, y, "|x|, |y| must not exceed 20", -20.0, 20.0)
+    _pearcey_s(s, name)
+    d = max(0.75, math.sqrt(max(s, 0.0)))
+    return x, y, ((_xi_contour(d, 12.0, 60), _eta_axis(12.0, 120)),
+                  (_xi_contour(0.6 * d, 13.0, 73), _eta_axis(13.0, 149)))
+
+
 def pearcey_kernel(x, y, s: float):
     """Pearcey kernel from its integrable form (Tracy-Widom, CMP 263, 2006):
 
@@ -323,45 +337,41 @@ def pearcey_kernel(x, y, s: float):
     it.  The xi contour is the X of rays at +-pi/4 with vertices at +-d,
     d = max(0.75, sqrt(s)) (the steepest-descent crossing of the quadratic
     term for s > 0), and at +-0.6 d for the second discretization, whose
-    truncation and panel counts differ too.  On every entry the two must
-    agree to 1e-7, and the value must be real to 1e-7, else ArithmeticError
-    is raised; large |x|, |y| or s << 0 amplify the cancellation in p and q
-    past double precision and end up there.  Each discretization takes one
-    moment pass per contour on the distinct arguments, shared by the
-    quotient and the diagonal, plus one for any Cauchy band entries.
-    Agrees with the double contour integral _pearcey_raw to 1e-9 on
-    [-2, 2]^2 for s in {-1, 0, 1, 3}, and to 1e-12 within 1e-3 of the
-    diagonal (tests/test_kernels.py).
+    truncation and panel counts differ too (_pearcey_rules); |x|, |y| <= 20
+    and |s| <= 10.  On every entry the two must agree to 1e-7, and the value
+    must be real to 1e-7, else ArithmeticError is raised; large |x|, |y| or
+    s << 0 amplify the cancellation in p and q past double precision and
+    end up there.  Each discretization takes one moment pass per contour on
+    the distinct arguments, shared by the quotient and the diagonal, plus
+    one for any Cauchy band entries.  Agrees with the double contour
+    integral _pearcey_raw to 1e-9 on [-2, 2]^2 for s in {-1, 0, 1, 3}, and
+    to 1e-12 within 1e-3 of the diagonal (tests/test_kernels.py).
     """
-    x, y = _args(x, y)
-    if (np.abs(x) > 20.0).any() or (np.abs(y) > 20.0).any():
-        raise ValueError("pearcey_kernel: |x|, |y| must not exceed 20")
-    if abs(s) > 10.0:
-        raise ValueError("pearcey_kernel: |s| must not exceed 10")
-    d0 = max(0.75, math.sqrt(max(s, 0.0)))
-    a = _pearcey_integrable(x, y, s, _xi_contour(d0, 12.0, 60), _eta_axis(12.0, 120))
-    b = _pearcey_integrable(x, y, s, _xi_contour(0.6 * d0, 13.0, 73), _eta_axis(13.0, 149))
+    x, y, rules = _pearcey_rules("pearcey_kernel", s, x, y)
+    a, b = (_pearcey_integrable(x, y, s, *rule) for rule in rules)
     gap = np.abs(a - b)
     if (gap > 1e-7 * np.maximum(1.0, np.abs(a))).any():
         raise ArithmeticError(
-            f"pearcey_kernel: contour discretizations disagree by {gap.max():.2e}"
-        )
+            f"pearcey_kernel: contour discretizations disagree by {gap.max():.2e}")
     if (np.abs(a.imag) > 1e-7 * np.maximum(1.0, np.abs(a.real))).any():
         raise ArithmeticError("pearcey_kernel: non-real kernel value")
     return _scalar_or_array(a.real)
 
 
 def pearcey_p(x: float, s: float, moment: int = 0) -> complex:
-    """xi-factor of the Pearcey integrand:
-    p(x) = (1/2 pi i) Int_C e^{xi^4/4 - s xi^2/2 + xi x} dxi,
+    """xi-factor of the Pearcey integrand, on pearcey_kernel's first contour
+    and ranges: p(x) = (1/2 pi i) Int_C e^{xi^4/4 - s xi^2/2 + xi x} dxi,
     with xi^moment inserted (moment = k gives the k-th derivative of p)."""
-    return complex(_moments(x, s, *_xi_contour(1.0, 12.0, 60), moment)[moment])
+    x, _, ((xi, _), _) = _pearcey_rules("pearcey_p", s, x)
+    return complex(_moments(x, s, *xi, moment)[moment])
 
 
 def pearcey_q(y: float, s: float, moment: int = 0) -> complex:
-    """eta-factor: q(y) = (1/2 pi i) Int_{-i inf}^{i inf}
-    e^{-eta^4/4 + s eta^2/2 - eta y} d eta, with eta^moment inserted."""
-    return complex(_moments(y, s, *_eta_axis(12.0, 120), moment, sign=-1.0)[moment])
+    """eta-factor, on pearcey_kernel's first contour and ranges: q(y) =
+    (1/2 pi i) Int_{-i inf}^{i inf} e^{-eta^4/4 + s eta^2/2 - eta y} d eta,
+    with eta^moment inserted."""
+    y, _, ((_, eta), _) = _pearcey_rules("pearcey_q", s, y)
+    return complex(_moments(y, s, *eta, moment, sign=-1.0)[moment])
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +393,7 @@ def matrix_kernel_bulk(beta: int, x, y) -> np.ndarray:
     """
     if beta not in (1, 4):
         raise ValueError("matrix_kernel_bulk: beta must be 1 or 4")
-    x, y = _args(x, y)
+    x, y = _args("matrix_kernel_bulk", x, y)
     d = x - y
     f = 1.0 if beta == 1 else 2.0
     k12 = sine_kernel(f * x, f * y)
@@ -435,9 +445,7 @@ def matrix_kernel_edge(beta: int, x, y) -> np.ndarray:
     and the swap is invisible) this is what makes the assembled 2k x 2k
     block matrix exactly skew-symmetric, as the Pfaffian requires.
     """
-    x, y = _args(x, y)
-    if (x < -30.0).any() or (y < -30.0).any():
-        raise ValueError("matrix_kernel_edge: arguments must be >= -30")
+    x, y = _args("matrix_kernel_edge", x, y, "arguments must be finite and >= -30", -30.0)
     if beta not in (1, 4):
         raise ValueError("matrix_kernel_edge: beta must be 1 or 4")
     fx, fy, tx, ty, kint = _edge_airy(x, y)
@@ -466,7 +474,8 @@ class KernelHandle:
     """A named universal kernel with its parameters.
 
     family: one of sine, airy, bessel_hard, bessel_origin, pearcey (scalar)
-    or sine_beta1, sine_beta4, airy_beta1, airy_beta4 (2x2 matrix).
+    or sine_beta1, sine_beta4, airy_beta1, airy_beta4 (2x2 matrix); alpha
+    and s are checked as the kernel functions check them.
     """
 
     family: str
@@ -476,17 +485,14 @@ class KernelHandle:
     def __post_init__(self):
         if self.family not in _SCALAR_FAMILIES + _MATRIX_FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if any(v is not None and not math.isfinite(v) for v in (self.alpha, self.s)):
-            raise ValueError(f"{self.family} parameters must be finite")
-        lowest = {"bessel_hard": -1.0, "bessel_origin": -0.5}.get(self.family)
-        if lowest is not None and (self.alpha is None or not lowest < self.alpha <= ALPHA_MAX):
-            raise ValueError(f"{self.family} requires {lowest:g} < alpha <= {ALPHA_MAX:g}")
-        if self.family == "pearcey" and self.s is None:
-            raise ValueError("pearcey requires the parameter s")
-        if self.family not in ("bessel_hard", "bessel_origin") and self.alpha is not None:
-            raise ValueError(f"{self.family} takes no alpha parameter")
-        if self.family != "pearcey" and self.s is not None:
-            raise ValueError(f"{self.family} takes no s parameter")
+        takes = {"bessel_hard": "alpha", "bessel_origin": "alpha", "pearcey": "s"}.get(self.family)
+        for name in ("alpha", "s"):
+            if name != takes and getattr(self, name) is not None:
+                raise ValueError(f"{self.family} takes no {name} parameter")
+        if takes == "alpha":
+            _order(self.family, self.alpha)
+        elif takes == "s":
+            _pearcey_s(self.s)
 
     @property
     def arity(self) -> str:
@@ -501,10 +507,9 @@ class KernelHandle:
         if f in _MATRIX_FAMILIES:
             matrix = matrix_kernel_bulk if f.startswith("sine") else matrix_kernel_edge
             return matrix(int(f[-1]), x, y)
-        if f == "bessel_hard":
-            return bessel_hard_kernel(self.alpha, x, y)
-        if f == "bessel_origin":
-            return bessel_origin_kernel(self.alpha, x, y)
+        if f.startswith("bessel"):
+            bessel = bessel_hard_kernel if f == "bessel_hard" else bessel_origin_kernel
+            return bessel(self.alpha, x, y)
         if f == "pearcey":
             return pearcey_kernel(x, y, self.s)
         return sine_kernel(x, y) if f == "sine" else airy_kernel(x, y)

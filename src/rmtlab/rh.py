@@ -12,10 +12,10 @@ diagnostics() runs the identity, jump and matching checks of `rmtlab rh`.
 
 Every function broadcasts over its point arguments like a numpy ufunc:
 scalar points give a complex, a float or a (2, 2) array, array points the
-broadcast shape, with (..., 2, 2) for the matrix functions, and a range
-guard raises if any point is out of range.  phi and the conformal map share
-the quadrature core of equilibrium.phi; g and F = pi mu([x, b]) = Im g_+
-are exact (equilibrium._log_transform).
+broadcast shape, with (..., 2, 2) for the matrix functions; a range guard
+raises ValueError unless every point is finite and in range.  phi and the
+conformal map share the quadrature core of equilibrium.phi; g and
+F = pi mu([x, b]) = Im g_+ are exact (equilibrium._log_transform).
 
 Branch bookkeeping: beta(z) = ((z-b)/(z-a))^{1/4} uses the principal
 fourth root of the ratio (cut exactly on [a, b]); phi is computed through
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import equilibrium as eqm
 from .equilibrium import EquilibriumMeasure
-from .kernels import _blocks
+from .kernels import _args, _blocks
 from .specfun import _scalar_or_array, airy
 
 __all__ = [
@@ -96,8 +96,8 @@ def g_function(ctx: DescentContext, z):
     (equilibrium._log_transform); g(z) = log z + O(1/z) at infinity."""
     b = ctx.support[1]
     z = np.asarray(z, dtype=complex)
-    if np.any((np.abs(z.imag) < 1e-10) & (z.real <= b + 1e-10)):
-        raise ValueError("g_function: z too close to the branch cut (-inf, b]")
+    if not (np.isfinite(z) & ((np.abs(z.imag) >= 1e-10) | (z.real > b + 1e-10))).all():
+        raise ValueError("g_function: z must be finite and off the branch cut (-inf, b]")
     return _scalar_or_array(eqm._log_transform(ctx.measure, z))
 
 
@@ -131,8 +131,8 @@ def outer_parametrix(ctx: DescentContext, z) -> np.ndarray:
     """Global parametrix M built from beta = ((z-b)/(z-a))^{1/4}."""
     a, b = ctx.support
     z = np.asarray(z, dtype=complex)
-    if np.any((z.imag == 0.0) & (a <= z.real) & (z.real <= b)):
-        raise ValueError("outer parametrix is not defined on the cut [a, b]")
+    if not (np.isfinite(z) & ((z.imag != 0.0) | (z.real < a) | (z.real > b))).all():
+        raise ValueError("outer_parametrix: z must be finite and off the cut [a, b]")
     beta = _beta(ctx, z)
     co = 0.5 * (beta + 1.0 / beta)
     si = (beta - 1.0 / beta) / 2.0j
@@ -161,8 +161,9 @@ def airy_model(z) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     th = np.angle(z)
-    if np.any((z != 0.0) & (np.abs(z) * np.abs(th[..., None] - _RAYS).min(axis=-1) < 1e-13)):
-        raise ValueError("airy_model: z on the jump contour")
+    if not (np.isfinite(z).all() and ((z == 0.0) | (
+            np.abs(z) * np.abs(th[..., None] - _RAYS).min(axis=-1) >= 1e-13)).all()):
+        raise ValueError("airy_model: z must be finite and off the jump contour")
     # the columns (y_k, -i y_k'), with y_k' = w^{2k} Ai'(w^k z)
     c0, c1, c2 = (np.stack([wk * v.value, -1j * (wk2 * v.derivative)], -1)
                   for wk, wk2, v in ((1.0, 1.0, airy(z)),
@@ -202,8 +203,8 @@ def local_parametrix(ctx: DescentContext, z) -> np.ndarray:
     right-endpoint disk."""
     b = ctx.support[1]
     z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(z - b) >= ctx.delta + 1e-12):
-        raise ValueError("local parametrix only defined for |z - b| < delta")
+    if not (np.abs(z - b) < ctx.delta + 1e-12).all():
+        raise ValueError("local_parametrix: z must satisfy |z - b| < delta")
     # effectively on the axis: take the boundary value, from above when
     # the tiny imaginary part does not indicate a side
     x = z.real
@@ -224,9 +225,8 @@ def bulk_kernel_approx(ctx: DescentContext, x, y):
     F(x) = pi mu([x, b]); n rho at the midpoint within 1e-9 (1 + |x|) of the
     diagonal (no Cauchy mean: Im g+ in F is not analytic as coded)."""
     a, b = ctx.support
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if not (np.all((a < x) & (x < b)) and np.all((a < y) & (y < b))):
-        raise ValueError("bulk kernel approximation needs x, y inside (a, b)")
+    x, y = _args("bulk_kernel_approx", x, y, "x, y must lie inside (a, b)",
+                 math.nextafter(a, b), math.nextafter(b, a))
     n, d = ctx.n, x - y
     near = np.abs(d) < 1e-9 * (1.0 + np.abs(x))
     numerator = np.sin(n * (phi_plus_imag(ctx, y) - phi_plus_imag(ctx, x))) / math.pi
@@ -245,8 +245,8 @@ def edge_kernel_from_A(x, y):
     x > 0 and (1, 1)^T for x < 0; A_+ is the boundary value from the upper
     half plane."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if np.any(x == y):
-        raise ValueError("edge kernel from A needs x != y")
+    if not (np.isfinite(x) & np.isfinite(y) & (x != y)).all():
+        raise ValueError("edge_kernel_from_A: x, y must be finite with x != y")
     ax, ay = (airy_model(t + 1j * (1e-9 * (1.0 + np.abs(t)))) for t in (x, y))
     inv = _blocks(ay[..., 1, 1], -ay[..., 0, 1], -ay[..., 1, 0], ay[..., 0, 0])  # det = 1
     row = inv[..., 1, :] - (y <= 0.0)[..., None] * inv[..., 0, :]

@@ -9,7 +9,7 @@ scaling-limit experiments) consumes these primitives.  What computes what:
   module adds the |z| <= 1e3 range check and raises OverflowError in the
   deep growth sectors (Re zeta < -700).
 * J_alpha(x), J_alpha'(x): scipy.special.jv and jvp (complex x off the
-  negative axis too), with the range checks and the x = 0 conventions.
+  negative axis and 0 too), with the range checks; at x = 0 scipy's limits.
 * integral_0^t sin(pi u)/(pi u) du: scipy.special.sici.
 * integral_x^inf Ai: _tail_integral, suffix sums over the one tail grid
   (scipy's itairy reaches only ~1e-7), with integration by parts beyond
@@ -20,8 +20,8 @@ scaling-limit experiments) consumes these primitives.  What computes what:
 
 airy, bessel_j, sinc_integral and airy_tail broadcast over their argument
 like numpy ufuncs (scalar input gives a float, or a complex for complex
-airy), and each range guard raises if any element is out of range;
-airy_real flattens its argument.
+airy), and each range guard raises ValueError unless every element lies
+in range, so NaN fails it; airy_real flattens its argument.
 
 Accuracy verified against mpmath and quadrature oracles in
 tests/test_specfun.py: Ai, Ai' to 1e-10 relative on [-20, 20] and to 1e-8
@@ -34,6 +34,7 @@ and 1e-8 relative beyond 8; the sine integral to 1e-10 absolute for
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,13 @@ class FunctionValuePair:
     derivative: complex
 
 
+def _in_range(name, what, v, lo=-sys.float_info.max, hi=sys.float_info.max):
+    """v, or ValueError(f"{name}: {what}") unless all of v lies in [lo, hi] (NaN in none)."""
+    if not ((lo <= v) & (v <= hi)).all():
+        raise ValueError(f"{name}: {what}")
+    return v
+
+
 def _scalar_or_array(v):
     """A 0-d result as a Python float (complex if v is), anything else as
     an array."""
@@ -76,12 +84,11 @@ def airy(z) -> FunctionValuePair:
     """Airy function Ai and derivative Ai' for real or complex argument.
 
     Broadcasts like a numpy ufunc: scalar input gives floats, or complex
-    values for complex input.  Raises ValueError if any |z| exceeds 1e3 and
-    OverflowError if any z lies in the deep growth sectors where the result
-    would overflow; underflow in the decay sector degrades gracefully to 0.
+    values for complex input.  Raises ValueError unless every |z| <= 1e3
+    and OverflowError if any z lies in the deep growth sectors where the
+    result would overflow; underflow in the decay sector degrades to 0.
     """
-    if np.any(np.abs(z) > 1.1e3):
-        raise ValueError("airy: |z| exceeds the supported range 1e3")
+    _in_range("airy", "|z| must be finite within the supported range 1e3", np.abs(z), hi=1.1e3)
     if not np.iscomplexobj(z):
         x = np.asarray(z, dtype=float)
         ai, aip = airy_real(x)
@@ -191,9 +198,8 @@ def airy_tail(x):
     tail grid's integral below 14 (_tail_integral), integration by parts
     beyond.
     """
-    x = np.asarray(x, dtype=float)
-    if (x < _TAIL_LEFT + 0.49).any():
-        raise ValueError("airy_tail: argument below supported range -40")
+    x = _in_range("airy_tail", "argument must be finite, in the supported range -40 and above",
+                  np.asarray(x, dtype=float), _TAIL_LEFT + 0.49)
     vals, ix = _tail_integral(lambda t, f: f.value, x, _TAIL_BEYOND_CUT)
     out = np.asarray(vals[ix])
     far = x > _TAIL_CUT
@@ -206,33 +212,22 @@ def airy_tail(x):
 # Bessel J of real order
 
 def bessel_j(alpha: float, x) -> FunctionValuePair:
-    """Bessel function J_alpha(x) and its derivative, real order alpha > -1,
-    0 <= x <= 1e3 or complex |x| <= 1e3 off the negative axis; broadcasts
-    over x (scalar x gives floats, or complex values for complex x).
-
-    At x = 0 the value is 1 for alpha = 0 and 0 otherwise; the derivative
-    is 0 for alpha = 0 or alpha > 1, 1/2 for alpha = 1 and inf in between.
+    """Bessel function J_alpha(x) and its derivative, finite real order
+    alpha > -1, 0 <= x <= 1e3 or complex 0 < |x| <= 1e3 off the negative
+    axis; broadcasts over x (scalar x gives floats, or complex values for
+    complex x).  At x = 0, scipy's limits: J_alpha(0) = 1, 0 or inf for
+    alpha = 0, > 0 or < 0, and J_alpha'(0) = 0 (alpha = 0 or > 1), 1/2
+    (alpha = 1), inf (0 < alpha < 1) or -inf (alpha < 0).
     """
-    alpha = float(alpha)
+    alpha = _in_range("bessel_j", "order must be finite and exceed -1",
+                      np.float64(alpha), math.nextafter(-1.0, 0.0))
     x = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
-    if alpha <= -1.0:
-        raise ValueError("bessel_j: order must exceed -1")
-    if ((x.real < 0.0) & (x.imag == 0.0)).any():
-        raise ValueError("bessel_j: argument must be nonnegative or off the negative axis")
-    if (np.abs(x) > 1.001e3).any():
-        raise ValueError("bessel_j: argument exceeds the supported range 1e3")
-    j, jp = special.jv(alpha, x), special.jvp(alpha, x)
-    zero = x == 0.0
-    if zero.any():
-        j = np.where(zero, 1.0 if alpha == 0.0 else 0.0, j)
-        if alpha == 0.0 or alpha > 1.0:
-            jp0 = 0.0
-        elif alpha == 1.0:
-            jp0 = 0.5
-        else:
-            jp0 = math.inf
-        jp = np.where(zero, jp0, jp)
-    return FunctionValuePair(_scalar_or_array(j), _scalar_or_array(jp))
+    off_cut = x.imag != 0.0 if np.iscomplexobj(x) else x == 0.0
+    if not ((np.abs(x) <= 1.001e3) & ((x.real > 0.0) | off_cut)).all():
+        raise ValueError("bessel_j: argument must lie in the supported range 1e3, "
+                         "nonnegative if real, off 0 and the negative axis if complex")
+    return FunctionValuePair(_scalar_or_array(special.jv(alpha, x)),
+                             _scalar_or_array(special.jvp(alpha, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +236,7 @@ def bessel_j(alpha: float, x) -> FunctionValuePair:
 def sinc_integral(t):
     """integral_0^t sin(pi u)/(pi u) du = Si(pi t)/pi; odd in t, absolute
     accuracy ~1e-10 over |t| <= 1e6; broadcasts over t."""
-    t = np.asarray(t, dtype=float)
-    if (np.abs(t) > 1.001e6).any():
-        raise ValueError("sinc_integral: argument exceeds the supported range 1e6")
+    t = _in_range("sinc_integral", "argument must be finite within the supported range 1e6",
+                  np.asarray(t, dtype=float), -1.001e6, 1.001e6)
     si, _ = special.sici(math.pi * np.abs(t))
     return _scalar_or_array(np.copysign(si, t) / math.pi)

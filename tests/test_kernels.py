@@ -14,6 +14,10 @@ AI0 = 0.35502805388781724
 AIP0 = -0.25881940379280680
 
 
+def _floats(x, y):
+    return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+
+
 def _pfaffian_expand(a):
     """Pfaffian by recursive cofactor expansion along the first row."""
     n = a.shape[0]
@@ -56,7 +60,7 @@ def _tail_integral_per_pair(x, y):
     from rmtlab import specfun as sf
     from rmtlab.quadrature import gauss_legendre_panels
 
-    x, y = np.broadcast_arrays(*kr._args(x, y))
+    x, y = np.broadcast_arrays(*_floats(x, y))
     ys, iy = np.unique(y, return_inverse=True)
     t, w = gauss_legendre_panels(sf._TAIL_LEFT, sf._TAIL_CUT, sf._TAIL_PANELS, sf._TAIL_ORDER)
     panel = (kr.airy_kernel(t, ys[:, None, None]) * w).sum(axis=-1)
@@ -71,7 +75,7 @@ def _tail_integral_per_pair(x, y):
 
 def _kernel_tail(x, y):
     """integral_x^inf K_Ai(t, y) dt as the edge kernel computes it."""
-    return kr._edge_airy(*kr._args(x, y))[4]
+    return kr._edge_airy(*_floats(x, y))[4]
 
 
 def _edge_per_pair(beta, x, y):
@@ -80,7 +84,7 @@ def _edge_per_pair(beta, x, y):
     own: the reference for the shared Airy and tail passes."""
     from rmtlab.specfun import airy_tail
 
-    x, y = kr._args(x, y)
+    x, y = _floats(x, y)
     ax, ay = airy(x).value, airy(y).value
     tx, ty = airy_tail(x), airy_tail(y)
     kxy = kr.airy_kernel(x, y)
@@ -358,7 +362,7 @@ def _pearcey_per_use(x, y, s):
         q = moments(y, *eta, 2, sign=-1.0)
         return p[2] * q[0] + p[1] * q[1] + p[0] * q[2] - s * p[0] * q[0]
 
-    x, y = kr._args(x, y)
+    x, y = _floats(x, y)
     return kr._near_diagonal(x, y, numerator, lambda x: numerator(x, x, 1)).real
 
 

@@ -278,6 +278,16 @@ class TestBessel:
         assert got.value == 1.0
         assert got.derivative == 0.0
 
+    @pytest.mark.parametrize("alpha, value, derivative", [
+        (-0.5, math.inf, -math.inf), (0.0, 1.0, 0.0), (0.5, 0.0, math.inf), (1.0, 0.0, 0.5),
+        (1.5, 0.0, 0.0)])
+    def test_limits_at_origin(self, alpha, value, derivative):
+        # the limits as x -> 0+, J_{-1/2}(x) = sqrt(2/(pi x)) cos x among them,
+        # for scalar x and inside an array
+        for got in (specfun.bessel_j(alpha, 0.0), specfun.bessel_j(alpha, np.array([0.0, 1.0]))):
+            assert np.ravel(got.value)[0] == value
+            assert np.ravel(got.derivative)[0] == derivative
+
     def test_ode_residual(self):
         # x^2 J'' + x J' + (x^2 - a^2) J = 0, J'' by differences of J'
         h = 1e-6
