@@ -49,8 +49,8 @@ def _parse_grid(text):
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as exc:
         raise ValueError(f"bad grid {text!r}, expected lo:hi:count") from exc
-    if not (2 <= count <= 1000 and -np.inf < lo < hi < np.inf):
-        raise ValueError(f"bad grid {text!r}: need finite lo < hi and 2 <= count <= 1000")
+    if not (2 <= count <= 1000 and lo < hi and hi - lo < np.inf):  # so lo, hi are finite
+        raise ValueError(f"bad grid {text!r}: need lo < hi, finite hi - lo, 2 <= count <= 1000")
     return np.linspace(lo, hi, count)
 
 
@@ -94,10 +94,7 @@ def _json_text(config, results, diagnostics):
 
 
 def _config_dict(args, keys):
-    out = {"command": args.command, "version": __version__}
-    for k in keys:
-        out[k] = getattr(args, k)
-    return out
+    return {"command": args.command, "version": __version__, **{k: getattr(args, k) for k in keys}}
 
 
 # ---------------------------------------------------------------------------

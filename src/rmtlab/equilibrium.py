@@ -26,12 +26,13 @@ density is
     hard:  rho(x) = h(x) sqrt((b-x)/x)/pi,     h(x) = (1/2) mean (xV'(x) - tV'(t))/(x - t),
 
 the means over the arcsine law t of the support; h is exact polynomial
-algebra on the arcsine moments, and the power moments are exact
-Gauss-Chebyshev quadratures of rho.
+algebra on the arcsine moments.
 
-On both edges dmu = p(t) dt/sqrt(1 - t^2) with p a polynomial in
-t = (x - c)/r, so one Chebyshev-T expansion of p gives Int log|x - y| dmu
-exactly on the support, through Int log|t - s| T_k(s) ds/sqrt(1 - s^2) =
+On both edges dmu = p(t) dt/sqrt(1 - t^2), t = (x - c)/r, with the
+polynomial p = r h(x)(1 - t)/pi, times r(1 + t) on a soft edge.  So the
+power moments are exact means of pi p(t) x^j on 2 deg V + 4 Gauss-Chebyshev
+nodes, and one Chebyshev-T expansion of p gives Int log|x - y| dmu exactly
+on the support, through Int log|t - s| T_k(s) ds/sqrt(1 - s^2) =
 -pi T_k(t)/k (and -pi log 2 for k = 0).  Off the support the effective
 potential is 2 phi, phi(x) = Int_b^x h(s) sqrt((s-a)(s-b)) ds (soft) or
 Int_b^x h(s) sqrt((s-b)/s) ds (hard), mirrored from a on the left.
@@ -55,7 +56,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial, chebyshev
 from numpy.polynomial import polynomial as npoly
-from scipy.special import roots_chebyu
 
 from .quadrature import gauss_legendre_panels
 
@@ -229,9 +229,7 @@ def _real_roots(coeffs: np.ndarray):
     if len(c) <= 1:
         return np.array([])
     r = npoly.polyroots(c)
-    scale = 1.0 + np.abs(r).max()
-    rr = np.sort(r[np.abs(r.imag) < 1e-7 * scale].real)
-    return rr
+    return np.sort(r[np.abs(r.imag) < 1e-7 * (1.0 + np.abs(r).max())].real)
 
 
 def _soft_newton(v, t):
@@ -355,7 +353,8 @@ def _solve_one_cut(V: Potential) -> EquilibriumMeasure:
     else:
         (a, b), it, resid = _soft_newton(v, t)
         w = npoly.polyder(v)
-    x = 0.5 * (a + b) + 0.5 * (b - a) * t
+    c, r = 0.5 * (a + b), 0.5 * (b - a)
+    x = c + r * t
     h = 0.5 * _divided_mean(w, np.mean(x[:, None] ** np.arange(len(w)), axis=0))
 
     hmin, hmax = _h_range(h, a, b)
@@ -367,35 +366,24 @@ def _solve_one_cut(V: Potential) -> EquilibriumMeasure:
     if hmin < -1e-10 * hmax:
         raise MultiCutError(
             f"h changes sign on [{a:.6g}, {b:.6g}] (min h / max h = {hmin / hmax:.2e})")
-    mu = EquilibriumMeasure(potential=V, support=(a, b), h=h,
-                            moments=_moments(V, a, b, h), ell=0.0,
+    # moments m_0 .. m_{deg V + 2} (module docstring); with the factor r a
+    # support that rounds to a point gives 0/0, an ArithmeticError
+    t = chebyshev.chebgauss(2 * len(v) + 2)[0]
+    x = c + r * t
+    p = r * npoly.polyval(x, h) * (1.0 - t) * (1.0 if V.hard_edge else r * (1.0 + t))
+    m = p @ (x[:, None] ** np.arange(len(v) + 2))
+    mu = EquilibriumMeasure(potential=V, support=(a, b), h=h, moments=m / m[0], ell=0.0,
                             iterations=it, residual=resid)
+    # off the support the effective potential has its minima at the real zeros of h
     roots = _real_roots(h)
-    for side in ("right",) if V.hard_edge else ("right", "left"):
-        xs = roots[roots > b] if side == "right" else roots[roots < a]
-        e = 2.0 * phi(mu, xs, side).real
-        bad = e < -1e-10 * (1.0 + np.abs(V(xs)))
-        if bad.any():
-            raise MultiCutError(
-                f"effective potential {e[bad][0]:.2e} < 0 at x = {xs[bad][0]:.6g} "
-                "off the support")
-    c = 0.5 * (a + b)
+    xs = np.r_[roots[roots > b], [] if V.hard_edge else roots[roots < a]]
+    e = effective_potential(mu, V, xs)
+    bad = e < -1e-10 * (1.0 + np.abs(V(xs)))
+    if bad.any():
+        raise MultiCutError(f"effective potential {e[bad][0]:.2e} < 0 at x = {xs[bad][0]:.6g} "
+                            "off the support")
     mu.ell = float(V(c)) - 2.0 * _log_transform(mu, c).real
     return mu
-
-
-def _moments(V, a, b, h):
-    """Power moments m_0 .. m_{deg V + 2}, exact by Gauss-Chebyshev (second
-    kind), x = c + r t (soft) or b u^2 (hard)."""
-    d = V.degree
-    t, w = roots_chebyu(2 * d + 4)
-    if V.hard_edge:
-        x, w = b * t * t, (b / np.pi) * w
-    else:
-        r = 0.5 * (b - a)
-        x, w = 0.5 * (a + b) + r * t, (r * r / np.pi) * w
-    m = (w * npoly.polyval(x, h)) @ (x[:, None] ** np.arange(d + 3))
-    return m / m[0]
 
 
 # ---------------------------------------------------------------------------
@@ -561,18 +549,12 @@ def _simplex_project(v):
 
 
 def _auto_box(V: Potential):
-    if V.hard_edge:
-        hi = 1.0
-        while V(hi) - V(0.0) < 40.0:
-            hi *= 1.3
-        return 0.0, hi
-    lo = -1.0
-    while V(lo) - V(0.0) < 40.0:
-        lo *= 1.3
-    hi = 1.0
-    while V(hi) - V(0.0) < 40.0:
-        hi *= 1.3
-    return lo, hi
+    def reach(x):
+        while V(x) - V(0.0) < 40.0:
+            x *= 1.3
+        return x
+
+    return 0.0 if V.hard_edge else reach(-1.0), reach(1.0)
 
 
 def grid_energy_minimize(V: Potential, grid_size: int, box=None,

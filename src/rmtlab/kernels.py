@@ -29,8 +29,9 @@ import numpy as np
 
 from .equilibrium import ALPHA_MAX
 from .quadrature import gauss_legendre_panels
-from .specfun import (_TAIL_BEYOND_CUT, _TAIL_CUT, FunctionValuePair, _airy_tail_asym, _in_range,
-                      _scalar_or_array, _tail_integral, airy, bessel_j, sinc_integral)
+from .specfun import (_AIRY_MAX, _BESSEL_MAX, _TAIL_BEYOND_CUT, _TAIL_CUT, FunctionValuePair,
+                      _airy_tail_asym, _in_range, _scalar_or_array, _sinc_integral, _tail_integral,
+                      airy, bessel_j)
 
 __all__ = [
     "KernelHandle",
@@ -96,17 +97,27 @@ def _args(name, x, y, what="arguments must be finite", *bounds):
     return tuple(_in_range(name, what, np.asarray(v, dtype=float), *bounds) for v in (x, y))
 
 
+def _difference(name, x, y):
+    """x - y, checked once for finite x, y with |x - y| <= 1e307 (2 pi (x - y) finite)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    return _in_range(name, "x, y must be finite with |x - y| <= 1e307", d, -1e307, 1e307)
+
+
+def _sinc_dx(d):
+    """[cos(pi d) - sinc(d)] / d, the x-derivative of sinc(x - y) at d = x - y; unchecked."""
+    return _near_diagonal(d, 0.0, lambda x, y: np.cos(np.pi * (x - y)) - np.sinc(x - y),
+                          np.zeros_like)
+
+
 def sine_kernel(x, y):
-    """sin(pi(x-y)) / (pi(x-y)), numpy's sinc (1 on the diagonal)."""
-    x, y = _args("sine_kernel", x, y)
-    return _scalar_or_array(np.sinc(x - y))
+    """sin(pi(x-y)) / (pi(x-y)), numpy's sinc (1 on the diagonal); |x - y| <= 1e307."""
+    return _scalar_or_array(np.sinc(_difference("sine_kernel", x, y)))
 
 
 def sine_kernel_dx(x, y):
-    """d/dx of the sine kernel, [cos(pi d) - sinc(d)] / d with d = x - y."""
-    x, y = _args("sine_kernel_dx", x, y)
-    return _scalar_or_array(_near_diagonal(
-        x, y, lambda x, y: np.cos(np.pi * (x - y)) - np.sinc(x - y), np.zeros_like))
+    """d/dx of the sine kernel, [cos(pi d) - sinc(d)] / d, d = x - y; |d| <= 1e307."""
+    return _scalar_or_array(_sinc_dx(_difference("sine_kernel_dx", x, y)))
 
 
 def _airy_numerator(fx, fy):
@@ -133,15 +144,17 @@ def _airy_quotient(x, y, fx, fy):
 
 
 def airy_kernel(x, y):
-    """(Ai(x)Ai'(y) - Ai'(x)Ai(y)) / (x - y); diagonal Ai'(x)^2 - x Ai(x)^2."""
-    x, y = _args("airy_kernel", x, y)
+    """(Ai(x)Ai'(y) - Ai'(x)Ai(y)) / (x - y); diagonal Ai'(x)^2 - x Ai(x)^2;
+    |x|, |y| <= 1e3."""
+    x, y = _args("airy_kernel", x, y, "|x|, |y| must not exceed 1e3", -_AIRY_MAX, _AIRY_MAX)
     return _scalar_or_array(_airy_quotient(x, y, airy(x), airy(y)))
 
 
 def airy_kernel_dy(x, y):
     """partial_y of the Airy kernel, [d_y N + K_Ai] / (x - y) with N its
-    numerator and Ai''(y) = y Ai(y); on the diagonal -Ai(x)^2 / 2."""
-    x, y = _args("airy_kernel_dy", x, y)
+    numerator and Ai''(y) = y Ai(y); on the diagonal -Ai(x)^2 / 2;
+    |x|, |y| <= 1e3."""
+    x, y = _args("airy_kernel_dy", x, y, "|x|, |y| must not exceed 1e3", -_AIRY_MAX, _AIRY_MAX)
     fx, fy = airy(x), airy(y)
     return _scalar_or_array(_airy_dy(x, y, fx, fy, _airy_quotient(x, y, fx, fy)))
 
@@ -166,18 +179,18 @@ def _order(family, alpha):
               np.float64(alpha), math.nextafter(lowest, 0.0), ALPHA_MAX)
 
 
-def _bessel_args(family, alpha, x, y):
+def _bessel_args(family, alpha, x, y, hi):
     _order(family, alpha)
-    return _args(f"{family}_kernel", x, y, "arguments must be finite and positive", math.ulp(0.0))
+    return _args(f"{family}_kernel", x, y, f"needs positive x, y <= {hi:.6g}", math.ulp(0.0), hi)
 
 
 def bessel_hard_kernel(alpha: float, x, y):
-    """Hard-edge Bessel kernel of order -1 < alpha <= ALPHA_MAX, finite x, y > 0:
+    """Hard-edge Bessel kernel of order -1 < alpha <= ALPHA_MAX, 0 < x, y <= 1e6:
 
         [J_a(sqrt x) sqrt(y) J_a'(sqrt y) - sqrt(x) J_a'(sqrt x) J_a(sqrt y)]
         / (2 (x - y))
     """
-    x, y = _bessel_args("bessel_hard", alpha, x, y)
+    x, y = _bessel_args("bessel_hard", alpha, x, y, _BESSEL_MAX ** 2)
 
     def numerator(x, y):
         u, v = np.sqrt(x), np.sqrt(y)
@@ -194,14 +207,14 @@ def bessel_hard_kernel(alpha: float, x, y):
 
 
 def bessel_origin_kernel(alpha: float, x, y):
-    """Origin Bessel kernel, singularity strength -1/2 < alpha <= ALPHA_MAX, x, y > 0:
+    """Origin Bessel kernel, strength -1/2 < alpha <= ALPHA_MAX, 0 < x, y <= 1e3/pi:
 
         pi sqrt(xy) [J_{a+1/2}(pi x) J_{a-1/2}(pi y)
                      - J_{a-1/2}(pi x) J_{a+1/2}(pi y)] / (2 (x - y))
 
     Reduces identically to the sine kernel at alpha = 0.
     """
-    x, y = _bessel_args("bessel_origin", alpha, x, y)
+    x, y = _bessel_args("bessel_origin", alpha, x, y, _BESSEL_MAX / math.pi)
     p, m = alpha + 0.5, alpha - 0.5
 
     def numerator(x, y):
@@ -388,23 +401,22 @@ def matrix_kernel_bulk(beta: int, x, y) -> np.ndarray:
 
     Entries are built from the sine kernel, its x-derivative, the sine
     integral and sgn with sgn(0) = 0; the beta = 4 entries carry doubled
-    frequency and no sgn term.  Broadcasts over x and y; the result has
-    shape (..., 2, 2).
+    frequency and no sgn term.  Broadcasts over x and y with |x - y| <=
+    1e307, checked once on x - y; the result has shape (..., 2, 2).
     """
     if beta not in (1, 4):
         raise ValueError("matrix_kernel_bulk: beta must be 1 or 4")
-    x, y = _args("matrix_kernel_bulk", x, y)
-    d = x - y
+    d = _difference("matrix_kernel_bulk", x, y)
     f = 1.0 if beta == 1 else 2.0
-    k12 = sine_kernel(f * x, f * y)
-    k22 = sinc_integral(d) - 0.5 * np.sign(d) if beta == 1 else 0.5 * sinc_integral(2.0 * d)
-    # K11 = -f S_x(fx, fy) = f S_x(fy, fx) (S_x is odd), which keeps +0.0 on the diagonal
-    return _blocks(f * sine_kernel_dx(f * y, f * x), k12, -k12, k22)
+    k12 = np.sinc(f * d)
+    k22 = _sinc_integral(d) - 0.5 * np.sign(d) if beta == 1 else 0.5 * _sinc_integral(2.0 * d)
+    # K11 = -f S_x(f d) = f S_x(-f d) (S_x is odd), which keeps +0.0 on the diagonal
+    return _blocks(f * _sinc_dx(-f * d), k12, -k12, k22)
 
 
 def _edge_airy(x, y):
     """The Airy pairs at x and at y, the Airy tails at x and at y, and
-    integral_x^inf K_Ai(t, y) dt broadcast over x and y, for x, y >= -30.
+    integral_x^inf K_Ai(t, y) dt broadcast over x and y, for x, y in [-30, 1e3].
     Airy is evaluated once on the distinct values of x and y, and all the
     tails come from one tail integral: Ai(t) stacked over K_Ai(t, y_j) for
     each distinct y_j.  Beyond t = 14 the K_Ai integrand is below 1e-15,
@@ -435,17 +447,18 @@ def matrix_kernel_edge(beta: int, x, y) -> np.ndarray:
     """Soft-edge 2x2 matrix kernel; beta = 1 (orthogonal) or 4 (symplectic).
 
     Built from the scalar Airy kernel, its y-derivative, Ai, the Airy tail
-    integrals, and integral_x^inf K_Ai(., y).  Broadcasts over x and y; the
-    result has shape (..., 2, 2).  One Airy evaluation on the distinct
-    values of x and y serves every entry, K_Ai feeds its y-derivative, and
-    one tail integral gives the Airy tails and the K_Ai tails together.
+    integrals, and integral_x^inf K_Ai(., y).  Broadcasts over x and y in
+    [-30, 1e3]; the result has shape (..., 2, 2).  One Airy evaluation on
+    the distinct values of x and y serves every entry, K_Ai feeds its
+    y-derivative, and one tail integral gives the Airy tails and the K_Ai
+    tails together.
 
     The lower-left entry is -K12 with the arguments swapped,
     K21(x, y) = -K12(y, x); unlike in the bulk (where K12 is even in x - y
     and the swap is invisible) this is what makes the assembled 2k x 2k
     block matrix exactly skew-symmetric, as the Pfaffian requires.
     """
-    x, y = _args("matrix_kernel_edge", x, y, "arguments must be finite and >= -30", -30.0)
+    x, y = _args("matrix_kernel_edge", x, y, "arguments must be >= -30, <= 1e3", -30.0, _AIRY_MAX)
     if beta not in (1, 4):
         raise ValueError("matrix_kernel_edge: beta must be 1 or 4")
     fx, fy, tx, ty, kint = _edge_airy(x, y)

@@ -1,7 +1,7 @@
 """Quadrature rules: composite Gauss-Legendre panels (the Airy tail grid
 of specfun, the Pearcey contours) and the power-weight rule behind the
-discretized Stieltjes nodes.  The Gauss-Chebyshev rules of the
-equilibrium solver are numpy's chebgauss and scipy's roots_chebyu."""
+discretized Stieltjes nodes.  The Gauss-Chebyshev rule of the
+equilibrium solver is numpy's chebgauss."""
 
 from __future__ import annotations
 

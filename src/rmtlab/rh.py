@@ -281,11 +281,6 @@ def asymptotic_recurrence(ctx: DescentContext):
 # ---------------------------------------------------------------------------
 # the checks of `rmtlab rh`
 
-def _complex_points(u):
-    """(k, 2) uniform draws as k complex points (real, imag)."""
-    return u[:, 0] + 1j * u[:, 1]
-
-
 def diagnostics(measure: EquilibriumMeasure, ns, delta: float = 0.1):
     """The checks of `rmtlab rh` as (check, param, value) rows:
 
@@ -301,9 +296,10 @@ def diagnostics(measure: EquilibriumMeasure, ns, delta: float = 0.1):
     is the point, the radius or n."""
     ctxs = [DescentContext(measure, n=n, delta=delta) for n in ns]
     rng = np.random.default_rng(0)
-    zm = _complex_points(rng.uniform([-4.0, 0.2], [4.0, 3.0], size=(6, 2)))
-    za = _complex_points(rng.uniform([-4.0, 0.2], [4.0, 4.0], size=(6, 2)))
-    zc = _complex_points(rng.uniform(-6.0, 6.0, size=(6, 2)))
+    # (real, imag) pairs read as complex points
+    zm = rng.uniform([-4.0, 0.2], [4.0, 3.0], size=(6, 2)).view(complex).ravel()
+    za = rng.uniform([-4.0, 0.2], [4.0, 4.0], size=(6, 2)).view(complex).ravel()
+    zc = rng.uniform(-6.0, 6.0, size=(6, 2)).view(complex).ravel()
     y = np.stack([wk * airy(wk * zc).value for wk in (1.0, _W3, _W3 * _W3)])
     checks = [("det_M_minus_1", zm, np.abs(np.linalg.det(outer_parametrix(ctxs[0], zm)) - 1.0)),
               ("det_A_minus_1", za, np.abs(np.linalg.det(airy_model(za)) - 1.0)),

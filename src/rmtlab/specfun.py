@@ -10,7 +10,7 @@ scaling-limit experiments) consumes these primitives.  What computes what:
   deep growth sectors (Re zeta < -700).
 * J_alpha(x), J_alpha'(x): scipy.special.jv and jvp (complex x off the
   negative axis and 0 too), with the range checks; at x = 0 scipy's limits.
-* integral_0^t sin(pi u)/(pi u) du: scipy.special.sici.
+* integral_0^t sin(pi u)/(pi u) du: scipy.special.sici, for every finite t.
 * integral_x^inf Ai: _tail_integral, suffix sums over the one tail grid
   (scipy's itairy reaches only ~1e-7), with integration by parts beyond
   x = 14.  The grid's Airy node values are kept, filled panel by panel
@@ -28,7 +28,7 @@ tests/test_specfun.py: Ai, Ai' to 1e-10 relative on [-20, 20] and to 1e-8
 relative for complex |z| <= 30 in every sector; J_alpha to 1e-10 for
 -1 < alpha <= 40, x <= 50; the Airy tail to 1e-14 absolute on [-40, 20]
 and 1e-8 relative beyond 8; the sine integral to 1e-10 absolute for
-|t| <= 1e5.
+|t| <= 1e5 and to 1e-16 absolute for 1e6 <= |t| <= 1e300.
 """
 
 from __future__ import annotations
@@ -61,6 +61,11 @@ class FunctionValuePair:
     derivative: complex
 
 
+# |argument| bounds of airy and bessel_j (the kernels' bounds derive from them);
+# the guards admit 10% and 0.1% more, for the kernels' Cauchy circles
+_AIRY_MAX = _BESSEL_MAX = 1e3
+
+
 def _in_range(name, what, v, lo=-sys.float_info.max, hi=sys.float_info.max):
     """v, or ValueError(f"{name}: {what}") unless all of v lies in [lo, hi] (NaN in none)."""
     if not ((lo <= v) & (v <= hi)).all():
@@ -88,7 +93,8 @@ def airy(z) -> FunctionValuePair:
     and OverflowError if any z lies in the deep growth sectors where the
     result would overflow; underflow in the decay sector degrades to 0.
     """
-    _in_range("airy", "|z| must be finite within the supported range 1e3", np.abs(z), hi=1.1e3)
+    _in_range("airy", "|z| must be finite within the supported range 1e3", np.abs(z),
+              hi=1.1 * _AIRY_MAX)
     if not np.iscomplexobj(z):
         x = np.asarray(z, dtype=float)
         ai, aip = airy_real(x)
@@ -191,15 +197,15 @@ _TAIL_BEYOND_CUT = _airy_tail_asym(_TAIL_CUT)
 
 
 def airy_tail(x):
-    """integral_x^infinity Ai(t) dt for x >= -40, absolute accuracy ~1e-15;
-    broadcasts over x, and scalar x gives a float.
+    """integral_x^infinity Ai(t) dt for -40 <= x <= 1e3, absolute accuracy
+    ~1e-15; broadcasts over x, and scalar x gives a float.
 
     The complementary integral over (-inf, y] is 1 - airy_tail(y).  The
     tail grid's integral below 14 (_tail_integral), integration by parts
     beyond.
     """
-    x = _in_range("airy_tail", "argument must be finite, in the supported range -40 and above",
-                  np.asarray(x, dtype=float), _TAIL_LEFT + 0.49)
+    x = _in_range("airy_tail", "argument must lie in the supported range -40 to 1e3",
+                  np.asarray(x, dtype=float), _TAIL_LEFT + 0.49, _AIRY_MAX)
     vals, ix = _tail_integral(lambda t, f: f.value, x, _TAIL_BEYOND_CUT)
     out = np.asarray(vals[ix])
     far = x > _TAIL_CUT
@@ -223,7 +229,7 @@ def bessel_j(alpha: float, x) -> FunctionValuePair:
                       np.float64(alpha), math.nextafter(-1.0, 0.0))
     x = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
     off_cut = x.imag != 0.0 if np.iscomplexobj(x) else x == 0.0
-    if not ((np.abs(x) <= 1.001e3) & ((x.real > 0.0) | off_cut)).all():
+    if not ((np.abs(x) <= 1.001 * _BESSEL_MAX) & ((x.real > 0.0) | off_cut)).all():
         raise ValueError("bessel_j: argument must lie in the supported range 1e3, "
                          "nonnegative if real, off 0 and the negative axis if complex")
     return FunctionValuePair(_scalar_or_array(special.jv(alpha, x)),
@@ -234,9 +240,14 @@ def bessel_j(alpha: float, x) -> FunctionValuePair:
 # sine integral primitive
 
 def sinc_integral(t):
-    """integral_0^t sin(pi u)/(pi u) du = Si(pi t)/pi; odd in t, absolute
-    accuracy ~1e-10 over |t| <= 1e6; broadcasts over t."""
-    t = _in_range("sinc_integral", "argument must be finite within the supported range 1e6",
-                  np.asarray(t, dtype=float), -1.001e6, 1.001e6)
-    si, _ = special.sici(math.pi * np.abs(t))
-    return _scalar_or_array(np.copysign(si, t) / math.pi)
+    """integral_0^t sin(pi u)/(pi u) du = Si(pi t)/pi for every finite t, +-1/2
+    where pi t overflows; odd in t, absolute accuracy ~1e-10 (1e-16 for
+    |t| >= 1e6); broadcasts over t."""
+    t = _in_range("sinc_integral", "argument must be finite", np.asarray(t, dtype=float))
+    return _scalar_or_array(_sinc_integral(t))
+
+
+def _sinc_integral(t):  # unchecked, on a float array
+    with np.errstate(over="ignore"):
+        si, _ = special.sici(math.pi * np.abs(t))
+    return np.copysign(si, t) / math.pi

@@ -694,6 +694,33 @@ def test_non_finite_result_exit3_without_file(tmp_path, monkeypatch, capsys, fmt
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("family, grid, rc, named", [
+    ("sine", "-1e308:1e308:2", 2, "bad grid"),
+    ("sine", "-1e307:1e307:2", 2, "sine_kernel"),
+    ("sine_beta4", "-1e307:1e307:2", 2, "matrix_kernel_bulk"),
+    ("sine_beta1", "-1e6:1e6:3", 0, None),
+    ("airy", "0:2000:2", 2, "airy_kernel"),
+    ("airy_beta1", "0:2000:2", 2, "matrix_kernel_edge"),
+    ("bessel_hard", "1:2e6:2", 2, "bessel_hard_kernel"),
+    ("bessel_origin", "1:400:2", 2, "bessel_origin_kernel")])
+def test_kernel_grid_at_the_range_ends(tmp_path, monkeypatch, capsys, family, grid, rc, named):
+    # a grid wider than the doubles, a difference past 1e307 and an argument
+    # past the Airy or Bessel range exit 2 naming what rejected them, without
+    # a warning; the sine integral serves every finite argument
+    import warnings
+
+    monkeypatch.chdir(tmp_path)
+    alpha = ["--alpha", "0.5"] if family.startswith("bessel") else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["kernel", "--family", family, *alpha, f"--grid={grid}", "--out", "k.csv"]) == rc
+    if named:
+        assert capsys.readouterr().err.startswith(f"rmtlab: {named}")
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert (tmp_path / "k.csv").exists()
+
+
 def test_overflowing_moments_raise_before_numpy_warns(tmp_path, monkeypatch):
     import warnings
 

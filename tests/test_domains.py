@@ -1,10 +1,12 @@
 """Hostile input for the library API, the counterpart of the CLI's
 test_hostile_input_and_documented_corner: every public function of
-specfun, kernels and rh that has a documented range, called at NaN, +-inf
-and just past each bound, raises ValueError naming the function, with
+specfun, kernels and rh that has a documented range, called at NaN, +-inf,
+just past each bound and (difference kernels) at finite x, y whose
+difference overflows, raises ValueError naming the function, with
 RuntimeWarnings turned into errors."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -34,24 +36,38 @@ def row(fn, *args, name=None, **kw):
 SPECFUN = [
     *(row(sf.airy, v) for v in NON_FINITE + (complex(NAN, 1.0), complex(1.0, INF),
                                              past(1.1e3), -past(1.1e3))),
-    *(row(sf.airy_tail, v) for v in NON_FINITE + (past(-40.01, -INF),)),
+    *(row(sf.airy_tail, v) for v in NON_FINITE + (past(-40.01, -INF), past(1e3), 2000.0)),
     *(row(sf.bessel_j, alpha, 1.0) for alpha in NON_FINITE + (-1.0,)),
     *(row(sf.bessel_j, 0.5, v) for v in NON_FINITE + (-5e-324, past(1.001e3), 0j,
                                                        complex(-1.0, 0.0), complex(NAN, 1.0),
                                                        complex(1.0, NAN))),
-    *(row(sf.sinc_integral, v) for v in NON_FINITE + (past(1.001e6), -past(1.001e6))),
+    *(row(sf.sinc_integral, v) for v in NON_FINITE),
 ]
+
+# each Bessel kernel's argument reaches bessel_j's range 1e3 at its bound
+BESSEL_HARD_MAX, BESSEL_ORIGIN_MAX = 1e3 ** 2, 1e3 / math.pi
 
 KERNELS = [
     *(row(fn, x, y) for fn in (kr.sine_kernel, kr.sine_kernel_dx, kr.airy_kernel,
                                kr.airy_kernel_dy)
       for x, y in [(NAN, 0.0), (INF, 0.0), (-INF, 0.0), (0.0, NAN)]),
+    # finite x and y whose difference overflows, or lies past 1e307
+    *(row(fn, x, y) for fn in (kr.sine_kernel, kr.sine_kernel_dx)
+      for x, y in [(1e308, -1e308), (-1e308, 1e308), (past(1e307), 0.0), (0.0, past(1e307))]),
+    *(row(kr.matrix_kernel_bulk, beta, x, y) for beta in (1, 4)
+      for x, y in [(1e308, -1e308), (0.0, past(1e307))]),
+    *(row(fn, x, y) for fn in (kr.airy_kernel, kr.airy_kernel_dy)
+      for x, y in [(past(1e3), 0.0), (-past(1e3), 0.0), (0.0, past(1e3)), (0.0, -past(1e3)),
+                   (2000.0, 0.0)]),
     *(row(kr.bessel_hard_kernel, alpha, 1.0, 2.0)
       for alpha in NON_FINITE + (-1.0, past(100.0), 100.000001, 1000.0)),
-    *(row(kr.bessel_hard_kernel, 0.5, x, 2.0) for x in NON_FINITE + (0.0, -5e-324)),
-    row(kr.bessel_hard_kernel, 0.5, 1.0, NAN),
+    *(row(kr.bessel_hard_kernel, 0.5, x, 2.0)
+      for x in NON_FINITE + (0.0, -5e-324, past(BESSEL_HARD_MAX), 2e6)),
+    *(row(kr.bessel_hard_kernel, 0.5, 1.0, y) for y in (NAN, past(BESSEL_HARD_MAX))),
     *(row(kr.bessel_origin_kernel, alpha, 1.0, 2.0) for alpha in (NAN, -0.5, past(100.0))),
-    *(row(kr.bessel_origin_kernel, 0.5, x, 2.0) for x in NON_FINITE + (0.0,)),
+    *(row(kr.bessel_origin_kernel, 0.5, x, 2.0)
+      for x in NON_FINITE + (0.0, past(BESSEL_ORIGIN_MAX), 400.0)),
+    row(kr.bessel_origin_kernel, 0.5, 2.0, past(BESSEL_ORIGIN_MAX)),
     *(row(kr.pearcey_kernel, x, 0.0, 0.0) for x in NON_FINITE + (past(20.0), -past(20.0))),
     row(kr.pearcey_kernel, 0.0, NAN, 0.0),
     *(row(kr.pearcey_kernel, 0.0, 0.0, s) for s in NON_FINITE + (past(10.0), -past(10.0))),
@@ -59,8 +75,9 @@ KERNELS = [
     *(row(fn, 0.0, s) for fn in (kr.pearcey_p, kr.pearcey_q) for s in (NAN, past(10.0))),
     *(row(kr.matrix_kernel_bulk, 1, x, 0.0) for x in NON_FINITE),
     row(kr.matrix_kernel_bulk, 4, 0.0, NAN),
-    *(row(kr.matrix_kernel_edge, 1, x, 0.0) for x in NON_FINITE + (past(-30.0, -INF),)),
-    row(kr.matrix_kernel_edge, 4, 0.0, NAN),
+    *(row(kr.matrix_kernel_edge, 1, x, 0.0)
+      for x in NON_FINITE + (past(-30.0, -INF), past(1e3), 2000.0)),
+    *(row(kr.matrix_kernel_edge, 4, 0.0, y) for y in (NAN, past(1e3))),
     *(row(kr.KernelHandle, "bessel_hard", alpha=v, name="bessel_hard_kernel")
       for v in (NAN, INF, -1.0, 100.000001)),
     row(kr.KernelHandle, "bessel_origin", alpha=-0.5, name="bessel_origin_kernel"),
@@ -124,10 +141,25 @@ def test_handle_and_kernel_give_the_same_message(family, kw, v):
 
 
 def test_bounds_themselves_are_in_range():
+    # a pair 1e-5 apart at an upper bound takes the Cauchy mean, whose circle
+    # reaches past the bound but stays inside airy's and bessel_j's guards
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         values = [kr.bessel_hard_kernel(100.0, 1.0, 2.0),
                   kr.bessel_origin_kernel(100.0, 1.0, 2.0), kr.matrix_kernel_edge(1, -30.0, 0.0),
                   sf.airy_tail(-40.0), sf.airy(1e3).value,
-                  sf.bessel_j(past(-1.0), 1e3).value, sf.sinc_integral(-1e6)]
+                  sf.bessel_j(past(-1.0), 1e3).value, sf.sinc_integral(-1e6),
+                  sf.sinc_integral(np.array([-1.0, 1.0]) * sys.float_info.max),
+                  kr.sine_kernel(1e307, 0.0), kr.sine_kernel_dx(-5e306, 5e306),
+                  kr.sine_kernel_dx(1e308, 1e308), kr.matrix_kernel_bulk(4, 0.0, 1e307),
+                  kr.matrix_kernel_bulk(1, -1e308, -1e308),
+                  kr.airy_kernel(1e3, -1e3), kr.airy_kernel(1e3, 1e3 - 1e-5),
+                  kr.airy_kernel_dy(-1e3, 1e3), kr.airy_kernel_dy(1e3 - 1e-5, 1e3),
+                  sf.airy_tail(1e3), kr.matrix_kernel_edge(4, 1e3, 1e3 - 1e-5),
+                  kr.matrix_kernel_edge(1, -30.0, 1e3),
+                  kr.bessel_hard_kernel(0.5, BESSEL_HARD_MAX, BESSEL_HARD_MAX - 1e-5),
+                  kr.bessel_hard_kernel(100.0, 1.0, BESSEL_HARD_MAX),
+                  kr.bessel_origin_kernel(0.5, BESSEL_ORIGIN_MAX, BESSEL_ORIGIN_MAX - 1e-5),
+                  kr.bessel_origin_kernel(100.0, BESSEL_ORIGIN_MAX, 1.0)]
     assert np.isfinite(np.concatenate([np.ravel(v) for v in values])).all()
+    assert sf.sinc_integral(-sys.float_info.max) == -0.5

@@ -345,6 +345,31 @@ def test_log_transform_real_part_is_the_chebyshev_log_potential(pot):
 
 
 class TestClosedForms:
+    @pytest.mark.parametrize("coefs, hard, moments", [
+        ((0.0, 0.0, 0.5), False, [1.0, 0.0, 1.0, 0.0, 2.0]),
+        ((0.0, 0.0, 2.0), False, [1.0, 0.0, 0.25, 0.0, 0.125]),
+        ((0.0, 0.0, 0.0, 0.0, 0.25), False,
+         [1.0, 0.0, 4.0 / (3.0 * math.sqrt(3.0)), 0.0, 1.0, 0.0, 8.0 / (3.0 * math.sqrt(3.0))]),
+        ((0.0, 0.0, -1.0, 0.0, 0.25), False, [1.0, 0.0, 2.0, 0.0, 5.0, 0.0, 14.0]),
+        ((0.0, 1.0), True, [1.0, 1.0, 2.0, 5.0]),
+        ((0.0, 0.5), True, [1.0, 2.0, 8.0, 40.0])])
+    def test_moments(self, coefs, hard, moments):
+        # semicircles on [-2, 2] and [-1, 1], x^4/4, x^4/4 - x^2 (h = x^2/2,
+        # support [-2 sqrt 2, 2 sqrt 2]), and Marchenko-Pastur on [0, 4]
+        # (Catalan numbers) and [0, 8]: m_0 .. m_{deg V + 2}, exact on the
+        # arcsine nodes up to rounding
+        mu = solve_equilibrium(Potential(coefs, hard_edge=hard))
+        m = np.array(moments)
+        assert mu.moments.shape == m.shape
+        assert np.abs(mu.moments - m).max() <= 1e-15 * np.abs(m).max()
+
+    def test_negative_effective_potential_off_the_support(self):
+        # h > 0 on the support, but a real zero of h right of it carries a
+        # negative effective potential: the mass wants a second cut there
+        with pytest.raises(MultiCutError, match=r"^effective potential -1\.96e-01 < 0 at "
+                                                r"x = 1\.12397 off the support$"):
+            solve_equilibrium(Potential((0.0, 1.6, -1.0, 0.0, 0.25)))
+
     def test_marchenko_pastur_catalan(self, mp):
         assert abs(mp.support[1] - 4.0) <= 1e-14
         assert np.abs(mp.moments[:4] - [1.0, 1.0, 2.0, 5.0]).max() <= 1e-14

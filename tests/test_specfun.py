@@ -349,6 +349,24 @@ class TestSincIntegral:
             ref = float(mp.si(mp.pi * t)) / math.pi
             assert specfun.sinc_integral(t) == pytest.approx(ref, abs=1e-10)
 
+    def test_large_arguments_against_mpmath(self):
+        # the oscillating part of Si decays like 1/t, so sici keeps its
+        # absolute accuracy out to the largest doubles
+        t = np.geomspace(1e6, 1e300, 61)
+        got = specfun.sinc_integral(np.r_[t, -t])
+        with mp.workdps(40):
+            ref = [mp.si(mp.pi * mp.mpf(v)) / mp.pi for v in np.r_[t, -t]]
+            assert max(abs(mp.mpf(g) - r) for g, r in zip(got, ref)) <= 1e-16
+
+    def test_past_the_overflow_of_pi_t(self):
+        # pi t overflows for |t| > 5.7e307: the limit +-1/2, without a warning
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = specfun.sinc_integral(np.array([6e307, -1e308, 1.7976931348623157e308]))
+        assert got.tolist() == [0.5, -0.5, 0.5]
+
 
 def test_complex_airy_broadcasts_like_scalar_calls():
     rng = np.random.default_rng(11)
