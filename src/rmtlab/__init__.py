@@ -1,6 +1,6 @@
 """rmtlab: a numerical laboratory for random matrix universality.
 
-Subpackages expose, in dependency order: special functions (specfun),
+Its modules expose, in dependency order: special functions (specfun),
 closed-form universal kernels and Pfaffian correlations (kernels),
 equilibrium measures for polynomial external fields (equilibrium),
 finite-n orthogonal-polynomial kernels (orthopoly), the Deift-Zhou

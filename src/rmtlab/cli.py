@@ -63,7 +63,7 @@ def _parse_potential(args):
                      singularity_alpha=getattr(args, "alpha", 0.0) or 0.0)
 
 
-def _parse_ns(text, top=np.inf):
+def _parse_ns(text, top):
     try:
         ns = [int(v) for v in text.split(",")]
     except ValueError as exc:
@@ -207,7 +207,7 @@ def _cmd_converge(args):
 
 def _cmd_rh(args):
     pot = _parse_potential(args)
-    ns = _parse_ns(args.n)
+    ns = _parse_ns(args.n, 4096)  # the critical quartic's Airy overflows at 8192
     config = _config_dict(args, ["potential", "n", "delta", "out"])
     rows = rh.diagnostics(eqm.solve_equilibrium(pot), ns, args.delta)
     return [(args.out, _csv_text(config, table_text(["check", "param", "value"], *zip(*rows))))]
@@ -336,7 +336,7 @@ def _build_parser():
 
     sp = sub.add_parser("rh", help="parametrix diagnostics")
     sp.add_argument("--potential", required=True)
-    sp.add_argument("--n", required=True, help="comma list")
+    sp.add_argument("--n", required=True, help="comma list, each n in [1, 4096]")
     sp.add_argument("--delta", type=float, default=0.1)
     add_common(sp)
 

@@ -1,14 +1,13 @@
 """Quadrature rules: composite Gauss-Legendre panels (the Airy tail grid
 of specfun, the Pearcey contours) and the power-weight rule behind the
-discretized Stieltjes nodes.  The Gauss-Chebyshev rule of the
-equilibrium solver is numpy's chebgauss."""
+discretized Stieltjes nodes (scipy's roots_jacobi, imported on first use).
+The Gauss-Chebyshev rule of the equilibrium solver is numpy's chebgauss."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 __all__ = ["gauss_legendre_panels", "power_weight_panels"]
 
@@ -22,6 +21,7 @@ def _legendre(order):
 def _jacobi(order, beta):
     """The order-point Gauss-Jacobi rule for u^{2 beta + 1} du on [-1, 1],
     read-only: both Stieltjes passes of a table ask for the same rule."""
+    from scipy.special import roots_jacobi
     t, w = roots_jacobi(order, 0.0, 2.0 * beta + 1.0)
     t.flags.writeable = w.flags.writeable = False
     return t, w

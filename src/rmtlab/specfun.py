@@ -18,6 +18,9 @@ scaling-limit experiments) consumes these primitives.  What computes what:
   kernels integrate Ai and K_Ai(., y) in one call of the same routine,
   as a stack of integrands.
 
+scipy.special is imported on first use, inside the functions that call it,
+and the tail constant at 14 is a literal, so importing rmtlab never loads it.
+
 airy, bessel_j, sinc_integral and airy_tail broadcast over their argument
 like numpy ufuncs (scalar input gives a float, or a complex for complex
 airy), and each range guard raises ValueError unless every element lies
@@ -38,7 +41,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .quadrature import gauss_legendre_panels
 
@@ -107,6 +109,7 @@ def airy(z) -> FunctionValuePair:
         raise OverflowError("airy: result too large to represent")
     # scaled pair times e^{-zeta}: unscaled AMOS returns 0 or nan once
     # Re zeta < -666 in the growth sectors, short of the guard above
+    from scipy import special
     eai, eaip, _, _ = special.airye(z)
     scale = np.exp(-zeta)
     return FunctionValuePair(_scalar_or_array(eai * scale), _scalar_or_array(eaip * scale))
@@ -115,6 +118,7 @@ def airy(z) -> FunctionValuePair:
 def airy_real(x):
     """Vectorized (Ai, Ai') on the real axis, as two 1-d arrays (x is
     flattened); no range check."""
+    from scipy import special
     ai, aip, _, _ = special.airy(np.ravel(np.asarray(x, dtype=float)))
     return ai, aip
 
@@ -193,7 +197,8 @@ def _airy_tail_asym(x):
     return total
 
 
-_TAIL_BEYOND_CUT = _airy_tail_asym(_TAIL_CUT)
+# _airy_tail_asym(_TAIL_CUT) as a literal, so the import evaluates no Airy function
+_TAIL_BEYOND_CUT = 2.61498612476515e-17
 
 
 def airy_tail(x):
@@ -232,6 +237,7 @@ def bessel_j(alpha: float, x) -> FunctionValuePair:
     if not ((np.abs(x) <= 1.001 * _BESSEL_MAX) & ((x.real > 0.0) | off_cut)).all():
         raise ValueError("bessel_j: argument must lie in the supported range 1e3, "
                          "nonnegative if real, off 0 and the negative axis if complex")
+    from scipy import special
     return FunctionValuePair(_scalar_or_array(special.jv(alpha, x)),
                              _scalar_or_array(special.jvp(alpha, x)))
 
@@ -248,6 +254,7 @@ def sinc_integral(t):
 
 
 def _sinc_integral(t):  # unchecked, on a float array
+    from scipy import special
     with np.errstate(over="ignore"):
         si, _ = special.sici(math.pi * np.abs(t))
     return np.copysign(si, t) / math.pi

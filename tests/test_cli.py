@@ -409,6 +409,15 @@ class TestRh:
         m = {int(r[1]): float(r[2]) for r in rows if r[0] == "matching_sup"}
         assert m[32] < m[16]
 
+    @pytest.mark.parametrize("potential", ["0,0,0.5", "0,0,-1,0,0.25"])
+    def test_documented_n_range(self, tmp_path, potential):
+        # both ends of [1, 4096]; the critical quartic's local parametrix
+        # overflows Airy at n = 8192
+        out = tmp_path / "rh.csv"
+        assert main(["rh", "--potential", potential, "--n", "1,4096", "--out", str(out)]) == 0
+        rows = [ln.split(",") for ln in out.read_text().splitlines() if ln.startswith("matching_sup")]
+        assert [r[1] for r in rows] == ["1", "4096"]
+
 
 class TestSample:
     def test_gaussian_outputs(self, tmp_path):
@@ -634,6 +643,8 @@ def test_metropolis_hard_edge_histogram(tmp_path):
     ["converge", "--potential", "0,0,0.5", "--mode", "bulk", "--n", "0,32"],
     ["rh", "--potential", "0,0,0.5", "--n", "64,0"],
     ["rh", "--potential", "0,0,0.5", "--n=-1,64"],
+    ["rh", "--potential", "0,0,0.5", "--n", "64,4097"],
+    ["rh", "--potential", "0,0,0.5", "--n", "10000000000"],
 ])
 def test_n_list_checked_before_the_solve(tmp_path, monkeypatch, capsys, argv):
     from rmtlab import equilibrium as eqm

@@ -181,6 +181,13 @@ class TestAiryTail:
                                           specfun._TAIL_BEYOND_CUT)
         np.testing.assert_array_equal(got, vals[ix])
 
+    def test_cut_constant_is_the_asymptotic_tail_at_the_cut(self):
+        # a literal, so that importing specfun evaluates no Airy function
+        assert specfun._TAIL_BEYOND_CUT == specfun._airy_tail_asym(specfun._TAIL_CUT)
+        # the grid's integral below the cut and the asymptotic one beyond it join
+        below, above = (specfun.airy_tail(math.nextafter(14.0, d)) for d in (-math.inf, math.inf))
+        assert abs(below - above) <= 1e-16
+
     def test_derivative_is_minus_airy(self):
         h = 1e-5
         for x in [-12.3, -3.0, 0.7, 5.1]:
