@@ -63,6 +63,7 @@ _MATRIX_FAMILIES = ("sine_beta1", "sine_beta4", "airy_beta1", "airy_beta4")
 _ARC = np.exp(1j * np.pi * np.arange(6) / 12)
 _CIRCLE = np.r_[_ARC, 1j, -_ARC[::-1].conj()]
 _WEIGHTS = np.r_[1.0, np.full(11, 2.0), 1.0] / 24.0
+_BAND = 250.0  # the Cauchy mean serves 0 < |x - y| < r / _BAND
 
 
 def _near_diagonal(x, y, numerator, diagonal, radius=lambda m: 0.25, grid=None):
@@ -76,7 +77,7 @@ def _near_diagonal(x, y, numerator, diagonal, radius=lambda m: 0.25, grid=None):
     Im z_k >= 0 only, as (k, 13) arrays; m - z_k/2 = conj(m + z_{12-k}/2)."""
     d, m = x - y, 0.5 * (x + y)
     r = radius(m)
-    near = np.abs(d) < r / 250.0
+    near = np.abs(d) < r / _BAND
     out = np.asarray((numerator(x, y) if grid is None else grid) / np.where(near, 1.0, d))
     if near.any():
         x, d, m, r = (np.broadcast_to(v, near.shape)[near] for v in (x, d, m, r))
@@ -264,15 +265,6 @@ def _eta_axis(tmax, panels):
     return 1j * u, 1j * wu
 
 
-def _factor(v, s, nodes, weights, sign=1.0):
-    """e^{sign (t^4/4 - s t^2/2 + v t)} dt at the nodes t, one row per
-    distinct v, and the index of each v's row (shaped like v)."""
-    u, inv = np.unique(v, return_inverse=True)
-    f = np.exp(sign * (0.25 * nodes ** 4 - 0.5 * s * nodes ** 2
-                       + np.multiply.outer(u, nodes))) * weights
-    return f, inv.reshape(np.shape(v))
-
-
 def _pearcey_raw(x, y, s, delta, tmax, xi_panels, eta_panels):
     """The double contour integral (Bleher-Kuijlaars, CMP 270, 2007),
     broadcasting over x and y: the oracle of the integrable form.  The
@@ -281,8 +273,11 @@ def _pearcey_raw(x, y, s, delta, tmax, xi_panels, eta_panels):
     x, y = np.broadcast_arrays(*_args("_pearcey_raw", x, y))
     xi, wxi = _xi_contour(delta, tmax, xi_panels)
     eta, weta = _eta_axis(tmax, eta_panels)
-    f_xi, ix = _factor(x, s, xi, wxi)
-    f_eta, iy = _factor(y, s, eta, weta, sign=-1.0)
+    # e^{+-(t^4/4 - s t^2/2 + v t)} dt, one row per distinct v
+    (ux, ix), (uy, iy) = (np.unique(v, return_inverse=True) for v in (x, y))
+    f_xi = np.exp(0.25 * xi ** 4 - 0.5 * s * xi ** 2 + np.multiply.outer(ux, xi)) * wxi
+    f_eta = np.exp(-(0.25 * eta ** 4 - 0.5 * s * eta ** 2 + np.multiply.outer(uy, eta))) * weta
+    ix, iy = ix.reshape(x.shape), iy.reshape(y.shape)
     val = 0.0
     step = max(1, 4_000_000 // eta.size)
     for lo in range(0, xi.size, step):
@@ -291,51 +286,209 @@ def _pearcey_raw(x, y, s, delta, tmax, xi_panels, eta_panels):
     return (val[ix, iy] / (2.0j * np.pi) ** 2)[()]
 
 
-def _moments(v, s, nodes, weights, kmax, sign=1.0):
-    """(1/2 pi i) Int t^k e^{sign (t^4/4 - s t^2/2 + v t)} dt, k = 0..kmax,
-    on the leading axis, followed by v's shape: p^(k)(v) for sign = 1 on
-    the xi contour, (-1)^k q^(k)(v) for sign = -1 on the eta axis.  Each
-    distinct v is integrated once and summed on its own, so a value does
-    not depend on which other arguments share the batch; t^k is the
-    running product t^(k-1) t, so it does not depend on kmax either."""
-    f, inv = _factor(v, s, nodes, weights, sign)
-    powers = [np.ones_like(nodes)]
-    for _ in range(kmax):
-        powers.append(powers[-1] * nodes)
-    m = np.stack([(f * pk).sum(axis=-1) for pk in powers]) / (2j * np.pi)
-    return m[:, inv]
+# p and q are trapezoidal sums in u over the nodes u_j = j h, |j| <= 100,
+# of contours t(u) = c + B u + P expm1(u) + Q expm1(-u) routed through the
+# saddles of the exponent f(t) = t^4/4 - s t^2/2 + m t (the roots of
+# t^3 - s t + m).  P and Q point into valleys of +-t^4, so the integrand
+# decays double exponentially; the upright eta line (B alone) ends where it
+# has fallen below e^-45 of its top.  Either way the sum converges
+# geometrically (Trefethen-Weideman, SIAM Rev. 56, 2014); every other node
+# with doubled weights is the half-step rule.
+_STEP = 0.03
+_U = _STEP * np.arange(-100, 101)
+_EXP = np.exp(_U), np.exp(-_U)
+_EXPM1 = np.expm1(_U), np.expm1(-_U)
+_TILT = math.pi / 32
 
 
-def _pearcey_integrable(x, y, s, xi_contour, eta_axis):
+def _saddles(m, s):
+    """For each real m, the roots of t^3 - s t + m by the trigonometric and
+    hyperbolic formulas: whether all three are real, then the three in
+    ascending order (else the real one, thrice) and, with one real root r,
+    the complex one in the upper half plane, z = -r/2 + i sqrt(3 r^2/4 - s)
+    (else the middle root)."""
+    k = math.sqrt(abs(s) / 3.0)
+    if abs(s) < 1e-60:  # past here, s moves the roots by less than 1e-30
+        s = 0.0
+    if s > 0.0:
+        c = -1.5 * m / (s * k)
+        three = np.abs(c) <= 1.0
+        roots = 2.0 * k * np.cos(np.arccos(np.minimum(np.maximum(c, -1.0), 1.0))[:, None] / 3.0
+                                 + 2.0 * math.pi / 3.0 * np.arange(1, 4))
+        real = -2.0 * k * np.sign(m) * np.cosh(np.arccosh(np.maximum(np.abs(c), 1.0)) / 3.0)
+    else:
+        three = np.zeros(m.shape, dtype=bool)
+        roots = np.zeros(m.shape + (3,))
+        real = -np.cbrt(m) if s == 0.0 else -2.0 * k * np.sinh(np.arcsinh(-1.5 * m / (s * k)) / 3.0)
+    roots = np.where(three[:, None], roots, real[:, None])
+    pair = -0.5 * real + 1j * np.sqrt(np.maximum(0.75 * real * real - s, 0.0))
+    z = np.where(three, roots[:, 1], pair)
+    return three, roots, z
+
+
+def _scale(t, s):
+    """The scale a of a contour through the saddle t: 1.2 times the reach of
+    the quadratic term of f there, |f''| / |f'''| or sqrt(2 |f''|) if less,
+    kept between 0.4 and 9 / sqrt|f''| (a Gaussian of at least 3 steps)."""
+    d2, d3 = np.abs(3.0 * t * t - s), np.abs(6.0 * t)
+    reach = np.minimum(d2 / np.maximum(d3, 1e-300), np.sqrt(2.0 * d2))
+    return np.minimum(np.maximum(1.2 * reach, 0.4), 9.0 / np.sqrt(np.maximum(d2, 1e-300)))
+
+
+def _upright(c, a, right):
+    """(c, B, P, Q) of the hyperbola with vertex c, scale a and an upright
+    tangent there, from e^{i pi/4} to e^{-i pi/4} (right) or from
+    e^{-3i pi/4} to e^{3i pi/4}: c +- a (cosh u - 1) -+ i a sinh u."""
+    a = np.where(right, 0.5, -0.5) * a
+    return c, 0.0 * a, a * (1 - 1j), a * (1 + 1j)
+
+
+def _arches(z, s, sign, start, end):
+    """(c, B, P, Q) of the arch from the valley at angle start to the one at
+    end through the saddle z of e^{sign f}, and of its mirror image through
+    conj z (from the mirror of end to the mirror of start).  The tangent at
+    z is the steepest-descent line there, kept _TILT inside the angle the
+    two asymptotes leave; the scale is _scale(z, s)."""
+    far = end + np.angle(np.exp(1j * (start + math.pi - end)))
+    lo, hi = np.minimum(end, far) + _TILT, np.maximum(end, far) - _TILT
+    tangent = 0.5 * (math.pi * (sign > 0) - np.angle(3.0 * z * z - s))
+    tangent = tangent + math.pi * np.round((0.5 * (lo + hi) - tangent) / math.pi)
+    tangent = np.minimum(np.maximum(tangent, lo), hi)
+    a = _scale(z, s) / np.sin(end - start)
+    p = a * np.sin(tangent - start) * np.exp(1j * end)
+    q = a * np.sin(tangent - end) * np.exp(1j * start)
+    return (z, 0.0 * a, p, q), (z.conj(), 0.0 * a, q.conj(), p.conj())
+
+
+def _exponent(t, m, s, sign):
+    """sign f(t), f = t^4/4 - s t^2/2 + m t."""
+    t2 = t * t
+    return sign * ((0.25 * t2 - 0.5 * s) * t2 + m * t)
+
+
+def _choose(v, s, sign, first, second, pick):
+    """The nodes, the exponent there and (c, B, P, Q) of one of two
+    contours (pairs of halves) for each v: the second where pick holds and
+    it is the lower one, or within 1 of the first's height and not 20%
+    rougher, roughness being the largest change of the exponent between
+    half-step nodes where it is within 35 of its top.  A contour whose ends
+    come within 40 of its top is truncated and never preferred."""
+    # (c, B, P, Q), each of shape (distinct v, contour, half)
+    c, b, p, q = np.array([first, second], dtype=complex).transpose(2, 3, 0, 1)
+    t = c[..., None] + b[..., None] * _U + p[..., None] * _EXPM1[0] + q[..., None] * _EXPM1[1]
+    f = _exponent(t, v[:, None, None, None], s, sign)
+    if pick.any():
+        height = f.real[..., ::2]
+        top = height.max(axis=(-2, -1))
+        near = height > top[..., None, None] - 35.0
+        rough = np.where(near[..., 1:] & near[..., :-1], abs(np.diff(f[..., ::2], axis=-1)), 0.0)
+        rough = rough.max(axis=(-2, -1))
+        rough[np.maximum(height[..., 0], height[..., -1]).max(axis=-1) > top - 40.0] = np.inf
+        (ha, hb), (ra, rb) = top.T, rough.T
+        pick = pick & ((hb < ha - 1.0) | ((hb < ha + 1.0) & (rb < 1.25 * ra)))
+    k, one = pick.astype(int), np.arange(v.size)
+    return t[one, k], f[one, k], b[one, k], p[one, k], q[one, k]
+
+
+def _p_contour(v, s):
+    """The xi contour of each v, two halves placed by the saddles of
+    f = t^4/4 - s t^2/2 + m t, m = Re v.  With three real saddles, one half
+    from e^{i pi/4} to e^{-i pi/4} crossing the axis upright at the largest
+    and one from e^{-3i pi/4} to e^{3i pi/4} at the smallest.  With one, r,
+    and z, conj z: either the same two halves, the one on z's side through
+    z and conj z and the other at r, or arches from e^{i pi/4} to
+    e^{3i pi/4} through z and from e^{-3i pi/4} to e^{-i pi/4} through
+    conj z (the same integral), whichever _choose prefers."""
+    three, r, z = _saddles(v.real, s)
+    right = three | (z.real >= 0.0)
+    # the half through z and conj z crosses the axis upright and meets z at
+    # 48.75 degrees, the least steep the descent there allows: sinh u = 1.8191
+    a = np.where(three, _scale(r[:, 2], s), np.maximum(z.imag / 1.8191, 0.4))
+    c = np.where(three, r[:, 2], z.real - np.where(right, 1.0, -1.0) * (np.hypot(a, z.imag) - a))
+    other = r[:, 0]
+    near = _upright(np.where(right, c, other), np.where(right, a, _scale(other, s)), True)
+    far = _upright(np.where(right, other, c), np.where(right, _scale(other, s), a), False)
+    return _choose(v, s, 1.0, (near, far), _arches(z, s, 1.0, math.pi / 4, 3 * math.pi / 4), ~three)
+
+
+def _q_contour(v, s):
+    """The eta contour of each v, placed by the saddles of f, m = Re v: the
+    upright line through the middle real saddle, or through Re z and both z
+    and conj z, with its nodes spread evenly up to where the integrand falls
+    below e^-45 of its top (the real part of -f on it is a quartic in
+    Im eta), with the line's lower end, a point that adds nothing, as its
+    second half; or, with one real saddle, arches from -i inf to the valley
+    at 0 (pi if Re z < 0) through conj z and from there to i inf through z,
+    whichever _choose prefers."""
+    three, _, z = _saddles(v.real, s)
+    c = z.real
+    # Re -f(c + i y) = Re -f(c) + beta y^2 - y^4 / 4, beta = (3 c^2 - s) / 2
+    reach = np.sqrt(np.maximum(3.0 * c * c - s, 0.0) + math.sqrt(180.0))
+    zero = 0.0 * c
+    line = (c, 1j * reach / _U[-1], zero, zero)
+    end = (c - 1j * reach, zero, zero, zero)
+    upper, lower = _arches(z, s, -1.0, np.where(z.real >= 0.0, 0.0, math.pi), 0.5 * math.pi)
+    return _choose(v, s, -1.0, (line, end), (lower, upper), ~three)
+
+
+def _moments(v, s, kmax, sign=1.0):
+    """(1/2 pi i) Int t^k e^{sign (t^4/4 - s t^2/2 + v t)} dt, k = 0..kmax:
+    p^(k)(v) for sign = 1, (-1)^k q^(k)(v) for sign = -1, from the
+    trapezoidal rule (index 0 of the leading axis) and its half-step rule
+    (index 1), followed by k and v's shape.  Each distinct v takes its own
+    contour, placed by the saddles of its real part, on at most 402 nodes,
+    and is summed on its own, so a value does not depend on which other
+    arguments share the batch; t^k is the running product t^(k-1) t, so it
+    does not depend on kmax either."""
+    u, inv = np.unique(v, return_inverse=True)
+    t, f, b, p, q = (_p_contour if sign > 0 else _q_contour)(u, s)
+    f = np.exp(f) * ((b[..., None] + p[..., None] * _EXP[0] - q[..., None] * _EXP[1]) * _STEP)
+    moments = []
+    for _ in range(kmax + 1):
+        moments.append((f.sum(axis=(-2, -1)), 2.0 * f[..., ::2].sum(axis=(-2, -1))))
+        f = f * t
+    return (np.array(moments) / (2j * np.pi)).transpose(1, 0, 2)[..., inv.reshape(np.shape(v))]
+
+
+def _pearcey_integrable(x, y, s):
     """[p''(x) q(y) - p'(x) q'(y) + p(x) q''(y) - s p(x) q(y)] / (x - y),
     with the numerator's x-derivative (p one derivative up) on the diagonal.
     One moment pass per contour serves the grid and the diagonal: p^(0..3)
     on the distinct x, q^(0..2) on the distinct x and y, each diagonal
-    value looked up in them; the Cauchy band's points take one more."""
-    def numerator(p, q):  # q[1] is -q'
-        return p[2] * q[0] + p[1] * q[1] + p[0] * q[2] - s * p[0] * q[0]
+    value looked up in them; the Cauchy band's points take one more.  Each
+    numerator value comes from the trapezoidal rule; where the half-step
+    rule's differs by more than 1e-7 of its largest term, ArithmeticError
+    is raised."""
+    def numerator(p, q, checked=True):  # the rule first, then k; q[:, 1] is -q'
+        (a, b, c, d), half = ((r[2] * w[0], r[1] * w[1], r[0] * w[2], -s * r[0] * w[0])
+                              for r, w in zip(p, q))
+        value = a + b + c + d
+        scale = np.maximum(np.maximum(abs(a), abs(b)), np.maximum(abs(c), abs(d)))
+        if (checked & (abs(value - sum(half)) > 1e-7 * scale)).any():
+            raise ArithmeticError("pearcey_kernel: the trapezoidal rule and its half-step "
+                                  "rule disagree by more than 1e-7 of the numerator's terms")
+        return value
 
     ux, uxy = np.unique(x), np.unique(np.r_[x.ravel(), y.ravel()])
-    p = _moments(ux, s, *xi_contour, 3)
-    q = _moments(uxy, s, *eta_axis, 2, sign=-1.0)
+    p = _moments(ux, s, 3)
+    q = _moments(uxy, s, 2, sign=-1.0)
     return _near_diagonal(
-        x, y, lambda x, y: numerator(_moments(x, s, *xi_contour, 2),
-                                     _moments(y, s, *eta_axis, 2, sign=-1.0)),
-        lambda x: numerator(p[1:, np.searchsorted(ux, x)], q[:, np.searchsorted(uxy, x)]),
-        grid=numerator(p[:3, np.searchsorted(ux, x)], q[:, np.searchsorted(uxy, y)]))
+        x, y, lambda x, y: numerator(_moments(x, s, 2), _moments(y, s, 2, sign=-1.0)),
+        lambda x: numerator(p[:, 1:, np.searchsorted(ux, x)], q[:, :, np.searchsorted(uxy, x)]),
+        # the diagonal and the Cauchy band (r = 0.25) are replaced
+        grid=numerator(p[:, :3, np.searchsorted(ux, x)], q[:, :, np.searchsorted(uxy, y)],
+                       np.abs(x - y) >= 0.25 / _BAND))
 
 
 def _pearcey_s(s, name="pearcey_kernel"):
     _in_range(name, "pearcey requires -10 <= s <= 10", np.float64(s), -10.0, 10.0)
 
 
-def _pearcey_rules(name, s, x, y=0.0):
-    """x and y (|x|, |y| <= 20) and the kernel's two discretizations at s (|s| <= 10)."""
+def _pearcey_args(name, s, x, y=0.0):
+    """x and y (|x|, |y| <= 20) as float arrays, with s checked (|s| <= 10)."""
     x, y = _args(name, x, y, "|x|, |y| must not exceed 20", -20.0, 20.0)
     _pearcey_s(s, name)
-    d = max(0.75, math.sqrt(max(s, 0.0)))
-    return x, y, ((_xi_contour(d, 12.0, 60), _eta_axis(12.0, 120)),
-                  (_xi_contour(0.6 * d, 13.0, 73), _eta_axis(13.0, 149)))
+    return x, y
 
 
 def pearcey_kernel(x, y, s: float):
@@ -347,44 +500,39 @@ def pearcey_kernel(x, y, s: float):
     with p, q the single contour integrals of pearcey_p and pearcey_q and
     their derivatives taken as quadrature moments, p''' q - p'' q' + p' q''
     - s p' q on the diagonal and the Cauchy mean (r = 0.25) within 1e-3 of
-    it.  The xi contour is the X of rays at +-pi/4 with vertices at +-d,
-    d = max(0.75, sqrt(s)) (the steepest-descent crossing of the quadratic
-    term for s > 0), and at +-0.6 d for the second discretization, whose
-    truncation and panel counts differ too (_pearcey_rules); |x|, |y| <= 20
-    and |s| <= 10.  On every entry the two must agree to 1e-7, and the value
-    must be real to 1e-7, else ArithmeticError is raised; large |x|, |y| or
-    s << 0 amplify the cancellation in p and q past double precision and
-    end up there.  Each discretization takes one moment pass per contour on
+    it; |x|, |y| <= 20 and |s| <= 10.  Each distinct argument has its own
+    xi and eta contours through the saddles of the exponent (_p_contour,
+    _q_contour), each summed by one trapezoidal rule.  On every numerator
+    value that rule must agree with its half-step rule to 1e-7 of the
+    largest of the four terms, and the value must be real to 1e-7, else
+    ArithmeticError is raised.  A call takes one moment pass per contour on
     the distinct arguments, shared by the quotient and the diagonal, plus
-    one for any Cauchy band entries.  Agrees with the double contour
-    integral _pearcey_raw to 1e-9 on [-2, 2]^2 for s in {-1, 0, 1, 3}, and
-    to 1e-12 within 1e-3 of the diagonal (tests/test_kernels.py).
+    one for any Cauchy band entries.  Agrees with 40-digit integrals to
+    1e-9 on the whole range, and with the double contour integral
+    _pearcey_raw to 1e-9 on [-2, 2]^2 for s in {-1, 0, 1, 3} and to 1e-12
+    within 1e-3 of the diagonal (tests/test_kernels.py).
     """
-    x, y, rules = _pearcey_rules("pearcey_kernel", s, x, y)
-    a, b = (_pearcey_integrable(x, y, s, *rule) for rule in rules)
-    gap = np.abs(a - b)
-    if (gap > 1e-7 * np.maximum(1.0, np.abs(a))).any():
-        raise ArithmeticError(
-            f"pearcey_kernel: contour discretizations disagree by {gap.max():.2e}")
-    if (np.abs(a.imag) > 1e-7 * np.maximum(1.0, np.abs(a.real))).any():
+    x, y = _pearcey_args("pearcey_kernel", s, x, y)
+    k = _pearcey_integrable(x, y, s)
+    if (np.abs(k.imag) > 1e-7 * np.maximum(1.0, np.abs(k.real))).any():
         raise ArithmeticError("pearcey_kernel: non-real kernel value")
-    return _scalar_or_array(a.real)
+    return _scalar_or_array(k.real)
 
 
 def pearcey_p(x: float, s: float, moment: int = 0) -> complex:
-    """xi-factor of the Pearcey integrand, on pearcey_kernel's first contour
-    and ranges: p(x) = (1/2 pi i) Int_C e^{xi^4/4 - s xi^2/2 + xi x} dxi,
-    with xi^moment inserted (moment = k gives the k-th derivative of p)."""
-    x, _, ((xi, _), _) = _pearcey_rules("pearcey_p", s, x)
-    return complex(_moments(x, s, *xi, moment)[moment])
+    """xi-factor of the Pearcey integrand, on pearcey_kernel's contours and
+    ranges: p(x) = (1/2 pi i) Int_C e^{xi^4/4 - s xi^2/2 + xi x} dxi, with
+    xi^moment inserted (moment = k gives the k-th derivative of p)."""
+    x, _ = _pearcey_args("pearcey_p", s, x)
+    return complex(_moments(x, s, moment)[0, moment])
 
 
 def pearcey_q(y: float, s: float, moment: int = 0) -> complex:
-    """eta-factor, on pearcey_kernel's first contour and ranges: q(y) =
+    """eta-factor, on pearcey_kernel's contours and ranges: q(y) =
     (1/2 pi i) Int_{-i inf}^{i inf} e^{-eta^4/4 + s eta^2/2 - eta y} d eta,
     with eta^moment inserted."""
-    y, _, ((_, eta), _) = _pearcey_rules("pearcey_q", s, y)
-    return complex(_moments(y, s, *eta, moment, sign=-1.0)[moment])
+    y, _ = _pearcey_args("pearcey_q", s, y)
+    return complex(_moments(y, s, moment, sign=-1.0)[0, moment])
 
 
 # ---------------------------------------------------------------------------

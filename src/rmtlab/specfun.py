@@ -105,7 +105,7 @@ def airy(z) -> FunctionValuePair:
     # + 0.0 clears a -0.0 imaginary part, for which AMOS misplaces the cut
     z = np.asarray(z, dtype=complex) + 0.0
     zeta = (2.0 / 3.0) * z * np.sqrt(z)
-    if np.any((np.abs(z) > 20.0) & (zeta.real < -700.0)):
+    if np.any(_airy_overflows(z, zeta)):
         raise OverflowError("airy: result too large to represent")
     # scaled pair times e^{-zeta}: unscaled AMOS returns 0 or nan once
     # Re zeta < -666 in the growth sectors, short of the guard above
@@ -113,6 +113,14 @@ def airy(z) -> FunctionValuePair:
     eai, eaip, _, _ = special.airye(z)
     scale = np.exp(-zeta)
     return FunctionValuePair(_scalar_or_array(eai * scale), _scalar_or_array(eaip * scale))
+
+
+def _airy_overflows(z, zeta=None):
+    """Where airy(z) would overflow: |z| > 20 with Re zeta < -700, zeta =
+    (2/3) z^(3/2) (principal branch), in the growth sectors."""
+    z = np.asarray(z, dtype=complex) + 0.0
+    zeta = (2.0 / 3.0) * z * np.sqrt(z) if zeta is None else zeta
+    return (np.abs(z) > 20.0) & (zeta.real < -700.0)
 
 
 def airy_real(x):

@@ -517,6 +517,9 @@ class TestSample:
     ["rh", "--potential", "0,0,0.5", "--n", "16", "--delta", "0"],
     ["rh", "--potential", "0,0,0.5", "--n", "0"],
     ["rh", "--potential", "0,0,0.5", "--n", "-3"],
+    # n and delta each in range whose local parametrix overflows airy
+    ["rh", "--potential", "0,0,0.5", "--n", "4096", "--delta", "0.4"],
+    ["rh", "--potential", "0,0,-1,0,0.25", "--n", "4096", "--delta", "0.3"],
     # the density is infinite at a hard edge and zero at the critical
     # quartic's origin, so neither gives a scaling window
     ["converge", "--potential", "0,1", "--hard-edge", "--mode", "bulk", "--n", "32"],
@@ -571,6 +574,17 @@ def test_rejected_input_exit2_without_file(tmp_path, monkeypatch, capsys, argv):
     assert main(argv + ["--out", "o.csv", "--workers", "1"]) == 2
     assert capsys.readouterr().err.startswith("rmtlab: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("potential, delta", [("0,0,0.5", "0.4"), ("0,0,-1,0,0.25", "0.3")])
+def test_rh_names_n_and_delta_when_the_parametrix_overflows(tmp_path, capsys, potential, delta):
+    # each lies in its own range; together they overflow airy on the circle
+    out = tmp_path / "rh.csv"
+    assert main(["rh", "--potential", potential, "--n", "4096", "--delta", delta,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--n 4096" in err and f"--delta {delta}" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra", [
@@ -970,6 +984,11 @@ CORNERS = [
     "sample --beta 4 --n 512 --count 2 --seed 9223372036854775807",
     "sample --metropolis --potential=0,0,0.5 --beta 4 --n 128 --count 1 --steps 1 --seed 1",
     "rh --potential=0,0,0.5 --n 1",
+    # n and delta whose local parametrix overflows airy (exit 2), and the
+    # widest disk that still passes at n = 4096
+    "rh --potential=0,0,0.5 --n 4096 --delta 0.4",
+    "rh --potential=0,0,-1,0,0.25 --n 4096 --delta 0.3",
+    "rh --potential=0,0,0.5 --n 4096 --delta 0.35",
     # overflow, a constant shift of V and alpha or truncation past their bounds
     "eqm --potential=0,1e300,0.5",
     "eqm --potential=0,0,1e-300",

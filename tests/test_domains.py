@@ -3,7 +3,8 @@ test_hostile_input_and_documented_corner: every public function of
 specfun, kernels and rh that has a documented range, called at NaN, +-inf,
 just past each bound and (difference kernels) at finite x, y whose
 difference overflows, raises ValueError naming the function, with
-RuntimeWarnings turned into errors."""
+RuntimeWarnings turned into errors.  The corners of Pearcey's range give
+finite values."""
 
 import math
 import sys
@@ -163,3 +164,16 @@ def test_bounds_themselves_are_in_range():
                   kr.bessel_origin_kernel(100.0, BESSEL_ORIGIN_MAX, 1.0)]
     assert np.isfinite(np.concatenate([np.ravel(v) for v in values])).all()
     assert sf.sinc_integral(-sys.float_info.max) == -0.5
+
+
+# the corners of Pearcey's documented range, |x| = |y| = 20 and |s| = 10,
+# and the kernel's edges there: a finite value without a RuntimeWarning
+PEARCEY_CORNERS = [pytest.param(x, y, s, id=f"pearcey_kernel({x!r}, {y!r}, {s!r})")
+                   for s in (-10.0, 10.0) for x in (-20.0, 20.0) for y in (-20.0, 0.0, 20.0)]
+
+
+@pytest.mark.parametrize("x, y, s", PEARCEY_CORNERS)
+def test_pearcey_documented_corner(x, y, s):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert math.isfinite(kr.pearcey_kernel(x, y, s))

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -272,10 +273,10 @@ class TestPearcey:
         assert abs(pairs[2] - grid[1, 0]) <= 1e-14
 
     def test_honesty_and_range_errors(self):
-        # at x = y = 12, s = -5 the cancellation in p and q exceeds double
-        # precision and the two discretizations disagree
-        with pytest.raises(ArithmeticError):
-            kr.pearcey_kernel(12.0, 12.0, -5.0)
+        # (12, 12) at s = -5 lies in the documented range; its value is the
+        # 40-digit one of test_against_40_digit_integrals, and the check is
+        # tested by test_check_fires_when_the_step_is_too_coarse
+        assert kr.pearcey_kernel(12.0, 12.0, -5.0) == pytest.approx(0.835025113481352, rel=1e-9)
         with pytest.raises(ValueError):
             kr.pearcey_kernel(20.5, 0.0, 0.0)
         with pytest.raises(ValueError):
@@ -286,9 +287,9 @@ class TestPearcey:
         assert abs(kr.pearcey_kernel(0.9, 0.3, 0.0) - kr.pearcey_kernel(0.3, 0.9, 0.0)) > 0.05
 
     def test_one_moment_pass_per_contour(self, monkeypatch):
-        # a real grid takes p and q once in each of the two discretizations,
-        # for the quotient and the diagonal together; entries in the Cauchy
-        # band add one pass of complex points per contour
+        # a real grid takes p and q once, for the quotient and the diagonal
+        # together and for the trapezoidal rule and its half-step rule;
+        # entries in the Cauchy band add one pass of complex points per contour
         passes = []
         real = kr._moments
         monkeypatch.setattr(kr, "_moments",
@@ -296,42 +297,64 @@ class TestPearcey:
                             or real(v, *args, **kwargs))
         grid = np.linspace(-2.0, 2.0, 9)
         kr.pearcey_kernel(grid[:, None], grid[None, :], 0.5)
-        assert passes == [False] * 4
+        assert passes == [False] * 2
         passes.clear()
         kr.pearcey_kernel(np.array([0.3, 0.3, 1.0]), np.array([0.3, 0.3005, -1.0]), 0.5)
-        assert sorted(passes) == [False] * 4 + [True] * 4
+        assert sorted(passes) == [False] * 2 + [True] * 2
 
-    @pytest.mark.parametrize("n, lo, hi, s", [
-        (2, -0.5, 0.5, 1.0), (5, -2.0, 2.0, -1.0), (9, -2.0, 2.0, 0.0), (21, -2.0, 2.0, 3.0)])
-    def test_shared_moments_match_per_use_formula(self, n, lo, hi, s):
-        # off the diagonal the shared moments are the per-use formula's to a
-        # few units in the last place.  Its diagonal took t^2 and t^3 from a
-        # 4-column np.vander, whose products may round apart from the t t of
-        # the quotient's 3 columns; shared moments use t t for both, which
-        # moves a diagonal value by a few units in the last place of its
-        # terms (at most 1.2e-15 of max |K| measured)
-        grid = np.linspace(lo, hi, n)
-        want = _pearcey_per_use(grid[:, None], grid[None, :], s)
-        got = kr.pearcey_kernel(grid[:, None], grid[None, :], s)
-        off = ~np.eye(n, dtype=bool)
-        assert (np.abs(got - want)[off] <= 1e-15 * np.abs(want)[off]).all()
-        assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
-        if (n, s) == (2, 1.0):
-            # the benchmark's table, whose 4.7e-15 error sets the limits
-            # workload's oracle_digits: bit for bit, which rests on numpy
-            # rounding t t alike in np.vander and in a plain product (true of
-            # the x86-64 builds this was measured on, not promised by numpy)
-            assert got.tobytes() == want.tobytes()
+    def test_at_most_402_nodes_per_argument(self):
+        # each distinct argument's contour: two halves of 201 nodes
+        for s in (-10.0, 0.0, 1.0, 10.0):
+            for contour in (kr._p_contour, kr._q_contour):
+                t = contour(np.linspace(-20.0, 20.0, 9) + 0j, s)[0]
+                assert t.shape == (9, 2, 201)
 
-    @pytest.mark.parametrize("s", [-1.0, 0.0, 1.0, 3.0])
-    def test_shared_moments_match_per_use_formula_on_band_pairs(self, s):
-        xs = np.repeat([-1.7, -0.4, 0.0, 0.9, 2.0], 6)
-        ys = xs + np.tile([0.0, 1e-9, 1e-7, 1e-5, 3e-4, 1e-3], 5)
-        want = _pearcey_per_use(xs, ys, s)
-        got = kr.pearcey_kernel(xs, ys, s)
-        off = xs != ys
-        assert (np.abs(got - want)[off] <= 1e-15 * np.abs(want)[off]).all()
-        assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
+    def test_whole_range_scan(self):
+        # the 8 x 8 grid over |x|, |y| <= 20 at five values of s: finite,
+        # with no ArithmeticError and no RuntimeWarning
+        grid = np.linspace(-20.0, 20.0, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for s in (-10.0, -5.0, 0.0, 5.0, 10.0):
+                assert np.isfinite(kr.pearcey_kernel(grid[:, None], grid[None, :], s)).all()
+
+    @pytest.mark.parametrize("x, y, s, want", [
+        (12.0, 12.0, -5.0, 0.835025), (-12.0, 0.0, -8.0, -0.274584),
+        (20.0, 20.0, -10.0, 1.09743), (8.57, 2.86, -5.0, 0.728405),
+        (-20.0, 20.0, 0.0, None), (-14.29, -14.29, 10.0, None), (20.0, 14.29, 5.0, None),
+        (20.0, -20.0, 10.0, None)])
+    def test_against_40_digit_integrals(self, x, y, s, want):
+        ref = _mp_pearcey_kernel(x, y, s)
+        if want is not None:
+            assert ref == pytest.approx(want, abs=5e-6)
+        assert kr.pearcey_kernel(x, y, s) == pytest.approx(ref, rel=1e-9)
+
+    def test_benchmark_table_against_40_digit_integrals(self):
+        # the benchmark's table (-0.5:0.5:2, s = 1), normwise
+        grid = np.array([-0.5, 0.5])
+        ref = np.array([[_mp_pearcey_kernel(x, y, 1.0) for y in grid] for x in grid])
+        got = kr.pearcey_kernel(grid[:, None], grid[None, :], 1.0)
+        assert np.abs(got - ref).max() <= 1.5e-15 * np.abs(ref).max()
+
+    def test_ode_residuals_on_the_whole_range(self):
+        # p''' = s p' - x p and q''' = y q + s q', to 1e-12 of the largest
+        # moment, up to |x| = 20
+        for s in (-10.0, -3.0, 0.0, 4.0, 10.0):
+            for v in np.linspace(-20.0, 20.0, 9):
+                p = [kr.pearcey_p(v, s, k) for k in range(4)]
+                q = [(-1) ** k * kr.pearcey_q(v, s, k) for k in range(4)]
+                assert abs(p[3] - (s * p[1] - v * p[0])) <= 1e-12 * max(map(abs, p))
+                assert abs(q[3] - (v * q[0] + s * q[1])) <= 1e-12 * max(map(abs, q))
+
+    def test_check_fires_when_the_step_is_too_coarse(self, monkeypatch):
+        # a rule of step 0.3 on the same range: its half-step rule differs
+        # by more than 1e-7 of the numerator's terms
+        u = 0.3 * np.arange(-10, 11)
+        for name, value in [("_STEP", 0.3), ("_U", u), ("_EXP", (np.exp(u), np.exp(-u))),
+                            ("_EXPM1", (np.expm1(u), np.expm1(-u)))]:
+            monkeypatch.setattr(kr, name, value)
+        with pytest.raises(ArithmeticError, match="half-step"):
+            kr.pearcey_kernel(0.5, -0.5, 1.0)
 
     @pytest.mark.parametrize("s", [-1.0, 0.0, 1.0, 3.0])
     def test_scan_against_double_integral(self, s):
@@ -342,28 +365,43 @@ class TestPearcey:
         assert np.abs(kr.pearcey_kernel(x, y, s) - ref).max() <= 1e-9
 
 
-def _pearcey_per_use(x, y, s):
-    """The first discretization of pearcey_kernel as it was before the
-    moments were shared: p and q taken again for the quotient and for the
-    diagonal, with the exponent and np.vander's powers built per use."""
-    def moments(v, nodes, weights, kmax, sign=1.0):
-        u, inv = np.unique(v, return_inverse=True)
-        f = np.exp(sign * (0.25 * nodes ** 4 - 0.5 * s * nodes ** 2
-                           + np.multiply.outer(u, nodes))) * weights
-        powers = np.vander(nodes, kmax + 1, increasing=True).T
-        m = np.stack([(f * pk).sum(axis=-1) for pk in powers]) / (2j * np.pi)
-        return m[:, inv.reshape(np.shape(v))]
+@functools.cache
+def _mp_pearcey(x, y, s):
+    """p, p', p'' at x and q, q', q'' at y to 40 digits: a composite 24-point
+    Gauss-Legendre rule on 24 panels of t in [0, 6], along the xi rays
+    t e^{i pi/4} and t e^{3i pi/4} (each with its conjugate ray) and the
+    imaginary eta axis (each t with -t)."""
+    import mpmath as mp
 
-    xi = kr._xi_contour(max(0.75, math.sqrt(max(s, 0.0))), 12.0, 60)
-    eta = kr._eta_axis(12.0, 120)
+    with mp.workdps(40):
+        nodes, weights = mp.gauss_quadrature(24, "legendre")
+        x, y, s = mp.mpf(x), mp.mpf(y), mp.mpf(s)
+        rays = ((mp.expjpi(mp.mpf(1) / 4), -1), (mp.expjpi(mp.mpf(3) / 4), 1))
+        p, q = [mp.mpc(0)] * 3, [mp.mpf(0)] * 3
+        half = mp.mpf(1) / 8
+        for panel in range(24):
+            for node, weight in zip(nodes, weights):
+                t = (2 * panel + 1 + node) * half
+                for e, sign in rays:
+                    z = t * e
+                    f = sign * e * weight * mp.exp(z ** 4 / 4 - s * z * z / 2 + x * z)
+                    p = [p[0] + f, p[1] + f * z, p[2] + f * z * z]
+                g = 2 * weight * mp.exp(-t ** 4 / 4 - s * t * t / 2)
+                c, sn = mp.cos(y * t), mp.sin(y * t)
+                q = [q[0] + g * c, q[1] - g * t * sn, q[2] - g * t * t * c]
+        return [2 * v.imag * half / (2 * mp.pi) for v in p], [v * half / (2 * mp.pi) for v in q]
 
-    def numerator(x, y, k=0):
-        p = moments(x, *xi, k + 2)[k:]
-        q = moments(y, *eta, 2, sign=-1.0)
-        return p[2] * q[0] + p[1] * q[1] + p[0] * q[2] - s * p[0] * q[0]
 
-    x, y = _floats(x, y)
-    return kr._near_diagonal(x, y, numerator, lambda x: numerator(x, x, 1)).real
+def _mp_pearcey_kernel(x, y, s):
+    """The integrable form from _mp_pearcey, its x-derivative on the diagonal."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        p, q = _mp_pearcey(x, y, s)
+        if x == y:
+            p = p[1:] + [s * p[1] - x * p[0]]
+        value = p[2] * q[0] - p[1] * q[1] + p[0] * q[2] - s * p[0] * q[0]
+        return float(value if x == y else value / (mp.mpf(x) - mp.mpf(y)))
 
 
 class TestMatrixKernels:
@@ -999,8 +1037,19 @@ class TestBroadcasting:
         with pytest.raises(ValueError, match=message):
             call(specfun)
 
-    def test_pearcey_one_bad_entry_fails_the_grid(self):
-        # (0, 0) alone is fine; (12, 12) at s = -5 fails its agreement check
+    def test_pearcey_one_bad_entry_fails_the_grid(self, monkeypatch):
+        # (0, 0) alone is fine; with the half-step rule of the argument 12
+        # moved off, the entries that use 12 fail their agreement check
+        assert kr.pearcey_kernel(0.0, 0.0, -5.0) == pytest.approx(
+            kr.pearcey_kernel(np.array([0.0]), np.array([0.0]), -5.0)[0])
+        real = kr._moments
+
+        def off_at_12(v, *args, **kwargs):
+            m = real(v, *args, **kwargs)
+            m[1] += np.where(np.asarray(v) == 12.0, 1e-3 * abs(m[0]).max(), 0.0)
+            return m
+
+        monkeypatch.setattr(kr, "_moments", off_at_12)
         assert kr.pearcey_kernel(0.0, 0.0, -5.0) == pytest.approx(
             kr.pearcey_kernel(np.array([0.0]), np.array([0.0]), -5.0)[0])
         pts = np.array([0.0, 12.0])
