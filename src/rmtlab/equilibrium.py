@@ -58,6 +58,7 @@ from numpy.polynomial import Polynomial, chebyshev
 from numpy.polynomial import polynomial as npoly
 
 from .quadrature import gauss_legendre_panels
+from .specfun import ALPHA_MAX
 
 __all__ = [
     "Potential",
@@ -83,11 +84,6 @@ class MultiCutError(ArithmeticError):
 class NonConvergenceError(ArithmeticError):
     """An iterative routine exhausted its budget, or its answer is not
     determined to working accuracy (an edge-critical potential)."""
-
-
-# the largest alpha of a weight x^alpha or |x|^{2 alpha} and of a Bessel kernel:
-# at 1000 the Gauss-Jacobi rule of the recurrence nodes and J_alpha overflow
-ALPHA_MAX = 100.0
 
 
 @dataclass(frozen=True)

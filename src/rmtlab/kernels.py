@@ -27,11 +27,10 @@ from typing import Optional
 
 import numpy as np
 
-from .equilibrium import ALPHA_MAX
 from .quadrature import gauss_legendre_panels
-from .specfun import (_AIRY_MAX, _BESSEL_MAX, _TAIL_BEYOND_CUT, _TAIL_CUT, FunctionValuePair,
-                      _airy_tail_asym, _in_range, _scalar_or_array, _sinc_integral, _tail_integral,
-                      airy, bessel_j)
+from .specfun import (_AIRY_MAX, _BESSEL_MAX, _TAIL_BEYOND_CUT, _TAIL_CUT, ALPHA_MAX,
+                      FunctionValuePair, _airy_tail_asym, _in_range, _scalar_or_array,
+                      _sinc_integral, _tail_integral, airy, bessel_j)
 
 __all__ = [
     "KernelHandle",
@@ -63,22 +62,24 @@ _MATRIX_FAMILIES = ("sine_beta1", "sine_beta4", "airy_beta1", "airy_beta4")
 _ARC = np.exp(1j * np.pi * np.arange(6) / 12)
 _CIRCLE = np.r_[_ARC, 1j, -_ARC[::-1].conj()]
 _WEIGHTS = np.r_[1.0, np.full(11, 2.0), 1.0] / 24.0
-_BAND = 250.0  # the Cauchy mean serves 0 < |x - y| < r / _BAND
 
 
 def _near_diagonal(x, y, numerator, diagonal, radius=lambda m: 0.25, grid=None):
-    """numerator(x, y) / (x - y) broadcast over x and y (grid, if given, is
-    numerator(x, y)), for a numerator analytic, real on the real axis and 0
-    on x = y.  x == y gives diagonal(x); 0 < |x - y| < r / 250, r = radius(m)
-    at the midpoint m, gives the trapezoidal Cauchy mean of K(m + z/2,
-    m - z/2) on |z| = r (Trefethen-Weideman, SIAM Rev. 56, 2014): the mean
-    of numerator(m + z_k/2, m - z_k/2) / (z_k - (x - y)) over 24 nodes z_k.
+    """numerator(x, y) / (x - y) broadcast over x and y, for a numerator
+    analytic, real on the real axis and 0 on x = y.  x == y gives
+    diagonal(x); 0 < |x - y| < r / 250, r = radius(m) at the midpoint m,
+    gives the trapezoidal Cauchy mean of K(m + z/2, m - z/2) on |z| = r
+    (Trefethen-Weideman, SIAM Rev. 56, 2014): the mean of
+    numerator(m + z_k/2, m - z_k/2) / (z_k - (x - y)) over 24 nodes z_k.
     Conjugate nodes give conjugate terms, so numerator sees the 13 with
-    Im z_k >= 0 only, as (k, 13) arrays; m - z_k/2 = conj(m + z_{12-k}/2)."""
+    Im z_k >= 0 only, as (k, 13) arrays; m - z_k/2 = conj(m + z_{12-k}/2).
+    grid, if given, is called with the mask of the entries whose plain
+    quotient is kept (False on the diagonal and the band, whose values it
+    may leave arbitrary) and returns numerator(x, y) in place of the call."""
     d, m = x - y, 0.5 * (x + y)
     r = radius(m)
-    near = np.abs(d) < r / _BAND
-    out = np.asarray((numerator(x, y) if grid is None else grid) / np.where(near, 1.0, d))
+    near = np.abs(d) < r / 250.0
+    out = np.asarray((numerator(x, y) if grid is None else grid(~near)) / np.where(near, 1.0, d))
     if near.any():
         x, d, m, r = (np.broadcast_to(v, near.shape)[near] for v in (x, d, m, r))
         val = np.empty(d.shape, out.dtype)
@@ -141,7 +142,7 @@ def _airy_quotient(x, y, fx, fy):
         return f.derivative * f.derivative - x * f.value * f.value
 
     return _near_diagonal(x, y, lambda x, y: _airy_numerator(*_circle_pairs(x)), diagonal,
-                          lambda m: 0.1, _airy_numerator(fx, fy))
+                          lambda m: 0.1, lambda keep: _airy_numerator(fx, fy))
 
 
 def airy_kernel(x, y):
@@ -171,7 +172,7 @@ def _airy_dy(x, y, fx, fy, kxy):
         return numerator(y, fx, fy, _airy_numerator(fx, fy) / (x - y))
 
     return _near_diagonal(x, y, at, lambda x: -0.5 * airy(x).value ** 2,
-                          grid=numerator(y, fx, fy, kxy))
+                          grid=lambda keep: numerator(y, fx, fy, kxy))
 
 
 def _order(family, alpha):
@@ -458,7 +459,8 @@ def _pearcey_integrable(x, y, s):
     value looked up in them; the Cauchy band's points take one more.  Each
     numerator value comes from the trapezoidal rule; where the half-step
     rule's differs by more than 1e-7 of its largest term, ArithmeticError
-    is raised."""
+    is raised.  The grid is checked on the entries whose quotient
+    _near_diagonal keeps, the diagonal and the band on their own values."""
     def numerator(p, q, checked=True):  # the rule first, then k; q[:, 1] is -q'
         (a, b, c, d), half = ((r[2] * w[0], r[1] * w[1], r[0] * w[2], -s * r[0] * w[0])
                               for r, w in zip(p, q))
@@ -475,9 +477,8 @@ def _pearcey_integrable(x, y, s):
     return _near_diagonal(
         x, y, lambda x, y: numerator(_moments(x, s, 2), _moments(y, s, 2, sign=-1.0)),
         lambda x: numerator(p[:, 1:, np.searchsorted(ux, x)], q[:, :, np.searchsorted(uxy, x)]),
-        # the diagonal and the Cauchy band (r = 0.25) are replaced
-        grid=numerator(p[:, :3, np.searchsorted(ux, x)], q[:, :, np.searchsorted(uxy, y)],
-                       np.abs(x - y) >= 0.25 / _BAND))
+        grid=lambda keep: numerator(p[:, :3, np.searchsorted(ux, x)],
+                                    q[:, :, np.searchsorted(uxy, y)], keep))
 
 
 def _pearcey_s(s, name="pearcey_kernel"):

@@ -34,7 +34,7 @@ import numpy as np
 from . import equilibrium as eqm
 from .equilibrium import EquilibriumMeasure
 from .kernels import _args, _blocks
-from .specfun import _AIRY_MAX, _airy_overflows, _scalar_or_array, airy
+from .specfun import _scalar_or_array, airy
 
 __all__ = [
     "DescentContext",
@@ -222,14 +222,6 @@ def _off_axis(z):
     return np.where(np.abs(z.imag) < 1e-12 * (1.0 + np.abs(x)), x + 1j * nudge, z)
 
 
-def _airy_model_fails(zeta):
-    """Whether airy_model(zeta) would leave airy's range or overflow: airy
-    takes zeta, w zeta and w^2 zeta."""
-    w = np.array([1.0, _W3, _W3 * _W3])
-    z = np.multiply.outer(w, zeta)
-    return bool((np.abs(z) > 1.1 * _AIRY_MAX).any() or _airy_overflows(z).any())
-
-
 # ---------------------------------------------------------------------------
 # kernels and recurrence asymptotics
 
@@ -306,17 +298,10 @@ def diagnostics(measure: EquilibriumMeasure, ns, delta: float = 0.1):
     a_inf, b_inf                  asymptotic_recurrence (first n)
 
     Six random points per point check, from numpy's default_rng(0); param
-    is the point, the radius or n.  An n whose local parametrix would
-    overflow airy on that circle raises ValueError naming --n and --delta
-    before any check runs."""
+    is the point, the radius or n.  An n whose local parametrix leaves
+    airy's range or overflows it on that circle raises ValueError naming
+    --n and --delta."""
     ctxs = [DescentContext(measure, n=n, delta=delta) for n in ns]
-    t = np.linspace(0, 2 * np.pi, 32, endpoint=False)
-    circle = measure.support[1] + delta * np.exp(1j * t)
-    f = conformal_f(ctxs[0], _off_axis(circle))  # the measure's, the same for every n
-    for ctx in ctxs:
-        if _airy_model_fails(ctx.n ** (2.0 / 3.0) * f):
-            raise ValueError(f"--n {ctx.n} with --delta {delta!r}: the local parametrix "
-                             "overflows airy on |z - b| = delta; take a smaller n or delta")
     rng = np.random.default_rng(0)
     # (real, imag) pairs read as complex points
     zm = rng.uniform([-4.0, 0.2], [4.0, 3.0], size=(6, 2)).view(complex).ravel()
@@ -340,8 +325,14 @@ def diagnostics(measure: EquilibriumMeasure, ns, delta: float = 0.1):
     rows += [(f"A_jump_{name}", repr(r), v)
              for name, vals in zip(sides, resid) for r, v in zip(radii, vals)]
 
+    circle = measure.support[1] + delta * np.exp(1j * np.linspace(0, 2 * np.pi, 32, endpoint=False))
     for ctx in ctxs:
-        dev = local_parametrix(ctx, circle) @ np.linalg.inv(outer_parametrix(ctx, circle))
+        try:
+            p = local_parametrix(ctx, circle)
+        except (ValueError, OverflowError) as err:
+            raise ValueError(f"--n {ctx.n} with --delta {delta!r}: the local parametrix overflows "
+                             "airy on |z - b| = delta; take a smaller n or delta") from err
+        dev = p @ np.linalg.inv(outer_parametrix(ctx, circle))
         rows.append(("matching_sup", ctx.n, float(np.abs(dev - np.eye(2)).max())))
     a_inf, b_inf = asymptotic_recurrence(ctxs[0])
     return rows + [("a_inf", "", a_inf), ("b_inf", "", b_inf)]

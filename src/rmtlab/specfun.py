@@ -66,6 +66,9 @@ class FunctionValuePair:
 # |argument| bounds of airy and bessel_j (the kernels' bounds derive from them);
 # the guards admit 10% and 0.1% more, for the kernels' Cauchy circles
 _AIRY_MAX = _BESSEL_MAX = 1e3
+# the largest alpha of a weight x^alpha or |x|^{2 alpha} and of a Bessel kernel:
+# at 1000 the Gauss-Jacobi rule of the recurrence nodes and J_alpha overflow
+ALPHA_MAX = 100.0
 
 
 def _in_range(name, what, v, lo=-sys.float_info.max, hi=sys.float_info.max):
@@ -92,8 +95,11 @@ def airy(z) -> FunctionValuePair:
 
     Broadcasts like a numpy ufunc: scalar input gives floats, or complex
     values for complex input.  Raises ValueError unless every |z| <= 1e3
-    and OverflowError if any z lies in the deep growth sectors where the
-    result would overflow; underflow in the decay sector degrades to 0.
+    (the guard admits 1.1e3) and OverflowError if any complex z lies in
+    the deep growth sectors where the result would overflow, |z| > 20 with
+    Re zeta < -700, zeta = (2/3) z^(3/2) (principal branch); underflow in
+    the decay sector degrades to 0.  rh.diagnostics reports either error
+    of its local parametrix as a rejected --n and --delta.
     """
     _in_range("airy", "|z| must be finite within the supported range 1e3", np.abs(z),
               hi=1.1 * _AIRY_MAX)
@@ -105,7 +111,7 @@ def airy(z) -> FunctionValuePair:
     # + 0.0 clears a -0.0 imaginary part, for which AMOS misplaces the cut
     z = np.asarray(z, dtype=complex) + 0.0
     zeta = (2.0 / 3.0) * z * np.sqrt(z)
-    if np.any(_airy_overflows(z, zeta)):
+    if ((np.abs(z) > 20.0) & (zeta.real < -700.0)).any():
         raise OverflowError("airy: result too large to represent")
     # scaled pair times e^{-zeta}: unscaled AMOS returns 0 or nan once
     # Re zeta < -666 in the growth sectors, short of the guard above
@@ -113,14 +119,6 @@ def airy(z) -> FunctionValuePair:
     eai, eaip, _, _ = special.airye(z)
     scale = np.exp(-zeta)
     return FunctionValuePair(_scalar_or_array(eai * scale), _scalar_or_array(eaip * scale))
-
-
-def _airy_overflows(z, zeta=None):
-    """Where airy(z) would overflow: |z| > 20 with Re zeta < -700, zeta =
-    (2/3) z^(3/2) (principal branch), in the growth sectors."""
-    z = np.asarray(z, dtype=complex) + 0.0
-    zeta = (2.0 / 3.0) * z * np.sqrt(z) if zeta is None else zeta
-    return (np.abs(z) > 20.0) & (zeta.real < -700.0)
 
 
 def airy_real(x):

@@ -480,3 +480,60 @@ class TestGridOracle:
     def test_grid_size_cap(self):
         with pytest.raises(ValueError):
             grid_energy_minimize(SEMI, 2001)
+
+
+def _random_potential(rng):
+    """V with log-normal |coefficients| and random signs: even degree 2-8
+    with a positive leading coefficient on the line, degree 1-5 with
+    positive V'(0) and leading coefficient on a hard edge."""
+    hard = bool(rng.random() < 0.5)
+    degree = int(rng.integers(1, 6)) if hard else 2 * int(rng.integers(1, 5))
+    c = rng.lognormal(0.0, 1.0, degree + 1) * rng.choice([-1.0, 1.0], degree + 1)
+    c[-1] = abs(c[-1])
+    if hard:
+        c[1] = abs(c[1])
+    return tuple(c), hard
+
+
+def test_random_potential_scan():
+    # 300 potentials from default_rng(0): each is rejected by Potential
+    # (a hard-edge V' with a root on (0, inf)), raises MultiCutError or
+    # NonConvergenceError, or is solved; nothing else is raised or warned
+    import warnings
+
+    rng = np.random.default_rng(0)
+    outcomes = {"solved": 0, "ValueError": 0, "MultiCutError": 0, "NonConvergenceError": 0}
+    # the mass of rho as a Gauss-Legendre sum in theta, x = a + r (1 + cos theta):
+    # rho dx is a polynomial in cos theta times sin^2 theta (soft) or 1 - cos theta (hard)
+    theta, wt = np.polynomial.legendre.leggauss(64)
+    theta, wt = 0.5 * np.pi * (theta + 1.0), 0.5 * np.pi * wt
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for _ in range(300):
+            coefs, hard = _random_potential(rng)
+            try:
+                pot = Potential(coefs, hard_edge=hard)
+            except ValueError:
+                outcomes["ValueError"] += 1
+                continue
+            try:
+                mu = solve_equilibrium(pot)
+            except (MultiCutError, NonConvergenceError) as exc:
+                outcomes[type(exc).__name__] += 1
+                continue
+            outcomes["solved"] += 1
+            a, b = mu.support
+            r = 0.5 * (b - a)
+            mass = np.sum(wt * density(mu, a + r * (1.0 + np.cos(theta))) * r * np.sin(theta))
+            # 1e-12, above the rounding of the stored endpoints: each is known
+            # to eps max(|a|, |b|), which moves the mass by about 4 eps
+            # max(|a|, |b|) / (b - a) (1.8e-11 for a degree-8 well of width
+            # 2.5e-4 at x = -18.35, 1.8e-12 for one of width 1.3e-3 at 12.13)
+            floor = 8.0 * np.finfo(float).eps * max(abs(a), abs(b)) / (b - a)
+            assert abs(mass - 1.0) <= 1e-12 + floor
+            # the solver's own off-support tolerance, on and around the support
+            w = b - a
+            x = np.linspace(a if hard else a - w, b + w, 2001)
+            assert (effective_potential(mu, pot, x) >= -1e-10 * (1.0 + np.abs(pot(x)))).all()
+    assert outcomes == {"solved": 257, "ValueError": 21, "MultiCutError": 22,
+                        "NonConvergenceError": 0}

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from rmtlab import kernels as kr
+from rmtlab import mc
+from rmtlab import orthopoly as op
+from rmtlab.equilibrium import Potential
 from rmtlab.kernels import KernelHandle
 from rmtlab.specfun import airy
 
@@ -896,7 +899,53 @@ def _fredholm_det(kernel, a, b, m):
     return np.linalg.det(np.eye(m) - root[:, None] * kernel(x[:, None], x[None, :]) * root)
 
 
+def _gue_edge_law(n, m=48):
+    """F_n(s) = P(lambda_max <= 2 + s n^(-2/3)) for the weight e^{-n x^2/2}
+    (GUE on the semicircle [-2, 2]): det(I - K_n) on L^2(2 + s n^(-2/3), hi)
+    from the CD kernel, with hi the end of the table's window."""
+    w = op.WeightSpec(Potential((0.0, 0.0, 0.5)), N=n)
+    t = op.recurrence_table(w, n)
+
+    def kernel(x, y):
+        return op.cd_kernel_grid(t, w, n, x.ravel(), y.ravel())
+
+    return lambda s: _fredholm_det(kernel, 2.0 + s * n ** (-2.0 / 3.0), t.window[1], m)
+
+
 class TestFredholmOracles:
+    def test_finite_n_edge_law_tends_to_f2(self):
+        # sup over 25 points s of [-4, 2] of |F_n - F2| falls as n^(-2/3)
+        # (Johnstone-Ma, Ann. Appl. Probab. 22, 2012): the least-squares
+        # exponent over n = 64 ... 512 lies in 2/3 +- 0.03 (0.669 measured;
+        # 5.5e-3 at n = 64, 1.4e-3 at 512); F_64 on 48 and 80 nodes agree
+        # to 1e-13
+        s = np.linspace(-4.0, 2.0, 25)
+        f2 = np.array([_fredholm_det(kr.airy_kernel, v, v + 14.0, 48) for v in s])
+        ns = np.array([64, 128, 256, 512])
+        sups = [max(abs(law(v) - f) for v, f in zip(s, f2)) for law in map(_gue_edge_law, ns)]
+        slope = np.polyfit(np.log(ns), np.log(sups), 1)[0]
+        assert abs(slope + 2.0 / 3.0) <= 0.03, (slope, sups)
+        f64, f64_fine = _gue_edge_law(64), _gue_edge_law(64, 80)
+        assert max(abs(f64(v) - f64_fine(v)) for v in (-3.0, -1.0, 0.0, 1.0)) <= 1e-13
+
+    def test_gue_largest_eigenvalue_against_finite_n_law(self):
+        # Kolmogorov-Smirnov test of lambda_max of 4000 GUE draws (n = 64,
+        # seed 1) against F_64, at a 1% false-alarm rate: D <= 1.628 /
+        # sqrt(4000) = 0.0257 (D = 0.0176 measured).  F_64 is the degree-60
+        # Chebyshev interpolant of the Fredholm determinant on the sample's
+        # range, within 1e-12 of it at 7 points between the nodes (6e-15
+        # measured).
+        lam = mc.sample_gaussian(2, 64, 4000, seed=1).eigenvalue_sets[:, -1]
+        s = np.sort((lam - 2.0) * 64 ** (2.0 / 3.0))
+        law = _gue_edge_law(64)
+        f = np.polynomial.Chebyshev.interpolate(lambda v: np.array([law(x) for x in v]), 60,
+                                                domain=[s[0], s[-1]])
+        probe = np.linspace(s[0], s[-1], 9)[1:-1] + 1e-3
+        assert max(abs(f(v) - law(v)) for v in probe) <= 1e-12
+        cdf, m = f(s), len(s)
+        d = max((np.arange(1, m + 1) / m - cdf).max(), (cdf - np.arange(m) / m).max())
+        assert d <= 1.628 / math.sqrt(m), d
+
     def test_tracy_widom_f2_mean_and_variance(self):
         # F2(s) = det(I - K_Ai) on (s, inf), cut at s + 14 (48 nodes); the
         # moments from F2 on 64 Gauss-Legendre nodes of [-8, 8], where

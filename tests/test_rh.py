@@ -298,6 +298,28 @@ class TestRecurrenceAsymptotics:
         a_inf, _ = rh.asymptotic_recurrence(ctx64)
         assert abs(t.a[n - 1] - a_inf) <= 0.5 / n
 
+    @pytest.mark.parametrize("coefs", [(0.0, 0.0, 0.0, 0.0, 0.25), (0.0, 0.0, -0.5, 0.1, 0.25)])
+    def test_convergence_rate(self, coefs):
+        # |a_n - a_inf| and, off symmetry, |(b_{n-1} + b_n)/2 - b_inf| fall
+        # as n^-2 (Deift et al., CPAM 52, 1999): the least-squares slope of
+        # their logs against log n over n = N = n_max = 64 ... 512 lies in
+        # [-2.1, -1.9] (-2.000 measured; 5.9e-6 ... 9.2e-8 for a on x^4/4)
+        pot = Potential(coefs)
+        mu = eq.solve_equilibrium(pot)
+        a_inf, b_inf = rh.asymptotic_recurrence(rh.DescentContext(mu, n=64))
+        ns = np.array([64, 128, 256, 512])
+        errors = []
+        for n in ns:
+            t = op.recurrence_table(op.WeightSpec(pot, N=n), n, mu)
+            errors.append((abs(t.a[n - 1] - a_inf), abs(0.5 * (t.b[n - 1] + t.b[n]) - b_inf)))
+        a_err, b_err = np.array(errors).T
+        slopes = [np.polyfit(np.log(ns), np.log(a_err), 1)[0]]
+        if any(coefs[1::2]):
+            slopes.append(np.polyfit(np.log(ns), np.log(b_err), 1)[0])
+        else:
+            assert (b_err <= 1e-12).all()
+        assert all(-2.1 <= s <= -1.9 for s in slopes), slopes
+
     def test_shifted_potential(self):
         # V((x-1)^2/2-type): support shifts by 1, b_inf = 1
         pot = Potential((0.5, -1.0, 0.5))
