@@ -235,14 +235,6 @@ def bessel_origin_kernel(alpha: float, x, y):
 # ---------------------------------------------------------------------------
 # Pearcey kernel from its integrable form
 
-_GLP_ORDER = 20
-
-
-def _panel_nodes(lo, hi, panels):
-    t, w = gauss_legendre_panels(lo, hi, panels, _GLP_ORDER)
-    return t.ravel(), w.ravel()
-
-
 def _xi_contour(delta, tmax, panels):
     """The bent X contour: two V-shaped halves with vertices at +-delta.
 
@@ -252,7 +244,7 @@ def _xi_contour(delta, tmax, panels):
     axis) a positive distance from the 1/(eta - xi) pole; the deformation
     crosses no poles, so the integral is unchanged.
     """
-    t, w = _panel_nodes(0.0, tmax, panels)
+    t, w = (v.ravel() for v in gauss_legendre_panels(0.0, tmax, panels, 20))
     e_p = np.exp(1j * np.pi / 4.0)
     e_m = np.exp(-1j * np.pi / 4.0)
     xs = [delta + t * e_p, delta + t * e_m, -delta - t * e_p, -delta - t * e_m]
@@ -262,7 +254,7 @@ def _xi_contour(delta, tmax, panels):
 
 def _eta_axis(tmax, panels):
     """Nodes and weights (d eta = i du) on the imaginary axis |eta| <= tmax."""
-    u, wu = _panel_nodes(-tmax, tmax, panels)
+    u, wu = (v.ravel() for v in gauss_legendre_panels(-tmax, tmax, panels, 20))
     return 1j * u, 1j * wu
 
 
@@ -290,11 +282,11 @@ def _pearcey_raw(x, y, s, delta, tmax, xi_panels, eta_panels):
 # p and q are trapezoidal sums in u over the nodes u_j = j h, |j| <= 100,
 # of contours t(u) = c + B u + P expm1(u) + Q expm1(-u) routed through the
 # saddles of the exponent f(t) = t^4/4 - s t^2/2 + m t (the roots of
-# t^3 - s t + m).  P and Q point into valleys of +-t^4, so the integrand
-# decays double exponentially; the upright eta line (B alone) ends where it
-# has fallen below e^-45 of its top.  Either way the sum converges
-# geometrically (Trefethen-Weideman, SIAM Rev. 56, 2014); every other node
-# with doubled weights is the half-step rule.
+# t^3 - s t + m).  On the xi contour P and Q point into valleys of t^4, so
+# the integrand decays double exponentially; the eta contour is an upright
+# line (B alone) that ends where e^-f has fallen below e^-45 of its top.
+# Either way the sum converges geometrically (Trefethen-Weideman, SIAM Rev.
+# 56, 2014); every other node with doubled weights is the half-step rule.
 _STEP = 0.03
 _U = _STEP * np.arange(-100, 101)
 _EXP = np.exp(_U), np.exp(-_U)
@@ -344,15 +336,15 @@ def _upright(c, a, right):
     return c, 0.0 * a, a * (1 - 1j), a * (1 + 1j)
 
 
-def _arches(z, s, sign, start, end):
+def _arches(z, s, start, end):
     """(c, B, P, Q) of the arch from the valley at angle start to the one at
-    end through the saddle z of e^{sign f}, and of its mirror image through
-    conj z (from the mirror of end to the mirror of start).  The tangent at
-    z is the steepest-descent line there, kept _TILT inside the angle the
-    two asymptotes leave; the scale is _scale(z, s)."""
+    end through the saddle z of e^f, and of its mirror image through conj z
+    (from the mirror of end to the mirror of start).  The tangent at z is
+    the steepest-descent line there, kept _TILT inside the angle the two
+    asymptotes leave; the scale is _scale(z, s)."""
     far = end + np.angle(np.exp(1j * (start + math.pi - end)))
     lo, hi = np.minimum(end, far) + _TILT, np.maximum(end, far) - _TILT
-    tangent = 0.5 * (math.pi * (sign > 0) - np.angle(3.0 * z * z - s))
+    tangent = 0.5 * (math.pi - np.angle(3.0 * z * z - s))
     tangent = tangent + math.pi * np.round((0.5 * (lo + hi) - tangent) / math.pi)
     tangent = np.minimum(np.maximum(tangent, lo), hi)
     a = _scale(z, s) / np.sin(end - start)
@@ -361,23 +353,23 @@ def _arches(z, s, sign, start, end):
     return (z, 0.0 * a, p, q), (z.conj(), 0.0 * a, q.conj(), p.conj())
 
 
-def _exponent(t, m, s, sign):
-    """sign f(t), f = t^4/4 - s t^2/2 + m t."""
+def _exponent(t, m, s):
+    """f(t) = t^4/4 - s t^2/2 + m t."""
     t2 = t * t
-    return sign * ((0.25 * t2 - 0.5 * s) * t2 + m * t)
+    return (0.25 * t2 - 0.5 * s) * t2 + m * t
 
 
-def _choose(v, s, sign, first, second, pick):
-    """The nodes, the exponent there and (c, B, P, Q) of one of two
+def _choose(v, s, first, second, pick):
+    """The nodes, the exponent f there and (c, B, P, Q) of one of two xi
     contours (pairs of halves) for each v: the second where pick holds and
     it is the lower one, or within 1 of the first's height and not 20%
-    rougher, roughness being the largest change of the exponent between
-    half-step nodes where it is within 35 of its top.  A contour whose ends
-    come within 40 of its top is truncated and never preferred."""
+    rougher, roughness being the largest change of f between half-step
+    nodes where it is within 35 of its top.  A contour whose ends come
+    within 40 of its top is truncated and never preferred."""
     # (c, B, P, Q), each of shape (distinct v, contour, half)
     c, b, p, q = np.array([first, second], dtype=complex).transpose(2, 3, 0, 1)
     t = c[..., None] + b[..., None] * _U + p[..., None] * _EXPM1[0] + q[..., None] * _EXPM1[1]
-    f = _exponent(t, v[:, None, None, None], s, sign)
+    f = _exponent(t, v[:, None, None, None], s)
     if pick.any():
         height = f.real[..., ::2]
         top = height.max(axis=(-2, -1))
@@ -409,27 +401,20 @@ def _p_contour(v, s):
     other = r[:, 0]
     near = _upright(np.where(right, c, other), np.where(right, a, _scale(other, s)), True)
     far = _upright(np.where(right, other, c), np.where(right, _scale(other, s), a), False)
-    return _choose(v, s, 1.0, (near, far), _arches(z, s, 1.0, math.pi / 4, 3 * math.pi / 4), ~three)
+    return _choose(v, s, (near, far), _arches(z, s, math.pi / 4, 3 * math.pi / 4), ~three)
 
 
 def _q_contour(v, s):
-    """The eta contour of each v, placed by the saddles of f, m = Re v: the
-    upright line through the middle real saddle, or through Re z and both z
-    and conj z, with its nodes spread evenly up to where the integrand falls
-    below e^-45 of its top (the real part of -f on it is a quartic in
-    Im eta), with the line's lower end, a point that adds nothing, as its
-    second half; or, with one real saddle, arches from -i inf to the valley
-    at 0 (pi if Re z < 0) through conj z and from there to i inf through z,
-    whichever _choose prefers."""
-    three, _, z = _saddles(v.real, s)
-    c = z.real
+    """The eta contour of each v as one half, in _choose's form: the
+    upright line t = c + B u through the middle real saddle of f, m = Re v,
+    or through Re z and so through both z and conj z, with its nodes spread
+    evenly up to where the integrand e^-f falls below e^-45 of its top (the
+    real part of -f on it is a quartic in Im eta), and P = Q = 0."""
+    c = _saddles(v.real, s)[2].real[:, None]
     # Re -f(c + i y) = Re -f(c) + beta y^2 - y^4 / 4, beta = (3 c^2 - s) / 2
-    reach = np.sqrt(np.maximum(3.0 * c * c - s, 0.0) + math.sqrt(180.0))
-    zero = 0.0 * c
-    line = (c, 1j * reach / _U[-1], zero, zero)
-    end = (c - 1j * reach, zero, zero, zero)
-    upper, lower = _arches(z, s, -1.0, np.where(z.real >= 0.0, 0.0, math.pi), 0.5 * math.pi)
-    return _choose(v, s, -1.0, (line, end), (lower, upper), ~three)
+    b = 1j * np.sqrt(np.maximum(3.0 * c * c - s, 0.0) + math.sqrt(180.0)) / _U[-1]
+    t = c[..., None] + b[..., None] * _U
+    return t, -_exponent(t, v[:, None, None], s), b, 0.0 * b, 0.0 * b
 
 
 def _moments(v, s, kmax, sign=1.0):
@@ -437,10 +422,10 @@ def _moments(v, s, kmax, sign=1.0):
     p^(k)(v) for sign = 1, (-1)^k q^(k)(v) for sign = -1, from the
     trapezoidal rule (index 0 of the leading axis) and its half-step rule
     (index 1), followed by k and v's shape.  Each distinct v takes its own
-    contour, placed by the saddles of its real part, on at most 402 nodes,
-    and is summed on its own, so a value does not depend on which other
-    arguments share the batch; t^k is the running product t^(k-1) t, so it
-    does not depend on kmax either."""
+    contour, placed by the saddles of its real part, on 402 nodes for p
+    (_p_contour) and 201 for q (_q_contour), and is summed on its own, so a
+    value does not depend on which other arguments share the batch; t^k is
+    the running product t^(k-1) t, so it does not depend on kmax either."""
     u, inv = np.unique(v, return_inverse=True)
     t, f, b, p, q = (_p_contour if sign > 0 else _q_contour)(u, s)
     f = np.exp(f) * ((b[..., None] + p[..., None] * _EXP[0] - q[..., None] * _EXP[1]) * _STEP)

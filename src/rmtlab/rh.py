@@ -194,13 +194,20 @@ def prefactor_e(ctx: DescentContext, z) -> np.ndarray:
     the principal-branch jumps of f^{1/4} and beta on (b - delta, b)
     cancel, leaving E_n analytic in the disk (residue-tested)."""
     z = np.asarray(z, dtype=complex)
-    u = (ctx.n ** (2.0 / 3.0) * conformal_f(ctx, z)) ** 0.25 / _beta(ctx, z)
+    return _prefactor(ctx, z, ctx.n ** (2.0 / 3.0) * conformal_f(ctx, z))
+
+
+def _prefactor(ctx: DescentContext, z, zeta):
+    """E_n at z from zeta = n^{2/3} f(z)."""
+    u = zeta ** 0.25 / _beta(ctx, z)
     return (1.0 / math.sqrt(2.0)) * _blocks(u, -1j / u, -1j * u, 1.0 / u)
 
 
 def local_parametrix(ctx: DescentContext, z) -> np.ndarray:
-    """P(z) = E_n(z) A(n^{2/3} f(z)) diag(e^{n phi}, e^{-n phi}) in the
-    right-endpoint disk."""
+    """P(z) = E_n(z) A(zeta) diag(e^{n phi}, e^{-n phi}) in the
+    right-endpoint disk, with zeta = n^{2/3} f(z) computed once for A and
+    E_n.  A comes before the exponentials, so an argument past airy's range
+    raises there before e^{n phi} can overflow."""
     b = ctx.support[1]
     z = np.asarray(z, dtype=complex)
     if not (np.abs(z - b) < ctx.delta + 1e-12).all():
@@ -208,9 +215,10 @@ def local_parametrix(ctx: DescentContext, z) -> np.ndarray:
     z = _off_axis(z)
     n = ctx.n
     ph = eqm.phi(ctx.measure, z)
-    am = airy_model(n ** (2.0 / 3.0) * conformal_f(ctx, z))
+    zeta = n ** (2.0 / 3.0) * conformal_f(ctx, z)
+    am = airy_model(zeta)
     expo = _blocks(np.exp(n * ph), 0.0, 0.0, np.exp(-n * ph))
-    return prefactor_e(ctx, z) @ am @ expo
+    return _prefactor(ctx, z, zeta) @ am @ expo
 
 
 def _off_axis(z):

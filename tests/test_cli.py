@@ -365,6 +365,24 @@ class TestConverge:
                      "--out", str(tmp_path / "conv.csv")]) == 0
         assert len(solves) == 1
 
+    @pytest.mark.parametrize("argv, rate, band", [
+        (["--mode", "edge", "--potential", "0,0,0.5"], -2.0 / 3.0, 0.03),
+        (["--mode", "edge", "--potential", "0,0,0,0,0.25"], -2.0 / 3.0, 0.03),
+        (["--mode", "hard", "--potential", "0,1", "--hard-edge"], -2.0, 0.02),
+        (["--mode", "origin", "--potential", "0,0,0.5", "--alpha", "1"], -1.0, 0.03),
+    ], ids=["edge_hermite", "edge_quartic", "hard_laguerre", "origin_alpha1"])
+    def test_fitted_exponent_of_the_sup_error(self, tmp_path, argv, rate, band):
+        # the least-squares exponent of sup_error against n over n = 64 ...
+        # 512 (-0.676, -0.662, -2.000 and -0.994 measured).  Bulk is left
+        # out: its log2 ratios (1.18, 1.10, 1.05) are not a clean power law
+        out = tmp_path / "conv.csv"
+        assert main(["converge", *argv, "--n", "64,128,256,512", "--workers", "1",
+                     "--out", str(out)]) == 0
+        lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        n, sup = np.array([[float(v) for v in ln.split(",")[:3:2]] for ln in lines[1:]]).T
+        slope = np.polyfit(np.log(n), np.log(sup), 1)[0]
+        assert abs(slope - rate) <= band, slope
+
     def test_recurrence_delta_header(self, tmp_path):
         # the largest verification gap of the command's tables, deterministic,
         # so reruns write the same line
@@ -525,6 +543,8 @@ class TestSample:
     ["converge", "--potential", "0,1", "--hard-edge", "--mode", "bulk", "--n", "32"],
     ["converge", "--potential", "0,1", "--hard-edge", "--mode", "origin", "--n", "32"],
     ["converge", "--potential", "0,0,-1,0,0.25", "--mode", "origin", "--n", "32"],
+    # the hard-edge kernel needs a hard-edge weight
+    ["converge", "--potential", "0,0,0.5", "--mode", "hard", "--n", "32"],
     # a histogram range that holds no eigenvalue
     ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "1", "--range", "10:20:1"],
     ["oppoly", "--potential", "0,0,0.5", "--N", "16", "--nmax", "16", "--truncation", "nan"],

@@ -87,6 +87,11 @@ KERNELS = [
     *(row(kr.correlation_det, kr.KernelHandle("sine"), pts) for pts in ([], [0.1] * 13)),
     *(row(kr.correlation_pfaffian, kr.KernelHandle("sine_beta1"), pts)
       for pts in ([], [0.1] * 9)),
+    # a matrix kernel's beta other than 1 or 4, and a handle of the wrong arity
+    *(row(fn, beta, 0.0, 0.5) for fn in (kr.matrix_kernel_bulk, kr.matrix_kernel_edge)
+      for beta in (2, 3)),
+    row(kr.correlation_det, kr.KernelHandle("sine_beta1"), [0.1]),
+    row(kr.correlation_pfaffian, kr.KernelHandle("sine"), [0.1]),
 ]
 
 # the semicircle's support is [-2, 2] and the disk radius 0.1

@@ -15,7 +15,7 @@ import scipy.integrate
 
 from rmtlab.equilibrium import (ALPHA_MAX, MultiCutError, NonConvergenceError, Potential,
                                 classify, density, effective_potential, grid_energy_minimize,
-                                qv, solve_equilibrium)
+                                phi, qv, solve_equilibrium)
 
 SEMI = Potential((0.0, 0.0, 0.5))
 QUARTIC_CRIT = Potential((0.0, 0.0, -1.0, 0.0, 0.25))
@@ -83,6 +83,11 @@ class TestPotentialValidation:
         Potential((0.0, 1.0), hard_edge=True)
         Potential((0.0, 1.0, 1.0), hard_edge=True)
         with pytest.raises(ValueError, match="V' > 0 on"):
+            Potential(coefs, hard_edge=True)
+
+    @pytest.mark.parametrize("coefs", [(1.0,), (0.0, -1.0), (0.0, 1.0, -1.0)])
+    def test_hard_edge_needs_positive_leading_coefficient(self, coefs):
+        with pytest.raises(ValueError, match="positive leading coefficient"):
             Potential(coefs, hard_edge=True)
 
 
@@ -166,6 +171,11 @@ class TestHardEdge:
         xs = np.linspace(0.05, 3.95, 40)
         target = np.sqrt((4.0 - xs) / xs) / (2.0 * math.pi)
         assert np.abs(density(mp, xs) - target).max() <= 1e-10
+
+    @pytest.mark.parametrize("side", ["left", "middle"])
+    def test_phi_has_no_left_side_at_a_hard_edge(self, mp, side):
+        with pytest.raises(ValueError, match="on a soft edge, 'left'"):
+            phi(mp, 5.0, side)
 
     def test_qv_pole(self, mp):
         with pytest.raises(ZeroDivisionError):

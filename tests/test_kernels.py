@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from rmtlab import equilibrium as eq
 from rmtlab import kernels as kr
 from rmtlab import mc
 from rmtlab import orthopoly as op
@@ -306,11 +307,12 @@ class TestPearcey:
         assert sorted(passes) == [False] * 2 + [True] * 2
 
     def test_at_most_402_nodes_per_argument(self):
-        # each distinct argument's contour: two halves of 201 nodes
+        # each distinct argument's contour: two halves of 201 nodes for p,
+        # one for q
         for s in (-10.0, 0.0, 1.0, 10.0):
-            for contour in (kr._p_contour, kr._q_contour):
+            for contour, halves in ((kr._p_contour, 2), (kr._q_contour, 1)):
                 t = contour(np.linspace(-20.0, 20.0, 9) + 0j, s)[0]
-                assert t.shape == (9, 2, 201)
+                assert t.shape == (9, halves, 201)
 
     def test_whole_range_scan(self):
         # the 8 x 8 grid over |x|, |y| <= 20 at five values of s: finite,
@@ -359,6 +361,22 @@ class TestPearcey:
         with pytest.raises(ArithmeticError, match="half-step"):
             kr.pearcey_kernel(0.5, -0.5, 1.0)
 
+    def test_q_moments_against_40_digit_integrals(self):
+        # q, q' and q'' on the upright eta line, each within 1e-14 of the
+        # largest of the three: 16 seeded points (y, s) of the range and 24
+        # on or next to the caustic 27 y^2 = 4 s^3, where two of the three
+        # saddles merge (1.6e-15 and 2.0e-15 measured)
+        rng = np.random.default_rng(29)
+        points = [*zip(rng.uniform(-20.0, 20.0, 16), rng.uniform(-10.0, 10.0, 16))]
+        for s in (0.5, 2.0, 5.0, 9.0):
+            y = math.sqrt(4.0 * s ** 3 / 27.0)
+            points += [(sign * y * scale, s) for sign in (-1.0, 1.0)
+                       for scale in (1.0 - 1e-3, 1.0, 1.0 + 1e-3)]
+        for y, s in points:
+            got = kr._moments(np.array([y]), s, 2, sign=-1.0)[0, :, 0] * np.array([1, -1, 1])
+            want = np.array([complex(v) for v in _mp_pearcey_q(y, s)])
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (y, s)
+
     @pytest.mark.parametrize("s", [-1.0, 0.0, 1.0, 3.0])
     def test_scan_against_double_integral(self, s):
         # 40 seeded points of the documented range [-2, 2]^2 per s
@@ -369,18 +387,27 @@ class TestPearcey:
 
 
 @functools.cache
+def _mp_legendre_24():
+    """The 24-point Gauss-Legendre rule on [-1, 1] to 40 digits."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        return mp.gauss_quadrature(24, "legendre")
+
+
+@functools.cache
 def _mp_pearcey(x, y, s):
     """p, p', p'' at x and q, q', q'' at y to 40 digits: a composite 24-point
     Gauss-Legendre rule on 24 panels of t in [0, 6], along the xi rays
     t e^{i pi/4} and t e^{3i pi/4} (each with its conjugate ray) and the
-    imaginary eta axis (each t with -t)."""
+    imaginary eta axis (each t with -t, _mp_pearcey_q)."""
     import mpmath as mp
 
     with mp.workdps(40):
-        nodes, weights = mp.gauss_quadrature(24, "legendre")
-        x, y, s = mp.mpf(x), mp.mpf(y), mp.mpf(s)
+        nodes, weights = _mp_legendre_24()
+        x, s = mp.mpf(x), mp.mpf(s)
         rays = ((mp.expjpi(mp.mpf(1) / 4), -1), (mp.expjpi(mp.mpf(3) / 4), 1))
-        p, q = [mp.mpc(0)] * 3, [mp.mpf(0)] * 3
+        p = [mp.mpc(0)] * 3
         half = mp.mpf(1) / 8
         for panel in range(24):
             for node, weight in zip(nodes, weights):
@@ -389,10 +416,26 @@ def _mp_pearcey(x, y, s):
                     z = t * e
                     f = sign * e * weight * mp.exp(z ** 4 / 4 - s * z * z / 2 + x * z)
                     p = [p[0] + f, p[1] + f * z, p[2] + f * z * z]
+        return [2 * v.imag * half / (2 * mp.pi) for v in p], _mp_pearcey_q(y, s)
+
+
+@functools.cache
+def _mp_pearcey_q(y, s):
+    """q, q', q'' at y to 40 digits, on _mp_pearcey's rule along the eta axis."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        nodes, weights = _mp_legendre_24()
+        y, s = mp.mpf(y), mp.mpf(s)
+        q = [mp.mpf(0)] * 3
+        half = mp.mpf(1) / 8
+        for panel in range(24):
+            for node, weight in zip(nodes, weights):
+                t = (2 * panel + 1 + node) * half
                 g = 2 * weight * mp.exp(-t ** 4 / 4 - s * t * t / 2)
                 c, sn = mp.cos(y * t), mp.sin(y * t)
                 q = [q[0] + g * c, q[1] - g * t * sn, q[2] - g * t * t * c]
-        return [2 * v.imag * half / (2 * mp.pi) for v in p], [v * half / (2 * mp.pi) for v in q]
+        return [v * half / (2 * mp.pi) for v in q]
 
 
 def _mp_pearcey_kernel(x, y, s):
@@ -606,6 +649,16 @@ class TestCorrelations:
 
     def test_pfaffian_base_case(self):
         assert kr.pfaffian(np.array([[0.0, 3.7], [-3.7, 0.0]])) == 3.7
+
+    def test_pfaffian_zero_pivot_column(self):
+        # a zero first column, or a zero column left after the first step,
+        # gives Pf = 0.0 exactly
+        a = np.zeros((4, 4))
+        a[2, 3], a[3, 2] = 1.5, -1.5
+        assert kr.pfaffian(a) == 0.0
+        b = np.zeros((4, 4))
+        b[0, 1], b[1, 0] = 2.0, -2.0
+        assert kr.pfaffian(b) == 0.0
 
     def test_pfaffian_squares_to_det(self):
         rng = np.random.default_rng(1)
@@ -982,6 +1035,54 @@ class TestFredholmOracles:
         # the alpha = 0 hard-edge gap probability on [0, s] is e^{-s/4}
         gap = _fredholm_det(functools.partial(kr.bessel_hard_kernel, 0.0), 0.0, s, 20)
         assert abs(gap - math.exp(-s / 4.0)) <= 1e-14
+
+    def test_finite_n_hard_edge_law_is_exponential(self):
+        # for the weight e^{-n x} on [0, inf) with N = n, x -> x + t factors
+        # e^{-n^2 t} out of the joint density, so lambda_min is exactly
+        # exponential at every n (Edelman, SIAM J. Matrix Anal. Appl. 9,
+        # 1988): det(I - K_n) on (0, s / (c n)^2) = e^{-s/4}, c = 2 the
+        # hard-edge window's scale.  24 Gauss-Legendre nodes, 25 points s of
+        # [0.25, 12]; the band is 4e-15 n (sup errors 3.6e-15, 7.3e-15,
+        # 3.1e-14, 2.2e-13 and 6.2e-13 measured at n = 32 ... 512)
+        pot = Potential((0.0, 1.0), hard_edge=True)
+        mu = eq.solve_equilibrium(pot)
+        c = op.hard_edge_window(mu, np.array([1.0])).c
+        assert c == pytest.approx(2.0, rel=1e-12)
+        s = np.linspace(0.25, 12.0, 25)
+        for n in (32, 64, 128, 256, 512):
+            w = op.WeightSpec(pot, N=n)
+            t = op.recurrence_table(w, n, mu)
+
+            def kernel(x, y):
+                return op.cd_kernel_grid(t, w, n, x.ravel(), y.ravel())
+
+            law = [_fredholm_det(kernel, 0.0, v / (c * n) ** 2, 24) for v in s]
+            assert np.abs(np.array(law) - np.exp(-s / 4.0)).max() <= 4e-15 * n, n
+
+    def test_sine_gap_small_and_large_s(self):
+        # E2(0; s) = det(I - K_sine) on [0, s], 30 nodes.  Small s: the
+        # series 1 - s + pi^2 s^4/36 - pi^4 s^6/675, whose remainder is
+        # O(s^8) (2.1e-12 at s = 0.05 and 5.4e-10 at 0.1, a ratio of 2^8).
+        # Large s, t = pi s / 2: log E2 + t^2/2 + log(t)/4 tends to Dyson's
+        # constant log(2)/12 + 3 zeta'(-1) (Krasovsky, IMRN 2004; Ehrhardt,
+        # CMP 262, 2006) as 1/(32 t^2): 8.21e-4 at s = 4 and 3.57e-4 at 6,
+        # 1.037 and 1.015 times that term.  Not at s = 8: there the largest
+        # eigenvalue of K lies so close to 1 that the float64 determinant is
+        # 8e-6 off a 40-digit one, which moves the ratio from 1.008 to 1.049
+        def gap(s):
+            return _fredholm_det(kr.sine_kernel, 0.0, s, 30)
+
+        small = [abs(gap(s) - (1.0 - s + math.pi ** 2 * s ** 4 / 36.0
+                               - math.pi ** 4 * s ** 6 / 675.0)) for s in (0.05, 0.1)]
+        assert small[0] <= 5e-12 and small[1] <= 1e-9, small
+        assert abs(math.log2(small[1] / small[0]) - 8.0) <= 0.1, small
+        dyson = math.log(2.0) / 12.0 + 3.0 * -0.16542114370045092
+        ratios = []
+        for s in (4.0, 6.0):
+            t = 0.5 * math.pi * s
+            ratios.append((math.log(gap(s)) + 0.5 * t * t + 0.25 * math.log(t) - dyson)
+                          * 32.0 * t * t)
+        assert 1.0 < ratios[1] < ratios[0] <= 1.05, ratios
 
 
 # families, parameters and a centre inside each family's range; the offsets

@@ -148,6 +148,15 @@ class TestGaussianEnsembles:
                 mc.sample_gaussian(2, n, count, seed=1)
 
 
+@pytest.mark.parametrize("draw", [
+    lambda: mc.sample_gaussian(3, 4, 5, seed=1),
+    lambda: mc.sample_invariant(HERMITE, 3, 4, 4, 5, 10, seed=1),
+], ids=["sample_gaussian", "sample_invariant"])
+def test_beta_other_than_1_2_4(draw):
+    with pytest.raises(ValueError, match="beta must be 1, 2 or 4"):
+        draw()
+
+
 class TestEmpiricalDensity:
     def test_mass_one(self, gue128):
         h = mc.empirical_density(gue128, 40, (-2.5, 2.5))
@@ -496,6 +505,11 @@ class TestSerialization:
         back = mc.SampleBatch.from_bytes(gue128.to_bytes())
         assert back.beta == 2 and back.n == 128 and back.seed == 42
         assert np.array_equal(back.eigenvalue_sets, gue128.eigenvalue_sets)
+
+    @pytest.mark.parametrize("head", [b"RMTX\x01\x00", b"RMTB\x02\x00"])
+    def test_unrecognized_record(self, gue128, head):
+        with pytest.raises(ValueError, match="unrecognized sample batch record"):
+            mc.SampleBatch.from_bytes(head + gue128.to_bytes()[6:])
 
     def test_csv_export(self):
         b = mc.sample_gaussian(2, 3, 2, seed=1)

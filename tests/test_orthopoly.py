@@ -232,6 +232,22 @@ class TestWeightedPolys:
             phi = op.weighted_polys(t, w, np.linspace(-2.2, 2.2, 7), n)
             assert np.isfinite(phi).all()
 
+    def test_hard_edge_negative_argument(self):
+        w = op.WeightSpec(Potential((0.0, 1.0), hard_edge=True), N=8)
+        t = op.recurrence_table(w, 8)
+        with pytest.raises(ValueError, match="negative argument"):
+            op.weighted_polys(t, w, np.array([0.5, -1e-3]), 8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda w, t: op.weighted_polys(t, w, 0.3, 41),
+    lambda w, t: op.cd_kernel(t, w, 41, 0.3, -0.2),
+    lambda w, t: op.cd_kernel_grid(t, w, 41, [0.3], [-0.2]),
+], ids=["weighted_polys", "cd_kernel", "cd_kernel_grid"])
+def test_n_past_the_tables_n_max(herm16, call):
+    with pytest.raises(ValueError, match="n exceeds the table's n_max"):
+        call(*herm16)
+
 
 class TestCdKernel:
     def test_n1_product(self, herm16):

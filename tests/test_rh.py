@@ -35,6 +35,10 @@ class TestContext:
         with pytest.raises(ValueError):
             rh.DescentContext(semicircle, n=8, delta=1.5)
 
+    def test_n_validation(self, semicircle):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            rh.DescentContext(semicircle, n=0)
+
     def test_hard_edge_rejected(self):
         mp = eq.solve_equilibrium(Potential((0.0, 1.0), hard_edge=True))
         with pytest.raises(ValueError):
@@ -319,6 +323,27 @@ class TestRecurrenceAsymptotics:
         else:
             assert (b_err <= 1e-12).all()
         assert all(-2.1 <= s <= -1.9 for s in slopes), slopes
+
+    @pytest.mark.parametrize("coefs", [(0.0, 0.0, 0.0, 0.0, 0.25), (0.0, 0.0, -0.5, 0.1, 0.25)])
+    def test_richardson_limits(self, coefs):
+        # a_n and b_n' = (b_{n-1} + b_n)/2 at n = N = n_max: with an n^-2
+        # leading error, (4 x_2n - x_n)/3 removes it and leaves n^-4.
+        # Against asymptotic_recurrence at n = 256, 512: a to 2e-12 (4.1e-13
+        # on x^4/4, 8.0e-13 on the asymmetric quartic measured) and b' to
+        # 1e-13 (2.3e-14), both above the float64 floor of about 4e-14 of
+        # the Stieltjes passes; the error in a falls 16-fold from
+        # n = 128, 256 (8 to 32 allowed)
+        pot = Potential(coefs)
+        mu = eq.solve_equilibrium(pot)
+        a_inf, b_inf = rh.asymptotic_recurrence(rh.DescentContext(mu, n=64))
+        a, b = {}, {}
+        for n in (128, 256, 512):
+            t = op.recurrence_table(op.WeightSpec(pot, N=n), n, mu)
+            a[n], b[n] = t.a[n - 1], 0.5 * (t.b[n - 1] + t.b[n])
+        a_err = [abs((4.0 * a[2 * n] - a[n]) / 3.0 - a_inf) for n in (128, 256)]
+        b_err = abs((4.0 * b[512] - b[256]) / 3.0 - b_inf)
+        assert a_err[1] <= 2e-12 and b_err <= 1e-13, (a_err, b_err)
+        assert 8.0 <= a_err[0] / a_err[1] <= 32.0, a_err
 
     def test_shifted_potential(self):
         # V((x-1)^2/2-type): support shifts by 1, b_inf = 1
