@@ -353,7 +353,9 @@ def _build_parser():
                     help="hard-edge / singularity exponent")
     sp.add_argument("--steps", type=int, default=400)
     sp.add_argument("--bins", type=int, default=25)
-    sp.add_argument("--range", default="-2.125:2.125:0")
+    sp.add_argument("--range", default="-2.125:2.125:0",
+                    help="lo:hi:unused, the histogram's range; the third field "
+                         "must be finite and is ignored (the bins come from --bins)")
     sp.add_argument("--window", default=None, help="x0:half_width:density")
     sp.add_argument("--csv", action="store_true", help="also export raw CSV")
     add_common(sp)

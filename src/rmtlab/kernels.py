@@ -282,16 +282,17 @@ def _pearcey_raw(x, y, s, delta, tmax, xi_panels, eta_panels):
 # p and q are trapezoidal sums in u over the nodes u_j = j h, |j| <= 100,
 # of contours t(u) = c + B u + P expm1(u) + Q expm1(-u) routed through the
 # saddles of the exponent f(t) = t^4/4 - s t^2/2 + m t (the roots of
-# t^3 - s t + m).  On the xi contour P and Q point into valleys of t^4, so
-# the integrand decays double exponentially; the eta contour is an upright
-# line (B alone) that ends where e^-f has fallen below e^-45 of its top.
+# t^3 - s t + m).  The xi contour is one pair of halves per argument, upright
+# ones or arches, picked from the saddles alone; on either, P and Q point
+# into valleys of t^4, so the integrand decays double exponentially and is
+# below e^-40 of its top at the ends.  The eta contour is an upright line
+# (B alone) that ends where e^-f has fallen below e^-45 of its top.
 # Either way the sum converges geometrically (Trefethen-Weideman, SIAM Rev.
 # 56, 2014); every other node with doubled weights is the half-step rule.
 _STEP = 0.03
 _U = _STEP * np.arange(-100, 101)
 _EXP = np.exp(_U), np.exp(-_U)
 _EXPM1 = np.expm1(_U), np.expm1(-_U)
-_TILT = math.pi / 32
 
 
 def _saddles(m, s):
@@ -336,21 +337,21 @@ def _upright(c, a, right):
     return c, 0.0 * a, a * (1 - 1j), a * (1 + 1j)
 
 
-def _arches(z, s, start, end):
-    """(c, B, P, Q) of the arch from the valley at angle start to the one at
-    end through the saddle z of e^f, and of its mirror image through conj z
-    (from the mirror of end to the mirror of start).  The tangent at z is
-    the steepest-descent line there, kept _TILT inside the angle the two
-    asymptotes leave; the scale is _scale(z, s)."""
-    far = end + np.angle(np.exp(1j * (start + math.pi - end)))
-    lo, hi = np.minimum(end, far) + _TILT, np.maximum(end, far) - _TILT
+def _arches(z, s):
+    """(c, B, P, Q) of the arch from the valley at e^{i pi/4} to the one at
+    e^{3i pi/4} through the saddle z of e^f, and of its mirror image through
+    conj z (from e^{-3i pi/4} to e^{-i pi/4}).  P and Q have the length 0.2
+    along the asymptotes, so every arch reaches its valleys by u = +-3, and
+    B makes the tangent at z, B + P - Q, the steepest-descent line there,
+    kept pi/32 inside the angle the asymptotes leave, at the scale
+    _scale(z, s)."""
     tangent = 0.5 * (math.pi - np.angle(3.0 * z * z - s))
-    tangent = tangent + math.pi * np.round((0.5 * (lo + hi) - tangent) / math.pi)
-    tangent = np.minimum(np.maximum(tangent, lo), hi)
-    a = _scale(z, s) / np.sin(end - start)
-    p = a * np.sin(tangent - start) * np.exp(1j * end)
-    q = a * np.sin(tangent - end) * np.exp(1j * start)
-    return (z, 0.0 * a, p, q), (z.conj(), 0.0 * a, q.conj(), p.conj())
+    tangent = tangent + math.pi * np.round(1.0 - tangent / math.pi)
+    tangent = np.minimum(np.maximum(tangent, 0.78125 * math.pi), 1.21875 * math.pi)
+    p = np.full_like(z, 0.2 * np.exp(0.75j * math.pi))
+    q = np.full_like(z, 0.2 * np.exp(0.25j * math.pi))
+    b = _scale(z, s) * np.exp(1j * tangent) - p + q
+    return (z, b, p, q), (z.conj(), -b.conj(), q.conj(), p.conj())
 
 
 def _exponent(t, m, s):
@@ -359,39 +360,17 @@ def _exponent(t, m, s):
     return (0.25 * t2 - 0.5 * s) * t2 + m * t
 
 
-def _choose(v, s, first, second, pick):
-    """The nodes, the exponent f there and (c, B, P, Q) of one of two xi
-    contours (pairs of halves) for each v: the second where pick holds and
-    it is the lower one, or within 1 of the first's height and not 20%
-    rougher, roughness being the largest change of f between half-step
-    nodes where it is within 35 of its top.  A contour whose ends come
-    within 40 of its top is truncated and never preferred."""
-    # (c, B, P, Q), each of shape (distinct v, contour, half)
-    c, b, p, q = np.array([first, second], dtype=complex).transpose(2, 3, 0, 1)
-    t = c[..., None] + b[..., None] * _U + p[..., None] * _EXPM1[0] + q[..., None] * _EXPM1[1]
-    f = _exponent(t, v[:, None, None, None], s)
-    if pick.any():
-        height = f.real[..., ::2]
-        top = height.max(axis=(-2, -1))
-        near = height > top[..., None, None] - 35.0
-        rough = np.where(near[..., 1:] & near[..., :-1], abs(np.diff(f[..., ::2], axis=-1)), 0.0)
-        rough = rough.max(axis=(-2, -1))
-        rough[np.maximum(height[..., 0], height[..., -1]).max(axis=-1) > top - 40.0] = np.inf
-        (ha, hb), (ra, rb) = top.T, rough.T
-        pick = pick & ((hb < ha - 1.0) | ((hb < ha + 1.0) & (rb < 1.25 * ra)))
-    k, one = pick.astype(int), np.arange(v.size)
-    return t[one, k], f[one, k], b[one, k], p[one, k], q[one, k]
-
-
 def _p_contour(v, s):
-    """The xi contour of each v, two halves placed by the saddles of
-    f = t^4/4 - s t^2/2 + m t, m = Re v.  With three real saddles, one half
-    from e^{i pi/4} to e^{-i pi/4} crossing the axis upright at the largest
-    and one from e^{-3i pi/4} to e^{3i pi/4} at the smallest.  With one, r,
-    and z, conj z: either the same two halves, the one on z's side through
-    z and conj z and the other at r, or arches from e^{i pi/4} to
-    e^{3i pi/4} through z and from e^{-3i pi/4} to e^{-i pi/4} through
-    conj z (the same integral), whichever _choose prefers."""
+    """The nodes, the exponent f there and B, P, Q of the xi contour of each
+    v: two halves placed by the saddles of f = t^4/4 - s t^2/2 + m t,
+    m = Re v.  The upright halves, from e^{i pi/4} to e^{-i pi/4} and from
+    e^{-3i pi/4} to e^{3i pi/4}, cross the axis at the largest and the
+    smallest saddle if all three are real.  With one real saddle r and
+    z, conj z, they serve while z lies within k Gaussian widths of the axis,
+    Im z sqrt|f''(z)| < k (k = 2 for s >= 0, by the caustic; 0.3 for s < 0,
+    by the triple saddle s = m = 0): the half on z's side then passes
+    through z and conj z and the other through r.  Beyond, the arches of
+    _arches through z and conj z (the same integral) are taken."""
     three, r, z = _saddles(v.real, s)
     right = three | (z.real >= 0.0)
     # the half through z and conj z crosses the axis upright and meets z at
@@ -401,11 +380,16 @@ def _p_contour(v, s):
     other = r[:, 0]
     near = _upright(np.where(right, c, other), np.where(right, a, _scale(other, s)), True)
     far = _upright(np.where(right, other, c), np.where(right, _scale(other, s), a), False)
-    return _choose(v, s, (near, far), _arches(z, s, math.pi / 4, 3 * math.pi / 4), ~three)
+    upright = z.imag * np.sqrt(np.abs(3.0 * z * z - s)) < (2.0 if s >= 0.0 else 0.3)
+    # (c, B, P, Q), each of shape (distinct v, half)
+    c, b, p, q = np.where(upright[:, None], np.stack([near, far], axis=-1),
+                          np.stack(_arches(z, s), axis=-1))
+    t = c[..., None] + b[..., None] * _U + p[..., None] * _EXPM1[0] + q[..., None] * _EXPM1[1]
+    return t, _exponent(t, v[:, None, None], s), b, p, q
 
 
 def _q_contour(v, s):
-    """The eta contour of each v as one half, in _choose's form: the
+    """The eta contour of each v as one half, in _p_contour's form: the
     upright line t = c + B u through the middle real saddle of f, m = Re v,
     or through Re z and so through both z and conj z, with its nodes spread
     evenly up to where the integrand e^-f falls below e^-45 of its top (the

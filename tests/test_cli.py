@@ -727,6 +727,18 @@ def test_unwritable_output_exit2_without_file(tmp_path, monkeypatch, capsys, dir
     assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
 
 
+def test_metropolis_acceptance_outside_the_band_exit3_without_file(tmp_path, monkeypatch, capsys):
+    # one tuning step at N = 200 on the critical quartic leaves the
+    # proposal too wide for the [0.1, 0.6] acceptance band
+    monkeypatch.chdir(tmp_path)
+    assert main(["sample", "--metropolis", "--potential", "0,0,-1,0,0.25", "--beta", "1",
+                 "--n", "2", "--N", "200", "--count", "8", "--steps", "1", "--seed", "1",
+                 "--out", "m.bin"]) == 3
+    assert capsys.readouterr().err == ("rmtlab: numerical failure: tuned acceptance rate in "
+                                       "[0.055, 0.113] leaves the [0.1, 0.6] band\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("fmt", ["json"])
 def test_non_finite_result_exit3_without_file(tmp_path, monkeypatch, capsys, fmt):
     # the support is +-1.4e150 and the moments overflow: a numerical

@@ -491,6 +491,24 @@ class TestGridOracle:
         with pytest.raises(ValueError):
             grid_energy_minimize(SEMI, 2001)
 
+    def test_exhausted_budget_raises(self):
+        with pytest.raises(NonConvergenceError, match="exhausted its budget"):
+            grid_energy_minimize(SEMI, 200, box=(-3.0, 3.0), max_iter=1)
+
+    @pytest.mark.parametrize("coefs, bands", [((0.0, 1.0), (0.09, 0.065)),
+                                              ((0.0, 0.5, 0.25), (0.045, 0.032))])
+    def test_hard_edge_density_in_l1(self, coefs, bands):
+        # the hard-edge grid on its automatic box against the moment solver,
+        # in L1 at 400 and 800 cells: the error falls like n^(-1/2), set by
+        # the x^(-1/2) edge (0.072 and 0.051 measured for V = x, support
+        # [0, 4]; 0.036 and 0.025 for V = x/2 + x^2/4)
+        V = Potential(coefs, hard_edge=True)
+        mu = solve_equilibrium(V)
+        for n, band in zip((400, 800), bands):
+            g = grid_energy_minimize(V, n)
+            assert g.x.min() > 0.0
+            assert np.abs(g.density - density(mu, g.x)).sum() * (g.x[1] - g.x[0]) <= band
+
 
 def _random_potential(rng):
     """V with log-normal |coefficients| and random signs: even degree 2-8

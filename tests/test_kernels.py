@@ -377,6 +377,45 @@ class TestPearcey:
             want = np.array([complex(v) for v in _mp_pearcey_q(y, s)])
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (y, s)
 
+    def test_p_moments_against_40_digit_integrals(self):
+        # p ... p''' on _p_contour's xi contour, each within 1e-14 of the
+        # largest of the four: 12 seeded points (x, s) of the range, 24 on or
+        # next to the caustic 27 x^2 = 4 s^3, 20 on both sides of the
+        # surfaces where the upright halves give way to the arches, and 15
+        # next to the triple saddle s = x = 0
+        rng = np.random.default_rng(30)
+        points = [*zip(rng.uniform(-20.0, 20.0, 12), rng.uniform(-10.0, 10.0, 12))]
+        for s in (0.5, 2.0, 5.0, 9.0):
+            x = math.sqrt(4.0 * s ** 3 / 27.0)
+            points += [(sign * x * scale, s) for sign in (-1.0, 1.0)
+                       for scale in (1.0 - 1e-3, 1.0, 1.0 + 1e-3)]
+        points += [(sign * x * scale, s) for s, x in _P_SWITCHES for sign in (-1.0, 1.0)
+                   for scale in (1.0 - 1e-6, 1.0 + 1e-6)]
+        points += [(x, s) for s in (0.0, 1e-70, -1e-70, 0.01, -0.01) for x in (0.0, 0.05, -0.3)]
+        for x, s in points:
+            got = kr._moments(np.array([x]), s, 3)[0, :, 0]
+            want = np.array([complex(v) for v in _mp_pearcey_p(x, s)])
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (x, s)
+
+    def test_p_switching_surfaces(self):
+        # _P_SWITCHES lie where Im z sqrt|f''(z)| reaches 2 (s > 0) or 0.3
+        # (s < 0): _p_contour takes the upright halves just inside and the
+        # arches, whose P has length 0.2, just outside
+        for s, x in _P_SWITCHES:
+            z = kr._saddles(np.array([x]), s)[2][0]
+            assert z.imag * abs(3.0 * z * z - s) ** 0.5 == pytest.approx(2.0 if s > 0 else 0.3)
+            p = kr._p_contour(np.array([1.0 - 1e-6, 1.0 + 1e-6]) * x + 0j, s)[3]
+            assert (abs(p[0]) > 0.25).all() and np.allclose(abs(p[1]), 0.2)
+
+    def test_half_step_gap_on_the_whole_range(self):
+        # on a 41 x 401 scan of (s, x), p ... p''' from the trapezoidal rule
+        # and from its half-step rule agree to 1e-9 of the largest of the
+        # four (7.2e-11 measured on a 165 x 1001 scan)
+        x = np.linspace(-20.0, 20.0, 401)
+        for s in np.linspace(-10.0, 10.0, 41):
+            rule, half = kr._moments(x, s, 3)
+            assert (np.abs(rule - half).max(axis=0) <= 1e-9 * np.abs(rule).max(axis=0)).all(), s
+
     @pytest.mark.parametrize("s", [-1.0, 0.0, 1.0, 3.0])
     def test_scan_against_double_integral(self, s):
         # 40 seeded points of the documented range [-2, 2]^2 per s
@@ -384,6 +423,12 @@ class TestPearcey:
         d0 = max(0.75, math.sqrt(max(s, 0.0)))
         ref = kr._pearcey_raw(x, y, s, d0, 12.0, 60, 120).real
         assert np.abs(kr.pearcey_kernel(x, y, s) - ref).max() <= 1e-9
+
+
+# (s, x > 0) where Im z sqrt|f''(z)|, z the complex saddle of
+# f = t^4/4 - s t^2/2 + x t, reaches 2 (s > 0) or 0.3 (s < 0), by bisection
+_P_SWITCHES = ((1.0, 2.315005249826111), (4.0, 5.476055052047637), (9.5, 14.041308146883894),
+               (-0.05, 0.07560043748852154), (-0.2, 0.020288955063474834))
 
 
 @functools.cache
@@ -395,33 +440,50 @@ def _mp_legendre_24():
         return mp.gauss_quadrature(24, "legendre")
 
 
-@functools.cache
 def _mp_pearcey(x, y, s):
-    """p, p', p'' at x and q, q', q'' at y to 40 digits: a composite 24-point
-    Gauss-Legendre rule on 24 panels of t in [0, 6], along the xi rays
-    t e^{i pi/4} and t e^{3i pi/4} (each with its conjugate ray) and the
-    imaginary eta axis (each t with -t, _mp_pearcey_q)."""
+    """p ... p''' at x and q, q', q'' at y to 40 digits."""
+    return _mp_pearcey_p(x, s), _mp_pearcey_q(y, s)
+
+
+@functools.cache
+def _mp_xi_rays():
+    """The nodes z of _mp_pearcey_p's rule with z^4/4, z^2/2 and the weights
+    w, to 40 digits."""
     import mpmath as mp
 
     with mp.workdps(40):
         nodes, weights = _mp_legendre_24()
-        x, s = mp.mpf(x), mp.mpf(s)
-        rays = ((mp.expjpi(mp.mpf(1) / 4), -1), (mp.expjpi(mp.mpf(3) / 4), 1))
-        p = [mp.mpc(0)] * 3
         half = mp.mpf(1) / 8
-        for panel in range(24):
-            for node, weight in zip(nodes, weights):
-                t = (2 * panel + 1 + node) * half
-                for e, sign in rays:
-                    z = t * e
-                    f = sign * e * weight * mp.exp(z ** 4 / 4 - s * z * z / 2 + x * z)
-                    p = [p[0] + f, p[1] + f * z, p[2] + f * z * z]
-        return [2 * v.imag * half / (2 * mp.pi) for v in p], _mp_pearcey_q(y, s)
+        rays = ((mp.expjpi(mp.mpf(1) / 4), -1), (mp.expjpi(mp.mpf(3) / 4), 1))
+        ts = [(2 * panel + 1 + node) * half for panel in range(24) for node in nodes]
+        ws = [weight * half / mp.pi for _ in range(24) for weight in weights]
+        return [(z, z ** 4 / 4, z * z / 2, sign * e * w)
+                for t, w in zip(ts, ws) for e, sign in rays for z in (t * e,)]
+
+
+@functools.cache
+def _mp_pearcey_p(x, s):
+    """p, p', p'', p''' at x to 40 digits: a composite 24-point
+    Gauss-Legendre rule on 24 panels of t in [0, 6], along the xi rays
+    t e^{i pi/4} and t e^{3i pi/4}, each with its conjugate ray: p^(k) is
+    Im sum w z^k e^f over the nodes z and weights w of _mp_xi_rays."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        x, s = mp.mpf(x), mp.mpf(s)
+        rays = _mp_xi_rays()
+        f = [w * mp.exp(z4 - s * z2 + x * z) for z, z4, z2, w in rays]
+        p = []
+        for _ in range(4):
+            p.append(mp.fsum(f).imag)
+            f = [v * z for v, (z, *_) in zip(f, rays)]
+        return p
 
 
 @functools.cache
 def _mp_pearcey_q(y, s):
-    """q, q', q'' at y to 40 digits, on _mp_pearcey's rule along the eta axis."""
+    """q, q', q'' at y to 40 digits, on _mp_pearcey_p's rule along the
+    imaginary eta axis (each t with -t)."""
     import mpmath as mp
 
     with mp.workdps(40):
@@ -445,7 +507,7 @@ def _mp_pearcey_kernel(x, y, s):
     with mp.workdps(40):
         p, q = _mp_pearcey(x, y, s)
         if x == y:
-            p = p[1:] + [s * p[1] - x * p[0]]
+            p = p[1:]
         value = p[2] * q[0] - p[1] * q[1] + p[0] * q[2] - s * p[0] * q[0]
         return float(value if x == y else value / (mp.mpf(x) - mp.mpf(y)))
 
@@ -649,6 +711,11 @@ class TestCorrelations:
 
     def test_pfaffian_base_case(self):
         assert kr.pfaffian(np.array([[0.0, 3.7], [-3.7, 0.0]])) == 3.7
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4), (2, 2, 2)])
+    def test_pfaffian_needs_an_even_square_matrix(self, shape):
+        with pytest.raises(ValueError, match="even-dimensional square matrix"):
+            kr.pfaffian(np.zeros(shape))
 
     def test_pfaffian_zero_pivot_column(self):
         # a zero first column, or a zero column left after the first step,
