@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from . import equilibrium as eqm
 from ._table import table_text
@@ -131,6 +130,8 @@ def _map_blocks(fn, items, workers):
 # Gaussian ensembles
 
 def _gaussian_draws(beta, n, children):
+    from scipy.linalg import eigvalsh_tridiagonal  # here, so no other command loads it
+
     scale = 1.0 / math.sqrt(beta * n)
     df = beta * np.arange(n - 1, 0, -1)
     out = np.empty((len(children), n))

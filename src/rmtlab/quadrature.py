@@ -1,6 +1,6 @@
 """Quadrature rules: composite Gauss-Legendre panels (the Airy tail grid
 of specfun, the Pearcey contours) and the power-weight rule behind the
-discretized Stieltjes nodes (scipy's roots_jacobi, imported on first use).
+discretized Stieltjes nodes (Gauss-Jacobi by Golub-Welsch on numpy's eigh).
 The Gauss-Chebyshev rule of the equilibrium solver is numpy's chebgauss."""
 
 from __future__ import annotations
@@ -19,10 +19,16 @@ def _legendre(order):
 
 @lru_cache(maxsize=32)
 def _jacobi(order, beta):
-    """The order-point Gauss-Jacobi rule for u^{2 beta + 1} du on [-1, 1],
-    read-only: both Stieltjes passes of a table ask for the same rule."""
-    from scipy.special import roots_jacobi
-    t, w = roots_jacobi(order, 0.0, 2.0 * beta + 1.0)
+    """The order-point Gauss-Jacobi rule for (1 + t)^b dt on [-1, 1], b = 2 beta
+    + 1, by Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues
+    of the Jacobi matrix of the recurrence, the weights mu_0 v_0^2 with mu_0 =
+    2^{b+1} / (b + 1).  Read-only: both Stieltjes passes of a table ask for it."""
+    b = 2.0 * beta + 1.0
+    k = np.arange(1, order)
+    s = 2.0 * np.arange(order) + b
+    off = 2.0 * k * (k + b) / (s[1:] * np.sqrt(s[1:] ** 2 - 1.0))
+    t, v = np.linalg.eigh(np.diag(b * b / (s * (s + 2.0))) + np.diag(off, -1), UPLO="L")
+    w = 2.0 ** (b + 1.0) / (b + 1.0) * v[0] ** 2
     t.flags.writeable = w.flags.writeable = False
     return t, w
 

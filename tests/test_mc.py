@@ -123,14 +123,19 @@ class TestGaussianEnsembles:
         mid = h.density[10]
         assert mid == pytest.approx(1.0 / math.pi, abs=0.05)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("beta", [1, 2, 4])
-    def test_mean_square_closed_form(self, beta):
-        # E[tr H^2] / n = (n - 1 + 2 / beta) / n for the normalized ensembles
-        n, count = 16, 4000
-        m = (mc.sample_gaussian(beta, n, count, seed=31 + beta)
-             .eigenvalue_sets ** 2).mean(axis=1)
-        sigma = m.std() / math.sqrt(count)
-        assert abs(m.mean() - (n - 1 + 2.0 / beta) / n) <= 4.0 * sigma
+    def test_trace_moments_exact(self, beta, seed):
+        # exact identities of the scaled ensembles: E sum x^2 = n - 1 + 2 / beta,
+        # and for GUE E sum x^4 = 2 n + 1 / n (Harer-Zagier)
+        n, count = 64, 2000
+        x = mc.sample_gaussian(beta, n, count, seed=seed).eigenvalue_sets
+        cases = [((x ** 2).sum(axis=1), n - 1 + 2.0 / beta)]
+        if beta == 2:
+            cases.append(((x ** 4).sum(axis=1), 2.0 * n + 1.0 / n))
+        for sums, exact in cases:
+            z = (sums.mean() - exact) / (sums.std() / math.sqrt(count))
+            assert abs(z) < 4.0
 
     @pytest.mark.parametrize("beta", [1, 2, 4])
     def test_matches_dense_ensemble(self, beta):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma, gammaincc
 
-from rmtlab.quadrature import power_weight_panels
+from rmtlab.quadrature import _jacobi, power_weight_panels
 
 
 class TestPowerWeightPanels:
@@ -23,3 +23,29 @@ class TestPowerWeightPanels:
         half = lambda end: 0.5 * gamma((beta + 1) / 2) * (1 - gammaincc((beta + 1) / 2, end ** 2))
         assert w @ np.exp(-x * x) == pytest.approx(half(3.0) + half(5.0), rel=1e-14)
         assert (x < 0).sum() < (x > 0).sum()
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 3.0, 100.0, 200.0])  # 200 = 2 ALPHA_MAX on the line
+def test_gauss_jacobi_moments(beta):
+    # the 32-point rule for (1 + t)^b on [-1, 1], b = 2 beta + 1, integrates
+    # t^m exactly for m <= 63: against 40-digit moments, relative to the
+    # moments of |t|^m, whose two halves are a beta function and a 2F1
+    import mpmath
+    from scipy.special import roots_jacobi
+
+    b = 2.0 * beta + 1.0
+    m = np.arange(64)
+    with mpmath.workdps(40):
+        neg = [mpmath.beta(k + 1, b + 1) for k in m]
+        pos = [mpmath.hyp2f1(-b, k + 1, k + 2, -1) / (k + 1) for k in m]
+        exact = np.array([float(p + (-1) ** k * q) for k, p, q in zip(m, pos, neg)])
+        scale = np.array([float(p + q) for p, q in zip(pos, neg)])
+    t, w = _jacobi(32, beta)
+    assert not (t.flags.writeable or w.flags.writeable)
+    assert np.max(np.abs(w @ t[:, None] ** m - exact) / scale) <= 5e-14
+    # scipy's rule, which this one replaced: its moments were 4e-14 ... 7e-13
+    # off, its nodes within 5e-16 and its weights within 4e-12 of the largest
+    ts, ws = roots_jacobi(32, 0.0, b)
+    assert np.max(np.abs(ws @ ts[:, None] ** m - exact) / scale) <= 1e-12
+    assert np.max(np.abs(t - ts)) <= 4e-15
+    assert np.max(np.abs(w - ws)) <= 1e-11 * w.max()
