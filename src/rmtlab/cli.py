@@ -185,10 +185,11 @@ def _cmd_converge(args):
     span, rows, delta = grid[-1] - grid[0], [], 0.0
     for n in ns:
         # the rescaled kernel against the universal one; N = n_max = n, so
-        # mu, the measure of V, is every table's window measure
+        # mu, the measure of V, is every table's window measure, unless
+        # |x|^e moves the window to degree n + e/2 and so to its own measure
         start = time.perf_counter()
         w = op.WeightSpec(pot, N=n)
-        table = op.recurrence_table(w, n, mu)
+        table = op.recurrence_table(w, n, None if w.exponent else mu)
         delta = max(delta, table.verify_delta)
         got = op.rescaled_kernel(table, w, n, win)
         diff = np.abs(got - ref)

@@ -1,19 +1,25 @@
 """Orthogonal polynomials for varying weights e^{-N V(x)} and their
 Christoffel-Darboux kernels.
 
-Recurrence coefficients come from the discretized Stieltjes procedure
-(Gautschi 2004, sec. 2.2) on composite Gauss-Legendre nodes, with x = +-u^2
-and a Gauss-Jacobi first u-panel at a hard edge or an origin singularity.
-A pass on max(1200, 8 n_max) nodes and a verification pass on twice as
-many must agree to 1e-12, which holds for n_max <= 512 for every supported
-weight and every alpha up to ALPHA_MAX = 100; the table keeps the gap as
-verify_delta.  The truncation window is chosen from the equilibrium
-measure of the scaled potential (N/n_max) V plus an exponential fringe,
-which is where the weighted polynomials actually live; the weight's own
-tail criterion alone would truncate into the oscillatory region.
+Recurrence coefficients come from one pass of the discretized Stieltjes
+procedure (Gautschi 2004, sec. 2.2) on max(2400, 16 n_max) composite
+Gauss-Legendre nodes, with x = +-u^2 and a Gauss-Jacobi first u-panel at a
+hard edge or an origin singularity.  The pass is certified by the exact
+virial identities of the weight |x|^e e^{-N V} (Freud 1976), the
+integrals of (x^m phi_k^2 w)' for m = 1, 2, which a window that cuts off
+weight or too few nodes break: the largest residual over the absolute
+terms, at most 1e-12, is kept as verify_delta.  The m = 2 identity is
+0 = 0 for an even weight and is left out there; for V = x on a hard edge
+it is the one that involves a.  Laguerre and generalized Hermite tables
+with alpha <= 100, n_max <= 512 and N/n_max in {1/4, 1, 4} pass them
+within 1e-12 of their closed forms.  The truncation window is chosen from
+the equilibrium measure of the scaled potential (N/(n_max + e/2)) V plus
+an exponential fringe, which is where the weighted polynomials actually
+live (|x|^e acts as a charge e/2 at 0); the weight's own tail criterion
+alone would truncate into the oscillatory region.
 
 An even weight (no hard edge, no odd power in V) gets an exactly
-symmetric window, and both passes run on the nodes x > 0 of a rule with
+symmetric window, and the pass runs on the nodes x > 0 of a rule with
 half the panels on [0, hi], their weights doubled: phi_k(-x) = (-1)^k
 phi_k(x), so b_k = 0 exactly and is not computed.  nodes_used counts the
 nodes of the whole mirrored rule.
@@ -119,13 +125,16 @@ class WeightSpec:
 
     def window(self, n_max: int, measure=None):
         """Integration window [lo, hi].  The automatic one reads measure,
-        the equilibrium measure of (N/n_max) V, solved for if not given:
-        the top polynomial P_{n_max} under e^{-N V} spreads over its support."""
-        ratio, pot = self.N / n_max, self.potential
+        the equilibrium measure of (N/d) V at the degree d = n_max + e/2,
+        solved for if not given: the top polynomial P_{n_max} under e^{-N V}
+        spreads over its support, and |x|^e acts as a charge e/2 at 0 (exact
+        for a hard edge and an even V, whose endpoint equation gains e/n)."""
+        degree = n_max + self.exponent / 2.0
+        ratio, pot = self.N / degree, self.potential
         scaled = Potential(tuple(c * ratio for c in pot.coefficients),
                            hard_edge=pot.hard_edge, singularity_alpha=pot.singularity_alpha)
         if measure is not None and measure.potential != scaled:
-            raise ValueError("measure is not the equilibrium measure of (N/n_max) V")
+            raise ValueError("measure is not the equilibrium measure of (N/(n_max + e/2)) V")
         if self.truncation is not None:
             lo = 0.0 if pot.hard_edge else -self.truncation
             hi = self.truncation
@@ -133,7 +142,7 @@ class WeightSpec:
             return lo, hi
         if measure is None:
             measure = eqm.solve_equilibrium(scaled)
-        return _auto_window(self, n_max, measure)
+        return _auto_window(self, degree, measure)
 
     def _check_tail(self, lo, hi):
         lw = self.log_weight(np.linspace(lo, hi, 512))
@@ -142,7 +151,7 @@ class WeightSpec:
             raise ValueError("truncation window too small: weight tail not negligible")
 
 
-def _auto_window(w: WeightSpec, n_max: int, mu):
+def _auto_window(w: WeightSpec, degree: float, mu):
     """Support of the scaled equilibrium measure mu plus the fringe where
     the top weighted polynomial has decayed below ~1e-32 of its peak."""
     a, b = mu.support
@@ -150,10 +159,10 @@ def _auto_window(w: WeightSpec, n_max: int, mu):
 
     def fringe(side):
         slope = max(_soft_edge_constant(mu, side), 1e-12)
-        return 1.3 * (3.0 * target / (4.0 * n_max * slope)) ** (2.0 / 3.0)
+        return 1.3 * (3.0 * target / (4.0 * degree * slope)) ** (2.0 / 3.0)
 
     hi = b + fringe("right")
-    if w.even:  # exactly symmetric, so the Stieltjes passes can run on [0, hi]
+    if w.even:  # exactly symmetric, so the Stieltjes pass can run on [0, hi]
         return -hi, hi
     return (0.0 if w.potential.hard_edge else a - fringe("left")), hi
 
@@ -169,9 +178,9 @@ class RecurrenceTable:
     b: np.ndarray             # b_k for k = 0..n_max
     log_gamma_sq: np.ndarray  # log gamma_k^2, k = 0..n_max
     window: tuple             # truncation interval (lo, hi)
-    nodes_used: int           # nodes of the verification pass that was kept
+    nodes_used: int           # nodes of the Stieltjes pass
     log_mass: float           # log gamma_0^2 + N V(0): the mass of exp(log_weight)
-    verify_delta: float       # largest relative gap between the two passes
+    verify_delta: float       # virial residual of the pass, at most 1e-12
 
     @property
     def gamma_sq(self) -> np.ndarray:
@@ -179,10 +188,9 @@ class RecurrenceTable:
             return np.exp(self.log_gamma_sq)
 
 
-# Node count of the first Stieltjes pass: max(_NODES_MIN, 8 n_max), in
-# Gauss panels of _PANEL_ORDER points; the verification pass uses twice
-# as many.
-_NODES_MIN = 1200
+# Node count of the Stieltjes pass: max(_NODES_MIN, 16 n_max), in Gauss
+# panels of _PANEL_ORDER points.
+_NODES_MIN = 2400
 _PANEL_ORDER = 32
 
 
@@ -199,9 +207,9 @@ def _logsumexp(v):
 
 def _stieltjes(w: WeightSpec, n_max: int, lo: float, hi: float, nodes: int):
     """Discretized Stieltjes procedure (Gautschi 2004, sec. 2.2) on about
-    `nodes` quadrature nodes; returns (a, b, log gamma_0^2 + N V(0), node
-    count).  An even weight on its symmetric window runs only the nodes
-    x > 0 of a rule with half the panels on [0, hi], with doubled weights:
+    `nodes` nodes; returns (a, b, log gamma_0^2 + N V(0), node count, virial
+    residual).  An even weight on its symmetric window runs only the nodes
+    x > 0 of a rule with half the panels on [0, hi], doubled weights:
     b_k = 0 exactly, and the count is that of the mirrored rule."""
     panels = max(4, math.ceil(nodes / _PANEL_ORDER))
     power = w.potential.hard_edge or (w.alpha != 0.0 and lo < 0.0 < hi)
@@ -209,11 +217,10 @@ def _stieltjes(w: WeightSpec, n_max: int, lo: float, hi: float, nodes: int):
     if even:
         lo, panels = 0.0, (panels + 1) // 2
     if power:
-        # x = +-u^2 absorbs |x|^exponent; an underflowing power factor or an overflowing
-        # V is a -inf log-weight, and a window too wide ends in the checks below
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            x, qw = power_weight_panels(lo, hi, w.exponent, panels, _PANEL_ORDER)
-            lw = np.log(qw) - w._nv(x)
+        # x = +-u^2 absorbs |x|^exponent; an overflowing V is a -inf
+        # log-weight, and a window too wide ends in the checks below
+        x, lw = power_weight_panels(lo, hi, w.exponent, panels, _PANEL_ORDER)
+        lw -= w._nv(x)
     else:
         x, qw = (v.ravel() for v in gauss_legendre_panels(lo, hi, panels, _PANEL_ORDER))
         lw = np.log(qw) + w.log_weight(x)
@@ -222,46 +229,54 @@ def _stieltjes(w: WeightSpec, n_max: int, lo: float, hi: float, nodes: int):
     log_g0 = _logsumexp(lw)
     if not np.isfinite(log_g0):
         raise UnderflowError("weight vanishes identically on the grid")
-    # on too few nodes r can overflow; its inf or nan ends in a breakdown
+    # the rows N x V'(x), N |x| sum_j j |v_j| |x|^{j-1} and, unless the
+    # weight is even (0 = 0 there), the same times x and |x|: the identity
+    # N <x^2 V' phi_k, phi_k> = (2k + e) b_k + 2 sum_{j<=k} b_j pins a where
+    # V' is constant.  An overflow ends in a breakdown or a nan residual
+    dv, ax = npoly.polyder(w.potential.coefficients), np.abs(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        a, b = _scaled_recurrence(x, 0.5 * (lw - log_g0), n_max, even=even)
-    return a, b, log_g0, len(x) * (2 if even else 1)
+        virial = w.N * np.array([x * npoly.polyval(x, dv), ax * npoly.polyval(ax, np.abs(dv))])
+        if not even:
+            virial = np.concatenate([virial, virial * [x, ax]])
+        a, b, sums = _scaled_recurrence(x, 0.5 * (lw - log_g0), n_max, even=even, virial=virial)
+        k = 2.0 * np.arange(n_max + 1) + w.exponent
+        rights = [(k + 1.0, k + 1.0),
+                  (k * b + 2.0 * np.cumsum(b), k * np.abs(b) + 2.0 * np.cumsum(np.abs(b)))]
+        resid = float(np.max([np.abs(c - r) / (s + t) for (c, s), (r, t) in
+                              zip(sums.reshape(-1, 2, n_max + 1), rights)]))
+    return a, b, log_g0, len(x) * (2 if even else 1), resid
 
 
 def recurrence_table(w: WeightSpec, n_max: int, measure=None) -> RecurrenceTable:
     """Recurrence coefficients and norms for the weight, up to n_max <= 512.
 
-    One Stieltjes pass on max(1200, 8 n_max) nodes and a verification pass
-    on twice as many must agree to 1e-12 relative in a and b; otherwise
-    NonConvergenceError.  The finer pass is returned, with the gap between
-    the two as verify_delta.  measure, the equilibrium measure of
-    (N/n_max) V, spares the window its own solve (ValueError for the
-    measure of any other potential).  The constant term of V enters only
-    log_gamma_sq, as exactly -N V(0).
+    One Stieltjes pass on max(2400, 16 n_max) nodes, certified by the
+    virial identities of the weight |x|^e e^{-N V} (Freud 1976), N <x V'
+    phi_k, phi_k> = 2k + 1 + e and, unless the weight is even, N <x^2 V'
+    phi_k, phi_k> = (2k + e) b_k + 2 sum_{j<=k} b_j: NonConvergenceError
+    when a residual, relative to the absolute terms, exceeds 1e-12; the
+    largest is kept as verify_delta.  measure, the equilibrium measure of
+    (N/(n_max + e/2)) V, spares the window its own solve (ValueError for
+    the measure of any other potential).  The constant term of V enters
+    only log_gamma_sq, as exactly -N V(0).
     """
     if not 1 <= n_max <= 512:
         raise ValueError("n_max must be between 1 and 512")
     lo, hi = w.window(n_max, measure)
-    nodes = max(_NODES_MIN, 8 * n_max)
-    pa, pb, _, coarse = _stieltjes(w, n_max, lo, hi, nodes)
-    a, b, log_g0, used = _stieltjes(w, n_max, lo, hi, 2 * nodes)
-    dev = max((np.abs(a - pa) / a).max(),
-              (np.abs(b - pb) / (math.sqrt(a[0]) + np.abs(b))).max())
-    if not dev <= 1e-12:
-        raise NonConvergenceError(
-            f"recurrence coefficients on {coarse} and {used} quadrature nodes "
-            f"differ by {dev:.1e} relative (limit 1e-12)")
+    a, b, log_g0, used, resid = _stieltjes(w, n_max, lo, hi, max(_NODES_MIN, 16 * n_max))
+    if not resid <= 1e-12:
+        raise NonConvergenceError(f"virial residual {resid:.1e} on {used} nodes (limit 1e-12)")
     log_gamma0 = log_g0 - w.N * w.potential.coefficients[0]
     return RecurrenceTable(N=w.N, n_max=n_max, a=a, b=b,
                            log_gamma_sq=log_gamma0 + np.concatenate([[0.0], np.cumsum(np.log(a))]),
                            window=(lo, hi), nodes_used=used, log_mass=log_g0,
-                           verify_delta=float(dev))
+                           verify_delta=resid)
 
 
 # ---------------------------------------------------------------------------
 # weighted functions and kernels
 
-def _scaled_recurrence(x, logscale, n, t: RecurrenceTable = None, even=False):
+def _scaled_recurrence(x, logscale, n, t: RecurrenceTable = None, even=False, virial=None):
     """The one orthonormal three-term recurrence r_k = (x - b_k) phi_k -
     sqrt(a_k) phi_{k-1} = sqrt(a_{k+1}) phi_{k+1} on the points x, from
     phi_0 = exp(logscale).  phi_k is carried as y_k exp(logscale_k); every
@@ -271,10 +286,10 @@ def _scaled_recurrence(x, logscale, n, t: RecurrenceTable = None, even=False):
 
     Without a table, x are quadrature nodes whose weights are folded into
     phi_0, and b_k = sum x phi_k^2, a_{k+1} = sum r_k^2 are discrete inner
-    products; returns (a, b).  even says the nodes are the half x > 0 of
-    a symmetric rule under an even weight: b_k = 0 and x - b_k = x, so
-    neither is computed.  With a table, returns (y, logscale) for the rows
-    k = 0..n, each (n+1, len(x))."""
+    products, as is sums[:, k] = sum virial phi_k^2; returns (a, b, sums).
+    even says the nodes are the half x > 0 of a symmetric rule under an
+    even weight: b_k = 0 and x - b_k = x, so neither is computed.  With a
+    table, returns (y, logscale) for the rows k = 0..n, each (n+1, len(x))."""
     build = t is None
     a, b = (np.zeros(n), np.zeros(n + 1)) if build else (t.a, t.b)
     logscale = np.array(logscale, dtype=float)  # a copy: updated in place
@@ -284,6 +299,8 @@ def _scaled_recurrence(x, logscale, n, t: RecurrenceTable = None, even=False):
     s_prev = 0.0
     if build:
         mass = np.exp(2.0 * logscale)
+        vm, sums = virial * mass, np.empty((len(virial), n + 1))
+        sums[:, 0] = vm.sum(axis=1)
     else:
         y, logs = np.empty((n + 1, size)), np.empty((n + 1, size))
         y[0], logs[0] = cur, logscale
@@ -304,6 +321,7 @@ def _scaled_recurrence(x, logscale, n, t: RecurrenceTable = None, even=False):
             a[k] = np.dot(np.multiply(r, r, out=tmp), mass)
             if not a[k] > 0.0:
                 raise NonConvergenceError("Stieltjes breakdown: too few nodes")
+            sums[:, k + 1] = vm @ tmp  # r^2 = a_{k+1} phi_{k+1}^2
         s = math.sqrt(a[k])
         r /= s
         prev, cur, s_prev = cur, r, s
@@ -315,9 +333,12 @@ def _scaled_recurrence(x, logscale, n, t: RecurrenceTable = None, even=False):
             logscale += np.log(m, out=m)
             if build:
                 np.exp(np.multiply(2.0, logscale, out=mass), out=mass)
+                np.multiply(virial, mass, out=vm)
         if not build:
             y[k + 1], logs[k + 1] = cur, logscale
-    return (a, b) if build else (y, logs)
+    if build:
+        sums[:, 1:] /= a
+    return (a, b, sums) if build else (y, logs)
 
 
 def _underflowed(t: RecurrenceTable, x, log_phi0, n):

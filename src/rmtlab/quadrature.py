@@ -5,6 +5,7 @@ The Gauss-Chebyshev rule of the equilibrium solver is numpy's chebgauss."""
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -22,7 +23,7 @@ def _jacobi(order, beta):
     """The order-point Gauss-Jacobi rule for (1 + t)^b dt on [-1, 1], b = 2 beta
     + 1, by Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues
     of the Jacobi matrix of the recurrence, the weights mu_0 v_0^2 with mu_0 =
-    2^{b+1} / (b + 1).  Read-only: both Stieltjes passes of a table ask for it."""
+    2^{b+1} / (b + 1).  Read-only: every table with that exponent shares it."""
     b = 2.0 * beta + 1.0
     k = np.arange(1, order)
     s = 2.0 * np.arange(order) + b
@@ -47,22 +48,24 @@ def gauss_legendre_panels(lo, hi, panels: int, order: int):
 
 
 def power_weight_panels(lo: float, hi: float, beta: float, panels: int, order: int):
-    """Flat nodes and weights for int_lo^hi f(x) |x|^beta dx, lo <= 0 <= hi:
+    """Flat nodes and log weights for int_lo^hi f(x) |x|^beta dx, lo <= 0 <= hi:
     x = +-u^2 on each side of 0 turns |x|^beta dx into 2 u^{2 beta + 1} du,
     a Gauss-Jacobi first u-panel absorbs u^{2 beta + 1} and the others are
     Gauss-Legendre, so smooth f converges spectrally for any beta >= 0.
-    The sides share the panels in proportion to their length in u."""
+    The sides share the panels in proportion to their length in u.  The
+    log weights are sums of logs, so none leaves the double range (u^201
+    at beta = 100 overflows past u = 34)."""
     sides = [(s, np.sqrt(e)) for s, e in ((-1.0, -lo), (1.0, hi)) if e > 0.0]
     total = sum(root for _, root in sides)
     t, tw = _jacobi(order, beta)
-    xs, ws = [], []
+    xs, lws = [], []
     for sign, root in sides:
         count = max(2, round(panels * root / total))
         u, uw = gauss_legendre_panels(0.0, root, count, order)
-        u, uw = u.copy(), 2.0 * uw * u ** (2.0 * beta + 1.0)
         half = 0.5 * root / count
+        lw = np.log(2.0 * uw) + (2.0 * beta + 1.0) * np.log(u)
+        lw[0] = np.log(2.0 * tw) + (2.0 * beta + 2.0) * math.log(half)
+        lws.append(lw.ravel())
         u[0] = half * (t + 1.0)
-        uw[0] = 2.0 * half ** (2.0 * beta + 2.0) * tw
         xs.append(sign * u.ravel() ** 2)
-        ws.append(uw.ravel())
-    return np.concatenate(xs), np.concatenate(ws)
+    return np.concatenate(xs), np.concatenate(lws)

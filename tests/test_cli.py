@@ -259,7 +259,7 @@ class TestOppoly:
                      "--out", "c.csv"]) == 0
 
     def test_recurrence_delta_header(self, tmp_path):
-        # the verification gap between the two Stieltjes passes, a
+        # the virial residual of the table's one Stieltjes pass, a
         # deterministic diagnostic that reruns write the same
         heads = []
         for name in ("a.csv", "b.csv"):
@@ -271,13 +271,24 @@ class TestOppoly:
         assert heads[1] == heads[0] and line.startswith("# diag.recurrence_delta = ")
         assert 0.0 <= float(line.split(" = ")[1]) <= 1e-12
 
-    def test_disagreeing_passes_exit3(self, tmp_path, monkeypatch):
+    def test_too_few_nodes_exit3(self, tmp_path, monkeypatch, capsys):
         from rmtlab import orthopoly
 
-        monkeypatch.setattr(orthopoly, "_NODES_MIN", 0)
+        real = orthopoly._stieltjes
+        monkeypatch.setattr(orthopoly, "_stieltjes",
+                            lambda w, n, lo, hi, nodes: real(w, n, lo, hi, 128))
         rc = main(["oppoly", "--potential", "0,0,0.5", "--N", "16",
                    "--nmax", "16", "--out", str(tmp_path / "t.csv")])
-        assert rc == 3
+        assert rc == 3 and not (tmp_path / "t.csv").exists()
+        assert "virial residual" in capsys.readouterr().err
+
+    def test_window_that_cuts_the_weight_exit3(self, tmp_path, capsys):
+        # the window passes the weight's own tail check, but P_64 spreads
+        # over |x| < 16; the table came out with a_64 = 49.06 instead of 64
+        rc = main(["oppoly", "--potential", "0,0,0.5", "--N", "1", "--nmax", "64",
+                   "--truncation", "14", "--out", str(tmp_path / "t.csv")])
+        assert rc == 3 and not (tmp_path / "t.csv").exists()
+        assert "virial residual" in capsys.readouterr().err
 
 
 class TestConverge:
@@ -353,9 +364,10 @@ class TestConverge:
         ["--mode", "hard", "--potential", "0,1", "--hard-edge"],
         ["--mode", "origin", "--potential", "0,0,0.5", "--alpha", "1"],
     ], ids=["bulk", "edge", "hard", "origin"])
-    def test_one_equilibrium_solve_per_command(self, tmp_path, monkeypatch, argv):
+    def test_equilibrium_solves_per_command(self, tmp_path, monkeypatch, argv):
         # N = n_max = n for every table, so the command's own measure of V
-        # picks every table's window
+        # picks every table's window; with alpha = 1, |x|^2 moves the window
+        # of n to degree n + 1, one more solve per table, of (n/(n + 1)) V
         from rmtlab import equilibrium as eqm
 
         solves = []
@@ -363,7 +375,9 @@ class TestConverge:
         monkeypatch.setattr(eqm, "solve_equilibrium", lambda V: solves.append(V) or solve(V))
         assert main(["converge", *argv, "--n", "8,16,24",
                      "--out", str(tmp_path / "conv.csv")]) == 0
-        assert len(solves) == 1
+        v = solves[0].coefficients
+        shifted = [tuple(c * (n / (n + 1.0)) for c in v) for n in (8, 16, 24) if "--alpha" in argv]
+        assert [V.coefficients for V in solves] == [v] + shifted
 
     @pytest.mark.parametrize("argv, rate, band", [
         (["--mode", "edge", "--potential", "0,0,0.5"], -2.0 / 3.0, 0.03),
@@ -384,7 +398,7 @@ class TestConverge:
         assert abs(slope - rate) <= band, slope
 
     def test_recurrence_delta_header(self, tmp_path):
-        # the largest verification gap of the command's tables, deterministic,
+        # the largest virial residual of the command's tables, deterministic,
         # so reruns write the same line
         heads = []
         for name in ("a.csv", "b.csv"):

@@ -91,11 +91,29 @@ class TestRecurrenceTable:
         with pytest.raises(ValueError):
             op.recurrence_table(w, 513)
 
-    def test_disagreeing_passes_raise(self, monkeypatch):
-        # 128 and 256 nodes do not resolve Hermite N = n_max = 16 to 1e-12
-        monkeypatch.setattr(op, "_NODES_MIN", 0)
-        with pytest.raises(eq.NonConvergenceError, match="differ by"):
+    def test_too_few_nodes_raise(self, monkeypatch):
+        # 128 nodes do not resolve Hermite N = n_max = 16: the virial
+        # residual reads 8.6e-10, the closed-form error 4.9e-10
+        real = op._stieltjes
+        monkeypatch.setattr(op, "_stieltjes", lambda w, n, lo, hi, nodes: real(w, n, lo, hi, 128))
+        with pytest.raises(eq.NonConvergenceError, match="virial residual 8.6e-10 .* 128 "):
             op.recurrence_table(op.WeightSpec(HERMITE, N=16), 16)
+
+    @pytest.mark.parametrize("pot, n", [
+        (HERMITE, 64),
+        (Potential((0.0, 0.0, 0.5), singularity_alpha=1.0), 64),
+        (Potential((0.0, 0.0, 0.5), singularity_alpha=100.0), 8),
+        (Potential((0.0, 1.0), hard_edge=True, singularity_alpha=100.0), 16),
+    ], ids=["hermite", "genhermite1", "genhermite100", "laguerre100"])
+    def test_one_pass_per_table(self, pot, n, monkeypatch):
+        # one pass, on the window of degree n + e/2: |x|^e acts as a charge
+        # e/2 at 0, so the window is that of the weight without it at that degree
+        seen, real = [], op._stieltjes
+        monkeypatch.setattr(op, "_stieltjes", lambda w, *a: seen.append(a[1:3]) or real(w, *a))
+        w = op.WeightSpec(pot, N=n)
+        t = op.recurrence_table(w, n)
+        bare = Potential(pot.coefficients, hard_edge=pot.hard_edge)
+        assert seen == [t.window] and t.window == op.WeightSpec(bare, N=n).window(n + w.exponent / 2.0)
 
     def test_explicit_truncation_validated(self):
         with pytest.raises(ValueError):
@@ -154,17 +172,18 @@ class TestConstantShift:
         assert (self._evaluate(-800.0)[0].gamma_sq == np.inf).all()
 
 
-def _closed_form_error(pot, n):
-    """Relative error of the N = n table against the exact monic
-    coefficients: Hermite and generalized Hermite |x|^{2 alpha} e^{-n x^2/2}
-    (a_k = (k + 2 alpha [k odd])/n, b_k = 0) and Laguerre x^alpha e^{-n x}
-    (a_k = k(k + alpha)/n^2, b_k = (2k + alpha + 1)/n)."""
-    t = op.recurrence_table(op.WeightSpec(pot, N=n), n)
+def _closed_form_error(pot, n, N=None, truncation=None):
+    """Relative error of the table (N = n unless given) against the exact
+    monic coefficients: Hermite and generalized Hermite |x|^{2 alpha}
+    e^{-N x^2/2} (a_k = (k + 2 alpha [k odd])/N, b_k = 0) and Laguerre
+    x^alpha e^{-N x} (a_k = k(k + alpha)/N^2, b_k = (2k + alpha + 1)/N)."""
+    N = N or n
+    t = op.recurrence_table(op.WeightSpec(pot, N=N, truncation=truncation), n)
     k, al = np.arange(n + 1, dtype=float), pot.singularity_alpha
     if pot.hard_edge:
-        a, b = k[1:] * (k[1:] + al) / n ** 2, (2.0 * k + al + 1.0) / n
+        a, b = k[1:] * (k[1:] + al) / N ** 2, (2.0 * k + al + 1.0) / N
     else:
-        a, b = (k[1:] + 2.0 * al * (k[1:] % 2)) / n, np.zeros(n + 1)
+        a, b = (k[1:] + 2.0 * al * (k[1:] % 2)) / N, np.zeros(n + 1)
     return max(np.max(np.abs(t.a - a) / a),
                np.max(np.abs(t.b - b) / (np.abs(b) + math.sqrt(a.max())))), t
 
@@ -185,7 +204,7 @@ class TestDocumentedRange:
     def test_closed_form(self, pot, n):
         err, t = _closed_form_error(pot, n)
         assert err <= 1e-12
-        # one pass on 8 n nodes, the verification pass on 16 n is kept
+        # one pass on 16 n nodes
         assert t.nodes_used == 16 * n
 
     @pytest.mark.parametrize("alpha", [0.0, 0.125, 0.25, 0.5, 1.0, 1.5])
@@ -194,6 +213,28 @@ class TestDocumentedRange:
         for pot in (Potential((0.0, 1.0), hard_edge=True, singularity_alpha=alpha),
                     Potential((0.0, 0.0, 0.5), singularity_alpha=alpha)):
             assert _closed_form_error(pot, 64)[0] <= 1e-12
+
+
+    @pytest.mark.parametrize("ratio", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("n", [1, 4, 16, 64, 256])
+    @pytest.mark.parametrize("alpha", [10.0, 30.0, 100.0])
+    @pytest.mark.parametrize("hard", [False, True], ids=["genhermite", "laguerre"])
+    def test_large_alpha(self, hard, alpha, n, ratio):
+        # the two-pass gap read about 1e-15 on tables off by up to 99% here:
+        # the automatic window cut off part of the weight x^alpha pushes out
+        pot = (Potential((0.0, 1.0), hard_edge=True, singularity_alpha=alpha) if hard
+               else Potential((0.0, 0.0, 0.5), singularity_alpha=alpha))
+        err, t = _closed_form_error(pot, n, N=max(1, round(ratio * n)))
+        assert err <= 1e-12 and t.verify_delta <= 1e-12
+
+    @pytest.mark.parametrize("coefs, hard, truncation", [
+        ((0.0, 0.0, 0.5), False, 40.0),
+        ((0.0, 1.0), True, 1200.0),
+    ])
+    def test_power_weights_beyond_the_double_range(self, coefs, hard, truncation):
+        # 2 u^401 uw overflows on these windows; the log weights do not
+        pot = Potential(coefs, hard_edge=hard, singularity_alpha=100.0)
+        assert _closed_form_error(pot, 8, N=1, truncation=truncation)[0] <= 1e-12
 
 
 class TestWeightedPolys:
@@ -375,19 +416,23 @@ class TestLaguerreOracle:
         assert np.abs(got - want).max() <= bound * np.abs(want).max()
 
 
-def _ref_scaled_recurrence(x, logscale, n, t=None, even=False):
+def _ref_scaled_recurrence(x, logscale, n, t=None, even=False, virial=None):
     """The recurrence with fresh arrays at every step and every row kept;
-    even: b_k = 0 on the half-line nodes of an even weight."""
+    even: b_k = 0 on the half-line nodes of an even weight; sums[:, k] =
+    sum virial phi_k^2."""
     build = t is None
     a, b = (np.zeros(n), np.zeros(n + 1)) if build else (t.a, t.b)
     mass = np.exp(2.0 * logscale) if build else None
     cur, prev, s_prev = np.ones(len(x)), 0.0, 0.0
-    if not build:
+    if build:
+        sums = np.empty((len(virial), n + 1))
+    else:
         y, logs = np.empty((n + 1, len(x))), np.empty((n + 1, len(x)))
         y[0], logs[0] = cur, logscale
     for k in range(n + 1):
         if build:
             b[k] = 0.0 if even else np.dot(x * cur * cur, mass)
+            sums[:, k] = (virial * mass) @ (cur * cur)
         if k == n:
             break
         r = (x - b[k]) * cur - s_prev * prev
@@ -403,7 +448,7 @@ def _ref_scaled_recurrence(x, logscale, n, t=None, even=False):
             mass = np.exp(2.0 * logscale) if build else None
         if not build:
             y[k + 1], logs[k + 1] = cur, logscale
-    return (a, b) if build else (y, logs)
+    return (a, b, sums) if build else (y, logs)
 
 
 def _ref_phi(t, w, x, n):
@@ -424,7 +469,8 @@ def _bits(v):
 class TestBitwiseReference:
     """In-place Stieltjes passes and the numpy logsumexp change no bit of
     a table or a weighted function, and a kernel grid is the Gram product
-    of those functions.  Even weights run on the
+    of those functions.  The virial sums are summed in another order, so
+    the residual agrees to rounding.  Even weights run on the
     half-line nodes (TestEvenHalfLine checks them against the full rule);
     the other rows pin the full-line path."""
 
@@ -449,6 +495,7 @@ class TestBitwiseReference:
         for name in ("a", "b", "gamma_sq"):
             assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
         assert got.window == want.window and got.nodes_used == want.nodes_used
+        assert abs(got.verify_delta - want.verify_delta) <= 1e-15
 
     def test_logsumexp(self):
         rng = np.random.default_rng(11)
@@ -490,6 +537,95 @@ class TestBitwiseReference:
             self._check_grid(t, w, 48, xs, ys)
 
 
+def _poly_of(coefs, m):
+    """sum_j coefs[j] m^j for a square matrix m."""
+    out, power = np.zeros_like(m), np.eye(len(m))
+    for c in coefs:
+        out += c * power
+        power = power @ m
+    return out
+
+
+def _oracle_residuals(t, pot, a=None, b=None):
+    """Scaled residuals on the returned Jacobi matrix J (a, b replace the
+    table's) of the virial identities N (J V'(J))_kk = 2k + 1 + e and N (J^2
+    V'(J))_kk = (2k + e) b_k + 2 sum_{j<=k} b_j and, for a line weight with
+    alpha = 0, of the string equation N V'(J)_{k,k-1} sqrt(a_k) = k (Freud
+    1976), each over N times the same expression in |J| and |v_j| plus the
+    absolute terms of its right side, on the rows that truncating J leaves
+    exact: k <= n_max - d/2 for a polynomial of degree d in J."""
+    a = t.a if a is None else a
+    b = t.b if b is None else b
+    jac = np.diag(b) + np.diag(np.sqrt(a), 1) + np.diag(np.sqrt(a), -1)
+    dv = np.polynomial.polynomial.polyder(pot.coefficients)
+    vp, vp_abs = _poly_of(dv, jac), _poly_of(np.abs(dv), np.abs(jac))
+    k = 2.0 * np.arange(t.n_max + 1) + op.WeightSpec(pot, N=t.N).exponent
+    sides = [(k + 1.0, k + 1.0),
+             (k * b + 2.0 * np.cumsum(b), k * np.abs(b) + 2.0 * np.cumsum(np.abs(b)))]
+    if op.WeightSpec(pot, N=t.N).even:  # J^2 V'(J) is odd in J: 0 = 0
+        sides = sides[:1]
+    out = []
+    for m, (right, scale) in enumerate(sides, start=1):
+        rows = t.n_max + 1 - (pot.degree - 1 + m) // 2
+        left = (np.linalg.matrix_power(jac, m) @ vp).diagonal()[:rows]
+        bound = (np.linalg.matrix_power(np.abs(jac), m) @ vp_abs).diagonal()[:rows]
+        out.append(np.abs(t.N * left - right[:rows]) / (t.N * bound + scale[:rows]))
+    if pot.hard_edge or pot.singularity_alpha:
+        return out
+    k = np.arange(1, t.n_max + 1 - pot.degree // 2)
+    root = np.sqrt(a[k - 1])
+    string = (np.abs(t.N * vp[k, k - 1] * root - k)
+              / (t.N * vp_abs[k, k - 1] * root + k))
+    return out + [string]
+
+
+ORACLE_WEIGHTS = {
+    "hermite": HERMITE,
+    "quartic": Potential((0.0, 0.0, 0.0, 0.0, 0.25)),
+    "tilted_quartic": Potential((0.0, 0.0, -0.5, 0.1, 0.25)),
+    "critical_quartic": Potential((0.0, 0.0, -1.0, 0.0, 0.25)),
+    "sextic": Potential((0.0,) * 6 + (0.1,)),
+    "genhermite1.5": Potential((0.0, 0.0, 0.5), singularity_alpha=1.5),
+    "laguerre0": Potential((0.0, 1.0), hard_edge=True),
+    "laguerre0.5": Potential((0.0, 1.0), hard_edge=True, singularity_alpha=0.5),
+    "x+x2_hard3": Potential((0.0, 0.5, 0.25), hard_edge=True, singularity_alpha=3.0),
+}
+
+
+class TestOutputOracle:
+    """The returned tables against the exact finite-n identities of their
+    weights, computed from J alone (the gate sums them over the nodes)."""
+
+    @pytest.mark.parametrize("n", [64, 512])
+    @pytest.mark.parametrize("name", list(ORACLE_WEIGHTS))
+    def test_identities(self, name, n):
+        pot = ORACLE_WEIGHTS[name]
+        t = op.recurrence_table(op.WeightSpec(pot, N=n), n)
+        assert max(r.max() for r in _oracle_residuals(t, pot)) <= 1e-12
+
+    def test_perturbed_tables_are_flagged(self):
+        # the tilted quartic at n = 64: b_10 moved by 1e-8 sqrt(a_1) reads
+        # about 2.4e-10, a_11 scaled by 1 + 1e-8 about 2.4e-9
+        pot = ORACLE_WEIGHTS["tilted_quartic"]
+        t = op.recurrence_table(op.WeightSpec(pot, N=64), 64)
+        b, a = t.b.copy(), t.a.copy()
+        b[10] += 1e-8 * math.sqrt(t.a[0])
+        a[10] *= 1.0 + 1e-8
+        assert max(r.max() for r in _oracle_residuals(t, pot)) <= 1e-12
+        assert max(r.max() for r in _oracle_residuals(t, pot, b=b)) >= 1e-10
+        assert max(r.max() for r in _oracle_residuals(t, pot, a=a)) >= 1e-10
+
+    def test_perturbed_laguerre_a_is_flagged(self):
+        # V = x: the first identity reads N b_k = 2k + 1 + e, blind to a
+        # (9.8e-16); the x^2 one reads a_11 scaled by 1 + 1e-8 as 9.1e-10
+        pot = ORACLE_WEIGHTS["laguerre0"]
+        t = op.recurrence_table(op.WeightSpec(pot, N=64), 64)
+        a = t.a.copy()
+        a[10] *= 1.0 + 1e-8
+        first, second = _oracle_residuals(t, pot, a=a)
+        assert first.max() <= 1e-12 and second.max() >= 1e-10
+
+
 EVEN_WEIGHTS = {
     "hermite": HERMITE,
     "quartic": Potential((0.0, 0.0, 0.0, 0.0, 0.25)),
@@ -502,7 +638,7 @@ EVEN_WEIGHTS = {
 
 
 class TestEvenHalfLine:
-    """An even weight runs both Stieltjes passes on the nodes x > 0 with
+    """An even weight runs its Stieltjes pass on the nodes x > 0 with
     doubled weights; the reference runs every node of the full-line rule
     and takes b_k from its inner product."""
 
