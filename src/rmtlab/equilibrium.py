@@ -54,7 +54,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Polynomial, chebyshev
+from numpy.polynomial import chebyshev
 from numpy.polynomial import polynomial as npoly
 
 from .quadrature import gauss_legendre_panels
@@ -234,16 +234,19 @@ def _soft_newton(v, t):
     residual of the endpoint equations (grad Phi with its r-part times r)."""
     vp = npoly.polyder(v)
     vpp = npoly.polyder(vp)
+    # a mean is taken as sum() / m, the arithmetic of ndarray.mean without
+    # its Python wrapper, which would cost more than the sum on these nodes
+    m, tt = len(t), t * t
 
     def merit(c, r):
-        return npoly.polyval(c + r * t, v).mean() - 2.0 * math.log(r)
+        return npoly.polyval(c + r * t, v).sum() / m - 2.0 * math.log(r)
 
     def equations(c, r):
         x = c + r * t
         d1, d2 = npoly.polyval(x, vp), npoly.polyval(x, vpp)
-        grad = np.array([d1.mean(), (t * d1).mean() - 2.0 / r])
-        hess = np.array([[d2.mean(), (t * d2).mean()],
-                         [(t * d2).mean(), (t * t * d2).mean() + 2.0 / (r * r)]])
+        grad = np.array([d1.sum() / m, (t * d1).sum() / m - 2.0 / r])
+        cross = (t * d2).sum() / m
+        hess = np.array([[d2.sum() / m, cross], [cross, (tt * d2).sum() / m + 2.0 / (r * r)]])
         return grad, hess, np.array([grad[0], r * grad[1]])
 
     # start outside the outermost critical point of V, with mean r t V'(x)
@@ -406,7 +409,12 @@ def _arcsine_chebyshev(mu: EquilibriumMeasure):
     dmu = p(t) dt/sqrt(1 - t^2), x = c + r t, on both edges."""
     a, b = mu.support
     c, r = 0.5 * (a + b), 0.5 * (b - a)
-    p = npoly.polymul(Polynomial(mu.h)(Polynomial([c, r])).coef, [1.0, -1.0])
+    # h(c + r t) by Horner on coefficient arrays, the operations of
+    # Polynomial(h)(Polynomial([c, r])) without the class machinery
+    p = np.array([mu.h[-1] + 0.0])
+    for hj in mu.h[-2::-1]:
+        p = npoly.polyadd(hj, npoly.polymul(p, [c, r]))
+    p = npoly.polymul(p, [1.0, -1.0])
     if not mu.potential.hard_edge:
         p = npoly.polymul(p, [r, r])
     return c, r, chebyshev.poly2cheb(p * (r / np.pi))
@@ -468,6 +476,8 @@ def effective_potential(mu: EquilibriumMeasure, V: Potential, x):
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
+    if not x.size:  # as for the real zeros of h off a convex V's support
+        return x
     a, b = mu.support
     if V.hard_edge and np.any(x < 0.0):
         raise ValueError("the hard-edge effective potential lives on x >= 0")

@@ -283,13 +283,16 @@ def _scaled_recurrence(x, logscale, n, t: RecurrenceTable = None, even=False, vi
     8 steps y is divided pointwise by max(|y_k|, |y_{k-1}|), whose log
     joins the log-scale, so neither polynomial growth nor a tiny weight
     leaves the double range.  Each step writes into buffers allocated once.
+    even says the weight is even: b_k = 0 and x - b_k = x, so neither is
+    computed (a table's pass runs on the half x > 0 of a symmetric rule).
 
     Without a table, x are quadrature nodes whose weights are folded into
     phi_0, and b_k = sum x phi_k^2, a_{k+1} = sum r_k^2 are discrete inner
-    products, as is sums[:, k] = sum virial phi_k^2; returns (a, b, sums).
-    even says the nodes are the half x > 0 of a symmetric rule under an
-    even weight: b_k = 0 and x - b_k = x, so neither is computed.  With a
-    table, returns (y, logscale) for the rows k = 0..n, each (n+1, len(x))."""
+    products, as is sums[:, k] = sum virial phi_k^2, taken in one product
+    per block of 8 steps, over which the mass exp(2 logscale) is constant
+    (verify_delta may differ from a per-step sum in its last bits); returns
+    (a, b, sums).  With a table, returns (y, logs): the rows y_k, k = 0..n,
+    and one log-scale row per block of 8 of them."""
     build = t is None
     a, b = (np.zeros(n), np.zeros(n + 1)) if build else (t.a, t.b)
     logscale = np.array(logscale, dtype=float)  # a copy: updated in place
@@ -299,10 +302,10 @@ def _scaled_recurrence(x, logscale, n, t: RecurrenceTable = None, even=False, vi
     s_prev = 0.0
     if build:
         mass = np.exp(2.0 * logscale)
-        vm, sums = virial * mass, np.empty((len(virial), n + 1))
+        vm, sums, sq = virial * mass, np.empty((len(virial), n + 1)), np.empty((8, size))
         sums[:, 0] = vm.sum(axis=1)
     else:
-        y, logs = np.empty((n + 1, size)), np.empty((n + 1, size))
+        y, logs = np.empty((n + 1, size)), np.empty((n // 8 + 1, size))
         y[0], logs[0] = cur, logscale
     for k in range(n + 1):
         if build and not even:
@@ -318,10 +321,12 @@ def _scaled_recurrence(x, logscale, n, t: RecurrenceTable = None, even=False, vi
         r = np.multiply(xb, cur, out=prev)
         r -= tmp
         if build:
-            a[k] = np.dot(np.multiply(r, r, out=tmp), mass)
+            j = k % 8
+            a[k] = np.dot(np.multiply(r, r, out=sq[j]), mass)
             if not a[k] > 0.0:
                 raise NonConvergenceError("Stieltjes breakdown: too few nodes")
-            sums[:, k + 1] = vm @ tmp  # r^2 = a_{k+1} phi_{k+1}^2
+            if j == 7 or k == n - 1:  # r^2 = a_{k+1} phi_{k+1}^2
+                sums[:, k - j + 1:k + 2] = vm @ sq[:j + 1].T
         s = math.sqrt(a[k])
         r /= s
         prev, cur, s_prev = cur, r, s
@@ -334,8 +339,10 @@ def _scaled_recurrence(x, logscale, n, t: RecurrenceTable = None, even=False, vi
             if build:
                 np.exp(np.multiply(2.0, logscale, out=mass), out=mass)
                 np.multiply(virial, mass, out=vm)
+            else:
+                logs[(k + 1) // 8] = logscale
         if not build:
-            y[k + 1], logs[k + 1] = cur, logscale
+            y[k + 1] = cur
     if build:
         sums[:, 1:] /= a
     return (a, b, sums) if build else (y, logs)
@@ -374,10 +381,11 @@ def _phi_recurrence(t: RecurrenceTable, w: WeightSpec, x, n):
         if not dead.all():
             phi[:, ~dead] = _phi_recurrence(t, w, x[~dead], n)
         return phi
-    # the recurrence's arrays are scaled in place, so no extra copies
-    phi, grow = _scaled_recurrence(x, log_phi0, n, t)
+    # the recurrence's arrays are scaled in place, each log-scale row over
+    # its block of 8 rows of phi
+    phi, grow = _scaled_recurrence(x, log_phi0, n, t, even=w.even)
     np.exp(np.minimum(grow, 705.0, out=grow), out=grow)
-    phi *= grow
+    phi *= np.repeat(grow, 8, axis=0)[:n + 1]
     return phi
 
 

@@ -191,6 +191,12 @@ class TestHardEdge:
         with pytest.raises(ValueError):
             effective_potential(mp, MP, -1.0)
 
+    def test_effective_potential_of_no_points(self, mp, semicircle):
+        # the solver's exterior check passes no points for a convex V
+        for mu, pot in ((mp, MP), (semicircle, SEMI)):
+            e = effective_potential(mu, pot, np.array([]))
+            assert isinstance(e, np.ndarray) and e.dtype == float and e.shape == (0,)
+
     def test_ell_against_quadrature_oracle(self, mp):
         # ell = V(x) - 2 Int log|x - y| dmu(y) at any x of the support
         val, _ = scipy.integrate.quad(
@@ -565,3 +571,32 @@ def test_random_potential_scan():
             assert (effective_potential(mu, pot, x) >= -1e-10 * (1.0 + np.abs(pot(x)))).all()
     assert outcomes == {"solved": 257, "ValueError": 21, "MultiCutError": 22,
                         "NonConvergenceError": 0}
+
+
+def test_arcsine_chebyshev_keeps_the_polynomial_class_bits():
+    # _arcsine_chebyshev composes h(c + r t) by Horner on coefficient
+    # arrays; over the scan's solved potentials its Chebyshev coefficients
+    # are those of the Polynomial-class composition, bit for bit
+    from numpy.polynomial import Polynomial, chebyshev
+    from numpy.polynomial import polynomial as npoly
+
+    from rmtlab.equilibrium import _arcsine_chebyshev
+
+    rng = np.random.default_rng(0)
+    solved = 0
+    for _ in range(300):
+        coefs, hard = _random_potential(rng)
+        try:
+            mu = solve_equilibrium(Potential(coefs, hard_edge=hard))
+        except (ValueError, MultiCutError, NonConvergenceError):
+            continue
+        a, b = mu.support
+        c, r = 0.5 * (a + b), 0.5 * (b - a)
+        p = npoly.polymul(Polynomial(mu.h)(Polynomial([c, r])).coef, [1.0, -1.0])
+        if not hard:
+            p = npoly.polymul(p, [r, r])
+        got_c, got_r, got = _arcsine_chebyshev(mu)
+        assert (got_c, got_r) == (c, r)
+        assert got.tobytes() == chebyshev.poly2cheb(p * (r / np.pi)).tobytes()
+        solved += 1
+    assert solved == 257

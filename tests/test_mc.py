@@ -463,6 +463,34 @@ class TestMetropolis:
         assert np.array_equal(got, interleave_trim_loop(sets, chains, per, count))
 
 
+QUARTIC = Potential((0.0, 0.0, 0.0, 0.0, 0.25))
+
+
+@pytest.mark.parametrize("pot, beta, n", [
+    (QUARTIC, 1, 32),
+    (QUARTIC, 2, 32),
+    (QUARTIC, 4, 32),
+    (Potential((0.0, 0.0, -1.0, 0.0, 0.25)), 2, 32),
+    (Potential((0.0, 1.0), hard_edge=True, singularity_alpha=0.5), 2, 32),
+    (Potential((0.0, 0.0, 0.5), singularity_alpha=1.5), 1, 16),
+], ids=["quartic_b1", "quartic_b2", "quartic_b4", "critical_quartic", "hard_x_a0.5",
+        "hermite_a1.5_b1"])
+def test_metropolis_virial_identity(pot, beta, n):
+    # integrating by parts in each x_i against the log-density gives
+    # E[N sum_i x_i V'(x_i)] = n + beta n (n - 1)/2 + e n exactly, for every
+    # beta, V and n (e = alpha on a hard edge, 2 alpha on the line); the
+    # z-score takes the naive standard error of the 2000 records (at the
+    # seed fixed here: 0.45, 1.89, 0.86, 0.96, -0.29 and 0.57)
+    b = mc.sample_invariant(pot, beta, n, n, count=2000, steps=400, seed=3)
+    x = b.eigenvalue_sets
+    dv = np.polynomial.polynomial.polyder(pot.coefficients)
+    s = n * (x * np.polynomial.polynomial.polyval(x, dv)).sum(axis=1)
+    e = op.WeightSpec(pot, n).exponent
+    exact = n + beta * n * (n - 1) / 2.0 + e * n
+    z = (s.mean() - exact) / (s.std(ddof=1) / math.sqrt(len(s)))
+    assert abs(z) < 4.0
+
+
 class TestWorkers:
     @pytest.mark.parametrize("items, cpus, want", [(10, 3, 3), (2, 8, 2), (10, 1, None)])
     def test_pool_size_capped_by_items_and_cpus(self, monkeypatch, items, cpus, want):

@@ -452,9 +452,15 @@ def _ref_scaled_recurrence(x, logscale, n, t=None, even=False, virial=None):
 
 
 def _ref_phi(t, w, x, n):
-    """phi_0 .. phi_{n-1} at x from the allocating recurrence."""
-    y, grow = _ref_scaled_recurrence(x, 0.5 * (w.log_weight(x) - t.log_mass), n - 1, t)
-    return y * np.exp(np.minimum(grow, 705.0))
+    """phi_0 .. phi_{n-1} at x from the allocating recurrence, 0.0 where
+    _underflowed finds that every phi_k rounds to 0.0."""
+    log_phi0 = 0.5 * (w.log_weight(x) - t.log_mass)
+    dead = op._underflowed(t, x, log_phi0, n - 1)
+    live = np.ones(len(x), dtype=bool) if dead is None else ~dead
+    phi = np.zeros((n, len(x)))
+    y, grow = _ref_scaled_recurrence(x[live], log_phi0[live], n - 1, t)
+    phi[:, live] = y * np.exp(np.minimum(grow, 705.0))
+    return phi
 
 
 def _ref_cd_kernel_grid(t, w, n, xs, ys):
@@ -469,10 +475,10 @@ def _bits(v):
 class TestBitwiseReference:
     """In-place Stieltjes passes and the numpy logsumexp change no bit of
     a table or a weighted function, and a kernel grid is the Gram product
-    of those functions.  The virial sums are summed in another order, so
-    the residual agrees to rounding.  Even weights run on the
-    half-line nodes (TestEvenHalfLine checks them against the full rule);
-    the other rows pin the full-line path."""
+    of those functions.  The virial sums are summed in another order (a
+    block of 8 steps at a time), so the residual agrees to rounding.  Even
+    weights run on the half-line nodes (TestEvenHalfLine checks them
+    against the full rule); the other rows pin the full-line path."""
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 512])
     @pytest.mark.parametrize("pot", [
@@ -526,6 +532,31 @@ class TestBitwiseReference:
     def test_cd_grid(self, herm64, xs, ys, n):
         w, t = herm64
         self._check_grid(t, w, n, xs, xs if ys is None else ys)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 257])
+    @pytest.mark.parametrize("pot", [
+        HERMITE,
+        Potential((0.0, 0.0, 0.0, 0.0, 0.25), singularity_alpha=1.5),
+        Potential((0.0, 1.0), hard_edge=True),
+        Potential((0.0, 0.0, -0.5, 0.1, 0.25)),
+    ], ids=["hermite", "quartic1.5", "laguerre0", "tilted_quartic"])
+    def test_table_mode(self, pot, n):
+        # one log-scale row per rescale block, and no x - b_k for an even
+        # weight, against a row per step and x - b_k always: the rows and
+        # the Gram product over the same distinct points keep every bit,
+        # inside the window, on its ends, beyond it and at signed zeros
+        w = op.WeightSpec(pot, N=n)
+        t = op.recurrence_table(w, n)
+        lo, hi = t.window
+        pts = np.r_[np.linspace(lo, hi, 23), lo, hi, hi + 1.0, 1e300, 0.0, -0.0]
+        if not pot.hard_edge:
+            pts = np.r_[pts, lo - 1.0, -1e300]
+        ys = pts[::3]
+        assert _bits(op.weighted_polys(t, w, pts, n)) == _bits(_ref_phi(t, w, pts, n))
+        uniq, idx = np.unique(np.concatenate([pts, ys]).view(np.int64), return_inverse=True)
+        phi = _ref_phi(t, w, uniq.view(np.float64), n)
+        ix, iy = np.split(idx, [len(pts)])
+        assert _bits(op.cd_kernel_grid(t, w, n, pts, ys)) == _bits(phi[:, ix].T @ phi[:, iy])
 
     @pytest.mark.parametrize("alpha", [0.0, 1.5])
     def test_cd_grid_hard_edge(self, alpha):
