@@ -130,7 +130,7 @@ def _map_blocks(fn, items, workers):
 # Gaussian ensembles
 
 def _gaussian_draws(beta, n, children):
-    from scipy.linalg import eigvalsh_tridiagonal  # here, so no other command loads it
+    from scipy.linalg.lapack import dsterf  # here, so no other command loads scipy.linalg
 
     scale = 1.0 / math.sqrt(beta * n)
     df = beta * np.arange(n - 1, 0, -1)
@@ -139,7 +139,10 @@ def _gaussian_draws(beta, n, children):
         rng = np.random.default_rng(child)
         d = rng.normal(scale=math.sqrt(2.0), size=n)
         e = np.sqrt(rng.chisquare(df))
-        out[i] = eigvalsh_tridiagonal(scale * d, scale * e)  # ascending
+        # ascending; the wrapper wants an off-diagonal entry even at n = 1
+        out[i], info = dsterf(scale * d, scale * e if n > 1 else np.zeros(1))
+        if info > 0:
+            raise np.linalg.LinAlgError(f"dsterf: {info} off-diagonal entries did not converge")
     return out
 
 
@@ -176,45 +179,47 @@ def log_density(V: Potential, beta: int, n: int, N: int, x: np.ndarray):
     return beta * np.sum(np.log(d[iu])) + np.sum(WeightSpec(V, N).log_weight(x))
 
 
-def _draws(rngs, n):
-    """Per sweep, the (n, chains) normals and log-uniforms.  Each chain
-    draws those of max(1, 1024 // n) sweeps at a time from its own stream,
-    so the draws do not depend on how chains are split over workers."""
-    block = max(1, 1024 // n)
-    while True:
-        z = np.stack([r.standard_normal((block, n)) for r in rngs], axis=-1)
-        u = np.stack([r.random((block, n)) for r in rngs], axis=-1)
-        yield from zip(z, np.log(u))
+def _sweeper(V: Potential, beta: int, N: int, x, lw=None):
+    """Sweep engine over chain states x (n, chains) and log-weights lw
+    (computed when None), buffers and rows made once.  Returns the step
+    buffer s and sweep(log_u): in place, x_i takes x_i + s_i in turn where
+    |R_i| = |prod_{j != i} (1 + s_i / (x_i - x_j))| > exp((log_u_i - gain_i)
+    / beta); returns the mask, |R| and the gains (log-weight changes)."""
+    log_weight = WeightSpec(V, N).log_weight
+    lw = log_weight(x) if lw is None else lw  # carried with x through every sweep
+    step, prop, bound, ratio, d, take = (np.empty(x.shape, t) for t in [float] * 5 + [bool])
+    rows = list(zip(range(len(x)), x, step, prop, bound, ratio, take))
+    sub, div, add, prod, absolute, greater, copyto, inf = (
+        np.subtract, np.divide, np.add, np.multiply.reduce, np.abs, np.greater, np.copyto, np.inf)
+
+    def sweep(log_u):
+        # x_i only changes at step i: every proposal and its gain are known up front
+        lw_prop = log_weight(add(x, step, prop))
+        gain = lw_prop - lw
+        # R = 0 (a proposal on another coordinate) or nan fails, as its log-sum would
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+            np.exp(div(sub(log_u, gain, bound), beta, bound), bound)
+            for i, xi, si, pi, bi, ri, ki in rows:
+                sub(xi, x, d)
+                d[i] = inf  # 1 + s_i / inf = 1 drops j = i
+                div(si, d, d)
+                add(d, 1.0, d)
+                prod(d, 0, None, ri)
+                absolute(ri, ri)
+                greater(ri, bi, ki)
+                copyto(xi, pi, "same_kind", ki)
+            copyto(lw, lw_prop, where=take)
+        return take, ratio, gain
+
+    return step, sweep
 
 
 def _sweep(V: Potential, beta: int, N: int, x, step, log_u, lw=None):
-    """One systematic-scan sweep, in place, over the chain states x of shape
-    (n, chains): coordinate i proposes x_i + s_i and takes it where the pair
-    ratio R_i = prod_{j != i} (1 + s_i / (x_i - x_j)) has |R_i| above
-    exp((log_u_i - gain_i) / beta), gain_i being the log-weight change.  lw,
-    the log-weights of x (computed when None), is updated in place.  Returns
-    the acceptance mask, the pair log-ratios beta log|R_i| and the gains."""
-    # coordinate i only changes at step i, so every proposal and its
-    # one-body log-density change are known when the sweep starts
-    prop = x + step
-    log_weight = WeightSpec(V, N).log_weight
-    lw = log_weight(x) if lw is None else lw
-    lw_prop = log_weight(prop)
-    gain = lw_prop - lw
-    # R = 0 (a proposal on another coordinate) or nan fails, as its log-sum would
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        bound = np.exp((log_u - gain) / beta)
-        ratio, d, take = np.empty_like(x), np.empty_like(x), np.empty(x.shape, dtype=bool)
-        for i, (xi, si, pi, bi, ri, ki) in enumerate(zip(x, step, prop, bound, ratio, take)):
-            np.subtract(xi, x, out=d)
-            d[i] = np.inf  # 1 + s_i / inf = 1 drops j = i
-            np.divide(si, d, out=d)
-            d += 1.0
-            np.multiply.reduce(d, axis=0, out=ri)
-            np.abs(ri, out=ri)
-            np.greater(ri, bi, out=ki)
-            np.copyto(xi, pi, where=ki)
-        np.copyto(lw, lw_prop, where=take)
+    """One engine sweep with the given steps: the mask, beta log|R_i| and the gains."""
+    buf, sweep = _sweeper(V, beta, N, x, lw)
+    buf[...] = step
+    take, ratio, gain = sweep(log_u)
+    with np.errstate(divide="ignore"):
         return take, beta * np.log(ratio), gain
 
 
@@ -232,19 +237,25 @@ def _run_chains(V: Potential, beta: int, n: int, N: int, per: int, burn: int,
     x = np.stack([base + 0.01 * (b - a) * r.standard_normal(n) for r in rngs], axis=1)
     if V.hard_edge:
         x = np.abs(x) + 1e-6
-    lw = WeightSpec(V, N).log_weight(x)  # carried with x through every sweep
     width = np.full(chains, 0.5 * (b - a) / math.sqrt(n))
-    draws = _draws(rngs, n)
+    step, sweep = _sweeper(V, beta, N, x)
+    z, log_u = np.empty((2, chains, max(1, 1024 // n), n))  # per chain, a block of sweeps
 
-    def sweep():
-        z, log_u = next(draws)
-        return _sweep(V, beta, N, x, width * z, log_u, lw)[0]
+    def sweeps():
+        while True:
+            for r, zc, uc in zip(rngs, z, log_u):
+                r.standard_normal(out=zc)
+                r.random(out=uc)
+            np.log(log_u, out=log_u)
+            for zt, ut in zip(z.transpose(1, 2, 0), log_u.transpose(1, 2, 0)):
+                np.multiply(width, zt, step)
+                yield sweep(ut)[0]
 
+    draws = sweeps()
     for t in range(burn):
-        width *= np.exp((sweep().mean(axis=0) - 0.3) / math.sqrt(1.0 + t))
+        width *= np.exp((next(draws).mean(axis=0) - 0.3) / math.sqrt(1.0 + t))
     # frozen-rate check averaged over enough sweeps to beat binomial noise
-    check_sweeps = max(8, 256 // n)
-    rate = np.mean([sweep().mean(axis=0) for _ in range(check_sweeps)], axis=0)
+    rate = np.mean([next(draws).mean(axis=0) for _ in range(max(8, 256 // n))], axis=0)
     if rate.min() < 0.1 or rate.max() > 0.6:
         raise AcceptanceRateError(
             f"tuned acceptance rate in [{rate.min():.3f}, {rate.max():.3f}] "
@@ -252,7 +263,7 @@ def _run_chains(V: Potential, beta: int, n: int, N: int, per: int, burn: int,
     records = []
     for _ in range(per):
         for _ in range(spacing):
-            sweep()
+            next(draws)
         records.append(np.sort(x, axis=0).T)
     # (chain, record) ordering so chain blocks concatenate cleanly
     return np.stack(records, axis=1).reshape(chains * per, n), rate, width
@@ -266,8 +277,8 @@ def sample_invariant(V: Potential, beta: int, n: int, N: int, count: int,
     min(count, 64) independent chains run systematic-scan sweeps of
     single-coordinate Gaussian proposals over states stored by coordinate,
     with one pair-ratio product per coordinate and the log-weights carried
-    between sweeps.  Each chain owns a spawned substream, draws the normals
-    and uniforms of max(1, 1024 // n) sweeps as one array each, and tunes
+    between sweeps.  Each chain owns a spawned substream, writes the normals
+    and uniforms of max(1, 1024 // n) sweeps into one buffer, and tunes
     its own width by Robbins-Monro (target acceptance 0.3 during the
     burn-in of max(steps/2, 20) sweeps, frozen after; AcceptanceRateError
     if a frozen rate leaves [0.1, 0.6]).  Records are spaced over the

@@ -73,6 +73,74 @@ def sweep_log_sum(V, beta, N, x, step, log_u):
     return take
 
 
+def reference_draws(rngs, n):
+    """Per sweep, the (n, chains) normals and log-uniforms, each chain
+    drawing those of max(1, 1024 // n) sweeps at a time (reference: the
+    sampler's draws as separate arrays stacked per block)."""
+    block = max(1, 1024 // n)
+    while True:
+        z = np.stack([r.standard_normal((block, n)) for r in rngs], axis=-1)
+        u = np.stack([r.random((block, n)) for r in rngs], axis=-1)
+        yield from zip(z, np.log(u))
+
+
+def reference_sweep(V, beta, N, x, step, log_u, lw):
+    """One product-form sweep with fresh arrays per call and the weight
+    rebuilt each sweep (reference); returns the acceptance mask."""
+    prop = x + step
+    log_weight = op.WeightSpec(V, N).log_weight
+    lw_prop = log_weight(prop)
+    gain = lw_prop - lw
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        bound = np.exp((log_u - gain) / beta)
+        ratio, d, take = np.empty_like(x), np.empty_like(x), np.empty(x.shape, dtype=bool)
+        for i, (xi, si, pi, bi, ri, ki) in enumerate(zip(x, step, prop, bound, ratio, take)):
+            np.subtract(xi, x, out=d)
+            d[i] = np.inf
+            np.divide(si, d, out=d)
+            d += 1.0
+            np.multiply.reduce(d, axis=0, out=ri)
+            np.abs(ri, out=ri)
+            np.greater(ri, bi, out=ki)
+            np.copyto(xi, pi, where=ki)
+        np.copyto(lw, lw_prop, where=take)
+    return take
+
+
+def reference_sample_invariant(V, beta, n, N, count, steps, seed):
+    """sample_invariant's records, rates and widths from the reference
+    draws and sweep, all chains in one block."""
+    chains = min(count, 64)
+    per = -(-count // chains)
+    seeds = np.random.SeedSequence(seed).spawn(chains)
+    a, b = eq.solve_equilibrium(V).support
+    burn = max(steps // 2, 20)
+    spacing = max(1, (steps - burn) // per)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    base = np.linspace(a + 0.05 * (b - a), b - 0.05 * (b - a), n)
+    x = np.stack([base + 0.01 * (b - a) * r.standard_normal(n) for r in rngs], axis=1)
+    if V.hard_edge:
+        x = np.abs(x) + 1e-6
+    lw = op.WeightSpec(V, N).log_weight(x)
+    width = np.full(chains, 0.5 * (b - a) / math.sqrt(n))
+    draws = reference_draws(rngs, n)
+
+    def sweep():
+        z, log_u = next(draws)
+        return reference_sweep(V, beta, N, x, width * z, log_u, lw)
+
+    for t in range(burn):
+        width *= np.exp((sweep().mean(axis=0) - 0.3) / math.sqrt(1.0 + t))
+    rate = np.mean([sweep().mean(axis=0) for _ in range(max(8, 256 // n))], axis=0)
+    records = []
+    for _ in range(per):
+        for _ in range(spacing):
+            sweep()
+        records.append(np.sort(x, axis=0).T)
+    sets = np.stack(records, axis=1).reshape(chains * per, n)
+    return interleave_trim_loop(sets, chains, per, count), rate, width
+
+
 @pytest.fixture(scope="module")
 def semicircle():
     return eq.solve_equilibrium(HERMITE)
@@ -491,6 +559,105 @@ def test_metropolis_virial_identity(pot, beta, n):
     assert abs(z) < 4.0
 
 
+# (V, beta, n, N, count, steps): the benchmark's job, the documented
+# limit n = 128 at CI's setting, n = 1, and count 70, which is no multiple
+# of the 64 chains
+BITWISE_CASES = {
+    "quartic_b2_n32": (QUARTIC, 2, 32, 32, 128, 400),
+    "hermite_b1_n16": (HERMITE, 1, 16, 16, 100, 200),
+    "hard_x_a0.5_b4_n8": (Potential((0.0, 1.0), hard_edge=True, singularity_alpha=0.5),
+                          4, 8, 8, 100, 200),
+    "hermite_a1.5_b2_n128": (Potential((0.0, 0.0, 0.5), singularity_alpha=1.5),
+                             2, 128, 128, 64, 60),
+    "critical_quartic_n1": (Potential((0.0, 0.0, -1.0, 0.0, 0.25)), 2, 1, 1, 100, 200),
+    "hard_quadratic_b1_n2_N3": (Potential((0.0, 1.0, 0.5), hard_edge=True), 1, 2, 3, 70, 200),
+}
+
+
+class TestMetropolisBitwiseReference:
+    @pytest.mark.parametrize("case", list(BITWISE_CASES))
+    def test_batch_rates_and_widths(self, case):
+        # the sweep engine (buffers made once, draws written in place) keeps
+        # every record, rate and width of the stacked-draw reference
+        V, beta, n, N, count, steps = BITWISE_CASES[case]
+        got = mc.sample_invariant(V, beta, n, N, count, steps, seed=5)
+        sets, rates, widths = reference_sample_invariant(V, beta, n, N, count, steps, seed=5)
+        assert got.eigenvalue_sets.tobytes() == sets.tobytes()
+        assert got.acceptance_rates.tobytes() == rates.tobytes()
+        assert got.proposal_widths.tobytes() == widths.tobytes()
+
+
+def exact_power_sums(V, n, ks):
+    """E sum_i x_i^k of the beta = 2 ensemble with weight e^{-n V}: the sum
+    over j < n of (J^k)_{jj}, J the Jacobi matrix of the orthonormal
+    polynomials.  J needs n + k/2 rows: (J^k)_{jj} reaches row j + k/2, and
+    J cut to n x n gives 31, not 32, for sum x^2 of GUE at n = 32."""
+    t = op.recurrence_table(op.WeightSpec(V, n), n + max(ks) // 2)
+    off = np.sqrt(t.a)
+    J = np.diag(t.b) + np.diag(off, 1) + np.diag(off, -1)
+    return [np.trace(np.linalg.matrix_power(J, k)[:n, :n]) for k in ks]
+
+
+def exact_gap(V, n, ts, nodes=40):
+    """P(no eigenvalue in (-t, t)) of the beta = 2 ensemble with weight
+    e^{-n V}: the Fredholm determinant det(I - K_n) on L^2(-t, t), by
+    Gauss-Legendre Nystrom (Bornemann, Math. Comp. 79, 2010)."""
+    w = op.WeightSpec(V, n)
+    table = op.recurrence_table(w, n)
+    g, gw = np.polynomial.legendre.leggauss(nodes)
+    out = []
+    for t in ts:
+        x, root = t * g, np.sqrt(t * gw)
+        k = op.cd_kernel_grid(table, w, n, x, x)
+        out.append(np.linalg.det(np.eye(nodes) - root[:, None] * k * root))
+    return np.array(out)
+
+
+class TestBeta2ExactOracles:
+    def test_power_sums_of_gue_match_harer_zagier(self):
+        # the Jacobi-matrix traces give 32, 64.03125 and 160.3125 for GUE at
+        # n = 32 (Harer-Zagier, Invent. Math. 85, 1986)
+        got = exact_power_sums(HERMITE, 32, (2, 4, 6))
+        assert got == pytest.approx([32.0, 64.03125, 160.3125], rel=1e-13)
+
+    @pytest.mark.parametrize("sampler", ["gue", "metropolis_quartic"])
+    def test_power_sums(self, sampler):
+        # E sum x^k for k = 2, 4, 6 within 4 naive standard errors (at the
+        # seeds fixed here, z is about 1.4-1.6 for GUE and 1.8-2.0 for
+        # Metropolis)
+        if sampler == "gue":
+            V, x = HERMITE, mc.sample_gaussian(2, 32, 4000, seed=1).eigenvalue_sets
+        else:
+            V = QUARTIC
+            x = mc.sample_invariant(V, 2, 32, 32, count=2000, steps=400, seed=3).eigenvalue_sets
+        for k, exact in zip((2, 4, 6), exact_power_sums(V, 32, (2, 4, 6))):
+            s = (x ** k).sum(axis=1)
+            z = (s.mean() - exact) / (s.std(ddof=1) / math.sqrt(len(s)))
+            assert abs(z) < 4.0, (k, z)
+
+    def test_gap_nodes_converged(self):
+        ts = np.linspace(0.0025, 0.045, 24)
+        assert np.abs(exact_gap(HERMITE, 64, ts) - exact_gap(HERMITE, 64, ts, 60)).max() < 1e-14
+
+    @pytest.mark.parametrize("sampler", ["gue", "metropolis_quartic"])
+    def test_gap_probability(self, sampler):
+        # the fraction of sets with no eigenvalue in (-t, t) against
+        # det(I - K_n), pointwise within 4 binomial standard errors over 24
+        # values of t where the probability falls from 0.9 to 0.01 (at the
+        # seeds fixed here, the largest |z| is 3.6 for GUE and 1.9 for
+        # Metropolis)
+        if sampler == "gue":
+            V, n, ts = HERMITE, 64, np.linspace(0.0025, 0.045, 24)
+            x = mc.sample_gaussian(2, n, 10_000, seed=1).eigenvalue_sets
+        else:
+            V, n, ts = QUARTIC, 32, np.linspace(0.005, 0.11, 24)
+            x = mc.sample_invariant(V, 2, n, n, count=4000, steps=400, seed=3).eigenvalue_sets
+        p = exact_gap(V, n, ts)
+        got = (np.abs(x).min(axis=1)[:, None] >= ts).mean(axis=0)
+        z = (got - p) / np.sqrt(p * (1.0 - p) / len(x))
+        assert np.abs(z).max() < 4.0, z
+
+
 class TestWorkers:
     @pytest.mark.parametrize("items, cpus, want", [(10, 3, 3), (2, 8, 2), (10, 1, None)])
     def test_pool_size_capped_by_items_and_cpus(self, monkeypatch, items, cpus, want):
@@ -531,6 +698,15 @@ class TestWorkers:
         assert one.to_bytes() == two.to_bytes()
         assert np.array_equal(one.acceptance_rates, two.acceptance_rates)
         assert np.array_equal(one.proposal_widths, two.proposal_widths)
+
+    def test_metropolis_worker_independent_hard_edge_n2(self):
+        # a hard edge with N != n and a count that is no multiple of the chains
+        args = BITWISE_CASES["hard_quadratic_b1_n2_N3"]
+        one = mc.sample_invariant(*args, seed=5, workers=1)
+        two = mc.sample_invariant(*args, seed=5, workers=2)
+        assert one.to_bytes() == two.to_bytes()
+        assert one.acceptance_rates.tobytes() == two.acceptance_rates.tobytes()
+        assert one.proposal_widths.tobytes() == two.proposal_widths.tobytes()
 
 
 class TestSerialization:
