@@ -26,9 +26,9 @@ for name, pot in cases:
           f"   ({mu.solver}, Newton steps: {mu.iterations})")
     print(f"    h coefficients: {np.array_str(mu.h, precision=10)}")
     mid = 0.5 * (a + b) + 0.1 * (b - a)
-    print(f"    effective potential inside: {eq.effective_potential(mu, pot, mid):+.2e}"
-          f"   outside: {eq.effective_potential(mu, pot, b + 0.5 * (b - a)):+.4f}")
-    cls = eq.classify(mu, pot)
+    print(f"    effective potential inside: {eq.effective_potential(mu, mid):+.2e}"
+          f"   outside: {eq.effective_potential(mu, b + 0.5 * (b - a)):+.4f}")
+    cls = eq.classify(mu)
     print(f"    singular points: {cls if cls else 'none (regular one-cut)'}")
 
 print("\n--- density profiles at selected points")

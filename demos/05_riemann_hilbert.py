@@ -49,11 +49,10 @@ print("  (halving with n: the O(1/n) matching estimate)")
 print("\n--- bulk kernel from the phase function vs the exact CD kernel")
 n = 128
 cn = rh.DescentContext(mu, n=n, delta=0.1)
-w = op.WeightSpec(HERMITE, N=n)
-t = op.recurrence_table(w, n)
+t = op.recurrence_table(op.WeightSpec(HERMITE, N=n), n)
 for x, y in [(0.3, -0.2), (1.0, 1.1), (-1.5, 0.7)]:
     approx = rh.bulk_kernel_approx(cn, x, y)
-    exact = op.cd_kernel(t, w, n, x, y)
+    exact = op.cd_kernel(t, n, x, y)
     print(f"  K_128({x:+.1f}, {y:+.1f}): approx {approx:+10.4f}  exact {exact:+10.4f}"
           f"   |diff|/n = {abs(approx - exact) / n:.5f}")
 

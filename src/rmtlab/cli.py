@@ -104,7 +104,7 @@ def _cmd_eqm(args):
     pot = _parse_potential(args)
     config = _config_dict(args, ["potential", "hard_edge", "alpha", "out"])
     mu = eqm.solve_equilibrium(pot)
-    cls = eqm.classify(mu, pot)
+    cls = eqm.classify(mu)
     results = {
         "support": [mu.support[0], mu.support[1]],
         "h": [float(v) for v in mu.h],
@@ -137,8 +137,7 @@ def _cmd_oppoly(args):
         if not 1 <= args.kernel_n <= args.nmax:
             raise ValueError("--kernel-n must be between 1 and --nmax")
         grid = _parse_grid(args.kernel_grid)
-    w = op.WeightSpec(pot, N=args.N, truncation=args.truncation)
-    table = op.recurrence_table(w, args.nmax)
+    table = op.recurrence_table(op.WeightSpec(pot, N=args.N, truncation=args.truncation), args.nmax)
     config = _config_dict(args, ["potential", "hard_edge", "alpha", "N",
                                  "nmax", "truncation", "out"])
     outputs = [(args.out, _csv_text(config, table_text(
@@ -146,7 +145,7 @@ def _cmd_oppoly(args):
         np.concatenate([[0.0], table.a]), table.b, table.gamma_sq),
         [("recurrence_delta", table.verify_delta)]))]
     if args.kernel_out:
-        kmat = op.cd_kernel_grid(table, w, args.kernel_n, grid, grid)
+        kmat = op.cd_kernel_grid(table, args.kernel_n, grid, grid)
         config.update(kernel_n=args.kernel_n, kernel_grid=args.kernel_grid,
                       kernel_out=args.kernel_out)
         outputs.append((args.kernel_out, _csv_text(config, table_text(
@@ -191,7 +190,7 @@ def _cmd_converge(args):
         w = op.WeightSpec(pot, N=n)
         table = op.recurrence_table(w, n, None if w.exponent else mu)
         delta = max(delta, table.verify_delta)
-        got = op.rescaled_kernel(table, w, n, win)
+        got = op.rescaled_kernel(table, n, win)
         diff = np.abs(got - ref)
         rows.append((n, args.mode, float(diff.max()), float(diff.mean() * span * span),
                      time.perf_counter() - start))
@@ -232,8 +231,8 @@ def _cmd_sample(args):
     window = args.window and _parse_floats(args.window, 3, "window")
     if window:
         mc._window_bounds(None, window)  # a bad triple fails before any draw
-    if not 1 <= args.bins <= 1000 or not hi > lo:
-        raise ValueError("need 1 <= --bins <= 1000 and a range with hi > lo")
+    if not 1 <= args.bins <= 1000 or not 0.0 < hi - lo < np.inf:
+        raise ValueError("need 1 <= --bins <= 1000 and a range with hi > lo, finite hi - lo")
     if not args.metropolis and (args.potential or args.N is not None or args.hard_edge
                                 or args.alpha is not None):
         raise ValueError("--potential, --N, --hard-edge and --alpha need --metropolis")

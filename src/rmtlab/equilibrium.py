@@ -45,7 +45,7 @@ singular and the endpoint is fixed only to about the square root of the
 rounding error), or when Newton does not settle in 60 steps.
 
 Also provides the density / effective-potential / classification helpers
-and the brute-force grid minimizer used as an independent oracle.
+(V = mu.potential) and the brute-force grid minimizer, an independent oracle.
 """
 
 from __future__ import annotations
@@ -172,25 +172,17 @@ class EquilibriumMeasure:
 # ---------------------------------------------------------------------------
 # q from moments (exact polynomial arithmetic)
 
-def _q_polynomial(pot: Potential, moments: np.ndarray) -> np.ndarray:
-    """Coefficients of the polynomial part of q; moments[j] is the j-th
-    power moment of the measure (m_0 = 1 expected)."""
-    vp = npoly.polyder(np.asarray(pot.coefficients[: pot.degree + 1]))
-    return npoly.polysub(npoly.polymul(vp, vp) / 4.0, _divided_mean(vp, moments))
-
-
-def qv(V: Potential, mu: "EquilibriumMeasure | np.ndarray", x):
-    """q(x) for the potential V and the measure mu (an EquilibriumMeasure
-    or a raw moment vector).  Polynomial in x, plus a -beta/x pole on the
-    half line, where beta = Int V' dmu."""
-    moments = mu.moments if isinstance(mu, EquilibriumMeasure) else np.asarray(mu)
-    q = _q_polynomial(V, moments)
+def qv(mu: EquilibriumMeasure, x):
+    """q(x) = V'(x)^2/4 - Int (V'(x) - V'(t))/(x - t) dmu(t) for the
+    equilibrium measure mu of V = mu.potential, from its power moments:
+    a polynomial, less beta/x on the half line, where beta = Int V' dmu."""
+    V, moments = mu.potential, mu.moments
+    vp = npoly.polyder(np.asarray(V.coefficients[: V.degree + 1]))
     x = np.asarray(x, dtype=float)
-    val = npoly.polyval(x, q)
+    val = npoly.polyval(x, npoly.polysub(npoly.polymul(vp, vp) / 4.0, _divided_mean(vp, moments)))
     if V.hard_edge:
         if np.any(x == 0.0):
             raise ZeroDivisionError("qv: x = 0 is the hard-edge pole")
-        vp = npoly.polyder(np.asarray(V.coefficients[: V.degree + 1]))
         val = val - float(vp @ moments[: V.degree]) / x  # beta = Int V' dmu
     return val if val.ndim else float(val)
 
@@ -376,7 +368,7 @@ def _solve_one_cut(V: Potential) -> EquilibriumMeasure:
     # off the support the effective potential has its minima at the real zeros of h
     roots = _real_roots(h)
     xs = np.r_[roots[roots > b], [] if V.hard_edge else roots[roots < a]]
-    e = effective_potential(mu, V, xs)
+    e = effective_potential(mu, xs)
     bad = e < -1e-10 * (1.0 + np.abs(V(xs)))
     if bad.any():
         raise MultiCutError(f"effective potential {e[bad][0]:.2e} < 0 at x = {xs[bad][0]:.6g} "
@@ -470,9 +462,11 @@ def _phi_core(mu: EquilibriumMeasure, z, side: str = "right"):
     return u, core
 
 
-def effective_potential(mu: EquilibriumMeasure, V: Potential, x):
-    """2 Int log(1/|x-y|) dmu(y) + V(x) - ell: zero on the support and 2 phi
-    off it, nonnegative for a one-cut measure; x >= 0 on a hard edge."""
+def effective_potential(mu: EquilibriumMeasure, x):
+    """2 Int log(1/|x-y|) dmu(y) + V(x) - ell, V = mu.potential: zero on
+    the support and 2 phi off it, nonnegative for a one-cut measure; x >= 0
+    on a hard edge."""
+    V = mu.potential
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
@@ -493,7 +487,7 @@ def effective_potential(mu: EquilibriumMeasure, V: Potential, x):
 # ---------------------------------------------------------------------------
 # classification of singular points
 
-def classify(mu: EquilibriumMeasure, V: Potential):
+def classify(mu: EquilibriumMeasure):
     """Scan for singular points: interior zeros of rho (even order 2k),
     endpoint zeros of h (vanishing order k + 1/2), and real zeros of h off
     the support where the effective potential degenerates to zero.  Returns
@@ -525,9 +519,10 @@ def classify(mu: EquilibriumMeasure, V: Potential):
             out.append((float(loc), "interior", k))
     # exterior singular points: off the support the effective potential 2 phi
     # has its minima at the real zeros of h, so it can only touch 0 there
+    V = mu.potential
     xs = np.array([loc for loc, _ in clusters if loc > b + 100 * tol
                    or (loc < a - 100 * tol and not V.hard_edge)])
-    e = effective_potential(mu, V, xs)
+    e = effective_potential(mu, xs)
     return out + [(float(x), "exterior", 0) for x in xs[e <= 1e-8 * (1.0 + np.abs(V(xs)))]]
 
 

@@ -200,8 +200,10 @@ def bessel_hard_kernel(alpha: float, x, y):
         return 0.5 * (fu.value * v * fv.derivative - u * fu.derivative * fv.value)
 
     def diagonal(x):
-        f = bessel_j(alpha, np.sqrt(x))
-        return 0.25 * ((1.0 - alpha * alpha / x) * f.value ** 2 + f.derivative ** 2)
+        # (1 - a^2/x) J_a^2 + J_a'^2 by J_a' = (a/u) J_a - J_{a+1}: no cancellation at x << a^2
+        u = np.sqrt(x)
+        j0, j1 = bessel_j(alpha, u).value, bessel_j(alpha + 1.0, u).value
+        return 0.25 * (j0 * j0 + j1 * j1 - (2.0 * alpha / u) * j0 * j1)
 
     # the circle keeps its distance from the branch point 0
     return _scalar_or_array(_near_diagonal(x, y, numerator, diagonal,
@@ -225,8 +227,14 @@ def bessel_origin_kernel(alpha: float, x, y):
         return 0.5 * np.pi * np.sqrt(x * y) * (fpx * fmy - fmx * fpy)
 
     def diagonal(x):
-        fp, fm = bessel_j(p, np.pi * x), bessel_j(m, np.pi * x)
-        return (np.pi ** 2 * x / 2.0) * (fm.value * fp.derivative - fp.value * fm.derivative)
+        fp, fm, u = bessel_j(p, np.pi * x), bessel_j(m, np.pi * x), np.sqrt(np.pi * x)
+        jp, jm = fp.value, fm.value
+        with np.errstate(over="ignore", invalid="ignore"):
+            wronskian = (np.pi ** 2 * x / 2.0) * (jm * fp.derivative - jp * fm.derivative)
+        # where J_m' overflows (alpha < 1/2, x near 0), the same Wronskian by
+        # J_p' = J_m - (p/z) J_p and J_m' = (m/z) J_m - J_p, z = pi x
+        near_zero = 0.5 * np.pi * ((u * jm) ** 2 + (u * jp) ** 2) - np.pi * alpha * jm * jp
+        return np.where(np.isfinite(wronskian), wronskian, near_zero)
 
     return _scalar_or_array(_near_diagonal(x, y, numerator, diagonal,
                                            lambda c: np.minimum(0.25, c / 4.0)))

@@ -336,9 +336,10 @@ def _window_bounds(batch: SampleBatch, window):
         half = float(np.max(np.abs(window.grid))) / window.c_n(batch.n)
     else:
         x0, half, c = window
-    if not (math.isfinite(x0) and 0.0 < half < math.inf and 0.0 < c < math.inf):
-        raise ValueError(f"window needs finite x0, half-width > 0, density > 0: {x0}, {half}, {c}")
-    return x0 - half, x0 + half, c
+    lo, hi = float(x0) - float(half), float(x0) + float(half)
+    if not (-math.inf < lo and hi < math.inf and 0.0 < half and 0.0 < c < math.inf):
+        raise ValueError(f"window needs finite ends, half-width and density > 0: {x0}, {half}, {c}")
+    return lo, hi, c
 
 
 def local_statistics(batch: SampleBatch, window) -> np.ndarray:

@@ -32,10 +32,11 @@ log-scale, evaluates phi_k = P_k e^{-N V/2} / gamma_k, so nothing
 overflows for n up to 512; a point beyond the window where every phi_k
 rounds to 0.0 gets 0.0 without running it.
 
-Every kernel grid is the defining sum K_n(x, y) = sum_{k<n} phi_k(x)
-phi_k(y), taken as the Gram product Phi(x)^T Phi(y) of the rows 0..n-1,
-on and off the diagonal alike.  The scalar cd_kernel keeps the
-Christoffel-Darboux quotient as an independent cross-check.
+A table keeps the WeightSpec that built it, and every function of a
+table reads the weight there.  Every kernel grid is the defining sum
+K_n(x, y) = sum_{k<n} phi_k(x) phi_k(y), the Gram product Phi(x)^T Phi(y)
+of the rows 0..n-1, on and off the diagonal; the scalar cd_kernel keeps
+the Christoffel-Darboux quotient as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -92,13 +93,9 @@ class WeightSpec:
             raise ValueError("truncation must be positive, with 2 * truncation finite")
 
     @property
-    def alpha(self) -> float:
-        return self.potential.singularity_alpha
-
-    @property
     def exponent(self) -> float:
         """The power of |x| in the weight: alpha on a hard edge, 2 alpha on the line."""
-        return self.alpha if self.potential.hard_edge else 2.0 * self.alpha
+        return (1.0 if self.potential.hard_edge else 2.0) * self.potential.singularity_alpha
 
     @property
     def even(self) -> bool:
@@ -118,7 +115,7 @@ class WeightSpec:
         it vanishes (x < 0 on a hard edge) or V overflows."""
         x = np.asarray(x, dtype=float)
         lw = -self._nv(x)
-        if self.alpha != 0.0:
+        if self.exponent != 0.0:
             with np.errstate(divide="ignore"):
                 lw = lw + self.exponent * np.log(np.abs(x))
         return np.where(x < 0.0, -np.inf, lw) if self.potential.hard_edge else lw
@@ -170,9 +167,9 @@ def _auto_window(w: WeightSpec, degree: float, mu):
 @dataclass
 class RecurrenceTable:
     """Monic recurrence x P_k = P_{k+1} + b_k P_k + a_k P_{k-1} plus the
-    squared norms gamma_k^2 = <P_k, P_k>_w."""
+    squared norms gamma_k^2 = <P_k, P_k>_w of the weight w that built it."""
 
-    N: int
+    weight: WeightSpec
     n_max: int
     a: np.ndarray             # a_k for k = 1..n_max
     b: np.ndarray             # b_k for k = 0..n_max
@@ -212,7 +209,7 @@ def _stieltjes(w: WeightSpec, n_max: int, lo: float, hi: float, nodes: int):
     x > 0 of a rule with half the panels on [0, hi], doubled weights:
     b_k = 0 exactly, and the count is that of the mirrored rule."""
     panels = max(4, math.ceil(nodes / _PANEL_ORDER))
-    power = w.potential.hard_edge or (w.alpha != 0.0 and lo < 0.0 < hi)
+    power = w.potential.hard_edge or (w.exponent != 0.0 and lo < 0.0 < hi)
     even = w.even
     if even:
         lo, panels = 0.0, (panels + 1) // 2
@@ -267,7 +264,7 @@ def recurrence_table(w: WeightSpec, n_max: int, measure=None) -> RecurrenceTable
     if not resid <= 1e-12:
         raise NonConvergenceError(f"virial residual {resid:.1e} on {used} nodes (limit 1e-12)")
     log_gamma0 = log_g0 - w.N * w.potential.coefficients[0]
-    return RecurrenceTable(N=w.N, n_max=n_max, a=a, b=b,
+    return RecurrenceTable(weight=w, n_max=n_max, a=a, b=b,
                            log_gamma_sq=log_gamma0 + np.concatenate([[0.0], np.cumsum(np.log(a))]),
                            window=(lo, hi), nodes_used=used, log_mass=log_g0,
                            verify_delta=resid)
@@ -367,9 +364,10 @@ def _underflowed(t: RecurrenceTable, x, log_phi0, n):
     return dead if dead.any() else None
 
 
-def _phi_recurrence(t: RecurrenceTable, w: WeightSpec, x, n):
+def _phi_recurrence(t: RecurrenceTable, x, n):
     """Orthonormal weighted functions phi_k(x), k = 0..n, from the table,
     shape (n+1, len(x))."""
+    w = t.weight
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if w.potential.hard_edge and np.any(x < 0.0):
         raise ValueError("hard-edge weight evaluated at negative argument")
@@ -379,7 +377,7 @@ def _phi_recurrence(t: RecurrenceTable, w: WeightSpec, x, n):
     if dead is not None:
         phi = np.zeros((n + 1, len(x)))
         if not dead.all():
-            phi[:, ~dead] = _phi_recurrence(t, w, x[~dead], n)
+            phi[:, ~dead] = _phi_recurrence(t, x[~dead], n)
         return phi
     # the recurrence's arrays are scaled in place, each log-scale row over
     # its block of 8 rows of phi
@@ -389,18 +387,18 @@ def _phi_recurrence(t: RecurrenceTable, w: WeightSpec, x, n):
     return phi
 
 
-def weighted_polys(t: RecurrenceTable, w: WeightSpec, x, n: int):
+def weighted_polys(t: RecurrenceTable, x, n: int):
     """phi_k(x) = gamma_k^{-1} P_k(x) sqrt(weight(x)) for k = 0..n-1.
 
     Scalar x gives a list of n floats; array x gives shape (n, len(x))."""
     if n > t.n_max:
         raise ValueError("n exceeds the table's n_max")
     scalar = np.ndim(x) == 0
-    out = _phi_recurrence(t, w, x, max(n - 1, 0))[:n]
+    out = _phi_recurrence(t, x, max(n - 1, 0))[:n]
     return [float(v) for v in out[:, 0]] if scalar else out
 
 
-def cd_kernel(t: RecurrenceTable, w: WeightSpec, n: int, x: float, y: float) -> float:
+def cd_kernel(t: RecurrenceTable, n: int, x: float, y: float) -> float:
     """The Christoffel-Darboux quotient
 
         K_n(x,y) = sqrt(a_n) [phi_n(x) phi_{n-1}(y) - phi_{n-1}(x) phi_n(y)]
@@ -411,17 +409,17 @@ def cd_kernel(t: RecurrenceTable, w: WeightSpec, n: int, x: float, y: float) -> 
     if n > t.n_max:
         raise ValueError("n exceeds the table's n_max")
     if abs(x - y) < 1e-7 * (1.0 + abs(x)):
-        return cd_kernel_sum(t, w, n, x, y)
-    (px, py), (qx, qy) = _phi_recurrence(t, w, np.array([x, y]), n)[n - 1:]
+        return cd_kernel_sum(t, n, x, y)
+    (px, py), (qx, qy) = _phi_recurrence(t, np.array([x, y]), n)[n - 1:]
     return float((qx * py - px * qy) / (x - y) * math.sqrt(t.a[n - 1]))
 
 
-def cd_kernel_sum(t: RecurrenceTable, w: WeightSpec, n: int, x: float, y: float) -> float:
+def cd_kernel_sum(t: RecurrenceTable, n: int, x: float, y: float) -> float:
     """K_n(x, y) = sum_k phi_k(x) phi_k(y), k < n: one entry of cd_kernel_grid."""
-    return float(cd_kernel_grid(t, w, n, x, y)[0, 0])
+    return float(cd_kernel_grid(t, n, x, y)[0, 0])
 
 
-def cd_kernel_grid(t: RecurrenceTable, w: WeightSpec, n: int, xs, ys) -> np.ndarray:
+def cd_kernel_grid(t: RecurrenceTable, n: int, xs, ys) -> np.ndarray:
     """K_n(x, y) = sum_k phi_k(x) phi_k(y), k < n, on the tensor grid
     xs x ys: the Gram product Phi(xs)^T Phi(ys) of one recurrence over the
     distinct bit patterns of xs and ys (a square grid is one set of points)."""
@@ -430,7 +428,7 @@ def cd_kernel_grid(t: RecurrenceTable, w: WeightSpec, n: int, xs, ys) -> np.ndar
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     pts, idx = np.unique(np.concatenate([xs, ys]).view(np.int64), return_inverse=True)
-    phi = _phi_recurrence(t, w, pts.view(np.float64), n - 1)
+    phi = _phi_recurrence(t, pts.view(np.float64), n - 1)
     ix, iy = np.split(idx, [len(xs)])
     return phi[:, ix].T @ phi[:, iy]
 
@@ -500,8 +498,7 @@ def origin_window(mu, grid) -> ScalingWindow:
     return ScalingWindow(0.0, 1.0, float(eqm.density(mu, 0.0)), grid)
 
 
-def rescaled_kernel(t: RecurrenceTable, w: WeightSpec, n: int,
-                    window: ScalingWindow) -> np.ndarray:
+def rescaled_kernel(t: RecurrenceTable, n: int, window: ScalingWindow) -> np.ndarray:
     """(1/c_n) K_n at the window's rescaled grid points:
 
         out[i, j] = K_n(x* + u_i/c_n, x* + u_j/c_n) / c_n
@@ -513,4 +510,4 @@ def rescaled_kernel(t: RecurrenceTable, w: WeightSpec, n: int,
     if pts.min() < lo - 1e-12 or pts.max() > hi + 1e-12:
         raise ValueError("scaling window leaves the truncation interval")
     cn = window.c_n(n)
-    return cd_kernel_grid(t, w, n, pts, pts) / cn
+    return cd_kernel_grid(t, n, pts, pts) / cn

@@ -33,11 +33,7 @@ def semicircle():
 
 @pytest.fixture(scope="module")
 def hermite_tables():
-    out = {}
-    for n in (64, 128):
-        w = op.WeightSpec(HERMITE, N=n)
-        out[n] = (w, op.recurrence_table(w, n))
-    return out
+    return {n: op.recurrence_table(op.WeightSpec(HERMITE, N=n), n) for n in (64, 128)}
 
 
 def test_criterion_01_semicircle(semicircle):
@@ -59,7 +55,7 @@ def test_criterion_02_critical_quartic():
     xs = np.linspace(-1.9, 1.9, 191)
     target = xs ** 2 * np.sqrt(4.0 - xs ** 2) / (2.0 * math.pi)
     sup = np.abs(eq.density(mu, xs) - target).max()
-    cls = eq.classify(mu, pot)
+    cls = eq.classify(mu)
     ok_cls = (len(cls) == 1 and cls[0][1] == "interior" and cls[0][2] == 1
               and abs(cls[0][0]) <= 1e-6)
     report(2, ok_support and sup <= 1e-6 and ok_cls,
@@ -72,9 +68,9 @@ def test_criterion_03_bulk_universality(semicircle, hermite_tables):
     ref = kr.sine_kernel(grid[:, None], grid[None, :])
     sups = {}
     for n in (64, 128):
-        w, table = hermite_tables[n]
+        table = hermite_tables[n]
         win = op.bulk_window(semicircle, 0.0, grid)
-        sups[n] = np.abs(op.rescaled_kernel(table, w, n, win) - ref).max()
+        sups[n] = np.abs(op.rescaled_kernel(table, n, win) - ref).max()
     dt = time.perf_counter() - t0
     ratio = sups[128] / sups[64]
     report(3, sups[64] <= 0.05 and ratio <= 0.65 and dt < 120.0,
@@ -86,10 +82,10 @@ def test_criterion_04_soft_edge(semicircle, hermite_tables):
     ref = kr.airy_kernel(grid[:, None], grid[None, :])
     sups = {}
     for n in (64, 128):
-        w, table = hermite_tables[n]
+        table = hermite_tables[n]
         win = op.soft_edge_window(semicircle, grid)
         assert abs(win.c - 1.0) <= 1e-9  # scale n^{2/3} f'(2) = n^{2/3}
-        sups[n] = np.abs(op.rescaled_kernel(table, w, n, win) - ref).max()
+        sups[n] = np.abs(op.rescaled_kernel(table, n, win) - ref).max()
     report(4, sups[128] <= 0.05 and sups[128] < sups[64],
            f"edge sup(128) {sups[128]:.4f}, sup(64) {sups[64]:.4f}")
 
@@ -108,7 +104,7 @@ def test_criterion_05_hard_edge():
             table = op.recurrence_table(w, n)
             win = op.hard_edge_window(mu, grid)
             assert abs(win.c - 2.0) <= 1e-9
-            sups[n] = np.abs(op.rescaled_kernel(table, w, n, win) - ref).max()
+            sups[n] = np.abs(op.rescaled_kernel(table, n, win) - ref).max()
         ok = ok and sups[128] <= 0.08 and sups[128] <= sups[64]
         details.append(f"alpha={alpha}: sup(128) {sups[128]:.2e}")
     report(5, ok, "; ".join(details))
@@ -122,7 +118,7 @@ def test_criterion_06_spectral_singularity(semicircle):
     table = op.recurrence_table(w, n)
     win = op.origin_window(semicircle, grid)
     ref = kr.bessel_origin_kernel(1.0, grid[:, None], grid[None, :])
-    sup = np.abs(op.rescaled_kernel(table, w, n, win) - ref).max()
+    sup = np.abs(op.rescaled_kernel(table, n, win) - ref).max()
     xs = np.linspace(0.1, 2.9, 12)
     ident = np.abs(kr.bessel_origin_kernel(0.0, xs[:, None], xs[None, :])
                    - kr.sine_kernel(xs[:, None], xs[None, :])).max()
@@ -144,14 +140,14 @@ def test_criterion_07_christoffel_darboux():
         for n in (2, 11, 30):
             for _ in range(6):
                 x, y = rng.uniform(lo + 0.1, hi - 0.1, 2)
-                worst = max(worst, abs(op.cd_kernel(table, w, n, x, y)
-                                       - op.cd_kernel_sum(table, w, n, x, y)))
+                worst = max(worst, abs(op.cd_kernel(table, n, x, y)
+                                       - op.cd_kernel_sum(table, n, x, y)))
     w16 = op.WeightSpec(HERMITE, N=16)
     t16 = op.recurrence_table(w16, 20)
     t, qw = np.polynomial.legendre.leggauss(500)
     lo, hi = t16.window
     x = 0.5 * (hi - lo) * t + 0.5 * (hi + lo)
-    diag = op.cd_kernel_grid(t16, w16, 16, x, x).diagonal()
+    diag = op.cd_kernel_grid(t16, 16, x, x).diagonal()
     trace = float(np.sum(diag * 0.5 * (hi - lo) * qw))
     report(7, worst <= 1e-10 and abs(trace - 16.0) <= 1e-8,
            f"CD vs sum sup {worst:.2e}, trace {trace:.10f}")
@@ -228,9 +224,9 @@ def test_criterion_09_matching(semicircle):
 def test_criterion_10_asymptotics_cross_checks(semicircle, hermite_tables):
     n = 128
     ctx = rh.DescentContext(semicircle, n=n, delta=0.1)
-    w, table = hermite_tables[n]
+    table = hermite_tables[n]
     xs = np.linspace(-1.5, 1.5, 17)
-    kcd = op.cd_kernel_grid(table, w, n, xs, xs)
+    kcd = op.cd_kernel_grid(table, n, xs, xs)
     sup = max(abs(rh.bulk_kernel_approx(ctx, xx, yy) - kcd[i, j]) / n
               for i, xx in enumerate(xs) for j, yy in enumerate(xs))
     a_err = abs(table.a[n - 1] - 1.0)

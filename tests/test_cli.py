@@ -181,7 +181,7 @@ class TestOppoly:
                      "--kernel-out", str(kout), "--out", str(tmp_path / "t.csv")]) == 0
         grid = np.linspace(-1.5, 1.5, 13)
         w = op.WeightSpec(Potential((0.0, 0.0, 0.5)), N=16)
-        want = op.cd_kernel_grid(op.recurrence_table(w, 16), w, 12, grid, grid)
+        want = op.cd_kernel_grid(op.recurrence_table(w, 16), 12, grid, grid)
         got = parse_table(kout)
         assert got[:, :2].tobytes() == grid_columns(grid).tobytes()
         assert np.ascontiguousarray(got[:, 2]).tobytes() == want.tobytes()
@@ -329,7 +329,7 @@ class TestConverge:
         grid = np.linspace(-2.0, 2.0, 7)
         w = op.WeightSpec(pot, N=24)
         win = op.soft_edge_window(eqm.solve_equilibrium(pot), grid)
-        want = op.rescaled_kernel(op.recurrence_table(w, 24), w, 24, win)
+        want = op.rescaled_kernel(op.recurrence_table(w, 24), 24, win)
         got = parse_table(grid_out)
         assert got[:, :2].tobytes() == grid_columns(grid).tobytes()
         assert np.ascontiguousarray(got[:, 2]).tobytes() == want.tobytes()
@@ -582,6 +582,8 @@ class TestSample:
     ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "1", "--window", "0:inf:1"],
     ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "1", "--window", "nan:0.5:1"],
     ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "1", "--window", "inf:0.5:1"],
+    # finite ends only: x0 + half-width overflows
+    ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "1", "--window", "1e308:1e308:1"],
     # grids are finite and hold at most 1000 points a side
     ["kernel", "--family", "sine", "--grid=0:1:100000000"],
     ["kernel", "--family", "sine", "--grid=0:1:1001"],
@@ -600,6 +602,8 @@ class TestSample:
     ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "-1"],
     ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "1", "--range=-inf:inf:0"],
     ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "1", "--range=-2:2:nan"],
+    # finite ends whose width hi - lo overflows
+    ["sample", "--beta", "2", "--n", "8", "--count", "4", "--seed", "1", "--range=-1e308:1e308:0"],
 ])
 def test_rejected_input_exit2_without_file(tmp_path, monkeypatch, capsys, argv):
     # an out-of-range argument is a validation error (exit 2), not a
@@ -624,6 +628,7 @@ def test_rh_names_n_and_delta_when_the_parametrix_overflows(tmp_path, capsys, po
 @pytest.mark.parametrize("extra", [
     ["--window", "0:0.5:-1"], ["--window", "0:0:1"], ["--window", "0:0.5:nan"],
     ["--range=-inf:inf:0"], ["--seed", "9223372036854775808"], ["--seed", "-1"],
+    ["--range=-1e308:1e308:0"], ["--window", "1e308:1e308:1"],
 ])
 @pytest.mark.parametrize("sampler", ["gaussian", "metropolis"])
 def test_sample_inputs_checked_before_any_draw(tmp_path, monkeypatch, capsys, sampler, extra):

@@ -103,7 +103,7 @@ class TestSemicircle:
 
     def test_q_is_x2_over_4_minus_1(self, semicircle):
         xs = np.array([0.0, 1.0, 2.0, -2.0, 5.0])
-        assert qv(SEMI, semicircle, xs) == pytest.approx(xs ** 2 / 4.0 - 1.0, abs=1e-12)
+        assert qv(semicircle, xs) == pytest.approx(xs ** 2 / 4.0 - 1.0, abs=1e-12)
 
     def test_density_offsupport_zero(self, semicircle):
         assert density(semicircle, 2.5) == 0.0
@@ -111,9 +111,9 @@ class TestSemicircle:
 
     def test_effective_potential(self, semicircle):
         # equality on the support, strict positivity outside, endpoint ~ 0
-        assert effective_potential(semicircle, SEMI, 0.0) == pytest.approx(0.0, abs=1e-8)
-        assert effective_potential(semicircle, SEMI, 2.0) == pytest.approx(0.0, abs=1e-6)
-        assert effective_potential(semicircle, SEMI, 3.0) > 0.1
+        assert effective_potential(semicircle, 0.0) == pytest.approx(0.0, abs=1e-8)
+        assert effective_potential(semicircle, 2.0) == pytest.approx(0.0, abs=1e-6)
+        assert effective_potential(semicircle, 3.0) > 0.1
 
     def test_effective_potential_against_quadrature_oracle(self, semicircle):
         # independent adaptive quadrature of the log integral at x = 3
@@ -121,15 +121,15 @@ class TestSemicircle:
             lambda y: math.log(abs(3.0 - y)) * math.sqrt(4.0 - y * y) / (2.0 * math.pi),
             -2.0, 2.0, limit=200)
         want = -2.0 * val + SEMI(3.0) - semicircle.ell
-        assert effective_potential(semicircle, SEMI, 3.0) == pytest.approx(want, abs=1e-8)
+        assert effective_potential(semicircle, 3.0) == pytest.approx(want, abs=1e-8)
 
     def test_classify_regular(self, semicircle):
-        assert classify(semicircle, SEMI) == []
+        assert classify(semicircle) == []
 
     def test_effective_potential_left_of_support(self, semicircle):
         # even potential: the mirrored phi integral gives the same value
-        assert effective_potential(semicircle, SEMI, -3.0) == pytest.approx(
-            effective_potential(semicircle, SEMI, 3.0), abs=1e-14)
+        assert effective_potential(semicircle, -3.0) == pytest.approx(
+            effective_potential(semicircle, 3.0), abs=1e-14)
 
 
 class TestCriticalQuartic:
@@ -144,8 +144,8 @@ class TestCriticalQuartic:
         assert np.abs(density(quartic, xs) - target).max() <= 1e-6
 
     def test_q_double_root_at_origin(self, quartic):
-        assert qv(QUARTIC_CRIT, quartic, 0.0) == pytest.approx(0.0, abs=1e-10)
-        d = (qv(QUARTIC_CRIT, quartic, 1e-5) - qv(QUARTIC_CRIT, quartic, -1e-5)) / 2e-5
+        assert qv(quartic, 0.0) == pytest.approx(0.0, abs=1e-10)
+        d = (qv(quartic, 1e-5) - qv(quartic, -1e-5)) / 2e-5
         assert d == pytest.approx(0.0, abs=1e-8)
 
     def test_moments_against_semicircle_quadrature(self, quartic):
@@ -156,7 +156,7 @@ class TestCriticalQuartic:
         assert quartic.moments[2] == pytest.approx(2.0, abs=1e-10)
 
     def test_classify_interior_singular(self, quartic):
-        out = classify(quartic, QUARTIC_CRIT)
+        out = classify(quartic)
         assert len(out) == 1
         loc, kind, k = out[0]
         assert kind == "interior"
@@ -179,22 +179,22 @@ class TestHardEdge:
 
     def test_qv_pole(self, mp):
         with pytest.raises(ZeroDivisionError):
-            qv(MP, mp, 0.0)
+            qv(mp, 0.0)
         # q = 1/4 - 1/x for V = x
-        assert qv(MP, mp, 2.0) == pytest.approx(0.25 - 0.5, abs=1e-12)
+        assert qv(mp, 2.0) == pytest.approx(0.25 - 0.5, abs=1e-12)
 
     def test_effective_potential(self, mp):
-        assert effective_potential(mp, MP, 1.0) == pytest.approx(0.0, abs=1e-8)
-        assert effective_potential(mp, MP, 6.0) > 0.05
+        assert effective_potential(mp, 1.0) == pytest.approx(0.0, abs=1e-8)
+        assert effective_potential(mp, 6.0) > 0.05
 
     def test_effective_potential_needs_half_line(self, mp):
         with pytest.raises(ValueError):
-            effective_potential(mp, MP, -1.0)
+            effective_potential(mp, -1.0)
 
     def test_effective_potential_of_no_points(self, mp, semicircle):
         # the solver's exterior check passes no points for a convex V
-        for mu, pot in ((mp, MP), (semicircle, SEMI)):
-            e = effective_potential(mu, pot, np.array([]))
+        for mu in (mp, semicircle):
+            e = effective_potential(mu, np.array([]))
             assert isinstance(e, np.ndarray) and e.dtype == float and e.shape == (0,)
 
     def test_ell_against_quadrature_oracle(self, mp):
@@ -256,26 +256,27 @@ class TestSolverInvariants:
 
     @pytest.mark.parametrize("pot", [SEMI, QUARTIC_CRIT, QUARTIC_REG])
     def test_q_degree(self, pot):
+        # q is a polynomial of degree 2(d - 1), led by the (d v_d)^2/4 of
+        # V'^2/4: the interpolant of degree 2d - 1 has that top coefficient
         mu = solve_equilibrium(pot)
-        from rmtlab.equilibrium import _q_polynomial
-
-        q = _q_polynomial(pot, mu.moments)
-        deg = len(q) - 1
-        while deg > 0 and q[deg] == 0.0:
-            deg -= 1
-        assert deg == 2 * (pot.degree - 1)
+        d = pot.degree
+        x = np.linspace(-2.0, 2.0, 2 * d)
+        coef = np.polynomial.polynomial.polyfit(x, qv(mu, x), 2 * d - 1)
+        lead = (d * pot.coefficients[d]) ** 2 / 4.0
+        assert abs(coef[-1]) <= 1e-10 * lead
+        assert coef[-2] == pytest.approx(lead, rel=1e-10)
 
     @pytest.mark.parametrize("pot", [SEMI, QUARTIC_CRIT, QUARTIC_REG])
     def test_variational_conditions_on_grid(self, pot):
         mu = solve_equilibrium(pot)
         a, b = mu.support
         inside = np.linspace(a + 1e-9, b - 1e-9, 41)
-        vals = effective_potential(mu, pot, inside)
+        vals = effective_potential(mu, inside)
         assert np.abs(vals).max() <= 1e-8
         w = b - a
         outside = np.concatenate([np.linspace(a - w, a - 1e-3, 21),
                                   np.linspace(b + 1e-3, b + w, 21)])
-        assert np.min(effective_potential(mu, pot, outside)) >= -1e-8
+        assert np.min(effective_potential(mu, outside)) >= -1e-8
 
     def test_oracle_agreement(self):
         for pot in [SEMI, QUARTIC_CRIT, QUARTIC_REG]:
@@ -307,11 +308,11 @@ class TestSolverInvariants:
         a, b = mu.support
         assert np.polynomial.polynomial.polyval(np.linspace(a, b, 2001), mu.h).min() > 0.0
         assert mu.margin > 0.0
-        assert classify(mu, pot) == []
+        assert classify(mu) == []
         w = b - a
         outside = np.concatenate([np.linspace(a - w, a, 200, endpoint=False),
                                   np.linspace(b, b + w, 201)[1:]])
-        assert effective_potential(mu, pot, outside).min() >= 0.0
+        assert effective_potential(mu, outside).min() >= 0.0
 
     def test_classify_exterior_singular_point(self):
         # tilted double well x^4/4 - x^2 + t x: the measure sits in the left
@@ -327,10 +328,10 @@ class TestSolverInvariants:
             r = np.polynomial.polynomial.polyroots(mu.h)
             x0 = r.real.max()
             assert np.all(r.imag == 0.0) and x0 > mu.support[1]
-            return pot, mu, effective_potential(mu, pot, x0), x0
+            return pot, mu, effective_potential(mu, x0), x0
 
         pot, mu, e, _ = tilted(1.8)
-        assert e > 0.1 and classify(mu, pot) == []
+        assert e > 0.1 and classify(mu) == []
         lo, hi = 1.6, 1.8
         assert tilted(lo)[2] < 0.0
         for _ in range(60):
@@ -338,7 +339,7 @@ class TestSolverInvariants:
             lo, hi = (lo, mid) if tilted(mid)[2] > 0.0 else (mid, hi)
         pot, mu, e, x0 = tilted(hi)
         assert 0.0 < e <= 1e-12
-        assert classify(mu, pot) == [(pytest.approx(x0, abs=1e-12), "exterior", 0)]
+        assert classify(mu) == [(pytest.approx(x0, abs=1e-12), "exterior", 0)]
 
 
 @pytest.mark.parametrize("pot", [SEMI, QUARTIC_CRIT, QUARTIC_REG, MP,
@@ -409,7 +410,7 @@ class TestClosedForms:
         assert b < 0.2
         assert mu.margin > 0.0
         xs = np.linspace(b, b + 3.0, 301)
-        assert effective_potential(mu, field(45.0), xs).min() >= -1e-14
+        assert effective_potential(mu, xs).min() >= -1e-14
         with pytest.raises(MultiCutError):
             solve_equilibrium(field(38.5))
 
@@ -443,7 +444,7 @@ class TestClosedForms:
         except NonConvergenceError:
             return
         assert np.abs(np.array(mu.support) - [-2.0, 2.0]).max() <= 1e-12
-        assert any(kind == "edge" for _, kind, _ in classify(mu, pot))
+        assert any(kind == "edge" for _, kind, _ in classify(mu))
 
     def test_translation_covariance(self):
         # V(x) = W(x - 5) moves the support of W by 5 and h along with it
@@ -466,7 +467,7 @@ class TestClosedForms:
         assert mu.margin > 0.0
         xs = np.concatenate([np.linspace(a - 3.0, a, 100, endpoint=False),
                              np.linspace(b, b + 6.0, 301)[1:]])
-        assert effective_potential(mu, pot, xs).min() >= 0.0
+        assert effective_potential(mu, xs).min() >= 0.0
         g = grid_energy_minimize(pot, 800, strict=False)
         assert np.abs(g.density - density(mu, g.x)).max() <= 0.1
 
@@ -568,7 +569,7 @@ def test_random_potential_scan():
             # the solver's own off-support tolerance, on and around the support
             w = b - a
             x = np.linspace(a if hard else a - w, b + w, 2001)
-            assert (effective_potential(mu, pot, x) >= -1e-10 * (1.0 + np.abs(pot(x)))).all()
+            assert (effective_potential(mu, x) >= -1e-10 * (1.0 + np.abs(pot(x)))).all()
     assert outcomes == {"solved": 257, "ValueError": 21, "MultiCutError": 22,
                         "NonConvergenceError": 0}
 

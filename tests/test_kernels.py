@@ -192,6 +192,65 @@ class TestBesselKernels:
             with pytest.raises(ValueError, match=f"{family} requires .* < alpha <= 100"):
                 kr.KernelHandle(family, alpha=bad)
 
+    @pytest.mark.parametrize("family", ["bessel_hard", "bessel_origin"])
+    def test_diagonal_against_mpmath_on_the_whole_range(self, family):
+        # the diagonal on the documented orders and from x = 1e-300 to the
+        # top of the range, against 45 digits of forms that cancel at most
+        # by about alpha + 1: (1/4)[J_a^2 - J_{a+1} J_{a-1}](sqrt x) (Tracy-
+        # Widom 1994) and the Wronskian (pi z/2)(J_m J_p' - J_p J_m'), z = pi x
+        import mpmath as mp
+
+        hard = family == "bessel_hard"
+        kernel = kr.bessel_hard_kernel if hard else kr.bessel_origin_kernel
+        top = 1e6 if hard else 1e3 / math.pi
+        alphas = [-0.999, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 1.5, 3.0, 10.0, 30.0, 100.0]
+        xs = np.array([1e-300, 1e-200, 1e-160, 1e-100, 1e-50, 1e-20, 1e-10, 1e-6, 1e-3,
+                       0.1, 1.0, 12.0, 100.0, 1e3, 1e4, 1e5, top])
+        xs = xs[xs <= top]
+
+        def oracle(a, x):
+            a, x = mp.mpf(a), mp.mpf(x)
+            if hard:
+                u = mp.sqrt(x)
+                return (mp.besselj(a, u) ** 2 - mp.besselj(a + 1, u) * mp.besselj(a - 1, u)) / 4
+            z, p, m = mp.pi * x, a + 0.5, a - 0.5
+            return mp.pi * z / 2 * (mp.besselj(m, z) * mp.besselj(p, z, 1)
+                                    - mp.besselj(p, z) * mp.besselj(m, z, 1))
+
+        worst = 0.0
+        for a in (a for a in alphas if a > (-1.0 if hard else -0.5)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = kernel(a, xs, xs)
+            assert np.isfinite(got).all()
+            with mp.workdps(45):
+                want = np.array([float(oracle(a, x)) for x in xs])
+            big = np.abs(want) > 1e-280
+            worst = max(worst, float(np.max(np.abs(got - want)[big] / np.abs(want[big]))))
+        assert worst <= 2e-11
+
+    def test_origin_diagonal_keeps_the_wronskian_where_it_is_finite(self):
+        # at alpha = 1/2 the Wronskian is finite down to x = 1e-300: on 61
+        # points of [1e-300, 300] it reads within 2.6e-16 of 45 digits, the
+        # form that serves where it overflows within 5.5e-14
+        import mpmath as mp
+
+        def wronskian(x):
+            z = mp.pi * mp.mpf(x)
+            return mp.pi * z / 2 * (mp.besselj(0, z) * mp.besselj(1, z, 1)
+                                    - mp.besselj(1, z) * mp.besselj(0, z, 1))
+
+        xs = np.geomspace(1e-300, 300.0, 61)
+        with mp.workdps(45):
+            want = np.array([float(wronskian(x)) for x in xs])
+        assert np.max(np.abs(kr.bessel_origin_kernel(0.5, xs, xs) - want) / want) <= 2e-15
+
+    def test_origin_diagonal_near_zero_is_the_sine_kernel(self):
+        # J_{-1/2}, J_{1/2} give cos^2 + sin^2 = 1 at alpha = 0, all the way to 0
+        got = kr.bessel_origin_kernel(0.0, np.array([1e-300, 1e-200, 1e-20]),
+                                      np.array([1e-300, 1e-200, 1e-20]))
+        assert np.abs(got - 1.0).max() <= 1e-13
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             kr.bessel_hard_kernel(0.0, -1.0, 2.0)
@@ -423,6 +482,36 @@ class TestPearcey:
         d0 = max(0.75, math.sqrt(max(s, 0.0)))
         ref = kr._pearcey_raw(x, y, s, d0, 12.0, 60, 120).real
         assert np.abs(kr.pearcey_kernel(x, y, s) - ref).max() <= 1e-9
+
+    def test_airy_limit_at_the_caustic(self):
+        # for s > 0 the density has a gap |x| < x_c = 2 (s/3)^(3/2); at the
+        # double saddle t0 = sqrt(s/3) the exponent is cubic, so K_P(x_c -
+        # u/kappa, x_c - u/kappa; s)/kappa -> K_Ai(u, u), kappa = (3 t0)^(-1/3)
+        # (Adler-Orantin-van Moerbeke, Physica D 239, 2010).  The sup over 25
+        # u of [-3, 3] falls from 3.0e-2 at s = 4 to 1.07e-2 at s = 10, with
+        # a fitted exponent of -1.14
+        u, ss = np.linspace(-3.0, 3.0, 25), np.arange(4.0, 11.0)
+        sups = []
+        for s in ss:
+            t0 = math.sqrt(s / 3.0)
+            kappa = (3.0 * t0) ** (-1.0 / 3.0)
+            x = 2.0 * t0 ** 3 - u / kappa
+            sups.append(np.abs(kr.pearcey_kernel(x, x, s) / kappa - kr.airy_kernel(u, u)).max())
+        slope = np.polyfit(np.log(ss), np.log(sups), 1)[0]
+        assert -1.3 <= slope <= -1.0 and sups[-1] <= 1.2e-2, (slope, sups)
+
+    @pytest.mark.parametrize("s, xs, bound", [
+        (-10.0, np.linspace(-20.0, 20.0, 81), 3e-3),
+        (-5.0, np.linspace(-20.0, 20.0, 81), 1e-2),
+        (0.0, np.r_[np.linspace(-20.0, -10.0, 21), np.linspace(10.0, 20.0, 21)], 1e-2),
+    ])
+    def test_bulk_density(self, s, xs, bound):
+        # where t^3 - s t + x has a non-real root z, the leading density is
+        # Im z / pi (Bleher-Kuijlaars, CMP 270, 2007): the diagonal is within
+        # 2.6e-3 of it at s = -10, 7.9e-3 at s = -5 and 5.9e-3 at s = 0, |x| >= 10
+        im = np.array([np.abs(np.roots([1.0, 0.0, -s, x]).imag).max() for x in xs])
+        assert (im > 0.0).all()
+        assert np.abs(kr.pearcey_kernel(xs, xs, s) - im / np.pi).max() <= bound
 
 
 # (s, x > 0) where Im z sqrt|f''(z)|, z the complex saddle of
@@ -1019,17 +1108,35 @@ def _fredholm_det(kernel, a, b, m):
     return np.linalg.det(np.eye(m) - root[:, None] * kernel(x[:, None], x[None, :]) * root)
 
 
-def _gue_edge_law(n, m=48):
-    """F_n(s) = P(lambda_max <= 2 + s n^(-2/3)) for the weight e^{-n x^2/2}
-    (GUE on the semicircle [-2, 2]): det(I - K_n) on L^2(2 + s n^(-2/3), hi)
-    from the CD kernel, with hi the end of the table's window."""
-    w = op.WeightSpec(Potential((0.0, 0.0, 0.5)), N=n)
-    t = op.recurrence_table(w, n)
+def _largest_eigenvalue_law(pot, n, m=48):
+    """F_n(x) = P(lambda_max <= x) for the weight e^{-n V} at beta = 2:
+    det(I - K_n) on L^2(x, hi) from the CD kernel, with hi the end of the
+    table's window."""
+    t = op.recurrence_table(op.WeightSpec(pot, N=n), n)
 
     def kernel(x, y):
-        return op.cd_kernel_grid(t, w, n, x.ravel(), y.ravel())
+        return op.cd_kernel_grid(t, n, x.ravel(), y.ravel())
 
-    return lambda s: _fredholm_det(kernel, 2.0 + s * n ** (-2.0 / 3.0), t.window[1], m)
+    return lambda x: _fredholm_det(kernel, x, t.window[1], m)
+
+
+def _gue_edge_law(n, m=48):
+    """F_n(s) = P(lambda_max <= 2 + s n^(-2/3)) for the weight e^{-n x^2/2}
+    (GUE on the semicircle [-2, 2])."""
+    law = _largest_eigenvalue_law(Potential((0.0, 0.0, 0.5)), n, m)
+    return lambda s: law(2.0 + s * n ** (-2.0 / 3.0))
+
+
+def _ks_distance(law, s):
+    """Kolmogorov-Smirnov distance of the sorted sample s from the law,
+    taken as the degree-60 Chebyshev interpolant of the law on the sample's
+    range, checked to 1e-12 at 7 points between its nodes."""
+    f = np.polynomial.Chebyshev.interpolate(lambda v: np.array([law(x) for x in v]), 60,
+                                            domain=[s[0], s[-1]])
+    probe = np.linspace(s[0], s[-1], 9)[1:-1] + 1e-3
+    assert max(abs(f(v) - law(v)) for v in probe) <= 1e-12
+    cdf, m = f(s), len(s)
+    return max((np.arange(1, m + 1) / m - cdf).max(), (cdf - np.arange(m) / m).max())
 
 
 class TestFredholmOracles:
@@ -1051,20 +1158,27 @@ class TestFredholmOracles:
     def test_gue_largest_eigenvalue_against_finite_n_law(self):
         # Kolmogorov-Smirnov test of lambda_max of 4000 GUE draws (n = 64,
         # seed 1) against F_64, at a 1% false-alarm rate: D <= 1.628 /
-        # sqrt(4000) = 0.0257 (D = 0.0176 measured).  F_64 is the degree-60
-        # Chebyshev interpolant of the Fredholm determinant on the sample's
-        # range, within 1e-12 of it at 7 points between the nodes (6e-15
-        # measured).
+        # sqrt(4000) = 0.0257 (D = 0.0176 measured)
         lam = mc.sample_gaussian(2, 64, 4000, seed=1).eigenvalue_sets[:, -1]
         s = np.sort((lam - 2.0) * 64 ** (2.0 / 3.0))
-        law = _gue_edge_law(64)
-        f = np.polynomial.Chebyshev.interpolate(lambda v: np.array([law(x) for x in v]), 60,
-                                                domain=[s[0], s[-1]])
-        probe = np.linspace(s[0], s[-1], 9)[1:-1] + 1e-3
-        assert max(abs(f(v) - law(v)) for v in probe) <= 1e-12
-        cdf, m = f(s), len(s)
-        d = max((np.arange(1, m + 1) / m - cdf).max(), (cdf - np.arange(m) / m).max())
-        assert d <= 1.628 / math.sqrt(m), d
+        d = _ks_distance(_gue_edge_law(64), s)
+        assert d <= 1.628 / math.sqrt(len(s)), d
+
+    def test_metropolis_largest_eigenvalue_against_finite_n_law(self):
+        # the same test for Metropolis on x^4/4 (n = N = 32, beta = 2) against
+        # F_32 of its weight: 2000 records of 1000 steps at seed 3 give D =
+        # 0.0147 against 1.628 / sqrt(2000) = 0.0364.  F_32 on 48 and 80
+        # nodes agree to 2e-18 at x = 1.2.  Records of fewer steps lie
+        # closer than the autocorrelation time of lambda_max (about 5
+        # sweeps), and the bound, which assumes independent draws, is then
+        # too tight
+        quartic = Potential((0.0, 0.0, 0.0, 0.0, 0.25))
+        lam = mc.sample_invariant(quartic, 2, 32, 32, count=2000, steps=1000,
+                                  seed=3).eigenvalue_sets[:, -1]
+        law = _largest_eigenvalue_law(quartic, 32)
+        assert abs(law(1.2) - _largest_eigenvalue_law(quartic, 32, 80)(1.2)) <= 1e-15
+        d = _ks_distance(law, np.sort(lam))
+        assert d <= 1.628 / math.sqrt(len(lam)), d
 
     def test_tracy_widom_f2_mean_and_variance(self):
         # F2(s) = det(I - K_Ai) on (s, inf), cut at s + 14 (48 nodes); the
@@ -1121,7 +1235,7 @@ class TestFredholmOracles:
             t = op.recurrence_table(w, n, mu)
 
             def kernel(x, y):
-                return op.cd_kernel_grid(t, w, n, x.ravel(), y.ravel())
+                return op.cd_kernel_grid(t, n, x.ravel(), y.ravel())
 
             law = [_fredholm_det(kernel, 0.0, v / (c * n) ** 2, 24) for v in s]
             assert np.abs(np.array(law) - np.exp(-s / 4.0)).max() <= 4e-15 * n, n

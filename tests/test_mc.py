@@ -278,7 +278,7 @@ class TestSpacings:
     @pytest.mark.parametrize("window", [
         (0.0, 0.5, -1.0), (0.0, 0.5, 0.0), (0.0, 0.5, math.inf), (0.0, 0.5, math.nan),
         (0.0, 0.0, 1.0), (0.0, -0.5, 1.0), (0.0, math.inf, 1.0), (math.nan, 0.5, 1.0),
-        (-math.inf, 0.5, 1.0)])
+        (-math.inf, 0.5, 1.0), (1e308, 1e308, 1.0), (-1e308, 1e308, 1.0)])
     def test_bad_window_rejected(self, gue128, window):
         with pytest.raises(ValueError, match="window needs"):
             mc.local_statistics(gue128, window)
@@ -385,7 +385,7 @@ class TestMetropolis:
         w = op.WeightSpec(HERMITE, N=2)
         t = op.recurrence_table(w, 4)
         h = mc.empirical_density(b, 30, (-3.0, 3.0))
-        pred = op.cd_kernel_grid(t, w, 2, h.centers, h.centers).diagonal() / 2.0
+        pred = op.cd_kernel_grid(t, 2, h.centers, h.centers).diagonal() / 2.0
         sup, _ = mc.compare_to_kernel(h, pred)
         assert sup <= 0.03
 
@@ -400,7 +400,7 @@ class TestMetropolis:
         w = op.WeightSpec(pot, N=2)
         t = op.recurrence_table(w, 4)
         h = mc.empirical_density(b, 30, range_)
-        pred = op.cd_kernel_grid(t, w, 2, h.centers, h.centers).diagonal() / 2.0
+        pred = op.cd_kernel_grid(t, 2, h.centers, h.centers).diagonal() / 2.0
         sup, _ = mc.compare_to_kernel(h, pred)
         assert sup <= 0.06
 
@@ -608,7 +608,7 @@ def exact_gap(V, n, ts, nodes=40):
     out = []
     for t in ts:
         x, root = t * g, np.sqrt(t * gw)
-        k = op.cd_kernel_grid(table, w, n, x, x)
+        k = op.cd_kernel_grid(table, n, x, x)
         out.append(np.linalg.det(np.eye(nodes) - root[:, None] * k * root))
     return np.array(out)
 

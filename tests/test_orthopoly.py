@@ -28,14 +28,12 @@ _PANEL_NODES = 32  # nodes per Gauss panel of the Stieltjes rules
 
 @pytest.fixture(scope="module")
 def herm16():
-    w = op.WeightSpec(HERMITE, N=16)
-    return w, op.recurrence_table(w, 40)
+    return op.recurrence_table(op.WeightSpec(HERMITE, N=16), 40)
 
 
 @pytest.fixture(scope="module")
 def herm64():
-    w = op.WeightSpec(HERMITE, N=64)
-    return w, op.recurrence_table(w, 64)
+    return op.recurrence_table(op.WeightSpec(HERMITE, N=64), 64)
 
 
 @pytest.fixture(scope="module")
@@ -51,13 +49,13 @@ def gauss_window(table):
 
 class TestRecurrenceTable:
     def test_hermite_coefficients(self, herm16):
-        _, t = herm16
+        t = herm16
         ks = np.arange(1, 31)
         assert np.abs(t.a[:30] - ks / 16.0).max() <= 1e-11
         assert np.abs(t.b).max() <= 1e-12
 
     def test_hermite_norm(self, herm16):
-        _, t = herm16
+        t = herm16
         assert t.gamma_sq[0] == pytest.approx(math.sqrt(2.0 * math.pi / 16.0), abs=1e-11)
 
     def test_laguerre_coefficients(self):
@@ -76,7 +74,7 @@ class TestRecurrenceTable:
         assert np.abs(t.a[:15] - k1 * (k1 + 1) / 64.0).max() <= 1e-10
 
     def test_positive_invariants(self, herm64):
-        _, t = herm64
+        t = herm64
         assert np.all(t.a > 0)
         assert np.all(t.gamma_sq > 0)
         assert t.nodes_used > t.n_max
@@ -87,7 +85,7 @@ class TestRecurrenceTable:
         assert np.abs(t.b).max() <= 1e-12
 
     def test_nmax_cap(self, herm16):
-        w, _ = herm16
+        w = herm16.weight
         with pytest.raises(ValueError):
             op.recurrence_table(w, 513)
 
@@ -127,7 +125,7 @@ class TestRecurrenceTable:
 
     def test_gamma_sq_read_from_the_log(self, herm16):
         # gamma_sq is the exp of the stored log norms, and read-only
-        _, t = herm16
+        t = herm16
         assert np.array_equal(t.gamma_sq, np.exp(t.log_gamma_sq))
         with pytest.raises(AttributeError):
             t.gamma_sq = t.gamma_sq
@@ -152,9 +150,9 @@ class TestConstantShift:
         w = op.WeightSpec(Potential((c, 0.0, 0.5)), N=1)
         t = op.recurrence_table(w, 8)
         xs = TestConstantShift.XS
-        return t, (op.cd_kernel_grid(t, w, 8, xs, xs),
-                   np.array([[op.cd_kernel_sum(t, w, 8, x, y) for y in xs] for x in xs]),
-                   op.weighted_polys(t, w, xs, 8))
+        return t, (op.cd_kernel_grid(t, 8, xs, xs),
+                   np.array([[op.cd_kernel_sum(t, 8, x, y) for y in xs] for x in xs]),
+                   op.weighted_polys(t, xs, 8))
 
     @pytest.mark.parametrize("c", [-800.0, 50.0, 800.0, 1e30])
     def test_kernel_and_weighted_functions_do_not_move(self, c):
@@ -239,107 +237,107 @@ class TestDocumentedRange:
 
 class TestWeightedPolys:
     def test_phi0(self, herm16):
-        w, t = herm16
+        t = herm16
         x = 0.7
         want = math.exp(-16.0 * HERMITE(x) / 2.0) / math.sqrt(t.gamma_sq[0])
-        assert op.weighted_polys(t, w, x, 1)[0] == pytest.approx(want, rel=1e-12)
+        assert op.weighted_polys(t, x, 1)[0] == pytest.approx(want, rel=1e-12)
 
     def test_orthonormality(self, herm16):
-        w, t = herm16
+        t = herm16
         x, qw = gauss_window(t)
-        phi = op.weighted_polys(t, w, x, 11)
+        phi = op.weighted_polys(t, x, 11)
         gram = (phi * qw) @ phi.T
         assert np.abs(gram - np.eye(11)).max() <= 1e-9
 
     def test_diagonal_sum_equals_kernel(self, herm16):
-        w, t = herm16
-        vals = op.weighted_polys(t, w, 0.3, 24)
+        t = herm16
+        vals = op.weighted_polys(t, 0.3, 24)
         assert sum(v * v for v in vals) == pytest.approx(
-            op.cd_kernel(t, w, 24, 0.3, 0.3), abs=1e-9)
+            op.cd_kernel(t, 24, 0.3, 0.3), abs=1e-9)
 
     def test_vanishing_weight_gives_exact_zeros(self):
         # x^1.5 e^{-48x} vanishes at the hard edge, so every phi_k(0) is 0.0
         # (a signed zero), not a multiple of the smallest subnormal
         w = op.WeightSpec(Potential((0.0, 1.0), hard_edge=True, singularity_alpha=1.5), N=48)
         t = op.recurrence_table(w, 48)
-        assert op.weighted_polys(t, w, 0.0, 48) == [0.0] * 48
-        phi = op.weighted_polys(t, w, np.array([0.0, 0.5]), 48)
+        assert op.weighted_polys(t, 0.0, 48) == [0.0] * 48
+        phi = op.weighted_polys(t, np.array([0.0, 0.5]), 48)
         assert np.all(phi[:, 0] == 0.0) and np.all(phi[:4, 1] != 0.0)
 
     def test_no_overflow_large_n(self):
         for n in (256, 512):
             w = op.WeightSpec(HERMITE, N=n)
             t = op.recurrence_table(w, n)
-            phi = op.weighted_polys(t, w, np.linspace(-2.2, 2.2, 7), n)
+            phi = op.weighted_polys(t, np.linspace(-2.2, 2.2, 7), n)
             assert np.isfinite(phi).all()
 
     def test_hard_edge_negative_argument(self):
         w = op.WeightSpec(Potential((0.0, 1.0), hard_edge=True), N=8)
         t = op.recurrence_table(w, 8)
         with pytest.raises(ValueError, match="negative argument"):
-            op.weighted_polys(t, w, np.array([0.5, -1e-3]), 8)
+            op.weighted_polys(t, np.array([0.5, -1e-3]), 8)
 
 
 @pytest.mark.parametrize("call", [
-    lambda w, t: op.weighted_polys(t, w, 0.3, 41),
-    lambda w, t: op.cd_kernel(t, w, 41, 0.3, -0.2),
-    lambda w, t: op.cd_kernel_grid(t, w, 41, [0.3], [-0.2]),
+    lambda t: op.weighted_polys(t, 0.3, 41),
+    lambda t: op.cd_kernel(t, 41, 0.3, -0.2),
+    lambda t: op.cd_kernel_grid(t, 41, [0.3], [-0.2]),
 ], ids=["weighted_polys", "cd_kernel", "cd_kernel_grid"])
 def test_n_past_the_tables_n_max(herm16, call):
     with pytest.raises(ValueError, match="n exceeds the table's n_max"):
-        call(*herm16)
+        call(herm16)
 
 
 class TestCdKernel:
     def test_n1_product(self, herm16):
-        w, t = herm16
+        t = herm16
         x, y = 0.4, -0.9
-        p0x = op.weighted_polys(t, w, x, 1)[0]
-        p0y = op.weighted_polys(t, w, y, 1)[0]
-        assert op.cd_kernel_sum(t, w, 1, x, y) == pytest.approx(p0x * p0y, rel=1e-12)
+        p0x = op.weighted_polys(t, x, 1)[0]
+        p0y = op.weighted_polys(t, y, 1)[0]
+        assert op.cd_kernel_sum(t, 1, x, y) == pytest.approx(p0x * p0y, rel=1e-12)
 
     def test_cd_equals_sum(self, herm16):
-        w, t = herm16
+        t = herm16
         rng = np.random.default_rng(4)
         for n in [2, 7, 24, 30]:
             for _ in range(6):
                 x, y = rng.uniform(-2.5, 2.5, 2)
-                assert abs(op.cd_kernel(t, w, n, x, y)
-                           - op.cd_kernel_sum(t, w, n, x, y)) <= 1e-10
+                assert abs(op.cd_kernel(t, n, x, y)
+                           - op.cd_kernel_sum(t, n, x, y)) <= 1e-10
 
     def test_trace_is_n(self, herm16):
-        w, t = herm16
+        t = herm16
         x, qw = gauss_window(t)
-        diag = op.cd_kernel_grid(t, w, 16, x, x).diagonal()
+        diag = op.cd_kernel_grid(t, 16, x, x).diagonal()
         assert np.sum(diag * qw) == pytest.approx(16.0, abs=1e-8)
 
     def test_reproducing_property(self, herm16):
-        w, t = herm16
+        t = herm16
         x, qw = gauss_window(t)
-        row = op.cd_kernel_grid(t, w, 12, np.array([0.1]), x)[0]
-        col = op.cd_kernel_grid(t, w, 12, x, np.array([-0.4]))[:, 0]
+        row = op.cd_kernel_grid(t, 12, np.array([0.1]), x)[0]
+        col = op.cd_kernel_grid(t, 12, x, np.array([-0.4]))[:, 0]
         assert np.sum(row * col * qw) == pytest.approx(
-            op.cd_kernel(t, w, 12, 0.1, -0.4), abs=1e-8)
+            op.cd_kernel(t, 12, 0.1, -0.4), abs=1e-8)
 
     def test_grid_matches_scalar(self, herm16):
-        w, t = herm16
+        t = herm16
         xs = np.array([-1.0, 0.0, 0.5])
-        grid = op.cd_kernel_grid(t, w, 10, xs, xs)
+        grid = op.cd_kernel_grid(t, 10, xs, xs)
         for i, xv in enumerate(xs):
             for j, yv in enumerate(xs):
-                assert grid[i, j] == pytest.approx(op.cd_kernel(t, w, 10, xv, yv), rel=1e-11)
+                assert grid[i, j] == pytest.approx(op.cd_kernel(t, 10, xv, yv), rel=1e-11)
 
     def test_one_recurrence_per_grid(self, herm16, monkeypatch):
         # xs and ys share one recurrence, and a point repeated among them is
         # evaluated once; the diagonal needs nothing else
-        w, t = herm16
+        t = herm16
         calls = []
         real = op._phi_recurrence
         monkeypatch.setattr(op, "_phi_recurrence",
-                            lambda *a, **k: calls.append((len(a[2]), k)) or real(*a, **k))
-        op.cd_kernel(t, w, 10, 0.3, 0.3)
-        op.cd_kernel_grid(t, w, 10, np.array([-1.0, 0.5]), np.array([0.2]))
-        op.cd_kernel_grid(t, w, 10, np.array([-1.0, 0.5, 0.9]), np.array([-1.0, 0.5, 0.9]))
+                            lambda *a, **k: calls.append((len(a[1]), k)) or real(*a, **k))
+        op.cd_kernel(t, 10, 0.3, 0.3)
+        op.cd_kernel_grid(t, 10, np.array([-1.0, 0.5]), np.array([0.2]))
+        op.cd_kernel_grid(t, 10, np.array([-1.0, 0.5, 0.9]), np.array([-1.0, 0.5, 0.9]))
         assert calls == [(1, {}), (3, {}), (3, {})]
 
     def test_points_where_the_weight_underflows(self, herm16):
@@ -347,25 +345,25 @@ class TestCdKernel:
         # point far outside the window, phi_k and K_n are 0.0 in double
         import warnings
 
-        w, t = herm16
+        t = herm16
         xs = np.array([-1e300, -1e39, -0.5, 0.7, 30.0, 1e300])
         inner = np.abs(xs) < 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            k = op.cd_kernel_grid(t, w, 16, xs, xs)
-            phi = op.weighted_polys(t, w, xs, 16)
+            k = op.cd_kernel_grid(t, 16, xs, xs)
+            phi = op.weighted_polys(t, xs, 16)
         assert (k[~inner] == 0.0).all() and (k[:, ~inner] == 0.0).all()
         assert (phi[:, ~inner] == 0.0).all()
         assert _bits(k[np.ix_(inner, inner)]) == _bits(
-            op.cd_kernel_grid(t, w, 16, xs[inner], xs[inner]))
-        assert _bits(phi[:, inner]) == _bits(op.weighted_polys(t, w, xs[inner], 16))
+            op.cd_kernel_grid(t, 16, xs[inner], xs[inner]))
+        assert _bits(phi[:, inner]) == _bits(op.weighted_polys(t, xs[inner], 16))
 
     def test_positive_definite_random_points(self, herm64):
-        w, t = herm64
+        t = herm64
         rng = np.random.default_rng(8)
         for k in [3, 5]:
             pts = rng.uniform(-1.8, 1.8, k)
-            mat = op.cd_kernel_grid(t, w, 48, pts, pts)
+            mat = op.cd_kernel_grid(t, 48, pts, pts)
             assert np.linalg.eigvalsh(mat).min() >= -1e-9
 
     def test_gaussian_density_n1(self):
@@ -374,7 +372,7 @@ class TestCdKernel:
         t = op.recurrence_table(w, 2)
         for x in [-1.3, 0.0, 0.8]:
             want = math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
-            assert op.cd_kernel(t, w, 1, x, x) == pytest.approx(want, abs=1e-10)
+            assert op.cd_kernel(t, 1, x, x) == pytest.approx(want, abs=1e-10)
 
     def test_density_convergence(self, semicircle):
         sups = {}
@@ -382,7 +380,7 @@ class TestCdKernel:
             w = op.WeightSpec(HERMITE, N=n)
             t = op.recurrence_table(w, n)
             xs = np.linspace(-1.8, 1.8, 41)
-            diag = op.cd_kernel_grid(t, w, n, xs, xs).diagonal() / n
+            diag = op.cd_kernel_grid(t, n, xs, xs).diagonal() / n
             sups[n] = np.abs(diag - eq.density(semicircle, xs)).max()
         assert sups[128] / sups[64] <= 0.7
 
@@ -395,7 +393,7 @@ class TestCdKernel:
             w = op.WeightSpec(pot, N=n)
             t = op.recurrence_table(w, n)
             xs = 1.0 + np.linspace(-0.06, 0.06, 7)
-            diag = op.cd_kernel_grid(t, w, n, xs, xs).diagonal() / n
+            diag = op.cd_kernel_grid(t, n, xs, xs).diagonal() / n
             vals[alpha] = diag.mean()
         assert abs(vals[1.0] - vals[0.0]) <= 2e-2
 
@@ -412,7 +410,7 @@ class TestLaguerreOracle:
         x = win.points(n)
         phi = math.sqrt(n) * eval_laguerre(np.arange(n)[:, None], n * x) * np.exp(-0.5 * n * x)
         want = phi.T @ phi
-        got = op.cd_kernel_grid(op.recurrence_table(w, n), w, n, x, x)
+        got = op.cd_kernel_grid(op.recurrence_table(w, n), n, x, x)
         assert np.abs(got - want).max() <= bound * np.abs(want).max()
 
 
@@ -451,10 +449,10 @@ def _ref_scaled_recurrence(x, logscale, n, t=None, even=False, virial=None):
     return (a, b, sums) if build else (y, logs)
 
 
-def _ref_phi(t, w, x, n):
+def _ref_phi(t, x, n):
     """phi_0 .. phi_{n-1} at x from the allocating recurrence, 0.0 where
     _underflowed finds that every phi_k rounds to 0.0."""
-    log_phi0 = 0.5 * (w.log_weight(x) - t.log_mass)
+    log_phi0 = 0.5 * (t.weight.log_weight(x) - t.log_mass)
     dead = op._underflowed(t, x, log_phi0, n - 1)
     live = np.ones(len(x), dtype=bool) if dead is None else ~dead
     phi = np.zeros((n, len(x)))
@@ -463,9 +461,9 @@ def _ref_phi(t, w, x, n):
     return phi
 
 
-def _ref_cd_kernel_grid(t, w, n, xs, ys):
+def _ref_cd_kernel_grid(t, n, xs, ys):
     """K_n = Phi(xs)^T Phi(ys), the rows at xs and at ys evaluated apart."""
-    return _ref_phi(t, w, xs, n).T @ _ref_phi(t, w, ys, n)
+    return _ref_phi(t, xs, n).T @ _ref_phi(t, ys, n)
 
 
 def _bits(v):
@@ -514,13 +512,13 @@ class TestBitwiseReference:
             assert not np.isfinite(op._logsumexp(v))
 
     @staticmethod
-    def _check_grid(t, w, n, xs, ys):
+    def _check_grid(t, n, xs, ys):
         # the rows bit for bit; the last bit of a matrix product depends
         # on its shape, so the grid to 1e-15 of its largest entry
         for pts in (xs, ys):
-            assert _bits(op.weighted_polys(t, w, pts, n)) == _bits(_ref_phi(t, w, pts, n))
-        want = _ref_cd_kernel_grid(t, w, n, xs, ys)
-        assert np.abs(op.cd_kernel_grid(t, w, n, xs, ys) - want).max() <= 1e-15 * np.abs(want).max()
+            assert _bits(op.weighted_polys(t, pts, n)) == _bits(_ref_phi(t, pts, n))
+        want = _ref_cd_kernel_grid(t, n, xs, ys)
+        assert np.abs(op.cd_kernel_grid(t, n, xs, ys) - want).max() <= 1e-15 * np.abs(want).max()
 
     @pytest.mark.parametrize("xs, ys", [
         (np.linspace(-2.0, 2.0, 41), None),                       # square
@@ -530,8 +528,8 @@ class TestBitwiseReference:
     ], ids=["square", "disjoint", "band_pairs", "signed_zero"])
     @pytest.mark.parametrize("n", [1, 2, 9, 64])
     def test_cd_grid(self, herm64, xs, ys, n):
-        w, t = herm64
-        self._check_grid(t, w, n, xs, xs if ys is None else ys)
+        t = herm64
+        self._check_grid(t, n, xs, xs if ys is None else ys)
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 257])
     @pytest.mark.parametrize("pot", [
@@ -552,11 +550,11 @@ class TestBitwiseReference:
         if not pot.hard_edge:
             pts = np.r_[pts, lo - 1.0, -1e300]
         ys = pts[::3]
-        assert _bits(op.weighted_polys(t, w, pts, n)) == _bits(_ref_phi(t, w, pts, n))
+        assert _bits(op.weighted_polys(t, pts, n)) == _bits(_ref_phi(t, pts, n))
         uniq, idx = np.unique(np.concatenate([pts, ys]).view(np.int64), return_inverse=True)
-        phi = _ref_phi(t, w, uniq.view(np.float64), n)
+        phi = _ref_phi(t, uniq.view(np.float64), n)
         ix, iy = np.split(idx, [len(pts)])
-        assert _bits(op.cd_kernel_grid(t, w, n, pts, ys)) == _bits(phi[:, ix].T @ phi[:, iy])
+        assert _bits(op.cd_kernel_grid(t, n, pts, ys)) == _bits(phi[:, ix].T @ phi[:, iy])
 
     @pytest.mark.parametrize("alpha", [0.0, 1.5])
     def test_cd_grid_hard_edge(self, alpha):
@@ -565,7 +563,7 @@ class TestBitwiseReference:
         t = op.recurrence_table(w, 48)
         for xs, ys in [(np.linspace(0.0, 3.5, 15),) * 2,
                        (np.array([0.0, 0.7, 2.0]), np.array([0.7, 3.0]))]:
-            self._check_grid(t, w, 48, xs, ys)
+            self._check_grid(t, 48, xs, ys)
 
 
 def _poly_of(coefs, m):
@@ -577,7 +575,7 @@ def _poly_of(coefs, m):
     return out
 
 
-def _oracle_residuals(t, pot, a=None, b=None):
+def _oracle_residuals(t, a=None, b=None):
     """Scaled residuals on the returned Jacobi matrix J (a, b replace the
     table's) of the virial identities N (J V'(J))_kk = 2k + 1 + e and N (J^2
     V'(J))_kk = (2k + e) b_k + 2 sum_{j<=k} b_j and, for a line weight with
@@ -587,26 +585,28 @@ def _oracle_residuals(t, pot, a=None, b=None):
     exact: k <= n_max - d/2 for a polynomial of degree d in J."""
     a = t.a if a is None else a
     b = t.b if b is None else b
+    w = t.weight
+    pot, bign = w.potential, w.N
     jac = np.diag(b) + np.diag(np.sqrt(a), 1) + np.diag(np.sqrt(a), -1)
     dv = np.polynomial.polynomial.polyder(pot.coefficients)
     vp, vp_abs = _poly_of(dv, jac), _poly_of(np.abs(dv), np.abs(jac))
-    k = 2.0 * np.arange(t.n_max + 1) + op.WeightSpec(pot, N=t.N).exponent
+    k = 2.0 * np.arange(t.n_max + 1) + w.exponent
     sides = [(k + 1.0, k + 1.0),
              (k * b + 2.0 * np.cumsum(b), k * np.abs(b) + 2.0 * np.cumsum(np.abs(b)))]
-    if op.WeightSpec(pot, N=t.N).even:  # J^2 V'(J) is odd in J: 0 = 0
+    if w.even:  # J^2 V'(J) is odd in J: 0 = 0
         sides = sides[:1]
     out = []
     for m, (right, scale) in enumerate(sides, start=1):
         rows = t.n_max + 1 - (pot.degree - 1 + m) // 2
         left = (np.linalg.matrix_power(jac, m) @ vp).diagonal()[:rows]
         bound = (np.linalg.matrix_power(np.abs(jac), m) @ vp_abs).diagonal()[:rows]
-        out.append(np.abs(t.N * left - right[:rows]) / (t.N * bound + scale[:rows]))
+        out.append(np.abs(bign * left - right[:rows]) / (bign * bound + scale[:rows]))
     if pot.hard_edge or pot.singularity_alpha:
         return out
     k = np.arange(1, t.n_max + 1 - pot.degree // 2)
     root = np.sqrt(a[k - 1])
-    string = (np.abs(t.N * vp[k, k - 1] * root - k)
-              / (t.N * vp_abs[k, k - 1] * root + k))
+    string = (np.abs(bign * vp[k, k - 1] * root - k)
+              / (bign * vp_abs[k, k - 1] * root + k))
     return out + [string]
 
 
@@ -632,7 +632,7 @@ class TestOutputOracle:
     def test_identities(self, name, n):
         pot = ORACLE_WEIGHTS[name]
         t = op.recurrence_table(op.WeightSpec(pot, N=n), n)
-        assert max(r.max() for r in _oracle_residuals(t, pot)) <= 1e-12
+        assert max(r.max() for r in _oracle_residuals(t)) <= 1e-12
 
     def test_perturbed_tables_are_flagged(self):
         # the tilted quartic at n = 64: b_10 moved by 1e-8 sqrt(a_1) reads
@@ -642,9 +642,9 @@ class TestOutputOracle:
         b, a = t.b.copy(), t.a.copy()
         b[10] += 1e-8 * math.sqrt(t.a[0])
         a[10] *= 1.0 + 1e-8
-        assert max(r.max() for r in _oracle_residuals(t, pot)) <= 1e-12
-        assert max(r.max() for r in _oracle_residuals(t, pot, b=b)) >= 1e-10
-        assert max(r.max() for r in _oracle_residuals(t, pot, a=a)) >= 1e-10
+        assert max(r.max() for r in _oracle_residuals(t)) <= 1e-12
+        assert max(r.max() for r in _oracle_residuals(t, b=b)) >= 1e-10
+        assert max(r.max() for r in _oracle_residuals(t, a=a)) >= 1e-10
 
     def test_perturbed_laguerre_a_is_flagged(self):
         # V = x: the first identity reads N b_k = 2k + 1 + e, blind to a
@@ -653,7 +653,7 @@ class TestOutputOracle:
         t = op.recurrence_table(op.WeightSpec(pot, N=64), 64)
         a = t.a.copy()
         a[10] *= 1.0 + 1e-8
-        first, second = _oracle_residuals(t, pot, a=a)
+        first, second = _oracle_residuals(t, a=a)
         assert first.max() <= 1e-12 and second.max() >= 1e-10
 
 
@@ -739,11 +739,11 @@ class TestScalingWindows:
 
     def test_identity_rescaling(self, herm64):
         # c = 1/n makes c_n = 1 and returns raw kernel values
-        w, t = herm64
+        t = herm64
         grid = np.array([-0.3, 0.2, 0.9])
         win = op.ScalingWindow(0.0, 1.0, 1.0 / 64.0, grid)
-        K = op.rescaled_kernel(t, w, 64, win)
-        assert K[0, 1] == pytest.approx(op.cd_kernel(t, w, 64, -0.3, 0.2), rel=1e-11)
+        K = op.rescaled_kernel(t, 64, win)
+        assert K[0, 1] == pytest.approx(op.cd_kernel(t, 64, -0.3, 0.2), rel=1e-11)
 
     def test_bulk_converges_to_sine(self, semicircle):
         grid = np.linspace(-2.0, 2.0, 21)
@@ -753,7 +753,7 @@ class TestScalingWindows:
             w = op.WeightSpec(HERMITE, N=n)
             t = op.recurrence_table(w, n)
             win = op.bulk_window(semicircle, 0.0, grid)
-            sups[n] = np.abs(op.rescaled_kernel(t, w, n, win) - ks).max()
+            sups[n] = np.abs(op.rescaled_kernel(t, n, win) - ks).max()
         assert sups[64] <= 0.03
         assert sups[128] / sups[64] <= 0.65
 
@@ -765,7 +765,7 @@ class TestScalingWindows:
         mu = eq.solve_equilibrium(pot)
         win = op.hard_edge_window(mu, np.array([1.0]))
         assert win.c == pytest.approx(2.0, abs=1e-10)
-        got = op.rescaled_kernel(t, w, n, win)[0, 0]
+        got = op.rescaled_kernel(t, n, win)[0, 0]
         assert got == pytest.approx(kr.bessel_hard_kernel(0.0, 1.0, 1.0), abs=0.05)
 
     @pytest.mark.parametrize("coefs, beta", [((0.0, 1.0), 1.0),
@@ -777,10 +777,10 @@ class TestScalingWindows:
         assert win.c == pytest.approx(2.0 * math.sqrt(beta), rel=1e-14)
 
     def test_window_outside_truncation(self, herm64):
-        w, t = herm64
+        t = herm64
         win = op.ScalingWindow(0.0, 1.0, 1.0 / 64.0, np.array([0.0, 100.0]))
         with pytest.raises(ValueError):
-            op.rescaled_kernel(t, w, 64, win)
+            op.rescaled_kernel(t, 64, win)
 
     def test_hard_edge_measure_has_no_soft_left_edge(self):
         mu = eq.solve_equilibrium(Potential((0.0, 1.0), hard_edge=True))
@@ -803,8 +803,8 @@ class TestScalingWindows:
         n = 64
         w = op.WeightSpec(HERMITE, N=n)
         t = op.recurrence_table(w, n)
-        right = op.rescaled_kernel(t, w, n, op.soft_edge_window(semicircle, grid))
-        left = op.rescaled_kernel(t, w, n, op.soft_edge_window(semicircle, grid, side="left"))
+        right = op.rescaled_kernel(t, n, op.soft_edge_window(semicircle, grid))
+        left = op.rescaled_kernel(t, n, op.soft_edge_window(semicircle, grid, side="left"))
         # even potential: the two edges agree exactly
         assert np.abs(left - right).max() <= 1e-9
 

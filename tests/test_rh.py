@@ -246,7 +246,7 @@ class TestKernels:
         w = op.WeightSpec(HERMITE, N=n)
         t = op.recurrence_table(w, n)
         xs = np.linspace(-1.5, 1.5, 15)
-        kcd = op.cd_kernel_grid(t, w, n, xs, xs)
+        kcd = op.cd_kernel_grid(t, n, xs, xs)
         sup = max(abs(rh.bulk_kernel_approx(ctx, xx, yy) - kcd[i, j]) / n
                   for i, xx in enumerate(xs) for j, yy in enumerate(xs))
         assert sup <= 2e-2
